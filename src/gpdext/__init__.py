@@ -31,11 +31,8 @@ from .cocycle import (
     TwoCocycle,
     bicharacter_cocycle,
     cech_cocycle,
-    check_identity,
-    coboundary,
     normalize,
     pauli_cocycle,
-    power,
     solve_coboundary,
     trivialize_principal,
 )
@@ -46,12 +43,6 @@ from .algebra import (
     NormReport,
     RegularRep,
     TwistedAlgebra,
-    convolve,
-    full_norm_certificate,
-    identity_element,
-    involute,
-    reduced_norm,
-    regular_rep,
 )
 from .cyclic_oracle import CyclicExtension, OracleError
 from .extension import (
@@ -66,7 +57,6 @@ from .extension import (
     decompose,
     embed_mode,
     intertwine_check,
-    laurent_product,
     mode_component,
     mode_projection,
     oracle_norm_deviation,

@@ -15,9 +15,10 @@ which is multiplicative and *-preserving for normalized cocycles (the
 cocycle identity on (c b^-1, b d^-1, d) is exactly what is needed).  The
 reduced norm is the largest spectral norm of these matrices over all units.
 
-Coefficients may be exact (int/Fraction/Cyclo) or numeric (complex); exact
-coefficients with exact cocycle values stay exact through products and
-involutions, which is what the structure-constant certificates use.
+Coefficients may be exact (int/Fraction/Cyclo) or numeric (complex) and are
+combined with plain operators; exact coefficients with exact cocycle values
+stay exact through products and involutions, which is what the
+structure-constant certificates use.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (
-    sadd,
-    scalar_is_zero,
-    scalar_to_complex,
-    scalars_equal,
-    sconj,
-    smul,
-)
 from .cocycle import TwoCocycle
 from .groupoid import FiniteGroupoid
 
@@ -112,9 +105,9 @@ class TwistedAlgebra:
                 c = G.compose_or_none(a, b)
                 if c is None:
                     continue
-                term = self.sigma(a, b).times(smul(ca, cb))
+                term = self.sigma(a, b).times(ca * cb)
                 acc = out.get(c)
-                out[c] = term if acc is None else sadd(acc, term)
+                out[c] = term if acc is None else acc + term
         return AlgebraElement(self, out)
 
     def involute(self, f: "AlgebraElement") -> "AlgebraElement":
@@ -122,7 +115,7 @@ class TwistedAlgebra:
         out = {}
         for a, ca in f.coeff.items():
             ai = G.inv(a)
-            out[ai] = self.sigma(ai, a).conj().times(sconj(ca))
+            out[ai] = self.sigma(ai, a).conj().times(ca.conjugate())
         return AlgebraElement(self, out)
 
     def structure_constant(self, a: int, b: int):
@@ -142,7 +135,7 @@ class TwistedAlgebra:
         pos = {b: i for i, b in enumerate(basis)}
         M = np.zeros((len(basis), len(basis)), dtype=complex)
         for a, ca in f.coeff.items():
-            za = scalar_to_complex(ca)
+            za = complex(ca)
             for j, b in enumerate(basis):
                 c = G.compose_or_none(a, b)
                 if c is None:
@@ -229,7 +222,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: TwistedAlgebra, coeff: dict):
         self.algebra = algebra
-        self.coeff = {a: c for a, c in coeff.items() if not scalar_is_zero(c)}
+        self.coeff = {a: c for a, c in coeff.items() if c}
 
     @property
     def is_zero(self) -> bool:
@@ -240,14 +233,14 @@ class AlgebraElement:
             raise AlgebraError("mixing algebra tags")
         out = dict(self.coeff)
         for a, c in other.coeff.items():
-            out[a] = sadd(out.get(a, 0), c) if a in out else c
+            out[a] = out[a] + c if a in out else c
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {a: smul(v, c) for a, v in self.coeff.items()})
+        return AlgebraElement(self.algebra, {a: v * c for a, v in self.coeff.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -267,7 +260,10 @@ class AlgebraElement:
         if not self.algebra.same_tag(other.algebra):
             return False
         for a in set(self.coeff) | set(other.coeff):
-            if not scalars_equal(self.value(a), other.value(a), tol):
+            d = self.value(a) - other.value(a)
+            # an exact difference must vanish exactly, a numeric one within tol
+            close = abs(d) <= tol if isinstance(d, (float, complex)) else not d
+            if not close:
                 return False
         return True
 
@@ -277,13 +273,13 @@ class AlgebraElement:
     def coeff_vector(self) -> np.ndarray:
         v = np.zeros(self.algebra.dimension, dtype=complex)
         for a, c in self.coeff.items():
-            v[a] = scalar_to_complex(c)
+            v[a] = complex(c)
         return v
 
     def sup_difference(self, other: "AlgebraElement") -> float:
         d = 0.0
         for a in set(self.coeff) | set(other.coeff):
-            d = max(d, abs(scalar_to_complex(self.value(a)) - scalar_to_complex(other.value(a))))
+            d = max(d, abs(complex(self.value(a)) - complex(other.value(a))))
         return d
 
     def __repr__(self):
@@ -318,33 +314,6 @@ class FullNormCertificate:
     dimension: int
     per_unit_rank: dict
     note: str
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers mirroring the single-operation surface
-
-def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f.algebra.convolve(f, g)
-
-
-def involute(f: AlgebraElement) -> AlgebraElement:
-    return f.algebra.involute(f)
-
-
-def identity_element(algebra: TwistedAlgebra) -> AlgebraElement:
-    return algebra.identity()
-
-
-def regular_rep(f: AlgebraElement, u: int) -> RegularRep:
-    return f.algebra.regular_rep(f, u)
-
-
-def reduced_norm(f: AlgebraElement) -> NormReport:
-    return f.algebra.reduced_norm(f)
-
-
-def full_norm_certificate(algebra: TwistedAlgebra) -> FullNormCertificate:
-    return algebra.full_norm_certificate()
 
 
 def cocycle_change_isomorphism(

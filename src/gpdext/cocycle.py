@@ -194,18 +194,6 @@ class TwoCocycle:
         return f"TwoCocycle({len(self.values)} non-unit values on {self.base.name})"
 
 
-def check_identity(w: TwoCocycle) -> ValidationReport:
-    return w.check_identity()
-
-
-def coboundary(b: OneCochain) -> TwoCocycle:
-    return b.coboundary()
-
-
-def power(w: TwoCocycle, n: int) -> TwoCocycle:
-    return w.power(n)
-
-
 def normalize(w: TwoCocycle) -> tuple[TwoCocycle, OneCochain]:
     """Normalize a cocycle by dividing out the coboundary of
     b(a) = w(unit at range(a), a).

@@ -25,15 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (
-    CircleScalar,
-    is_exact_scalar,
-    sadd,
-    scalar_is_zero,
-    scalar_to_complex,
-    sconj,
-    smul,
-)
+from .exact import CircleScalar
 from .cocycle import TwoCocycle
 from .groupoid import (
     FiniteGroupoid,
@@ -117,6 +109,7 @@ class CyclicExtension:
         self.validation = validate(self.groupoid)
         self.validation.raise_if_failed()
         self._roots = tuple(CircleScalar(angle=Fraction(j, k)) for j in range(k))
+        self.weight = Fraction(1, k)
 
     # -- indexing -------------------------------------------------------------
 
@@ -138,6 +131,12 @@ class CyclicExtension:
 # the extension algebra, written directly against the composition table.
 # Elements are sparse dicts arrow_id -> scalar.
 
+def _average(ext: CyclicExtension, v):
+    """v / k, the circle average: by the exact weight 1/k on exact values and
+    by the float 1.0 / k on numeric ones."""
+    return v * (1.0 / ext.k) if isinstance(v, (float, complex)) else v * ext.weight
+
+
 def conv(ext: CyclicExtension, f: dict, g: dict) -> dict:
     """Convolution over mu_k x_w G with the circle factor averaged:
     (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z)."""
@@ -148,41 +147,42 @@ def conv(ext: CyclicExtension, f: dict, g: dict) -> dict:
             c = G.compose_or_none(a, b)
             if c is None:
                 continue
-            term = smul(ca, cb)
+            term = ca * cb
             prev = acc.get(c)
-            acc[c] = term if prev is None else sadd(prev, term)
-    weight = Fraction(1, ext.k)
+            acc[c] = term if prev is None else prev + term
     out = {}
     for c, v in acc.items():
-        v = smul(v, weight) if is_exact_scalar(v) else v * (1.0 / ext.k)
-        if not scalar_is_zero(v):
+        v = _average(ext, v)
+        if v:
             out[c] = v
     return out
 
 
 def star(ext: CyclicExtension, f: dict) -> dict:
     G = ext.groupoid
-    return {G.inv(a): sconj(c) for a, c in f.items()}
+    return {G.inv(a): c.conjugate() for a, c in f.items()}
+
+
+def _mode_sum(ext: CyclicExtension, f: dict, t: int, a: int, n: int):
+    """(1/k) sum_j f(t + j, a) e(jn/k), the mode-n part of f at (t, a); 0 when
+    f has no term over a."""
+    acc = None
+    for j in range(ext.k):
+        c = f.get(ext.arrow(t + j, a))
+        if c is None:
+            continue
+        term = ext.root(j * n).times(c)
+        acc = term if acc is None else acc + term
+    return 0 if acc is None else _average(ext, acc)
 
 
 def mode_projection(ext: CyclicExtension, f: dict, n: int) -> dict:
     """The n-th Fourier projection p_n(f)(t,a) = (1/k) sum_j f(jt, a) e(jn/k)."""
-    k = ext.k
-    base_arrows = {ext.parts(x)[1] for x in f}
     out = {}
-    for a in base_arrows:
-        for t in range(k):
-            acc = None
-            for j in range(k):
-                c = f.get(ext.arrow(t + j, a))
-                if c is None:
-                    continue
-                term = ext.root(j * n).times(c)
-                acc = term if acc is None else sadd(acc, term)
-            if acc is None:
-                continue
-            v = smul(acc, Fraction(1, k)) if is_exact_scalar(acc) else acc * (1.0 / k)
-            if not scalar_is_zero(v):
+    for a in {ext.parts(x)[1] for x in f}:
+        for t in range(ext.k):
+            v = _mode_sum(ext, f, t, a, n)
+            if v:
                 out[ext.arrow(t, a)] = v
     return out
 
@@ -190,21 +190,10 @@ def mode_projection(ext: CyclicExtension, f: dict, n: int) -> dict:
 def mode_component(ext: CyclicExtension, f: dict, n: int) -> dict:
     """Coefficients on the base: the mode-n part evaluated at circle
     coordinate 1 (multiplicative into C(G, w^n) thanks to the 1/k weight)."""
-    k = ext.k
-    base_arrows = {ext.parts(x)[1] for x in f}
     out = {}
-    for a in base_arrows:
-        acc = None
-        for j in range(k):
-            c = f.get(ext.arrow(j, a))
-            if c is None:
-                continue
-            term = ext.root(j * n).times(c)
-            acc = term if acc is None else sadd(acc, term)
-        if acc is None:
-            continue
-        v = smul(acc, Fraction(1, k)) if is_exact_scalar(acc) else acc * (1.0 / k)
-        if not scalar_is_zero(v):
+    for a in {ext.parts(x)[1] for x in f}:
+        v = _mode_sum(ext, f, 0, a, n)
+        if v:
             out[a] = v
     return out
 
@@ -216,14 +205,9 @@ def embed_mode(ext: CyclicExtension, n: int, coeffs: dict) -> dict:
     for a, c in coeffs.items():
         for t in range(ext.k):
             v = ext.root(-t * n).times(c)
-            if not scalar_is_zero(v):
+            if v:
                 out[ext.arrow(t, a)] = v
     return out
-
-
-def embed_invariant(ext: CyclicExtension, coeffs: dict) -> dict:
-    """Embed a function on base arrows as a circle-independent function."""
-    return embed_mode(ext, 0, coeffs)
 
 
 def regular_rep_matrix(ext: CyclicExtension, f: dict, u: int) -> np.ndarray:
@@ -234,7 +218,7 @@ def regular_rep_matrix(ext: CyclicExtension, f: dict, u: int) -> np.ndarray:
     for j, x in enumerate(fiber):
         col = conv(ext, f, {x: 1})
         for y, c in col.items():
-            M[pos[y], j] = scalar_to_complex(c)
+            M[pos[y], j] = complex(c)
     return M
 
 
@@ -273,31 +257,32 @@ def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return vh[:r]
 
 
-def ideal_dimension(ext: CyclicExtension, generators: list[dict]) -> tuple[int, np.ndarray]:
-    """Dimension of the two-sided ideal generated inside the extension
-    algebra, by span closure under convolution with the delta basis."""
-    dim = ext.dimension
+def ideal_dimension(dim: int, generators: list[dict], product) -> int:
+    """Dimension of the two-sided ideal generated by sparse coefficient dicts
+    in a dim-dimensional algebra, by span closure under products with the
+    delta basis.  product(f, g) is f * g as a sparse dict; each caller passes
+    its own algebra's product (the oracle's is conv)."""
 
     def vec(d: dict) -> np.ndarray:
         v = np.zeros(dim, dtype=complex)
         for a, c in d.items():
-            v[a] = scalar_to_complex(c)
+            v[a] = complex(c)
         return v
 
     rows = [vec(g) for g in generators if g]
     if not rows:
-        return 0, np.zeros((0, dim))
+        return 0
     basis = _orthonormal_rows(np.array(rows))
     while True:
         cand = list(basis)
         for g in basis:
-            gd = {int(a): g[a] for a in np.nonzero(np.abs(g) > 1e-13)[0]}
+            gd = {int(a): complex(g[a]) for a in np.nonzero(np.abs(g) > 1e-13)[0]}
             for x in range(dim):
-                cand.append(vec(conv(ext, gd, {x: 1})))
-                cand.append(vec(conv(ext, {x: 1}, gd)))
+                cand.append(vec(product(gd, {x: 1})))
+                cand.append(vec(product({x: 1}, gd)))
         new_basis = _orthonormal_rows(np.array(cand))
         if len(new_basis) == len(basis):
-            return len(basis), basis
+            return len(basis)
         basis = new_basis
 
 

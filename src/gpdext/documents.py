@@ -243,8 +243,6 @@ def spec_to_doc(spec: SpecDocument) -> dict:
 
 def element_to_doc(f) -> dict:
     """Sparse {arrow_id: [re, im]} map plus the algebra tag."""
-    from .exact import scalar_to_complex
-
     alg = f.algebra
     return {
         "tag": {
@@ -252,7 +250,7 @@ def element_to_doc(f) -> dict:
             "power": alg.power,
         },
         "coeff": {
-            alg.groupoid.arrow_labels[a]: [scalar_to_complex(c).real, scalar_to_complex(c).imag]
+            alg.groupoid.arrow_labels[a]: [complex(c).real, complex(c).imag]
             for a, c in sorted(f.coeff.items())
         },
     }
@@ -276,13 +274,11 @@ def parse_element(doc, algebra):
 
 def laurent_to_doc(F) -> dict:
     """Sparse {mode: {arrow_id: [re, im]}} rendering of a graded element."""
-    from .exact import scalar_to_complex
-
     g = F.algebra.groupoid
     return {
         "modes": {
             str(n): {
-                g.arrow_labels[a]: [scalar_to_complex(c).real, scalar_to_complex(c).imag]
+                g.arrow_labels[a]: [complex(c).real, complex(c).imag]
                 for a, c in sorted(comp.coeff.items())
             }
             for n, comp in sorted(F.modes.items())

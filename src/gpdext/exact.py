@@ -7,6 +7,14 @@ Q-linear combination of roots of unity; zero testing reduces the coefficient
 polynomial modulo a cyclotomic polynomial, so equality of exact values is
 decided exactly, never by tolerance.
 
+Algebra coefficients are exact (int, Fraction, Cyclo) or numeric (float,
+complex), and Cyclo speaks Python's number protocol, so callers use plain
+operators on either kind: ``a + b``, ``a * b``, ``a - b``, ``a == b``,
+``c.conjugate()``, ``complex(c)``, and ``bool(c)``, which is the exact
+"is nonzero" test.  Exact values combine exactly.  Mixing a Cyclo with a
+float or complex demotes the result to complex; int and Fraction mix with
+floats as Python defines.
+
 The module also holds the integer linear algebra used to decide solvability
 of angle equations modulo 1 (diagonalization by unimodular row/column
 operations).
@@ -117,6 +125,8 @@ class Cyclo:
         raise TypeError(f"cannot coerce {type(x).__name__} to Cyclo")
 
     def __add__(self, other):
+        if isinstance(other, (float, complex)):
+            return self.to_complex() + other
         other = Cyclo.coerce(other)
         terms = dict(self.terms)
         for a, c in other.terms.items():
@@ -127,18 +137,24 @@ class Cyclo:
                 terms.pop(a, None)
         return Cyclo(terms)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        if isinstance(other, (float, complex)):
+            return other + self.to_complex()
+        # other's term goes first, so to_complex sums in operand order
+        return Cyclo.coerce(other) + self
 
     def __neg__(self):
         return Cyclo({a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-Cyclo.coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + Cyclo.coerce(other)
+        return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, (float, complex)):
+            return self.to_complex() * other
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Cyclo({})
@@ -159,13 +175,16 @@ class Cyclo:
                     terms.pop(k, None)
         return Cyclo(terms)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if isinstance(other, (float, complex)):
+            return other * self.to_complex()
+        return self * other
 
     def rotated(self, angle) -> "Cyclo":
         angle = frac_mod1(angle)
         return Cyclo({_angle_add(a, angle): c for a, c in self.terms.items()})
 
-    def conj(self) -> "Cyclo":
+    def conjugate(self) -> "Cyclo":
         return Cyclo({frac_mod1(-a): c for a, c in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -194,6 +213,9 @@ class Cyclo:
         rem = _polyrem_int(coeffs, cyclotomic_polynomial(n))
         return all(c == 0 for c in rem)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __eq__(self, other):
         try:
             other = Cyclo.coerce(other)
@@ -209,6 +231,8 @@ class Cyclo:
             (float(c) * cmath.exp(1j * TWO_PI * float(a)) for a, c in self.terms.items()),
             0j,
         )
+
+    __complex__ = to_complex
 
     def __repr__(self):
         if not self.terms:
@@ -315,11 +339,12 @@ class CircleScalar:
     def times(self, coeff):
         """Multiply an algebra coefficient by this circle value, staying
         exact when both sides are exact."""
-        if self.is_exact and is_exact_scalar(coeff):
+        if self.is_exact:
             if isinstance(coeff, Cyclo):
                 return coeff.rotated(self.angle)
-            return Cyclo.from_root(self.angle, coeff)
-        return self.to_complex() * scalar_to_complex(coeff)
+            if isinstance(coeff, (int, Fraction)):
+                return Cyclo.from_root(self.angle, coeff)
+        return self.to_complex() * complex(coeff)
 
     def is_one(self, tol: float = APPROX_TOL) -> bool:
         if self.is_exact:
@@ -361,64 +386,6 @@ _QUARTER_TURNS = {
 }
 
 ONE = CircleScalar.one()
-
-
-# ---------------------------------------------------------------------------
-# scalar helpers: algebra coefficients are int/Fraction/Cyclo (exact mode)
-# or float/complex (numeric mode); mixing demotes to complex.
-
-def is_exact_scalar(c) -> bool:
-    return isinstance(c, (int, Fraction, Cyclo))
-
-
-def scalar_to_complex(c) -> complex:
-    if isinstance(c, Cyclo):
-        return c.to_complex()
-    if isinstance(c, Fraction):
-        return complex(float(c))
-    return complex(c)
-
-
-def smul(a, b):
-    ta, tb = type(a), type(b)
-    if ta is Cyclo or tb is Cyclo:
-        return (a if ta is Cyclo else Cyclo.coerce(a)) * b
-    if (ta is Fraction or ta is int) and (tb is Fraction or tb is int):
-        return a * b
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return Cyclo.coerce(a) * b
-    return scalar_to_complex(a) * scalar_to_complex(b)
-
-
-def sadd(a, b):
-    ta, tb = type(a), type(b)
-    if ta is Cyclo or tb is Cyclo:
-        return (a if ta is Cyclo else Cyclo.coerce(a)) + b
-    if (ta is Fraction or ta is int) and (tb is Fraction or tb is int):
-        return a + b
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return Cyclo.coerce(a) + b
-    return scalar_to_complex(a) + scalar_to_complex(b)
-
-
-def sconj(a):
-    if isinstance(a, Cyclo):
-        return a.conj()
-    if isinstance(a, (int, Fraction)):
-        return a
-    return scalar_to_complex(a).conjugate()
-
-
-def scalar_is_zero(a) -> bool:
-    if isinstance(a, Cyclo):
-        return a.is_zero()
-    return a == 0
-
-
-def scalars_equal(a, b, tol: float = 0.0) -> bool:
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return (Cyclo.coerce(a) - Cyclo.coerce(b)).is_zero()
-    return abs(scalar_to_complex(a) - scalar_to_complex(b)) <= tol
 
 
 # ---------------------------------------------------------------------------

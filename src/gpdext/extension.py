@@ -24,7 +24,6 @@ from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from .cocycle import TwoCocycle
 from .cyclic_oracle import CyclicExtension
-from .exact import scalar_to_complex, scalars_equal
 from .groupoid import FiniteGroupoid
 
 
@@ -156,10 +155,6 @@ class LaurentElement:
 # ---------------------------------------------------------------------------
 # mode calculus
 
-def laurent_product(F: LaurentElement, G: LaurentElement) -> LaurentElement:
-    return F * G
-
-
 def mode_projection(F: LaurentElement, n: int) -> LaurentElement:
     """Circle-average against the n-th character: keeps mode n, kills the
     rest; a *-homomorphism of the graded model onto its n-th summand."""
@@ -249,7 +244,7 @@ def extension_fiber_inner(x: dict, y: dict) -> complex:
     acc = 0j
     for k, c in x.items():
         if k in y:
-            acc += scalar_to_complex(c) * scalar_to_complex(y[k]).conjugate()
+            acc += complex(c) * complex(y[k]).conjugate()
     return acc
 
 
@@ -280,7 +275,7 @@ def extension_regular_matrix(
             image = F * F.algebra.delta(m, a)
             for n, comp in image.modes.items():
                 for c_arrow, c_val in comp.coeff.items():
-                    M[pos[(n, c_arrow)], i * d + j] = scalar_to_complex(c_val)
+                    M[pos[(n, c_arrow)], i * d + j] = complex(c_val)
     return M, modes, fiber
 
 
@@ -392,82 +387,50 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         for n in range(k)
         for a in base.arrows()
     }
-
-    products = 0
     max_residual = 0.0
+
+    def agree(got: dict, expected: dict) -> bool:
+        """Entrywise comparison: exact values must be equal, numeric ones
+        within tol; numeric deviations feed max_residual."""
+        nonlocal max_residual
+        keys = set(got) | set(expected)
+        if exact:
+            return all(got.get(key, 0) == expected.get(key, 0) for key in keys)
+        dev = max(
+            (abs(complex(got.get(key, 0)) - complex(expected.get(key, 0))) for key in keys),
+            default=0.0,
+        )
+        max_residual = max(max_residual, dev)
+        return dev <= tol
+
     ok = True
+    products = 0
     for (m, a), qa in q.items():
         for (n, b), qb in q.items():
-            prod = oracle.conv(ext, qa, qb)
-            if m != n:
-                expected: dict = {}
-            else:
-                sc = alg.twisted(n).structure_constant(a, b)
-                if sc is None:
-                    expected = {}
-                else:
-                    c_arrow, tw = sc
-                    expected = oracle.embed_mode(ext, n, {c_arrow: tw.times(one)})
+            sc = alg.twisted(n).structure_constant(a, b) if m == n else None
+            expected = {} if sc is None else oracle.embed_mode(ext, n, {sc[0]: sc[1].times(one)})
+            ok = agree(oracle.conv(ext, qa, qb), expected) and ok
             products += 1
-            for key in set(prod) | set(expected):
-                lhs, rhs = prod.get(key, 0), expected.get(key, 0)
-                if exact:
-                    if not scalars_equal(lhs, rhs):
-                        ok = False
-                else:
-                    dev = abs(scalar_to_complex(lhs) - scalar_to_complex(rhs))
-                    max_residual = max(max_residual, dev)
-                    if dev > tol:
-                        ok = False
 
     stars = 0
     for (n, a), qa in q.items():
-        st = oracle.star(ext, qa)
         fa = alg.twisted(n).delta(a, one).star()
-        expected = oracle.embed_mode(ext, n, dict(fa.coeff))
+        ok = agree(oracle.star(ext, qa), oracle.embed_mode(ext, n, dict(fa.coeff))) and ok
         stars += 1
-        for key in set(st) | set(expected):
-            lhs, rhs = st.get(key, 0), expected.get(key, 0)
-            if exact:
-                if not scalars_equal(lhs, rhs):
-                    ok = False
-            else:
-                dev = abs(scalar_to_complex(lhs) - scalar_to_complex(rhs))
-                max_residual = max(max_residual, dev)
-                if dev > tol:
-                    ok = False
 
     projections = 0
     for (n, a), qa in q.items():
         for mm in range(k):
-            proj = oracle.mode_projection(ext, qa, mm)
-            expected = qa if mm == n else {}
+            ok = agree(oracle.mode_projection(ext, qa, mm), qa if mm == n else {}) and ok
             projections += 1
-            for key in set(proj) | set(expected):
-                lhs, rhs = proj.get(key, 0), expected.get(key, 0)
-                if exact:
-                    if not scalars_equal(lhs, rhs):
-                        ok = False
-                else:
-                    dev = abs(scalar_to_complex(lhs) - scalar_to_complex(rhs))
-                    max_residual = max(max_residual, dev)
-                    if dev > tol:
-                        ok = False
     # Fourier projections resolve every delta of the extension
     for x in range(ext.dimension):
         total: dict = {}
         for n in range(k):
             for key, v in oracle.mode_projection(ext, {x: one}, n).items():
                 total[key] = v if key not in total else total[key] + v
+        ok = agree(total, {x: one}) and ok
         projections += 1
-        for key in set(total) | {x}:
-            lhs = total.get(key, 0)
-            rhs = one if key == x else 0
-            if exact:
-                if not scalars_equal(lhs, rhs):
-                    ok = False
-            elif abs(scalar_to_complex(lhs) - scalar_to_complex(rhs)) > tol:
-                ok = False
 
     summands = [
         ModeSummand(

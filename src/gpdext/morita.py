@@ -21,7 +21,6 @@ import numpy as np
 from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, TwistedAlgebra
 from .cocycle import TwoCocycle
-from .exact import sconj, scalar_is_zero, scalar_to_complex, smul
 from .groupoid import FiniteGroupoid, orbit_decomposition, principal_obstruction
 
 
@@ -64,8 +63,8 @@ def left_inner(f: BimoduleElement, g: BimoduleElement, algebra: TwistedAlgebra) 
     _require_principal(G, "left_inner")
     out = {}
     for a in G.arrows():
-        v = smul(f.value(G.r(a)), sconj(g.value(G.s(a))))
-        if not scalar_is_zero(v):
+        v = f.value(G.r(a)) * g.value(G.s(a)).conjugate()
+        if v:
             out[a] = v
     return AlgebraElement(algebra, out)
 
@@ -117,35 +116,6 @@ class FullnessCertificate:
         return self.ideal_dimension == self.algebra_dimension
 
 
-def _ideal_dimension(algebra: TwistedAlgebra, generators: list[AlgebraElement]) -> int:
-    dim = algebra.dimension
-
-    def orth(rows: np.ndarray) -> np.ndarray:
-        if rows.size == 0:
-            return rows.reshape(0, dim)
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        r = int((s > 1e-10 * max(1.0, float(s[0]))).sum()) if len(s) else 0
-        return vh[:r]
-
-    rows = [g.coeff_vector() for g in generators if not g.is_zero]
-    if not rows:
-        return 0
-    basis = orth(np.array(rows))
-    while True:
-        cand = list(basis)
-        for row in basis:
-            x = AlgebraElement(
-                algebra, {int(a): row[a] for a in np.nonzero(np.abs(row) > 1e-13)[0]}
-            )
-            for d in algebra.basis():
-                cand.append((d * x).coeff_vector())
-                cand.append((x * d).coeff_vector())
-        new_basis = orth(np.array(cand))
-        if len(new_basis) == len(basis):
-            return len(basis)
-        basis = new_basis
-
-
 def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
     """The ideal of C(G) generated by the inner products of unit deltas has
     dimension |arrows|: the bimodule is full over the groupoid algebra."""
@@ -156,7 +126,11 @@ def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
         for u in g.units()
         for v in g.units()
     ]
-    dim = _ideal_dimension(algebra, gens)
+    dim = oracle.ideal_dimension(
+        algebra.dimension,
+        [x.coeff for x in gens],
+        lambda f, h: (algebra.element(f) * algebra.element(h)).coeff,
+    )
     return FullnessCertificate(
         ideal_dimension=dim,
         algebra_dimension=g.n_arrows,
@@ -178,8 +152,9 @@ class SaturationReport:
 
     @property
     def not_saturated(self) -> bool:
-        # unless the extension is trivial (k = 1) the ideal misses the other modes
-        return self.ideal_dimension == self.mode_zero_summand_dimension
+        # at k = 1 the extension is trivial and mode 0 is the whole algebra;
+        # for k >= 2 the ideal misses the other modes
+        return self.k > 1 and self.ideal_dimension == self.mode_zero_summand_dimension
 
 
 def saturation_report(
@@ -195,8 +170,8 @@ def saturation_report(
         out = {}
         for t in range(k):
             for a in g.arrows():
-                v = smul(f.value(g.r(a)), sconj(h.value(g.s(a))))
-                if not scalar_is_zero(v):
+                v = f.value(g.r(a)) * h.value(g.s(a)).conjugate()
+                if v:
                     out[ext.arrow(t, a)] = v
         return out
 
@@ -207,12 +182,10 @@ def saturation_report(
         for n in range(1, k):
             p = oracle.mode_projection(ext, L, n)
             for v in p.values():
-                leakage = max(leakage, abs(scalar_to_complex(v)))
+                leakage = max(leakage, abs(complex(v)))
         p0 = oracle.mode_projection(ext, L, 0)
         for key in set(L) | set(p0):
-            dev = abs(
-                scalar_to_complex(L.get(key, 0)) - scalar_to_complex(p0.get(key, 0))
-            )
+            dev = abs(complex(L.get(key, 0)) - complex(p0.get(key, 0)))
             leakage = max(leakage, dev)
     if leakage > 1e-12:
         mode_zero_ok = False
@@ -222,7 +195,9 @@ def saturation_report(
         for u in g.units()
         for v in g.units()
     ]
-    ideal_dim, _ = oracle.ideal_dimension(ext, unit_gens)
+    ideal_dim = oracle.ideal_dimension(
+        ext.dimension, unit_gens, lambda f, h: oracle.conv(ext, f, h)
+    )
     return SaturationReport(
         k=k,
         inner_products=len(pairs),

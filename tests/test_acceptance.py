@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from gpdext import cyclic_oracle as oracle
-from gpdext.algebra import TwistedAlgebra, full_norm_certificate
+from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import load_spec, main
 from gpdext.cocycle import (
     OneCochain,
@@ -236,7 +236,7 @@ def test_06_faithfulness_everywhere(fixture_specs, oracle_batch):
     ok = True
     for _, g, w in fixture_specs:
         for n in range(WINDOW[0], WINDOW[1] + 1):
-            cert = full_norm_certificate(TwistedAlgebra(g, w, n))
+            cert = TwistedAlgebra(g, w, n).full_norm_certificate()
             ok = ok and cert.faithful and cert.rank == g.n_arrows
             algebras += 1
     extensions = 0

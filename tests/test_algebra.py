@@ -8,9 +8,6 @@ from gpdext.algebra import (
     AlgebraError,
     TwistedAlgebra,
     cocycle_change_isomorphism,
-    full_norm_certificate,
-    identity_element,
-    reduced_norm,
 )
 from gpdext.cocycle import OneCochain, TwoCocycle
 from gpdext.groupoid import empty_groupoid, pair_groupoid
@@ -89,15 +86,15 @@ class TestInvolute:
 
 class TestIdentity:
     def test_pair(self, pair_algebra):
-        e = identity_element(pair_algebra)
+        e = pair_algebra.identity()
         assert e.equals(pair_algebra.delta(0) + pair_algebra.delta(3))
         assert (e * pair_algebra.delta(1)).equals(pair_algebra.delta(1))
 
     def test_group(self, pauli_algebra):
-        assert identity_element(pauli_algebra).equals(pauli_algebra.delta(0))
+        assert pauli_algebra.identity().equals(pauli_algebra.delta(0))
 
     def test_unit_law_random(self, pauli_algebra, rng):
-        e = identity_element(pauli_algebra)
+        e = pauli_algebra.identity()
         for _ in range(20):
             f = random_element(rng, pauli_algebra)
             assert (e * f).isclose(f) and (f * e).isclose(f)
@@ -116,7 +113,7 @@ class TestRegularRep:
         assert np.array_equal(rep.matrix, np.array([[0, 0], [1, 0]], dtype=complex))
 
     def test_identity_matrix(self, pair_algebra):
-        rep = pair_algebra.regular_rep(identity_element(pair_algebra), 0)
+        rep = pair_algebra.regular_rep(pair_algebra.identity(), 0)
         assert np.array_equal(rep.matrix, np.eye(2, dtype=complex))
 
     def test_pauli_signed_permutation(self, pauli_algebra):
@@ -160,13 +157,13 @@ class TestRegularRep:
 
 class TestReducedNorm:
     def test_partial_isometry(self, pair_algebra):
-        rep = reduced_norm(pair_algebra.delta(1) + pair_algebra.delta(2))
+        rep = pair_algebra.reduced_norm(pair_algebra.delta(1) + pair_algebra.delta(2))
         assert rep.reduced_norm == pytest.approx(1.0)
         assert rep.faithful
 
     def test_identity_norm(self, pair_algebra, pauli_algebra):
         for A in (pair_algebra, pauli_algebra):
-            assert reduced_norm(identity_element(A)).reduced_norm == pytest.approx(1.0)
+            assert A.reduced_norm(A.identity()).reduced_norm == pytest.approx(1.0)
 
     def test_projection_plus_unitary(self, pauli_algebra):
         # eigenvalues of I + M for a self-adjoint involution M are 0 and 2
@@ -175,44 +172,44 @@ class TestReducedNorm:
         eigs = sorted(np.linalg.eigvalsh(M))
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
         assert eigs[-1] == pytest.approx(2.0)
-        assert reduced_norm(f).reduced_norm == pytest.approx(2.0)
+        assert pauli_algebra.reduced_norm(f).reduced_norm == pytest.approx(2.0)
 
     def test_cstar_identity(self, pauli_algebra, pair_algebra, rng):
         for A in (pauli_algebra, pair_algebra):
             for _ in range(25):
                 f = random_element(rng, A)
-                n1 = reduced_norm(f.star() * f).reduced_norm
-                n2 = reduced_norm(f).reduced_norm
+                n1 = A.reduced_norm(f.star() * f).reduced_norm
+                n2 = A.reduced_norm(f).reduced_norm
                 assert abs(n1 - n2 * n2) <= 1e-9 * max(1.0, n2 * n2)
 
     def test_empty_groupoid(self):
         g = empty_groupoid()
         A = TwistedAlgebra(g, TwoCocycle.trivial(g), 1)
-        rep = reduced_norm(A.zero())
+        rep = A.reduced_norm(A.zero())
         assert rep.reduced_norm == 0.0 and rep.attained_at is None and rep.faithful
 
 
 class TestFullNormCertificate:
     def test_pair_full_matrix_blocks(self, pair_algebra):
-        cert = full_norm_certificate(pair_algebra)
+        cert = pair_algebra.full_norm_certificate()
         assert cert.faithful
         assert cert.rank == cert.dimension == 4
         assert cert.per_unit_rank == {0: 4, 1: 4}  # each block is all of M_2
 
     def test_pauli(self, pauli_algebra):
-        cert = full_norm_certificate(pauli_algebra)
+        cert = pauli_algebra.full_norm_certificate()
         assert cert.faithful and cert.dimension == 4
 
     def test_commutative_case(self, klein):
         A = TwistedAlgebra(klein, TwoCocycle.trivial(klein), 1)
-        assert full_norm_certificate(A).faithful
+        assert A.full_norm_certificate().faithful
         assert A.center_dimension() == 4
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pair_groupoid_realizes_full_matrix_algebra(self, n):
         g = pair_groupoid(n)
         A = TwistedAlgebra(g, TwoCocycle.trivial(g), 1)
-        cert = full_norm_certificate(A)
+        cert = A.full_norm_certificate()
         assert cert.per_unit_rank[0] == n * n
 
 

@@ -9,8 +9,6 @@ from gpdext.exact import (
     Cyclo,
     cyclotomic_polynomial,
     frac_mod1,
-    smul,
-    sadd,
     solve_mod1,
 )
 
@@ -59,7 +57,7 @@ def test_cyclo_ring_laws(a, b, c, d):
     assert (x * y - y * x).is_zero()
     assert abs((x + y).to_complex() - (x.to_complex() + y.to_complex())) < 1e-12
     assert abs((x * y).to_complex() - x.to_complex() * y.to_complex()) < 1e-12
-    assert abs(x.conj().to_complex() - x.to_complex().conjugate()) < 1e-12
+    assert abs(x.conjugate().to_complex() - x.to_complex().conjugate()) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,12 +92,30 @@ def test_circle_scalar_coerce():
         CircleScalar.coerce(3)
 
 
-def test_scalar_helpers_mix_modes():
-    assert smul(Fraction(1, 2), 4) == 2
-    assert isinstance(smul(Fraction(1, 2), 0.5), complex)
-    x = smul(Cyclo.from_root(Fraction(1, 3)), Fraction(2))
-    assert isinstance(x, Cyclo)
-    assert sadd(1, Fraction(1, 2)) == Fraction(3, 2)
+def test_scalar_operators_mix_modes():
+    # int, Fraction and Cyclo products and sums stay exact
+    assert Fraction(1, 2) * 4 == 2
+    assert 1 + Fraction(1, 2) == Fraction(3, 2)
+    root = Cyclo.from_root(Fraction(1, 3))
+    for x in (root * Fraction(2), Fraction(2) * root, root * 2, 2 * root, root + 1, 1 + root):
+        assert isinstance(x, Cyclo)
+    assert Fraction(2) * root == root + root
+    assert isinstance(root * root, Cyclo) and isinstance(root - Fraction(1, 2), Cyclo)
+    # a float or complex operand demotes the result to complex
+    mixed = (root * 0.5, 0.5 * root, root * 1j, 1j * root, root + 0.5, 0.5 + root, 1j - root)
+    for x in mixed:
+        assert isinstance(x, complex)
+    assert abs(root * 2j - 2j * root.to_complex()) < 1e-12
+    assert abs((1j - root) - (1j - root.to_complex())) < 1e-12
+    # bool is the exact zero test
+    assert not Cyclo.zero() and Cyclo.one()
+    assert not (root + Cyclo.from_root(Fraction(2, 3)) + 1)
+    assert root
+    # complex() and conjugate()
+    assert complex(root) == root.to_complex()
+    assert root.conjugate() == Cyclo.from_root(Fraction(2, 3))
+    assert abs(complex(root.conjugate()) - complex(root).conjugate()) < 1e-12
+    assert (root * root.conjugate()) == 1
 
 
 class TestSolveMod1:

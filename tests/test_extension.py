@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +327,17 @@ class TestOracleFaithfulness:
         ext = cyclic_extension(klein, pauli, 2)
         rank, dim = oracle.faithfulness_rank(ext)
         assert rank == dim == 8
+
+
+def test_oracle_imports_nothing_from_the_graded_model():
+    # the oracle's agreement with the graded model is evidence only while
+    # the two share no code
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"algebra", "extension", "morita"}

@@ -130,6 +130,13 @@ class TestSaturation:
         assert rep.ideal_dimension == 4
         assert rep.nonzero_mode_leakage <= 1e-12
 
+    def test_trivial_extension_is_saturated(self, pair2, pair2_trivial, rng):
+        # at k = 1 the extension is G itself: the ideal fills all of it
+        pairs = [(random_bimodule(rng, pair2), random_bimodule(rng, pair2))]
+        rep = saturation_report(pair2, pair2_trivial, 1, pairs)
+        assert rep.ideal_dimension == rep.k * pair2.n_arrows == 4
+        assert not rep.not_saturated
+
     def test_twisted_cocycle(self, rng):
         g = pair_groupoid(2)
         w = random_mu_k_coboundary(rng, g, 3)
