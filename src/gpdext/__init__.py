@@ -49,7 +49,6 @@ from .extension import (
     DecompositionReport,
     ExtensionAlgebra,
     LaurentElement,
-    ModeUnitary,
     WindowError,
     check_reduced_decomposition,
     cyclic_decompose,

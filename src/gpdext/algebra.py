@@ -270,12 +270,6 @@ class AlgebraElement:
     def isclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
         return self.equals(other, tol=tol)
 
-    def coeff_vector(self) -> np.ndarray:
-        v = np.zeros(self.algebra.dimension, dtype=complex)
-        for a, c in self.coeff.items():
-            v[a] = complex(c)
-        return v
-
     def sup_difference(self, other: "AlgebraElement") -> float:
         d = 0.0
         for a in set(self.coeff) | set(other.coeff):
@@ -334,12 +328,12 @@ def cocycle_change_isomorphism(
 
     for x in G.arrows():
         dx = alg_src.delta(x)
-        if not T(dx.star()).equals(T(dx).star(), tol=0.0 if alg_src.cocycle.is_exact else 1e-10):
+        if not T(dx.star()).equals(T(dx).star(), tol=1e-10):
             return False
         for y in G.arrows():
             dy = alg_src.delta(y)
             lhs = T(dx * dy)
             rhs = T(dx) * T(dy)
-            if not lhs.equals(rhs, tol=0.0 if alg_src.cocycle.is_exact else 1e-10):
+            if not lhs.equals(rhs, tol=1e-10):
                 return False
     return True

@@ -236,7 +236,7 @@ def trivialize_principal(w: TwoCocycle) -> OneCochain:
         vals[a] = w.value(a, alpha)
     b = OneCochain(g, vals)
     db = b.coboundary()
-    if not db.pointwise_equal(w, tol=0.0 if (w.is_exact and b.is_exact) else 1e-10):
+    if not db.pointwise_equal(w, tol=1e-10):
         raise CocycleError("trivialization postcondition failed")
     return b
 

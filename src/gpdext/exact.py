@@ -273,10 +273,6 @@ class CircleScalar:
         return CircleScalar(angle=Fraction(a))
 
     @staticmethod
-    def root_of_unity(q: int, p: int = 1) -> "CircleScalar":
-        return CircleScalar(angle=Fraction(p, q))
-
-    @staticmethod
     def from_complex(z) -> "CircleScalar":
         return CircleScalar(z=z)
 
@@ -330,11 +326,6 @@ class CircleScalar:
                 return quarter
             return cmath.exp(1j * TWO_PI * float(self.angle))
         return self.z
-
-    def as_cyclo(self) -> Cyclo:
-        if not self.is_exact:
-            raise ValueError("approximate circle value has no exact form")
-        return Cyclo.from_root(self.angle)
 
     def times(self, coeff):
         """Multiply an algebra coefficient by this circle value, staying

@@ -120,18 +120,6 @@ def random_principal_groupoid(rng: random.Random) -> FiniteGroupoid:
     return rng.choice(builders)()
 
 
-def random_groupoid(rng: random.Random) -> FiniteGroupoid:
-    builders = [
-        lambda: pair_groupoid(rng.randrange(1, 4)),
-        lambda: cyclic_group_groupoid(rng.randrange(2, 7)),
-        lambda: abelian_group_groupoid((2, 2)),
-        lambda: symmetric_group_groupoid(3),
-        lambda: disjoint_union(pair_groupoid(2), cyclic_group_groupoid(2)),
-        lambda: random_principal_groupoid(rng),
-    ]
-    return rng.choice(builders)()
-
-
 def random_element(rng: random.Random, algebra, scale: float = 1.0):
     return algebra.element(
         {

@@ -251,3 +251,13 @@ class TestCocycleClassInvariance:
         assert cocycle_change_isomorphism(src, dst, b)
         # the shifted algebra is still the 2x2 matrix algebra
         assert dst.center_dimension() == 1
+
+    def test_numeric_cochain_is_compared_within_tolerance(self, pair2, pair2_trivial):
+        # an exact source cocycle twisted by a numeric cochain: products and
+        # stars agree only up to rounding, which must not count as a mismatch
+        b = OneCochain(pair2, {1: complex(np.exp(0.7j)), 2: complex(np.exp(0.3j))})
+        w2 = pair2_trivial.mul(b.coboundary().conj())
+        assert w2.check_identity().ok
+        src = TwistedAlgebra(pair2, pair2_trivial, 1)
+        dst = TwistedAlgebra(pair2, w2, 1)
+        assert cocycle_change_isomorphism(src, dst, b)

@@ -43,6 +43,12 @@ class TestExitCodes:
     def test_missing_input_is_two(self):
         assert main(["validate"]) == 2
 
+    @pytest.mark.parametrize("command", ["cyclic-oracle", "verify-all"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_two(self, command, k, capsys):
+        assert main([command, "--fixture", "pauli", "--samples", "2", f"--k={k}"]) == 2
+        assert "--k must be at least 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_normalize_emits_documents(self, capsys):

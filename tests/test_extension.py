@@ -11,14 +11,13 @@ from gpdext.algebra import AlgebraError
 from gpdext.cocycle import TwoCocycle
 from gpdext.extension import (
     ExtensionAlgebra,
-    ModeUnitary,
     WindowError,
     check_reduced_decomposition,
     cyclic_decompose,
     cyclic_extension,
     decompose,
     embed_mode,
-    extension_fiber_inner,
+    extension_regular_matrix,
     intertwine_check,
     mode_component,
     mode_projection,
@@ -41,6 +40,14 @@ def pair_ext(pair2, pair2_trivial):
 @pytest.fixture
 def pauli_ext(klein, pauli):
     return ExtensionAlgebra(klein, pauli)
+
+
+@pytest.fixture(params=["pauli", "pair3_mu4_coboundary"])
+def shared_pass_ext(request, klein, pauli, rng):
+    if request.param == "pauli":
+        return ExtensionAlgebra(klein, pauli)
+    g = pair_groupoid(3)
+    return ExtensionAlgebra(g, random_mu_k_coboundary(rng, g, 4))
 
 
 class TestGradedProduct:
@@ -178,23 +185,46 @@ class TestIntertwining:
             intertwine_check(pauli_ext.delta(2, 0) + pauli_ext.delta(-3, 0), 0, (0, 1))
         assert exc.value.missing == (-3, 2)
 
-    def test_mode_unitaries_are_orthogonal_isometries(self, pauli_ext):
-        fiber = pauli_ext.groupoid.source_fiber(0)
-        modes = (0, 1, 2)
-        Vs = {n: ModeUnitary(0, n, fiber).embedding_matrix(modes) for n in modes}
-        for m in modes:
-            for n in modes:
-                prod = Vs[m].T @ Vs[n]
-                expected = np.eye(len(fiber)) if m == n else np.zeros((len(fiber),) * 2)
-                assert np.array_equal(prod, expected)
-
-    def test_fiber_inner_product_matches_mode_delta(self):
-        x = {(0, 1): 1.0, (1, 1): 2.0}
-        y = {(0, 1): 1.0, (2, 1): 5.0}
-        assert extension_fiber_inner(x, y) == pytest.approx(1.0)
+    def test_wider_window_gives_the_same_residual(self, shared_pass_ext, rng):
+        # outside F's span the rows and columns of both sides are exactly zero
+        for _ in range(8):
+            F = random_laurent(rng, shared_pass_ext, (-2, 2), density=0.6)
+            if F.is_zero:
+                continue
+            lo, hi = min(F.modes), max(F.modes)
+            for u in shared_pass_ext.groupoid.units():
+                span = intertwine_check(F, u, (lo, hi))
+                wide = intertwine_check(F, u, (lo - 1, hi + 2))
+                assert wide.residual == span.residual
+                assert wide.dimension > span.dimension
 
 
 class TestReducedDecomposition:
+    def test_max_residual_is_the_worst_intertwining_residual(self, shared_pass_ext, rng):
+        units = shared_pass_ext.groupoid.units()
+        for _ in range(6):
+            F = random_laurent(rng, shared_pass_ext, (-2, 2), density=0.6)
+            if F.is_zero:
+                continue
+            span = (min(F.modes), max(F.modes))
+            cert = check_reduced_decomposition([F])
+            assert cert.max_residual == max(intertwine_check(F, u, span).residual for u in units)
+            assert cert.max_residual <= 1e-12
+
+    def test_norm_deviation_matches_decompose(self, shared_pass_ext, rng):
+        units = shared_pass_ext.groupoid.units()
+        for _ in range(6):
+            F = random_laurent(rng, shared_pass_ext, (-2, 2), density=0.6)
+            if F.is_zero:
+                continue
+            span = (min(F.modes), max(F.modes))
+            fiber_norm = max(
+                float(np.linalg.norm(extension_regular_matrix(F, u, span)[0], 2)) for u in units
+            )
+            _, report = decompose(F)
+            cert = check_reduced_decomposition([F])
+            assert cert.max_norm_deviation == abs(fiber_norm - report.extension_norm)
+
     def test_identity_norms_agree(self, pair_ext):
         cert = check_reduced_decomposition([pair_ext.identity()])
         assert cert.ok and cert.max_norm_deviation == 0.0
