@@ -53,6 +53,7 @@ class TwistedAlgebra:
         self.power = int(power)
         self._sigma_cache: dict = {}
         self._faithfulness = None
+        self._center_dimension = None
 
     def sigma(self, a: int, b: int):
         """The twisting value w^n(a, b)."""
@@ -196,6 +197,8 @@ class TwistedAlgebra:
 
     def center_dimension(self) -> int:
         """Dimension of the center, by solving [x, delta_b] = 0 for all b."""
+        if self._center_dimension is not None:
+            return self._center_dimension
         G = self.groupoid
         m = G.n_arrows
         if m == 0:
@@ -209,7 +212,8 @@ class TwistedAlgebra:
                 ba = G.compose_or_none(b, a)
                 if ba is not None:
                     rows[b * m + ba, a] -= self.sigma(b, a).to_complex()
-        return m - int(np.linalg.matrix_rank(rows))
+        self._center_dimension = m - int(np.linalg.matrix_rank(rows))
+        return self._center_dimension
 
     def __repr__(self):
         return f"C({self.groupoid.name}, w^{self.power})"

@@ -161,16 +161,18 @@ def _oracle_order(spec: SpecDocument, w: TwoCocycle, k_flag: int | None) -> int 
     """The cyclic order used for oracle runs: the --k flag, the document
     parameter, or the smallest k containing all exact cocycle values."""
     if k_flag is not None:
-        if k_flag < 1:
-            raise oracle.OracleError(f"--k must be at least 1, got {k_flag}")
-        return k_flag
-    if "k" in spec.params:
-        return int(spec.params["k"])
-    if not w.is_exact:
-        return None
-    dens = [v.angle.denominator for v in w.values.values()]
-    k = lcm(*dens) if dens else 1
-    return k if k <= 12 else None
+        k, name = k_flag, "--k"
+    elif "k" in spec.params:
+        k, name = int(spec.params["k"]), "params.k"
+    else:
+        if not w.is_exact:
+            return None
+        dens = [v.angle.denominator for v in w.values.values()]
+        k = lcm(*dens) if dens else 1
+        return k if k <= 12 else None
+    if k < 1:
+        raise oracle.OracleError(f"{name} must be at least 1, got {k}")
+    return k
 
 
 def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
@@ -474,7 +476,7 @@ def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Repo
             pos_ok = False
     report.add("positivity", pos_ok)
     kk = _oracle_order(spec, w, None)
-    if kk is not None and kk >= 1:
+    if kk is not None:
         pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(samples)]
         sat = saturation_report(g, w, max(kk, 2), pairs)
         report.add(

@@ -2,10 +2,11 @@
 
 Angles live in Q/Z as reduced fractions, with e(a) = exp(2*pi*i*a).  A
 CircleScalar is a single point on the unit circle, exact when its angle is
-rational and a unit-modulus complex float otherwise.  A Cyclo is a finite
-Q-linear combination of roots of unity; zero testing reduces the coefficient
-polynomial modulo a cyclotomic polynomial, so equality of exact values is
-decided exactly, never by tolerance.
+rational and a unit-modulus complex float otherwise.  A Cyclo is an element
+of Q(zeta_n) held as integer data: int exponents of zeta_n = e(1/n) over one
+conductor n, int coefficients, and one common int denominator.  Zero testing
+reduces the coefficient polynomial modulo a cyclotomic polynomial, so
+equality of exact values is decided exactly, never by tolerance.
 
 Algebra coefficients are exact (int, Fraction, Cyclo) or numeric (float,
 complex), and Cyclo speaks Python's number protocol, so callers use plain
@@ -42,11 +43,6 @@ def frac_mod1(a) -> Fraction:
 @lru_cache(maxsize=1 << 16)
 def _frac_mod1_cached(a: Fraction) -> Fraction:
     return a % 1
-
-
-@lru_cache(maxsize=1 << 16)
-def _angle_add(a: Fraction, b: Fraction) -> Fraction:
-    return (a + b) % 1
 
 
 @lru_cache(maxsize=None)
@@ -90,27 +86,44 @@ def _polyrem_int(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 class Cyclo:
-    """Exact cyclotomic rational: a finite sum  sum_j c_j * e(a_j)  with
-    rational coefficients c_j and rational angles a_j in Q/Z."""
+    """Exact element of a cyclotomic field, (1/den) * sum_e c_e * zeta_n^e.
 
-    __slots__ = ("terms",)
+    ``n`` is the conductor the exponents are taken over (zeta_n = e(1/n)),
+    ``terms`` maps int exponents in [0, n) to nonzero int coefficients, and
+    the int ``den >= 1`` is coprime to every coefficient (1 for zero).
+    Operands over different conductors are lifted to the lcm L of the two,
+    exponent e over n becoming e * (L / n); a result keeps that conductor even
+    when terms cancel.  Terms keep the order the operations inserted them in,
+    which is the order to_complex sums them in.  The constructor takes the
+    three slots as given; from_root, from_rational and the operators keep
+    the invariants.
+    """
 
-    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
+    __slots__ = ("n", "terms", "den")
+
+    def __init__(self, n: int = 1, terms: dict[int, int] | None = None, den: int = 1):
+        self.n = n
         self.terms = {} if terms is None else terms
+        self.den = den
 
     @staticmethod
     def from_rational(c) -> "Cyclo":
-        c = Fraction(c)
-        return Cyclo({Fraction(0): c} if c else {})
+        c = _rational(c)
+        return Cyclo(1, {0: c.numerator}, c.denominator) if c else Cyclo()
 
     @staticmethod
     def from_root(angle, coeff=1) -> "Cyclo":
-        c = Fraction(coeff)
-        return Cyclo({frac_mod1(angle): c} if c else {})
+        """coeff * e(angle) for rational angle and coeff."""
+        c = _rational(coeff)
+        if not c:
+            return Cyclo()
+        a = _rational(angle)
+        n = a.denominator
+        return Cyclo(n, {a.numerator % n: c.numerator}, c.denominator)
 
     @staticmethod
     def zero() -> "Cyclo":
-        return Cyclo({})
+        return Cyclo()
 
     @staticmethod
     def one() -> "Cyclo":
@@ -125,17 +138,24 @@ class Cyclo:
         raise TypeError(f"cannot coerce {type(x).__name__} to Cyclo")
 
     def __add__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.to_complex() + other
-        other = Cyclo.coerce(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a, 0) + c
-            if s:
-                terms[a] = s
+        # Cyclo operands, the common case, skip the coercion checks
+        if type(other) is not Cyclo:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() + other
+            other = Cyclo.coerce(other)
+        n = self.n if self.n == other.n else math.lcm(self.n, other.n)
+        den = self.den if self.den == other.den else math.lcm(self.den, other.den)
+        s, t = n // self.n, den // self.den
+        terms = dict(self.terms) if s == t == 1 else {e * s: c * t for e, c in self.terms.items()}
+        s, t = n // other.n, den // other.den
+        for e, c in other.terms.items():
+            e *= s
+            v = terms.get(e, 0) + c * t
+            if v:
+                terms[e] = v
             else:
-                terms.pop(a, None)
-        return Cyclo(terms)
+                terms.pop(e, None)
+        return _reduced(n, terms, den)
 
     def __radd__(self, other):
         if isinstance(other, (float, complex)):
@@ -144,7 +164,7 @@ class Cyclo:
         return Cyclo.coerce(other) + self
 
     def __neg__(self):
-        return Cyclo({a: -c for a, c in self.terms.items()})
+        return Cyclo(self.n, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + -other
@@ -153,27 +173,34 @@ class Cyclo:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.to_complex() * other
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Cyclo({})
-            return Cyclo({a: c * other for a, c in self.terms.items()})
-        other = Cyclo.coerce(other)
+        if type(other) is not Cyclo:
+            if isinstance(other, (float, complex)):
+                return self.to_complex() * other
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return Cyclo()
+                p, q = other.numerator, other.denominator
+                return _reduced(self.n, {e: c * p for e, c in self.terms.items()}, self.den * q)
+            other = Cyclo.coerce(other)
+        n = self.n if self.n == other.n else math.lcm(self.n, other.n)
+        s, t = n // self.n, n // other.n
         # Fast path: multiplying by a single monomial is a rotation.
         if len(other.terms) == 1:
-            (b, d), = other.terms.items()
-            return Cyclo({_angle_add(a, b): c * d for a, c in self.terms.items()})
-        terms: dict[Fraction, Fraction] = {}
-        for a, c in self.terms.items():
-            for b, d in other.terms.items():
-                k = _angle_add(a, b)
-                s = terms.get(k, 0) + c * d
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return Cyclo(terms)
+            (f, d), = other.terms.items()
+            f *= t
+            terms = {(e * s + f) % n: c * d for e, c in self.terms.items()}
+        else:
+            terms = {}
+            for e, c in self.terms.items():
+                e *= s
+                for f, d in other.terms.items():
+                    k = (e + f * t) % n
+                    v = terms.get(k, 0) + c * d
+                    if v:
+                        terms[k] = v
+                    else:
+                        terms.pop(k, None)
+        return _reduced(n, terms, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (float, complex)):
@@ -181,11 +208,16 @@ class Cyclo:
         return self * other
 
     def rotated(self, angle) -> "Cyclo":
-        angle = frac_mod1(angle)
-        return Cyclo({_angle_add(a, angle): c for a, c in self.terms.items()})
+        """This value times e(angle), for a rational angle."""
+        a = _rational(angle)
+        q = a.denominator
+        n = math.lcm(self.n, q)
+        s, shift = n // self.n, a.numerator * (n // q)
+        return Cyclo(n, {(e * s + shift) % n: c for e, c in self.terms.items()}, self.den)
 
     def conjugate(self) -> "Cyclo":
-        return Cyclo({frac_mod1(-a): c for a, c in self.terms.items()})
+        n = self.n
+        return Cyclo(n, {-e % n: c for e, c in self.terms.items()}, self.den)
 
     def is_zero(self) -> bool:
         terms = self.terms
@@ -193,25 +225,20 @@ class Cyclo:
             return True
         if len(terms) == 1:
             return False  # a single nonzero multiple of a root of unity
+        n = self.n
         if len(terms) == 2:
-            # c1 e(a1) + c2 e(a2) = 0 only when the roots are equal or opposite
-            (a1, c1), (a2, c2) = terms.items()
-            d = a1 - a2
-            if d == Fraction(1, 2) or d == Fraction(-1, 2):
-                return c1 == c2
-            return False  # equal angles cannot occur (dict keys), so nonzero
-        n = math.lcm(*(a.denominator for a in terms))
-        # clear denominators: integer polynomial in the primitive n-th root
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        coeffs = [0] * n
-        for a, c in terms.items():
-            coeffs[a.numerator * (n // a.denominator)] += c.numerator * (den // c.denominator)
-        if all(c == 0 for c in coeffs):
-            return True
-        if n == 1:
-            return False
-        rem = _polyrem_int(coeffs, cyclotomic_polynomial(n))
-        return all(c == 0 for c in rem)
+            # c1 z^e1 + c2 z^e2 = 0 only when the roots are opposite (the
+            # exponents are distinct dict keys) and the coefficients equal
+            (e1, c1), (e2, c2) = terms.items()
+            return c1 == c2 and 2 * ((e1 - e2) % n) == n
+        # The exponents share the factor g with n, so the value is an integer
+        # polynomial in the primitive m-th root zeta_n^g.
+        g = math.gcd(n, *terms)
+        m = n // g
+        coeffs = [0] * m
+        for e, c in terms.items():
+            coeffs[e // g] = c
+        return not any(_polyrem_int(coeffs, cyclotomic_polynomial(m)))
 
     def __bool__(self):
         return not self.is_zero()
@@ -227,8 +254,11 @@ class Cyclo:
         raise TypeError("Cyclo is not hashable")
 
     def to_complex(self) -> complex:
+        # int / int rounds correctly, so each term is the float that the
+        # rational coefficient and angle denote
+        n, den = self.n, self.den
         return sum(
-            (float(c) * cmath.exp(1j * TWO_PI * float(a)) for a, c in self.terms.items()),
+            ((c / den) * cmath.exp(1j * TWO_PI * (e / n)) for e, c in self.terms.items()),
             0j,
         )
 
@@ -237,8 +267,26 @@ class Cyclo:
     def __repr__(self):
         if not self.terms:
             return "Cyclo(0)"
-        parts = [f"{c}*e({a})" for a, c in sorted(self.terms.items())]
+        parts = [
+            f"{Fraction(c, self.den)}*e({Fraction(e, self.n)})"
+            for e, c in sorted(self.terms.items())
+        ]
         return "Cyclo(" + " + ".join(parts) + ")"
+
+
+def _rational(x) -> int | Fraction:
+    """x as an exact rational; int and Fraction pass through."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
+def _reduced(n: int, terms: dict[int, int], den: int) -> Cyclo:
+    """The Cyclo (1/den) * terms over n, with the common factor of den and
+    the coefficients divided out."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            return Cyclo(n, {e: c // g for e, c in terms.items()}, den // g)
+    return Cyclo(n, terms, den)
 
 
 class CircleScalar:

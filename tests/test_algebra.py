@@ -224,6 +224,20 @@ class TestCenters:
         # the pair groupoid algebra is a full matrix algebra
         assert pair_algebra.center_dimension() == 1
 
+    def test_second_call_is_cached(self, pauli_algebra, monkeypatch):
+        calls = []
+        rank = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        assert pauli_algebra.center_dimension() == 1
+        assert len(calls) == 1
+        assert pauli_algebra.center_dimension() == 1
+        assert len(calls) == 1
+
 
 class TestCocycleClassInvariance:
     def test_twisting_by_coboundary(self, pair2, pair2_trivial, rng):

@@ -49,6 +49,19 @@ class TestExitCodes:
         assert main([command, "--fixture", "pauli", "--samples", "2", f"--k={k}"]) == 2
         assert "--k must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, fixture", [("cyclic-oracle", "pauli"), ("morita", "pair3_cobound")]
+    )
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_document_k_below_one_is_two(self, command, fixture, k, tmp_path, capsys):
+        path = Path(__file__).parents[1] / f"src/gpdext/fixtures/{fixture}.json"
+        spec = json.loads(path.read_text())
+        spec["params"]["k"] = k
+        doc = tmp_path / "k.json"
+        doc.write_text(json.dumps(spec))
+        assert main([command, str(doc), "--samples", "2"]) == 2
+        assert "params.k must be at least 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_normalize_emits_documents(self, capsys):

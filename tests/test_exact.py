@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdext.exact import (
+    TWO_PI,
     CircleScalar,
     Cyclo,
     cyclotomic_polynomial,
@@ -13,6 +16,16 @@ from gpdext.exact import (
 )
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=24).map(lambda a: a % 1)
+
+# (conductor d | 60, exponent j, coefficient c) stands for c * e(j / d)
+divisors_of_60 = st.sampled_from([d for d in range(1, 61) if 60 % d == 0])
+roots = st.tuples(
+    divisors_of_60,
+    st.integers(0, 59),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+root_sums = st.lists(roots, max_size=4)
+angles_60 = st.builds(lambda d, j: Fraction(j, d), divisors_of_60, st.integers(0, 59))
 
 
 def test_cyclotomic_polynomials():
@@ -47,6 +60,58 @@ def test_cyclo_zero_test_matches_complex_evaluation(terms):
     for a, c in terms:
         x = x + Cyclo.from_root(a, c)
     assert x.is_zero() == (abs(x.to_complex()) < 1e-9)
+
+
+def _cyclo(terms) -> tuple[Cyclo, complex]:
+    """The sum of the roots in terms, exactly and by complex evaluation."""
+    x, z = Cyclo.zero(), 0j
+    for d, j, c in terms:
+        x = x + Cyclo.from_root(Fraction(j, d), c)
+        z += float(c) * cmath.exp(1j * TWO_PI * j / d)
+    return x, z
+
+
+def _assert_representation(x: Cyclo, z: complex):
+    assert abs(x.to_complex() - z) < 1e-9
+    assert type(x.n) is int and 60 % x.n == 0
+    assert type(x.den) is int and x.den >= 1
+    for e, c in x.terms.items():
+        assert type(e) is int and 0 <= e < x.n
+        assert type(c) is int and c != 0
+    assert math.gcd(x.den, *x.terms.values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_sums, root_sums, angles_60)
+def test_cyclo_representation_invariants(xs, ys, angle):
+    (x, zx), (y, zy) = _cyclo(xs), _cyclo(ys)
+    _assert_representation(x, zx)
+    _assert_representation(x + y, zx + zy)
+    _assert_representation(x - y, zx - zy)
+    _assert_representation(x * y, zx * zy)
+    _assert_representation(x.rotated(angle), zx * cmath.exp(1j * TWO_PI * float(angle)))
+    _assert_representation(x.conjugate(), zx.conjugate())
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_sums, root_sums)
+def test_cyclo_to_complex_matches_fraction_angles(xs, ys):
+    x, y = _cyclo(xs)[0], _cyclo(ys)[0]
+    for x in (x, x * y):
+        expected = sum(
+            (
+                float(Fraction(c, x.den)) * cmath.exp(1j * TWO_PI * float(Fraction(e, x.n)))
+                for e, c in x.terms.items()
+            ),
+            0j,
+        )
+        assert repr(x.to_complex()) == repr(expected)
+
+
+def test_cyclo_lifts_to_the_lcm_conductor():
+    x = Cyclo.from_root(Fraction(1, 2)) + Cyclo.from_root(Fraction(1, 3))
+    assert x.n == 6 and x.terms == {3: 1, 2: 1}
+    assert Cyclo.from_root(Fraction(1, 4)) * Cyclo.from_root(Fraction(3, 4)) == 1
 
 
 @settings(max_examples=40, deadline=None)
