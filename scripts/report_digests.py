@@ -5,6 +5,13 @@ machine report of every bundled fixture at seeds 0-4, then one line
 of every bundled fixture at seed 0 with twice the fixture's own k, where the
 cocycle values, k-th roots of unity, are lifted into mu_2k.
 
+Then, per fixture, the structural certificates as plain numbers: one line
+`fixture n=<n> center=<c> rank=<r>/<dim>` for C(G, w^n) at every power n in
+-k..2k, on the normalized cocycle, and one line
+`fixture oracle k=<k> rank=<r>/<dim>` for the oracle's `faithfulness_rank`
+at k and at 2k.  A diff that moves one of these names the power or the
+order at which it moved.
+
 A change meant to leave every report byte-identical is checked by running
 this once against each tree and diffing the outputs:
 
@@ -16,7 +23,11 @@ this once against each tree and diffing the outputs:
 import hashlib
 import sys
 
+from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, cmd_cyclic_oracle, cmd_verify_all, load_spec
+from gpdext.cocycle import normalize
+from gpdext.cyclic_oracle import faithfulness_rank
+from gpdext.extension import cyclic_extension
 
 SEEDS = range(5)
 SAMPLES = 10
@@ -36,6 +47,22 @@ def main() -> int:
         spec, source = load_spec(None, path.stem)
         k = 2 * int(spec.params["k"])
         print(path.stem, f"k={k}", _digest(cmd_cyclic_oracle(spec, source, 0, SAMPLES, k=k)))
+    for path in paths:
+        spec, _ = load_spec(None, path.stem)
+        g, k = spec.groupoid, int(spec.params["k"])
+        w = spec.cocycle_or_trivial()
+        if not w.normalized:
+            w = normalize(w)[0]
+        for n in range(-k, 2 * k + 1):
+            alg = TwistedAlgebra(g, w, n)
+            cert = alg.full_norm_certificate()
+            print(
+                path.stem,
+                f"n={n} center={alg.center_dimension()} rank={cert.rank}/{cert.dimension}",
+            )
+        for kk in (k, 2 * k):
+            rank, dim = faithfulness_rank(cyclic_extension(g, w, kk))
+            print(path.stem, f"oracle k={kk} rank={rank}/{dim}")
     return 0
 
 

@@ -72,12 +72,6 @@ class OneCochain:
         w.identity_checked = True
         return w
 
-    def ratio(self, other: "OneCochain") -> "OneCochain":
-        g = self.base
-        return OneCochain(
-            g, {a: self.value(a) * other.value(a).conj() for a in g.arrows()}
-        )
-
     def __repr__(self):
         return f"OneCochain({len(self.values)} non-unit values on {self.base.name})"
 
@@ -157,15 +151,6 @@ class TwoCocycle:
             rep = self.check_identity()
             if not rep.ok:
                 raise CocycleError(f"{what}: cocycle identity fails; {rep.summary()}")
-
-    def power(self, n: int) -> "TwoCocycle":
-        """Pointwise n-th power; re-verifies the identity on the result."""
-        self.require_checked("power")
-        w = TwoCocycle(self.base, {p: v ** n for p, v in self.values.items()})
-        rep = w.check_identity()
-        if not rep.ok:
-            raise CocycleError("power of a cocycle failed the identity check (numeric drift?)")
-        return w
 
     def mul(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.base is not self.base:

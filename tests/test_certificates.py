@@ -1,0 +1,177 @@
+"""The structural certificates against their floating-point references.
+
+`full_norm_certificate`, `center_dimension` and the oracle's
+`faithfulness_rank` are decided by closed forms.  Here they are
+cross-checked against the rank computations of `reference_ranks` on every
+bundled fixture and on random, multi-orbit and nonabelian instances, and
+each is fed a single-point mutant that it must reject.
+"""
+
+import cmath
+import random
+from fractions import Fraction
+
+import pytest
+
+from gpdext import cyclic_oracle as oracle
+from gpdext.algebra import TwistedAlgebra
+from gpdext.cli import _fixture_dir, load_spec
+from gpdext.cocycle import (
+    OneCochain,
+    TwoCocycle,
+    bicharacter_cocycle,
+    pauli_cocycle,
+)
+from gpdext.exact import CircleScalar
+from gpdext.extension import ExtensionAlgebra, cyclic_extension
+from gpdext.groupoid import (
+    abelian_group_groupoid,
+    disjoint_union,
+    pair_groupoid,
+    symmetric_group_groupoid,
+)
+from gpdext.randgen import (
+    _FAMILIES,
+    draw_oracle_instance,
+    random_laurent,
+    random_mu_k_coboundary,
+)
+from reference_ranks import (
+    commutator_center_dimension,
+    oracle_stacked_rank,
+    stacked_faithfulness,
+)
+
+POWERS = range(-2, 7)
+FAMILY_ORDERS = (2, 3, 4, 6)
+# (orders, k) of the bicharacter cocycles on Z_a x Z_b
+BICHAR = (((2, 2), 2), ((2, 4), 4), ((3, 3), 3), ((4, 4), 4), ((3, 6), 3))
+
+
+def _numeric_coboundary(rng: random.Random, g) -> TwoCocycle:
+    units = set(g.unit_to_arrow)
+    b = OneCochain(
+        g,
+        {
+            a: cmath.exp(1j * rng.uniform(0, 6.28))
+            for a in g.arrows()
+            if a not in units
+        },
+    )
+    return b.coboundary()
+
+
+def _mixed_union():
+    """Klein (carrying the sign cocycle) + S3 + pair(3): three orbits with
+    isotropy Z2 x Z2, S3 and the trivial group."""
+    klein = abelian_group_groupoid((2, 2))
+    pauli = pauli_cocycle(klein)
+    g = disjoint_union(disjoint_union(klein, symmetric_group_groupoid(3)), pair_groupoid(3))
+    # the Klein arrows keep their ids 0..3 in the union
+    return g, TwoCocycle(g, pauli.values)
+
+
+def _instances():
+    rng = random.Random(20261018)
+    out = []
+    for path in sorted(_fixture_dir().glob("*.json")):
+        spec, _ = load_spec(None, path.stem)
+        out.append((f"fixture-{path.stem}", spec.groupoid, spec.cocycle_or_trivial()))
+    for i, (_, family) in enumerate(_FAMILIES):
+        for k in FAMILY_ORDERS:
+            g, seed = family(k)
+            w = random_mu_k_coboundary(rng, g, k)
+            if seed is not None:
+                w = w.mul(seed)
+            out.append((f"family{i}-{g.name}-k{k}", g, w))
+    for n in range(2, 12):
+        g = pair_groupoid(n)
+        out.append((g.name, g, random_mu_k_coboundary(rng, g, rng.choice(FAMILY_ORDERS))))
+    for orders, k in BICHAR:
+        g = abelian_group_groupoid(orders)
+        w = bicharacter_cocycle(g, orders, k).mul(random_mu_k_coboundary(rng, g, k))
+        out.append((f"{g.name}-bichar-k{k}", g, w))
+    for n in (3, 4):
+        g = symmetric_group_groupoid(n)
+        out.append((f"{g.name}-untwisted", g, TwoCocycle.trivial(g)))
+    g, w = _mixed_union()
+    out.append(("klein-pauli+S3+pair3", g, w.mul(random_mu_k_coboundary(rng, g, 4))))
+    out.append(("klein-pauli+S3+pair3-numeric", g, w.mul(_numeric_coboundary(rng, g))))
+    klein = abelian_group_groupoid((2, 2))
+    w = pauli_cocycle(klein).mul(_numeric_coboundary(rng, klein))
+    out.append(("klein-pauli-numeric", klein, w))
+    return out
+
+
+INSTANCES = _instances()
+
+
+@pytest.mark.parametrize("name,g,w", INSTANCES, ids=[name for name, _, _ in INSTANCES])
+def test_closed_forms_match_the_rank_references(name, g, w):
+    assert w.check_identity().ok and w.normalized
+    for n in POWERS:
+        A = TwistedAlgebra(g, w, n)
+        cert = A.full_norm_certificate()
+        rank, _ = stacked_faithfulness(A)
+        assert (cert.rank, cert.dimension, cert.faithful) == (
+            rank,
+            g.n_arrows,
+            rank == g.n_arrows,
+        ), f"power {n}"
+        assert A.center_dimension() == commutator_center_dimension(A), f"power {n}"
+
+
+def test_mixed_union_centers():
+    # Klein with the sign cocycle: C^4 at even powers, M_2 at odd ones;
+    # S3 has 3 classes; pair(3) is M_3
+    g, w = _mixed_union()
+    assert [TwistedAlgebra(g, w, n).center_dimension() for n in (0, 1, 2)] == [8, 5, 8]
+
+
+def test_oracle_rank_matches_the_reference_on_test_01_draws():
+    # the first 40 instances of the test-01 batch, drawn in the same order
+    rng = random.Random(20260808)
+    for i in range(40):
+        k = (2, 3, 4, 6)[i % 4]
+        g, w = draw_oracle_instance(rng, k)
+        ext = cyclic_extension(g, w, k)
+        assert oracle.faithfulness_rank(ext) == oracle_stacked_rank(ext), (i, g.name, k)
+        random_laurent(rng, ExtensionAlgebra(g, w), (0, k - 1))
+
+
+# -- negative controls: single-point mutants each certificate must reject --
+
+
+def test_missing_unit_composition_is_not_faithful(monkeypatch):
+    g = pair_groupoid(3)
+    a = 1  # the arrow (0,1)
+    unit = g.unit_arrow(g.s(a))
+    compose_or_none = g.compose_or_none
+    monkeypatch.setattr(
+        g, "compose_or_none", lambda x, y: None if (x, y) == (a, unit) else compose_or_none(x, y)
+    )
+    cert = TwistedAlgebra(g, TwoCocycle.trivial(g), 1).full_norm_certificate()
+    assert cert.rank == cert.dimension - 1 == 8
+    assert not cert.faithful
+
+
+def test_oracle_conv_dropping_an_arrow_loses_rank(monkeypatch, klein, pauli):
+    ext = cyclic_extension(klein, pauli, 2)
+    conv = oracle.conv
+    dropped = ext.arrow(1, 3)
+    monkeypatch.setattr(
+        oracle,
+        "conv",
+        lambda e, f, h: {c: v for c, v in conv(e, f, h).items() if c != dropped},
+    )
+    rank, dim = oracle.faithfulness_rank(ext)
+    assert rank < dim == 8
+
+
+def test_one_noncommuting_twist_value_shrinks_the_klein_center(monkeypatch, klein):
+    A = TwistedAlgebra(klein, TwoCocycle.trivial(klein), 1)
+    sigma = A.sigma
+    half = CircleScalar(angle=Fraction(1, 2))
+    # (0,1) and (1,0) commute, and now sigma((0,1), (1,0)) != sigma((1,0), (0,1))
+    monkeypatch.setattr(A, "sigma", lambda a, b: half if (a, b) == (1, 2) else sigma(a, b))
+    assert A.center_dimension() < 4
