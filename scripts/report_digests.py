@@ -12,6 +12,13 @@ Then, per fixture, the structural certificates as plain numbers: one line
 at k and at 2k.  A diff that moves one of these names the power or the
 order at which it moved.
 
+Last, per fixture at seed 0, one line
+`fixture main <command> exit=<code> sha256` for the standard output of the
+command-line entry point `main([...])`: validate, normalize, trivialize,
+`algebra --power 1`, decompose, morita and verify-all in machine format,
+then verify-all in human format.  These go through argument parsing and
+command dispatch, with the sample count each fixture's params give.
+
 A change meant to leave every report byte-identical is checked by running
 this once against each tree and diffing the outputs:
 
@@ -20,21 +27,42 @@ this once against each tree and diffing the outputs:
     diff before after
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, cmd_cyclic_oracle, cmd_verify_all, load_spec
+from gpdext.cli import main as cli_main
 from gpdext.cocycle import normalize
 from gpdext.cyclic_oracle import faithfulness_rank
 from gpdext.extension import cyclic_extension
 
 SEEDS = range(5)
 SAMPLES = 10
+MAIN_RUNS = (
+    ("validate", "--format", "machine"),
+    ("normalize", "--format", "machine"),
+    ("trivialize", "--format", "machine"),
+    ("algebra", "--power", "1", "--format", "machine"),
+    ("decompose", "--format", "machine"),
+    ("morita", "--format", "machine"),
+    ("verify-all", "--format", "machine"),
+    ("verify-all", "--format", "human"),
+)
 
 
 def _digest(report) -> str:
     return hashlib.sha256(report.to_machine().encode()).hexdigest()
+
+
+def _main_digest(argv: list[str]) -> tuple[int, str]:
+    """Exit code and sha256 of the standard output of `gpdext <argv>`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def main() -> int:
@@ -63,6 +91,10 @@ def main() -> int:
         for kk in (k, 2 * k):
             rank, dim = faithfulness_rank(cyclic_extension(g, w, kk))
             print(path.stem, f"oracle k={kk} rank={rank}/{dim}")
+    for path in paths:
+        for run in MAIN_RUNS:
+            code, digest = _main_digest([*run, "--fixture", path.stem, "--seed", "0"])
+            print(path.stem, "main", " ".join(run), f"exit={code}", digest)
     return 0
 
 

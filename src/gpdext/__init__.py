@@ -54,9 +54,7 @@ from .extension import (
     cyclic_decompose,
     cyclic_extension,
     decompose,
-    embed_mode,
     intertwine_check,
-    mode_component,
     mode_projection,
     oracle_norm_deviation,
 )

@@ -122,13 +122,6 @@ class TwistedAlgebra:
             out[ai] = self.sigma(ai, a).conj().times(ca.conjugate())
         return AlgebraElement(self, out)
 
-    def structure_constant(self, a: int, b: int):
-        """delta_a * delta_b = sigma(a,b) delta_{ab}, or None when not composable."""
-        c = self.groupoid.compose_or_none(a, b)
-        if c is None:
-            return None
-        return c, self.sigma(a, b)
-
     # -- representation and norms ----------------------------------------------
 
     def regular_rep(self, f: "AlgebraElement", u: int) -> "RegularRep":
@@ -274,9 +267,6 @@ class AlgebraElement:
             if not close:
                 return False
         return True
-
-    def isclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        return self.equals(other, tol=tol)
 
     def sup_difference(self, other: "AlgebraElement") -> float:
         d = 0.0

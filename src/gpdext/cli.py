@@ -43,7 +43,6 @@ from .extension import (
     cyclic_decompose,
     cyclic_extension,
     decompose,
-    mode_component,
     mode_projection,
     oracle_norm_deviation,
 )
@@ -137,8 +136,24 @@ def load_spec(path: str | None, fixture: str | None) -> tuple[SpecDocument, str]
     return parse_spec(p.read_text()), path
 
 
+def _base_is_groupoid(spec: SpecDocument, report: Report) -> bool:
+    """Validate the base; only a failure is reported, as groupoid-axioms."""
+    rep = validate(spec.groupoid)
+    if not rep.ok:
+        report.add(
+            "groupoid-axioms",
+            False,
+            violations=len(rep.violations),
+            first=rep.violations[0].message,
+        )
+    return rep.ok
+
+
 def _prepared_cocycle(spec: SpecDocument, report: Report) -> TwoCocycle | None:
-    """Identity-check the cocycle and normalize it when needed; report both."""
+    """Identity-check the cocycle and normalize it when needed; report both.
+    None when the base is no groupoid or the identity fails."""
+    if not _base_is_groupoid(spec, report):
+        return None
     w = spec.cocycle_or_trivial()
     rep = w.check_identity()
     report.add(
@@ -225,6 +240,8 @@ def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Re
 
 def cmd_normalize(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
     report = Report("normalize", source, seed, samples)
+    if not _base_is_groupoid(spec, report):
+        return report
     w = spec.cocycle_or_trivial()
     rep = w.check_identity()
     report.add("cocycle-identity", rep.ok, violations=len(rep.violations))
@@ -352,13 +369,10 @@ def cmd_decompose(
         for n in range(window[0], window[1] + 1):
             homo = max(
                 homo,
-                (mode_component(F * G, n) - mode_component(F, n) * mode_component(G, n))
-                .sup_difference(ea.twisted(n).zero()),
+                ((F * G).mode(n) - F.mode(n) * G.mode(n)).sup_difference(ea.twisted(n).zero()),
             )
             star = max(
-                star,
-                (mode_component(F.star(), n) - mode_component(F, n).star())
-                .sup_difference(ea.twisted(n).zero()),
+                star, (F.star().mode(n) - F.mode(n).star()).sup_difference(ea.twisted(n).zero())
             )
     report.add("mode-projection-laws", proj_ok)
     report.add("mode-homomorphism", homo <= 1e-10, residual=fmt_float(homo))
@@ -552,22 +566,25 @@ def _parse_modes(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+COMMANDS = {
+    "validate": cmd_validate,
+    "normalize": cmd_normalize,
+    "trivialize": cmd_trivialize,
+    "algebra": cmd_algebra,
+    "decompose": cmd_decompose,
+    "cyclic-oracle": cmd_cyclic_oracle,
+    "morita": cmd_morita,
+    "verify-all": cmd_verify_all,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gpdext",
         description="verification suites for finite groupoids, cocycles, and their twisted algebras",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in (
-        "validate",
-        "normalize",
-        "trivialize",
-        "algebra",
-        "decompose",
-        "cyclic-oracle",
-        "morita",
-        "verify-all",
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("path", nargs="?", help="spec document (JSON)")
         p.add_argument("--fixture", help="name of a bundled fixture")
@@ -590,39 +607,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         spec, source = load_spec(args.path, args.fixture)
         seed = args.seed if args.seed is not None else int(spec.params.get("seed", 0))
         samples = (
             args.samples if args.samples is not None else int(spec.params.get("samples", 25))
         )
-        if args.command == "validate":
-            report = cmd_validate(spec, source, seed, samples)
-        elif args.command == "normalize":
-            report = cmd_normalize(spec, source, seed, samples)
-        elif args.command == "trivialize":
-            report = cmd_trivialize(spec, source, seed, samples)
-        elif args.command == "algebra":
-            element_doc = Path(args.element).read_text() if args.element else None
-            report = cmd_algebra(
-                spec, source, seed, samples, power=args.power, element_doc=element_doc
-            )
-        elif args.command == "decompose":
-            report = cmd_decompose(spec, source, seed, samples, modes=args.modes)
-        elif args.command == "cyclic-oracle":
-            report = cmd_cyclic_oracle(spec, source, seed, samples, k=args.k)
-        elif args.command == "morita":
-            report = cmd_morita(spec, source, seed, samples)
-        else:
-            report = cmd_verify_all(
-                spec, source, seed, samples, modes=args.modes, k=args.k
-            )
-    except (DocumentError, OSError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (CocycleError, MoritaError, oracle.OracleError) as e:
+        # the command's own flags, by the keyword names of its cmd_* function
+        options = {key: getattr(args, key) for key in ("modes", "k", "power") if key in args}
+        if getattr(args, "element", None):
+            options["element_doc"] = Path(args.element).read_text()
+        report = COMMANDS[args.command](spec, source, seed, samples, **options)
+    except (DocumentError, OSError, CocycleError, MoritaError, oracle.OracleError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     print(report.to_machine() if args.format == "machine" else report.to_human(), end="")

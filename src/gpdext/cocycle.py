@@ -17,6 +17,8 @@ from .exact import CircleScalar, ONE, frac_mod1, solve_mod1
 from .groupoid import (
     FiniteGroupoid,
     ValidationReport,
+    _cover_arrows,
+    cover_groupoid,
     orbit_decomposition,
     principal_obstruction,
 )
@@ -99,10 +101,6 @@ class TwoCocycle:
         w.identity_checked = True
         return w
 
-    @staticmethod
-    def from_function(base: FiniteGroupoid, fn) -> "TwoCocycle":
-        return TwoCocycle(base, {p: CircleScalar.coerce(fn(*p)) for p in base.compose_table})
-
     # -- queries --------------------------------------------------------------
 
     def value(self, a: int, b: int) -> CircleScalar:
@@ -134,8 +132,7 @@ class TwoCocycle:
         for a, b, c in g.composable_triples():
             lhs = self.value(a, b) * self.value(g.compose(a, b), c)
             rhs = self.value(b, c) * self.value(a, g.compose(b, c))
-            equal = lhs.angle == rhs.angle if (lhs.is_exact and rhs.is_exact) else lhs.isclose(rhs, 1e-10)
-            if not equal:
+            if not lhs.isclose(rhs):
                 rep.add(
                     "cocycle-identity",
                     (a, b, c),
@@ -163,17 +160,11 @@ class TwoCocycle:
     def conj(self) -> "TwoCocycle":
         return TwoCocycle(self.base, {p: v.conj() for p, v in self.values.items()})
 
-    def pointwise_equal(self, other: "TwoCocycle", tol: float = 0.0) -> bool:
-        if other.base is not self.base:
-            return False
-        for p in self.base.compose_table:
-            a, b = self.value(*p), other.value(*p)
-            if a.is_exact and b.is_exact and tol == 0.0:
-                if a.angle != b.angle:
-                    return False
-            elif not a.isclose(b, tol if tol else 1e-10):
-                return False
-        return True
+    def pointwise_equal(self, other: "TwoCocycle") -> bool:
+        """Equal on every composable pair, by ``CircleScalar.isclose``."""
+        return other.base is self.base and all(
+            self.value(*p).isclose(other.value(*p)) for p in self.base.compose_table
+        )
 
     def __repr__(self):
         return f"TwoCocycle({len(self.values)} non-unit values on {self.base.name})"
@@ -221,7 +212,7 @@ def trivialize_principal(w: TwoCocycle) -> OneCochain:
         vals[a] = w.value(a, alpha)
     b = OneCochain(g, vals)
     db = b.coboundary()
-    if not db.pointwise_equal(w, tol=1e-10):
+    if not db.pointwise_equal(w):
         raise CocycleError("trivialization postcondition failed")
     return b
 
@@ -239,18 +230,8 @@ def cech_cocycle(points, cover, lam) -> TwoCocycle:
     ((x,i),(x,j)), ((x,j),(x,k)); it passes the cocycle identity exactly
     when lam satisfies the Cech 2-cocycle condition on quadruple overlaps.
     """
-    from .groupoid import cover_groupoid
-
     g = cover_groupoid(points, cover)
-    points = list(points)
-    cover_sets = [set(U) for U in cover]
-    arrows = []
-    for i in range(len(cover_sets)):
-        for j in range(len(cover_sets)):
-            for x in points:
-                if x in cover_sets[i] and x in cover_sets[j]:
-                    arrows.append((x, i, j))
-    aindex = {a: k for k, a in enumerate(arrows)}
+    arrows = _cover_arrows(points, cover)
 
     if callable(lam):
         getter = lam
@@ -259,17 +240,16 @@ def cech_cocycle(points, cover, lam) -> TwoCocycle:
             return lam[(i, j, k, x)]
 
     vals = {}
-    for (x, i, j) in arrows:
-        for k2 in range(len(cover_sets)):
-            b = (x, j, k2)
-            if b in aindex:
-                try:
-                    v = getter(i, j, k2, x)
-                except KeyError:
-                    raise CechDataError(
-                        f"cochain value missing on triple overlap (i={i}, j={j}, k={k2}, x={x!r})"
-                    ) from None
-                vals[(aindex[(x, i, j)], aindex[b])] = CircleScalar.coerce(v)
+    for a, b in g.compose_table:
+        x, i, j = arrows[a]
+        k = arrows[b][2]
+        try:
+            v = getter(i, j, k, x)
+        except KeyError:
+            raise CechDataError(
+                f"cochain value missing on triple overlap (i={i}, j={j}, k={k}, x={x!r})"
+            ) from None
+        vals[(a, b)] = CircleScalar.coerce(v)
     return TwoCocycle(g, vals)
 
 
@@ -323,7 +303,7 @@ def pauli_cocycle(base: FiniteGroupoid) -> TwoCocycle:
     for a in range(4):
         for b in range(4):
             if (coords[a][1] * coords[b][0]) % 2:
-                vals[(a, b)] = CircleScalar.from_angle(Fraction(1, 2))
+                vals[(a, b)] = CircleScalar(angle=Fraction(1, 2))
     w = TwoCocycle(base, vals)
     rep = w.check_identity()
     assert rep.ok

@@ -163,38 +163,22 @@ def star(ext: CyclicExtension, f: dict) -> dict:
     return {G.inv(a): c.conjugate() for a, c in f.items()}
 
 
-def _mode_sum(ext: CyclicExtension, f: dict, t: int, a: int, n: int):
-    """(1/k) sum_j f(t + j, a) e(jn/k), the mode-n part of f at (t, a); 0 when
-    f has no term over a."""
-    acc = None
-    for j in range(ext.k):
-        c = f.get(ext.arrow(t + j, a))
-        if c is None:
-            continue
-        term = ext.root(j * n).times(c)
-        acc = term if acc is None else acc + term
-    return 0 if acc is None else _average(ext, acc)
-
-
 def mode_projection(ext: CyclicExtension, f: dict, n: int) -> dict:
-    """The n-th Fourier projection p_n(f)(t,a) = (1/k) sum_j f(jt, a) e(jn/k)."""
+    """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k)."""
     out = {}
     for a in {ext.parts(x)[1] for x in f}:
         for t in range(ext.k):
-            v = _mode_sum(ext, f, t, a, n)
-            if v:
-                out[ext.arrow(t, a)] = v
-    return out
-
-
-def mode_component(ext: CyclicExtension, f: dict, n: int) -> dict:
-    """Coefficients on the base: the mode-n part evaluated at circle
-    coordinate 1 (multiplicative into C(G, w^n) thanks to the 1/k weight)."""
-    out = {}
-    for a in {ext.parts(x)[1] for x in f}:
-        v = _mode_sum(ext, f, 0, a, n)
-        if v:
-            out[a] = v
+            acc = None
+            for j in range(ext.k):
+                c = f.get(ext.arrow(t + j, a))
+                if c is None:
+                    continue
+                term = ext.root(j * n).times(c)
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                v = _average(ext, acc)
+                if v:
+                    out[ext.arrow(t, a)] = v
     return out
 
 

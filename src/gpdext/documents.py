@@ -241,6 +241,32 @@ def spec_to_doc(spec: SpecDocument) -> dict:
 # ---------------------------------------------------------------------------
 # algebra elements and reports
 
+def _coeffs_to_doc(g: FiniteGroupoid, coeff: dict) -> dict:
+    """Sparse {arrow_id: [re, im]} rendering of one coefficient map."""
+    return {
+        g.arrow_labels[a]: [complex(c).real, complex(c).imag] for a, c in sorted(coeff.items())
+    }
+
+
+def _coeffs_from_doc(coeff, g: FiniteGroupoid) -> dict:
+    """Parse a {arrow_id: [re, im]} map, each coefficient two JSON numbers."""
+    if not isinstance(coeff, dict):
+        raise DocumentError(f"coefficients must be an object, got {coeff!r}")
+    aindex = {name: i for i, name in enumerate(g.arrow_labels)}
+    out = {}
+    for name, pair in coeff.items():
+        if name not in aindex:
+            raise DocumentError(f"coefficient on unknown arrow {name!r}")
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise DocumentError(f"coefficient of {name!r} must be [re, im], got {pair!r}")
+        out[aindex[name]] = complex(pair[0], pair[1])
+    return out
+
+
 def element_to_doc(f) -> dict:
     """Sparse {arrow_id: [re, im]} map plus the algebra tag."""
     alg = f.algebra
@@ -249,10 +275,7 @@ def element_to_doc(f) -> dict:
             "groupoid": alg.groupoid.name,
             "power": alg.power,
         },
-        "coeff": {
-            alg.groupoid.arrow_labels[a]: [complex(c).real, complex(c).imag]
-            for a, c in sorted(f.coeff.items())
-        },
+        "coeff": _coeffs_to_doc(alg.groupoid, f.coeff),
     }
 
 
@@ -261,28 +284,14 @@ def parse_element(doc, algebra):
     coeff = doc.get("coeff")
     if coeff is None:
         raise DocumentError("element document missing field 'coeff'")
-    aindex = {name: i for i, name in enumerate(algebra.groupoid.arrow_labels)}
-    out = {}
-    for name, pair in coeff.items():
-        if name not in aindex:
-            raise DocumentError(f"element references unknown arrow {name!r}")
-        if len(pair) != 2:
-            raise DocumentError(f"coefficient of {name!r} must be [re, im]")
-        out[aindex[name]] = complex(float(pair[0]), float(pair[1]))
-    return algebra.element(out)
+    return algebra.element(_coeffs_from_doc(coeff, algebra.groupoid))
 
 
 def laurent_to_doc(F) -> dict:
     """Sparse {mode: {arrow_id: [re, im]}} rendering of a graded element."""
     g = F.algebra.groupoid
     return {
-        "modes": {
-            str(n): {
-                g.arrow_labels[a]: [complex(c).real, complex(c).imag]
-                for a, c in sorted(comp.coeff.items())
-            }
-            for n, comp in sorted(F.modes.items())
-        }
+        "modes": {str(n): _coeffs_to_doc(g, comp.coeff) for n, comp in sorted(F.modes.items())}
     }
 
 
@@ -291,19 +300,13 @@ def parse_laurent(doc, ext_algebra):
     modes = doc.get("modes")
     if modes is None:
         raise DocumentError("laurent document missing field 'modes'")
-    aindex = {name: i for i, name in enumerate(ext_algebra.groupoid.arrow_labels)}
     out = {}
     for mode, coeff in modes.items():
         try:
             n = int(mode)
         except ValueError:
             raise DocumentError(f"bad mode index {mode!r}") from None
-        comp = {}
-        for name, pair in coeff.items():
-            if name not in aindex:
-                raise DocumentError(f"laurent document references unknown arrow {name!r}")
-            comp[aindex[name]] = complex(float(pair[0]), float(pair[1]))
-        out[n] = comp
+        out[n] = _coeffs_from_doc(coeff, ext_algebra.groupoid)
     return ext_algebra.element(out)
 
 

@@ -33,15 +33,9 @@ APPROX_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
-def frac_mod1(a) -> Fraction:
-    """Reduce a rational to its representative in [0, 1)."""
-    if type(a) is Fraction:
-        return _frac_mod1_cached(a)
-    return Fraction(a) % 1
-
-
-@lru_cache(maxsize=1 << 16)
-def _frac_mod1_cached(a: Fraction) -> Fraction:
+def frac_mod1(a: int | Fraction) -> int | Fraction:
+    """Reduce a rational, an int or a Fraction, to its representative in
+    [0, 1), of the same type."""
     return a % 1
 
 
@@ -317,14 +311,6 @@ class CircleScalar:
         return CircleScalar(angle=Fraction(0))
 
     @staticmethod
-    def from_angle(a) -> "CircleScalar":
-        return CircleScalar(angle=Fraction(a))
-
-    @staticmethod
-    def from_complex(z) -> "CircleScalar":
-        return CircleScalar(z=z)
-
-    @staticmethod
     def coerce(x) -> "CircleScalar":
         """CircleScalar passes through; Fraction/str mean an angle; int,
         float and complex mean the value itself."""
@@ -360,8 +346,6 @@ class CircleScalar:
             return CircleScalar(angle=-self.angle)
         return CircleScalar(z=self.z.conjugate())
 
-    inverse = conj
-
     def __pow__(self, n: int):
         if self.is_exact:
             return CircleScalar(angle=self.angle * n)
@@ -391,6 +375,7 @@ class CircleScalar:
         return abs(self.z - 1.0) <= tol
 
     def isclose(self, other, tol: float = 1e-10) -> bool:
+        """Equal angles when both are exact, values within tol otherwise."""
         other = CircleScalar.coerce(other)
         if self.is_exact and other.is_exact:
             return self.angle == other.angle

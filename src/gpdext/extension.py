@@ -40,6 +40,8 @@ class ExtensionAlgebra:
     caches the twisted algebra of each cocycle power."""
 
     def __init__(self, groupoid: FiniteGroupoid, cocycle: TwoCocycle):
+        if cocycle.base is not groupoid:
+            raise AlgebraError("cocycle is not defined on this groupoid")
         cocycle.require_checked("extension algebra")
         if not cocycle.normalized:
             raise AlgebraError("extension algebra needs a normalized cocycle")
@@ -143,9 +145,6 @@ class LaurentElement:
                 return False
         return True
 
-    def isclose(self, other: "LaurentElement", tol: float = 1e-12) -> bool:
-        return self.equals(other, tol=tol)
-
     def __repr__(self):
         if not self.modes:
             return "0"
@@ -160,16 +159,6 @@ def mode_projection(F: LaurentElement, n: int) -> LaurentElement:
     rest; a *-homomorphism of the graded model onto its n-th summand."""
     f = F.modes.get(n)
     return LaurentElement(F.algebra, {n: f} if f is not None else {})
-
-
-def mode_component(F: LaurentElement, n: int) -> AlgebraElement:
-    """The mode-n component as an element of C(G, w^n)."""
-    return F.mode(n)
-
-
-def embed_mode(alg: ExtensionAlgebra, n: int, f: AlgebraElement) -> LaurentElement:
-    """One-sided inverse of mode_component: f back into mode n."""
-    return alg.element({n: f})
 
 
 @dataclass
@@ -393,8 +382,10 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     products = 0
     for (m, a), qa in q.items():
         for (n, b), qb in q.items():
-            sc = alg.twisted(n).structure_constant(a, b) if m == n else None
-            expected = {} if sc is None else oracle.embed_mode(ext, n, {sc[0]: sc[1].times(one)})
+            # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
+            expected = {}
+            if m == n and (c := base.compose_or_none(a, b)) is not None:
+                expected = oracle.embed_mode(ext, n, {c: alg.twisted(n).sigma(a, b).times(one)})
             ok = agree(oracle.conv(ext, qa, qb), expected) and ok
             products += 1
 

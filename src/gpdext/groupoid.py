@@ -429,12 +429,7 @@ def cover_groupoid(points, cover) -> FiniteGroupoid:
             raise GroupoidError(f"point {x!r} lies outside every cover set")
     units = [(x, i) for i, U in enumerate(cover) for x in points if x in U]
     uindex = {xu: k for k, xu in enumerate(units)}
-    arrows = []
-    for i, U in enumerate(cover):
-        for j, V in enumerate(cover):
-            for x in points:
-                if x in U and x in V:
-                    arrows.append((x, i, j))
+    arrows = _cover_arrows(points, cover)
     aindex = {a: k for k, a in enumerate(arrows)}
     rng = [uindex[(x, i)] for (x, i, j) in arrows]
     src = [uindex[(x, j)] for (x, i, j) in arrows]
@@ -452,6 +447,20 @@ def cover_groupoid(points, cover) -> FiniteGroupoid:
         arrow_labels=[f"({x}|U{i}<-U{j})" for (x, i, j) in arrows],
         name="cover",
     )
+
+
+def _cover_arrows(points, cover) -> list[tuple]:
+    """The arrows (x, i, j) of ``cover_groupoid(points, cover)`` in arrow-id
+    order: x in the overlap of U_i and U_j, the range at (x, i)."""
+    points = list(points)
+    cover = [set(U) for U in cover]
+    return [
+        (x, i, j)
+        for i, U in enumerate(cover)
+        for j, V in enumerate(cover)
+        for x in points
+        if x in U and x in V
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from gpdext.extension import (
     cyclic_decompose,
     cyclic_extension,
     intertwine_check,
-    mode_component,
     mode_projection,
     oracle_norm_deviation,
 )
@@ -168,7 +167,7 @@ def test_04_mode_projection_and_component_maps(fixture_specs):
             tw = ea.twisted(n)
             for a, b in itertools.product(g.arrows(), repeat=2):
                 F, G = ea.delta(n, a), ea.delta(n, b)
-                ok_exhaustive = ok_exhaustive and mode_component(F * G, n).equals(
+                ok_exhaustive = ok_exhaustive and (F * G).mode(n).equals(
                     tw.delta(a) * tw.delta(b)
                 )
     worst = 0.0
@@ -186,10 +185,8 @@ def test_04_mode_projection_and_component_maps(fixture_specs):
             total = total + P
             worst = max(
                 worst,
-                (mode_component(F * G, n) - mode_component(F, n) * mode_component(G, n))
-                .sup_difference(ea.twisted(n).zero()),
-                (mode_component(F.star(), n) - mode_component(F, n).star())
-                .sup_difference(ea.twisted(n).zero()),
+                ((F * G).mode(n) - F.mode(n) * G.mode(n)).sup_difference(ea.twisted(n).zero()),
+                (F.star().mode(n) - F.mode(n).star()).sup_difference(ea.twisted(n).zero()),
             )
         projection_ok = projection_ok and total.equals(F)
     accept(

@@ -11,10 +11,11 @@ import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gpdext import cyclic_oracle as oracle
-from gpdext.algebra import TwistedAlgebra
+from gpdext.algebra import RegularRep, TwistedAlgebra
 from gpdext.cli import _fixture_dir, load_spec
 from gpdext.cocycle import (
     OneCochain,
@@ -23,7 +24,12 @@ from gpdext.cocycle import (
     pauli_cocycle,
 )
 from gpdext.exact import CircleScalar
-from gpdext.extension import ExtensionAlgebra, cyclic_extension
+from gpdext.extension import (
+    ExtensionAlgebra,
+    check_reduced_decomposition,
+    cyclic_extension,
+    intertwine_check,
+)
 from gpdext.groupoid import (
     abelian_group_groupoid,
     disjoint_union,
@@ -175,3 +181,25 @@ def test_one_noncommuting_twist_value_shrinks_the_klein_center(monkeypatch, klei
     # (0,1) and (1,0) commute, and now sigma((0,1), (1,0)) != sigma((1,0), (0,1))
     monkeypatch.setattr(A, "sigma", lambda a, b: half if (a, b) == (1, 2) else sigma(a, b))
     assert A.center_dimension() < 4
+
+
+def test_permuted_mode_block_is_caught_by_the_residual_not_the_norms(monkeypatch, klein, pauli):
+    # mode 1's regular representation replaced by a unitary conjugate P M P^T,
+    # P swapping the first two of the four fiber arrows: every norm is kept,
+    # the block-sum identity R_u = L_u is not
+    regular_rep = TwistedAlgebra.regular_rep
+    P = np.eye(4)[[1, 0, 2, 3]]
+
+    def permuted(self, f, u):
+        rep = regular_rep(self, f, u)
+        if self.power != 1:
+            return rep
+        return RegularRep(unit=rep.unit, basis=rep.basis, matrix=P @ rep.matrix @ P.T)
+
+    monkeypatch.setattr(TwistedAlgebra, "regular_rep", permuted)
+    ea = ExtensionAlgebra(klein, pauli)
+    F = ea.element({0: {0: 1.0, 1: 0.5j}, 1: {0: 0.3, 1: 2.0, 2: -1.0j, 3: 0.7}})
+    assert intertwine_check(F, 0, (0, 1)).residual > 1e-12
+    cert = check_reduced_decomposition([F])
+    assert cert.max_residual > 1e-12
+    assert cert.max_norm_deviation <= 1e-9 and cert.max_unit_deviation <= 1e-9

@@ -63,6 +63,31 @@ class TestExitCodes:
         assert "params.k must be at least 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("pair", ['["x", 0]', "1.5"])
+    def test_malformed_element_coefficient_is_two(self, pair, tmp_path, capsys):
+        elem = tmp_path / "e.json"
+        elem.write_text('{"coeff": {"(0,0)": %s}}' % pair)
+        assert main(["algebra", "--fixture", "pair2_trivial", "--element", str(elem)]) == 2
+        assert "coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["normalize", "trivialize", "algebra", "decompose", "cyclic-oracle", "morita"]
+    )
+    def test_non_groupoid_base_fails_the_suite(self, command, tmp_path, capsys):
+        # an order-5 loop: a unital Latin square that is not associative
+        from gpdext.documents import SpecDocument, canonical_json, spec_to_doc
+        from gpdext.groupoid import group_groupoid
+
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        doc = tmp_path / "loop.json"
+        doc.write_text(canonical_json(spec_to_doc(SpecDocument(groupoid=group_groupoid(loop)))))
+        assert main([command, str(doc), "--samples", "2", "--format", "machine"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
+        assert failed == ["groupoid-axioms"]
+
+
 class TestCommands:
     def test_normalize_emits_documents(self, capsys):
         rc, out = run(capsys, "normalize", "--fixture", "pauli", "--format", "machine")
@@ -182,7 +207,7 @@ def test_oracle_skipped_for_non_root_of_unity_cocycles(tmp_path, capsys):
     b = OneCochain(
         g,
         {
-            a: CircleScalar.from_complex(cmath.exp(1j * 0.91 * a))
+            a: CircleScalar(z=cmath.exp(1j * 0.91 * a))
             for a in g.arrows()
             if a not in g.unit_to_arrow
         },

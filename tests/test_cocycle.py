@@ -52,7 +52,7 @@ class TestCheckIdentity:
 
     def test_single_negated_value_is_caught(self, klein, pauli):
         vals = {p: pauli.value(*p) for p in klein.compose_table}
-        vals[(1, 2)] = vals[(1, 2)] * CircleScalar.from_angle(Fraction(1, 2))
+        vals[(1, 2)] = vals[(1, 2)] * CircleScalar(angle=Fraction(1, 2))
         bad = TwoCocycle(klein, vals)
         rep = bad.check_identity()
         assert not rep.ok
@@ -67,7 +67,7 @@ class TestNormalize:
 
     def test_constant_third_on_z2(self):
         z2 = cyclic_group_groupoid(2)
-        w = TwoCocycle.from_function(z2, lambda a, b: Fraction(1, 3))
+        w = TwoCocycle(z2, {p: Fraction(1, 3) for p in z2.compose_table})
         assert w.check_identity().ok
         assert not w.normalized
         w2, b = normalize(w)
@@ -185,7 +185,7 @@ class TestTrivializePrincipal:
         b = OneCochain(
             g,
             {
-                a: CircleScalar.from_complex(cmath.exp(1j * rng.uniform(0, 6.28)))
+                a: CircleScalar(z=cmath.exp(1j * rng.uniform(0, 6.28)))
                 for a in g.arrows()
                 if a not in g.unit_to_arrow
             },
@@ -194,7 +194,7 @@ class TestTrivializePrincipal:
         assert not w.is_exact
         assert w.check_identity().ok
         bb = trivialize_principal(w)
-        assert bb.coboundary().pointwise_equal(w, tol=1e-10)
+        assert bb.coboundary().pointwise_equal(w)
 
     def test_cech_cocycle_agrees_with_linear_solver(self):
         w = _cech_fifth_root()
@@ -220,7 +220,7 @@ def _cech_fifth_root():
         return Fraction(0)
 
     def lam(i, j, k, x):
-        return CircleScalar.from_angle(mu(j, k) - mu(i, k) + mu(i, j))
+        return CircleScalar(angle=mu(j, k) - mu(i, k) + mu(i, j))
 
     return cech_cocycle(["x"], [{"x"}, {"x"}, {"x"}], lam)
 
@@ -241,7 +241,7 @@ class TestCechCocycle:
             (i, j, k, "x"): CircleScalar.one()
             for i, j, k in itertools.product(range(2), repeat=3)
         }
-        lam[(0, 1, 0, "x")] = CircleScalar.from_angle(Fraction(1, 3))
+        lam[(0, 1, 0, "x")] = CircleScalar(angle=Fraction(1, 3))
         w = cech_cocycle(["x"], [{"x"}, {"x"}], lam)
         assert not w.check_identity().ok
 
@@ -285,7 +285,7 @@ class TestSolveCoboundary:
 
         w = TwoCocycle(
             klein,
-            {p: CircleScalar.from_complex(pauli.value(*p).to_complex()) for p in klein.compose_table},
+            {p: CircleScalar(z=pauli.value(*p).to_complex()) for p in klein.compose_table},
         )
         w.check_identity()
         assert not w.is_exact

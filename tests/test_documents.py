@@ -129,7 +129,7 @@ def test_element_round_trip(pair2, pair2_trivial):
     doc = element_to_doc(f)
     assert doc["tag"]["power"] == 1
     f2 = parse_element(canonical_json(doc), alg)
-    assert f2.isclose(f)
+    assert f2.equals(f, 1e-12)
 
 
 def test_laurent_round_trip(pair2, pair2_trivial):
@@ -141,9 +141,20 @@ def test_laurent_round_trip(pair2, pair2_trivial):
     doc = laurent_to_doc(F)
     assert set(doc["modes"]) == {"-1", "2"}
     F2 = parse_laurent(canonical_json(doc), ea)
-    assert F2.isclose(F)
+    assert F2.equals(F, 1e-12)
     with pytest.raises(DocumentError):
         parse_laurent('{"modes": {"x": {}}}', ea)
+
+
+@pytest.mark.parametrize("pair", [["x", 0], 1.5, [1, 2, 3], [1], [True, 0], None])
+def test_malformed_coefficient_is_a_document_error(pair, pair2, pair2_trivial):
+    from gpdext.documents import parse_laurent
+    from gpdext.extension import ExtensionAlgebra
+
+    with pytest.raises(DocumentError, match="coefficient"):
+        parse_element({"coeff": {"(0,0)": pair}}, TwistedAlgebra(pair2, pair2_trivial, 1))
+    with pytest.raises(DocumentError, match="coefficient"):
+        parse_laurent({"modes": {"0": {"(0,0)": pair}}}, ExtensionAlgebra(pair2, pair2_trivial))
 
 
 def test_decomposition_report_doc(pair2, pair2_trivial):

@@ -128,8 +128,8 @@ def test_cyclo_ring_laws(a, b, c, d):
 @settings(max_examples=40, deadline=None)
 @given(angles, angles)
 def test_circle_scalar_products_stay_exact(a, b):
-    x = CircleScalar.from_angle(a)
-    y = CircleScalar.from_angle(b)
+    x = CircleScalar(angle=a)
+    y = CircleScalar(angle=b)
     z = x * y
     assert z.is_exact
     assert z.angle == frac_mod1(a + b)
@@ -138,12 +138,12 @@ def test_circle_scalar_products_stay_exact(a, b):
 
 
 def test_circle_scalar_approx():
-    z = CircleScalar.from_complex(1j)
+    z = CircleScalar(z=1j)
     assert not z.is_exact
     assert (z ** 4).isclose(CircleScalar.one())
     with pytest.raises(ValueError):
-        CircleScalar.from_complex(2.0)
-    mixed = z * CircleScalar.from_angle(Fraction(1, 4))
+        CircleScalar(z=2.0)
+    mixed = z * CircleScalar(angle=Fraction(1, 4))
     assert not mixed.is_exact
     assert abs(mixed.to_complex() + 1) < 1e-12
 
