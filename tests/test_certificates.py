@@ -27,6 +27,7 @@ from gpdext.exact import CircleScalar
 from gpdext.extension import (
     ExtensionAlgebra,
     check_reduced_decomposition,
+    cyclic_decompose,
     cyclic_extension,
     intertwine_check,
 )
@@ -203,3 +204,30 @@ def test_permuted_mode_block_is_caught_by_the_residual_not_the_norms(monkeypatch
     cert = check_reduced_decomposition([F])
     assert cert.max_residual > 1e-12
     assert cert.max_norm_deviation <= 1e-9 and cert.max_unit_deviation <= 1e-9
+
+
+def test_cyclic_decompose_rejects_the_next_mode_summand(monkeypatch, klein, pauli):
+    # expected values read from C(G, w^(n+1)): the sign cocycle has w^n != w^(n+1)
+    twisted = ExtensionAlgebra.twisted
+    monkeypatch.setattr(ExtensionAlgebra, "twisted", lambda self, n: twisted(self, n + 1))
+    cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
+    assert not cd.ok
+
+
+def test_cyclic_decompose_rejects_conv_without_the_circle_weight(monkeypatch, klein, pauli):
+    conv = oracle.conv
+    monkeypatch.setattr(
+        oracle, "conv", lambda e, f, h: {c: v * e.k for c, v in conv(e, f, h).items()}
+    )
+    cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
+    assert not cd.ok
+
+
+def test_cyclic_decompose_rejects_a_coboundary_twisted_oracle(klein, pauli):
+    # the oracle built on w * db is isomorphic to the one on w, but its
+    # structure constants differ from those of C(G, w^n) basis by basis
+    b = OneCochain(klein, {1: Fraction(1, 2)})
+    ext = cyclic_extension(klein, pauli.mul(b.coboundary()), 2)
+    ext.cocycle = pauli
+    cd = cyclic_decompose(ext, skip_centers=True)
+    assert not cd.ok
