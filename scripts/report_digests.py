@@ -10,7 +10,11 @@ Then, per fixture, the structural certificates as plain numbers: one line
 -k..2k, on the normalized cocycle, and one line
 `fixture oracle k=<k> rank=<r>/<dim>` for the oracle's `faithfulness_rank`
 at k and at 2k.  A diff that moves one of these names the power or the
-order at which it moved.
+order at which it moved.  Then one line
+`fixture float k=<k> ok=<ok> products=<p> stars=<s> projections=<q>
+max_residual=<repr>` for `cyclic_decompose` at k with the cocycle values
+given as complex numbers, which takes the numeric path of the oracle
+comparison; the residual is printed to the last bit.
 
 Last, per fixture at seed 0, one line
 `fixture main <command> exit=<code> sha256` for the standard output of the
@@ -35,9 +39,9 @@ import sys
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, cmd_cyclic_oracle, cmd_verify_all, load_spec
 from gpdext.cli import main as cli_main
-from gpdext.cocycle import normalize
+from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.cyclic_oracle import faithfulness_rank
-from gpdext.extension import cyclic_extension
+from gpdext.extension import cyclic_decompose, cyclic_extension
 
 SEEDS = range(5)
 SAMPLES = 10
@@ -91,6 +95,14 @@ def main() -> int:
         for kk in (k, 2 * k):
             rank, dim = faithfulness_rank(cyclic_extension(g, w, kk))
             print(path.stem, f"oracle k={kk} rank={rank}/{dim}")
+        numeric = TwoCocycle(g, {p: v.to_complex() for p, v in w.values.items()})
+        numeric.check_identity()
+        cd = cyclic_decompose(cyclic_extension(g, numeric, k), skip_centers=True)
+        print(
+            path.stem,
+            f"float k={k} ok={cd.ok} products={cd.products_checked} stars={cd.stars_checked}"
+            f" projections={cd.projections_checked} max_residual={cd.max_residual!r}",
+        )
     for path in paths:
         for run in MAIN_RUNS:
             code, digest = _main_digest([*run, "--fixture", path.stem, "--seed", "0"])

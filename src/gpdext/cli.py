@@ -13,6 +13,7 @@ import argparse
 import os
 import random
 import sys
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import lcm
 from pathlib import Path
@@ -58,6 +59,10 @@ from .morita import MoritaError, fullness_check, positivity_check, saturation_re
 from .randgen import random_bimodule, random_element, random_laurent
 
 FIXTURE_ENV = "GPDEXT_FIXTURE_DIR"
+
+# (groupoid, validation report) of the verify-all call in progress, so that
+# its sub-suites read the report instead of validating the base again
+_verify_all_base: ContextVar = ContextVar("verify_all_base", default=None)
 
 
 @dataclass
@@ -136,9 +141,18 @@ def load_spec(path: str | None, fixture: str | None) -> tuple[SpecDocument, str]
     return parse_spec(p.read_text()), path
 
 
+def _validation(g):
+    """validate(g), read from the verify-all call in progress when it has
+    validated g already."""
+    held = _verify_all_base.get()
+    if held is not None and held[0] is g:
+        return held[1]
+    return validate(g)
+
+
 def _base_is_groupoid(spec: SpecDocument, report: Report) -> bool:
     """Validate the base; only a failure is reported, as groupoid-axioms."""
-    rep = validate(spec.groupoid)
+    rep = _validation(spec.groupoid)
     if not rep.ok:
         report.add(
             "groupoid-axioms",
@@ -205,7 +219,7 @@ def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
 def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
     report = Report("validate", source, seed, samples)
     g = spec.groupoid
-    rep = validate(g)
+    rep = _validation(g)
     report.add(
         "groupoid-axioms",
         rep.ok,
@@ -437,9 +451,7 @@ def cmd_cyclic_oracle(
         arrows=ext.groupoid.n_arrows,
     )
     cd = cyclic_decompose(ext)
-    report.add(
-        "mode-decomposition",
-        cd.ok,
+    details = dict(
         exact=cd.exact,
         max_residual=fmt_float(cd.max_residual),
         products=cd.products_checked,
@@ -448,6 +460,14 @@ def cmd_cyclic_oracle(
         summand_dimensions=[s.dimension for s in cd.summands],
         center_dimensions=[s.center_dimension for s in cd.summands],
     )
+    if cd.witness is not None:
+        details["witness"] = {
+            "kind": cd.witness.kind,
+            "modes": list(cd.witness.modes),
+            "arrows": [g.arrow_labels[a] for a in cd.witness.arrows],
+            "residual": fmt_float(cd.witness.residual),
+        }
+    report.add("mode-decomposition", cd.ok, **details)
     rank, dim = oracle.faithfulness_rank(ext)
     report.add("oracle-faithfulness", rank == dim, rank=rank, dimension=dim)
 
@@ -519,36 +539,42 @@ def cmd_verify_all(
     )
     if not rep.ok:
         return report
-    for prefix, sub in (
-        ("validate", cmd_validate(spec, source, seed, samples)),
-        ("algebra[n=0]", cmd_algebra(spec, source, seed, samples, power=0)),
-        ("algebra[n=1]", cmd_algebra(spec, source, seed, samples, power=1)),
-        ("decompose", cmd_decompose(spec, source, seed, samples, modes=modes)),
-        ("cyclic-oracle", cmd_cyclic_oracle(spec, source, seed, samples, k=k)),
-    ):
-        for c in sub.checks:
-            report.checks.append(CheckResult(f"{prefix}/{c.name}", c.passed, c.details))
-        for key, val in sub.extras.items():
-            report.extras[f"{prefix}.{key}"] = val
-    w = spec.cocycle_or_trivial()
-    if w.check_identity().ok:
-        if is_principal(g):
-            for sub in (
-                cmd_trivialize(spec, source, seed, samples),
-                cmd_morita(spec, source, seed, samples),
-            ):
-                for c in sub.checks:
-                    if c.name in ("cocycle-identity", "cocycle-normalized"):
-                        continue
-                    report.checks.append(CheckResult(f"{sub.command}/{c.name}", c.passed, c.details))
-        elif w.is_exact:
-            ww = w if w.normalized else normalize(w)[0]
-            sol = solve_coboundary(ww)
-            report.add(
-                "coboundary-class",
-                True,
-                trivial=sol is not None,
-            )
+    token = _verify_all_base.set((g, rep))
+    try:
+        for prefix, sub in (
+            ("validate", cmd_validate(spec, source, seed, samples)),
+            ("algebra[n=0]", cmd_algebra(spec, source, seed, samples, power=0)),
+            ("algebra[n=1]", cmd_algebra(spec, source, seed, samples, power=1)),
+            ("decompose", cmd_decompose(spec, source, seed, samples, modes=modes)),
+            ("cyclic-oracle", cmd_cyclic_oracle(spec, source, seed, samples, k=k)),
+        ):
+            for c in sub.checks:
+                report.checks.append(CheckResult(f"{prefix}/{c.name}", c.passed, c.details))
+            for key, val in sub.extras.items():
+                report.extras[f"{prefix}.{key}"] = val
+        w = spec.cocycle_or_trivial()
+        if w.check_identity().ok:
+            if is_principal(g):
+                for sub in (
+                    cmd_trivialize(spec, source, seed, samples),
+                    cmd_morita(spec, source, seed, samples),
+                ):
+                    for c in sub.checks:
+                        if c.name in ("cocycle-identity", "cocycle-normalized"):
+                            continue
+                        report.checks.append(
+                            CheckResult(f"{sub.command}/{c.name}", c.passed, c.details)
+                        )
+            elif w.is_exact:
+                ww = w if w.normalized else normalize(w)[0]
+                sol = solve_coboundary(ww)
+                report.add(
+                    "coboundary-class",
+                    True,
+                    trivial=sol is not None,
+                )
+    finally:
+        _verify_all_base.reset(token)
     return report
 
 

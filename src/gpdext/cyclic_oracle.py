@@ -17,6 +17,27 @@ Fourier mode.  Everything in this module is written directly against the
 extension's composition table: nothing is delegated to the twisted
 convolution machinery, so agreement between the two is evidence, not
 tautology.
+
+Every value of this algebra on exact data lies in Z[zeta_k][1/k], so the
+oracle works at the one conductor k, in integer arrays.  Extension arrows are
+indexed x = t * |A| + a (circle exponent t, base arrow a), and an element
+comes in one of two forms:
+
+- exact: an ``Exact`` (num, e), num an int array of shape (..., k*|A|, k)
+  whose last axis holds the coefficients of zeta_k^0, ..., zeta_k^(k-1) at
+  each arrow, all over the one denominator k**e;
+- numeric: a complex array of shape (..., k*|A|).
+
+Leading axes are batch axes, and every operation broadcasts over them, so a
+certificate handles a whole stack of elements in one call.  ``conv`` is a
+scatter over the composable pairs (y, z) of the extension's own composition
+table, read once when the extension is built; on exact values the product of
+two coefficient vectors is their cyclic convolution, since zeta_k^k = 1.
+``mode_projection`` is a cyclic shift and sum.  ``nonzero_rows`` decides
+which of many exact values are zero in one integer product, by mapping each
+coefficient vector into the power basis of Q(zeta_k), row j of the map being
+x^j mod Phi_k (H. Cohen, *A Course in Computational Algebraic Number Theory*,
+GTM 138, 1993, section 4.2).
 """
 
 from __future__ import annotations
@@ -25,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CircleScalar
+from .exact import CircleScalar, cyclotomic_polynomial
 from .cocycle import TwoCocycle
 from .groupoid import (
     FiniteGroupoid,
@@ -34,6 +55,9 @@ from .groupoid import (
     quotient_by_isotropy,
     validate,
 )
+
+# Integer results at or above this bound are computed on Python ints.
+_INT64_LIMIT = 2**63
 
 
 class OracleError(ValueError):
@@ -55,6 +79,74 @@ def _root_exponent(value: CircleScalar, k: int, pair_label: str) -> int:
     if abs(z - cmath.exp(2j * math.pi * c / k)) > 1e-9:
         raise OracleError(f"cocycle value {value!r} on {pair_label} is not a mu_{k} root")
     return c
+
+
+def _widened(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as Python ints when a result bounded by ``bound`` could leave int64."""
+    return num.astype(object) if bound >= _INT64_LIMIT else num
+
+
+def _max_abs(num: np.ndarray) -> int:
+    return int(np.abs(num).max()) if num.size else 0
+
+
+class Exact:
+    """An exact oracle element, or a stack of them: num / k**e, num an int
+    array (..., k*|A|, k) of coefficients of zeta_k^j.  Indexing acts on the
+    batch axes; + and - bring both sides over the larger denominator."""
+
+    __slots__ = ("num", "e")
+
+    def __init__(self, num: np.ndarray, e: int = 0):
+        self.num = num
+        self.e = e
+
+    def __getitem__(self, index) -> "Exact":
+        return Exact(self.num[index], self.e)
+
+    def over(self, e: int) -> np.ndarray:
+        """The numerators over the denominator k**e, for e >= self.e."""
+        factor = self.num.shape[-1] ** (e - self.e)
+        if factor == 1:
+            return self.num
+        return _widened(self.num, _max_abs(self.num) * factor) * factor
+
+    def __add__(self, other: "Exact") -> "Exact":
+        e = max(self.e, other.e)
+        return Exact(self.over(e) + other.over(e), e)
+
+    def __sub__(self, other: "Exact") -> "Exact":
+        e = max(self.e, other.e)
+        return Exact(self.over(e) - other.over(e), e)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b for complex arrays, each real product rounded on its own as
+    Python's complex multiplication does; numpy's complex multiply may fuse
+    multiply-adds, which moves the last digits of the reported norms."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| for complex arrays, rounded as abs(complex) rounds (np.abs on
+    complex arrays does not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _power_basis(k: int) -> np.ndarray:
+    """The k x phi(k) matrix whose row j holds x^j mod Phi_k in the basis
+    1, x, ..., x^(phi(k)-1), as Python ints."""
+    phi = cyclotomic_polynomial(k)  # ascending and monic
+    d = len(phi) - 1
+    rows = [[1] + [0] * (d - 1)]
+    for _ in range(1, k):
+        top = rows[-1][-1]
+        shifted = [0] + rows[-1][:-1]
+        rows.append([c - top * p for c, p in zip(shifted, phi)])
+    return np.array(rows, dtype=object)
 
 
 class CyclicExtension:
@@ -83,7 +175,6 @@ class CyclicExtension:
             twist[(a, b)] = _root_exponent(
                 cocycle.value(a, b), k, f"({lab[a]},{lab[b]})"
             )
-        self.twist = twist
 
         rng = [base.r(a) for t in range(k) for a in range(n)]
         src = [base.s(a) for t in range(k) for a in range(n)]
@@ -108,8 +199,14 @@ class CyclicExtension:
         )
         self.validation = validate(self.groupoid)
         self.validation.raise_if_failed()
-        self._roots = tuple(CircleScalar(angle=Fraction(j, k)) for j in range(k))
-        self.weight = Fraction(1, k)
+
+        # rows y, z, y z over the composable pairs of the extension, in (y, z) order
+        table = sorted((y, z, c) for (y, z), c in self.groupoid.compose_table.items())
+        self.pairs = np.array(table, dtype=np.intp).reshape(-1, 3).T
+        self.inverse = np.array([self.groupoid.inv(x) for x in self.groupoid.arrows()], dtype=np.intp)
+        self.roots = np.array([CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)])
+        self.reduction = _power_basis(k)
+        self._reduction_bound = int(np.abs(self.reduction).sum(axis=0).max())
 
     # -- indexing -------------------------------------------------------------
 
@@ -123,90 +220,127 @@ class CyclicExtension:
     def dimension(self) -> int:
         return self.k * self.base.n_arrows
 
-    def root(self, j: int) -> CircleScalar:
-        return self._roots[j % self.k]
-
 
 # ---------------------------------------------------------------------------
 # the extension algebra, written directly against the composition table.
-# Elements are sparse dicts arrow_id -> scalar.
 
-def _average(ext: CyclicExtension, v):
-    """v / k, the circle average: by the exact weight 1/k on exact values and
-    by the float 1.0 / k on numeric ones."""
-    return v * (1.0 / ext.k) if isinstance(v, (float, complex)) else v * ext.weight
+def deltas(ext: CyclicExtension, arrows, exact: bool):
+    """The stack of delta elements at the given extension arrows."""
+    arrows = np.asarray(arrows, dtype=np.intp)
+    rows = np.arange(len(arrows))
+    if exact:
+        num = np.zeros((len(arrows), ext.dimension, ext.k), dtype=np.int64)
+        num[rows, arrows, 0] = 1
+        return Exact(num)
+    out = np.zeros((len(arrows), ext.dimension), dtype=complex)
+    out[rows, arrows] = 1
+    return out
 
 
-def conv(ext: CyclicExtension, f: dict, g: dict) -> dict:
+def conv(ext: CyclicExtension, f, g):
     """Convolution over mu_k x_w G with the circle factor averaged:
-    (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z)."""
-    G = ext.groupoid
-    acc: dict = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            c = G.compose_or_none(a, b)
-            if c is None:
-                continue
-            term = ca * cb
-            prev = acc.get(c)
-            acc[c] = term if prev is None else prev + term
-    out = {}
-    for c, v in acc.items():
-        v = _average(ext, v)
-        if v:
-            out[c] = v
-    return out
+    (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z), for
+    elements of one form, broadcast over their batch axes."""
+    Y, Z, YZ = ext.pairs
+    exact = isinstance(f, Exact)
+    fv, gv = (f.num, g.num) if exact else (f, g)
+    tail = 2 if exact else 1  # axes of one element: arrows, and coefficients when exact
+    lead = np.broadcast_shapes(fv.shape[:-tail], gv.shape[:-tail])
+    fz = fv.any(axis=-1) if exact else fv != 0
+    gz = gv.any(axis=-1) if exact else gv != 0
+    *batch, p = np.nonzero(fz[..., Y] & gz[..., Z])
+    x = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, Y[p])]
+    y = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, Z[p])]
+    if not exact:
+        out = np.zeros(lead + fv.shape[-1:], dtype=complex)
+        np.add.at(out, (*batch, YZ[p]), _cmul(x, y))
+        return out * (1.0 / ext.k)
+    k = ext.k
+    # k terms per coefficient of one product, at most dimension products per arrow
+    bound = _max_abs(fv) * _max_abs(gv) * k * ext.dimension
+    x, y = _widened(x, bound), _widened(y, bound)
+    # cyclic convolution of coefficient vectors: column s sums x_i y_(s-i)
+    shift = (np.arange(k)[:, None] - np.arange(k)) % k
+    terms = (y[:, shift] @ x[:, :, None])[..., 0]
+    out = np.zeros(lead + fv.shape[-2:], dtype=terms.dtype)
+    np.add.at(out, (*batch, YZ[p]), terms)
+    return Exact(out, f.e + g.e + 1)
 
 
-def star(ext: CyclicExtension, f: dict) -> dict:
-    G = ext.groupoid
-    return {G.inv(a): c.conjugate() for a, c in f.items()}
+def star(ext: CyclicExtension, f):
+    """f*(x) = conj(f(x^-1)); conjugation sends zeta_k^j to zeta_k^-j."""
+    if isinstance(f, Exact):
+        conj = -np.arange(ext.k) % ext.k
+        return Exact(f.num[..., ext.inverse, :][..., conj], f.e)
+    return f[..., ext.inverse].conj()
 
 
-def mode_projection(ext: CyclicExtension, f: dict, n: int) -> dict:
-    """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k)."""
-    out = {}
-    for a in {ext.parts(x)[1] for x in f}:
-        for t in range(ext.k):
-            acc = None
-            for j in range(ext.k):
-                c = f.get(ext.arrow(t + j, a))
-                if c is None:
-                    continue
-                term = ext.root(j * n).times(c)
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                v = _average(ext, acc)
-                if v:
-                    out[ext.arrow(t, a)] = v
-    return out
+def mode_projection(ext: CyclicExtension, f, n: int):
+    """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k):
+    shift the circle coordinate by j, rotate by e(jn/k), and sum."""
+    k, m = ext.k, ext.base.n_arrows
+    t = np.arange(k)[:, None, None]
+    a = np.arange(m)[None, :, None]
+    j = np.arange(k)
+    # source of term j at (t, a): the arrow (t + j, a)
+    source = ((t + j) % k * m + a).reshape(k * m, k)
+    if isinstance(f, Exact):
+        # rotating by e(jn/k) moves coefficient s - jn to s
+        s = np.arange(k)[:, None]
+        index = (source[:, None, :] * k + (s - j * n) % k).reshape(k * m * k, k)
+        num = _widened(f.num, _max_abs(f.num) * k)
+        flat = num.reshape(num.shape[:-2] + (k * m * k,))
+        return Exact(flat[..., index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
+    terms = _cmul(ext.roots[j * n % k], f[..., source])
+    acc = terms[..., 0]
+    for i in range(1, k):
+        acc = acc + terms[..., i]
+    return acc * (1.0 / k)
 
 
-def embed_mode(ext: CyclicExtension, n: int, coeffs: dict) -> dict:
+def embed_mode(ext: CyclicExtension, n: int, coeffs):
     """The inverse identification: base coefficients F_n into the mode-n
-    homogeneous part, (t, a) -> e(-tn/k) F_n(a)."""
-    out = {}
-    for a, c in coeffs.items():
-        for t in range(ext.k):
-            v = ext.root(-t * n).times(c)
-            if v:
-                out[ext.arrow(t, a)] = v
-    return out
+    homogeneous part, (t, a) -> e(-tn/k) F_n(a).  coeffs is an Exact with num
+    of shape (..., |A|, k) or a complex array (..., |A|)."""
+    k, m = ext.k, ext.base.n_arrows
+    t = np.arange(k)[:, None]
+    if isinstance(coeffs, Exact):
+        # rotating by e(-tn/k) moves coefficient s + tn to s
+        num = coeffs.num[..., (np.arange(k) + t * n) % k]  # (..., a, t, s)
+        num = np.swapaxes(num, -3, -2)
+        return Exact(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
+    out = _cmul(ext.roots[-t * n % k], coeffs[..., None, :])
+    return out.reshape(out.shape[:-2] + (k * m,))
 
 
-def regular_rep_matrix(ext: CyclicExtension, f: dict, u: int) -> np.ndarray:
-    """Matrix of convolution by f on the source fiber over unit u."""
-    fiber = ext.groupoid.source_fiber(u)
-    pos = {x: i for i, x in enumerate(fiber)}
-    M = np.zeros((len(fiber), len(fiber)), dtype=complex)
-    for j, x in enumerate(fiber):
-        col = conv(ext, f, {x: 1})
-        for y, c in col.items():
-            M[pos[y], j] = complex(c)
-    return M
+def to_complex(ext: CyclicExtension, f: Exact) -> np.ndarray:
+    """The complex values of an exact element."""
+    return (f.num @ ext.roots) / ext.k**f.e
 
 
-def reduced_norm(ext: CyclicExtension, f: dict) -> float:
+def nonzero_rows(ext: CyclicExtension, D: np.ndarray) -> np.ndarray:
+    """Which rows of the int matrix D (B, k) hold a nonzero value
+    sum_j D[i, j] zeta_k^j.  A row is zero exactly when its image in the
+    power basis of Q(zeta_k) is, and the image is one integer product,
+    taken in int64 when max |D| times the largest column sum of |R| stays
+    in range and on Python ints otherwise."""
+    R = ext.reduction
+    if _max_abs(D) * ext._reduction_bound < _INT64_LIMIT:
+        D, R = D.astype(np.int64), R.astype(np.int64)
+    else:
+        D = D.astype(object)
+    return (D @ R != 0).any(axis=1)
+
+
+def regular_rep_matrix(ext: CyclicExtension, f: np.ndarray, u: int) -> np.ndarray:
+    """Matrix of convolution by the numeric element f on the source fiber
+    over unit u."""
+    fiber = list(ext.groupoid.source_fiber(u))
+    columns = conv(ext, f, deltas(ext, fiber, exact=False))
+    return np.ascontiguousarray(columns[:, fiber].T)
+
+
+def reduced_norm(ext: CyclicExtension, f: np.ndarray) -> float:
     best = 0.0
     for u in ext.groupoid.units():
         m = regular_rep_matrix(ext, f, u)
@@ -226,9 +360,10 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     what makes the full and reduced norms agree (J. Renault, *A Groupoid
     Approach to C*-Algebras*, LNM 793, 1980)."""
     G = ext.groupoid
-    rank = sum(
-        conv(ext, {x: 1}, {G.unit_arrow(G.s(x)): 1}).keys() == {x} for x in G.arrows()
-    )
+    units = [G.unit_arrow(G.s(x)) for x in G.arrows()]
+    products = conv(ext, deltas(ext, G.arrows(), True), deltas(ext, units, True))
+    support = products.num.any(axis=-1)
+    rank = int((support == np.eye(ext.dimension, dtype=bool)).all(axis=1).sum())
     return rank, ext.dimension
 
 
@@ -242,29 +377,23 @@ def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return vh[:r]
 
 
-def ideal_dimension(dim: int, generators: list[dict], product) -> int:
-    """Dimension of the two-sided ideal generated by sparse coefficient dicts
-    in a dim-dimensional algebra, by span closure under products with the
-    delta basis.  product(f, g) is f * g as a sparse dict; each caller passes
-    its own algebra's product (the oracle's is conv)."""
-
-    def vec(d: dict) -> np.ndarray:
-        v = np.zeros(dim, dtype=complex)
-        for a, c in d.items():
-            v[a] = complex(c)
-        return v
-
-    rows = [vec(g) for g in generators if g]
+def ideal_dimension(generators: list[np.ndarray], product) -> int:
+    """Dimension of the two-sided ideal generated by dense complex
+    coefficient vectors, by span closure under products with the delta
+    basis.  product(F, H) multiplies two stacks of dense vectors row by row;
+    each caller passes its own algebra's product (the oracle's is conv)."""
+    rows = [g for g in generators if g.any()]
     if not rows:
         return 0
+    dim = len(rows[0])
+    basis_deltas = np.eye(dim, dtype=complex)
     basis = _orthonormal_rows(np.array(rows))
     while True:
         cand = list(basis)
         for g in basis:
-            gd = {int(a): complex(g[a]) for a in np.nonzero(np.abs(g) > 1e-13)[0]}
-            for x in range(dim):
-                cand.append(vec(product(gd, {x: 1})))
-                cand.append(vec(product({x: 1}, gd)))
+            g = np.broadcast_to(np.where(np.abs(g) > 1e-13, g, 0), (dim, dim))
+            cand.extend(product(g, basis_deltas))
+            cand.extend(product(basis_deltas, g))
         new_basis = _orthonormal_rows(np.array(cand))
         if len(new_basis) == len(basis):
             return len(basis)

@@ -14,6 +14,7 @@ reports can be compared byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,13 +31,20 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _load(text_or_obj):
-    if isinstance(text_or_obj, (dict, list)):
-        return text_or_obj
-    try:
-        return json.loads(text_or_obj)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+def _load(text_or_obj) -> dict:
+    """A document as a dict, from JSON text or an already parsed value;
+    every document is a JSON object at the top."""
+    doc = text_or_obj
+    if isinstance(doc, (str, bytes, bytearray)):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as e:
+            raise DocumentError(
+                f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+            ) from None
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a document must be a JSON object, got {doc!r:.40}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +270,19 @@ def _coeffs_from_doc(coeff, g: FiniteGroupoid) -> dict:
             and len(pair) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
-            raise DocumentError(f"coefficient of {name!r} must be [re, im], got {pair!r}")
+            raise DocumentError(f"coefficient of {name!r} must be [re, im], got {pair!r:.80}")
+        if not all(_is_float(x) for x in pair):
+            raise DocumentError(f"coefficient of {name!r} must be finite floats, got {pair!r:.80}")
         out[aindex[name]] = complex(pair[0], pair[1])
     return out
+
+
+def _is_float(x) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def element_to_doc(f) -> dict:

@@ -24,6 +24,7 @@ from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from .cocycle import TwoCocycle
 from .cyclic_oracle import CyclicExtension
+from .exact import CircleScalar, Cyclo
 from .groupoid import FiniteGroupoid
 
 
@@ -326,6 +327,18 @@ class ModeSummand:
 
 
 @dataclass
+class OracleWitness:
+    """The first failing comparison of a cyclic decomposition: its kind
+    ("product", "star" or "projection"), the modes and base arrows it
+    compares at, and the size of the difference."""
+
+    kind: str
+    modes: tuple[int, ...]
+    arrows: tuple[int, ...]
+    residual: float
+
+
+@dataclass
 class CyclicDecomposition:
     """Certificate that the extension algebra of mu_k x_w G is the direct sum
     of the twisted algebras C(G, w^n), n = 0..k-1, matched basis-by-basis."""
@@ -338,6 +351,25 @@ class CyclicDecomposition:
     exact: bool
     max_residual: float
     ok: bool
+    witness: OracleWitness | None = None
+
+
+def _oracle_form(values: dict, shape: tuple[int, ...], k: int, exact: bool):
+    """Graded-model values {index: value} (circle values or algebra
+    coefficients) as one dense array in the oracle's form: exact values as
+    their coefficients of zeta_k^j, each value in Z[zeta_k], numeric ones as
+    complex.  Every graded-model value the oracle comparisons read crosses
+    over here."""
+    if exact:
+        num = np.zeros(shape + (k,), dtype=np.int64)
+        for index, c in values.items():
+            c = Cyclo.from_root(c.angle) if isinstance(c, CircleScalar) else Cyclo.coerce(c)
+            num[index] = c.coefficients(k)
+        return oracle.Exact(num)
+    out = np.zeros(shape, dtype=complex)
+    for index, c in values.items():
+        out[index] = c.to_complex() if isinstance(c, CircleScalar) else complex(c)
+    return out
 
 
 def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> CyclicDecomposition:
@@ -348,71 +380,74 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     against the extension's composition table) and compared against the
     twisted structure constants: zero across modes, w^n(a,b) delta_{ab}
     within a mode.  Involutions and the Fourier projections are checked the
-    same way.  With exact inputs every comparison is exact.
+    same way.  Each comparison stack is decided in one batch, exactly with
+    exact inputs and within 1e-10 otherwise, and its first failing row
+    names the witness.
     """
     base = ext.base
-    k = ext.k
+    k, m = ext.k, base.n_arrows
     exact = ext.cocycle.is_exact
     one: object = Fraction(1) if exact else 1.0
     tol = 0.0 if exact else 1e-10
     alg = ExtensionAlgebra(base, ext.cocycle)
 
-    q = {
-        (n, a): oracle.embed_mode(ext, n, {a: one})
-        for n in range(k)
-        for a in base.arrows()
-    }
-    max_residual = 0.0
+    def embedded(n: int, values: dict, shape: tuple[int, ...]):
+        return oracle.embed_mode(ext, n, _oracle_form(values, shape, k, exact))
 
-    def agree(got: dict, expected: dict) -> bool:
-        """Entrywise comparison: exact values must be equal, numeric ones
-        within tol; numeric deviations feed max_residual."""
-        nonlocal max_residual
-        keys = set(got) | set(expected)
-        if exact:
-            return all(got.get(key, 0) == expected.get(key, 0) for key in keys)
-        dev = max(
-            (abs(complex(got.get(key, 0)) - complex(expected.get(key, 0))) for key in keys),
-            default=0.0,
-        )
-        max_residual = max(max_residual, dev)
-        return dev <= tol
+    # q[n][a]: the delta at base arrow a in mode n, as an oracle element
+    q = [embedded(n, {(a, a): one for a in base.arrows()}, (m, m)) for n in range(k)]
 
-    ok = True
-    products = 0
-    for (m, a), qa in q.items():
-        for (n, b), qb in q.items():
-            # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
-            expected = {}
-            if m == n and (c := base.compose_or_none(a, b)) is not None:
-                expected = oracle.embed_mode(ext, n, {c: alg.twisted(n).sigma(a, b).times(one)})
-            ok = agree(oracle.conv(ext, qa, qb), expected) and ok
-            products += 1
-
-    stars = 0
-    for (n, a), qa in q.items():
-        fa = alg.twisted(n).delta(a, one).star()
-        ok = agree(oracle.star(ext, qa), oracle.embed_mode(ext, n, dict(fa.coeff))) and ok
-        stars += 1
-
-    projections = 0
-    for (n, a), qa in q.items():
-        for mm in range(k):
-            ok = agree(oracle.mode_projection(ext, qa, mm), qa if mm == n else {}) and ok
-            projections += 1
-    # Fourier projections resolve every delta of the extension
-    for x in range(ext.dimension):
-        total: dict = {}
+    def comparisons():
+        """(kind, modes, got - expected), the batch axes over base arrows."""
         for n in range(k):
-            for key, v in oracle.mode_projection(ext, {x: one}, n).items():
-                total[key] = v if key not in total else total[key] + v
-        ok = agree(total, {x: one}) and ok
-        projections += 1
+            # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
+            sigma = alg.twisted(n).sigma
+            within = {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}
+            for p in range(k):
+                got = oracle.conv(ext, q[p][:, None], q[n][None, :])
+                yield "product", (p, n), got - embedded(n, within, (m, m, m)) if p == n else got
+        for n in range(k):
+            stars = {
+                (a, b): c
+                for a in base.arrows()
+                for b, c in alg.twisted(n).delta(a, one).star().coeff.items()
+            }
+            yield "star", (n,), oracle.star(ext, q[n]) - embedded(n, stars, (m, m))
+        for n in range(k):
+            for mm in range(k):
+                want = q[n] if mm == n else embedded(n, {}, (m, m))
+                yield "projection", (n, mm), oracle.mode_projection(ext, q[n], mm) - want
+        # Fourier projections resolve every delta of the extension
+        deltas = oracle.deltas(ext, range(ext.dimension), exact)
+        total = oracle.mode_projection(ext, deltas, 0)
+        for n in range(1, k):
+            total = total + oracle.mode_projection(ext, deltas, n)
+        for t in range(k):
+            block = slice(t * m, (t + 1) * m)
+            yield "projection", tuple(range(k)), total[block] - deltas[block]
+
+    max_residual = 0.0
+    witness = None
+    for kind, modes, diff in comparisons():
+        if exact:
+            bad = oracle.nonzero_rows(ext, diff.num.reshape(-1, k))
+        else:
+            deviation = oracle.magnitude(diff).reshape(-1)
+            max_residual = max(max_residual, float(deviation.max(initial=0.0)))
+            bad = deviation > tol
+        failing = np.flatnonzero(bad)
+        if witness is None and failing.size:
+            row = int(failing[0])
+            value = (oracle.to_complex(ext, diff) if exact else diff).reshape(-1)
+            *arrows, _ = np.unravel_index(row, diff.num.shape[:-1] if exact else diff.shape)
+            witness = OracleWitness(
+                kind, modes, tuple(int(a) for a in arrows), float(oracle.magnitude(value[row]))
+            )
 
     summands = [
         ModeSummand(
             mode=n,
-            dimension=base.n_arrows,
+            dimension=m,
             center_dimension=-1 if skip_centers else alg.twisted(n).center_dimension(),
         )
         for n in range(k)
@@ -420,12 +455,13 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     return CyclicDecomposition(
         k=k,
         summands=summands,
-        products_checked=products,
-        stars_checked=stars,
-        projections_checked=projections,
+        products_checked=(k * m) ** 2,
+        stars_checked=k * m,
+        projections_checked=k * k * m + ext.dimension,
         exact=exact,
         max_residual=max_residual,
-        ok=ok,
+        ok=witness is None,
+        witness=witness,
     )
 
 
@@ -435,12 +471,11 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension) -> float:
 
     F must be supported on modes 0..k-1: the finite extension cannot separate
     modes that differ by k."""
-    k = ext.k
+    k, m = ext.k, ext.base.n_arrows
     if any(not 0 <= n < k for n in F.modes):
         raise WindowError([n for n in F.modes if not 0 <= n < k])
-    img: dict = {}
+    img = np.zeros(ext.dimension, dtype=complex)
     for n, comp in F.modes.items():
-        for key, v in oracle.embed_mode(ext, n, dict(comp.coeff)).items():
-            img[key] = v if key not in img else img[key] + v
+        img = img + oracle.embed_mode(ext, n, _oracle_form(comp.coeff, (m,), k, exact=False))
     _, report = decompose(F)
     return abs(report.extension_norm - oracle.reduced_norm(ext, img))

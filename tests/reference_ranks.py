@@ -61,8 +61,8 @@ def oracle_stacked_rank(ext) -> tuple[int, int]:
     for u in ext.groupoid.units():
         fiber = ext.groupoid.source_fiber(u)
         cols = np.zeros((len(fiber) ** 2, dim), dtype=complex)
-        for x in range(dim):
-            cols[:, x] = oracle.regular_rep_matrix(ext, {x: 1}, u).reshape(-1)
+        for x, delta in enumerate(oracle.deltas(ext, range(dim), exact=False)):
+            cols[:, x] = oracle.regular_rep_matrix(ext, delta, u).reshape(-1)
         blocks.append(cols)
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim))
     rank = int(np.linalg.matrix_rank(stacked)) if stacked.size else 0

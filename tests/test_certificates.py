@@ -26,6 +26,7 @@ from gpdext.cocycle import (
 from gpdext.exact import CircleScalar
 from gpdext.extension import (
     ExtensionAlgebra,
+    OracleWitness,
     check_reduced_decomposition,
     cyclic_decompose,
     cyclic_extension,
@@ -166,11 +167,13 @@ def test_oracle_conv_dropping_an_arrow_loses_rank(monkeypatch, klein, pauli):
     ext = cyclic_extension(klein, pauli, 2)
     conv = oracle.conv
     dropped = ext.arrow(1, 3)
-    monkeypatch.setattr(
-        oracle,
-        "conv",
-        lambda e, f, h: {c: v for c, v in conv(e, f, h).items() if c != dropped},
-    )
+
+    def dropping(e, f, h):
+        product = conv(e, f, h)
+        product.num[..., dropped, :] = 0
+        return product
+
+    monkeypatch.setattr(oracle, "conv", dropping)
     rank, dim = oracle.faithfulness_rank(ext)
     assert rank < dim == 8
 
@@ -212,15 +215,22 @@ def test_cyclic_decompose_rejects_the_next_mode_summand(monkeypatch, klein, paul
     monkeypatch.setattr(ExtensionAlgebra, "twisted", lambda self, n: twisted(self, n + 1))
     cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
     assert not cd.ok
+    # first at mode 0: delta_a * delta_b = delta_ab, where w(a, b) = -1 was expected
+    assert (cd.witness.kind, cd.witness.modes) == ("product", (0, 0))
+    assert pauli.value(*cd.witness.arrows).isclose(-1)
+    assert cd.witness.residual == 2.0
 
 
 def test_cyclic_decompose_rejects_conv_without_the_circle_weight(monkeypatch, klein, pauli):
     conv = oracle.conv
+    # the numerators kept, over one power of k less
     monkeypatch.setattr(
-        oracle, "conv", lambda e, f, h: {c: v * e.k for c, v in conv(e, f, h).items()}
+        oracle, "conv", lambda e, f, h: (lambda p: oracle.Exact(p.num, p.e - 1))(conv(e, f, h))
     )
     cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
     assert not cd.ok
+    # the first product, of the unit with itself, comes out k = 2 times too large
+    assert cd.witness == OracleWitness("product", (0, 0), (0, 0), 1.0)
 
 
 def test_cyclic_decompose_rejects_a_coboundary_twisted_oracle(klein, pauli):
@@ -231,3 +241,6 @@ def test_cyclic_decompose_rejects_a_coboundary_twisted_oracle(klein, pauli):
     ext.cocycle = pauli
     cd = cyclic_decompose(ext, skip_centers=True)
     assert not cd.ok
+    # mode 0 sees no twist at all; mode 1 sees db
+    assert (cd.witness.kind, cd.witness.modes) == ("product", (1, 1))
+    assert not b.coboundary().value(*cd.witness.arrows).is_one()

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gpdext.cli import load_spec, main
-from gpdext.documents import DocumentError
+from gpdext.documents import DocumentError, fmt_float
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_pauli_seed0.json"
 
@@ -63,12 +63,25 @@ class TestExitCodes:
         assert "params.k must be at least 1" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("pair", ['["x", 0]', "1.5"])
+    @pytest.mark.parametrize("pair", ['["x", 0]', "1.5", "[1e400, 0]", "[%s, 0]" % ("9" * 400)])
     def test_malformed_element_coefficient_is_two(self, pair, tmp_path, capsys):
         elem = tmp_path / "e.json"
         elem.write_text('{"coeff": {"(0,0)": %s}}' % pair)
         assert main(["algebra", "--fixture", "pair2_trivial", "--element", str(elem)]) == 2
         assert "coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["algebra", "--fixture", "pair2_trivial", "--element"], "[1]"),
+            (["validate"], "5"),
+        ],
+    )
+    def test_document_that_is_no_json_object_is_two(self, args, text, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        assert main([*args, str(doc)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["normalize", "trivialize", "algebra", "decompose", "cyclic-oracle", "morita"]
@@ -243,3 +256,36 @@ class TestFixtureLoading:
     def test_load_spec_rejects_both_path_and_fixture(self):
         with pytest.raises(DocumentError):
             load_spec("x.json", "pauli")
+
+
+@pytest.mark.parametrize("fixture", ["pauli", "pair3_cobound"])
+def test_verify_all_validates_the_base_once(fixture, monkeypatch):
+    import gpdext.cli as cli
+
+    calls = []
+    validate = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda g: calls.append(g) or validate(g))
+    spec, source = load_spec(None, fixture)
+    assert cli.cmd_verify_all(spec, source, 0, 2).passed
+    assert calls == [spec.groupoid]
+    # the report does not outlive the call
+    cli.cmd_validate(spec, source, 0, 2)
+    assert len(calls) == 2
+
+
+def test_failing_mode_decomposition_names_its_witness(monkeypatch):
+    import gpdext.cli as cli
+    from gpdext.extension import ExtensionAlgebra
+
+    spec, source = load_spec(None, "pauli")
+    passing = {c.name: c for c in cli.cmd_cyclic_oracle(spec, source, 0, 2).checks}
+    assert "witness" not in passing["mode-decomposition"].details
+    # expected values read from the next mode's summand
+    twisted = ExtensionAlgebra.twisted
+    monkeypatch.setattr(ExtensionAlgebra, "twisted", lambda self, n: twisted(self, n + 1))
+    checks = {c.name: c for c in cli.cmd_cyclic_oracle(spec, source, 0, 2).checks}
+    check = checks["mode-decomposition"]
+    assert not check.passed
+    witness = check.details["witness"]
+    assert witness["kind"] == "product" and witness["modes"] == [0, 0]
+    assert len(witness["arrows"]) == 2 and witness["residual"] != fmt_float(0.0)

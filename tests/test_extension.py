@@ -8,7 +8,8 @@ import pytest
 
 from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import AlgebraError
-from gpdext.cocycle import TwoCocycle
+from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, pauli_cocycle
+from gpdext.exact import Cyclo
 from gpdext.extension import (
     ExtensionAlgebra,
     WindowError,
@@ -22,6 +23,7 @@ from gpdext.extension import (
     oracle_norm_deviation,
 )
 from gpdext.groupoid import (
+    abelian_group_groupoid,
     cyclic_group_groupoid,
     empty_groupoid,
     pair_groupoid,
@@ -361,6 +363,128 @@ class TestOracleFaithfulness:
         assert rank == dim == 8
 
 
+class TestOracleArraysAgainstLoops:
+    """The array operations of the oracle against loops over coefficient
+    dicts: exact values in Cyclo arithmetic, numeric ones in Python complex
+    arithmetic summed in the same order, so both must agree to the bit."""
+
+    @staticmethod
+    def extensions(rng):
+        yield cyclic_extension(*_klein_pauli(), 2)
+        pair = pair_groupoid(2)
+        yield cyclic_extension(pair, random_mu_k_coboundary(rng, pair, 3), 3)
+        z2x4 = abelian_group_groupoid((2, 4))
+        w = bicharacter_cocycle(z2x4, (2, 4), 4).mul(random_mu_k_coboundary(rng, z2x4, 4))
+        yield cyclic_extension(z2x4, w, 4)
+
+    @staticmethod
+    def exact_pair(rng, ext):
+        """A random exact element as an Exact and as a dict of Cyclo values."""
+        k = ext.k
+        num = np.array(
+            [[rng.choice((0, 0, 1, -2, 3)) for _ in range(k)] for _ in range(ext.dimension)]
+        )
+        values = {
+            x: sum((Cyclo.from_root(Fraction(j, k), int(c)) for j, c in enumerate(row)), Cyclo())
+            for x, row in enumerate(num)
+            if row.any()
+        }
+        return oracle.Exact(num), values
+
+    @staticmethod
+    def as_cyclo(f: oracle.Exact, x: int) -> Cyclo:
+        k = f.num.shape[-1]
+        total = sum(
+            (Cyclo.from_root(Fraction(j, k), int(c)) for j, c in enumerate(f.num[x])), Cyclo()
+        )
+        return total * Fraction(1, k**f.e)
+
+    @staticmethod
+    def loop_conv(ext, f: dict, g: dict, weight) -> dict:
+        out = {}
+        for y in sorted(f):
+            for z in sorted(g):
+                x = ext.groupoid.compose_or_none(y, z)
+                if x is not None:
+                    out[x] = f[y] * g[z] if x not in out else out[x] + f[y] * g[z]
+        return {x: v * weight for x, v in out.items()}
+
+    @staticmethod
+    def loop_projection(ext, f: dict, n: int) -> dict:
+        out = {}
+        for x in range(ext.dimension):
+            t, a = ext.parts(x)
+            acc = None
+            for j in range(ext.k):
+                c = f.get(ext.arrow(t + j, a))
+                if c is not None:
+                    term = ext.roots[j * n % ext.k].item() * c
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                out[x] = acc * (1.0 / ext.k)
+        return out
+
+    def test_exact_conv_star_and_projection(self, rng):
+        for ext in self.extensions(rng):
+            k, N = ext.k, ext.dimension
+            (f, fd), (g, gd) = self.exact_pair(rng, ext), self.exact_pair(rng, ext)
+            product = oracle.conv(ext, f, g)
+            expected = self.loop_conv(ext, fd, gd, Fraction(1, k))
+            assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(N))
+            star = oracle.star(ext, f)
+            assert all(
+                self.as_cyclo(star, ext.groupoid.inv(x)) == fd.get(x, Cyclo()).conjugate()
+                for x in range(N)
+            )
+            for n in range(k):
+                p = oracle.mode_projection(ext, f, n)
+                for x in range(N):
+                    t, a = ext.parts(x)
+                    want = sum(
+                        (fd.get(ext.arrow(t + j, a), Cyclo()).rotated(Fraction(j * n, k))
+                         for j in range(k)),
+                        Cyclo(),
+                    ) * Fraction(1, k)
+                    assert self.as_cyclo(p, x) == want
+
+    def test_numeric_conv_and_projection_to_the_bit(self, rng):
+        for ext in self.extensions(rng):
+            N = ext.dimension
+            f = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N)])
+            g = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N)])
+            fd = {x: complex(v) for x, v in enumerate(f)}
+            gd = {x: complex(v) for x, v in enumerate(g)}
+            product = oracle.conv(ext, f, g)
+            expected = self.loop_conv(ext, fd, gd, 1.0 / ext.k)
+            assert [complex(v) for v in product] == [expected.get(x, 0j) for x in range(N)]
+            for n in range(ext.k):
+                p = oracle.mode_projection(ext, f, n)
+                expected = self.loop_projection(ext, fd, n)
+                assert [complex(v) for v in p] == [expected.get(x, 0j) for x in range(N)]
+
+    def test_batch_axes_broadcast(self, rng):
+        ext = next(self.extensions(rng))
+        f, _ = self.exact_pair(rng, ext)
+        g, _ = self.exact_pair(rng, ext)
+        stack = oracle.Exact(np.stack([f.num, g.num]))
+        both = oracle.conv(ext, stack[:, None], stack[None, :])
+        for i, a in enumerate((f, g)):
+            for j, b in enumerate((f, g)):
+                assert np.array_equal(both.num[i, j], oracle.conv(ext, a, b).num)
+
+    def test_zero_test_leaves_int64_when_it_could_overflow(self, klein, pauli):
+        ext = cyclic_extension(klein, pauli, 2)  # zeta_2 = -1
+        big = 2**70
+        D = np.array([[big, big], [big, big + 1], [0, 0]], dtype=object)
+        assert oracle.nonzero_rows(ext, D).tolist() == [False, True, False]
+        assert oracle.nonzero_rows(ext, np.array([[3, 3], [3, 2]])).tolist() == [False, True]
+
+
+def _klein_pauli():
+    g = abelian_group_groupoid((2, 2))
+    return g, pauli_cocycle(g)
+
+
 def test_oracle_imports_nothing_from_the_graded_model():
     # the oracle's agreement with the graded model is evidence only while
     # the two share no code
@@ -372,4 +496,4 @@ def test_oracle_imports_nothing_from_the_graded_model():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    assert not imported & {"algebra", "extension", "morita"}
+    assert not imported & {"algebra", "extension", "morita", "Cyclo"}
