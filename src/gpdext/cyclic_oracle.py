@@ -326,7 +326,7 @@ def nonzero_rows(ext: CyclicExtension, D: np.ndarray) -> np.ndarray:
     in range and on Python ints otherwise."""
     R = ext.reduction
     if _max_abs(D) * ext._reduction_bound < _INT64_LIMIT:
-        D, R = D.astype(np.int64), R.astype(np.int64)
+        D, R = D.astype(np.int64, copy=False), R.astype(np.int64)
     else:
         D = D.astype(object)
     return (D @ R != 0).any(axis=1)

@@ -447,6 +447,15 @@ class TestOracleArraysAgainstLoops:
                     ) * Fraction(1, k)
                     assert self.as_cyclo(p, x) == want
 
+    def test_exact_conv_leaves_int64_when_it_could_overflow(self, rng):
+        ext = next(self.extensions(rng))
+        (f, fd), (g, gd) = self.exact_pair(rng, ext), self.exact_pair(rng, ext)
+        scale = 2**40  # products reach 2**80
+        product = oracle.conv(ext, oracle.Exact(f.num * scale), oracle.Exact(g.num * scale))
+        assert product.num.dtype == object
+        expected = self.loop_conv(ext, fd, gd, Fraction(scale * scale, ext.k))
+        assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(ext.dimension))
+
     def test_numeric_conv_and_projection_to_the_bit(self, rng):
         for ext in self.extensions(rng):
             N = ext.dimension
