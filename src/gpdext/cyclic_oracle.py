@@ -42,6 +42,7 @@ GTM 138, 1993, section 4.2).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,9 @@ from .groupoid import (
 
 # Integer results at or above this bound are computed on Python ints.
 _INT64_LIMIT = 2**63
+# Gathers that would hold more entries than this run in row chunks, so the
+# memory of a certificate stays proportional to its elements for any k.
+_CHUNK = 2**20
 
 
 class OracleError(ValueError):
@@ -73,7 +77,6 @@ def _root_exponent(value: CircleScalar, k: int, pair_label: str) -> int:
         return int(a * k) % k
     z = value.to_complex()
     import cmath
-    import math
 
     c = round(k * (cmath.phase(z) / (2 * math.pi))) % k
     if abs(z - cmath.exp(2j * math.pi * c / k)) > 1e-9:
@@ -112,12 +115,16 @@ class Exact:
         return _widened(self.num, _max_abs(self.num) * factor) * factor
 
     def __add__(self, other: "Exact") -> "Exact":
-        e = max(self.e, other.e)
-        return Exact(self.over(e) + other.over(e), e)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Exact") -> "Exact":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Exact", sign: int) -> "Exact":
         e = max(self.e, other.e)
-        return Exact(self.over(e) - other.over(e), e)
+        a, b = self.over(e), other.over(e)
+        bound = _max_abs(a) + _max_abs(b)
+        return Exact(_widened(a, bound) + sign * _widened(b, bound), e)
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -259,12 +266,25 @@ def conv(ext: CyclicExtension, f, g):
     # k terms per coefficient of one product, at most dimension products per arrow
     bound = _max_abs(fv) * _max_abs(gv) * k * ext.dimension
     x, y = _widened(x, bound), _widened(y, bound)
-    # cyclic convolution of coefficient vectors: column s sums x_i y_(s-i)
-    shift = (np.arange(k)[:, None] - np.arange(k)) % k
-    terms = (y[:, shift] @ x[:, :, None])[..., 0]
-    out = np.zeros(lead + fv.shape[-2:], dtype=terms.dtype)
-    np.add.at(out, (*batch, YZ[p]), terms)
+    # the product of the coefficient vectors of one pair, from their nonzero
+    # coefficients alone: zeta^i * zeta^j = zeta^((i + j) mod k)
+    row, i, j = _coefficient_pairs(x, y)
+    out = np.zeros(lead + fv.shape[-2:], dtype=x.dtype)
+    target = np.ravel_multi_index((*(b[row] for b in batch), YZ[p[row]]), out.shape[:-1])
+    np.add.at(out.reshape(-1), target * k + (i + j) % k, x[row, i] * y[row, j])
     return Exact(out, f.e + g.e + 1)
+
+
+def _coefficient_pairs(x: np.ndarray, y: np.ndarray):
+    """Every (row, i, j) with x[row, i] and y[row, j] both nonzero."""
+    rx, i = np.nonzero(x)
+    ry, j = np.nonzero(y)
+    per_row = np.bincount(ry, minlength=len(y))
+    first = np.cumsum(per_row) - per_row  # of each row's entries in (ry, j)
+    reps = per_row[rx]
+    start = np.cumsum(reps) - reps
+    which = np.repeat(first[rx] - start, reps) + np.arange(int(reps.sum()))
+    return np.repeat(rx, reps), np.repeat(i, reps), j[which]
 
 
 def star(ext: CyclicExtension, f):
@@ -289,12 +309,15 @@ def mode_projection(ext: CyclicExtension, f, n: int):
         s = np.arange(k)[:, None]
         index = (source[:, None, :] * k + (s - j * n) % k).reshape(k * m * k, k)
         num = _widened(f.num, _max_abs(f.num) * k)
-        flat = num.reshape(num.shape[:-2] + (k * m * k,))
-        return Exact(flat[..., index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
-    terms = _cmul(ext.roots[j * n % k], f[..., source])
-    acc = terms[..., 0]
+        flat = num.reshape(math.prod(num.shape[:-2]), k * m * k)
+        out = np.empty_like(flat)
+        step = max(1, _CHUNK // max(1, index.size))
+        for i in range(0, len(flat), step):
+            out[i : i + step] = flat[i : i + step][:, index].sum(axis=-1)
+        return Exact(out.reshape(f.num.shape), f.e + 1)
+    acc = _cmul(ext.roots[0], f[..., source[:, 0]])
     for i in range(1, k):
-        acc = acc + terms[..., i]
+        acc = acc + _cmul(ext.roots[i * n % k], f[..., source[:, i]])
     return acc * (1.0 / k)
 
 
@@ -337,7 +360,7 @@ def regular_rep_matrix(ext: CyclicExtension, f: np.ndarray, u: int) -> np.ndarra
     over unit u."""
     fiber = list(ext.groupoid.source_fiber(u))
     columns = conv(ext, f, deltas(ext, fiber, exact=False))
-    return np.ascontiguousarray(columns[:, fiber].T)
+    return columns[:, fiber].T
 
 
 def reduced_norm(ext: CyclicExtension, f: np.ndarray) -> float:

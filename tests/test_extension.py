@@ -481,6 +481,13 @@ class TestOracleArraysAgainstLoops:
             for j, b in enumerate((f, g)):
                 assert np.array_equal(both.num[i, j], oracle.conv(ext, a, b).num)
 
+    def test_sums_leave_int64_when_they_could_overflow(self):
+        big = oracle.Exact(np.array([[2**62, 0]]))
+        assert (big + big).num.tolist() == [[2**63, 0]]
+        assert (oracle.Exact(-big.num) - big).num.tolist() == [[-(2**63), 0]]
+        # over a larger denominator the numerators scale by k first
+        assert (big - oracle.Exact(np.array([[1, 0]]), 1)).num.tolist() == [[2**63 - 1, 0]]
+
     def test_zero_test_leaves_int64_when_it_could_overflow(self, klein, pauli):
         ext = cyclic_extension(klein, pauli, 2)  # zeta_2 = -1
         big = 2**70
