@@ -379,9 +379,9 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     At unit u the column of the unit arrow is conv(f, delta at u) = (1/k) f
     restricted to s^-1(u), so the unit columns read off f, and the rank
     counts the arrows x whose product with the unit at s(x) is supported on
-    {x} alone, in O(arrows) with this module's own conv.  Faithfulness is
-    what makes the full and reduced norms agree (J. Renault, *A Groupoid
-    Approach to C*-Algebras*, LNM 793, 1980)."""
+    {x} alone, all taken in one batched call of this module's own conv.
+    Faithfulness is what makes the full and reduced norms agree (J. Renault,
+    *A Groupoid Approach to C*-Algebras*, LNM 793, 1980)."""
     G = ext.groupoid
     units = [G.unit_arrow(G.s(x)) for x in G.arrows()]
     products = conv(ext, deltas(ext, G.arrows(), True), deltas(ext, units, True))

@@ -223,10 +223,12 @@ def test_cyclic_decompose_rejects_the_next_mode_summand(monkeypatch, klein, paul
 
 def test_cyclic_decompose_rejects_conv_without_the_circle_weight(monkeypatch, klein, pauli):
     conv = oracle.conv
-    # the numerators kept, over one power of k less
-    monkeypatch.setattr(
-        oracle, "conv", lambda e, f, h: (lambda p: oracle.Exact(p.num, p.e - 1))(conv(e, f, h))
-    )
+
+    def unweighted(e, f, h):
+        product = conv(e, f, h)
+        return oracle.Exact(product.num, product.e - 1)  # over one power of k less
+
+    monkeypatch.setattr(oracle, "conv", unweighted)
     cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
     assert not cd.ok
     # the first product, of the unit with itself, comes out k = 2 times too large
