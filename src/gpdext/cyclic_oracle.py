@@ -348,7 +348,7 @@ def nonzero_rows(ext: CyclicExtension, D: np.ndarray) -> np.ndarray:
     taken in int64 when max |D| times the largest column sum of |R| stays
     in range and on Python ints otherwise."""
     R = ext.reduction
-    if _max_abs(D) * ext._reduction_bound < _INT64_LIMIT:
+    if max(_max_abs(D), 1) * ext._reduction_bound < _INT64_LIMIT:
         D, R = D.astype(np.int64, copy=False), R.astype(np.int64)
     else:
         D = D.astype(object)
