@@ -446,6 +446,14 @@ class TestOracleArraysAgainstLoops:
                         Cyclo(),
                     ) * Fraction(1, k)
                     assert self.as_cyclo(p, x) == want
+            # base coefficients into mode n: (t, a) -> e(-tn/k) F(a)
+            base = oracle.Exact(f.num[: ext.base.n_arrows])
+            for n in range(k):
+                embedded = oracle.embed_mode(ext, n, base)
+                for x in range(N):
+                    t, a = ext.parts(x)
+                    want = fd.get(a, Cyclo()).rotated(Fraction(-t * n, k))
+                    assert self.as_cyclo(embedded, x) == want
 
     def test_exact_conv_leaves_int64_when_it_could_overflow(self, rng):
         ext = next(self.extensions(rng))
@@ -470,6 +478,12 @@ class TestOracleArraysAgainstLoops:
                 p = oracle.mode_projection(ext, f, n)
                 expected = self.loop_projection(ext, fd, n)
                 assert [complex(v) for v in p] == [expected.get(x, 0j) for x in range(N)]
+                embedded = oracle.embed_mode(ext, n, f[: ext.base.n_arrows])
+                expected = [
+                    ext.roots[-ext.parts(x)[0] * n % ext.k].item() * fd[ext.parts(x)[1]]
+                    for x in range(N)
+                ]
+                assert [complex(v) for v in embedded] == expected
 
     def test_batch_axes_broadcast(self, rng):
         ext = next(self.extensions(rng))
