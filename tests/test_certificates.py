@@ -33,6 +33,7 @@ from gpdext.extension import (
     intertwine_check,
 )
 from gpdext.groupoid import (
+    GroupoidError,
     abelian_group_groupoid,
     disjoint_union,
     pair_groupoid,
@@ -148,6 +149,26 @@ def test_oracle_rank_matches_the_reference_on_test_01_draws():
 
 
 # -- negative controls: single-point mutants each certificate must reject --
+
+
+def test_cocycle_off_by_a_root_at_one_pair_is_caught_twice(monkeypatch, klein, pauli):
+    # w at the non-unit pair (0,1),(1,0) multiplied by e(1/k): check_identity
+    # names a failing triple, and mu_k x_w G, built with the identity check
+    # bypassed, fails associativity on its own
+    k, pair = 2, (1, 2)
+    values = {p: pauli.value(*p) for p in klein.compose_table}
+    values[pair] = values[pair] * CircleScalar(angle=Fraction(1, k))
+    w = TwoCocycle(klein, values)
+    assert w.normalized
+    rep = w.check_identity()
+    assert not rep.ok and rep.violations[0].rule == "cocycle-identity"
+    a, b, c = rep.violations[0].witness
+    lhs = w.value(a, b) * w.value(klein.compose(a, b), c)
+    rhs = w.value(b, c) * w.value(a, klein.compose(b, c))
+    assert not lhs.isclose(rhs)
+    monkeypatch.setattr(TwoCocycle, "require_checked", lambda self, what: None)
+    with pytest.raises(GroupoidError, match=r"80 violation\(s\); first: \[associativity\]"):
+        cyclic_extension(klein, w, k)
 
 
 def test_missing_unit_composition_is_not_faithful(monkeypatch):

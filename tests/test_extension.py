@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from gpdext.groupoid import (
     pair_groupoid,
     validate,
 )
-from gpdext.randgen import random_laurent, random_mu_k_coboundary
+from gpdext.randgen import draw_oracle_instance, random_laurent, random_mu_k_coboundary
 
 
 @pytest.fixture
@@ -270,6 +271,35 @@ class TestCyclicExtension:
             ext = cyclic_extension(g, w, 3)
             assert ext.validation.ok
             assert ext.groupoid.n_arrows == 3 * g.n_arrows
+
+    @staticmethod
+    def loop_tables(base, cocycle, k):
+        """The extension's composition, inverse and sorted (y, z, yz) rows,
+        built one pair and one circle exponent at a time."""
+        n = base.n_arrows
+        twist = {p: int(cocycle.value(*p).angle * k) % k for p in base.compose_table}
+        compose = {}
+        for (a, b), c in base.compose_table.items():
+            for t1 in range(k):
+                for t2 in range(k):
+                    compose[(t1 * n + a, t2 * n + b)] = ((t1 + t2 + twist[(a, b)]) % k) * n + c
+        inverse = [
+            ((-t - twist[(a, base.inv(a))]) % k) * n + base.inv(a) for t in range(k) for a in range(n)
+        ]
+        rows = sorted((y, z, yz) for (y, z), yz in compose.items())
+        return compose, inverse, np.array(rows).reshape(-1, 3).T
+
+    def test_tables_match_a_loop_build_on_test_01_draws(self):
+        # the first 40 instances of the test-01 batch, drawn in the same order
+        rng = random.Random(20260808)
+        for i in range(40):
+            k = (2, 3, 4, 6)[i % 4]
+            g, w = draw_oracle_instance(rng, k)
+            ext = cyclic_extension(g, w, k)
+            compose, inverse, pairs = self.loop_tables(g, w, k)
+            assert ext.groupoid.compose_table == compose, (i, g.name, k)
+            assert ext.inverse.tolist() == inverse, (i, g.name, k)
+            assert np.array_equal(np.asarray(ext.pairs), pairs), (i, g.name, k)
 
     def test_fiber_size(self, klein, pauli):
         ext = cyclic_extension(klein, pauli, 2)
