@@ -55,6 +55,8 @@ def parse_groupoid(doc) -> FiniteGroupoid:
     for key in ("units", "arrows", "compose", "inverse"):
         if key not in doc:
             raise DocumentError(f"groupoid document missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise DocumentError(f"groupoid field {key!r} must be a list, got {doc[key]!r:.40}")
     unit_names = [str(u) for u in doc["units"]]
     if len(set(unit_names)) != len(unit_names):
         raise DocumentError("duplicate unit names")
@@ -78,7 +80,7 @@ def parse_groupoid(doc) -> FiniteGroupoid:
 
     compose = {}
     for triple in doc["compose"]:
-        if len(triple) != 3:
+        if not isinstance(triple, list) or len(triple) != 3:
             raise DocumentError(f"compose entry {triple!r} must be [a, b, c]")
         a, b, c = (str(x) for x in triple)
         for x in (a, b, c):
@@ -88,7 +90,7 @@ def parse_groupoid(doc) -> FiniteGroupoid:
 
     inverse = [None] * len(arrow_names)
     for pair in doc["inverse"]:
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise DocumentError(f"inverse entry {pair!r} must be [a, b]")
         a, b = (str(x) for x in pair)
         if a not in aindex or b not in aindex:
@@ -176,10 +178,13 @@ def parse_cocycle(doc, g: FiniteGroupoid) -> TwoCocycle:
     entries = doc.get("entries")
     if entries is None:
         raise DocumentError("cocycle document missing field 'entries'")
+    if not isinstance(entries, list):
+        raise DocumentError(f"cocycle field 'entries' must be a list, got {entries!r:.40}")
     aindex = {name: i for i, name in enumerate(g.arrow_labels)}
     vals = {}
     for entry in entries:
-        if len(entry) != 2 or len(entry[0]) != 2:
+        names = entry[0] if isinstance(entry, list) and len(entry) == 2 else None
+        if not isinstance(names, list) or len(names) != 2:
             raise DocumentError(f"cocycle entry {entry!r} must be [[a, b], angle]")
         (a, b), angle = entry
         a, b = str(a), str(b)
@@ -234,6 +239,15 @@ def parse_spec(doc) -> SpecDocument:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise DocumentError("field 'params' must be an object")
+    modes = params.get("modes", [0, 0])
+    if not isinstance(modes, list) or len(modes) != 2:
+        raise DocumentError(f"params.modes must be [lo, hi], got {modes!r:.40}")
+    numbers = [(key, params[key]) for key in ("k", "seed", "samples") if key in params]
+    for key, x in numbers + [("modes", x) for x in modes]:
+        try:
+            int(x)
+        except (TypeError, ValueError, OverflowError):
+            raise DocumentError(f"params.{key} must be an integer, got {x!r:.40}") from None
     return SpecDocument(groupoid=g, cocycle=w, params=params)
 
 

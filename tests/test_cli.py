@@ -15,6 +15,24 @@ def run(capsys, *args):
     return rc, out
 
 
+# a field of pauli.json and a value there that no spec document may hold
+MALFORMED_SPECS = [
+    (("groupoid", "units"), 5),
+    (("groupoid", "units"), None),
+    (("groupoid", "compose"), 5),
+    (("groupoid", "compose"), None),
+    (("groupoid", "inverse"), 5),
+    (("groupoid", "inverse"), None),
+    (("groupoid", "compose", 0), 5),
+    (("groupoid", "inverse", 0), 5),
+    (("cocycle", "entries", 0), 5),
+    (("cocycle", "entries", 0), [5, "1/2"]),
+    (("cocycle", "entries"), 5),
+    (("params", "k"), "x"),
+    (("params", "modes"), [1]),
+]
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, capsys):
         rc, out = run(capsys, "validate", "--fixture", "pauli")
@@ -82,6 +100,22 @@ class TestExitCodes:
         doc.write_text(text)
         assert main([*args, str(doc)]) == 2
         assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        MALFORMED_SPECS,
+        ids=[".".join(map(str, path)) + "=" + json.dumps(value) for path, value in MALFORMED_SPECS],
+    )
+    def test_malformed_spec_is_two(self, path, value, tmp_path, capsys):
+        spec = json.loads((Path(__file__).parents[1] / "src/gpdext/fixtures/pauli.json").read_text())
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        doc = tmp_path / "spec.json"
+        doc.write_text(json.dumps(spec))
+        assert main(["verify-all", str(doc), "--samples", "2"]) == 2
+        assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["normalize", "trivialize", "algebra", "decompose", "cyclic-oracle", "morita"]
