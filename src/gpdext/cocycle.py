@@ -129,16 +129,17 @@ class TwoCocycle:
         g = self.base
         rep = ValidationReport(subject=f"cocycle on {g.name}")
         lab = g.arrow_labels
-        for a, b, c in g.composable_triples():
-            lhs = self.value(a, b) * self.value(g.compose(a, b), c)
-            rhs = self.value(b, c) * self.value(a, g.compose(b, c))
-            if not lhs.isclose(rhs):
-                rep.add(
-                    "cocycle-identity",
-                    (a, b, c),
-                    f"identity fails on ({lab[a]},{lab[b]},{lab[c]}): "
-                    f"lhs={lhs!r} rhs={rhs!r}",
-                )
+        for block in g.triple_blocks():
+            for a, b, c, ab, bc in zip(*(x.tolist() for x in block)):
+                lhs = self.value(a, b) * self.value(ab, c)
+                rhs = self.value(b, c) * self.value(a, bc)
+                if not lhs.isclose(rhs):
+                    rep.add(
+                        "cocycle-identity",
+                        (a, b, c),
+                        f"identity fails on ({lab[a]},{lab[b]},{lab[c]}): "
+                        f"lhs={lhs!r} rhs={rhs!r}",
+                    )
         if rep.ok:
             self.identity_checked = True
         return rep
@@ -266,11 +267,9 @@ def solve_coboundary(w: TwoCocycle) -> OneCochain | None:
         raise ExactnessError("exact angles required")
     w.require_checked("solve_coboundary")
     g = w.base
-    pairs = g.composable_pairs()
     rows = []
     rhs = []
-    for (a, b) in pairs:
-        c = g.compose(a, b)
+    for a, b, c in zip(*(x.tolist() for x in g.pair_table)):
         row = [0] * g.n_arrows
         row[a] += 1
         row[b] += 1

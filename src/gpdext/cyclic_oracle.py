@@ -8,6 +8,9 @@ mu_k x G becomes an honest finite groupoid under
 with unit space identified with the units of G.  Associativity of this
 multiplication is literally the cocycle identity, so building the extension
 and validating it re-proves the identity through an independent code path.
+The composition table and the inverse are built in one broadcast: the base's
+composable pairs (a, b, ab) against every pair of circle exponents (t1, t2),
+with w(a, b) = e(twist(a, b)/k) read once per base pair.
 
 The algebra of the extension carries the convolution with the circle factor
 averaged (weight 1/k per circle coordinate, counting measure along G), which
@@ -31,8 +34,9 @@ comes in one of two forms:
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` is a
 scatter over the composable pairs (y, z) of the extension's own composition
-table, read once when the extension is built; on exact values the product of
-two coefficient vectors is their cyclic convolution, since zeta_k^k = 1.
+table, read from the extension groupoid's sorted pair arrays; on exact values
+the product of two coefficient vectors is their cyclic convolution, since
+zeta_k^k = 1.
 ``mode_projection`` is a cyclic shift and sum.  ``nonzero_rows`` decides
 which of many exact values are zero in one integer product, by mapping each
 coefficient vector into the power basis of Q(zeta_k), row j of the map being
@@ -177,40 +181,31 @@ class CyclicExtension:
         n = base.n_arrows
         lab = base.arrow_labels
 
-        twist = {}
-        for (a, b), c in base.compose_table.items():
-            twist[(a, b)] = _root_exponent(
-                cocycle.value(a, b), k, f"({lab[a]},{lab[b]})"
-            )
-
-        rng = [base.r(a) for t in range(k) for a in range(n)]
-        src = [base.s(a) for t in range(k) for a in range(n)]
-        compose = {}
-        for (a, b), c in base.compose_table.items():
-            w = twist[(a, b)]
-            for t1 in range(k):
-                for t2 in range(k):
-                    compose[(t1 * n + a, t2 * n + b)] = ((t1 + t2 + w) % k) * n + c
-        inverse = []
-        for t in range(k):
-            for a in range(n):
-                ai = base.inv(a)
-                w = twist[(a, ai)]
-                inverse.append(((-t - w) % k) * n + ai)
+        # extension arrow t * n + a: the twist exponent of a base pair (a, b)
+        # adds to the circle exponent of every product over it
+        A, B, C = base.pair_table
+        twist = np.zeros((n, n), dtype=np.intp)
+        twist[A, B] = [
+            _root_exponent(cocycle.value(a, b), k, f"({lab[a]},{lab[b]})")
+            for a, b in zip(A.tolist(), B.tolist())
+        ]
+        t1, t2 = np.arange(k)[:, None, None], np.arange(k)[None, :, None]
+        YZ = (t1 + t2 + twist[A, B]) % k * n + C
+        Y, Z = (np.broadcast_to(x, YZ.shape).ravel().tolist() for x in (t1 * n + A, t2 * n + B))
+        inv = np.asarray(base.inverse_map, dtype=np.intp)
+        self.inverse = ((-np.arange(k)[:, None] - twist[np.arange(n), inv]) % k * n + inv).ravel()
         unit_to_arrow = [base.unit_arrow(u) for u in base.units()]  # t = 0 block
         labels = [f"(e({t}/{k})|{lab[a]})" for t in range(k) for a in range(n)]
         self.groupoid = FiniteGroupoid(
-            base.n_units, rng, src, compose, inverse, unit_to_arrow,
+            base.n_units, list(base.range_map) * k, list(base.source_map) * k,
+            dict(zip(zip(Y, Z), YZ.ravel().tolist())), self.inverse.tolist(), unit_to_arrow,
             unit_labels=base.unit_labels, arrow_labels=labels,
             name=f"mu{k}x{base.name}",
         )
         self.validation = validate(self.groupoid)
         self.validation.raise_if_failed()
-
         # rows y, z, y z over the composable pairs of the extension, in (y, z) order
-        table = sorted((y, z, c) for (y, z), c in self.groupoid.compose_table.items())
-        self.pairs = np.array(table, dtype=np.intp).reshape(-1, 3).T
-        self.inverse = np.array([self.groupoid.inv(x) for x in self.groupoid.arrows()], dtype=np.intp)
+        self.pairs = self.groupoid.pair_table
         self.roots = np.array([CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)])
         self.reduction = _power_basis(k)
         self._reduction_bound = int(np.abs(self.reduction).sum(axis=0).max())

@@ -1,10 +1,14 @@
 """Finite groupoids with table-backed composition.
 
-Units and arrows are dense integer indices; composition is a partial map
-stored as a dict keyed by composable pairs, so composition is O(1) and every
-composable pair/triple can be enumerated exhaustively.  Instances are treated
-as immutable after construction: all operations here are pure functions and
-may be evaluated in parallel on disjoint inputs.
+Units and arrows are dense integer indices.  Composition is a partial map,
+given as a dict keyed by composable pairs and compiled on first use into
+index arrays: the composable pairs (A, B, C = A∘B) in ascending (A, B) order,
+and a dense compose array holding -1 off the table.  The composable triples
+(a, b, c, ab, bc) are generated from these in blocks of bounded size.
+``validate``, the triple enumeration and the cocycle identity check read
+these tables.  Instances are treated as immutable after construction: all
+operations here are pure functions and may be evaluated in parallel on
+disjoint inputs.
 
 Construction does not validate; ``validate`` reports every violated axiom
 with witnessing arrows, which lets tests build deliberately broken tables.
@@ -14,6 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+
+import numpy as np
+
+# Rows per block of composable triples, so a walk over the triples holds
+# memory proportional to this bound rather than to the triple count.
+_TRIPLE_BLOCK = 2**11
 
 
 class GroupoidError(ValueError):
@@ -92,7 +102,8 @@ class FiniteGroupoid:
         self.unit_labels = tuple(str(x) for x in unit_labels)
         self.arrow_labels = tuple(str(x) for x in arrow_labels)
         self._source_fibers = None
-        self._range_fibers = None
+        self._pair_table = None
+        self._compose_array = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -107,9 +118,6 @@ class FiniteGroupoid:
 
     def unit_arrow(self, u: int) -> int:
         return self.unit_to_arrow[u]
-
-    def is_composable(self, a: int, b: int) -> bool:
-        return self.source_map[a] == self.range_map[b]
 
     def compose(self, a: int, b: int) -> int:
         try:
@@ -128,37 +136,54 @@ class FiniteGroupoid:
     def arrows(self):
         return range(self.n_arrows)
 
-    def _build_fibers(self):
-        src = [[] for _ in range(self.n_units)]
-        rng = [[] for _ in range(self.n_units)]
-        for a in range(self.n_arrows):
-            src[self.source_map[a]].append(a)
-            rng[self.range_map[a]].append(a)
-        self._source_fibers = tuple(tuple(f) for f in src)
-        self._range_fibers = tuple(tuple(f) for f in rng)
-
     def source_fiber(self, u: int) -> tuple[int, ...]:
         """Arrows with source u, in ascending id order."""
         if self._source_fibers is None:
-            self._build_fibers()
+            fibers = [[] for _ in range(self.n_units)]
+            for a in range(self.n_arrows):
+                fibers[self.source_map[a]].append(a)
+            self._source_fibers = tuple(tuple(f) for f in fibers)
         return self._source_fibers[u]
 
-    def range_fiber(self, u: int) -> tuple[int, ...]:
-        if self._range_fibers is None:
-            self._build_fibers()
-        return self._range_fibers[u]
+    @property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The composable pairs (A, B, C = A∘B) as index arrays, ascending in (A, B)."""
+        if self._pair_table is None:
+            keys = np.array(list(self.compose_table), dtype=np.intp).reshape(-1, 2)
+            C = np.fromiter(self.compose_table.values(), dtype=np.intp, count=len(keys))
+            self._pair_order = np.lexsort(keys.T[::-1])  # each row's compose_table position
+            self._pair_table = (*keys[self._pair_order].T, C[self._pair_order])
+        return self._pair_table
 
-    def composable_pairs(self):
-        return sorted(self.compose_table)
+    @property
+    def compose_array(self) -> np.ndarray:
+        """compose_or_none as an n_arrows x n_arrows array, -1 off the table."""
+        if self._compose_array is None:
+            A, B, C = self.pair_table
+            self._compose_array = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.intp)
+            self._compose_array[A, B] = C
+        return self._compose_array
+
+    def triple_blocks(self):
+        """The composable triples as index arrays (a, b, c, ab, bc), in
+        composable_triples order and in blocks of about _TRIPLE_BLOCK rows;
+        bc is -1 where (b, c) is missing from the table."""
+        A, B, C = self.pair_table
+        rng = np.asarray(self.range_map, dtype=np.intp)
+        s_b = np.asarray(self.source_map, dtype=np.intp)[B]
+        step = max(1, _TRIPLE_BLOCK // max(1, self.n_arrows))
+        for lo in range(0, len(A), step):
+            p, c = np.nonzero(s_b[lo : lo + step, None] == rng)
+            p += lo
+            yield A[p], B[p], c, C[p], self.compose_array[B[p], c]
 
     def composable_triples(self):
-        """All (a, b, c) with s(a) = r(b) and s(b) = r(c)."""
-        for a, b in self.composable_pairs():
-            for c in self.range_fiber(self.source_map[b]):
-                yield (a, b, c)
+        """All (a, b, c) with (a, b) in the table and r(c) = s(b)."""
+        for a, b, c, _, _ in self.triple_blocks():
+            yield from zip(a.tolist(), b.tolist(), c.tolist())
 
     def isotropy(self, u: int) -> tuple[int, ...]:
-        return tuple(a for a in self.range_fiber(u) if self.source_map[a] == u)
+        return tuple(a for a in self.source_fiber(u) if self.range_map[a] == u)
 
     def __repr__(self):
         return f"{self.name}({self.n_units} units, {self.n_arrows} arrows)"
@@ -167,79 +192,83 @@ class FiniteGroupoid:
 # ---------------------------------------------------------------------------
 # validation
 
+def _outside(x: np.ndarray, n: int) -> np.ndarray:
+    return (x < 0) | (x >= n)
+
+
+def _report_arrows(rep: ValidationReport, lab, checks):
+    """Report each (rule, message, failing-arrow mask) check, arrow by arrow
+    and in the order of the checks at one arrow."""
+    for a, i in np.argwhere(np.array([bad for _, _, bad in checks]).T).tolist():
+        rep.add(checks[i][0], (a,), checks[i][1].format(lab[a]))
+
+
 def validate(g: FiniteGroupoid) -> ValidationReport:
-    """Check every groupoid axiom exhaustively; violations are data."""
+    """Check every groupoid axiom exhaustively; violations are data.  Each rule
+    is decided on index arrays; only failing entries are visited one by one."""
     rep = ValidationReport(subject=g.name)
     lab = g.arrow_labels
     n_u, n_a = g.n_units, g.n_arrows
+    maps = (g.range_map, g.source_map, g.inverse_map, g.unit_to_arrow)
+    rng, src, inv, unit = (np.asarray(m, dtype=np.intp) for m in maps)
+    A, B, C = g.pair_table
 
-    for a in range(n_a):
-        if not (0 <= g.range_map[a] < n_u) or not (0 <= g.source_map[a] < n_u):
-            rep.add("index", (a,), f"range/source of {lab[a]} out of bounds")
-        if not (0 <= g.inverse_map[a] < n_a):
-            rep.add("index", (a,), f"inverse of {lab[a]} out of bounds")
-    if len(g.unit_to_arrow) != n_u:
+    _report_arrows(rep, lab, [
+        ("index", "range/source of {} out of bounds", _outside(rng, n_u) | _outside(src, n_u)),
+        ("index", "inverse of {} out of bounds", _outside(inv, n_a)),
+    ])
+    if len(unit) != n_u:
         rep.add("index", (), "unit_to_arrow has wrong length")
+    for u in np.flatnonzero(_outside(unit, n_a)).tolist():
+        rep.add("index", (u,), f"unit arrow of unit {u} out of bounds")
+    bad_key = _outside(A, n_a) | _outside(B, n_a)
+    for a, b in zip(A[bad_key].tolist(), B[bad_key].tolist()):
+        rep.add("index", (a, b), f"compose key ({a}, {b}) outside the arrows")
     if not rep.ok:
         return rep  # further checks would index out of bounds
 
-    for u in range(n_u):
-        e = g.unit_arrow(u)
-        if g.r(e) != u or g.s(e) != u:
-            rep.add("unit-embedding", (u,), f"unit arrow {lab[e]} not over unit {u}")
+    units = np.arange(n_u)
+    for u in np.flatnonzero((rng[unit] != units) | (src[unit] != units)).tolist():
+        rep.add("unit-embedding", (u,), f"unit arrow {lab[unit[u]]} not over unit {u}")
 
     # compose defined exactly on composable pairs, with coherent range/source
-    for a in range(n_a):
-        for b in range(n_a):
-            defined = (a, b) in g.compose_table
-            if defined != g.is_composable(a, b):
-                rep.add(
-                    "composability",
-                    (a, b),
-                    f"compose({lab[a]},{lab[b]}) "
-                    + ("defined but sources/ranges mismatch" if defined else "missing"),
-                )
-    for (a, b), c in g.compose_table.items():
-        if not (0 <= c < n_a):
-            rep.add("index", (a, b), f"compose({lab[a]},{lab[b]}) out of bounds")
-            continue
-        if g.r(c) != g.r(a) or g.s(c) != g.s(b):
-            rep.add(
-                "range-source",
-                (a, b, c),
-                f"compose({lab[a]},{lab[b]})={lab[c]} has wrong range or source",
-            )
-
-    if any(v.rule == "index" for v in rep.violations):
+    defined = g.compose_array >= 0
+    for a, b in np.argwhere(defined != (src[:, None] == rng[None, :])).tolist():
+        what = "defined but sources/ranges mismatch" if defined[a, b] else "missing"
+        rep.add("composability", (a, b), f"compose({lab[a]},{lab[b]}) {what}")
+    bad_c = _outside(C, n_a)
+    c_in = np.where(bad_c, 0, C)
+    fail = np.flatnonzero(bad_c | (rng[c_in] != rng[A]) | (src[c_in] != src[B]))
+    fail = fail[np.argsort(g._pair_order[fail])]  # in compose_table order
+    for a, b, c in zip(A[fail].tolist(), B[fail].tolist(), C[fail].tolist()):
+        ab = f"compose({lab[a]},{lab[b]})"
+        if not 0 <= c < n_a:
+            rep.add("index", (a, b), f"{ab} out of bounds")
+        else:
+            rep.add("range-source", (a, b, c), f"{ab}={lab[c]} has wrong range or source")
+    if bad_c.any():
         return rep
 
-    for a in range(n_a):
-        e_r, e_s = g.unit_arrow(g.r(a)), g.unit_arrow(g.s(a))
-        if g.compose_or_none(e_r, a) != a or g.compose_or_none(a, e_s) != a:
-            rep.add("unit-law", (a,), f"unit law fails at {lab[a]}")
-        ai = g.inv(a)
-        if g.inv(ai) != a:
-            rep.add("inverse-involution", (a,), f"inverse of inverse of {lab[a]} differs")
-        if g.r(ai) != g.s(a) or g.s(ai) != g.r(a):
-            rep.add("inverse-range", (a,), f"inverse of {lab[a]} swaps range/source incorrectly")
-        if g.compose_or_none(a, ai) != g.unit_arrow(g.r(a)):
-            rep.add("inverse-law", (a,), f"{lab[a]} composed with its inverse is not the unit at its range")
-        if g.compose_or_none(ai, a) != g.unit_arrow(g.s(a)):
-            rep.add("inverse-law", (a,), f"inverse of {lab[a]} composed with it is not the unit at its source")
+    D, x = g.compose_array, np.arange(n_a)
+    at_r, at_s = unit[rng], unit[src]
+    _report_arrows(rep, lab, [
+        ("unit-law", "unit law fails at {}", (D[at_r, x] != x) | (D[x, at_s] != x)),
+        ("inverse-involution", "inverse of inverse of {} differs", inv[inv] != x),
+        ("inverse-range", "inverse of {} swaps range/source incorrectly",
+         (rng[inv] != src) | (src[inv] != rng)),
+        ("inverse-law", "{} composed with its inverse is not the unit at its range",
+         D[x, inv] != at_r),
+        ("inverse-law", "inverse of {} composed with it is not the unit at its source",
+         D[inv, x] != at_s),
+    ])
 
-    for a, b, c in g.composable_triples():
-        ab = g.compose_or_none(a, b)
-        bc = g.compose_or_none(b, c)
-        if ab is None or bc is None:
-            continue  # gap already reported by the composability check
-        left = g.compose_or_none(ab, c)
-        right = g.compose_or_none(a, bc)
-        if left != right or left is None:
-            rep.add(
-                "associativity",
-                (a, b, c),
-                f"({lab[a]}{lab[b]}){lab[c]} != {lab[a]}({lab[b]}{lab[c]})",
-            )
+    for a, b, c, ab, bc in g.triple_blocks():
+        left, right = D[ab, c], D[a, bc]
+        # a gap (b, c), bc = -1, was already reported by the composability check
+        bad = (bc >= 0) & ((left != right) | (left < 0))
+        for x1, x2, x3 in zip(a[bad].tolist(), b[bad].tolist(), c[bad].tolist()):
+            l1, l2, l3 = lab[x1], lab[x2], lab[x3]
+            rep.add("associativity", (x1, x2, x3), f"({l1}{l2}){l3} != {l1}({l2}{l3})")
     return rep
 
 

@@ -23,6 +23,12 @@ def loop_validate(g) -> ValidationReport:
             rep.add("index", (a,), f"inverse of {lab[a]} out of bounds")
     if len(unit) != n_u:
         rep.add("index", (), "unit_to_arrow has wrong length")
+    for u, e in enumerate(unit):
+        if not 0 <= e < n_a:
+            rep.add("index", (u,), f"unit arrow of unit {u} out of bounds")
+    for a, b in sorted(table):
+        if not (0 <= a < n_a and 0 <= b < n_a):
+            rep.add("index", (a, b), f"compose key ({a}, {b}) outside the arrows")
     if not rep.ok:
         return rep
 

@@ -1,8 +1,9 @@
 """``validate`` against its loop reference, and one negative control per rule.
 
 Every bundled fixture and every ``randgen`` family is mutated at one point:
-a range, source, inverse or unit arrow moved, a composite changed, a
-composable pair deleted or a pair added.  ``validate`` must report exactly
+a range, source, inverse or unit arrow moved (also out of bounds), a
+composite changed, a composable pair deleted or a pair added (also one
+outside the arrows).  ``validate`` must report exactly
 the violations of ``reference_validate.loop_validate``, in the same order.
 """
 
@@ -56,11 +57,11 @@ def mutants(g, rng: random.Random):
     yield rebuild(g, range_map=_set(g.range_map, a, rng.randrange(n_u + 1)))
     yield rebuild(g, source_map=_set(g.source_map, a, rng.randrange(n_u + 1)))
     yield rebuild(g, inverse_map=_set(g.inverse_map, a, rng.randrange(n_a + 1)))
-    yield rebuild(g, unit_to_arrow=_set(g.unit_to_arrow, u, rng.randrange(n_a)))
+    yield rebuild(g, unit_to_arrow=_set(g.unit_to_arrow, u, rng.randrange(-1, n_a + 1)))
     yield rebuild(g, unit_to_arrow=g.unit_to_arrow[:-1])
     yield rebuild(g, compose_table={**table, key: rng.randrange(n_a + 1)})
     yield rebuild(g, compose_table={p: c for p, c in table.items() if p != key})
-    extra = (rng.randrange(n_a), rng.randrange(n_a))
+    extra = (rng.randrange(-1, n_a + 1), rng.randrange(-1, n_a + 1))
     yield rebuild(g, compose_table={**table, extra: table.get(extra, rng.randrange(n_a))})
 
 
@@ -110,6 +111,21 @@ def test_inverse_out_of_bounds_is_an_index_violation():
 def test_unit_arrow_list_of_wrong_length_is_an_index_violation():
     g = pair_groupoid(2)
     assert rules(rebuild(g, unit_to_arrow=[0])) == [("index", ())]
+
+
+def test_unit_arrow_out_of_bounds_is_an_index_violation():
+    g = pair_groupoid(2)
+    assert rules(rebuild(g, unit_to_arrow=[0, 9])) == [("index", (1,))]
+
+
+def test_negative_unit_arrow_is_an_index_violation_not_the_last_arrow():
+    g = pair_groupoid(2)
+    assert rules(rebuild(g, unit_to_arrow=[0, -1])) == [("index", (1,))]
+
+
+def test_compose_key_outside_the_arrows_is_an_index_violation():
+    g = pair_groupoid(2)
+    assert rules(rebuild(g, compose_table={**g.compose_table, (7, 0): 0})) == [("index", (7, 0))]
 
 
 def test_composite_out_of_bounds_is_an_index_violation():
