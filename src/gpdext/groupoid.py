@@ -213,6 +213,11 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     rng, src, inv, unit = (np.asarray(m, dtype=np.intp) for m in maps)
     A, B, C = g.pair_table
 
+    for name, m in (("source_map", src), ("inverse_map", inv)):
+        if len(m) != n_a:
+            rep.add("index", (), f"{name} has wrong length")
+    if not rep.ok:
+        return rep  # the per-arrow checks need one entry per arrow
     _report_arrows(rep, lab, [
         ("index", "range/source of {} out of bounds", _outside(rng, n_u) | _outside(src, n_u)),
         ("index", "inverse of {} out of bounds", _outside(inv, n_a)),

@@ -16,6 +16,11 @@ def loop_validate(g) -> ValidationReport:
     r, s, inv, unit = g.range_map, g.source_map, g.inverse_map, g.unit_to_arrow
     table = g.compose_table
 
+    for name, m in (("source_map", s), ("inverse_map", inv)):
+        if len(m) != n_a:
+            rep.add("index", (), f"{name} has wrong length")
+    if not rep.ok:
+        return rep
     for a in range(n_a):
         if not (0 <= r[a] < n_u) or not (0 <= s[a] < n_u):
             rep.add("index", (a,), f"range/source of {lab[a]} out of bounds")

@@ -108,6 +108,13 @@ def test_inverse_out_of_bounds_is_an_index_violation():
     assert rules(rebuild(g, inverse_map=_set(g.inverse_map, 2, 4))) == [("index", (2,))]
 
 
+@pytest.mark.parametrize("field", ["source_map", "inverse_map"])
+@pytest.mark.parametrize("change", [lambda m: m[:-1], lambda m: m + (0,)], ids=["short", "long"])
+def test_arrow_map_of_wrong_length_is_an_index_violation(field, change):
+    g = pair_groupoid(2)
+    assert rules(rebuild(g, **{field: change(getattr(g, field))})) == [("index", ())]
+
+
 def test_unit_arrow_list_of_wrong_length_is_an_index_violation():
     g = pair_groupoid(2)
     assert rules(rebuild(g, unit_to_arrow=[0])) == [("index", ())]
