@@ -21,8 +21,9 @@ from itertools import permutations
 
 import numpy as np
 
-# Rows per block of composable triples, so a walk over the triples holds
-# memory proportional to this bound rather than to the triple count.
+# Entries (pairs times candidate arrows) per block of the composable-triple
+# walk, so that it holds memory proportional to this bound, not to the
+# triple count.
 _TRIPLE_BLOCK = 2**11
 
 
@@ -166,7 +167,7 @@ class FiniteGroupoid:
 
     def triple_blocks(self):
         """The composable triples as index arrays (a, b, c, ab, bc), in
-        composable_triples order and in blocks of about _TRIPLE_BLOCK rows;
+        composable_triples order and in blocks of at most about _TRIPLE_BLOCK rows;
         bc is -1 where (b, c) is missing from the table."""
         A, B, C = self.pair_table
         rng = np.asarray(self.range_map, dtype=np.intp)
@@ -237,7 +238,8 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         rep.add("unit-embedding", (u,), f"unit arrow {lab[unit[u]]} not over unit {u}")
 
     # compose defined exactly on composable pairs, with coherent range/source
-    defined = g.compose_array >= 0
+    defined = np.zeros((n_a, n_a), dtype=bool)  # by key: a composite may be negative
+    defined[A, B] = True
     for a, b in np.argwhere(defined != (src[:, None] == rng[None, :])).tolist():
         what = "defined but sources/ranges mismatch" if defined[a, b] else "missing"
         rep.add("composability", (a, b), f"compose({lab[a]},{lab[b]}) {what}")

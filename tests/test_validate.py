@@ -59,7 +59,7 @@ def mutants(g, rng: random.Random):
     yield rebuild(g, inverse_map=_set(g.inverse_map, a, rng.randrange(n_a + 1)))
     yield rebuild(g, unit_to_arrow=_set(g.unit_to_arrow, u, rng.randrange(-1, n_a + 1)))
     yield rebuild(g, unit_to_arrow=g.unit_to_arrow[:-1])
-    yield rebuild(g, compose_table={**table, key: rng.randrange(n_a + 1)})
+    yield rebuild(g, compose_table={**table, key: rng.randrange(-1, n_a + 1)})
     yield rebuild(g, compose_table={p: c for p, c in table.items() if p != key})
     extra = (rng.randrange(-1, n_a + 1), rng.randrange(-1, n_a + 1))
     yield rebuild(g, compose_table={**table, extra: table.get(extra, rng.randrange(n_a))})
@@ -135,9 +135,11 @@ def test_compose_key_outside_the_arrows_is_an_index_violation():
     assert rules(rebuild(g, compose_table={**g.compose_table, (7, 0): 0})) == [("index", (7, 0))]
 
 
-def test_composite_out_of_bounds_is_an_index_violation():
+@pytest.mark.parametrize("composite", [4, -1])
+def test_composite_out_of_bounds_is_an_index_violation(composite):
     g = pair_groupoid(2)
-    assert rules(rebuild(g, compose_table={**g.compose_table, (0, 1): 4})) == [("index", (0, 1))]
+    table = {**g.compose_table, (0, 1): composite}
+    assert rules(rebuild(g, compose_table=table)) == [("index", (0, 1))]
 
 
 def test_unit_arrow_off_its_unit_breaks_the_embedding():
