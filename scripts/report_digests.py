@@ -23,6 +23,11 @@ command-line entry point `main([...])`: validate, normalize, trivialize,
 then verify-all in human format.  These go through argument parsing and
 command dispatch, with the sample count each fixture's params give.
 
+Then, per fixture at seed 0, one line `fixture complex <command> sha256` for
+the `algebra` and `decompose --samples 10` machine reports on a spec that
+carries the cocycle's values as complex numbers, which takes the numeric
+path of the twisted algebras.
+
 A change meant to leave every report byte-identical is checked by running
 this once against each tree and diffing the outputs:
 
@@ -37,10 +42,18 @@ import io
 import sys
 
 from gpdext.algebra import TwistedAlgebra
-from gpdext.cli import _fixture_dir, cmd_cyclic_oracle, cmd_verify_all, load_spec
+from gpdext.cli import (
+    _fixture_dir,
+    cmd_algebra,
+    cmd_cyclic_oracle,
+    cmd_decompose,
+    cmd_verify_all,
+    load_spec,
+)
 from gpdext.cli import main as cli_main
 from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.cyclic_oracle import faithfulness_rank
+from gpdext.documents import SpecDocument
 from gpdext.extension import cyclic_decompose, cyclic_extension
 
 SEEDS = range(5)
@@ -107,6 +120,14 @@ def main() -> int:
         for run in MAIN_RUNS:
             code, digest = _main_digest([*run, "--fixture", path.stem, "--seed", "0"])
             print(path.stem, "main", " ".join(run), f"exit={code}", digest)
+    for path in paths:
+        spec, source = load_spec(None, path.stem)
+        w = spec.cocycle_or_trivial()
+        numeric = TwoCocycle(spec.groupoid, {p: v.to_complex() for p, v in w.values.items()})
+        spec = SpecDocument(groupoid=spec.groupoid, cocycle=numeric, params=spec.params)
+        for command in (cmd_algebra, cmd_decompose):
+            report = command(spec, source, 0, SAMPLES)
+            print(path.stem, "complex", report.command, _digest(report))
     return 0
 
 

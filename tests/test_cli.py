@@ -196,6 +196,11 @@ class TestCommands:
         assert doc["extras"]["modes"]["0"]["center_dimension"] == 4
         assert doc["extras"]["modes"]["1"]["center_dimension"] == 1
 
+    def test_cyclic_oracle_outside_mu_k_fails(self, capsys):
+        rc, out = run(capsys, "cyclic-oracle", "--fixture", "pauli", "--k", "3")
+        assert rc == 1
+        assert "  extension-groupoid  FAIL  error=cocycle value e(1/2) on ((0,1),(1,0))" in out
+
     def test_cyclic_oracle_pauli(self, capsys):
         rc, out = run(capsys, "cyclic-oracle", "--fixture", "pauli", "--samples", "5",
                       "--format", "machine")

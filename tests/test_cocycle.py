@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdext.algebra import TwistedAlgebra
+from gpdext.cli import _fixture_dir, load_spec
 from gpdext.exact import CircleScalar, frac_mod1
 from gpdext.cocycle import (
     CechDataError,
@@ -26,7 +28,13 @@ from gpdext.groupoid import (
     cyclic_group_groupoid,
     pair_groupoid,
 )
-from gpdext.randgen import random_exact_cochain, random_principal_groupoid
+from gpdext.randgen import (
+    _FAMILIES,
+    random_exact_cochain,
+    random_mu_k_coboundary,
+    random_principal_groupoid,
+)
+from reference_cocycle import loop_check_identity
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=12).map(frac_mod1)
 
@@ -57,6 +65,69 @@ class TestCheckIdentity:
         rep = bad.check_identity()
         assert not rep.ok
         assert all(v.rule == "cocycle-identity" for v in rep.violations)
+
+
+def _identity_cases():
+    """(name, cocycle, k): every bundled fixture's cocycle and every
+    randgen family's cocycle (a random mu_k coboundary times the family's
+    seed cocycle, as drawn for test 01), at k = 2, 3, 4, 6."""
+    rng = random.Random(11)
+    specs = [load_spec(None, path.stem) for path in sorted(_fixture_dir().glob("*.json"))]
+    for k in (2, 3, 4, 6):
+        for spec, source in specs:
+            yield f"{source} k={k}", spec.cocycle_or_trivial(), k
+        for i, (_, family) in enumerate(_FAMILIES):
+            g, seed_cocycle = family(k)
+            w = random_mu_k_coboundary(rng, g, k)
+            if seed_cocycle is not None:
+                w = w.mul(seed_cocycle)
+            yield f"family {i} ({g.name}) k={k}", w, k
+
+
+def _mutant(w, rng: random.Random, factor) -> TwoCocycle:
+    """w with its value at one seeded non-unit pair multiplied by factor."""
+    g = w.base
+    units = set(g.unit_to_arrow)
+    pair = rng.choice(sorted(p for p in g.compose_table if not units & set(p)))
+    values = {p: w.value(*p) for p in g.compose_table}
+    values[pair] = values[pair] * CircleScalar.coerce(factor)
+    return TwoCocycle(g, values)
+
+
+def _complex_copy(w) -> TwoCocycle:
+    return TwoCocycle(w.base, {p: v.to_complex() for p, v in w.values.items()})
+
+
+def _assert_same_report(w):
+    got, want = w.check_identity(), loop_check_identity(w)
+    assert got.subject == want.subject
+    assert got.violations == want.violations
+
+
+class TestCheckIdentityAgainstLoop:
+    # check_identity reports exactly the violations of the per-triple loop,
+    # with the same witnesses and messages, in the same order
+
+    # on Z2 the only non-unit pair sits on both sides of every triple it
+    # enters, so some mutants are still cocycles; the reports must agree
+    @pytest.mark.parametrize("case", list(_identity_cases()), ids=lambda case: case[0])
+    def test_root_mutants(self, case):
+        name, w, k = case
+        mutant = _mutant(w, random.Random(name), Fraction(1, k))
+        _assert_same_report(w)
+        _assert_same_report(mutant)
+        _assert_same_report(_complex_copy(w))
+        _assert_same_report(_complex_copy(mutant))
+
+    def test_numeric_mutants_at_the_tolerance(self, klein, pauli):
+        # |e(eps / 2pi) - 1| is eps to within eps^3 / 24, so the mutated
+        # triples land 1e-12 inside or outside the 1e-10 tolerance
+        inside = _mutant(_complex_copy(pauli), random.Random(1), cmath.exp(0.99e-10j))
+        outside = _mutant(_complex_copy(pauli), random.Random(1), cmath.exp(1.01e-10j))
+        _assert_same_report(inside)
+        _assert_same_report(outside)
+        assert not outside.check_identity().ok
+        assert len(inside.check_identity().violations) < len(outside.check_identity().violations)
 
 
 class TestNormalize:

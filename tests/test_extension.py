@@ -312,6 +312,18 @@ class TestCyclicExtension:
             cyclic_extension(klein, pauli, 3)
         assert "mu_3" in str(exc.value)
 
+    def test_first_pair_outside_mu_k_is_named(self, klein, pauli):
+        with pytest.raises(oracle.OracleError) as exc:
+            cyclic_extension(klein, pauli, 3)
+        assert str(exc.value) == "cocycle value e(1/2) on ((0,1),(1,0)) is not a mu_3 root"
+        numeric = TwoCocycle(klein, {p: v.to_complex() for p, v in pauli.values.items()})
+        numeric.check_identity()
+        with pytest.raises(oracle.OracleError) as exc:
+            cyclic_extension(klein, numeric, 3)
+        assert str(exc.value) == (
+            "cocycle value circle(-1.000000+0.000000j) on ((0,1),(1,0)) is not a mu_3 root"
+        )
+
     def test_non_normalized_rejected(self, klein):
         w = TwoCocycle(klein, {p: Fraction(1, 2) for p in klein.compose_table})
         w.check_identity()
