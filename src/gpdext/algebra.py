@@ -54,18 +54,13 @@ class TwistedAlgebra:
         self.groupoid = groupoid
         self.cocycle = cocycle
         self.power = int(power)
-        self._sigma_cache: dict = {}
+        self._twist = cocycle.power_table(self.power).tolist()
         self._faithfulness = None
         self._center_dimension = None
 
     def sigma(self, a: int, b: int):
-        """The twisting value w^n(a, b)."""
-        key = (a, b)
-        v = self._sigma_cache.get(key)
-        if v is None:
-            v = self.cocycle.value(a, b) ** self.power
-            self._sigma_cache[key] = v
-        return v
+        """The twisting value w^n(a, b), read off the table of w^n."""
+        return self.cocycle.circle(self._twist[a][b])
 
     @property
     def dimension(self) -> int:

@@ -15,7 +15,6 @@ import random
 import sys
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from math import lcm
 from pathlib import Path
 
 from . import __version__
@@ -60,9 +59,9 @@ from .randgen import random_bimodule, random_element, random_laurent
 
 FIXTURE_ENV = "GPDEXT_FIXTURE_DIR"
 
-# (groupoid, validation report) of the verify-all call in progress, so that
-# its sub-suites read the report instead of validating the base again
-_verify_all_base: ContextVar = ContextVar("verify_all_base", default=None)
+# the reports of the verify-all call in progress, keyed by the groupoid or
+# the cocycle they decide, so that its sub-suites do not decide them again
+_verify_all_reports: ContextVar = ContextVar("verify_all_reports", default=None)
 
 
 @dataclass
@@ -141,18 +140,15 @@ def load_spec(path: str | None, fixture: str | None) -> tuple[SpecDocument, str]
     return parse_spec(p.read_text()), path
 
 
-def _validation(g):
-    """validate(g), read from the verify-all call in progress when it has
-    validated g already."""
-    held = _verify_all_base.get()
-    if held is not None and held[0] is g:
-        return held[1]
-    return validate(g)
+def _report(x, decide):
+    """decide(x), or the report on x that the verify-all call in progress holds."""
+    held = _verify_all_reports.get() or {}
+    return held[x] if x in held else decide(x)
 
 
 def _base_is_groupoid(spec: SpecDocument, report: Report) -> bool:
     """Validate the base; only a failure is reported, as groupoid-axioms."""
-    rep = _validation(spec.groupoid)
+    rep = _report(spec.groupoid, validate)
     if not rep.ok:
         report.add(
             "groupoid-axioms",
@@ -169,7 +165,7 @@ def _prepared_cocycle(spec: SpecDocument, report: Report) -> TwoCocycle | None:
     if not _base_is_groupoid(spec, report):
         return None
     w = spec.cocycle_or_trivial()
-    rep = w.check_identity()
+    rep = _report(w, TwoCocycle.check_identity)
     report.add(
         "cocycle-identity",
         rep.ok,
@@ -188,7 +184,8 @@ def _prepared_cocycle(spec: SpecDocument, report: Report) -> TwoCocycle | None:
 
 def _oracle_order(spec: SpecDocument, w: TwoCocycle, k_flag: int | None) -> int | None:
     """The cyclic order used for oracle runs: the --k flag, the document
-    parameter, or the smallest k containing all exact cocycle values."""
+    parameter, or the smallest k containing all exact cocycle values: the
+    conductor of its angle table."""
     if k_flag is not None:
         k, name = k_flag, "--k"
     elif "k" in spec.params:
@@ -196,9 +193,7 @@ def _oracle_order(spec: SpecDocument, w: TwoCocycle, k_flag: int | None) -> int 
     else:
         if not w.is_exact:
             return None
-        dens = [v.angle.denominator for v in w.values.values()]
-        k = lcm(*dens) if dens else 1
-        return k if k <= 12 else None
+        return w.conductor if w.conductor <= 12 else None
     if k < 1:
         raise oracle.OracleError(f"{name} must be at least 1, got {k}")
     return k
@@ -219,7 +214,7 @@ def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
 def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
     report = Report("validate", source, seed, samples)
     g = spec.groupoid
-    rep = _validation(g)
+    rep = _report(g, validate)
     report.add(
         "groupoid-axioms",
         rep.ok,
@@ -241,7 +236,7 @@ def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Re
         )
         if spec.cocycle is not None:
             w = spec.cocycle
-            idrep = w.check_identity()
+            idrep = _report(w, TwoCocycle.check_identity)
             report.add(
                 "cocycle-identity",
                 idrep.ok,
@@ -257,7 +252,7 @@ def cmd_normalize(spec: SpecDocument, source: str, seed: int, samples: int) -> R
     if not _base_is_groupoid(spec, report):
         return report
     w = spec.cocycle_or_trivial()
-    rep = w.check_identity()
+    rep = _report(w, TwoCocycle.check_identity)
     report.add("cocycle-identity", rep.ok, violations=len(rep.violations))
     if not rep.ok:
         return report
@@ -539,7 +534,9 @@ def cmd_verify_all(
     )
     if not rep.ok:
         return report
-    token = _verify_all_base.set((g, rep))
+    w = spec.cocycle_or_trivial()
+    idrep = w.check_identity()
+    token = _verify_all_reports.set({g: rep, w: idrep})
     try:
         for prefix, sub in (
             ("validate", cmd_validate(spec, source, seed, samples)),
@@ -552,8 +549,7 @@ def cmd_verify_all(
                 report.checks.append(CheckResult(f"{prefix}/{c.name}", c.passed, c.details))
             for key, val in sub.extras.items():
                 report.extras[f"{prefix}.{key}"] = val
-        w = spec.cocycle_or_trivial()
-        if w.check_identity().ok:
+        if idrep.ok:
             if is_principal(g):
                 for sub in (
                     cmd_trivialize(spec, source, seed, samples),
@@ -574,7 +570,7 @@ def cmd_verify_all(
                     trivial=sol is not None,
                 )
     finally:
-        _verify_all_base.reset(token)
+        _verify_all_reports.reset(token)
     return report
 
 

@@ -3,17 +3,24 @@
 A 2-cocycle assigns a circle value to every composable pair subject to
     w(a,b) * w(ab,c) = w(b,c) * w(a,bc)
 on composable triples; it is normalized when it is 1 on every pair that
-involves a unit arrow.  Values are stored sparsely with implicit default 1,
-so normalized cocycles serialize compactly.  Everything here is a pure
-function over immutable data; the only mutable state is the
-``identity_checked`` flag, set once by a successful exhaustive check.
+involves a unit arrow.  A cocycle is compiled once, at construction, into
+one n_arrows x n_arrows ``table`` aligned with the groupoid's compose array:
+int angles W over one ``conductor`` N, the lcm of the angle denominators and
+so the least one, with w(a, b) = e(W[a, b] / N), when every value is exact,
+else the complex values (a numeric cocycle).  Every operation reads the
+table; ``values``, the sparse ``CircleScalar`` view of the entries other
+than 1, is what documents parse and serialize.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact import CircleScalar, ONE, frac_mod1, solve_mod1
+import numpy as np
+
+from .exact import APPROX_TOL, CircleScalar, ONE, cmul, solve_mod1
 from .groupoid import (
     FiniteGroupoid,
     ValidationReport,
@@ -22,6 +29,11 @@ from .groupoid import (
     orbit_decomposition,
     principal_obstruction,
 )
+
+# numeric values this close are equal, in the identity and in comparisons
+IDENTITY_TOL = 1e-10
+# angles over a conductor this large are Python ints, so products stay exact
+_INT64_CONDUCTOR = 2**31
 
 
 class CocycleError(ValueError):
@@ -44,62 +56,84 @@ class ExactnessError(CocycleError):
     pass
 
 
+@lru_cache(maxsize=2**12)
+def _root(x: int, n: int) -> CircleScalar:
+    return CircleScalar(angle=Fraction(x, n))
+
+
+def _compile(values: dict, shape) -> tuple[int | None, np.ndarray]:
+    """(N, W) with values[i] = e(W[i] / N) when every value is exact, else
+    (None, values as complex); the angle 0, or 1, off the dict."""
+    if not all(v.is_exact for v in values.values()):
+        table = np.ones(shape, dtype=complex)
+        for i, v in values.items():
+            table[i] = v.to_complex()
+        return None, table
+    n = math.lcm(*(v.angle.denominator for v in values.values()))
+    table = np.zeros(shape, dtype=np.int64 if n < _INT64_CONDUCTOR else object)
+    for i, v in values.items():
+        table[i] = v.angle.numerator * (n // v.angle.denominator)
+    return n, table
+
+
+def _cocycle(base: FiniteGroupoid, n: int | None, entries: np.ndarray, checked=False):
+    """The cocycle with these entries on ``base.pair_table``'s pairs: int
+    angles over n, or complex values."""
+    A, B, _ = base.pair_table
+    values = entries.tolist() if n is None else [Fraction(x, n) for x in entries.tolist()]
+    return TwoCocycle(base, dict(zip(zip(A.tolist(), B.tolist()), values)), checked)
+
+
+def _circle_values(values) -> dict:
+    """The values as CircleScalars, those equal to 1 left out."""
+    vals = {key: CircleScalar.coerce(v) for key, v in (values or {}).items()}
+    return {key: v for key, v in vals.items() if not v.is_one()}
+
+
 class OneCochain:
     """A circle-valued function on arrows, default 1 off the stored support."""
 
     def __init__(self, base: FiniteGroupoid, values: dict[int, CircleScalar] | None = None):
         self.base = base
-        vals = {}
-        for a, v in (values or {}).items():
-            v = CircleScalar.coerce(v)
-            if not v.is_one():
-                vals[a] = v
-        self.values = vals
+        self.values = _circle_values(values)
 
     def value(self, a: int) -> CircleScalar:
         return self.values.get(a, ONE)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(v.is_exact for v in self.values.values())
 
     def coboundary(self) -> "TwoCocycle":
         """The 2-cocycle  (a, b) -> b(a) b(b) conj(b(ab)); always satisfies
         the cocycle identity."""
         g = self.base
-        vals = {}
-        for (a, b), c in g.compose_table.items():
-            vals[(a, b)] = self.value(a) * self.value(b) * self.value(c).conj()
-        w = TwoCocycle(g, vals)
-        w.identity_checked = True
-        return w
+        A, B, C = g.pair_table
+        n, x = _compile(self.values, g.n_arrows)
+        db = (x[A] + x[B] - x[C]) % n if n else cmul(cmul(x[A], x[B]), x[C].conj())
+        return _cocycle(g, n, db, checked=True)
 
     def __repr__(self):
         return f"OneCochain({len(self.values)} non-unit values on {self.base.name})"
 
 
 class TwoCocycle:
-    """A circle-valued function on composable pairs of a finite groupoid."""
+    """A circle-valued function on composable pairs of a finite groupoid,
+    compiled into one table (see the module docstring)."""
 
     def __init__(self, base: FiniteGroupoid, values=None, identity_checked: bool = False):
         self.base = base
-        vals = {}
-        for pair, v in (values or {}).items():
+        for pair in values or {}:
             if pair not in base.compose_table:
                 raise CocycleError(f"cocycle value on non-composable pair {pair}")
-            v = CircleScalar.coerce(v)
-            if not v.is_one():
-                vals[pair] = v
+        vals = _circle_values(values)
+        if not all(v.is_exact for v in vals.values()):  # then every value is numeric
+            vals = {p: CircleScalar(z=v.to_complex()) if v.is_exact else v for p, v in vals.items()}
         self.values = vals
         self.identity_checked = identity_checked
+        self.conductor, self.table = _compile(vals, (base.n_arrows, base.n_arrows))
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def trivial(base: FiniteGroupoid) -> "TwoCocycle":
-        w = TwoCocycle(base, {})
-        w.identity_checked = True
-        return w
+        return TwoCocycle(base, identity_checked=True)
 
     # -- queries --------------------------------------------------------------
 
@@ -112,34 +146,50 @@ class TwoCocycle:
 
     @property
     def is_exact(self) -> bool:
-        return all(v.is_exact for v in self.values.values())
+        return self.conductor is not None
+
+    def _entries(self, n: int | None = None) -> np.ndarray:
+        """The entries on ``base.pair_table``'s pairs: angles over n, a multiple
+        of the conductor, or else complex values."""
+        A, B, _ = self.base.pair_table
+        x = self.table[A, B]
+        if n is not None:
+            return (x.astype(object) if n >= _INT64_CONDUCTOR else x) * (n // self.conductor)
+        if self.is_exact:
+            return np.array([_root(v, self.conductor).to_complex() for v in x.tolist()], complex)
+        return x
 
     @property
     def normalized(self) -> bool:
-        g = self.base
-        for a in g.arrows():
-            if not self.value(g.unit_arrow(g.r(a)), a).is_one():
-                return False
-            if not self.value(a, g.unit_arrow(g.s(a))).is_one():
-                return False
-        return True
+        g, T = self.base, self.table
+        units, arrows = np.asarray(g.unit_to_arrow, dtype=np.intp), np.arange(g.n_arrows)
+        x = np.concatenate((T[units[list(g.range_map)], arrows], T[arrows, units[list(g.source_map)]]))
+        return bool((x == 0).all() if self.is_exact else (np.abs(x - 1) <= APPROX_TOL).all())
 
     def check_identity(self) -> ValidationReport:
-        """Exhaustively verify the cocycle identity on all composable triples."""
+        """Exhaustively verify the cocycle identity on all composable triples,
+        as W[a,b] + W[ab,c] - W[b,c] - W[a,bc] = 0 mod N (numeric: within
+        IDENTITY_TOL) per triple block; Python visits only failing triples."""
         g = self.base
         rep = ValidationReport(subject=f"cocycle on {g.name}")
-        lab = g.arrow_labels
+        lab, T, n = g.arrow_labels, self.table, self.conductor
         for block in g.triple_blocks():
-            for a, b, c, ab, bc in zip(*(x.tolist() for x in block)):
+            a, b, c, ab, bc = block
+            if n is None:
+                bad = np.abs(T[a, b] * T[ab, c] - T[b, c] * T[a, bc]) > IDENTITY_TOL
+            else:
+                bad = (T[a, b] + T[ab, c] - T[b, c] - T[a, bc]) % n != 0
+            # a pair missing from the table (no groupoid) raises in value()
+            bad |= (bc < 0) | (g.compose_array[ab, c] < 0) | (g.compose_array[a, bc] < 0)
+            for a, b, c, ab, bc in zip(*(x[bad].tolist() for x in block)):
                 lhs = self.value(a, b) * self.value(ab, c)
                 rhs = self.value(b, c) * self.value(a, bc)
-                if not lhs.isclose(rhs):
-                    rep.add(
-                        "cocycle-identity",
-                        (a, b, c),
-                        f"identity fails on ({lab[a]},{lab[b]},{lab[c]}): "
-                        f"lhs={lhs!r} rhs={rhs!r}",
-                    )
+                rep.add(
+                    "cocycle-identity",
+                    (a, b, c),
+                    f"identity fails on ({lab[a]},{lab[b]},{lab[c]}): "
+                    f"lhs={lhs!r} rhs={rhs!r}",
+                )
         if rep.ok:
             self.identity_checked = True
         return rep
@@ -150,22 +200,36 @@ class TwoCocycle:
             if not rep.ok:
                 raise CocycleError(f"{what}: cocycle identity fails; {rep.summary()}")
 
+    def power_table(self, n: int) -> np.ndarray:
+        """The table of w^n: the angles n W mod N over the conductor, or the
+        powers z ** n taken entry by entry, as ``CircleScalar`` takes them."""
+        if self.is_exact:
+            return n % self.conductor * self.table % self.conductor
+        return np.array([[z**n for z in row] for row in self.table.tolist()], complex)
+
+    def circle(self, x) -> CircleScalar:
+        """An entry of the table or of a power table, as a CircleScalar."""
+        return _root(x, self.conductor) if self.is_exact else CircleScalar(z=x)
+
     def mul(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.base is not self.base:
             raise CocycleError("cocycles live on different groupoids")
-        return TwoCocycle(
-            self.base,
-            {p: self.value(*p) * other.value(*p) for p in self.base.compose_table},
-        )
+        n = math.lcm(self.conductor, other.conductor) if self.is_exact and other.is_exact else None
+        x, y = self._entries(n), other._entries(n)
+        return _cocycle(self.base, n, (x + y) % n if n else cmul(x, y))
 
     def conj(self) -> "TwoCocycle":
-        return TwoCocycle(self.base, {p: v.conj() for p, v in self.values.items()})
+        n, x = self.conductor, self._entries(self.conductor)
+        return _cocycle(self.base, n, -x % n if n else x.conj())
 
     def pointwise_equal(self, other: "TwoCocycle") -> bool:
-        """Equal on every composable pair, by ``CircleScalar.isclose``."""
-        return other.base is self.base and all(
-            self.value(*p).isclose(other.value(*p)) for p in self.base.compose_table
-        )
+        """Equal on every composable pair: equal angles when both are exact,
+        values within IDENTITY_TOL otherwise."""
+        if other.base is not self.base:
+            return False
+        n = math.lcm(self.conductor, other.conductor) if self.is_exact and other.is_exact else None
+        x, y = self._entries(n), other._entries(n)
+        return bool((x == y).all() if n else (np.abs(x - y) <= IDENTITY_TOL).all())
 
     def __repr__(self):
         return f"TwoCocycle({len(self.values)} non-unit values on {self.base.name})"
@@ -267,18 +331,14 @@ def solve_coboundary(w: TwoCocycle) -> OneCochain | None:
         raise ExactnessError("exact angles required")
     w.require_checked("solve_coboundary")
     g = w.base
-    rows = []
-    rhs = []
-    for a, b, c in zip(*(x.tolist() for x in g.pair_table)):
-        row = [0] * g.n_arrows
-        row[a] += 1
-        row[b] += 1
-        row[c] -= 1
-        rows.append(row)
-        rhs.append(w.value(a, b).angle)
-    if not rows:
+    A, B, C = g.pair_table
+    if not len(A):
         return OneCochain(g, {})
-    x = solve_mod1(rows, rhs)
+    rows = np.zeros((len(A), g.n_arrows), dtype=np.int64)
+    for sign, x in ((1, A), (1, B), (-1, C)):
+        np.add.at(rows, (np.arange(len(A)), x), sign)
+    rhs = [Fraction(x, w.conductor) for x in w.table[A, B].tolist()]
+    x = solve_mod1(rows.tolist(), rhs)
     if x is None:
         return None
     b = OneCochain(g, {a: CircleScalar(angle=x[a]) for a in g.arrows() if x[a]})
@@ -296,17 +356,7 @@ def pauli_cocycle(base: FiniteGroupoid) -> TwoCocycle:
     of the second; its twisted algebra is the 2x2 matrix algebra."""
     if base.n_units != 1 or base.n_arrows != 4:
         raise CocycleError("pauli cocycle needs the Klein four-group")
-    # arrow ids in abelian_group_groupoid((2,2)) order: (0,0),(0,1),(1,0),(1,1)
-    coords = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    vals = {}
-    for a in range(4):
-        for b in range(4):
-            if (coords[a][1] * coords[b][0]) % 2:
-                vals[(a, b)] = CircleScalar(angle=Fraction(1, 2))
-    w = TwoCocycle(base, vals)
-    rep = w.check_identity()
-    assert rep.ok
-    return w
+    return bicharacter_cocycle(base, (2, 2), 2)
 
 
 def bicharacter_cocycle(base: FiniteGroupoid, orders: tuple[int, ...], k: int) -> TwoCocycle:
@@ -314,20 +364,10 @@ def bicharacter_cocycle(base: FiniteGroupoid, orders: tuple[int, ...], k: int) -
     is the last coordinate of the first element, y the first coordinate of
     the second, and d = gcd(first order, last order, k); values land in the
     k-th roots of unity and the pairing is well defined modulo the orders."""
-    import math
-
     d = math.gcd(orders[0], orders[-1], k)
-    elems = [()]
-    for m in orders:
-        elems = [e + (i,) for e in elems for i in range(m)]
-    vals = {}
-    for a, ea in enumerate(elems):
-        for b, eb in enumerate(elems):
-            t = frac_mod1(Fraction(ea[-1] * eb[0], d))
-            if t:
-                vals[(a, b)] = CircleScalar(angle=t)
-    w = TwoCocycle(base, vals)
-    rep = w.check_identity()
-    if not rep.ok:
+    A, B, _ = base.pair_table
+    coords = np.indices(orders).reshape(len(orders), -1)  # in arrow order
+    w = _cocycle(base, d, coords[-1][A] * coords[0][B] % d)
+    if not w.check_identity().ok:
         raise CocycleError("bicharacter failed the identity check")
     return w

@@ -10,7 +10,7 @@ multiplication is literally the cocycle identity, so building the extension
 and validating it re-proves the identity through an independent code path.
 The composition table and the inverse are built in one broadcast: the base's
 composable pairs (a, b, ab) against every pair of circle exponents (t1, t2),
-with w(a, b) = e(twist(a, b)/k) read once per base pair.
+with w(a, b) = e(twist(a, b)/k) read off the cocycle's table in one pass.
 
 The algebra of the extension carries the convolution with the circle factor
 averaged (weight 1/k per circle coordinate, counting measure along G), which
@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CircleScalar, cyclotomic_polynomial
+from .exact import CircleScalar, cmul, cyclotomic_polynomial
 from .cocycle import TwoCocycle
 from .groupoid import (
     FiniteGroupoid,
@@ -72,20 +72,24 @@ class OracleError(ValueError):
     pass
 
 
-def _root_exponent(value: CircleScalar, k: int, pair_label: str) -> int:
-    """Write a circle value as e(c/k); error when it is not a k-th root."""
-    if value.is_exact:
-        a = value.angle
-        if (a * k).denominator != 1:
-            raise OracleError(f"cocycle value {value!r} on {pair_label} is not a mu_{k} root")
-        return int(a * k) % k
-    z = value.to_complex()
-    import cmath
-
-    c = round(k * (cmath.phase(z) / (2 * math.pi))) % k
-    if abs(z - cmath.exp(2j * math.pi * c / k)) > 1e-9:
-        raise OracleError(f"cocycle value {value!r} on {pair_label} is not a mu_{k} root")
-    return c
+def _twist_exponents(w: TwoCocycle, k: int) -> np.ndarray:
+    """The table of exponents t with w(a, b) = e(t / k); OracleError naming
+    the first composable pair whose value is not a k-th root of unity."""
+    if w.is_exact:  # e(W / N) is a k-th root when N / gcd(N, k) divides W
+        g = math.gcd(w.conductor, k)
+        step = w.conductor // g
+        root, twist = w.table % step == 0, (w.table // step * (k // g)).astype(np.intp)
+    else:
+        twist = np.rint(k * (np.angle(w.table) / (2 * np.pi))).astype(np.intp) % k
+        root = np.abs(w.table - np.exp(2j * np.pi * twist / k)) <= 1e-9
+    A, B, _ = w.base.pair_table
+    bad = np.flatnonzero(~root[A, B])
+    if len(bad):
+        a, b, lab = int(A[bad[0]]), int(B[bad[0]]), w.base.arrow_labels
+        raise OracleError(
+            f"cocycle value {w.value(a, b)!r} on ({lab[a]},{lab[b]}) is not a mu_{k} root"
+        )
+    return twist
 
 
 def _widened(num: np.ndarray, bound: int) -> np.ndarray:
@@ -131,16 +135,6 @@ class Exact:
         return Exact(_widened(a, bound) + sign * _widened(b, bound), e)
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b for complex arrays, each real product rounded on its own as
-    Python's complex multiplication does; numpy's complex multiply may fuse
-    multiply-adds, which moves the last digits of the reported norms."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def magnitude(z: np.ndarray) -> np.ndarray:
     """|z| for complex arrays, rounded as abs(complex) rounds (np.abs on
     complex arrays does not)."""
@@ -184,11 +178,7 @@ class CyclicExtension:
         # extension arrow t * n + a: the twist exponent of a base pair (a, b)
         # adds to the circle exponent of every product over it
         A, B, C = base.pair_table
-        twist = np.zeros((n, n), dtype=np.intp)
-        twist[A, B] = [
-            _root_exponent(cocycle.value(a, b), k, f"({lab[a]},{lab[b]})")
-            for a, b in zip(A.tolist(), B.tolist())
-        ]
+        twist = _twist_exponents(cocycle, k)
         t1, t2 = np.arange(k)[:, None, None], np.arange(k)[None, :, None]
         YZ = (t1 + t2 + twist[A, B]) % k * n + C
         Y, Z = (np.broadcast_to(x, YZ.shape).ravel().tolist() for x in (t1 * n + A, t2 * n + B))
@@ -255,7 +245,7 @@ def conv(ext: CyclicExtension, f, g):
     y = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, Z[p])]
     if not exact:
         out = np.zeros(lead + fv.shape[-1:], dtype=complex)
-        np.add.at(out, (*batch, YZ[p]), _cmul(x, y))
+        np.add.at(out, (*batch, YZ[p]), cmul(x, y))
         return out * (1.0 / ext.k)
     k = ext.k
     # k terms per coefficient of one product, at most dimension products per arrow
@@ -310,9 +300,9 @@ def mode_projection(ext: CyclicExtension, f, n: int):
         for i in range(0, len(flat), step):
             out[i : i + step] = flat[i : i + step][:, index].sum(axis=-1)
         return Exact(out.reshape(f.num.shape), f.e + 1)
-    acc = _cmul(ext.roots[0], f[..., source[:, 0]])
+    acc = cmul(ext.roots[0], f[..., source[:, 0]])
     for i in range(1, k):
-        acc = acc + _cmul(ext.roots[i * n % k], f[..., source[:, i]])
+        acc = acc + cmul(ext.roots[i * n % k], f[..., source[:, i]])
     return acc * (1.0 / k)
 
 
@@ -327,7 +317,7 @@ def embed_mode(ext: CyclicExtension, n: int, coeffs):
         num = coeffs.num[..., (np.arange(k) + t * n) % k]  # (..., a, t, s)
         num = np.swapaxes(num, -3, -2)
         return Exact(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
-    out = _cmul(ext.roots[-t * n % k], coeffs[..., None, :])
+    out = cmul(ext.roots[-t * n % k], coeffs[..., None, :])
     return out.reshape(out.shape[:-2] + (k * m,))
 
 

@@ -3,8 +3,10 @@
 Groupoid documents name units and arrows and list the partial composition
 table; omitted compose entries mean non-composable.  Cocycle documents attach
 angles to composable arrow-id pairs, exact angles as "p/q" strings and
-numeric ones as floats in [0, 1); omitted pairs default to angle 0.  A spec
-document bundles a groupoid, an optional cocycle and optional run parameters.
+numeric ones as floats in [0, 1); omitted pairs default to angle 0.  One
+float angle makes the cocycle numeric, and it serializes every angle as a
+float.  A spec document bundles a groupoid, an optional cocycle and optional
+run parameters.
 
 Serialization is canonical: keys sorted, entries sorted, two-space indent,
 one trailing newline, so serialize(parse(x)) is a stable canonical form and
@@ -13,6 +15,7 @@ reports can be compared byte-for-byte.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -153,8 +156,6 @@ def serialize_groupoid(g: FiniteGroupoid) -> str:
 def _angle_to_doc(v: CircleScalar):
     if v.is_exact:
         return f"{v.angle.numerator}/{v.angle.denominator}"
-    import cmath, math
-
     return (cmath.phase(v.to_complex()) / (2 * math.pi)) % 1.0
 
 
@@ -167,8 +168,6 @@ def _angle_from_doc(x) -> CircleScalar:
     if isinstance(x, (int, float)):
         if not 0 <= x < 1:
             raise DocumentError(f"float angle {x!r} outside [0, 1)")
-        import cmath, math
-
         return CircleScalar(z=cmath.exp(2j * math.pi * x))
     raise DocumentError(f"bad angle value {x!r}")
 
@@ -225,9 +224,13 @@ class SpecDocument:
     groupoid: FiniteGroupoid
     cocycle: TwoCocycle | None = None
     params: dict = field(default_factory=dict)
+    _trivial: TwoCocycle | None = field(default=None, init=False, repr=False, compare=False)
 
     def cocycle_or_trivial(self) -> TwoCocycle:
-        return self.cocycle if self.cocycle is not None else TwoCocycle.trivial(self.groupoid)
+        """The cocycle, or else the trivial cocycle, one object on every call."""
+        if self.cocycle is None and self._trivial is None:
+            self._trivial = TwoCocycle.trivial(self.groupoid)
+        return self.cocycle if self.cocycle is not None else self._trivial
 
 
 def parse_spec(doc) -> SpecDocument:

@@ -16,7 +16,8 @@ operators on either kind: ``a + b``, ``a * b``, ``a - b``, ``a == b``,
 float or complex demotes the result to complex; int and Fraction mix with
 floats as Python defines.
 
-The module also holds the integer linear algebra used to decide solvability
+The module also holds ``cmul``, the complex array product rounded as Python
+rounds it, and the integer linear algebra used to decide solvability
 of angle equations modulo 1 (diagonalization by unimodular row/column
 operations).
 """
@@ -27,6 +28,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 APPROX_TOL = 1e-12
 
@@ -412,6 +415,17 @@ class CircleScalar:
         if self.is_exact:
             return f"e({self.angle})"
         return f"circle({self.z:.6f})"
+
+
+def cmul(a, b) -> np.ndarray:
+    """a * b for complex arrays, each real product rounded on its own as
+    Python's complex multiplication does.  numpy's complex multiply may fuse
+    multiply-adds, which moves the last digits of the reported norms and
+    makes a product depend on the order of its factors."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 _QUARTER_TURNS = {

@@ -312,6 +312,31 @@ def test_verify_all_validates_the_base_once(fixture, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "fixture", ["pauli", "z6_bichar", "pair3_cobound", "cover3_cech5", "pair2_trivial"]
+)
+def test_verify_all_checks_the_cocycle_identity_once(fixture, monkeypatch):
+    import gpdext.cli as cli
+    from gpdext.cocycle import TwoCocycle
+
+    calls = []
+    check_identity = TwoCocycle.check_identity
+    monkeypatch.setattr(
+        TwoCocycle, "check_identity", lambda w: calls.append(w) or check_identity(w)
+    )
+    spec, source = load_spec(None, fixture)
+    assert main(["verify-all", "--fixture", fixture, "--samples", "2"]) == 0
+    # every fixture's cocycle is normalized, so verify-all checks no other
+    assert len(calls) == 1
+    calls.clear()
+    w = spec.cocycle_or_trivial()
+    assert cli.cmd_verify_all(spec, source, 0, 2).passed
+    assert calls == [w]
+    # the report does not outlive the call
+    cli.cmd_algebra(spec, source, 0, 2)
+    assert calls == [w, w]
+
+
 def test_failing_mode_decomposition_names_its_witness(monkeypatch):
     import gpdext.cli as cli
     from gpdext.extension import ExtensionAlgebra

@@ -130,7 +130,43 @@ class TestCheckIdentityAgainstLoop:
         assert len(inside.check_identity().violations) < len(outside.check_identity().violations)
 
 
+class TestLargeConductors:
+    # angle tables over a conductor of 2**31 or more hold Python ints, so
+    # that sums and products of angles never wrap around int64
+
+    def test_identity_and_powers_stay_exact(self):
+        p = 2**61 - 1  # prime
+        z3 = cyclic_group_groupoid(3)
+        w = TwoCocycle(z3, {(1, 1): Fraction(1, p)})
+        assert w.conductor == p
+        _assert_same_report(w)
+        assert not w.check_identity().ok
+        z2 = cyclic_group_groupoid(2)
+        w = TwoCocycle(z2, {(1, 1): Fraction(p - 1, p)})
+        assert w.check_identity().ok and w.normalized
+        assert TwistedAlgebra(z2, w, p).sigma(1, 1).is_one()
+        assert TwistedAlgebra(z2, w, -1).sigma(1, 1).angle == Fraction(1, p)
+        assert w.mul(w.conj()).pointwise_equal(TwoCocycle.trivial(z2))
+
+    def test_product_over_a_large_common_conductor(self):
+        # an int64 table brought over a conductor beyond int64
+        p = 2**89 - 1  # prime
+        z2 = cyclic_group_groupoid(2)
+        u = TwoCocycle(z2, {(1, 1): Fraction(1, 3)})
+        v = TwoCocycle(z2, {(1, 1): Fraction(1, p)})
+        uv = u.mul(v)
+        assert uv.conductor == 3 * p and uv.value(1, 1).angle == Fraction(1, 3) + Fraction(1, p)
+        assert not uv.pointwise_equal(u) and uv.mul(v.conj()).pointwise_equal(u)
+
+
 class TestNormalize:
+    def test_each_side_of_the_unit_pairs_is_read(self, pair2):
+        # arrow 1 is (0,1), with range unit arrow 0 and source unit arrow 3
+        for pair in ((0, 1), (1, 3)):
+            w = TwoCocycle(pair2, {pair: Fraction(1, 2)})
+            assert not w.normalized
+            assert not _complex_copy(w).normalized
+
     def test_already_normalized_gives_unit_cochain(self, pauli):
         w2, b = normalize(pauli)
         assert not b.values  # identically 1
@@ -178,6 +214,11 @@ class TestPower:
     def test_zeroth_power_trivial(self, pauli):
         p0 = TwistedAlgebra(pauli.base, pauli, 0)
         assert all(p0.sigma(*p).is_one() for p in pauli.base.compose_table)
+
+    def test_power_is_read_modulo_the_conductor(self, pauli):
+        # the exponent is reduced first, so a huge power does not wrap int64
+        huge = TwistedAlgebra(pauli.base, pauli, 2**64 + 1)
+        assert all(huge.sigma(*p) == pauli.value(*p) for p in pauli.base.compose_table)
 
     def test_signs_square_away(self, pauli):
         p2 = TwistedAlgebra(pauli.base, pauli, 2)

@@ -68,6 +68,19 @@ def test_cocycle_float_angles(pair2):
     assert abs(w.value(1, 2).to_complex() - 1j) < 1e-12
 
 
+def test_mixed_angles_make_a_numeric_cocycle(pair2):
+    # one float angle makes the whole table numeric, and serializing then
+    # writes every angle as a float
+    doc = '{"entries": [[["(0,1)", "(1,0)"], "1/4"], [["(1,0)", "(0,1)"], 0.75]]}'
+    w = parse_cocycle(doc, pair2)
+    assert not w.is_exact and w.conductor is None
+    assert not any(v.is_exact for v in w.values.values())
+    entries = json.loads(serialize_cocycle(w))["entries"]
+    assert [type(angle) for _, angle in entries] == [float, float]
+    assert [angle for _, angle in entries] == pytest.approx([0.25, 0.75])
+    assert serialize_cocycle(parse_cocycle(serialize_cocycle(w), pair2)) == serialize_cocycle(w)
+
+
 def test_spec_round_trip(klein, pauli):
     spec = SpecDocument(groupoid=klein, cocycle=pauli, params={"k": 2, "seed": 0})
     text = canonical_json(spec_to_doc(spec))
