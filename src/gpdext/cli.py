@@ -191,9 +191,7 @@ def _oracle_order(spec: SpecDocument, w: TwoCocycle, k_flag: int | None) -> int 
     elif "k" in spec.params:
         k, name = int(spec.params["k"]), "params.k"
     else:
-        if not w.is_exact:
-            return None
-        return w.conductor if w.conductor <= 12 else None
+        return w.conductor if w.is_exact and w.conductor <= 12 else None
     if k < 1:
         raise oracle.OracleError(f"{name} must be at least 1, got {k}")
     return k

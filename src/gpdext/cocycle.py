@@ -85,7 +85,6 @@ def _cocycle(base: FiniteGroupoid, n: int | None, entries: np.ndarray, checked=F
 
 
 def _circle_values(values) -> dict:
-    """The values as CircleScalars, those equal to 1 left out."""
     vals = {key: CircleScalar.coerce(v) for key, v in (values or {}).items()}
     return {key: v for key, v in vals.items() if not v.is_one()}
 
@@ -202,7 +201,7 @@ class TwoCocycle:
 
     def power_table(self, n: int) -> np.ndarray:
         """The table of w^n: the angles n W mod N over the conductor, or the
-        powers z ** n taken entry by entry, as ``CircleScalar`` takes them."""
+        powers z ** n, taken entry by entry with Python's complex power."""
         if self.is_exact:
             return n % self.conductor * self.table % self.conductor
         return np.array([[z**n for z in row] for row in self.table.tolist()], complex)

@@ -361,11 +361,6 @@ class CircleScalar:
             return CircleScalar(angle=-self.angle)
         return CircleScalar(z=self.z.conjugate())
 
-    def __pow__(self, n: int):
-        if self.is_exact:
-            return CircleScalar(angle=self.angle * n)
-        return CircleScalar(z=self.z ** n)
-
     def to_complex(self) -> complex:
         if self.is_exact:
             quarter = _QUARTER_TURNS.get(self.angle)

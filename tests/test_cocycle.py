@@ -106,10 +106,9 @@ def _assert_same_report(w):
 
 class TestCheckIdentityAgainstLoop:
     # check_identity reports exactly the violations of the per-triple loop,
-    # with the same witnesses and messages, in the same order
-
-    # on Z2 the only non-unit pair sits on both sides of every triple it
-    # enters, so some mutants are still cocycles; the reports must agree
+    # with the same witnesses and messages, in the same order.  On Z2 the
+    # only non-unit pair sits on both sides of every triple it enters, so
+    # some mutants are still cocycles; the reports agree all the same.
     @pytest.mark.parametrize("case", list(_identity_cases()), ids=lambda case: case[0])
     def test_root_mutants(self, case):
         name, w, k = case
@@ -119,9 +118,10 @@ class TestCheckIdentityAgainstLoop:
         _assert_same_report(_complex_copy(w))
         _assert_same_report(_complex_copy(mutant))
 
-    def test_numeric_mutants_at_the_tolerance(self, klein, pauli):
-        # |e(eps / 2pi) - 1| is eps to within eps^3 / 24, so the mutated
-        # triples land 1e-12 inside or outside the 1e-10 tolerance
+    def test_numeric_mutants_at_the_tolerance(self, pauli):
+        # |exp(i eps) - 1| is eps to within eps^3 / 24, so a triple through
+        # the mutated pair once lands 1e-12 inside or outside the 1e-10
+        # tolerance
         inside = _mutant(_complex_copy(pauli), random.Random(1), cmath.exp(0.99e-10j))
         outside = _mutant(_complex_copy(pauli), random.Random(1), cmath.exp(1.01e-10j))
         _assert_same_report(inside)
