@@ -162,7 +162,8 @@ class TwoCocycle:
     def normalized(self) -> bool:
         g, T = self.base, self.table
         units, arrows = np.asarray(g.unit_to_arrow, dtype=np.intp), np.arange(g.n_arrows)
-        x = np.concatenate((T[units[list(g.range_map)], arrows], T[arrows, units[list(g.source_map)]]))
+        r, s = units[list(g.range_map)], units[list(g.source_map)]  # unit arrows at r(a), s(a)
+        x = np.concatenate((T[r, arrows], T[arrows, s]))
         return bool((x == 0).all() if self.is_exact else (np.abs(x - 1) <= APPROX_TOL).all())
 
     def check_identity(self) -> ValidationReport:
@@ -209,6 +210,20 @@ class TwoCocycle:
     def circle(self, x) -> CircleScalar:
         """An entry of the table or of a power table, as a CircleScalar."""
         return _root(x, self.conductor) if self.is_exact else CircleScalar(z=x)
+
+    def root_exponents(self, k: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """The table of exponents t with w(a, b) = e(t / k), and the first
+        composable pair whose value is not a k-th root of unity, or None."""
+        if self.is_exact:  # e(W / N) is a k-th root when N / gcd(N, k) divides W
+            g = math.gcd(self.conductor, k)
+            step = self.conductor // g
+            root, twist = self.table % step == 0, (self.table // step * (k // g)).astype(np.intp)
+        else:
+            twist = np.rint(k * (np.angle(self.table) / (2 * np.pi))).astype(np.intp) % k
+            root = np.abs(self.table - np.exp(2j * np.pi * twist / k)) <= 1e-9
+        A, B, _ = self.base.pair_table
+        bad = np.flatnonzero(~root[A, B])
+        return twist, (int(A[bad[0]]), int(B[bad[0]])) if len(bad) else None
 
     def mul(self, other: "TwoCocycle") -> "TwoCocycle":
         if other.base is not self.base:

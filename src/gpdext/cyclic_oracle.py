@@ -10,7 +10,7 @@ multiplication is literally the cocycle identity, so building the extension
 and validating it re-proves the identity through an independent code path.
 The composition table and the inverse are built in one broadcast: the base's
 composable pairs (a, b, ab) against every pair of circle exponents (t1, t2),
-with w(a, b) = e(twist(a, b)/k) read off the cocycle's table in one pass.
+with w(a, b) = e(twist(a, b)/k) read off the cocycle's table at once.
 
 The algebra of the extension carries the convolution with the circle factor
 averaged (weight 1/k per circle coordinate, counting measure along G), which
@@ -70,26 +70,6 @@ _CHUNK = 2**20
 
 class OracleError(ValueError):
     pass
-
-
-def _twist_exponents(w: TwoCocycle, k: int) -> np.ndarray:
-    """The table of exponents t with w(a, b) = e(t / k); OracleError naming
-    the first composable pair whose value is not a k-th root of unity."""
-    if w.is_exact:  # e(W / N) is a k-th root when N / gcd(N, k) divides W
-        g = math.gcd(w.conductor, k)
-        step = w.conductor // g
-        root, twist = w.table % step == 0, (w.table // step * (k // g)).astype(np.intp)
-    else:
-        twist = np.rint(k * (np.angle(w.table) / (2 * np.pi))).astype(np.intp) % k
-        root = np.abs(w.table - np.exp(2j * np.pi * twist / k)) <= 1e-9
-    A, B, _ = w.base.pair_table
-    bad = np.flatnonzero(~root[A, B])
-    if len(bad):
-        a, b, lab = int(A[bad[0]]), int(B[bad[0]]), w.base.arrow_labels
-        raise OracleError(
-            f"cocycle value {w.value(a, b)!r} on ({lab[a]},{lab[b]}) is not a mu_{k} root"
-        )
-    return twist
 
 
 def _widened(num: np.ndarray, bound: int) -> np.ndarray:
@@ -178,7 +158,12 @@ class CyclicExtension:
         # extension arrow t * n + a: the twist exponent of a base pair (a, b)
         # adds to the circle exponent of every product over it
         A, B, C = base.pair_table
-        twist = _twist_exponents(cocycle, k)
+        twist, bad = cocycle.root_exponents(k)
+        if bad is not None:
+            a, b = bad
+            raise OracleError(
+                f"cocycle value {cocycle.value(a, b)!r} on ({lab[a]},{lab[b]}) is not a mu_{k} root"
+            )
         t1, t2 = np.arange(k)[:, None, None], np.arange(k)[None, :, None]
         YZ = (t1 + t2 + twist[A, B]) % k * n + C
         Y, Z = (np.broadcast_to(x, YZ.shape).ravel().tolist() for x in (t1 * n + A, t2 * n + B))
