@@ -1,0 +1,88 @@
+"""Loop references for the twisted algebra and the graded fibre matrix.
+
+The library combines numeric elements by array scatter and gather over the
+compiled groupoid and cocycle tables.  The functions here are the dict loops
+those replaced: one ``CircleScalar`` per composable pair, read off
+``TwistedAlgebra.sigma``, with each sum taken in the left operand's support
+order and each product's keys in the order they are first touched.  The
+tests compare the two bit for bit.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from gpdext.algebra import AlgebraElement
+from gpdext.exact import CircleScalar, Cyclo
+
+
+def times(w: CircleScalar, coeff):
+    """coeff times the circle value w, exact when both are exact."""
+    if w.is_exact:
+        if isinstance(coeff, Cyclo):
+            return coeff.rotated(w.angle)
+        if isinstance(coeff, (int, Fraction)):
+            return Cyclo.from_root(w.angle, coeff)
+    return w.to_complex() * complex(coeff)
+
+
+def conj(w: CircleScalar) -> CircleScalar:
+    return CircleScalar(angle=-w.angle) if w.is_exact else CircleScalar(z=w.z.conjugate())
+
+
+def loop_convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
+    alg = f.algebra
+    G = alg.groupoid
+    out: dict = {}
+    for a, ca in f.coeff.items():
+        for b, cb in g.coeff.items():
+            c = G.compose_or_none(a, b)
+            if c is None:
+                continue
+            term = times(alg.sigma(a, b), ca * cb)
+            acc = out.get(c)
+            out[c] = term if acc is None else acc + term
+    return AlgebraElement(alg, out)
+
+
+def loop_involute(f: AlgebraElement) -> AlgebraElement:
+    alg = f.algebra
+    G = alg.groupoid
+    out = {}
+    for a, ca in f.coeff.items():
+        ai = G.inv(a)
+        out[ai] = times(conj(alg.sigma(ai, a)), ca.conjugate())
+    return AlgebraElement(alg, out)
+
+
+def loop_regular_rep(f: AlgebraElement, u: int) -> np.ndarray:
+    alg = f.algebra
+    G = alg.groupoid
+    basis = G.source_fiber(u)
+    pos = {b: i for i, b in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for a, ca in f.coeff.items():
+        za = complex(ca)
+        for j, b in enumerate(basis):
+            c = G.compose_or_none(a, b)
+            if c is None:
+                continue
+            M[pos[c], j] += za * alg.sigma(a, b).to_complex()
+    return M
+
+
+def loop_extension_regular_matrix(F, u: int, window: tuple[int, int]) -> np.ndarray:
+    """Graded convolution by F on the windowed fibre over u, one product of
+    F's mode-m component with a delta per column (m, a)."""
+    lo, hi = window
+    modes = range(lo, hi + 1)
+    fiber = F.algebra.groupoid.source_fiber(u)
+    d = len(fiber)
+    M = np.zeros((d * len(modes), d * len(modes)), dtype=complex)
+    for i, m in enumerate(modes):
+        alg = F.algebra.twisted(m)
+        for j, a in enumerate(fiber):
+            image = loop_convolve(F.mode(m), alg.delta(a))
+            for c, v in image.coeff.items():
+                M[i * d + fiber.index(c), i * d + j] = complex(v)
+    return M
