@@ -28,6 +28,12 @@ the `algebra` and `decompose --samples 10` machine reports on a spec that
 carries the cocycle's values as complex numbers, which takes the numeric
 path of the twisted algebras.
 
+Last, one line `<instance> wide <command> sha256` for the `algebra` and
+`decompose --samples 10` machine reports at seed 0 on two larger instances:
+pair_groupoid(6) with a mu_4 coboundary, and Z3 x Z6 with its bicharacter
+cocycle.  Their products and involutions sum over supports whose
+first-touch order is not the ascending arrow order.
+
 A change meant to leave every report byte-identical is checked by running
 this once against each tree and diffing the outputs:
 
@@ -39,6 +45,7 @@ this once against each tree and diffing the outputs:
 import contextlib
 import hashlib
 import io
+import random
 import sys
 
 from gpdext.algebra import TwistedAlgebra
@@ -51,10 +58,12 @@ from gpdext.cli import (
     load_spec,
 )
 from gpdext.cli import main as cli_main
-from gpdext.cocycle import TwoCocycle, normalize
+from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, normalize
 from gpdext.cyclic_oracle import faithfulness_rank
 from gpdext.documents import SpecDocument
 from gpdext.extension import cyclic_decompose, cyclic_extension
+from gpdext.groupoid import abelian_group_groupoid, pair_groupoid
+from gpdext.randgen import random_mu_k_coboundary
 
 SEEDS = range(5)
 SAMPLES = 10
@@ -80,6 +89,17 @@ def _main_digest(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = cli_main(argv)
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _wide_instances():
+    """(name, groupoid, cocycle): pair_groupoid(6) with a seeded mu_4
+    coboundary, and Z3 x Z6 with its bicharacter cocycle."""
+    pair6 = pair_groupoid(6)
+    z3z6 = abelian_group_groupoid((3, 6))
+    return (
+        ("pair6_mu4", pair6, random_mu_k_coboundary(random.Random(0), pair6, 4)),
+        ("z3z6_bichar", z3z6, bicharacter_cocycle(z3z6, (3, 6), 3)),
+    )
 
 
 def main() -> int:
@@ -128,6 +148,11 @@ def main() -> int:
         for command in (cmd_algebra, cmd_decompose):
             report = command(spec, source, 0, SAMPLES)
             print(path.stem, "complex", report.command, _digest(report))
+    for name, g, w in _wide_instances():
+        spec = SpecDocument(groupoid=g, cocycle=w, params={})
+        for command in (cmd_algebra, cmd_decompose):
+            report = command(spec, name, 0, SAMPLES)
+            print(name, "wide", report.command, _digest(report))
     return 0
 
 

@@ -18,19 +18,32 @@ reduced norm is the largest spectral norm of these matrices over all units.
 Faithfulness and the center dimension are decided exactly, by the
 structural arguments in ``full_norm_certificate`` and ``center_dimension``.
 
-Coefficients may be exact (int/Fraction/Cyclo) or numeric (complex) and are
-combined with plain operators; exact coefficients with exact cocycle values
-stay exact through products and involutions, which is what the
-structure-constant certificates use.
+An element is a dict of coefficients, exact (int/Fraction/Cyclo) or numeric
+(float/complex), and every operation reads the cocycle's compiled table of
+w^n.  Numeric elements are combined in arrays over the groupoid's compiled
+tables: a product is one scatter of the terms w^n(a, b) f(a) g(b) onto a.b
+through ``compose_array``, the involution is a gather through the inverse
+map, and M is one gather at c b^-1.  The complex table of w^n holds, entry
+by entry, the float ``CircleScalar.to_complex`` gives, and products round as
+Python's do (``exact.cmul``).  A sum runs over a in the left operand's
+support order, and a product's keys come in the order they are first
+touched: that is the order the dict loop these replaced summed in, and the
+reports print residuals near 1e-16 to 11 digits, so another order would move
+their bytes.  Exact elements stay on a dict loop, which reads the int angle
+table of w^n and rotates each exact coefficient by its angle, so products
+and involutions stay exact for the structure-constant certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .cocycle import TwoCocycle
+from .exact import Cyclo, cmul
 from .groupoid import FiniteGroupoid, orbit_decomposition
 
 
@@ -54,13 +67,39 @@ class TwistedAlgebra:
         self.groupoid = groupoid
         self.cocycle = cocycle
         self.power = int(power)
-        self._twist = cocycle.power_table(self.power).tolist()
         self._faithfulness = None
         self._center_dimension = None
 
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """The cocycle's table of w^n: int angles over its conductor, or
+        complex values."""
+        return self.cocycle.power_table(self.power)
+
+    @cached_property
+    def twist(self) -> np.ndarray:
+        """w^n as complex values, each the float of ``sigma(a, b).to_complex()``."""
+        if self.cocycle.is_exact:
+            return self._circle_values(self._powers)
+        return _unit(self._powers.tolist())
+
+    @cached_property
+    def twist_conj(self) -> np.ndarray:
+        """conj(w^n) as complex values: those of the negated angles, or the
+        conjugates of ``twist`` normalized once more, as CircleScalar does."""
+        if self.cocycle.is_exact:
+            return self._circle_values(-self._powers % self.cocycle.conductor)
+        return _unit(self.twist.conj().tolist())
+
+    def _circle_values(self, angles: np.ndarray) -> np.ndarray:
+        """The complex values of an angle table, one CircleScalar per distinct angle."""
+        keys, inverse = np.unique(angles, return_inverse=True)
+        values = np.array([self.cocycle.circle(x).to_complex() for x in keys.tolist()], complex)
+        return values[inverse].reshape(angles.shape)
+
     def sigma(self, a: int, b: int):
         """The twisting value w^n(a, b), read off the table of w^n."""
-        return self.cocycle.circle(self._twist[a][b])
+        return self.cocycle.circle(self._powers.item(a, b))
 
     @property
     def dimension(self) -> int:
@@ -94,9 +133,42 @@ class TwistedAlgebra:
 
     # -- operations ------------------------------------------------------------
 
+    def _times(self, a: int, b: int, coeff, conj: bool = False):
+        """w^n(a, b) * coeff, or conj(w^n(a, b)) * coeff: an exact coefficient
+        rotated by the angle of w^n when the cocycle is exact, else a
+        complex product."""
+        if self.cocycle.is_exact and isinstance(coeff, (int, Fraction, Cyclo)):
+            angle = self._powers.item(a, b)
+            angle = Fraction(-angle if conj else angle, self.cocycle.conductor)
+            return Cyclo.coerce(coeff).rotated(angle)
+        return (self.twist_conj if conj else self.twist).item(a, b) * complex(coeff)
+
+    def _terms(self, a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray):
+        """Every composable pair (a[i], b[j]), in row-major (i, j) order: i, j,
+        the product arrow a[i] b[j] and the term w^n(a[i], b[j]) x[i] y[j]."""
+        c = self.groupoid.compose_array[a[:, None], b]
+        i, j = np.nonzero(c >= 0)
+        return i, j, c[i, j], cmul(self.twist[a[i], b[j]], cmul(x[i], y[j]))
+
     def convolve(self, f: "AlgebraElement", g: "AlgebraElement") -> "AlgebraElement":
         if f.algebra is not self or not self.same_tag(g.algebra):
             raise AlgebraError("convolution across different algebra tags")
+        if not (f.is_numeric or g.is_numeric):
+            return self._exact_convolve(f, g)
+        _, _, c, terms = self._terms(*_support(f), *_support(g))
+        # the first term at c sets it and the later ones add in order, so each
+        # sum runs over f's support order, as the exact loop's do
+        _, first = np.unique(c, return_index=True)
+        first.sort()
+        keys = c[first]
+        later = np.ones(len(c), dtype=bool)
+        later[first] = False
+        out = np.zeros(self.dimension, dtype=complex)
+        out[keys] = terms[first]
+        np.add.at(out, c[later], terms[later])
+        return AlgebraElement(self, dict(zip(keys.tolist(), out[keys].tolist())))
+
+    def _exact_convolve(self, f: "AlgebraElement", g: "AlgebraElement") -> "AlgebraElement":
         G = self.groupoid
         out: dict = {}
         for a, ca in f.coeff.items():
@@ -104,36 +176,55 @@ class TwistedAlgebra:
                 c = G.compose_or_none(a, b)
                 if c is None:
                     continue
-                term = self.sigma(a, b).times(ca * cb)
+                term = self._times(a, b, ca * cb)
                 acc = out.get(c)
                 out[c] = term if acc is None else acc + term
         return AlgebraElement(self, out)
 
     def involute(self, f: "AlgebraElement") -> "AlgebraElement":
-        G = self.groupoid
-        out = {}
-        for a, ca in f.coeff.items():
-            ai = G.inv(a)
-            out[ai] = self.sigma(ai, a).conj().times(ca.conjugate())
-        return AlgebraElement(self, out)
+        inv = self.groupoid.inverse_map
+        if not f.is_numeric:
+            out = {inv[a]: self._times(inv[a], a, c.conjugate(), True) for a, c in f.coeff.items()}
+            return AlgebraElement(self, out)
+        a = np.fromiter(f.coeff, dtype=np.intp, count=len(f.coeff))
+        x = np.fromiter((complex(c.conjugate()) for c in f.coeff.values()), complex, len(a))
+        ai = np.array(inv, dtype=np.intp)[a]
+        out = cmul(self.twist_conj[ai, a], x)
+        return AlgebraElement(self, dict(zip(ai.tolist(), out.tolist())))
 
     # -- representation and norms ----------------------------------------------
 
     def regular_rep(self, f: "AlgebraElement", u: int) -> "RegularRep":
+        """lambda_u(f), gathered: M[c, b] = f(c b^-1) w^n(c b^-1, b)."""
         G = self.groupoid
         if not (0 <= u < G.n_units):
             raise AlgebraError(f"unknown unit {u}")
         basis = G.source_fiber(u)
-        pos = {b: i for i, b in enumerate(basis)}
-        M = np.zeros((len(basis), len(basis)), dtype=complex)
-        for a, ca in f.coeff.items():
-            za = complex(ca)
-            for j, b in enumerate(basis):
-                c = G.compose_or_none(a, b)
-                if c is None:
-                    continue
-                M[pos[c], j] += za * self.sigma(a, b).to_complex()
+        b = np.array(basis, dtype=np.intp)
+        a = G.compose_array[b[:, None], np.array(G.inverse_map, dtype=np.intp)[b]]
+        arrows, x = _support(f)
+        values = np.zeros(self.dimension, dtype=complex)
+        values[arrows] = x
+        # adding 0 clears the signs of zeros, as the loop's M[c, b] += ... did
+        M = cmul(values[a], self.twist[a, b]) + 0.0
         return RegularRep(unit=u, basis=basis, matrix=M)
+
+    def fiber_products(self, f: "AlgebraElement", u: int) -> np.ndarray:
+        """lambda_u(f) built from the product: column j holds f * delta_b for the
+        j-th arrow b of the source fiber of u.  A numeric f meets every delta
+        in one scatter; an exact f takes one exact product per column."""
+        fiber = self.groupoid.source_fiber(u)
+        M = np.zeros((len(fiber), len(fiber)), dtype=complex)
+        if not f.is_numeric:
+            for j, b in enumerate(fiber):
+                for c, v in self.convolve(f, self.delta(b)).coeff.items():
+                    M[fiber.index(c), j] = complex(v)
+            return M
+        b = np.array(fiber, dtype=np.intp)
+        # each delta's coefficient is the int 1, which Python multiplies as 1 + 0j
+        _, j, c, terms = self._terms(*_support(f), b, np.ones(len(b), dtype=complex))
+        M[np.searchsorted(b, c), j] = terms
+        return M
 
     def reduced_norm(self, f: "AlgebraElement") -> "NormReport":
         best = 0.0
@@ -224,6 +315,11 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeff
 
+    @property
+    def is_numeric(self) -> bool:
+        """Every coefficient is a float or a complex (so the zero element is)."""
+        return all(isinstance(c, (float, complex)) for c in self.coeff.values())
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not self.algebra.same_tag(other.algebra):
             raise AlgebraError("mixing algebra tags")
@@ -277,6 +373,22 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
+def _support(f: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """f's arrows in support order, and its coefficients as complex."""
+    n = len(f.coeff)
+    return (
+        np.fromiter(f.coeff, dtype=np.intp, count=n),
+        np.fromiter(map(complex, f.coeff.values()), dtype=complex, count=n),
+    )
+
+
+def _unit(rows: list) -> np.ndarray:
+    """z / abs(z) for the complex values z of a table, as CircleScalar
+    normalizes them: by Python's own division, whose signs of zero parts
+    differ between Python versions and from numpy's."""
+    return np.array([[z / abs(z) for z in row] for row in rows], dtype=complex)
+
+
 @dataclass
 class RegularRep:
     """Matrix of the left-regular representation at one unit, on the source
@@ -300,32 +412,3 @@ class FullNormCertificate:
     rank: int
     dimension: int
     note: str
-
-
-def cocycle_change_isomorphism(
-    alg_src: TwistedAlgebra, alg_dst: TwistedAlgebra, b
-) -> bool:
-    """Verify on structure constants that f -> b.f is a *-isomorphism from
-    C(G, w) onto C(G, w * conj(coboundary(b))), for a cochain b that is 1 on
-    unit arrows.  This witnesses that the algebra depends on the cocycle only
-    through its cohomology class."""
-    G = alg_src.groupoid
-    if alg_dst.groupoid is not G:
-        raise AlgebraError("isomorphism check needs a common groupoid")
-
-    def T(f: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            alg_dst, {a: b.value(a).times(c) for a, c in f.coeff.items()}
-        )
-
-    for x in G.arrows():
-        dx = alg_src.delta(x)
-        if not T(dx.star()).equals(T(dx).star(), tol=1e-10):
-            return False
-        for y in G.arrows():
-            dy = alg_src.delta(y)
-            lhs = T(dx * dy)
-            rhs = T(dx) * T(dy)
-            if not lhs.equals(rhs, tol=1e-10):
-                return False
-    return True

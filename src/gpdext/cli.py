@@ -254,12 +254,8 @@ def cmd_normalize(spec: SpecDocument, source: str, seed: int, samples: int) -> R
     report.add("cocycle-identity", rep.ok, violations=len(rep.violations))
     if not rep.ok:
         return report
-    w2, b = normalize(w)
-    report.add(
-        "normalized-output",
-        w2.normalized and w2.check_identity().ok,
-        nontrivial_values=len(w2.values),
-    )
+    w2, b = normalize(w)  # which raises unless w2 passes the identity and is normalized
+    report.add("normalized-output", w2.normalized, nontrivial_values=len(w2.values))
     report.extras["normalized_cocycle"] = cocycle_to_doc(w2)
     report.extras["normalizing_cochain"] = cochain_to_doc(b)
     return report

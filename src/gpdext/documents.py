@@ -254,15 +254,6 @@ def parse_spec(doc) -> SpecDocument:
     return SpecDocument(groupoid=g, cocycle=w, params=params)
 
 
-def spec_to_doc(spec: SpecDocument) -> dict:
-    out = {"groupoid": groupoid_to_doc(spec.groupoid)}
-    if spec.cocycle is not None:
-        out["cocycle"] = cocycle_to_doc(spec.cocycle)
-    if spec.params:
-        out["params"] = spec.params
-    return out
-
-
 # ---------------------------------------------------------------------------
 # algebra elements and reports
 
@@ -302,18 +293,6 @@ def _is_float(x) -> bool:
         return False
 
 
-def element_to_doc(f) -> dict:
-    """Sparse {arrow_id: [re, im]} map plus the algebra tag."""
-    alg = f.algebra
-    return {
-        "tag": {
-            "groupoid": alg.groupoid.name,
-            "power": alg.power,
-        },
-        "coeff": _coeffs_to_doc(alg.groupoid, f.coeff),
-    }
-
-
 def parse_element(doc, algebra):
     doc = _load(doc)
     coeff = doc.get("coeff")
@@ -328,21 +307,6 @@ def laurent_to_doc(F) -> dict:
     return {
         "modes": {str(n): _coeffs_to_doc(g, comp.coeff) for n, comp in sorted(F.modes.items())}
     }
-
-
-def parse_laurent(doc, ext_algebra):
-    doc = _load(doc)
-    modes = doc.get("modes")
-    if modes is None:
-        raise DocumentError("laurent document missing field 'modes'")
-    out = {}
-    for mode, coeff in modes.items():
-        try:
-            n = int(mode)
-        except ValueError:
-            raise DocumentError(f"bad mode index {mode!r}") from None
-        out[n] = _coeffs_from_doc(coeff, ext_algebra.groupoid)
-    return ext_algebra.element(out)
 
 
 def decomposition_report_to_doc(report, oracle_agreement=None) -> dict:

@@ -303,7 +303,7 @@ class CircleScalar:
 
     Exact values carry a rational angle p/q in Q/Z and denote e(p/q);
     approximate values carry a complex number within 1e-12 of the circle.
-    Products, powers and conjugates of exact values stay exact.
+    Products of exact values stay exact.
     """
 
     __slots__ = ("angle", "z")
@@ -356,11 +356,6 @@ class CircleScalar:
             return CircleScalar(angle=self.angle + other.angle)
         return CircleScalar(z=self.to_complex() * other.to_complex())
 
-    def conj(self) -> "CircleScalar":
-        if self.is_exact:
-            return CircleScalar(angle=-self.angle)
-        return CircleScalar(z=self.z.conjugate())
-
     def to_complex(self) -> complex:
         if self.is_exact:
             quarter = _QUARTER_TURNS.get(self.angle)
@@ -368,16 +363,6 @@ class CircleScalar:
                 return quarter
             return cmath.exp(1j * TWO_PI * float(self.angle))
         return self.z
-
-    def times(self, coeff):
-        """Multiply an algebra coefficient by this circle value, staying
-        exact when both sides are exact."""
-        if self.is_exact:
-            if isinstance(coeff, Cyclo):
-                return coeff.rotated(self.angle)
-            if isinstance(coeff, (int, Fraction)):
-                return Cyclo.from_root(self.angle, coeff)
-        return self.to_complex() * complex(coeff)
 
     def is_one(self, tol: float = APPROX_TOL) -> bool:
         if self.is_exact:
@@ -400,11 +385,6 @@ class CircleScalar:
         if self.is_exact and other.is_exact:
             return self.angle == other.angle
         return self.to_complex() == other.to_complex()
-
-    def __hash__(self):
-        if self.is_exact:
-            return hash(("circle", self.angle))
-        return hash(("circle", self.z))
 
     def __repr__(self):
         if self.is_exact:

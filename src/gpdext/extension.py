@@ -215,7 +215,9 @@ def extension_regular_matrix(
     F: LaurentElement, u: int, window: tuple[int, int]
 ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
     """Matrix of graded convolution by F on the windowed fiber space over u,
-    computed through the Laurent product acting on basis vectors."""
+    computed from the graded product: circle orthogonality keeps mode m on
+    the basis slots (m, fiber), where F acts by the products F_m * delta_b
+    of ``TwistedAlgebra.fiber_products``, not by the regular_rep gather."""
     lo, hi = window
     missing = [n for n in F.modes if not lo <= n <= hi]
     if missing:
@@ -223,14 +225,11 @@ def extension_regular_matrix(
     modes = tuple(range(lo, hi + 1))
     fiber = F.algebra.groupoid.source_fiber(u)
     d = len(fiber)
-    pos = {(n, a): i * d + j for i, n in enumerate(modes) for j, a in enumerate(fiber)}
     M = np.zeros((d * len(modes), d * len(modes)), dtype=complex)
     for i, m in enumerate(modes):
-        for j, a in enumerate(fiber):
-            image = F * F.algebra.delta(m, a)
-            for n, comp in image.modes.items():
-                for c_arrow, c_val in comp.coeff.items():
-                    M[pos[(n, c_arrow)], i * d + j] = complex(c_val)
+        M[i * d : (i + 1) * d, i * d : (i + 1) * d] = F.algebra.twisted(m).fiber_products(
+            F.mode(m), u
+        )
     return M, modes, fiber
 
 

@@ -96,30 +96,6 @@ def random_unit_cochain(rng: random.Random, g: FiniteGroupoid, k: int) -> OneCoc
     )
 
 
-def random_exact_cochain(rng: random.Random, g: FiniteGroupoid, max_den: int = 12) -> OneCochain:
-    units = set(g.unit_to_arrow)
-    vals = {}
-    for a in g.arrows():
-        if a in units:
-            continue
-        q = rng.randrange(1, max_den + 1)
-        vals[a] = Fraction(rng.randrange(q), q)
-    return OneCochain(g, vals)
-
-
-def random_principal_groupoid(rng: random.Random) -> FiniteGroupoid:
-    builders = [
-        lambda: pair_groupoid(2),
-        lambda: pair_groupoid(3),
-        lambda: disjoint_union(pair_groupoid(2), pair_groupoid(1)),
-        lambda: disjoint_union(pair_groupoid(2), pair_groupoid(2)),
-        lambda: cover_groupoid(["x"], [{"x"}, {"x"}, {"x"}]),
-        lambda: cover_groupoid([1, 2], [{1, 2}, {1}]),
-        lambda: cover_groupoid([1, 2, 3], [{1, 2}, {2, 3}, {3}]),
-    ]
-    return rng.choice(builders)()
-
-
 def random_element(rng: random.Random, algebra, scale: float = 1.0):
     return algebra.element(
         {

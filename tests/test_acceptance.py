@@ -38,11 +38,10 @@ from gpdext.morita import fullness_check, positivity_check, saturation_report
 from gpdext.randgen import (
     draw_oracle_instance,
     random_bimodule,
-    random_exact_cochain,
     random_laurent,
     random_mu_k_coboundary,
-    random_principal_groupoid,
 )
+from helpers import random_exact_cochain, random_principal_groupoid
 
 SEED = 20260808
 FIXTURES = ("pair2_trivial", "pair3_cobound", "pauli", "z6_bichar", "cover3_cech5")

@@ -14,7 +14,6 @@ the same order and every value must have the same bits.
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gpdext.algebra import TwistedAlgebra
@@ -128,7 +127,8 @@ def test_products_and_stars_match_the_loops(name, g, w):
         for f in (dense, sparse, exact, mixed):
             assert_same(f.star(), loop_involute(f))
             assert_same(f.star() * f, loop_convolve(loop_involute(f), f))
-        for f, h, x in ((sparse, dense, sparse), (dense.star(), sparse, dense), (exact, mixed, sparse)):
+        triples = ((sparse, dense, sparse), (dense.star(), sparse, dense), (exact, mixed, sparse))
+        for f, h, x in triples:
             assert_same((f * h) * x, loop_convolve(loop_convolve(f, h), x))
             assert_same((f * h).star(), loop_involute(loop_convolve(f, h)))
 
@@ -150,7 +150,7 @@ def test_fibre_matrices_match_the_loop(name, g, w):
     rng = random.Random(name)
     ea = ExtensionAlgebra(g, w)
     dense, sparse, exact, mixed = _coefficient_maps(rng, g.n_arrows)
-    # modes -1..2 numeric, then one exact and one mixed mode; mode 3 empty
+    # numeric modes with mode 1 empty, then exact, mixed and numeric ones with mode -1 empty
     for modes in ({-1: dense, 0: sparse, 2: dense}, {0: exact, 1: mixed, 2: sparse}):
         F = ea.element(modes)
         for u in g.units():

@@ -230,6 +230,32 @@ def test_permuted_mode_block_is_caught_by_the_residual_not_the_norms(monkeypatch
     assert cert.max_norm_deviation <= 1e-9 and cert.max_unit_deviation <= 1e-9
 
 
+def test_twist_flipped_in_the_product_scatter_only_is_caught_by_the_residual(
+    monkeypatch, klein, pauli
+):
+    # R_u's blocks (fiber_products, a scatter of products) read w(a, b) with
+    # the value at ((0,1), (1,0)) negated; the regular_rep gather of the mode
+    # blocks reads the true table
+    fiber_products = TwistedAlgebra.fiber_products
+
+    def flipped(self, f, u):
+        twist = self.twist
+        self.twist = twist.copy()
+        self.twist[1, 2] *= -1
+        try:
+            return fiber_products(self, f, u)
+        finally:
+            self.twist = twist
+
+    ea = ExtensionAlgebra(klein, pauli)
+    F = ea.element({0: {0: 1.0, 1: 0.5j}, 1: {0: 0.3, 1: 2.0, 2: -1.0j, 3: 0.7}})
+    assert intertwine_check(F, 0, (0, 1)).residual == 0.0
+    monkeypatch.setattr(TwistedAlgebra, "fiber_products", flipped)
+    # at mode 1, column (1,0), row (1,1): 2.0 * w against 2.0 * (-w)
+    assert intertwine_check(F, 0, (0, 1)).residual == 4.0
+    assert check_reduced_decomposition([F]).max_residual == 4.0
+
+
 def test_cyclic_decompose_rejects_the_next_mode_summand(monkeypatch, klein, pauli):
     # expected values read from C(G, w^(n+1)): the sign cocycle has w^n != w^(n+1)
     twisted = ExtensionAlgebra.twisted

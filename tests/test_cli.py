@@ -5,6 +5,7 @@ import pytest
 
 from gpdext.cli import load_spec, main
 from gpdext.documents import DocumentError, fmt_float
+from helpers import spec_to_doc
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_pauli_seed0.json"
 
@@ -122,7 +123,7 @@ class TestExitCodes:
     )
     def test_non_groupoid_base_fails_the_suite(self, command, tmp_path, capsys):
         # an order-5 loop: a unital Latin square that is not associative
-        from gpdext.documents import SpecDocument, canonical_json, spec_to_doc
+        from gpdext.documents import SpecDocument, canonical_json
         from gpdext.groupoid import group_groupoid
 
         loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
@@ -251,7 +252,7 @@ def test_oracle_skipped_for_non_root_of_unity_cocycles(tmp_path, capsys):
     import cmath
 
     from gpdext.cocycle import OneCochain
-    from gpdext.documents import SpecDocument, canonical_json, spec_to_doc
+    from gpdext.documents import SpecDocument, canonical_json
     from gpdext.exact import CircleScalar
     from gpdext.groupoid import pair_groupoid
 
@@ -273,7 +274,7 @@ def test_oracle_skipped_for_non_root_of_unity_cocycles(tmp_path, capsys):
 
 
 def test_empty_groupoid_runs_the_whole_suite(tmp_path, capsys):
-    from gpdext.documents import SpecDocument, canonical_json, spec_to_doc
+    from gpdext.documents import SpecDocument, canonical_json
     from gpdext.groupoid import empty_groupoid
 
     doc = tmp_path / "empty.json"
@@ -353,3 +354,16 @@ def test_failing_mode_decomposition_names_its_witness(monkeypatch):
     witness = check.details["witness"]
     assert witness["kind"] == "product" and witness["modes"] == [0, 0]
     assert len(witness["arrows"]) == 2 and witness["residual"] != fmt_float(0.0)
+
+
+def test_normalize_decides_the_identity_twice(monkeypatch, capsys):
+    from gpdext.cocycle import TwoCocycle
+
+    calls = []
+    check_identity = TwoCocycle.check_identity
+    monkeypatch.setattr(
+        TwoCocycle, "check_identity", lambda w: calls.append(w) or check_identity(w)
+    )
+    assert main(["normalize", "--fixture", "pauli", "--format", "machine"]) == 0
+    # once on the input, once as normalize's postcondition on its output
+    assert len(calls) == 2 and calls[0] is not calls[1]

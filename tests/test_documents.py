@@ -6,14 +6,12 @@ from gpdext.documents import (
     DocumentError,
     SpecDocument,
     canonical_json,
-    element_to_doc,
     parse_cocycle,
     parse_element,
     parse_groupoid,
     parse_spec,
     serialize_cocycle,
     serialize_groupoid,
-    spec_to_doc,
 )
 from gpdext.algebra import TwistedAlgebra
 from gpdext.groupoid import (
@@ -23,6 +21,7 @@ from gpdext.groupoid import (
     symmetric_group_groupoid,
     validate,
 )
+from helpers import element_to_doc, parse_laurent, spec_to_doc
 
 
 @pytest.mark.parametrize(
@@ -146,7 +145,7 @@ def test_element_round_trip(pair2, pair2_trivial):
 
 
 def test_laurent_round_trip(pair2, pair2_trivial):
-    from gpdext.documents import laurent_to_doc, parse_laurent
+    from gpdext.documents import laurent_to_doc
     from gpdext.extension import ExtensionAlgebra
 
     ea = ExtensionAlgebra(pair2, pair2_trivial)
@@ -161,7 +160,6 @@ def test_laurent_round_trip(pair2, pair2_trivial):
 
 @pytest.mark.parametrize("pair", [["x", 0], 1.5, [1, 2, 3], [1], [True, 0], None])
 def test_malformed_coefficient_is_a_document_error(pair, pair2, pair2_trivial):
-    from gpdext.documents import parse_laurent
     from gpdext.extension import ExtensionAlgebra
 
     with pytest.raises(DocumentError, match="coefficient"):

@@ -134,7 +134,7 @@ def test_circle_scalar_products_stay_exact(a, b):
     assert z.is_exact
     assert z.angle == frac_mod1(a + b)
     assert abs(z.to_complex() - x.to_complex() * y.to_complex()) < 1e-12
-    assert (x * x.conj()).is_one()
+    assert (x * CircleScalar(angle=-a)).is_one()
 
 
 def test_circle_scalar_approx():
