@@ -27,11 +27,11 @@ map, and M is one gather at c b^-1.  The complex table of w^n holds, entry
 by entry, the float ``CircleScalar.to_complex`` gives, and products round as
 Python's do (``exact.cmul``).  A sum runs over a in the left operand's
 support order, and a product's keys come in the order they are first
-touched: that is the order the dict loop these replaced summed in, and the
-reports print residuals near 1e-16 to 11 digits, so another order would move
-their bytes.  Exact elements stay on a dict loop, which reads the int angle
-table of w^n and rotates each exact coefficient by its angle, so products
-and involutions stay exact for the structure-constant certificates.
+touched, as in the exact loop: the reports print residuals near 1e-16 to 11
+digits, so another order would move their bytes.  Exact elements stay on a
+dict loop, which reads the int angle table of w^n and rotates each exact
+coefficient by its angle, so products and involutions stay exact for the
+structure-constant certificates.
 """
 
 from __future__ import annotations
@@ -67,14 +67,9 @@ class TwistedAlgebra:
         self.groupoid = groupoid
         self.cocycle = cocycle
         self.power = int(power)
+        self._powers = cocycle.power_table(self.power)  # int angles, or complex values
         self._faithfulness = None
         self._center_dimension = None
-
-    @cached_property
-    def _powers(self) -> np.ndarray:
-        """The cocycle's table of w^n: int angles over its conductor, or
-        complex values."""
-        return self.cocycle.power_table(self.power)
 
     @cached_property
     def twist(self) -> np.ndarray:
@@ -144,18 +139,18 @@ class TwistedAlgebra:
         return (self.twist_conj if conj else self.twist).item(a, b) * complex(coeff)
 
     def _terms(self, a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray):
-        """Every composable pair (a[i], b[j]), in row-major (i, j) order: i, j,
-        the product arrow a[i] b[j] and the term w^n(a[i], b[j]) x[i] y[j]."""
+        """Every composable pair (a[i], b[j]), in row-major (i, j) order: j, the
+        product arrow a[i] b[j] and the term w^n(a[i], b[j]) x[i] y[j]."""
         c = self.groupoid.compose_array[a[:, None], b]
         i, j = np.nonzero(c >= 0)
-        return i, j, c[i, j], cmul(self.twist[a[i], b[j]], cmul(x[i], y[j]))
+        return j, c[i, j], cmul(self.twist[a[i], b[j]], cmul(x[i], y[j]))
 
     def convolve(self, f: "AlgebraElement", g: "AlgebraElement") -> "AlgebraElement":
         if f.algebra is not self or not self.same_tag(g.algebra):
             raise AlgebraError("convolution across different algebra tags")
         if not (f.is_numeric or g.is_numeric):
             return self._exact_convolve(f, g)
-        _, _, c, terms = self._terms(*_support(f), *_support(g))
+        _, c, terms = self._terms(*_support(f), *_support(g))
         # the first term at c sets it and the later ones add in order, so each
         # sum runs over f's support order, as the exact loop's do
         _, first = np.unique(c, return_index=True)
@@ -205,7 +200,7 @@ class TwistedAlgebra:
         arrows, x = _support(f)
         values = np.zeros(self.dimension, dtype=complex)
         values[arrows] = x
-        # adding 0 clears the signs of zeros, as the loop's M[c, b] += ... did
+        # + 0.0 clears the signs of zero parts, as accumulating into zeros does
         M = cmul(values[a], self.twist[a, b]) + 0.0
         return RegularRep(unit=u, basis=basis, matrix=M)
 
@@ -222,7 +217,7 @@ class TwistedAlgebra:
             return M
         b = np.array(fiber, dtype=np.intp)
         # each delta's coefficient is the int 1, which Python multiplies as 1 + 0j
-        _, j, c, terms = self._terms(*_support(f), b, np.ones(len(b), dtype=complex))
+        j, c, terms = self._terms(*_support(f), b, np.ones(len(b), dtype=complex))
         M[np.searchsorted(b, c), j] = terms
         return M
 
