@@ -26,7 +26,11 @@ command dispatch, with the sample count each fixture's params give.
 Then, per fixture at seed 0, one line `fixture complex <command> sha256` for
 the `algebra` and `decompose --samples 10` machine reports on a spec that
 carries the cocycle's values as complex numbers, which takes the numeric
-path of the twisted algebras.
+path of the twisted algebras, and one line
+`fixture complex cyclic-oracle k=<k> sha256` for the `cyclic-oracle
+--samples 10 --k <k>` machine report on that spec at the fixture's own k,
+which takes the numeric path of the oracle comparison and prints its
+`max_residual`.
 
 Last, one line `<instance> wide <command> sha256` for the `algebra` and
 `decompose --samples 10` machine reports at seed 0 on two larger instances:
@@ -148,6 +152,9 @@ def main() -> int:
         for command in (cmd_algebra, cmd_decompose):
             report = command(spec, source, 0, SAMPLES)
             print(path.stem, "complex", report.command, _digest(report))
+        k = int(spec.params["k"])
+        report = cmd_cyclic_oracle(spec, source, 0, SAMPLES, k=k)
+        print(path.stem, "complex", report.command, f"k={k}", _digest(report))
     for name, g, w in _wide_instances():
         spec = SpecDocument(groupoid=g, cocycle=w, params={})
         for command in (cmd_algebra, cmd_decompose):

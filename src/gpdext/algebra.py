@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .cocycle import TwoCocycle
-from .exact import Cyclo, cmul
+from .exact import Cyclo, cmul, spectral_norms
 from .groupoid import FiniteGroupoid, orbit_decomposition
 
 
@@ -222,16 +222,14 @@ class TwistedAlgebra:
         return M
 
     def reduced_norm(self, f: "AlgebraElement") -> "NormReport":
-        best = 0.0
-        best_u = None
-        for u in self.groupoid.units():
-            m = self.regular_rep(f, u).matrix
-            nrm = float(np.linalg.norm(m, 2)) if m.size else 0.0
-            if best_u is None or nrm > best:
-                best, best_u = nrm, u
+        """The largest norm of lambda_u(f) over the units, attained at the first
+        unit that reaches it; one SVD call per fibre size."""
+        units = list(self.groupoid.units())
+        norms = spectral_norms([self.regular_rep(f, u).matrix for u in units])
+        best = int(np.argmax(norms)) if norms else None
         return NormReport(
-            reduced_norm=best,
-            attained_at=best_u,
+            reduced_norm=0.0 if best is None else norms[best],
+            attained_at=None if best is None else units[best],
             faithful=self.full_norm_certificate().faithful,
         )
 

@@ -382,14 +382,22 @@ def cmd_decompose(
     report.add("mode-star", star <= 1e-12, residual=fmt_float(star))
 
     cert = check_reduced_decomposition(elements[: max(1, samples // 2)])
+    w = cert.witness  # a failing check names the first failing fiber
+    witness = w and {"witness": dict(
+        sample=w.sample, unit=g.unit_labels[w.unit], modes=list(w.window),
+        deviation=fmt_float(w.deviation), residual=fmt_float(w.residual),
+    )}
+    intertwined = cert.max_residual <= 1e-12
     report.add(
-        "intertwining", cert.max_residual <= 1e-12, residual=fmt_float(cert.max_residual)
+        "intertwining", intertwined, residual=fmt_float(cert.max_residual),
+        **({} if intertwined else witness),
     )
     report.add(
         "reduced-decomposition",
         cert.ok,
         max_norm_deviation=fmt_float(cert.max_norm_deviation),
         max_unit_deviation=fmt_float(cert.max_unit_deviation),
+        **({} if cert.ok else witness),
     )
 
     per_mode = {}

@@ -34,10 +34,16 @@ comes in one of two forms:
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` is a
 scatter over the composable pairs (y, z) of the extension's own composition
-table, read from the extension groupoid's sorted pair arrays; on exact values
-the product of two coefficient vectors is their cyclic convolution, since
-zeta_k^k = 1.
-``mode_projection`` is a cyclic shift and sum.  ``nonzero_rows`` decides
+table.  Its pairs are found from the nonzero (batch row, arrow) entries of
+the operand whose nonzeros meet fewer pairs: each nonzero y of f expands to
+y's block of the pair arrays (sorted by y), each nonzero z of g to z's block
+of a stable order by z, and a pair is kept when the other operand is nonzero
+at its other factor.  Numeric terms add per batch row in ascending pair
+order, whichever side drives.  On exact values the product of two
+coefficient vectors is their cyclic convolution, since zeta_k^k = 1.
+``mode_projection`` is a cyclic shift and sum.  Certificates cut their
+stacks, and ``mode_projection`` its gathers, into row chunks of about
+``STACK_ENTRIES`` entries.  ``nonzero_rows`` decides
 which of many exact values are zero in one integer product, by mapping each
 coefficient vector into the power basis of Q(zeta_k), row j of the map being
 x^j mod Phi_k (H. Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -51,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CircleScalar, cmul, cyclotomic_polynomial
+from .exact import CircleScalar, cmul, cyclotomic_polynomial, spectral_norms
 from .cocycle import TwoCocycle
 from .groupoid import (
     FiniteGroupoid,
@@ -63,9 +69,9 @@ from .groupoid import (
 
 # Integer results at or above this bound are computed on Python ints.
 _INT64_LIMIT = 2**63
-# Gathers that would hold more entries than this run in row chunks, so the
-# memory of a certificate stays proportional to its elements for any k.
-_CHUNK = 2**20
+# Stacks and gathers that would hold more entries than this run in row
+# chunks, so the memory of a certificate stays bounded for any k.
+STACK_ENTRIES = 2**14
 
 
 class OracleError(ValueError):
@@ -179,8 +185,13 @@ class CyclicExtension:
         )
         self.validation = validate(self.groupoid)
         self.validation.raise_if_failed()
-        # rows y, z, y z over the composable pairs of the extension, in (y, z) order
-        self.pairs = self.groupoid.pair_table
+        # rows y, z, y z over the composable pairs of the extension, in (y, z) order;
+        # per factor, an order of the pairs by that factor and each arrow's block in it
+        self.pairs = Y, Z, _ = self.groupoid.pair_table
+        self._blocks = [
+            (np.argsort(v, kind="stable"), np.searchsorted(np.sort(v), np.arange(k * n + 1)))
+            for v in (Y, Z)
+        ]
         self.roots = np.array([CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)])
         self.reduction = _power_basis(k)
         self._reduction_bound = int(np.abs(self.reduction).sum(axis=0).max())
@@ -223,26 +234,56 @@ def conv(ext: CyclicExtension, f, g):
     fv, gv = (f.num, g.num) if exact else (f, g)
     tail = 2 if exact else 1  # axes of one element: arrows, and coefficients when exact
     lead = np.broadcast_shapes(fv.shape[:-tail], gv.shape[:-tail])
-    fz = fv.any(axis=-1) if exact else fv != 0
-    gz = gv.any(axis=-1) if exact else gv != 0
-    *batch, p = np.nonzero(fz[..., Y] & gz[..., Z])
+    B, N = math.prod(lead), ext.dimension
+    fz, gz = (
+        np.broadcast_to(v.any(axis=-1) if exact else v != 0, lead + (N,)).reshape(B, N)
+        for v in (fv, gv)
+    )
+    row, p = _composable(ext, fz, gz, ordered=not exact)
+    batch = np.unravel_index(row, lead) if lead else ()
     x = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, Y[p])]
     y = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, Z[p])]
     if not exact:
-        out = np.zeros(lead + fv.shape[-1:], dtype=complex)
-        np.add.at(out, (*batch, YZ[p]), cmul(x, y))
-        return out * (1.0 / ext.k)
+        out = np.zeros((B, N), dtype=complex)
+        np.add.at(out, (row, YZ[p]), cmul(x, y))
+        return out.reshape(lead + (N,)) * (1.0 / ext.k)
     k = ext.k
     # k terms per coefficient of one product, at most dimension products per arrow
-    bound = _max_abs(fv) * _max_abs(gv) * k * ext.dimension
+    bound = _max_abs(fv) * _max_abs(gv) * k * N
     x, y = _widened(x, bound), _widened(y, bound)
     # the product of the coefficient vectors of one pair, from their nonzero
     # coefficients alone: zeta^i * zeta^j = zeta^((i + j) mod k)
-    row, i, j = _coefficient_pairs(x, y)
-    out = np.zeros(lead + fv.shape[-2:], dtype=x.dtype)
-    target = np.ravel_multi_index((*(b[row] for b in batch), YZ[p[row]]), out.shape[:-1])
-    np.add.at(out.reshape(-1), target * k + (i + j) % k, x[row, i] * y[row, j])
-    return Exact(out, f.e + g.e + 1)
+    term, i, j = _coefficient_pairs(x, y)
+    out = np.zeros(B * N * k, dtype=x.dtype)
+    np.add.at(out, ((row[term] * N + YZ[p[term]]) * k + (i + j) % k), x[term, i] * y[term, j])
+    return Exact(out.reshape(lead + (N, k)), f.e + g.e + 1)
+
+
+def _composable(ext: CyclicExtension, fz: np.ndarray, gz: np.ndarray, ordered: bool):
+    """Every (row, p) with fz[row, y] and gz[row, z] for the pair p = (y, z),
+    expanded from the side whose nonzeros meet fewer pairs; ascending in
+    (row, p) when ``ordered``."""
+    Y, Z, _ = ext.pairs
+    sides = [(fz, gz, Z, *ext._blocks[0]), (gz, fz, Y, *ext._blocks[1])]
+    cost = [lead.sum(axis=0) @ np.diff(block) for lead, _, _, _, block in sides]
+    lead, other, partner, order, block = sides[int(cost[1] < cost[0])]
+    row, x = np.nonzero(lead)
+    owner, i = _ranges(block[x], block[x + 1] - block[x])
+    row, p = row[owner], order[i]
+    keep = other[row, partner[p]]
+    row, p = row[keep], p[keep]
+    if ordered:
+        order = np.argsort(row * len(Y) + p, kind="stable")
+        row, p = row[order], p[order]
+    return row, p
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray):
+    """The concatenated ranges starts[i] .. starts[i] + lengths[i], each
+    entry with the i of its range."""
+    owner = np.repeat(np.arange(len(starts)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return owner, np.arange(len(owner)) - first[owner] + starts[owner]
 
 
 def _coefficient_pairs(x: np.ndarray, y: np.ndarray):
@@ -250,11 +291,8 @@ def _coefficient_pairs(x: np.ndarray, y: np.ndarray):
     rx, i = np.nonzero(x)
     ry, j = np.nonzero(y)
     per_row = np.bincount(ry, minlength=len(y))
-    first = np.cumsum(per_row) - per_row  # of each row's entries in (ry, j)
-    reps = per_row[rx]
-    start = np.cumsum(reps) - reps
-    which = np.repeat(first[rx] - start, reps) + np.arange(int(reps.sum()))
-    return np.repeat(rx, reps), np.repeat(i, reps), j[which]
+    owner, which = _ranges((np.cumsum(per_row) - per_row)[rx], per_row[rx])
+    return rx[owner], i[owner], j[which]
 
 
 def star(ext: CyclicExtension, f):
@@ -281,7 +319,7 @@ def mode_projection(ext: CyclicExtension, f, n: int):
         num = _widened(f.num, _max_abs(f.num) * k)
         flat = num.reshape(math.prod(num.shape[:-2]), k * m * k)
         out = np.empty_like(flat)
-        step = max(1, _CHUNK // max(1, index.size))
+        step = max(1, STACK_ENTRIES // max(1, index.size))
         for i in range(0, len(flat), step):
             out[i : i + step] = flat[i : i + step][:, index].sum(axis=-1)
         return Exact(out.reshape(f.num.shape), f.e + 1)
@@ -325,21 +363,13 @@ def nonzero_rows(ext: CyclicExtension, D: np.ndarray) -> np.ndarray:
     return (D @ R != 0).any(axis=1)
 
 
-def regular_rep_matrix(ext: CyclicExtension, f: np.ndarray, u: int) -> np.ndarray:
-    """Matrix of convolution by the numeric element f on the source fiber
-    over unit u."""
-    fiber = list(ext.groupoid.source_fiber(u))
-    columns = conv(ext, f, deltas(ext, fiber, exact=False))
-    return columns[:, fiber].T
-
-
 def reduced_norm(ext: CyclicExtension, f: np.ndarray) -> float:
-    best = 0.0
-    for u in ext.groupoid.units():
-        m = regular_rep_matrix(ext, f, u)
-        if m.size:
-            best = max(best, float(np.linalg.norm(m, 2)))
-    return best
+    """The largest norm of convolution by the numeric element f on a source
+    fiber; row x of one conv against every delta is f * delta_x."""
+    G = ext.groupoid
+    columns = conv(ext, f, deltas(ext, G.arrows(), exact=False))
+    fibers = [list(G.source_fiber(u)) for u in G.units()]
+    return max(spectral_norms([columns[F][:, F].T for F in fibers]), default=0.0)
 
 
 def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:

@@ -17,7 +17,8 @@ float or complex demotes the result to complex; int and Fraction mix with
 floats as Python defines.
 
 The module also holds ``cmul``, the complex array product rounded as Python
-rounds it, and the integer linear algebra used to decide solvability
+rounds it, ``spectral_norms``, the norms of many matrices from stacked SVDs,
+and the integer linear algebra used to decide solvability
 of angle equations modulo 1 (diagonalization by unimodular row/column
 operations).
 """
@@ -401,6 +402,18 @@ def cmul(a, b) -> np.ndarray:
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def spectral_norms(matrices: list[np.ndarray]) -> list[float]:
+    """The spectral norm of each matrix, as ``np.linalg.norm(M, 2)`` gives it,
+    from one stacked SVD per matrix shape; 0.0 for an empty matrix."""
+    norms = [0.0] * len(matrices)
+    for shape in {M.shape for M in matrices if M.size}:
+        index = [i for i, M in enumerate(matrices) if M.shape == shape]
+        s = np.linalg.svd(np.stack([matrices[i] for i in index]), compute_uv=False)
+        for i, v in zip(index, s.max(axis=-1).tolist()):
+            norms[i] = v
+    return norms
 
 
 _QUARTER_TURNS = {

@@ -269,11 +269,25 @@ def intertwine_check(F: LaurentElement, u: int, window: tuple[int, int]) -> Inte
 
 
 @dataclass
+class UnitWitness:
+    """The first failing fiber of a reduced decomposition: the sample's index,
+    the unit, the mode window, | ||R_u|| - max_n ||lambda_u(F_n)|| | and the
+    largest entry of |R_u - L_u| there."""
+
+    sample: int
+    unit: int
+    window: tuple[int, int]
+    deviation: float
+    residual: float
+
+
+@dataclass
 class ReducedDecompositionCertificate:
     samples: int
     max_norm_deviation: float
     max_unit_deviation: float
     max_residual: float
+    witness: UnitWitness | None = None
 
     @property
     def ok(self) -> bool:
@@ -284,11 +298,14 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
     """One pass per sample and unit over F's own mode span: build R_u and the
     mode blocks once, record the intertwining residual, and verify that
     ||R_u|| equals the largest block norm.  The extension norm (the largest
-    block norm over all units) must agree with the largest ||R_u||."""
+    block norm over all units) must agree with the largest ||R_u||.  The
+    witness is the first fiber whose residual exceeds 1e-12 or whose norms
+    differ by more than 1e-9."""
     max_dev = 0.0
     max_unit_dev = 0.0
     max_res = 0.0
-    for F in elements:
+    witness = None
+    for i, F in enumerate(elements):
         if F.is_zero:
             continue
         window = (min(F.modes), max(F.modes))
@@ -296,9 +313,12 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
         extension_norm = 0.0
         for u in F.algebra.groupoid.units():
             R, blocks = _fiber_matrices(F, u, window)
-            max_res = max(max_res, _block_sum_residual(R, blocks))
+            residual = _block_sum_residual(R, blocks)
             nR = float(np.linalg.norm(R, 2)) if R.size else 0.0
             nL = max((float(np.linalg.norm(m, 2)) for m in blocks if m.size), default=0.0)
+            if witness is None and (residual > 1e-12 or abs(nR - nL) > 1e-9):
+                witness = UnitWitness(i, u, window, abs(nR - nL), residual)
+            max_res = max(max_res, residual)
             max_unit_dev = max(max_unit_dev, abs(nR - nL))
             overall = max(overall, nR)
             extension_norm = max(extension_norm, nL)
@@ -308,6 +328,7 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
         max_norm_deviation=max_dev,
         max_unit_deviation=max_unit_dev,
         max_residual=max_res,
+        witness=witness,
     )
 
 
@@ -379,12 +400,14 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     against the extension's composition table) and compared against the
     twisted structure constants: zero across modes, w^n(a,b) delta_{ab}
     within a mode.  Involutions and the Fourier projections are checked the
-    same way.  Each comparison stack is decided in one batch, exactly with
-    exact inputs and within 1e-10 otherwise, and its first failing row
-    names the witness.
+    same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
+    of about ``oracle.STACK_ENTRIES`` entries, and each chunk is decided in
+    one batch, exactly with exact inputs and within 1e-10 otherwise.  The
+    witness is the first failing comparison in the order products
+    (n, p, a, b), stars (n, a), projections (n, mm, a), Fourier block (t, a).
     """
     base = ext.base
-    k, m = ext.k, base.n_arrows
+    k, m, N = ext.k, base.n_arrows, ext.dimension
     exact = ext.cocycle.is_exact
     one: object = Fraction(1) if exact else 1.0
     tol = 0.0 if exact else 1e-10
@@ -393,41 +416,62 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     def embedded(n: int, values: dict, shape: tuple[int, ...]):
         return oracle.embed_mode(ext, n, _oracle_form(values, shape, k, exact))
 
-    # q[n][a]: the delta at base arrow a in mode n, as an oracle element
-    q = [embedded(n, {(a, a): one for a in base.arrows()}, (m, m)) for n in range(k)]
+    def by_mode(values):
+        """Row n * m + a: values(n) at (a, b) over b, embedded in mode n."""
+        parts = [embedded(n, values(n), (m, m)) for n in range(k)]
+        if not exact:
+            return np.concatenate(parts).reshape(k * m, N)
+        return oracle.Exact(np.concatenate([x.num for x in parts]).reshape(k * m, N, k))
+
+    def chunks(rows: int, per_row: int):
+        step = max(1, oracle.STACK_ENTRIES // max(1, per_row))
+        return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+    # Q[n * m + a]: the delta at base arrow a in mode n, as an oracle element
+    Q = by_mode(lambda n: {(a, a): one for a in base.arrows()})
+    rows = np.arange(N)
 
     def comparisons():
-        """(kind, modes, got - expected), the batch axes over base arrows."""
+        """(rank of the kind, got - expected, the search position of each batch row)"""
         for n in range(k):
             # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
             sigma = alg.twisted(n).sigma
-            within = {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}
-            for p in range(k):
-                got = oracle.conv(ext, q[p][:, None], q[n][None, :])
-                yield "product", (p, n), got - embedded(n, within, (m, m, m)) if p == n else got
-        for n in range(k):
-            stars = {
+            for lo, hi in chunks(k * m, m * N * k):
+                got = oracle.conv(ext, Q[lo:hi, None], Q[n * m : (n + 1) * m][None, :])
+                want = {
+                    (n * m + a - lo, b, c): sigma(a, b)
+                    for (a, b), c in base.compose_table.items()
+                    if lo <= n * m + a < hi
+                }
+                diff = got - embedded(n, want, (hi - lo, m, m)) if want else got
+                yield 0, diff, n * k * m * m + np.arange(lo * m, hi * m)
+        stars = by_mode(
+            lambda n: {
                 (a, b): c
                 for a in base.arrows()
                 for b, c in alg.twisted(n).delta(a, one).star().coeff.items()
             }
-            yield "star", (n,), oracle.star(ext, q[n]) - embedded(n, stars, (m, m))
-        for n in range(k):
-            for mm in range(k):
-                want = q[n] if mm == n else embedded(n, {}, (m, m))
-                yield "projection", (n, mm), oracle.mode_projection(ext, q[n], mm) - want
+        )
+        for lo, hi in chunks(k * m, N * k):
+            yield 1, oracle.star(ext, Q[lo:hi]) - stars[lo:hi], rows[lo:hi]
+        for mm in range(k):
+            for lo, hi in chunks(k * m, N * k):
+                # projecting onto mode mm keeps the deltas of mode mm and kills the rest
+                n, a = divmod(rows[lo:hi], m)
+                keep = (n == mm)[:, None]
+                want = oracle.Exact(Q.num[lo:hi] * keep[..., None]) if exact else Q[lo:hi] * keep
+                yield 2, oracle.mode_projection(ext, Q[lo:hi], mm) - want, (n * k + mm) * m + a
         # Fourier projections resolve every delta of the extension
-        deltas = oracle.deltas(ext, range(ext.dimension), exact)
-        total = oracle.mode_projection(ext, deltas, 0)
-        for n in range(1, k):
-            total = total + oracle.mode_projection(ext, deltas, n)
-        for t in range(k):
-            block = slice(t * m, (t + 1) * m)
-            yield "projection", tuple(range(k)), total[block] - deltas[block]
+        for lo, hi in chunks(N, N * k):
+            deltas = oracle.deltas(ext, range(lo, hi), exact)
+            total = oracle.mode_projection(ext, deltas, 0)
+            for n in range(1, k):
+                total = total + oracle.mode_projection(ext, deltas, n)
+            yield 3, total - deltas, rows[lo:hi]
 
     max_residual = 0.0
-    witness = None
-    for kind, modes, diff in comparisons():
+    first = None  # (rank, position, residual) of the first failing comparison
+    for rank, diff, position in comparisons():
         if exact:
             bad = oracle.nonzero_rows(ext, diff.num.reshape(-1, k))
         else:
@@ -435,13 +479,10 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             max_residual = max(max_residual, float(deviation.max(initial=0.0)))
             bad = deviation > tol
         failing = np.flatnonzero(bad)
-        if witness is None and failing.size:
+        if failing.size and (first is None or (rank, position[failing[0] // N]) < first[:2]):
             row = int(failing[0])
-            value = (oracle.to_complex(ext, diff) if exact else diff).reshape(-1)
-            *arrows, _ = np.unravel_index(row, diff.num.shape[:-1] if exact else diff.shape)
-            witness = OracleWitness(
-                kind, modes, tuple(int(a) for a in arrows), float(oracle.magnitude(value[row]))
-            )
+            value = (oracle.to_complex(ext, diff) if exact else diff).reshape(-1)[row]
+            first = (rank, int(position[row // N]), float(oracle.magnitude(value)))
 
     summands = [
         ModeSummand(
@@ -459,9 +500,20 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         projections_checked=k * k * m + ext.dimension,
         exact=exact,
         max_residual=max_residual,
-        ok=witness is None,
-        witness=witness,
+        ok=first is None,
+        witness=None if first is None else _witness(k, m, *first),
     )
+
+
+def _witness(k: int, m: int, rank: int, position: int, residual: float) -> OracleWitness:
+    """The comparison at ``position`` in the search order of the kind of ``rank``."""
+    shape, named = (
+        ((k, k, m, m), lambda n, p, a, b: ("product", (p, n), (a, b))),
+        ((k, m), lambda n, a: ("star", (n,), (a,))),
+        ((k, k, m), lambda n, mm, a: ("projection", (n, mm), (a,))),
+        ((k, m), lambda t, a: ("projection", tuple(range(k)), (a,))),  # the Fourier block
+    )[rank]
+    return OracleWitness(*named(*(int(i) for i in np.unravel_index(position, shape))), residual)
 
 
 def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension) -> float:

@@ -4,8 +4,9 @@ The library combines numeric elements by array scatter and gather over the
 compiled groupoid and cocycle tables.  The functions here are the dict loops
 those replaced: one ``CircleScalar`` per composable pair, read off
 ``TwistedAlgebra.sigma``, with each sum taken in the left operand's support
-order and each product's keys in the order they are first touched.  The
-tests compare the two bit for bit.
+order and each product's keys in the order they are first touched; and the
+reduced norm as one spectral norm per unit.  The tests compare the two bit
+for bit.
 """
 
 from fractions import Fraction
@@ -86,3 +87,15 @@ def loop_extension_regular_matrix(F, u: int, window: tuple[int, int]) -> np.ndar
             for c, v in image.coeff.items():
                 M[i * d + fiber.index(c), i * d + j] = complex(v)
     return M
+
+
+def loop_reduced_norm(alg, f: AlgebraElement) -> tuple[float, int | None]:
+    """The largest spectral norm of lambda_u(f) over the units, one
+    ``np.linalg.norm`` per unit, and the first unit that attains it."""
+    best, best_u = 0.0, None
+    for u in alg.groupoid.units():
+        m = alg.regular_rep(f, u).matrix
+        nrm = float(np.linalg.norm(m, 2)) if m.size else 0.0
+        if best_u is None or nrm > best:
+            best, best_u = nrm, u
+    return best, best_u

@@ -2,7 +2,8 @@
 decomposition certificate.
 
 ``scan_conv`` finds the composable pairs of a convolution by testing every
-pair of the extension against every batch row, and ``loop_decompose`` runs
+pair of the extension against every batch row, ``loop_reduced_norm`` takes
+one spectral norm per unit, and ``loop_decompose`` runs
 the comparisons of ``cyclic_decompose`` one (mode, mode) block at a time:
 products (n, p, a, b), then stars (n, a), then projections (n, mm, a), then
 the Fourier block.  The tests compare the library with them field for field
@@ -22,6 +23,7 @@ from gpdext.extension import (
     OracleWitness,
     _oracle_form,
 )
+from reference_ranks import regular_rep_matrix
 
 
 def scan_conv(ext, f, g):
@@ -51,6 +53,17 @@ def scan_conv(ext, f, g):
     out = np.zeros(lead + fv.shape[-2:], dtype=x.dtype)
     np.add.at(out, (*batch, YZ[p]), products)
     return oracle.Exact(out, f.e + g.e + 1)
+
+
+def loop_reduced_norm(ext, f: np.ndarray) -> float:
+    """The largest spectral norm of convolution by f on a source fiber, one
+    ``np.linalg.norm`` per unit."""
+    best = 0.0
+    for u in ext.groupoid.units():
+        m = regular_rep_matrix(ext, f, u)
+        if m.size:
+            best = max(best, float(np.linalg.norm(m, 2)))
+    return best
 
 
 def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:

@@ -53,6 +53,14 @@ def commutator_center_dimension(alg) -> int:
     return m - int(np.linalg.matrix_rank(rows))
 
 
+def regular_rep_matrix(ext, f: np.ndarray, u: int) -> np.ndarray:
+    """Matrix of convolution by the numeric oracle element f on the source
+    fiber over unit u."""
+    fiber = list(ext.groupoid.source_fiber(u))
+    columns = oracle.conv(ext, f, oracle.deltas(ext, fiber, exact=False))
+    return columns[:, fiber].T
+
+
 def oracle_stacked_rank(ext) -> tuple[int, int]:
     """Rank of the direct sum of the oracle's regular representations on the
     delta basis, against the dimension k*|arrows|."""
@@ -62,7 +70,7 @@ def oracle_stacked_rank(ext) -> tuple[int, int]:
         fiber = ext.groupoid.source_fiber(u)
         cols = np.zeros((len(fiber) ** 2, dim), dtype=complex)
         for x, delta in enumerate(oracle.deltas(ext, range(dim), exact=False)):
-            cols[:, x] = oracle.regular_rep_matrix(ext, delta, u).reshape(-1)
+            cols[:, x] = regular_rep_matrix(ext, delta, u).reshape(-1)
         blocks.append(cols)
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim))
     rank = int(np.linalg.matrix_rank(stacked)) if stacked.size else 0

@@ -1,8 +1,9 @@
 """The twisted algebra and the graded fibre matrix against their loop
 references, bit for bit.
 
-`convolve`, `involute`, `regular_rep` and `extension_regular_matrix` are
-compared with the dict loops of `reference_algebra` on seeded elements:
+`convolve`, `involute`, `regular_rep`, `extension_regular_matrix` and
+`reduced_norm` are compared with the loops of `reference_algebra` on seeded
+elements:
 dense and sparse complex ones, exact ones (int, Fraction and Cyclo
 coefficients) and mixed ones, in shuffled support orders, on every bundled
 fixture, every `randgen` family and `pair_groupoid(2..8)`, each cocycle also
@@ -27,6 +28,7 @@ from reference_algebra import (
     loop_convolve,
     loop_extension_regular_matrix,
     loop_involute,
+    loop_reduced_norm,
     loop_regular_rep,
 )
 
@@ -156,3 +158,16 @@ def test_fibre_matrices_match_the_loop(name, g, w):
         for u in g.units():
             M, _, _ = extension_regular_matrix(F, u, WINDOW)
             assert_same_matrix(M, loop_extension_regular_matrix(F, u, WINDOW))
+
+
+@pytest.mark.parametrize("name,g,w", INSTANCES, ids=[x[0] for x in INSTANCES])
+def test_reduced_norms_match_the_loop(name, g, w):
+    rng = random.Random(name)
+    for n in POWERS:
+        alg = TwistedAlgebra(g, w, n)
+        elements = [alg.element(c) for c in _coefficient_maps(rng, g.n_arrows)]
+        # the identity has norm 1 at every unit: the first unit attains it
+        for x in elements + [alg.identity(), alg.zero()]:
+            rep = alg.reduced_norm(x)
+            norm, unit = loop_reduced_norm(alg, x)
+            assert (rep.reduced_norm.hex(), rep.attained_at) == (norm.hex(), unit)

@@ -16,7 +16,7 @@ import pytest
 
 from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import RegularRep, TwistedAlgebra
-from gpdext.cli import _fixture_dir, load_spec
+from gpdext.cli import _fixture_dir, cmd_decompose, load_spec
 from gpdext.cocycle import (
     OneCochain,
     TwoCocycle,
@@ -27,6 +27,7 @@ from gpdext.exact import CircleScalar
 from gpdext.extension import (
     ExtensionAlgebra,
     OracleWitness,
+    UnitWitness,
     check_reduced_decomposition,
     cyclic_decompose,
     cyclic_extension,
@@ -228,6 +229,55 @@ def test_permuted_mode_block_is_caught_by_the_residual_not_the_norms(monkeypatch
     cert = check_reduced_decomposition([F])
     assert cert.max_residual > 1e-12
     assert cert.max_norm_deviation <= 1e-9 and cert.max_unit_deviation <= 1e-9
+    assert cert.witness == UnitWitness(0, 0, (0, 1), cert.witness.deviation, cert.max_residual)
+    assert cert.witness.deviation <= 1e-9
+
+
+def test_permuted_mode_block_at_one_unit_is_named_by_the_witness(monkeypatch):
+    # pair(3) has three units; mode 1's block is conjugated by a swap of two
+    # fiber arrows at unit 2 only, in the second sample
+    g = pair_groupoid(3)
+    w = random_mu_k_coboundary(random.Random(5), g, 4)
+    regular_rep = TwistedAlgebra.regular_rep
+    P = np.eye(3)[[1, 0, 2]]
+
+    def permuted(self, f, u):
+        rep = regular_rep(self, f, u)
+        if (self.power, u, f.coeff.get(0)) != (1, 2, 0.25):
+            return rep
+        return RegularRep(unit=rep.unit, basis=rep.basis, matrix=P @ rep.matrix @ P.T)
+
+    monkeypatch.setattr(TwistedAlgebra, "regular_rep", permuted)
+    ea = ExtensionAlgebra(g, w)
+    values = {a: complex(1 + a, 2 - a) for a in g.arrows()}
+    F = ea.element({0: values, 1: {**values, 0: 0.5}})
+    H = ea.element({0: values, 1: {**values, 0: 0.25}})
+    cert = check_reduced_decomposition([F, H])
+    assert cert.max_residual > 1e-12 and cert.ok
+    assert (cert.witness.sample, cert.witness.unit, cert.witness.window) == (1, 2, (0, 1))
+    assert cert.witness.residual == cert.max_residual
+    assert cert.witness.deviation <= 1e-9
+
+
+def test_a_failing_decompose_report_names_the_fiber(monkeypatch):
+    regular_rep = TwistedAlgebra.regular_rep
+
+    def permuted(self, f, u):
+        rep = regular_rep(self, f, u)
+        P = np.eye(len(rep.basis))[::-1]
+        return RegularRep(unit=rep.unit, basis=rep.basis, matrix=P @ rep.matrix @ P.T)
+
+    spec, source = load_spec(None, "pauli")
+    passing = cmd_decompose(spec, source, 0, 4).to_doc()["checks"]
+    assert all("witness" not in c["details"] for c in passing)
+    monkeypatch.setattr(TwistedAlgebra, "regular_rep", permuted)
+    checks = {c["name"]: c for c in cmd_decompose(spec, source, 0, 4).to_doc()["checks"]}
+    assert not checks["intertwining"]["passed"]
+    witness = checks["intertwining"]["details"]["witness"]
+    assert (witness["sample"], witness["unit"]) == (0, spec.groupoid.unit_labels[0])
+    assert witness["residual"] == checks["intertwining"]["details"]["residual"]
+    assert checks["reduced-decomposition"]["passed"]
+    assert "witness" not in checks["reduced-decomposition"]["details"]
 
 
 def test_twist_flipped_in_the_product_scatter_only_is_caught_by_the_residual(

@@ -5,6 +5,7 @@ their loop references.
 dense and sparse elements, stacks that broadcast against each other, and
 dense elements against delta stacks from either side, exact ones by
 numerators, dtype and denominator and numeric ones by their bytes.
+`reduced_norm` is compared with one spectral norm per unit, bit for bit.
 `cyclic_decompose` is compared with `reference_oracle.loop_decompose` field
 for field, witness and `max_residual` included, on every bundled fixture and
 every `randgen` family at k = 2, 3, 4, 6, each also with its cocycle values
@@ -12,7 +13,7 @@ as complex numbers, and on seeded single-point mutants: one twist exponent
 changed in the oracle's composition, one structure constant or one
 involution changed in the graded model, and projections that fail for two
 (source, target) mode pairs whose search order differs from their target
-order.
+order; some of them again with the stacks cut into chunks of a few rows.
 """
 
 import random
@@ -28,7 +29,7 @@ from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.exact import CircleScalar
 from gpdext.extension import cyclic_decompose
 from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
-from reference_oracle import loop_decompose, scan_conv
+from reference_oracle import loop_decompose, loop_reduced_norm, scan_conv
 
 ORDERS = (2, 3, 4, 6)
 
@@ -124,6 +125,15 @@ def test_conv_matches_the_scan(name, g, w, k):
             assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
 
 
+@pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
+def test_reduced_norm_matches_the_loop(name, g, w, k):
+    rng = random.Random(name)
+    ext = _extension(g, w, k)
+    for density in (1.0, 0.3, 0.0):
+        f = _random_complex(rng, (ext.dimension,), density)
+        assert oracle.reduced_norm(ext, f).hex() == loop_reduced_norm(ext, f).hex()
+
+
 def test_conv_matches_the_scan_beyond_int64(klein, pauli):
     rng = random.Random(3)
     ext = _extension(klein, pauli, 2)
@@ -210,29 +220,104 @@ def test_a_changed_involution_fails_as_in_the_loop(monkeypatch, name, g, w, k):
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
-@pytest.mark.parametrize("k", (2, 3, 6))
-def test_projections_fail_first_in_source_mode_order(monkeypatch, k):
-    # the projection onto mode 1 of the mode-0 deltas and the projection onto
+@pytest.mark.parametrize("entries", (1, 700))
+@pytest.mark.parametrize("name,g,w,k", INSTANCES[::9], ids=IDS[::9])
+def test_stacks_cut_into_chunks_keep_the_certificate(monkeypatch, entries, name, g, w, k):
+    # a budget of one entry puts one row in each chunk
+    monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    ext = _extension(g, w, k)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert got.ok
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+    _shift_one_twist(random.Random(name), ext)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert not got.ok
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
+def _source_modes(e, num: np.ndarray) -> np.ndarray:
+    """The mode s of each mode delta in a stack: it holds zeta^(-s) at the
+    extension arrow (1, a) of its base arrow a."""
+    m = e.base.n_arrows
+    rows = num.reshape(-1, e.dimension, e.k)[:, m : 2 * m]
+    return (-rows.any(axis=1).argmax(axis=-1) % e.k).reshape(num.shape[:-2])
+
+
+@pytest.mark.parametrize("entries", (None, 1))
+@pytest.mark.parametrize("k", (3, 6))
+def test_projections_fail_first_in_source_mode_order(monkeypatch, k, entries):
+    # the projection onto mode 2 of the mode-0 deltas and the projection onto
     # mode 0 of the mode-1 deltas are both spoiled; the search runs over
     # (source, target, arrow), so the first is the witness
     g, _ = _FAMILIES[3][1](k)
     w = random_mu_k_coboundary(random.Random(k), g, k)
     ext = _extension(g, w, k)
-    m = g.n_arrows
-    spoiled = {(0, 1), (1, 0)}
+    spoiled = {(0, 2), (1, 0)}
     mode_projection = oracle.mode_projection
 
     def spoiling(e, f, n):
         out = mode_projection(e, f, n)
-        # a mode-s delta at base arrow a holds zeta^(-s) at the arrow (1, a)
-        rows = f.num.reshape(-1, e.dimension, e.k)[:, m : 2 * m]
-        source = -rows.any(axis=1).argmax(axis=-1) % e.k
-        hit = np.array([(int(s), n) in spoiled for s in source])
+        hit = np.array([(int(s), n) in spoiled for s in _source_modes(e, f.num).ravel()])
         num = out.num.reshape(-1, e.dimension, e.k).copy()
         num[hit, 0, 0] += 1
         return oracle.Exact(num.reshape(out.num.shape), out.e)
 
     monkeypatch.setattr(oracle, "mode_projection", spoiling)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
     got = cyclic_decompose(ext, skip_centers=True)
-    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("projection", (0, 1), (0,))
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("projection", (0, 2), (0,))
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
+@pytest.mark.parametrize("entries", (None, 1))
+@pytest.mark.parametrize("k", (3, 4))
+def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
+    # the products of mode-0 deltas with mode-1 deltas and of mode-2 deltas
+    # with mode-0 deltas are both spoiled; the search runs over (n, p, a, b)
+    # for the product of mode p with mode n, so (p, n) = (2, 0) comes first
+    g, _ = _FAMILIES[5][1](k)
+    ext = _extension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
+    spoiled = {(0, 1), (2, 0)}
+    conv = oracle.conv
+
+    def spoiling(e, f, h):
+        out = conv(e, f, h)
+        p, n = np.broadcast_arrays(_source_modes(e, f.num), _source_modes(e, h.num))
+        hit = np.array([(int(a), int(b)) in spoiled for a, b in zip(p.ravel(), n.ravel())])
+        num = out.num.reshape(-1, e.dimension, e.k).copy()
+        num[hit, 0, 0] += 1
+        return oracle.Exact(num.reshape(out.num.shape), out.e)
+
+    monkeypatch.setattr(oracle, "conv", spoiling)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (2, 0), (0, 0))
+
+
+@pytest.mark.parametrize("entries", (None, 1))
+def test_a_spoiled_fourier_resolution_names_its_arrow(monkeypatch, entries):
+    # only the projections of single extension deltas are spoiled (a mode
+    # delta has k nonzero entries), at the delta of (e(1/k), a) with a = 2
+    k = 3
+    g, _ = _FAMILIES[3][1](k)
+    ext = _extension(g, random_mu_k_coboundary(random.Random(1), g, k), k)
+    target = ext.arrow(1, 2)
+    mode_projection = oracle.mode_projection
+
+    def spoiling(e, f, n):
+        out = mode_projection(e, f, n)
+        num = out.num.reshape(-1, e.dimension, e.k).copy()
+        single = f.num.reshape(num.shape).any(axis=-1)
+        num[(single.sum(axis=1) == 1) & single[:, target], target, 0] += 1
+        return oracle.Exact(num.reshape(out.num.shape), out.e)
+
+    monkeypatch.setattr(oracle, "mode_projection", spoiling)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == (
+        "projection", (0, 1, 2), (2,)
+    )
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
