@@ -24,7 +24,7 @@ from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from .cocycle import TwoCocycle
 from .cyclic_oracle import CyclicExtension
-from .exact import CircleScalar, Cyclo
+from .exact import CircleScalar, Cyclo, spectral_norms
 from .groupoid import FiniteGroupoid
 
 
@@ -314,8 +314,8 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
         for u in F.algebra.groupoid.units():
             R, blocks = _fiber_matrices(F, u, window)
             residual = _block_sum_residual(R, blocks)
-            nR = float(np.linalg.norm(R, 2)) if R.size else 0.0
-            nL = max((float(np.linalg.norm(m, 2)) for m in blocks if m.size), default=0.0)
+            nR, *block_norms = spectral_norms([R, *blocks])
+            nL = max(block_norms, default=0.0)
             if witness is None and (residual > 1e-12 or abs(nR - nL) > 1e-9):
                 witness = UnitWitness(i, u, window, abs(nR - nL), residual)
             max_res = max(max_res, residual)
