@@ -418,10 +418,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
 
     def by_mode(values):
         """Row n * m + a: values(n) at (a, b) over b, embedded in mode n."""
-        parts = [embedded(n, values(n), (m, m)) for n in range(k)]
-        if not exact:
-            return np.concatenate(parts).reshape(k * m, N)
-        return oracle.Exact(np.concatenate([x.num for x in parts]).reshape(k * m, N, k))
+        return _rows([embedded(n, values(n), (m, m)) for n in range(k)])
 
     def chunks(rows: int, per_row: int):
         step = max(1, oracle.STACK_ENTRIES // max(1, per_row))
@@ -436,15 +433,14 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         for n in range(k):
             # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
             sigma = alg.twisted(n).sigma
+            within = {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}
+            within = embedded(n, within, (m, m, m))
             for lo, hi in chunks(k * m, m * N * k):
                 got = oracle.conv(ext, Q[lo:hi, None], Q[n * m : (n + 1) * m][None, :])
-                want = {
-                    (n * m + a - lo, b, c): sigma(a, b)
-                    for (a, b), c in base.compose_table.items()
-                    if lo <= n * m + a < hi
-                }
-                diff = got - embedded(n, want, (hi - lo, m, m)) if want else got
-                yield 0, diff, n * k * m * m + np.arange(lo * m, hi * m)
+                i, j = max(lo, n * m) - lo, min(hi, (n + 1) * m) - lo  # mode n's own rows
+                if i < j:
+                    got = _rows([got[:i], got[i:j] - within[lo + i - n * m : lo + j - n * m], got[j:]])
+                yield 0, got, n * k * m * m + np.arange(lo * m, hi * m)
         stars = by_mode(
             lambda n: {
                 (a, b): c
@@ -503,6 +499,14 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         ok=first is None,
         witness=None if first is None else _witness(k, m, *first),
     )
+
+
+def _rows(parts: list):
+    """The batch rows of oracle elements of one form, one part after another."""
+    if not isinstance(parts[0], oracle.Exact):
+        return np.concatenate(parts)
+    e = max(x.e for x in parts)
+    return oracle.Exact(np.concatenate([x.over(e) for x in parts]), e)
 
 
 def _witness(k: int, m: int, rank: int, position: int, residual: float) -> OracleWitness:
