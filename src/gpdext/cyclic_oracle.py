@@ -273,8 +273,8 @@ def _composable(ext: CyclicExtension, fz: np.ndarray, gz: np.ndarray, ordered: b
     keep = other[row, partner[p]]
     row, p = row[keep], p[keep]
     if ordered:
-        order = np.argsort(row * len(Y) + p, kind="stable")
-        row, p = row[order], p[order]
+        by_row = np.argsort(row * len(Y) + p, kind="stable")
+        row, p = row[by_row], p[by_row]
     return row, p
 
 

@@ -433,13 +433,15 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         for n in range(k):
             # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
             sigma = alg.twisted(n).sigma
-            within = {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}
-            within = embedded(n, within, (m, m, m))
+            within = embedded(
+                n, {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}, (m, m, m)
+            )
             for lo, hi in chunks(k * m, m * N * k):
                 got = oracle.conv(ext, Q[lo:hi, None], Q[n * m : (n + 1) * m][None, :])
                 i, j = max(lo, n * m) - lo, min(hi, (n + 1) * m) - lo  # mode n's own rows
                 if i < j:
-                    got = _rows([got[:i], got[i:j] - within[lo + i - n * m : lo + j - n * m], got[j:]])
+                    own = got[i:j] - within[lo - n * m + i : lo - n * m + j]
+                    got = _rows([got[:i], own, got[j:]])
                 yield 0, got, n * k * m * m + np.arange(lo * m, hi * m)
         stars = by_mode(
             lambda n: {
