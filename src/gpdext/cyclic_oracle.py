@@ -34,12 +34,12 @@ comes in one of two forms:
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` is a
 scatter over the composable pairs (y, z) of the extension's own composition
-table.  Its pairs are found from the nonzero (batch row, arrow) entries of
-the operand whose nonzeros meet fewer pairs: each nonzero y of f expands to
-y's block of the pair arrays (sorted by y), each nonzero z of g to z's block
-of a stable order by z, and a pair is kept when the other operand is nonzero
-at its other factor.  Numeric terms add per batch row in ascending pair
-order, whichever side drives.  On exact values the product of two
+table.  Its pairs come from the nonzero (batch row, arrow) entries alone:
+each row's nonzero arrows y of f meet the row's nonzero arrows z of g, and
+the table gives y z, or no product, so the work is the number of such
+meetings, not the number of pairs times the batch.  They come in ascending
+(row, y, z) order, which is the order of the pairs, so numeric terms add
+per batch row in ascending pair order.  On exact values the product of two
 coefficient vectors is their cyclic convolution, since zeta_k^k = 1.
 ``mode_projection`` is a cyclic shift and sum.  Certificates cut their
 stacks, and ``mode_projection`` its gathers, into row chunks of about
@@ -185,13 +185,10 @@ class CyclicExtension:
         )
         self.validation = validate(self.groupoid)
         self.validation.raise_if_failed()
-        # rows y, z, y z over the composable pairs of the extension, in (y, z) order;
-        # per factor, an order of the pairs by that factor and each arrow's block in it
-        self.pairs = Y, Z, _ = self.groupoid.pair_table
-        self._blocks = [
-            (np.argsort(v, kind="stable"), np.searchsorted(np.sort(v), np.arange(k * n + 1)))
-            for v in (Y, Z)
-        ]
+        # rows y, z, y z over the composable pairs of the extension, in (y, z) order,
+        # and y z as a table, -1 off the pairs
+        self.pairs = self.groupoid.pair_table
+        self.compose = self.groupoid.compose_array
         self.roots = np.array([CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)])
         self.reduction = _power_basis(k)
         self._reduction_bound = int(np.abs(self.reduction).sum(axis=0).max())
@@ -229,23 +226,26 @@ def conv(ext: CyclicExtension, f, g):
     """Convolution over mu_k x_w G with the circle factor averaged:
     (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z), for
     elements of one form, broadcast over their batch axes."""
-    Y, Z, YZ = ext.pairs
     exact = isinstance(f, Exact)
     fv, gv = (f.num, g.num) if exact else (f, g)
     tail = 2 if exact else 1  # axes of one element: arrows, and coefficients when exact
     lead = np.broadcast_shapes(fv.shape[:-tail], gv.shape[:-tail])
     B, N = math.prod(lead), ext.dimension
-    fz, gz = (
-        np.broadcast_to(v.any(axis=-1) if exact else v != 0, lead + (N,)).reshape(B, N)
-        for v in (fv, gv)
+    # each batch row's nonzero y against its nonzero z, in ascending (row, y, z)
+    # order, which is the order of the pairs
+    row, y, z = _nonzero_pairs(
+        *(np.broadcast_to(v.any(axis=-1) if exact else v != 0, lead + (N,)).reshape(B, N)
+          for v in (fv, gv))
     )
-    row, p = _composable(ext, fz, gz, ordered=not exact)
+    yz = ext.compose[y, z]
+    keep = yz >= 0
+    row, y, z, yz = row[keep], y[keep], z[keep], yz[keep]
     batch = np.unravel_index(row, lead) if lead else ()
-    x = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, Y[p])]
-    y = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, Z[p])]
+    x = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, y)]
+    y = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, z)]
     if not exact:
         out = np.zeros((B, N), dtype=complex)
-        np.add.at(out, (row, YZ[p]), cmul(x, y))
+        np.add.at(out, (row, yz), cmul(x, y))
         return out.reshape(lead + (N,)) * (1.0 / ext.k)
     k = ext.k
     # k terms per coefficient of one product, at most dimension products per arrow
@@ -253,46 +253,23 @@ def conv(ext: CyclicExtension, f, g):
     x, y = _widened(x, bound), _widened(y, bound)
     # the product of the coefficient vectors of one pair, from their nonzero
     # coefficients alone: zeta^i * zeta^j = zeta^((i + j) mod k)
-    term, i, j = _coefficient_pairs(x, y)
+    term, i, j = _nonzero_pairs(x, y)
     out = np.zeros(B * N * k, dtype=x.dtype)
-    np.add.at(out, ((row[term] * N + YZ[p[term]]) * k + (i + j) % k), x[term, i] * y[term, j])
+    np.add.at(out, (row[term] * N + yz[term]) * k + (i + j) % k, x[term, i] * y[term, j])
     return Exact(out.reshape(lead + (N, k)), f.e + g.e + 1)
 
 
-def _composable(ext: CyclicExtension, fz: np.ndarray, gz: np.ndarray, ordered: bool):
-    """Every (row, p) with fz[row, y] and gz[row, z] for the pair p = (y, z),
-    expanded from the side whose nonzeros meet fewer pairs; ascending in
-    (row, p) when ``ordered``."""
-    Y, Z, _ = ext.pairs
-    sides = [(fz, gz, Z, *ext._blocks[0]), (gz, fz, Y, *ext._blocks[1])]
-    cost = [lead.sum(axis=0) @ np.diff(block) for lead, _, _, _, block in sides]
-    lead, other, partner, order, block = sides[int(cost[1] < cost[0])]
-    row, x = np.nonzero(lead)
-    owner, i = _ranges(block[x], block[x + 1] - block[x])
-    row, p = row[owner], order[i]
-    keep = other[row, partner[p]]
-    row, p = row[keep], p[keep]
-    if ordered:
-        by_row = np.argsort(row * len(Y) + p, kind="stable")
-        row, p = row[by_row], p[by_row]
-    return row, p
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray):
-    """The concatenated ranges starts[i] .. starts[i] + lengths[i], each
-    entry with the i of its range."""
-    owner = np.repeat(np.arange(len(starts)), lengths)
-    first = np.cumsum(lengths) - lengths
-    return owner, np.arange(len(owner)) - first[owner] + starts[owner]
-
-
-def _coefficient_pairs(x: np.ndarray, y: np.ndarray):
-    """Every (row, i, j) with x[row, i] and y[row, j] both nonzero."""
+def _nonzero_pairs(x: np.ndarray, y: np.ndarray):
+    """Every (row, i, j) with x[row, i] and y[row, j] both nonzero, in
+    ascending order."""
     rx, i = np.nonzero(x)
     ry, j = np.nonzero(y)
     per_row = np.bincount(ry, minlength=len(y))
-    owner, which = _ranges((np.cumsum(per_row) - per_row)[rx], per_row[rx])
-    return rx[owner], i[owner], j[which]
+    first = np.cumsum(per_row) - per_row  # of each row's entries in (ry, j)
+    reps = per_row[rx]
+    start = np.cumsum(reps) - reps
+    which = np.repeat(first[rx] - start, reps) + np.arange(int(reps.sum()))
+    return np.repeat(rx, reps), np.repeat(i, reps), j[which]
 
 
 def star(ext: CyclicExtension, f):

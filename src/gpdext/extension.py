@@ -401,10 +401,11 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     twisted structure constants: zero across modes, w^n(a,b) delta_{ab}
     within a mode.  Involutions and the Fourier projections are checked the
     same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
-    of about ``oracle.STACK_ENTRIES`` entries, and each chunk is decided in
-    one batch, exactly with exact inputs and within 1e-10 otherwise.  The
-    witness is the first failing comparison in the order products
-    (n, p, a, b), stars (n, a), projections (n, mm, a), Fourier block (t, a).
+    of about ``oracle.STACK_ENTRIES`` entries but at least one mode's m rows,
+    and each chunk is decided in one batch, exactly with exact inputs and
+    within 1e-10 otherwise.  The witness is the first failing comparison in
+    the order products (n, p, a, b), stars (n, a), projections (n, mm, a),
+    Fourier block (t, a).
     """
     base = ext.base
     k, m, N = ext.k, base.n_arrows, ext.dimension
@@ -421,7 +422,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         return _rows([embedded(n, values(n), (m, m)) for n in range(k)])
 
     def chunks(rows: int, per_row: int):
-        step = max(1, oracle.STACK_ENTRIES // max(1, per_row))
+        step = max(1, m, oracle.STACK_ENTRIES // max(1, per_row))
         return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
     # Q[n * m + a]: the delta at base arrow a in mode n, as an oracle element
