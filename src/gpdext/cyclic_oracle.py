@@ -185,9 +185,7 @@ class CyclicExtension:
         )
         self.validation = validate(self.groupoid)
         self.validation.raise_if_failed()
-        # rows y, z, y z over the composable pairs of the extension, in (y, z) order,
-        # and y z as a table, -1 off the pairs
-        self.pairs = self.groupoid.pair_table
+        # y z for extension arrows y, z as a table, -1 where they do not compose
         self.compose = self.groupoid.compose_array
         self.roots = np.array([CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)])
         self.reduction = _power_basis(k)

@@ -30,7 +30,8 @@ def scan_conv(ext, f, g):
     """(f*g)(x) = (1/k) * sum over x = y.z of f(y) g(z), with the pairs found
     by a boolean scan of every extension pair for every batch row; numeric
     terms add per batch row in ascending pair order."""
-    Y, Z, YZ = ext.pairs
+    Y, Z = np.nonzero(ext.compose >= 0)  # every composable pair, in (y, z) order
+    YZ = ext.compose[Y, Z]
     exact = isinstance(f, oracle.Exact)
     fv, gv = (f.num, g.num) if exact else (f, g)
     tail = 2 if exact else 1

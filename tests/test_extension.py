@@ -299,7 +299,7 @@ class TestCyclicExtension:
             compose, inverse, pairs = self.loop_tables(g, w, k)
             assert ext.groupoid.compose_table == compose, (i, g.name, k)
             assert ext.inverse.tolist() == inverse, (i, g.name, k)
-            assert np.array_equal(np.asarray(ext.pairs), pairs), (i, g.name, k)
+            assert np.array_equal(np.asarray(ext.groupoid.pair_table), pairs), (i, g.name, k)
 
     def test_fiber_size(self, klein, pauli):
         ext = cyclic_extension(klein, pauli, 2)
