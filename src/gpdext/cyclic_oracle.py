@@ -239,21 +239,21 @@ def conv(ext: CyclicExtension, f, g):
     keep = yz >= 0
     row, y, z, yz = row[keep], y[keep], z[keep], yz[keep]
     batch = np.unravel_index(row, lead) if lead else ()
-    x = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, y)]
-    y = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, z)]
+    fy = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, y)]
+    gz = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, z)]
     if not exact:
         out = np.zeros((B, N), dtype=complex)
-        np.add.at(out, (row, yz), cmul(x, y))
+        np.add.at(out, (row, yz), cmul(fy, gz))
         return out.reshape(lead + (N,)) * (1.0 / ext.k)
     k = ext.k
     # k terms per coefficient of one product, at most dimension products per arrow
     bound = _max_abs(fv) * _max_abs(gv) * k * N
-    x, y = _widened(x, bound), _widened(y, bound)
+    fy, gz = _widened(fy, bound), _widened(gz, bound)
     # the product of the coefficient vectors of one pair, from their nonzero
     # coefficients alone: zeta^i * zeta^j = zeta^((i + j) mod k)
-    term, i, j = _nonzero_pairs(x, y)
-    out = np.zeros(B * N * k, dtype=x.dtype)
-    np.add.at(out, (row[term] * N + yz[term]) * k + (i + j) % k, x[term, i] * y[term, j])
+    term, i, j = _nonzero_pairs(fy, gz)
+    out = np.zeros(B * N * k, dtype=fy.dtype)
+    np.add.at(out, (row[term] * N + yz[term]) * k + (i + j) % k, fy[term, i] * gz[term, j])
     return Exact(out.reshape(lead + (N, k)), f.e + g.e + 1)
 
 

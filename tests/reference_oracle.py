@@ -3,11 +3,11 @@ decomposition certificate.
 
 ``scan_conv`` finds the composable pairs of a convolution by testing every
 pair of the extension against every batch row, ``loop_reduced_norm`` takes
-one spectral norm per unit, and ``loop_decompose`` runs
-the comparisons of ``cyclic_decompose`` one (mode, mode) block at a time:
-products (n, p, a, b), then stars (n, a), then projections (n, mm, a), then
-the Fourier block.  The tests compare the library with them field for field
-and bit for bit.
+one spectral norm per unit, and ``loop_decompose`` runs the comparisons of
+``cyclic_decompose`` one (mode, mode) block at a time: products
+(n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
+Fourier block.  The tests compare the library with them field for field and
+bit for bit.
 """
 
 from fractions import Fraction
