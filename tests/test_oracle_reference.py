@@ -63,10 +63,6 @@ INSTANCES = _instances()
 IDS = [x[0] for x in INSTANCES]
 
 
-def _extension(g, w, k):
-    return oracle.CyclicExtension(g, w, k)
-
-
 def _random_num(rng, shape, k, density):
     num = np.array([rng.choice((1, -2, 3, 5)) if rng.random() < density else 0
                     for _ in range(int(np.prod(shape)) * k)], dtype=np.int64)
@@ -119,7 +115,7 @@ def assert_same_product(got, want):
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
 def test_conv_matches_the_scan(name, g, w, k):
     rng = random.Random(name)
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     for exact in (True, False):
         for f, h in _operand_pairs(rng, ext, exact):
             assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
@@ -128,7 +124,7 @@ def test_conv_matches_the_scan(name, g, w, k):
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
 def test_reduced_norm_matches_the_loop(name, g, w, k):
     rng = random.Random(name)
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     for density in (1.0, 0.3, 0.0):
         f = _random_complex(rng, (ext.dimension,), density)
         assert oracle.reduced_norm(ext, f).hex() == loop_reduced_norm(ext, f).hex()
@@ -136,7 +132,7 @@ def test_reduced_norm_matches_the_loop(name, g, w, k):
 
 def test_conv_matches_the_scan_beyond_int64(klein, pauli):
     rng = random.Random(3)
-    ext = _extension(klein, pauli, 2)
+    ext = oracle.CyclicExtension(klein, pauli, 2)
     for f, h in _operand_pairs(rng, ext, exact=True):
         f, h = oracle.Exact(f.num * 2**40, f.e), oracle.Exact(h.num * 2**40, h.e)
         product = oracle.conv(ext, f, h)
@@ -154,7 +150,7 @@ def assert_same_decomposition(got, want):
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
 def test_decomposition_matches_the_loop(name, g, w, k):
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     got = cyclic_decompose(ext, skip_centers=k > 2)
     assert got.ok
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=k > 2))
@@ -175,7 +171,7 @@ def _shift_one_twist(rng, ext):
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
 def test_a_shifted_oracle_twist_fails_as_in_the_loop(name, g, w, k):
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     _shift_one_twist(random.Random(name), ext)
     got = cyclic_decompose(ext, skip_centers=True)
     assert not got.ok and got.witness.kind == "product"
@@ -194,7 +190,7 @@ def test_a_changed_structure_constant_fails_as_in_the_loop(monkeypatch, name, g,
         return value * turn if (self.power, (a, b)) == (power, pair) else value
 
     monkeypatch.setattr(TwistedAlgebra, "sigma", changed)
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     got = cyclic_decompose(ext, skip_centers=True)
     assert not got.ok
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == (
@@ -214,7 +210,7 @@ def test_a_changed_involution_fails_as_in_the_loop(monkeypatch, name, g, w, k):
         return out.scaled(-1) if (self.power, list(f.coeff)) == (power, [arrow]) else out
 
     monkeypatch.setattr(TwistedAlgebra, "involute", changed)
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     got = cyclic_decompose(ext, skip_centers=True)
     assert not got.ok
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == (
@@ -228,7 +224,7 @@ def test_a_changed_involution_fails_as_in_the_loop(monkeypatch, name, g, w, k):
 def test_stacks_cut_into_chunks_keep_the_certificate(monkeypatch, entries, name, g, w, k):
     # a budget of one entry puts one row in each chunk
     monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     got = cyclic_decompose(ext, skip_centers=True)
     assert got.ok
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
@@ -254,7 +250,7 @@ def test_projections_fail_first_in_source_mode_order(monkeypatch, k, entries):
     # (source, target, arrow), so the first is the witness
     g, _ = _FAMILIES[3][1](k)
     w = random_mu_k_coboundary(random.Random(k), g, k)
-    ext = _extension(g, w, k)
+    ext = oracle.CyclicExtension(g, w, k)
     spoiled = {(0, 2), (1, 0)}
     mode_projection = oracle.mode_projection
 
@@ -280,7 +276,7 @@ def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
     # with mode-0 deltas are both spoiled; the search runs over (n, p, a, b)
     # for the product of mode p with mode n, so (p, n) = (2, 0) comes first
     g, _ = _FAMILIES[5][1](k)
-    ext = _extension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
+    ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
     spoiled = {(0, 1), (2, 0)}
     conv = oracle.conv
 
@@ -305,7 +301,7 @@ def test_a_spoiled_fourier_resolution_names_its_arrow(monkeypatch, entries):
     # delta has k nonzero entries), at the delta of (e(1/k), a) with a = 2
     k = 3
     g, _ = _FAMILIES[3][1](k)
-    ext = _extension(g, random_mu_k_coboundary(random.Random(1), g, k), k)
+    ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(1), g, k), k)
     target = ext.arrow(1, 2)
     mode_projection = oracle.mode_projection
 
