@@ -14,7 +14,12 @@ order at which it moved.  Then one line
 `fixture float k=<k> ok=<ok> products=<p> stars=<s> projections=<q>
 max_residual=<repr>` for `cyclic_decompose` at k with the cocycle values
 given as complex numbers, which takes the numeric path of the oracle
-comparison; the residual is printed to the last bit.
+comparison; the residual is printed to the last bit.  For each principal
+fixture, one line `fixture morita k=<k> ideal=<d> full=<f> leakage=<repr>`
+at k = 1, at the fixture's k and at 2k: at k = 1 the ideal and the verdict
+of `fullness_check`, above it the ideal of `saturation_report` and whether
+it fills the extension algebra, and at each k the mode leakage of ten seeded
+inner products, to the last bit.
 
 Last, per fixture at seed 0, one line
 `fixture main <command> exit=<code> sha256` for the standard output of the
@@ -66,8 +71,9 @@ from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, normalize
 from gpdext.cyclic_oracle import faithfulness_rank
 from gpdext.documents import SpecDocument
 from gpdext.extension import cyclic_decompose, cyclic_extension
-from gpdext.groupoid import abelian_group_groupoid, pair_groupoid
-from gpdext.randgen import random_mu_k_coboundary
+from gpdext.groupoid import abelian_group_groupoid, is_principal, pair_groupoid
+from gpdext.morita import fullness_check, saturation_report
+from gpdext.randgen import random_bimodule, random_mu_k_coboundary
 
 SEEDS = range(5)
 SAMPLES = 10
@@ -106,6 +112,18 @@ def _wide_instances():
     )
 
 
+def _print_morita(name, g, w, k) -> None:
+    rng = random.Random(0)
+    pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(SAMPLES)]
+    cert = fullness_check(g)
+    for kk, ww in ((1, TwoCocycle.trivial(g)), (k, w), (2 * k, w)):
+        rep = saturation_report(g, ww, kk, pairs)
+        ideal, full = rep.ideal_dimension, rep.ideal_dimension == kk * g.n_arrows
+        if kk == 1:
+            ideal, full = cert.ideal_dimension, cert.full
+        print(name, f"morita k={kk} ideal={ideal} full={full} leakage={rep.nonzero_mode_leakage!r}")
+
+
 def main() -> int:
     paths = sorted(_fixture_dir().glob("*.json"))
     for path in paths:
@@ -140,6 +158,8 @@ def main() -> int:
             f"float k={k} ok={cd.ok} products={cd.products_checked} stars={cd.stars_checked}"
             f" projections={cd.projections_checked} max_residual={cd.max_residual!r}",
         )
+        if is_principal(g):
+            _print_morita(path.stem, g, w, k)
     for path in paths:
         for run in MAIN_RUNS:
             code, digest = _main_digest([*run, "--fixture", path.stem, "--seed", "0"])

@@ -60,10 +60,8 @@ from .extension import (
 )
 from .morita import (
     BimoduleElement,
-    FixedPointAlgebra,
     FullnessCertificate,
     MoritaError,
-    fixed_point_algebra,
     fullness_check,
     left_inner,
     positivity_check,

@@ -309,8 +309,9 @@ def cmd_algebra(
         n1 = alg.reduced_norm(f.star() * f).reduced_norm
         n2 = alg.reduced_norm(f).reduced_norm
         worst_cstar = max(worst_cstar, abs(n1 - n2 * n2) / max(1.0, n2 * n2))
-        worst_assoc = max(worst_assoc, ((f * h) * x - f * (h * x)).sup_difference(alg.zero()))
-        worst_star = max(worst_star, (f * h).star().sup_difference(h.star() * f.star()))
+        fh = f * h
+        worst_assoc = max(worst_assoc, (fh * x - f * (h * x)).sup_difference(alg.zero()))
+        worst_star = max(worst_star, fh.star().sup_difference(h.star() * f.star()))
     report.add("cstar-identity", worst_cstar <= 1e-9, relative_error=fmt_float(worst_cstar))
     report.add("associativity", worst_assoc <= 1e-10, residual=fmt_float(worst_assoc))
     report.add("star-antihomomorphism", worst_star <= 1e-10, residual=fmt_float(worst_star))
@@ -369,14 +370,11 @@ def cmd_decompose(
             total = total + mode_projection(F, n)
         if not total.equals(F):
             proj_ok = False
+        FG, F_star = F * G, F.star()
         for n in range(window[0], window[1] + 1):
-            homo = max(
-                homo,
-                ((F * G).mode(n) - F.mode(n) * G.mode(n)).sup_difference(ea.twisted(n).zero()),
-            )
-            star = max(
-                star, (F.star().mode(n) - F.mode(n).star()).sup_difference(ea.twisted(n).zero())
-            )
+            zero = ea.twisted(n).zero()
+            homo = max(homo, (FG.mode(n) - F.mode(n) * G.mode(n)).sup_difference(zero))
+            star = max(star, (F_star.mode(n) - F.mode(n).star()).sup_difference(zero))
     report.add("mode-projection-laws", proj_ok)
     report.add("mode-homomorphism", homo <= 1e-10, residual=fmt_float(homo))
     report.add("mode-star", star <= 1e-12, residual=fmt_float(star))

@@ -41,7 +41,9 @@ meetings, not the number of pairs times the batch.  They come in ascending
 (row, y, z) order, which is the order of the pairs, so numeric terms add
 per batch row in ascending pair order.  On exact values the product of two
 coefficient vectors is their cyclic convolution, since zeta_k^k = 1.
-``mode_projection`` is a cyclic shift and sum.  Certificates cut their
+``mode_projection`` is a cyclic shift and sum.  ``ideal_dimension`` spans
+an ideal in two batched ``conv`` calls, with the deltas on the left and then
+on the right, and no fixed-point loop.  Certificates cut their
 stacks, and ``mode_projection`` its gathers, into row chunks of about
 ``STACK_ENTRIES`` entries.  ``nonzero_rows`` decides
 which of many exact values are zero in one integer product, by mapping each
@@ -72,6 +74,10 @@ _INT64_LIMIT = 2**63
 # Stacks and gathers that would hold more entries than this run in row
 # chunks, so the memory of a certificate stays bounded for any k.
 STACK_ENTRIES = 2**14
+# Singular values at or below this fraction of the largest (or of 1) count
+# as zero in an ideal's rank: the spanning products have entries of size
+# about 1, so rounding leaves the null directions near 1e-16.
+RANK_TOL = 1e-10
 
 
 class OracleError(ValueError):
@@ -365,37 +371,25 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     return rank, ext.dimension
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the row span of a 2-d stack."""
     if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim > 1 else 0)
+        return rows[:0]
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if len(s) == 0:
-        return vh[:0]
-    r = int((s > tol * max(1.0, float(s[0]))).sum())
-    return vh[:r]
+    return vh[: int((s > RANK_TOL * max(1.0, float(s[0]))).sum())]
 
 
-def ideal_dimension(generators: list[np.ndarray], product) -> int:
-    """Dimension of the two-sided ideal generated by dense complex
-    coefficient vectors, by span closure under products with the delta
-    basis.  product(F, H) multiplies two stacks of dense vectors row by row;
-    each caller passes its own algebra's product (the oracle's is conv)."""
-    rows = [g for g in generators if g.any()]
-    if not rows:
-        return 0
-    dim = len(rows[0])
-    basis_deltas = np.eye(dim, dtype=complex)
-    basis = _orthonormal_rows(np.array(rows))
-    while True:
-        cand = list(basis)
-        for g in basis:
-            g = np.broadcast_to(np.where(np.abs(g) > 1e-13, g, 0), (dim, dim))
-            cand.extend(product(g, basis_deltas))
-            cand.extend(product(basis_deltas, g))
-        new_basis = _orthonormal_rows(np.array(cand))
-        if len(new_basis) == len(basis):
-            return len(basis)
-        basis = new_basis
+def ideal_dimension(ext: CyclicExtension, generators: np.ndarray) -> int:
+    """Dimension of the two-sided ideal generated by a stack of numeric
+    elements.  The algebra has a unit, so the ideal is the span of the
+    products delta_x s delta_y: one conv of every delta against every
+    generator spans the left ideal, and one conv of an orthonormal basis of
+    it against every delta spans the two-sided one."""
+    n, N = len(generators), ext.dimension
+    d = deltas(ext, ext.groupoid.arrows(), exact=False)
+    left = _orthonormal_rows(conv(ext, d[:, None], generators[None]).reshape(N * n, N))
+    both = conv(ext, left[:, None], d[None]).reshape(len(left) * N, N)
+    return len(_orthonormal_rows(both))
 
 
 def quotient_matches_base(ext: CyclicExtension) -> list[str]:

@@ -309,10 +309,9 @@ def laurent_to_doc(F) -> dict:
     }
 
 
-def decomposition_report_to_doc(report, oracle_agreement=None) -> dict:
-    """Per-mode dimension, norm and center dimension, with the extension norm
-    and an optional oracle-agreement flag."""
-    doc = {
+def decomposition_report_to_doc(report) -> dict:
+    """Per-mode dimension, norm and center dimension, with the extension norm."""
+    return {
         "modes": {
             str(n): {
                 "dimension": report.mode_dimensions.get(n),
@@ -324,9 +323,6 @@ def decomposition_report_to_doc(report, oracle_agreement=None) -> dict:
         },
         "extension_norm": fmt_float(report.extension_norm),
     }
-    if oracle_agreement is not None:
-        doc["oracle_agreement"] = bool(oracle_agreement)
-    return doc
 
 
 def norm_report_to_doc(rep, g: FiniteGroupoid) -> dict:

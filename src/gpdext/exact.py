@@ -32,7 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
+# A numeric value is on the circle, or is 1, within this (a few roundings).
 APPROX_TOL = 1e-12
+# Circle values, one numeric, are equal within this, as cocycle.IDENTITY_TOL.
+CLOSE_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
 
@@ -365,17 +368,17 @@ class CircleScalar:
             return cmath.exp(1j * TWO_PI * float(self.angle))
         return self.z
 
-    def is_one(self, tol: float = APPROX_TOL) -> bool:
+    def is_one(self) -> bool:
         if self.is_exact:
             return self.angle == 0
-        return abs(self.z - 1.0) <= tol
+        return abs(self.z - 1.0) <= APPROX_TOL
 
-    def isclose(self, other, tol: float = 1e-10) -> bool:
-        """Equal angles when both are exact, values within tol otherwise."""
+    def isclose(self, other) -> bool:
+        """Equal angles when both are exact, values within CLOSE_TOL otherwise."""
         other = CircleScalar.coerce(other)
         if self.is_exact and other.is_exact:
             return self.angle == other.angle
-        return abs(self.to_complex() - other.to_complex()) <= tol
+        return abs(self.to_complex() - other.to_complex()) <= CLOSE_TOL
 
     def __eq__(self, other):
         if not isinstance(other, CircleScalar):

@@ -166,9 +166,10 @@ class FiniteGroupoid:
         return self._compose_array
 
     def triple_blocks(self):
-        """The composable triples as index arrays (a, b, c, ab, bc), in
-        composable_triples order and in blocks of at most about _TRIPLE_BLOCK rows;
-        bc is -1 where (b, c) is missing from the table."""
+        """The composable triples, the (a, b, c) with (a, b) in the table and
+        r(c) = s(b), as index arrays (a, b, c, ab, bc), ordered by (a, b) as
+        in pair_table and then by c, in blocks of at most about _TRIPLE_BLOCK
+        rows; bc is -1 where (b, c) is missing from the table."""
         A, B, C = self.pair_table
         rng = np.asarray(self.range_map, dtype=np.intp)
         s_b = np.asarray(self.source_map, dtype=np.intp)[B]
@@ -177,11 +178,6 @@ class FiniteGroupoid:
             p, c = np.nonzero(s_b[lo : lo + step, None] == rng)
             p += lo
             yield A[p], B[p], c, C[p], self.compose_array[B[p], c]
-
-    def composable_triples(self):
-        """All (a, b, c) with (a, b) in the table and r(c) = s(b)."""
-        for a, b, c, _, _ in self.triple_blocks():
-            yield from zip(a.tolist(), b.tolist(), c.tolist())
 
     def isotropy(self, u: int) -> tuple[int, ...]:
         return tuple(a for a in self.source_fiber(u) if self.range_map[a] == u)

@@ -1,15 +1,17 @@
-"""Fixed-point algebra and imprimitivity inner products at finite scale.
+"""Imprimitivity inner products and the ideals they generate, at finite scale.
 
 For a principal finite groupoid the algebra-valued inner product of two
 functions on units is
 
     <f, g>(a) = f(range(a)) * conj(g(source(a))),
 
-an element of the untwisted algebra C(G).  Lifted to any circle extension it
-is independent of the circle coordinate, hence purely mode 0; the two-sided
-ideal it generates inside C(G) is everything, while inside the extension
-algebra it only ever fills the mode-0 summand (the action is far from
-saturated).  Those three statements are what this module checks.
+an element of the untwisted algebra C(G).  Lifted to the algebra of a cyclic
+extension mu_k x_w G it is constant along the circle coordinate, hence purely
+mode 0, and the two-sided ideal that the inner products of unit deltas
+generate there is exactly the mode-0 summand: for k >= 2 the action is far
+from saturated.  At k = 1 the extension is G itself, so the same ideal
+computation shows the bimodule is full over C(G).  Both ideals are computed
+in the cyclic oracle's algebra by ``cyclic_oracle.ideal_dimension``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, TwistedAlgebra
 from .cocycle import TwoCocycle
+from .exact import cmul
 from .groupoid import FiniteGroupoid, orbit_decomposition, principal_obstruction
 
 
@@ -69,27 +72,13 @@ def left_inner(f: BimoduleElement, g: BimoduleElement, algebra: TwistedAlgebra) 
     return AlgebraElement(algebra, out)
 
 
-@dataclass
-class FixedPointAlgebra:
-    """Complex functions on the orbit space, with pointwise operations."""
-
-    groupoid: FiniteGroupoid
-    orbits: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.orbits)
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        return {o: x[o] * y[o] for o in set(x) & set(y)}
+# Smallest eigenvalue accepted in a positive semidefinite regular matrix:
+# the matrices of <f, f> are rank-one Gram matrices v v*, whose computed
+# eigenvalues sit a few rounding errors below 0 at worst.
+POSITIVITY_TOL = 1e-12
 
 
-def fixed_point_algebra(g: FiniteGroupoid) -> FixedPointAlgebra:
-    _require_principal(g, "fixed_point_algebra")
-    return FixedPointAlgebra(g, orbit_decomposition(g).orbits)
-
-
-def positivity_check(f: BimoduleElement, tol: float = 1e-12) -> bool:
+def positivity_check(f: BimoduleElement) -> bool:
     """Every regular-representation matrix of <f, f> is positive
     semidefinite (it is a rank-one Gram matrix)."""
     g = f.groupoid
@@ -100,7 +89,7 @@ def positivity_check(f: BimoduleElement, tol: float = 1e-12) -> bool:
         if m.size == 0:
             continue
         vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if vals.min() < -tol:
+        if vals.min() < -POSITIVITY_TOL:
             return False
     return True
 
@@ -116,32 +105,34 @@ class FullnessCertificate:
         return self.ideal_dimension == self.algebra_dimension
 
 
+def _lifts(ext: oracle.CyclicExtension, pairs) -> np.ndarray:
+    """The inner products <f, h>(a) = f(r(a)) conj(h(s(a))) of the pairs as
+    a stack of numeric elements of the extension algebra, constant along the
+    circle coordinate."""
+    g = ext.base
+    V = np.array(
+        [[x.value(u) for u in g.units()] for pair in pairs for x in pair], dtype=complex
+    ).reshape(len(pairs), 2, g.n_units)
+    r, s = (np.asarray(m, dtype=np.intp) for m in (g.range_map, g.source_map))
+    rows = cmul(V[:, 0, r], V[:, 1, s].conj())
+    return np.tile(rows, ext.k)
+
+
+def _unit_pair_lifts(ext: oracle.CyclicExtension) -> np.ndarray:
+    """The lifts of <delta_u, delta_v> over all pairs of units."""
+    g = ext.base
+    delta = BimoduleElement.delta
+    return _lifts(ext, [(delta(g, u), delta(g, v)) for u in g.units() for v in g.units()])
+
+
 def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
     """The ideal of C(G) generated by the inner products of unit deltas has
-    dimension |arrows|: the bimodule is full over the groupoid algebra."""
+    dimension |arrows|: the bimodule is full over the groupoid algebra.  This
+    is the ideal of ``saturation_report`` at k = 1, where mu_1 x G is G."""
     _require_principal(g, "fullness_check")
-    algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
-    gens = [
-        left_inner(BimoduleElement.delta(g, u), BimoduleElement.delta(g, v), algebra)
-        for u in g.units()
-        for v in g.units()
-    ]
-
-    def dense(x: AlgebraElement) -> np.ndarray:
-        v = np.zeros(algebra.dimension, dtype=complex)
-        for a, c in x.coeff.items():
-            v[a] = complex(c)
-        return v
-
-    def element(v: np.ndarray) -> AlgebraElement:
-        return algebra.element({int(a): complex(v[a]) for a in np.flatnonzero(v)})
-
-    dim = oracle.ideal_dimension(
-        [dense(x) for x in gens],
-        lambda F, H: [dense(element(f) * element(h)) for f, h in zip(F, H)],
-    )
+    ext = oracle.CyclicExtension(g, TwoCocycle.trivial(g), 1)
     return FullnessCertificate(
-        ideal_dimension=dim,
+        ideal_dimension=oracle.ideal_dimension(ext, _unit_pair_lifts(ext)),
         algebra_dimension=g.n_arrows,
         orbit_count=len(orbit_decomposition(g).orbits),
     )
@@ -174,34 +165,16 @@ def saturation_report(
     mode-0 summand (dimension |arrows|), never the whole extension algebra."""
     _require_principal(g, "saturation_report")
     ext = oracle.CyclicExtension(g, w, k)
-
-    def lift(f: BimoduleElement, h: BimoduleElement) -> np.ndarray:
-        # constant along the circle coordinate
-        row = np.zeros(g.n_arrows, dtype=complex)
-        for a in g.arrows():
-            row[a] = f.value(g.r(a)) * h.value(g.s(a)).conjugate()
-        return np.tile(row, k)
-
-    leakage = 0.0
-    for L in (lift(f, h) for f, h in pairs):
-        for n in range(1, k):
-            p = oracle.mode_projection(ext, L, n)
-            leakage = max(leakage, float(oracle.magnitude(p).max(initial=0.0)))
-        p0 = oracle.mode_projection(ext, L, 0)
-        leakage = max(leakage, float(oracle.magnitude(L - p0).max(initial=0.0)))
-    mode_zero_ok = leakage <= 1e-12
-
-    unit_gens = [
-        lift(BimoduleElement.delta(g, u), BimoduleElement.delta(g, v))
-        for u in g.units()
-        for v in g.units()
-    ]
-    ideal_dim = oracle.ideal_dimension(unit_gens, lambda F, H: oracle.conv(ext, F, H))
+    L = _lifts(ext, pairs)
+    # what mode 0 misses, and every other mode, over the whole stack at once
+    off = [L - oracle.mode_projection(ext, L, 0)]
+    off += [oracle.mode_projection(ext, L, n) for n in range(1, k)]
+    leakage = max(float(oracle.magnitude(p).max(initial=0.0)) for p in off)
     return SaturationReport(
         k=k,
         inner_products=len(pairs),
-        mode_zero_ok=mode_zero_ok,
-        ideal_dimension=ideal_dim,
+        mode_zero_ok=leakage <= 1e-12,
+        ideal_dimension=oracle.ideal_dimension(ext, _unit_pair_lifts(ext)),
         mode_zero_summand_dimension=g.n_arrows,
         nonzero_mode_leakage=leakage,
     )

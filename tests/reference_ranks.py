@@ -4,11 +4,19 @@ The library decides faithfulness and center dimension by closed forms.  The
 functions here compute the same numbers the long way, with
 ``np.linalg.matrix_rank`` on the stacked regular representations and on the
 commutator system, so the tests can cross-check the closed forms.
+
+The library spans a two-sided ideal in two batched products.  The functions
+here span it by closure under products with the delta basis, repeated until
+the span stops growing, and compute fullness through the graded model's
+products, one ``AlgebraElement`` at a time.
 """
 
 import numpy as np
 
 from gpdext import cyclic_oracle as oracle
+from gpdext.algebra import TwistedAlgebra
+from gpdext.cocycle import TwoCocycle
+from gpdext.morita import BimoduleElement, left_inner
 
 
 def stacked_faithfulness(alg) -> tuple[int, dict]:
@@ -75,3 +83,75 @@ def oracle_stacked_rank(ext) -> tuple[int, int]:
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim))
     rank = int(np.linalg.matrix_rank(stacked)) if stacked.size else 0
     return rank, dim
+
+
+def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[: int((s > tol * max(1.0, float(s[0]))).sum())]
+
+
+def closure_ideal_dimension(generators, product) -> int:
+    """Dimension of the two-sided ideal generated by dense complex
+    coefficient vectors, by span closure under products with the delta
+    basis.  product(F, H) multiplies two stacks of dense vectors row by
+    row."""
+    rows = [g for g in generators if g.any()]
+    if not rows:
+        return 0
+    dim = len(rows[0])
+    basis_deltas = np.eye(dim, dtype=complex)
+    basis = _orthonormal_rows(np.array(rows))
+    while True:
+        cand = list(basis)
+        for g in basis:
+            g = np.broadcast_to(np.where(np.abs(g) > 1e-13, g, 0), (dim, dim))
+            cand.extend(product(g, basis_deltas))
+            cand.extend(product(basis_deltas, g))
+        new_basis = _orthonormal_rows(np.array(cand))
+        if len(new_basis) == len(basis):
+            return len(basis)
+        basis = new_basis
+
+
+def unit_pair_lifts(ext, units=None) -> np.ndarray:
+    """The indicators of the arrows from v to u, one row per pair (u, v) of
+    the given units (all by default), repeated along the circle coordinate:
+    the lifts of <delta_u, delta_v> into the oracle's algebra."""
+    G = ext.base
+    units = list(G.units()) if units is None else list(units)
+    rows = np.zeros((len(units) ** 2, G.n_arrows), dtype=complex)
+    for i, (u, v) in enumerate((u, v) for u in units for v in units):
+        for a in G.arrows():
+            if G.r(a) == u and G.s(a) == v:
+                rows[i, a] = 1
+    return np.tile(rows, ext.k)
+
+
+def oracle_closure_dimension(ext, generators) -> int:
+    """The closure loop on the oracle's own products."""
+    return closure_ideal_dimension(list(generators), lambda F, H: oracle.conv(ext, F, H))
+
+
+def graded_fullness_dimension(g) -> int:
+    """Dimension of the ideal of C(G) generated by the inner products of
+    unit deltas, by the closure loop on the graded model's products."""
+    algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
+    gens = [
+        left_inner(BimoduleElement.delta(g, u), BimoduleElement.delta(g, v), algebra)
+        for u in g.units()
+        for v in g.units()
+    ]
+
+    def dense(x) -> np.ndarray:
+        v = np.zeros(algebra.dimension, dtype=complex)
+        for a, c in x.coeff.items():
+            v[a] = complex(c)
+        return v
+
+    def element(v: np.ndarray):
+        return algebra.element({int(a): complex(v[a]) for a in np.flatnonzero(v)})
+
+    return closure_ideal_dimension(
+        [dense(x) for x in gens],
+        lambda F, H: [dense(element(f) * element(h)) for f, h in zip(F, H)],
+    )

@@ -174,7 +174,6 @@ def test_decomposition_report_doc(pair2, pair2_trivial):
 
     ea = ExtensionAlgebra(pair2, pair2_trivial)
     _, rep = decompose(ea.identity(), with_centers=True)
-    doc = decomposition_report_to_doc(rep, oracle_agreement=True)
+    doc = decomposition_report_to_doc(rep)
     assert doc["modes"]["0"]["dimension"] == 4
     assert doc["modes"]["0"]["norm"] == "1.0000000000e+00"
-    assert doc["oracle_agreement"] is True

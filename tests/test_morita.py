@@ -1,24 +1,36 @@
+import random
+
 import numpy as np
 import pytest
 
+from gpdext import cyclic_oracle as oracle
+from gpdext import morita
 from gpdext.algebra import TwistedAlgebra
-from gpdext.cocycle import TwoCocycle
+from gpdext.cli import _fixture_dir, load_spec
+from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.groupoid import (
     cover_groupoid,
     cyclic_group_groupoid,
     disjoint_union,
+    is_principal,
+    orbit_decomposition,
     pair_groupoid,
 )
 from gpdext.morita import (
     BimoduleElement,
     MoritaError,
-    fixed_point_algebra,
     fullness_check,
     left_inner,
     positivity_check,
     saturation_report,
 )
 from gpdext.randgen import random_bimodule, random_mu_k_coboundary
+
+from reference_ranks import (
+    graded_fullness_dimension,
+    oracle_closure_dimension,
+    unit_pair_lifts,
+)
 
 
 @pytest.fixture
@@ -104,23 +116,6 @@ class TestFullness:
             fullness_check(cyclic_group_groupoid(2))
 
 
-class TestFixedPointAlgebra:
-    def test_single_orbit(self):
-        assert fixed_point_algebra(pair_groupoid(3)).dimension == 1
-
-    def test_two_orbits(self):
-        g = disjoint_union(pair_groupoid(2), pair_groupoid(2))
-        assert fixed_point_algebra(g).dimension == 2
-
-    def test_cover_single_point(self):
-        g = cover_groupoid(["x"], [{"x"}, {"x"}, {"x"}])
-        assert fixed_point_algebra(g).dimension == 1
-
-    def test_pointwise_product(self):
-        fpa = fixed_point_algebra(disjoint_union(pair_groupoid(2), pair_groupoid(1)))
-        assert fpa.multiply({0: 2.0, 1: 3.0}, {0: 5.0}) == {0: 10.0}
-
-
 class TestSaturation:
     def test_trivial_cocycle(self, pair2, pair2_trivial, rng):
         pairs = [(random_bimodule(rng, pair2), random_bimodule(rng, pair2)) for _ in range(10)]
@@ -146,3 +141,123 @@ class TestSaturation:
         assert rep.ideal_dimension == 4
         # the whole extension algebra is strictly bigger
         assert rep.k * g.n_arrows == 12
+
+
+def _principal_fixtures():
+    params = []
+    for path in sorted(_fixture_dir().glob("*.json")):
+        spec, _ = load_spec(None, path.stem)
+        if is_principal(spec.groupoid):
+            params.append(pytest.param(spec, id=path.stem))
+    return params
+
+
+SMALL_PRINCIPAL = {
+    "pair2": lambda: pair_groupoid(2),
+    "pair3": lambda: pair_groupoid(3),
+    "cover": lambda: cover_groupoid([1, 2], [{1, 2}, {1}]),
+    "pair2+pair1": lambda: disjoint_union(pair_groupoid(2), pair_groupoid(1)),
+    "pair2+pair3": lambda: disjoint_union(pair_groupoid(2), pair_groupoid(3)),
+}
+
+
+class TestIdealReference:
+    """Both Morita ideals against the closure loop, and fullness against the
+    graded model's products as well."""
+
+    def _check(self, g, w, k):
+        ext = oracle.CyclicExtension(g, w, k)
+        expected = oracle_closure_dimension(ext, unit_pair_lifts(ext))
+        assert oracle.ideal_dimension(ext, unit_pair_lifts(ext)) == expected
+        assert saturation_report(g, w, k, []).ideal_dimension == expected
+        return expected
+
+    @pytest.mark.parametrize("spec", _principal_fixtures())
+    def test_principal_fixtures(self, spec):
+        g, k = spec.groupoid, int(spec.params["k"])
+        w = spec.cocycle_or_trivial()
+        w = w if w.normalized else normalize(w)[0]
+        assert fullness_check(g).ideal_dimension == graded_fullness_dimension(g) == g.n_arrows
+        assert self._check(g, TwoCocycle.trivial(g), 1) == g.n_arrows
+        for kk in (k, 2 * k):
+            assert self._check(g, w, kk) == g.n_arrows
+
+    @pytest.mark.parametrize("name", SMALL_PRINCIPAL)
+    def test_fullness(self, name):
+        g = SMALL_PRINCIPAL[name]()
+        assert fullness_check(g).ideal_dimension == graded_fullness_dimension(g) == g.n_arrows
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    @pytest.mark.parametrize("name", SMALL_PRINCIPAL)
+    def test_random_coboundaries(self, name, k):
+        g = SMALL_PRINCIPAL[name]()
+        w = random_mu_k_coboundary(random.Random(k), g, k)
+        assert self._check(g, w, k) == g.n_arrows
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", SMALL_PRINCIPAL)
+    def test_ideals_larger_than_their_generators(self, name, k):
+        # one delta, a sparse element and one mode of it: each generates
+        # more than its left ideal, unlike the unit-pair lifts
+        g = SMALL_PRINCIPAL[name]()
+        ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
+        rng = np.random.default_rng(k)
+        sparse = np.zeros(ext.dimension, dtype=complex)
+        sparse[rng.choice(ext.dimension, 2, replace=False)] = rng.normal(size=2) + 1j
+        delta = oracle.deltas(ext, [ext.dimension - 1], exact=False)
+        for gens in (delta, sparse[None], oracle.mode_projection(ext, sparse[None], k - 1)):
+            assert oracle.ideal_dimension(ext, gens) == oracle_closure_dimension(ext, gens)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_proper_ideal_of_one_orbit(self, k):
+        g = disjoint_union(pair_groupoid(2), pair_groupoid(3))
+        w = random_mu_k_coboundary(random.Random(k), g, k)
+        ext = oracle.CyclicExtension(g, w, k)
+        for units in orbit_decomposition(g).orbits:
+            lifts = unit_pair_lifts(ext, units)
+            dim = oracle.ideal_dimension(ext, lifts)
+            assert dim == oracle_closure_dimension(ext, lifts) == len(units) ** 2
+
+
+class TestNegativeControls:
+    """The Morita certificates can fail."""
+
+    def test_lost_products_break_fullness(self, monkeypatch):
+        conv = oracle.conv
+
+        def lossy(ext, f, h):
+            out = conv(ext, f, h)
+            out[..., 1] = 0  # every product landing on arrow 1 is lost
+            return out
+
+        monkeypatch.setattr(oracle, "conv", lossy)
+        cert = fullness_check(pair_groupoid(2))
+        assert not cert.full and cert.ideal_dimension == 3
+
+    def test_lift_varying_along_the_circle_leaks(self, pair2, pair2_trivial, rng, monkeypatch):
+        lifts = morita._lifts
+
+        def varying(ext, pairs):
+            L = lifts(ext, pairs)
+            L[:, : ext.base.n_arrows] *= 2  # the t = 0 sheet differs from t = 1
+            return L
+
+        monkeypatch.setattr(morita, "_lifts", varying)
+        pairs = [(random_bimodule(rng, pair2), random_bimodule(rng, pair2))]
+        rep = saturation_report(pair2, pair2_trivial, 2, pairs)
+        assert rep.nonzero_mode_leakage > 1e-12 and not rep.mode_zero_ok
+
+    def test_missing_orbit_is_not_full(self, monkeypatch):
+        g = disjoint_union(pair_groupoid(2), pair_groupoid(3))
+        small, big = orbit_decomposition(g).orbits
+        missing = [a for a in g.arrows() if g.r(a) in big]
+        lifts = morita._unit_pair_lifts
+
+        def without_big_orbit(ext):
+            L = lifts(ext)
+            return L[~L[:, missing].any(axis=1)]
+
+        monkeypatch.setattr(morita, "_unit_pair_lifts", without_big_orbit)
+        cert = fullness_check(g)
+        assert cert.ideal_dimension == len(small) ** 2 < cert.algebra_dimension
+        assert not cert.full
