@@ -13,6 +13,7 @@ import time
 
 from gpdext.cyclic_oracle import faithfulness_rank, quotient_matches_base
 from gpdext.extension import (
+    NORM_TOL,
     ExtensionAlgebra,
     cyclic_decompose,
     cyclic_extension,
@@ -42,7 +43,7 @@ def main() -> int:
             random_laurent(rng, ExtensionAlgebra(g, w), (0, k - 1)), ext
         )
         quot = quotient_matches_base(ext) if is_principal(g) else None
-        ok = cd.ok and rank == dim and dev <= 1e-9 and not quot
+        ok = cd.ok and rank == dim and dev <= NORM_TOL and not quot
         bad += 0 if ok else 1
         status = "ok " if ok else "BAD"
         print(

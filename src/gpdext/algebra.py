@@ -19,19 +19,19 @@ Faithfulness and the center dimension are decided exactly, by the
 structural arguments in ``full_norm_certificate`` and ``center_dimension``.
 
 An element is a dict of coefficients, exact (int/Fraction/Cyclo) or numeric
-(float/complex), and every operation reads the cocycle's compiled table of
-w^n.  Numeric elements are combined in arrays over the groupoid's compiled
-tables: a product is one scatter of the terms w^n(a, b) f(a) g(b) onto a.b
-through ``compose_array``, the involution is a gather through the inverse
-map, and M is one gather at c b^-1.  The complex table of w^n holds, entry
-by entry, the float ``CircleScalar.to_complex`` gives, and products round as
-Python's do (``exact.cmul``).  A sum runs over a in the left operand's
-support order, and a product's keys come in the order they are first
-touched, as in the exact loop: the reports print residuals near 1e-16 to 11
-digits, so another order would move their bytes.  Exact elements stay on a
-dict loop, which reads the int angle table of w^n and rotates each exact
-coefficient by its angle, so products and involutions stay exact for the
-structure-constant certificates.
+(float/complex), and every operation reads the table of w^n, ``powers``.
+Numeric elements are combined in arrays over the groupoid's compiled tables:
+a product is one scatter of the terms w^n(a, b) f(a) g(b) onto a.b through
+``compose_array``, the involution is a gather through the inverse map, and M
+is one gather at c b^-1.  The complex table of w^n holds, entry by entry,
+the float ``CircleScalar.to_complex`` gives, and products round as Python's
+do (``exact.cmul``).  A sum runs over a in the left operand's support order,
+and a product's keys come in the order they are first touched, as in the
+exact loop: the reports print residuals near 1e-16 to 11 digits, so another
+order would move their bytes.  Exact elements stay on a dict loop, which
+reads the int angle table of w^n and rotates each exact coefficient by its
+angle, so products and involutions stay exact for the structure-constant
+certificates.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycle import TwoCocycle
-from .exact import Cyclo, cmul, spectral_norms
+from .cocycle import TwoCocycle, root_values
+from .exact import CLOSE_TOL, Cyclo, cmul, spectral_norms
 from .groupoid import FiniteGroupoid, orbit_decomposition
 
 
@@ -67,34 +67,24 @@ class TwistedAlgebra:
         self.groupoid = groupoid
         self.cocycle = cocycle
         self.power = int(power)
-        self._powers = cocycle.power_table(self.power)  # int angles, or complex values
+        self.powers = cocycle.power_table(self.power)  # w^n: int angles, or complex values
         self._faithfulness = None
         self._center_dimension = None
 
     @cached_property
     def twist(self) -> np.ndarray:
-        """w^n as complex values, each the float of ``sigma(a, b).to_complex()``."""
+        """w^n as complex values, each the float ``CircleScalar.to_complex`` gives."""
         if self.cocycle.is_exact:
-            return self._circle_values(self._powers)
-        return _unit(self._powers.tolist())
+            return root_values(self.powers, self.cocycle.conductor)
+        return _unit(self.powers.tolist())
 
     @cached_property
     def twist_conj(self) -> np.ndarray:
         """conj(w^n) as complex values: those of the negated angles, or the
         conjugates of ``twist`` normalized once more, as CircleScalar does."""
         if self.cocycle.is_exact:
-            return self._circle_values(-self._powers % self.cocycle.conductor)
+            return root_values(-self.powers % self.cocycle.conductor, self.cocycle.conductor)
         return _unit(self.twist.conj().tolist())
-
-    def _circle_values(self, angles: np.ndarray) -> np.ndarray:
-        """The complex values of an angle table, one CircleScalar per distinct angle."""
-        keys, inverse = np.unique(angles, return_inverse=True)
-        values = np.array([self.cocycle.circle(x).to_complex() for x in keys.tolist()], complex)
-        return values[inverse].reshape(angles.shape)
-
-    def sigma(self, a: int, b: int):
-        """The twisting value w^n(a, b), read off the table of w^n."""
-        return self.cocycle.circle(self._powers.item(a, b))
 
     @property
     def dimension(self) -> int:
@@ -133,7 +123,7 @@ class TwistedAlgebra:
         rotated by the angle of w^n when the cocycle is exact, else a
         complex product."""
         if self.cocycle.is_exact and isinstance(coeff, (int, Fraction, Cyclo)):
-            angle = self._powers.item(a, b)
+            angle = self.powers.item(a, b)
             angle = Fraction(-angle if conj else angle, self.cocycle.conductor)
             return Cyclo.coerce(coeff).rotated(angle)
         return (self.twist_conj if conj else self.twist).item(a, b) * complex(coeff)
@@ -268,26 +258,28 @@ class TwistedAlgebra:
         The center of C^sigma[H] has one basis element per sigma-regular
         class: a conjugacy class whose representative g has sigma(g, h) =
         sigma(h, g) for every h in H commuting with g (G. Karpilovsky,
-        *Projective Representations of Finite Groups*, 1985).  Circle values
-        are compared by ``CircleScalar.isclose``, exactly on exact angles.
+        *Projective Representations of Finite Groups*, 1985).  Values of sigma
+        compare as ``CircleScalar.isclose`` compares them: equal angles, or
+        complex values within ``CLOSE_TOL``.  H is in ascending order, so the
+        least arrow of each class represents it.
         """
         if self._center_dimension is not None:
             return self._center_dimension
         G = self.groupoid
+        exact = self.cocycle.is_exact
+        table = self.powers if exact else self.twist
+        inverse = np.asarray(G.inverse_map, dtype=np.intp)
         dec = orbit_decomposition(G)
         total = 0
         for orbit in dec.orbits:
             H = dec.isotropy[orbit[0]]
-            seen = set()
-            for g in H:
-                if g in seen:
-                    continue
-                seen.update(G.compose(G.compose(h, g), G.inv(h)) for h in H)
-                total += all(
-                    self.sigma(g, h).isclose(self.sigma(h, g))
-                    for h in H
-                    if G.compose(g, h) == G.compose(h, g)
-                )
+            h = np.array(H, dtype=np.intp)
+            x, y = table[h[:, None], h], table[h, h[:, None]]  # sigma(g, h), sigma(h, g)
+            agree = x == y if exact else np.hypot((x - y).real, (x - y).imag) <= CLOSE_TOL
+            gh = G.compose_array[h[:, None], h]
+            regular = (agree | (gh != gh.T)).all(axis=1)  # over the h commuting with g
+            least = G.compose_array[gh.T, inverse[h]].min(axis=1) == h  # of h g h^-1
+            total += int((regular & least).sum())
         self._center_dimension = total
         return total
 

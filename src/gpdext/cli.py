@@ -38,6 +38,8 @@ from .documents import (
     parse_spec,
 )
 from .extension import (
+    INTERTWINE_TOL,
+    NORM_TOL,
     ExtensionAlgebra,
     check_reduced_decomposition,
     cyclic_decompose,
@@ -385,7 +387,7 @@ def cmd_decompose(
         sample=w.sample, unit=g.unit_labels[w.unit], modes=list(w.window),
         deviation=fmt_float(w.deviation), residual=fmt_float(w.residual),
     )}
-    intertwined = cert.max_residual <= 1e-12
+    intertwined = cert.max_residual <= INTERTWINE_TOL
     report.add(
         "intertwining", intertwined, residual=fmt_float(cert.max_residual),
         **({} if intertwined else witness),
@@ -472,8 +474,8 @@ def cmd_cyclic_oracle(
     for _ in range(samples):
         F = random_laurent(rng, ea, (0, kk - 1))
         worst = max(worst, oracle_norm_deviation(F, ext))
-    report.add("norm-agreement", worst <= 1e-9, deviation=fmt_float(worst))
-    report.extras["oracle_agreement"] = worst <= 1e-9
+    report.add("norm-agreement", worst <= NORM_TOL, deviation=fmt_float(worst))
+    report.extras["oracle_agreement"] = worst <= NORM_TOL
 
     if is_principal(g):
         bad = oracle.quotient_matches_base(ext)
@@ -499,11 +501,8 @@ def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Repo
         orbit_count=cert.orbit_count,
     )
     rng = random.Random(seed)
-    pos_ok = True
-    for _ in range(samples):
-        if not positivity_check(random_bimodule(rng, g)):
-            pos_ok = False
-    report.add("positivity", pos_ok)
+    elements = [random_bimodule(rng, g) for _ in range(samples)]
+    report.add("positivity", positivity_check(g, elements))
     kk = _oracle_order(spec, w, None)
     if kk is not None:
         pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(samples)]

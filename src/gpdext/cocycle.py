@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +55,12 @@ class ExactnessError(CocycleError):
     pass
 
 
-@lru_cache(maxsize=2**12)
-def _root(x: int, n: int) -> CircleScalar:
-    return CircleScalar(angle=Fraction(x, n))
+def root_values(angles: np.ndarray, n: int) -> np.ndarray:
+    """The complex values e(x / n) of a table of int angles x, each the float
+    ``CircleScalar.to_complex`` gives, taken once per distinct angle."""
+    keys, inverse = np.unique(angles, return_inverse=True)
+    values = [CircleScalar(angle=Fraction(x, n)).to_complex() for x in keys.tolist()]
+    return np.array(values, dtype=complex)[inverse].reshape(angles.shape)
 
 
 def _compile(values: dict, shape) -> tuple[int | None, np.ndarray]:
@@ -154,9 +156,7 @@ class TwoCocycle:
         x = self.table[A, B]
         if n is not None:
             return (x.astype(object) if n >= _INT64_CONDUCTOR else x) * (n // self.conductor)
-        if self.is_exact:
-            return np.array([_root(v, self.conductor).to_complex() for v in x.tolist()], complex)
-        return x
+        return root_values(x, self.conductor) if self.is_exact else x
 
     @property
     def normalized(self) -> bool:
@@ -206,10 +206,6 @@ class TwoCocycle:
         if self.is_exact:
             return n % self.conductor * self.table % self.conductor
         return np.array([[z**n for z in row] for row in self.table.tolist()], complex)
-
-    def circle(self, x) -> CircleScalar:
-        """An entry of the table or of a power table, as a CircleScalar."""
-        return _root(x, self.conductor) if self.is_exact else CircleScalar(z=x)
 
     def root_exponents(self, k: int) -> tuple[np.ndarray, tuple[int, int] | None]:
         """The table of exponents t with w(a, b) = e(t / k), and the first

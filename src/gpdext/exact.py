@@ -220,18 +220,6 @@ class Cyclo:
         n = self.n
         return Cyclo(n, {-e % n: c for e, c in self.terms.items()}, self.den)
 
-    def coefficients(self, k: int) -> list[int]:
-        """The ints c_j with self = sum_j c_j zeta_k^j, j in [0, k): its
-        coordinates in Z[zeta_k], when k is a multiple of the conductor and
-        the denominator is 1; ValueError otherwise."""
-        if k % self.n or self.den != 1:
-            raise ValueError(f"{self!r} is not written over Z[zeta_{k}]")
-        out = [0] * k
-        s = k // self.n
-        for e, c in self.terms.items():
-            out[e * s] = c
-        return out
-
     def is_zero(self) -> bool:
         terms = self.terms
         if not terms:

@@ -10,13 +10,14 @@ modes and is the w^n-twisted convolution within a mode.
 The certification entry points compare this model against two other code
 paths: the left-regular matrices of the twisted algebras (intertwining and
 reduced-norm agreement) and the independent finite cyclic oracle
-(structure constants and norms of mu_k x_w G).
+(structure constants and norms of mu_k x_w G).  The oracle comparison reads
+its expected values off the tables of w^n in array expressions; the graded
+involution is certified by the reports' C*-identity and star checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,8 +25,14 @@ from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from .cocycle import TwoCocycle
 from .cyclic_oracle import CyclicExtension
-from .exact import CircleScalar, Cyclo, spectral_norms
+from .exact import spectral_norms
 from .groupoid import FiniteGroupoid
+
+# Tolerances of the numeric certificates, each far above the rounding of
+# what it bounds and far below the error it catches:
+ORACLE_TOL = 1e-10  # oracle values, sums of k unit-modulus products; |e(1/k) - 1| apart
+INTERTWINE_TOL = 1e-12  # R_u against L_u: the same products, summed in other orders
+NORM_TOL = 1e-9  # two spectral norms of one operator, by separate SVDs
 
 
 class WindowError(ValueError):
@@ -291,7 +298,7 @@ class ReducedDecompositionCertificate:
 
     @property
     def ok(self) -> bool:
-        return self.max_norm_deviation <= 1e-9 and self.max_unit_deviation <= 1e-9
+        return self.max_norm_deviation <= NORM_TOL and self.max_unit_deviation <= NORM_TOL
 
 
 def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecompositionCertificate:
@@ -299,8 +306,8 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
     mode blocks once, record the intertwining residual, and verify that
     ||R_u|| equals the largest block norm.  The extension norm (the largest
     block norm over all units) must agree with the largest ||R_u||.  The
-    witness is the first fiber whose residual exceeds 1e-12 or whose norms
-    differ by more than 1e-9."""
+    witness is the first fiber whose residual exceeds ``INTERTWINE_TOL`` or
+    whose norms differ by more than ``NORM_TOL``."""
     max_dev = 0.0
     max_unit_dev = 0.0
     max_res = 0.0
@@ -316,7 +323,7 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
             residual = _block_sum_residual(R, blocks)
             nR, *block_norms = spectral_norms([R, *blocks])
             nL = max(block_norms, default=0.0)
-            if witness is None and (residual > 1e-12 or abs(nR - nL) > 1e-9):
+            if witness is None and (residual > INTERTWINE_TOL or abs(nR - nL) > NORM_TOL):
                 witness = UnitWitness(i, u, window, abs(nR - nL), residual)
             max_res = max(max_res, residual)
             max_unit_dev = max(max_unit_dev, abs(nR - nL))
@@ -374,24 +381,6 @@ class CyclicDecomposition:
     witness: OracleWitness | None = None
 
 
-def _oracle_form(values: dict, shape: tuple[int, ...], k: int, exact: bool):
-    """Graded-model values {index: value} (circle values or algebra
-    coefficients) as one dense array in the oracle's form: exact values as
-    their coefficients of zeta_k^j, each value in Z[zeta_k], numeric ones as
-    complex.  Every graded-model value the oracle comparisons read crosses
-    over here."""
-    if exact:
-        num = np.zeros(shape + (k,), dtype=np.int64)
-        for index, c in values.items():
-            c = Cyclo.from_root(c.angle) if isinstance(c, CircleScalar) else Cyclo.coerce(c)
-            num[index] = c.coefficients(k)
-        return oracle.Exact(num)
-    out = np.zeros(shape, dtype=complex)
-    for index, c in values.items():
-        out[index] = c.to_complex() if isinstance(c, CircleScalar) else complex(c)
-    return out
-
-
 def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> CyclicDecomposition:
     """Certify the mode decomposition of the cyclic extension algebra.
 
@@ -403,40 +392,55 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
     of about ``oracle.STACK_ENTRIES`` entries but at least one mode's m rows,
     and each chunk is decided in one batch, exactly with exact inputs and
-    within 1e-10 otherwise.  The witness is the first failing comparison in
-    the order products (n, p, a, b), stars (n, a), projections (n, mm, a),
-    Fourier block (t, a).
+    within ``ORACLE_TOL`` otherwise.  The witness is the first failing
+    comparison in the order products (n, p, a, b), stars (n, a), projections
+    (n, mm, a), Fourier block (t, a).
+
+    The expected values are the tables of w^n, read in array expressions:
+    w^n(a, b) at (a, b, ab), conj w^n(a^-1, a) at (a, a^-1).  An exact angle
+    x over the conductor N (N divides k: every value is a k-th root) is the
+    one coefficient of zeta_k^(x k / N).  The oracle's own twist is not read,
+    or the comparison would check the oracle against itself.
     """
-    base = ext.base
+    base, w = ext.base, ext.cocycle
     k, m, N = ext.k, base.n_arrows, ext.dimension
-    exact = ext.cocycle.is_exact
-    one: object = Fraction(1) if exact else 1.0
-    tol = 0.0 if exact else 1e-10
-    alg = ExtensionAlgebra(base, ext.cocycle)
+    exact = w.is_exact
+    tol = 0.0 if exact else ORACLE_TOL
+    alg = ExtensionAlgebra(base, w)
+    A, B, C = base.pair_table
+    arrows, inv = np.arange(m), np.asarray(base.inverse_map, dtype=np.intp)
 
-    def embedded(n: int, values: dict, shape: tuple[int, ...]):
-        return oracle.embed_mode(ext, n, _oracle_form(values, shape, k, exact))
-
-    def by_mode(values):
-        """Row n * m + a: values(n) at (a, b) over b, embedded in mode n."""
-        return _rows([embedded(n, values(n), (m, m)) for n in range(k)])
+    def embedded(n: int, index: tuple, values: np.ndarray, shape: tuple[int, ...]):
+        """The values at ``index`` of a zero array of ``shape``, in mode n."""
+        if exact:
+            x = oracle.Exact(np.zeros(shape + (k,), dtype=np.int64))
+            x.num[(*index, values * (k // w.conductor))] = 1
+        else:
+            x = np.zeros(shape, dtype=complex)
+            x[index] = values
+        return oracle.embed_mode(ext, n, x)
 
     def chunks(rows: int, per_row: int):
         step = max(1, m, oracle.STACK_ENTRIES // max(1, per_row))
         return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
+    # w^n and conj w^n per mode: int angles over the conductor, or complex values
+    twisted = [alg.twisted(n) for n in range(k)]
+    if exact:
+        powers = [t.powers for t in twisted]
+        conjugates = [-P % w.conductor for P in powers]
+    else:
+        powers, conjugates = [t.twist for t in twisted], [t.twist_conj for t in twisted]
+    one = np.zeros(m, dtype=np.int64) if exact else np.ones(m, dtype=complex)
     # Q[n * m + a]: the delta at base arrow a in mode n, as an oracle element
-    Q = by_mode(lambda n: {(a, a): one for a in base.arrows()})
+    Q = _rows([embedded(n, (arrows, arrows), one, (m, m)) for n in range(k)])
     rows = np.arange(N)
 
     def comparisons():
         """(rank of the kind, got - expected, the search position of each batch row)"""
-        for n in range(k):
+        for n, P in enumerate(powers):
             # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
-            sigma = alg.twisted(n).sigma
-            within = embedded(
-                n, {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}, (m, m, m)
-            )
+            within = embedded(n, (A, B, C), P[A, B], (m, m, m))
             for lo, hi in chunks(k * m, m * N * k):
                 got = oracle.conv(ext, Q[lo:hi, None], Q[n * m : (n + 1) * m][None, :])
                 i, j = max(lo, n * m) - lo, min(hi, (n + 1) * m) - lo  # mode n's own rows
@@ -444,12 +448,9 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
                     own = got[i:j] - within[lo - n * m + i : lo - n * m + j]
                     got = _rows([got[:i], own, got[j:]])
                 yield 0, got, n * k * m * m + np.arange(lo * m, hi * m)
-        stars = by_mode(
-            lambda n: {
-                (a, b): c
-                for a in base.arrows()
-                for b, c in alg.twisted(n).delta(a, one).star().coeff.items()
-            }
+        # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n
+        stars = _rows(
+            [embedded(n, (arrows, inv), P[inv, arrows], (m, m)) for n, P in enumerate(conjugates)]
         )
         for lo, hi in chunks(k * m, N * k):
             yield 1, oracle.star(ext, Q[lo:hi]) - stars[lo:hi], rows[lo:hi]
@@ -534,6 +535,8 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension) -> float:
         raise WindowError([n for n in F.modes if not 0 <= n < k])
     img = np.zeros(ext.dimension, dtype=complex)
     for n, comp in F.modes.items():
-        img = img + oracle.embed_mode(ext, n, _oracle_form(comp.coeff, (m,), k, exact=False))
+        coeffs = np.zeros(m, dtype=complex)
+        coeffs[list(comp.coeff)] = list(map(complex, comp.coeff.values()))
+        img = img + oracle.embed_mode(ext, n, coeffs)
     _, report = decompose(F)
     return abs(report.extension_norm - oracle.reduced_norm(ext, img))

@@ -285,14 +285,9 @@ PROPER_NOTE = (
 
 
 def is_principal(g: FiniteGroupoid) -> bool:
-    """True when arrows are determined by their (range, source) pair."""
-    seen = set()
-    for a in range(g.n_arrows):
-        key = (g.r(a), g.s(a))
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    """True when arrows are determined by their (range, source) pair: on a
+    groupoid, when every isotropy arrow is a unit."""
+    return principal_obstruction(g) is None
 
 
 def principal_obstruction(g: FiniteGroupoid):

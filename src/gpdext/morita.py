@@ -78,19 +78,17 @@ def left_inner(f: BimoduleElement, g: BimoduleElement, algebra: TwistedAlgebra) 
 POSITIVITY_TOL = 1e-12
 
 
-def positivity_check(f: BimoduleElement) -> bool:
-    """Every regular-representation matrix of <f, f> is positive
-    semidefinite (it is a rank-one Gram matrix)."""
-    g = f.groupoid
+def positivity_check(g: FiniteGroupoid, elements: list[BimoduleElement]) -> bool:
+    """Every regular-representation matrix of <f, f>, for every f of the
+    elements on g, is positive semidefinite (it is a rank-one Gram matrix);
+    one untwisted algebra serves them all."""
     algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
-    x = left_inner(f, f, algebra)
-    for u in g.units():
-        m = algebra.regular_rep(x, u).matrix
-        if m.size == 0:
-            continue
-        vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if vals.min() < -POSITIVITY_TOL:
-            return False
+    for f in elements:
+        x = left_inner(f, f, algebra)
+        for u in g.units():
+            m = algebra.regular_rep(x, u).matrix
+            if m.size and np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -POSITIVITY_TOL:
+                return False
     return True
 
 

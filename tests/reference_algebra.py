@@ -2,8 +2,8 @@
 
 The library combines numeric elements by array scatter and gather over the
 compiled groupoid and cocycle tables.  The functions here are the dict loops
-those replaced: one ``CircleScalar`` per composable pair, read off
-``TwistedAlgebra.sigma``, with each sum taken in the left operand's support
+those replaced: one ``CircleScalar`` per composable pair, read off the table
+of w^n by ``sigma``, with each sum taken in the left operand's support
 order and each product's keys in the order they are first touched; and the
 reduced norm as one spectral norm per unit.  The tests compare the two bit
 for bit.
@@ -15,6 +15,13 @@ import numpy as np
 
 from gpdext.algebra import AlgebraElement
 from gpdext.exact import CircleScalar, Cyclo
+
+
+def sigma(alg, a: int, b: int) -> CircleScalar:
+    """The twisting value w^n(a, b) of the algebra C(G, w^n), read off its
+    table of w^n: an angle over the cocycle's conductor, or a complex value."""
+    x, w = alg.powers.item(a, b), alg.cocycle
+    return CircleScalar(angle=Fraction(x, w.conductor)) if w.is_exact else CircleScalar(z=x)
 
 
 def times(w: CircleScalar, coeff):
@@ -40,7 +47,7 @@ def loop_convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
             c = G.compose_or_none(a, b)
             if c is None:
                 continue
-            term = times(alg.sigma(a, b), ca * cb)
+            term = times(sigma(alg, a, b), ca * cb)
             acc = out.get(c)
             out[c] = term if acc is None else acc + term
     return AlgebraElement(alg, out)
@@ -52,7 +59,7 @@ def loop_involute(f: AlgebraElement) -> AlgebraElement:
     out = {}
     for a, ca in f.coeff.items():
         ai = G.inv(a)
-        out[ai] = times(conj(alg.sigma(ai, a)), ca.conjugate())
+        out[ai] = times(conj(sigma(alg, ai, a)), ca.conjugate())
     return AlgebraElement(alg, out)
 
 
@@ -68,7 +75,7 @@ def loop_regular_rep(f: AlgebraElement, u: int) -> np.ndarray:
             c = G.compose_or_none(a, b)
             if c is None:
                 continue
-            M[pos[c], j] += za * alg.sigma(a, b).to_complex()
+            M[pos[c], j] += za * sigma(alg, a, b).to_complex()
     return M
 
 

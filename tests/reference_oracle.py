@@ -6,8 +6,11 @@ pair of the extension against every batch row, ``loop_reduced_norm`` takes
 one spectral norm per unit, and ``loop_decompose`` runs the comparisons of
 ``cyclic_decompose`` one (mode, mode) block at a time: products
 (n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
-Fourier block.  The tests compare the library with them field for field and
-bit for bit.
+Fourier block.  Its expected values cross into the oracle one at a time: a
+``CircleScalar`` per composable pair from ``sigma``, and a star per mode
+delta from the graded model's own ``involute``, so matching it also checks
+that involution against the oracle.  The tests compare the library with
+them field for field and bit for bit.
 """
 
 from fractions import Fraction
@@ -15,14 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from gpdext import cyclic_oracle as oracle
-from gpdext.exact import cmul
+from gpdext.exact import CircleScalar, Cyclo, cmul
 from gpdext.extension import (
+    ORACLE_TOL,
     CyclicDecomposition,
     ExtensionAlgebra,
     ModeSummand,
     OracleWitness,
-    _oracle_form,
 )
+from reference_algebra import sigma
 from reference_ranks import regular_rep_matrix
 
 
@@ -67,6 +71,36 @@ def loop_reduced_norm(ext, f: np.ndarray) -> float:
     return best
 
 
+def _coefficients(c: Cyclo, k: int) -> list[int]:
+    """The ints c_j with c = sum_j c_j zeta_k^j, j in [0, k): its
+    coordinates in Z[zeta_k], when k is a multiple of the conductor and the
+    denominator is 1; ValueError otherwise."""
+    if k % c.n or c.den != 1:
+        raise ValueError(f"{c!r} is not written over Z[zeta_{k}]")
+    out = [0] * k
+    s = k // c.n
+    for e, x in c.terms.items():
+        out[e * s] = x
+    return out
+
+
+def _oracle_form(values: dict, shape: tuple[int, ...], k: int, exact: bool):
+    """Graded-model values {index: value} (circle values or algebra
+    coefficients) as one dense array in the oracle's form: exact values as
+    their coefficients of zeta_k^j, each value in Z[zeta_k], numeric ones as
+    complex."""
+    if exact:
+        num = np.zeros(shape + (k,), dtype=np.int64)
+        for index, c in values.items():
+            c = Cyclo.from_root(c.angle) if isinstance(c, CircleScalar) else Cyclo.coerce(c)
+            num[index] = _coefficients(c, k)
+        return oracle.Exact(num)
+    out = np.zeros(shape, dtype=complex)
+    for index, c in values.items():
+        out[index] = c.to_complex() if isinstance(c, CircleScalar) else complex(c)
+    return out
+
+
 def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
     """The mode decomposition certificate, one comparison per (mode, mode)
     block, with ``scan_conv`` for the products."""
@@ -74,7 +108,7 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
     k, m = ext.k, base.n_arrows
     exact = ext.cocycle.is_exact
     one = Fraction(1) if exact else 1.0
-    tol = 0.0 if exact else 1e-10
+    tol = 0.0 if exact else ORACLE_TOL
     alg = ExtensionAlgebra(base, ext.cocycle)
 
     def embedded(n, values, shape):
@@ -84,8 +118,8 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
 
     def comparisons():
         for n in range(k):
-            sigma = alg.twisted(n).sigma
-            within = {(a, b, c): sigma(a, b) for (a, b), c in base.compose_table.items()}
+            alg_n = alg.twisted(n)
+            within = {(a, b, c): sigma(alg_n, a, b) for (a, b), c in base.compose_table.items()}
             for p in range(k):
                 got = scan_conv(ext, q[p][:, None], q[n][None, :])
                 yield "product", (p, n), got - embedded(n, within, (m, m, m)) if p == n else got

@@ -341,7 +341,7 @@ def test_10_imprimitivity(fixture_specs):
     count = 0
     while count < 200:
         _, g, w = principal_fixtures[count % len(principal_fixtures)]
-        positivity_ok = positivity_ok and positivity_check(random_bimodule(rng, g))
+        positivity_ok = positivity_ok and positivity_check(g, [random_bimodule(rng, g)])
         count += 1
     accept(
         10,

@@ -200,12 +200,12 @@ def test_oracle_conv_dropping_an_arrow_loses_rank(monkeypatch, klein, pauli):
     assert rank < dim == 8
 
 
-def test_one_noncommuting_twist_value_shrinks_the_klein_center(monkeypatch, klein):
-    A = TwistedAlgebra(klein, TwoCocycle.trivial(klein), 1)
-    sigma = A.sigma
-    half = CircleScalar(angle=Fraction(1, 2))
-    # (0,1) and (1,0) commute, and now sigma((0,1), (1,0)) != sigma((1,0), (0,1))
-    monkeypatch.setattr(A, "sigma", lambda a, b: half if (a, b) == (1, 2) else sigma(a, b))
+def test_one_noncommuting_twist_value_shrinks_the_klein_center(monkeypatch, klein, pauli):
+    A = TwistedAlgebra(klein, pauli, 2)  # w^2 = 1, the angles 0 over the conductor 2
+    table = A.powers.copy()
+    table[1, 2] = 1  # a half turn
+    # (0,1) and (1,0) commute, and now w^2((0,1), (1,0)) != w^2((1,0), (0,1))
+    monkeypatch.setattr(A, "powers", table)
     assert A.center_dimension() < 4
 
 

@@ -193,7 +193,7 @@ class TestQuotient:
             assert q.s(proj[a]) == g.s(a)
         for (a, b), c in g.compose_table.items():
             assert q.compose(proj[a], proj[b]) == proj[c]
-        assert is_principal(q) or True  # collapsing isotropy can leave none
+        assert is_principal(q)  # collapsing the isotropy leaves none but the units
         assert all(len(q.isotropy(u)) == 1 for u in q.units())
 
 

@@ -74,14 +74,34 @@ class TestLeftInner:
 
 class TestPositivity:
     def test_delta(self, pair2):
-        assert positivity_check(BimoduleElement.delta(pair2, 0))
+        assert positivity_check(pair2, [BimoduleElement.delta(pair2, 0)])
 
     def test_random(self, pair2, rng):
-        for _ in range(30):
-            assert positivity_check(random_bimodule(rng, pair2))
+        assert positivity_check(pair2, [random_bimodule(rng, pair2) for _ in range(30)])
 
     def test_zero(self, pair2):
-        assert positivity_check(BimoduleElement(pair2, {}))
+        assert positivity_check(pair2, [BimoduleElement(pair2, {})])
+
+    def test_one_algebra_serves_every_sample(self, pair2, rng, monkeypatch):
+        built = []
+        init = TwistedAlgebra.__init__
+        monkeypatch.setattr(
+            TwistedAlgebra, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+        )
+        assert positivity_check(pair2, [random_bimodule(rng, pair2) for _ in range(10)])
+        assert len(built) == 1
+
+    def test_one_negative_sample_fails_the_batch(self, pair2, rng, monkeypatch):
+        samples = [random_bimodule(rng, pair2) for _ in range(5)]
+        inner = morita.left_inner
+
+        def negated(f, g, algebra):
+            x = inner(f, g, algebra)
+            return x.scaled(-1) if f is samples[3] else x
+
+        monkeypatch.setattr(morita, "left_inner", negated)
+        assert not positivity_check(pair2, samples)
+        assert positivity_check(pair2, samples[:3])
 
     def test_gram_matrix_is_rank_one(self, pair2, rng):
         # the regular matrices of <f,f> are v v*, hence PSD of rank <= 1

@@ -9,11 +9,14 @@ numerators, dtype and denominator and numeric ones by their bytes.
 `cyclic_decompose` is compared with `reference_oracle.loop_decompose` field
 for field, witness and `max_residual` included, on every bundled fixture and
 every `randgen` family at k = 2, 3, 4, 6, each also with its cocycle values
-as complex numbers, and on seeded single-point mutants: one twist exponent
-changed in the oracle's composition, one structure constant or one
-involution changed in the graded model, and projections that fail for two
-(source, target) mode pairs whose search order differs from their target
-order; some of them again with the stacks cut into chunks of a few rows.
+as complex numbers, on k = 1 and on the empty groupoid, and on seeded
+single-point mutants: one twist exponent changed in the oracle's
+composition, one cocycle value changed after the oracle was built, and
+projections that fail for two (source, target) mode pairs whose search
+order differs from their target order; some of them again with the stacks
+cut into chunks of a few rows.  A changed graded involution leaves the
+library, which reads its stars off the table of w^n, passing, and fails the
+loop, which reads them from `involute`, so the two no longer match.
 """
 
 import random
@@ -28,6 +31,7 @@ from gpdext.cli import _fixture_dir, load_spec
 from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.exact import CircleScalar
 from gpdext.extension import cyclic_decompose
+from gpdext.groupoid import empty_groupoid, symmetric_group_groupoid
 from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
 from reference_oracle import loop_decompose, loop_reduced_norm, scan_conv
 
@@ -61,6 +65,16 @@ def _instances():
 
 INSTANCES = _instances()
 IDS = [x[0] for x in INSTANCES]
+# k = 1 has no turn to make and the empty groupoid no pair, so no mutant of
+# either changes a value: the norm and decomposition matches take these
+EDGES = [
+    (name, g, TwoCocycle.trivial(g), k)
+    for name, g, k in (
+        ("k1-trivial", symmetric_group_groupoid(3), 1),
+        ("empty", empty_groupoid(), 2),
+    )
+]
+EDGE_IDS = [x[0] for x in EDGES]
 
 
 def _random_num(rng, shape, k, density):
@@ -121,7 +135,7 @@ def test_conv_matches_the_scan(name, g, w, k):
             assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
 
 
-@pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
 def test_reduced_norm_matches_the_loop(name, g, w, k):
     rng = random.Random(name)
     ext = oracle.CyclicExtension(g, w, k)
@@ -148,7 +162,7 @@ def assert_same_decomposition(got, want):
         assert got.witness.residual.hex() == want.witness.residual.hex()
 
 
-@pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
 def test_decomposition_matches_the_loop(name, g, w, k):
     ext = oracle.CyclicExtension(g, w, k)
     got = cyclic_decompose(ext, skip_centers=k > 2)
@@ -179,28 +193,28 @@ def test_a_shifted_oracle_twist_fails_as_in_the_loop(name, g, w, k):
 
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
-def test_a_changed_structure_constant_fails_as_in_the_loop(monkeypatch, name, g, w, k):
+def test_a_changed_structure_constant_fails_as_in_the_loop(name, g, w, k):
+    # one non-unit pair's value turned by e(1/k) in a cocycle installed after
+    # the oracle's composition was built, so the library and the loop both
+    # read it; w^0 = 1 keeps, so mode 1 fails first.  The changed cocycle
+    # need not satisfy the identity, so it is not checked.
     rng = random.Random(name)
-    power, pair = rng.randrange(k), rng.choice(sorted(g.compose_table))
-    sigma = TwistedAlgebra.sigma
-    turn = CircleScalar(angle=Fraction(1, k))  # still a k-th root of unity
-
-    def changed(self, a, b):
-        value = sigma(self, a, b)
-        return value * turn if (self.power, (a, b)) == (power, pair) else value
-
-    monkeypatch.setattr(TwistedAlgebra, "sigma", changed)
+    units = set(g.unit_to_arrow)
+    pair = rng.choice([p for p in sorted(g.compose_table) if not units & set(p)])
     ext = oracle.CyclicExtension(g, w, k)
+    values = {p: w.value(*p) for p in g.compose_table}
+    values[pair] = values[pair] * CircleScalar(angle=Fraction(1, k))
+    ext.cocycle = TwoCocycle(g, values, identity_checked=True)
     got = cyclic_decompose(ext, skip_centers=True)
     assert not got.ok
-    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == (
-        "product", (power, power), pair
-    )
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (1, 1), pair)
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
 def test_a_changed_involution_fails_as_in_the_loop(monkeypatch, name, g, w, k):
+    # the library reads its stars off the table of w^n and still passes; the
+    # loop reads them from the changed involute and fails, so the two differ
     rng = random.Random(name)
     power, arrow = rng.randrange(k), rng.randrange(g.n_arrows)
     involute = TwistedAlgebra.involute
@@ -211,12 +225,13 @@ def test_a_changed_involution_fails_as_in_the_loop(monkeypatch, name, g, w, k):
 
     monkeypatch.setattr(TwistedAlgebra, "involute", changed)
     ext = oracle.CyclicExtension(g, w, k)
-    got = cyclic_decompose(ext, skip_centers=True)
-    assert not got.ok
-    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == (
+    got, want = cyclic_decompose(ext, skip_centers=True), loop_decompose(ext, skip_centers=True)
+    assert got.ok and not want.ok
+    assert (want.witness.kind, want.witness.modes, want.witness.arrows) == (
         "star", (power,), (arrow,)
     )
-    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+    with pytest.raises(AssertionError):
+        assert_same_decomposition(got, want)
 
 
 @pytest.mark.parametrize("entries", (1, 700))
