@@ -43,12 +43,12 @@ pair_groupoid(6) with a mu_4 coboundary, and Z3 x Z6 with its bicharacter
 cocycle.  Their products and involutions sum over supports whose
 first-touch order is not the ascending arrow order.
 
-A change meant to leave every report byte-identical is checked by running
-this once against each tree and diffing the outputs:
+The lines are committed as tests/golden/report_digests.txt, and
+tests/test_scripts.py compares this script's output with them, so a change
+that moves a report fails there.  A change meant to move one rewrites that
+file and says why:
 
-    PYTHONPATH=/path/to/parent/src python scripts/report_digests.py > before
-    PYTHONPATH=src python scripts/report_digests.py > after
-    diff before after
+    PYTHONPATH=src python scripts/report_digests.py > tests/golden/report_digests.txt
 """
 
 import contextlib

@@ -61,6 +61,13 @@ from .randgen import random_bimodule, random_element, random_laurent
 
 FIXTURE_ENV = "GPDEXT_FIXTURE_DIR"
 
+# Tolerances of the sampled checks, each far above the rounding of what it
+# bounds and far below the error it catches:
+UNIT_NORM_TOL = 1e-12  # the norm of the unit: one SVD of a unitary, 1 up to rounding
+CSTAR_TOL = 1e-9  # ||f* f|| against ||f||^2, relative: SVDs of two different operators
+PRODUCT_TOL = 1e-10  # one product of random elements taken two ways: other sums of the terms
+MODE_STAR_TOL = 1e-12  # the graded star against each mode's own: the same values conjugated
+
 # the reports of the verify-all call in progress, keyed by the groupoid or
 # the cocycle they decide, so that its sub-suites do not decide them again
 _verify_all_reports: ContextVar = ContextVar("verify_all_reports", default=None)
@@ -300,7 +307,7 @@ def cmd_algebra(
     )
     if g.n_arrows:
         e_norm = alg.reduced_norm(alg.identity()).reduced_norm
-        report.add("identity-norm", abs(e_norm - 1.0) <= 1e-12, norm=fmt_float(e_norm))
+        report.add("identity-norm", abs(e_norm - 1.0) <= UNIT_NORM_TOL, norm=fmt_float(e_norm))
     worst_cstar = 0.0
     worst_assoc = 0.0
     worst_star = 0.0
@@ -314,9 +321,9 @@ def cmd_algebra(
         fh = f * h
         worst_assoc = max(worst_assoc, (fh * x - f * (h * x)).sup_difference(alg.zero()))
         worst_star = max(worst_star, fh.star().sup_difference(h.star() * f.star()))
-    report.add("cstar-identity", worst_cstar <= 1e-9, relative_error=fmt_float(worst_cstar))
-    report.add("associativity", worst_assoc <= 1e-10, residual=fmt_float(worst_assoc))
-    report.add("star-antihomomorphism", worst_star <= 1e-10, residual=fmt_float(worst_star))
+    report.add("cstar-identity", worst_cstar <= CSTAR_TOL, relative_error=fmt_float(worst_cstar))
+    report.add("associativity", worst_assoc <= PRODUCT_TOL, residual=fmt_float(worst_assoc))
+    report.add("star-antihomomorphism", worst_star <= PRODUCT_TOL, residual=fmt_float(worst_star))
     if element_doc is not None:
         from .documents import norm_report_to_doc, parse_element
 
@@ -351,7 +358,7 @@ def cmd_decompose(
         _, idrep = decompose(ea.identity(), with_centers=False)
         report.add(
             "identity-decomposition",
-            abs(idrep.extension_norm - 1.0) <= 1e-12,
+            abs(idrep.extension_norm - 1.0) <= UNIT_NORM_TOL,
             norm=fmt_float(idrep.extension_norm),
         )
     proj_ok = True
@@ -378,8 +385,8 @@ def cmd_decompose(
             homo = max(homo, (FG.mode(n) - F.mode(n) * G.mode(n)).sup_difference(zero))
             star = max(star, (F_star.mode(n) - F.mode(n).star()).sup_difference(zero))
     report.add("mode-projection-laws", proj_ok)
-    report.add("mode-homomorphism", homo <= 1e-10, residual=fmt_float(homo))
-    report.add("mode-star", star <= 1e-12, residual=fmt_float(star))
+    report.add("mode-homomorphism", homo <= PRODUCT_TOL, residual=fmt_float(homo))
+    report.add("mode-star", star <= MODE_STAR_TOL, residual=fmt_float(star))
 
     cert = check_reduced_decomposition(elements[: max(1, samples // 2)])
     w = cert.witness  # a failing check names the first failing fiber

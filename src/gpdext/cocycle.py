@@ -31,6 +31,9 @@ from .groupoid import (
 
 # numeric values this close are equal, in the identity and in comparisons
 IDENTITY_TOL = 1e-10
+# a numeric value this close to e(t/k) is that k-th root: computed values sit
+# a few rounding errors off, and two roots are at least |e(1/k) - 1| apart
+ROOT_TOL = 1e-9
 # angles over a conductor this large are Python ints, so products stay exact
 _INT64_CONDUCTOR = 2**31
 
@@ -216,7 +219,7 @@ class TwoCocycle:
             root, twist = self.table % step == 0, (self.table // step * (k // g)).astype(np.intp)
         else:
             twist = np.rint(k * (np.angle(self.table) / (2 * np.pi))).astype(np.intp) % k
-            root = np.abs(self.table - np.exp(2j * np.pi * twist / k)) <= 1e-9
+            root = np.abs(self.table - np.exp(2j * np.pi * twist / k)) <= ROOT_TOL
         A, B, _ = self.base.pair_table
         bad = np.flatnonzero(~root[A, B])
         return twist, (int(A[bad[0]]), int(B[bad[0]])) if len(bad) else None

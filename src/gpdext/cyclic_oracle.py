@@ -34,28 +34,41 @@ comes in one of two forms:
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` is a
 scatter over the composable pairs (y, z) of the extension's own composition
-table.  Its pairs come from the nonzero (batch row, arrow) entries alone:
-each row's nonzero arrows y of f meet the row's nonzero arrows z of g, and
-the table gives y z, or no product, so the work is the number of such
-meetings, not the number of pairs times the batch.  They come in ascending
-(row, y, z) order, which is the order of the pairs, so numeric terms add
-per batch row in ascending pair order.  On exact values the product of two
-coefficient vectors is their cyclic convolution, since zeta_k^k = 1.
+table.  Its pairs come from the nonzero entries alone, and neither operand
+is broadcast in memory, so the work is the number of meetings of nonzero
+entries, not the number of pairs times the batch.  On exact values it is
+two steps.  The term step, ``conv_terms``, meets each batch row's nonzero
+(arrow y, exponent i) entries of f with the row's nonzero (z, j) entries of
+g and reads y z off the table, or no product; each meeting is one term
+f_i(y) g_j(z) zeta_k^(i + j) at y z, since zeta_k^k = 1, with the weight
+1/k.  The second step scatters the terms.  Numeric values meet nonzero
+arrows, in ascending (row, y, z) order, which is the order of the pairs,
+so their terms add per batch row in ascending pair order.
 ``mode_projection`` is a cyclic shift and sum.  ``ideal_dimension`` spans
 an ideal in two batched ``conv`` calls, with the deltas on the left and then
-on the right, and no fixed-point loop.  Certificates cut their
-stacks, and ``mode_projection`` its gathers, into row chunks of about
-``STACK_ENTRIES`` entries.  ``nonzero_rows`` decides
-which of many exact values are zero in one integer product, by mapping each
-coefficient vector into the power basis of Q(zeta_k), row j of the map being
-x^j mod Phi_k (H. Cohen, *A Course in Computational Algebraic Number Theory*,
-GTM 138, 1993, section 4.2).
+on the right, and no fixed-point loop.
+
+``nonzero_rows`` decides which of many exact values are zero in one integer
+product, by mapping each coefficient vector into the power basis of
+Q(zeta_k), row j of the map being x^j mod Phi_k (H. Cohen, *A Course in
+Computational Algebraic Number Theory*, GTM 138, 1993, section 4.2).
+``nonzero_sums`` decides sums of terms without scattering them: each term
+goes through its row of the same map into one accumulator per key, so the
+work of deciding a product grows with its terms, not with its arrows.
+
+Certificates cut their stacks, and ``mode_projection`` its gathers, into row
+chunks of about ``STACK_ENTRIES`` entries, so that their memory stays
+bounded for any k.  A dense stack counts its entries; a product decided
+from its terms counts four per meeting (row, arrow, exponent and
+coefficient), since its meetings, not its dense values, are what a chunk
+holds, and each passes through a few index arrays while it is made.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,54 +239,88 @@ def deltas(ext: CyclicExtension, arrows, exact: bool):
     return out
 
 
+class Terms(NamedTuple):
+    """The terms of an exact product before they are summed: term i is
+    coefficient[i] * zeta_k**exponent[i] at (batch row[i], arrow[i]), rows
+    flat over the batch shape ``lead``, and the product is their sum over
+    k**e."""
+
+    lead: tuple[int, ...]
+    row: np.ndarray
+    arrow: np.ndarray
+    exponent: np.ndarray
+    coefficient: np.ndarray
+    e: int
+
+
+def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
+    """The terms of conv(f, g) on exact elements: each batch row's nonzero
+    (arrow y, exponent i) entries of f met with its nonzero (z, j) entries of
+    g where y z exists, giving f_i(y) g_j(z) zeta_k^(i + j) at y z, in
+    ascending (row, y, i, z, j) order, with the weight 1/k of the circle."""
+    k, N = ext.k, ext.dimension
+    lead = np.broadcast_shapes(f.num.shape[:-2], g.num.shape[:-2])
+    row, u, v, fu, gv = _nonzero_pairs(
+        *(x.num.reshape(x.num.shape[:-2] + (N * k,)) for x in (f, g))
+    )
+    arrow = ext.compose[u // k, v // k]
+    keep = arrow >= 0
+    # k terms per coefficient of one product, at most dimension products per arrow
+    bound = _max_abs(fu) * _max_abs(gv) * k * N
+    coefficient = _widened(fu[keep], bound) * _widened(gv[keep], bound)
+    # zeta^i * zeta^j = zeta^((i + j) mod k), and u + v = i + j mod k
+    return Terms(lead, row[keep], arrow[keep], (u[keep] + v[keep]) % k, coefficient, f.e + g.e + 1)
+
+
 def conv(ext: CyclicExtension, f, g):
     """Convolution over mu_k x_w G with the circle factor averaged:
     (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z), for
-    elements of one form, broadcast over their batch axes."""
-    exact = isinstance(f, Exact)
-    fv, gv = (f.num, g.num) if exact else (f, g)
-    tail = 2 if exact else 1  # axes of one element: arrows, and coefficients when exact
-    lead = np.broadcast_shapes(fv.shape[:-tail], gv.shape[:-tail])
-    B, N = math.prod(lead), ext.dimension
-    # each batch row's nonzero y against its nonzero z, in ascending (row, y, z)
-    # order, which is the order of the pairs
-    row, y, z = _nonzero_pairs(
-        *(np.broadcast_to(v.any(axis=-1) if exact else v != 0, lead + (N,)).reshape(B, N)
-          for v in (fv, gv))
-    )
+    elements of one form, broadcast over their batch axes.  Exact products
+    scatter the terms of ``conv_terms``; numeric ones meet each batch row's
+    nonzero arrows y of f with its nonzero z of g and add f(y) g(z) at y z,
+    per batch row in ascending (y, z) order."""
+    N = ext.dimension
+    if isinstance(f, Exact):
+        t = conv_terms(ext, f, g)
+        k = ext.k
+        out = np.zeros(math.prod(t.lead) * N * k, dtype=t.coefficient.dtype)
+        np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, t.coefficient)
+        return Exact(out.reshape(t.lead + (N, k)), t.e)
+    lead = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
+    row, y, z, fy, gz = _nonzero_pairs(f, g)
     yz = ext.compose[y, z]
     keep = yz >= 0
-    row, y, z, yz = row[keep], y[keep], z[keep], yz[keep]
-    batch = np.unravel_index(row, lead) if lead else ()
-    fy = np.broadcast_to(fv, lead + fv.shape[-tail:])[(*batch, y)]
-    gz = np.broadcast_to(gv, lead + gv.shape[-tail:])[(*batch, z)]
-    if not exact:
-        out = np.zeros((B, N), dtype=complex)
-        np.add.at(out, (row, yz), cmul(fy, gz))
-        return out.reshape(lead + (N,)) * (1.0 / ext.k)
-    k = ext.k
-    # k terms per coefficient of one product, at most dimension products per arrow
-    bound = _max_abs(fv) * _max_abs(gv) * k * N
-    fy, gz = _widened(fy, bound), _widened(gz, bound)
-    # the product of the coefficient vectors of one pair, from their nonzero
-    # coefficients alone: zeta^i * zeta^j = zeta^((i + j) mod k)
-    term, i, j = _nonzero_pairs(fy, gz)
-    out = np.zeros(B * N * k, dtype=fy.dtype)
-    np.add.at(out, (row[term] * N + yz[term]) * k + (i + j) % k, fy[term, i] * gz[term, j])
-    return Exact(out.reshape(lead + (N, k)), f.e + g.e + 1)
+    out = np.zeros((math.prod(lead), N), dtype=complex)
+    np.add.at(out, (row[keep], yz[keep]), cmul(fy[keep], gz[keep]))
+    return out.reshape(lead + (N,)) * (1.0 / ext.k)
 
 
 def _nonzero_pairs(x: np.ndarray, y: np.ndarray):
     """Every (row, i, j) with x[row, i] and y[row, j] both nonzero, in
-    ascending order."""
-    rx, i = np.nonzero(x)
-    ry, j = np.nonzero(y)
-    per_row = np.bincount(ry, minlength=len(y))
-    first = np.cumsum(per_row) - per_row  # of each row's entries in (ry, j)
-    reps = per_row[rx]
-    start = np.cumsum(reps) - reps
-    which = np.repeat(first[rx] - start, reps) + np.arange(int(reps.sum()))
-    return np.repeat(rx, reps), np.repeat(i, reps), j[which]
+    ascending order, with those two values.  The leading axes of x and y
+    broadcast, row runs over their broadcast, flattened, and neither operand
+    is broadcast in memory: the work is the number of pairs."""
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    sides = []
+    for v in (x, y):
+        flat = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
+        r, i = np.nonzero(flat)
+        count = np.bincount(r, minlength=len(flat))
+        # the row of v that each row of the broadcast reads
+        own = np.broadcast_to(np.arange(len(flat)).reshape(v.shape[:-1]), lead).ravel()
+        sides.append((count[own], (np.cumsum(count) - count)[own], i, flat[r, i]))
+    (cx, sx, i, xv), (cy, sy, j, yv) = sides
+    reps = cx * cy
+    row = np.repeat(np.arange(len(reps)), reps)
+    # the pair's place q in its row: its entry of x is q // cy, of y q % cy
+    q = np.arange(len(row))
+    q -= (np.cumsum(reps) - reps)[row]
+    per_row = cy[row]
+    a = q // per_row
+    a += sx[row]
+    q %= per_row
+    q += sy[row]
+    return row, i[a], j[q], xv[a], yv[q]
 
 
 def star(ext: CyclicExtension, f):
@@ -342,6 +389,24 @@ def nonzero_rows(ext: CyclicExtension, D: np.ndarray) -> np.ndarray:
     else:
         D = D.astype(object)
     return (D @ R != 0).any(axis=1)
+
+
+def nonzero_sums(ext: CyclicExtension, size: int, *terms) -> np.ndarray:
+    """Which of ``size`` keys hold a nonzero sum of c * zeta_k^j over the
+    terms, each given as arrays (key, j, c), c maybe one int for all.  Each
+    term is mapped through row j of the power-basis matrix and added into
+    one accumulator keyed (key, power-basis index), in int64 when the
+    largest |c| times the number of terms times the largest column sum of
+    |R| stays in range and on Python ints otherwise."""
+    bound = sum(_max_abs(np.asarray(c)) * len(key) for key, _, c in terms)
+    R = ext.reduction
+    if bound * ext._reduction_bound < _INT64_LIMIT:
+        R = R.astype(np.int64)
+    acc = np.zeros((R.shape[1], size), dtype=R.dtype)
+    for b, column in enumerate(R.T):
+        for key, j, c in terms:
+            np.add.at(acc[b], key, (column[j] * c).astype(R.dtype, copy=False))
+    return acc.any(axis=0)
 
 
 def reduced_norm(ext: CyclicExtension, f: np.ndarray) -> float:

@@ -17,6 +17,7 @@ involution is certified by the reports' C*-identity and star checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from .cocycle import TwoCocycle
 from .cyclic_oracle import CyclicExtension
-from .exact import spectral_norms
+from .exact import cmul, spectral_norms
 from .groupoid import FiniteGroupoid
 
 # Tolerances of the numeric certificates, each far above the rounding of
@@ -392,9 +393,13 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
     of about ``oracle.STACK_ENTRIES`` entries but at least one mode's m rows,
     and each chunk is decided in one batch, exactly with exact inputs and
-    within ``ORACLE_TOL`` otherwise.  The witness is the first failing
-    comparison in the order products (n, p, a, b), stars (n, a), projections
-    (n, mm, a), Fourier block (t, a).
+    within ``ORACLE_TOL`` otherwise.  Exact products are decided from the
+    terms of the oracle's ``conv_terms``, with the expected values negated,
+    by ``oracle.nonzero_sums``; numeric products, and every other kind,
+    subtract the expected values from dense results.  The witness is the
+    first failing comparison in the order products (n, p, a, b), stars
+    (n, a), projections (n, mm, a), Fourier block (t, a), and its residual
+    is the modulus of that one difference.
 
     The expected values are the tables of w^n, read in array expressions:
     w^n(a, b) at (a, b, ab), conj w^n(a^-1, a) at (a, a^-1).  An exact angle
@@ -434,55 +439,96 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     one = np.zeros(m, dtype=np.int64) if exact else np.ones(m, dtype=complex)
     # Q[n * m + a]: the delta at base arrow a in mode n, as an oracle element
     Q = _rows([embedded(n, (arrows, arrows), one, (m, m)) for n in range(k)])
-    rows = np.arange(N)
+    rows, t = np.arange(N), np.arange(k)
+    max_residual = 0.0
+
+    def decided(diff):
+        """The failing (row, arrow) flags of a dense difference got - expected,
+        and its value at a flat (row, arrow)."""
+        nonlocal max_residual
+        if exact:
+            bad = oracle.nonzero_rows(ext, diff.num.reshape(-1, k))
+            return bad, lambda i: oracle.to_complex(ext, diff).reshape(-1)[i]
+        deviation = oracle.magnitude(diff).reshape(-1)
+        max_residual = max(max_residual, float(deviation.max(initial=0.0)))
+        return deviation > tol, lambda i: diff.reshape(-1)[i]
+
+    def summed(terms, product, arrow, exponent):
+        """The failing (product, arrow) flags of exact products given by their
+        terms, against zeta_k^exponent at each (product, arrow), and the
+        difference at a flat (product, arrow), from that product's terms."""
+        scale = k**terms.e  # the expected values over k**e, as the terms are
+        bad = oracle.nonzero_sums(
+            ext,
+            math.prod(terms.lead) * N,
+            (terms.row * N + terms.arrow, terms.exponent, terms.coefficient),
+            ((product[:, None] * N + arrow).ravel(), exponent.ravel(), -scale),
+        )
+
+        def value(i: int):
+            p, x = divmod(i, N)
+            diff = np.zeros((N, k), dtype=terms.coefficient.dtype)
+            mine = terms.row == p
+            np.add.at(diff, (terms.arrow[mine], terms.exponent[mine]), terms.coefficient[mine])
+            mine = product == p
+            diff[arrow[mine], exponent[mine]] -= scale
+            return oracle.to_complex(ext, oracle.Exact(diff, terms.e))[x]
+
+        return bad, value
 
     def comparisons():
-        """(rank of the kind, got - expected, the search position of each batch row)"""
+        """(rank of the kind, the search position of each batch row, the
+        failing (row, arrow) flags, the difference at one of them)"""
         for n, P in enumerate(powers):
-            # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise
-            within = embedded(n, (A, B, C), P[A, B], (m, m, m))
-            for lo, hi in chunks(k * m, m * N * k):
-                got = oracle.conv(ext, Q[lo:hi, None], Q[n * m : (n + 1) * m][None, :])
-                i, j = max(lo, n * m) - lo, min(hi, (n + 1) * m) - lo  # mode n's own rows
-                if i < j:
-                    own = got[i:j] - within[lo - n * m + i : lo - n * m + j]
-                    got = _rows([got[:i], own, got[j:]])
-                yield 0, got, n * k * m * m + np.arange(lo * m, hi * m)
+            # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise:
+            # product (n * m + a) * m + b is e(-tn/k) w^n(a, b) at each arrow (t, ab)
+            product, arrow = (n * m + A) * m + B, t * m + C[:, None]
+            if exact:
+                expected = (P[A, B, None] * (k // w.conductor) - t * n) % k  # exponents of zeta_k
+            else:
+                expected = cmul(ext.roots[-t * n % k], P[A, B, None])
+            right = Q[n * m : (n + 1) * m][None, :]
+            # a left row meets m right rows, k by k entries each; the terms of
+            # one meeting hold four entries (row, arrow, exponent, coefficient)
+            for lo, hi in chunks(k * m, 4 * m * k * k if exact else m * N):
+                own = (lo * m <= product) & (product < hi * m)
+                at = product[own] - lo * m  # the chunk's own products, by batch row
+                position = n * k * m * m + np.arange(lo * m, hi * m)
+                if exact:
+                    terms = oracle.conv_terms(ext, Q[lo:hi, None], right)
+                    yield 0, position, *summed(terms, at, arrow[own], expected[own])
+                else:
+                    got = oracle.conv(ext, Q[lo:hi, None], right).reshape(-1, N)
+                    got[at[:, None], arrow[own]] -= expected[own]
+                    yield 0, position, *decided(got)
         # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n
         stars = _rows(
             [embedded(n, (arrows, inv), P[inv, arrows], (m, m)) for n, P in enumerate(conjugates)]
         )
         for lo, hi in chunks(k * m, N * k):
-            yield 1, oracle.star(ext, Q[lo:hi]) - stars[lo:hi], rows[lo:hi]
+            yield 1, rows[lo:hi], *decided(oracle.star(ext, Q[lo:hi]) - stars[lo:hi])
         for mm in range(k):
             for lo, hi in chunks(k * m, N * k):
                 # projecting onto mode mm keeps the deltas of mode mm and kills the rest
                 n, a = divmod(rows[lo:hi], m)
                 keep = (n == mm)[:, None]
                 want = oracle.Exact(Q.num[lo:hi] * keep[..., None]) if exact else Q[lo:hi] * keep
-                yield 2, oracle.mode_projection(ext, Q[lo:hi], mm) - want, (n * k + mm) * m + a
+                got = oracle.mode_projection(ext, Q[lo:hi], mm)
+                yield 2, (n * k + mm) * m + a, *decided(got - want)
         # Fourier projections resolve every delta of the extension
         for lo, hi in chunks(N, N * k):
             deltas = oracle.deltas(ext, range(lo, hi), exact)
             total = oracle.mode_projection(ext, deltas, 0)
             for n in range(1, k):
                 total = total + oracle.mode_projection(ext, deltas, n)
-            yield 3, total - deltas, rows[lo:hi]
+            yield 3, rows[lo:hi], *decided(total - deltas)
 
-    max_residual = 0.0
     first = None  # (rank, position, residual) of the first failing comparison
-    for rank, diff, position in comparisons():
-        if exact:
-            bad = oracle.nonzero_rows(ext, diff.num.reshape(-1, k))
-        else:
-            deviation = oracle.magnitude(diff).reshape(-1)
-            max_residual = max(max_residual, float(deviation.max(initial=0.0)))
-            bad = deviation > tol
+    for rank, position, bad, value in comparisons():
         failing = np.flatnonzero(bad)
         if failing.size and (first is None or (rank, position[failing[0] // N]) < first[:2]):
-            row = int(failing[0])
-            value = (oracle.to_complex(ext, diff) if exact else diff).reshape(-1)[row]
-            first = (rank, int(position[row // N]), float(oracle.magnitude(value)))
+            i = int(failing[0])
+            first = (rank, int(position[i // N]), float(oracle.magnitude(value(i))))
 
     summands = [
         ModeSummand(

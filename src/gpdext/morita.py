@@ -155,6 +155,11 @@ class SaturationReport:
         return self.k > 1 and self.ideal_dimension == self.mode_zero_summand_dimension
 
 
+# Mass outside mode 0 at or below this is rounding: each projected value is
+# a sum of k values of size about 1, each turned by a root of unity.
+LEAKAGE_TOL = 1e-12
+
+
 def saturation_report(
     g: FiniteGroupoid, w: TwoCocycle, k: int, pairs: list[tuple[BimoduleElement, BimoduleElement]]
 ) -> SaturationReport:
@@ -171,7 +176,7 @@ def saturation_report(
     return SaturationReport(
         k=k,
         inner_products=len(pairs),
-        mode_zero_ok=leakage <= 1e-12,
+        mode_zero_ok=leakage <= LEAKAGE_TOL,
         ideal_dimension=oracle.ideal_dimension(ext, _unit_pair_lifts(ext)),
         mode_zero_summand_dimension=g.n_arrows,
         nonzero_mode_leakage=leakage,

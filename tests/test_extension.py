@@ -1,6 +1,9 @@
 import ast
+import importlib.util
 import itertools
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,6 +366,30 @@ class TestCyclicDecompose:
         cd = cyclic_decompose(ext)
         assert cd.ok and not cd.exact
         assert cd.max_residual <= 1e-10
+
+    def test_memory_stays_bounded_on_the_oracle_batch_pool(self, monkeypatch):
+        # the tracemalloc peak of each decomposition over the seed-1 pool of
+        # the oracle_batch benchmark workload: its worst items (k = 6, six
+        # arrows) stay within 1.1 MB
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        peaks = []
+
+        def traced(ext, skip_centers=False):
+            tracemalloc.start()
+            try:
+                return cyclic_decompose(ext, skip_centers=skip_centers)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(workloads, "cyclic_decompose", traced)
+        pool = workloads.setup_oracle_batch(1, None)(0)
+        assert [item.run() for item in pool] == [None] * len(pool)
+        assert len(peaks) == len(pool) and max(peaks) <= 1_100_000
 
 
 class TestOracleNormAgreement:

@@ -4,7 +4,8 @@ their loop references.
 `conv` is compared with `reference_oracle.scan_conv` on seeded operands:
 dense and sparse elements, stacks that broadcast against each other, and
 dense elements against delta stacks from either side, exact ones by
-numerators, dtype and denominator and numeric ones by their bytes.
+numerators, dtype and denominator and numeric ones by their bytes, also on
+k = 1 and on the empty groupoid.
 `reduced_norm` is compared with one spectral norm per unit, bit for bit.
 `cyclic_decompose` is compared with `reference_oracle.loop_decompose` field
 for field, witness and `max_residual` included, on every bundled fixture and
@@ -16,7 +17,11 @@ projections that fail for two (source, target) mode pairs whose search
 order differs from their target order; some of them again with the stacks
 cut into chunks of a few rows.  A changed graded involution leaves the
 library, which reads its stars off the table of w^n, passing, and fails the
-loop, which reads them from `involute`, so the two no longer match.
+loop, which reads them from `involute`, so the two no longer match.  The
+exact products are decided from the terms of `conv_terms`, so their
+mutants act there: a term added to the products of two (left, right) mode
+pairs whose search order differs from their left order, and one meeting
+dropped from one product, which must be named with a residual of 1/k.
 """
 
 import random
@@ -66,7 +71,7 @@ def _instances():
 INSTANCES = _instances()
 IDS = [x[0] for x in INSTANCES]
 # k = 1 has no turn to make and the empty groupoid no pair, so no mutant of
-# either changes a value: the norm and decomposition matches take these
+# either changes a value: the product, norm and decomposition matches take these
 EDGES = [
     (name, g, TwoCocycle.trivial(g), k)
     for name, g, k in (
@@ -100,7 +105,7 @@ def _operand_pairs(rng, ext, exact: bool):
             return oracle.Exact(_random_num(rng, shape + (N,), k, density), e)
         return _random_complex(rng, shape + (N,), density)
 
-    fiber = list(G.source_fiber(rng.randrange(G.n_units)))
+    fiber = list(G.source_fiber(rng.randrange(G.n_units))) if G.n_units else []
     deltas = oracle.deltas(ext, fiber, exact)
     units = [G.unit_arrow(G.s(x)) for x in G.arrows()]
     modes = oracle.deltas(ext, rng.sample(range(N), min(N, 5)), exact)
@@ -126,7 +131,7 @@ def assert_same_product(got, want):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
 def test_conv_matches_the_scan(name, g, w, k):
     rng = random.Random(name)
     ext = oracle.CyclicExtension(g, w, k)
@@ -284,30 +289,90 @@ def test_projections_fail_first_in_source_mode_order(monkeypatch, k, entries):
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
+def _source_arrows(e, num: np.ndarray) -> np.ndarray:
+    """The base arrow a of each mode delta in a stack: its first nonzero
+    extension arrow is (0, a), which is a."""
+    return num.reshape(-1, e.dimension, e.k).any(axis=-1).argmax(axis=-1).reshape(num.shape[:-2])
+
+
+def _factors(e, f, h) -> list:
+    """((p, a), (n, b)) for each batch row of the product of two stacks of
+    mode deltas, flat: the left factor is the delta at a in mode p, the
+    right one the delta at b in mode n."""
+    p, n, a, b = (
+        v.ravel().tolist()
+        for label in (_source_modes, _source_arrows)
+        for v in np.broadcast_arrays(label(e, f.num), label(e, h.num))
+    )
+    return list(zip(zip(p, a), zip(n, b)))
+
+
 @pytest.mark.parametrize("entries", (None, 1))
 @pytest.mark.parametrize("k", (3, 4))
 def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
     # the products of mode-0 deltas with mode-1 deltas and of mode-2 deltas
-    # with mode-0 deltas are both spoiled; the search runs over (n, p, a, b)
+    # with mode-0 deltas each gain a term; the search runs over (n, p, a, b)
     # for the product of mode p with mode n, so (p, n) = (2, 0) comes first
     g, _ = _FAMILIES[5][1](k)
     ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
     spoiled = {(0, 1), (2, 0)}
-    conv = oracle.conv
+    conv_terms = oracle.conv_terms
 
     def spoiling(e, f, h):
-        out = conv(e, f, h)
-        p, n = np.broadcast_arrays(_source_modes(e, f.num), _source_modes(e, h.num))
-        hit = np.array([(int(a), int(b)) in spoiled for a, b in zip(p.ravel(), n.ravel())])
-        num = out.num.reshape(-1, e.dimension, e.k).copy()
-        num[hit, 0, 0] += 1
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
+        terms = conv_terms(e, f, h)
+        hit = [i for i, ((p, _), (n, _)) in enumerate(_factors(e, f, h)) if (p, n) in spoiled]
+        hit = np.array(hit, dtype=np.intp)
+        zero = np.zeros_like(hit)
+        return terms._replace(
+            row=np.concatenate([terms.row, hit]),
+            arrow=np.concatenate([terms.arrow, zero]),
+            exponent=np.concatenate([terms.exponent, zero]),
+            coefficient=np.concatenate([terms.coefficient, zero + 1]),
+        )
 
-    monkeypatch.setattr(oracle, "conv", spoiling)
+    monkeypatch.setattr(oracle, "conv_terms", spoiling)
     if entries is not None:
         monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
     got = cyclic_decompose(ext, skip_centers=True)
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (2, 0), (0, 0))
+
+
+EXACT = [x for x in INSTANCES if x[2].is_exact]
+
+
+@pytest.mark.parametrize("entries", (None, 1))
+@pytest.mark.parametrize("name,g,w,k", EXACT[::4], ids=[x[0] for x in EXACT[::4]])
+def test_a_dropped_meeting_names_its_product(monkeypatch, entries, name, g, w, k):
+    # the term step loses the first meeting of one product of mode deltas,
+    # across modes or within one, so that product alone comes out wrong, by
+    # one term f_i(y) g_j(z) zeta^(i + j) / k of modulus 1/k
+    rng = random.Random(name)
+    p, n = rng.randrange(k), rng.randrange(k)
+    a, b = rng.choice(sorted(g.compose_table))
+    target = ((p, a), (n, b))
+    conv_terms = oracle.conv_terms
+
+    def dropping(e, f, h):
+        terms = conv_terms(e, f, h)
+        hit = [i for i, factors in enumerate(_factors(e, f, h)) if factors == target]
+        if not hit:
+            return terms
+        keep = np.ones(len(terms.row), dtype=bool)
+        keep[np.flatnonzero(terms.row == hit[0])[0]] = False
+        return terms._replace(
+            row=terms.row[keep],
+            arrow=terms.arrow[keep],
+            exponent=terms.exponent[keep],
+            coefficient=terms.coefficient[keep],
+        )
+
+    monkeypatch.setattr(oracle, "conv_terms", dropping)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    got = cyclic_decompose(oracle.CyclicExtension(g, w, k), skip_centers=True)
+    assert not got.ok
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (p, n), (a, b))
+    assert got.witness.residual == pytest.approx(1 / k, abs=1e-12)
 
 
 @pytest.mark.parametrize("entries", (None, 1))
