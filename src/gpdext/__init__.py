@@ -13,7 +13,6 @@ from .groupoid import (
     cover_groupoid,
     cyclic_group_groupoid,
     disjoint_union,
-    empty_groupoid,
     group_groupoid,
     is_principal,
     is_proper,
@@ -30,7 +29,6 @@ from .cocycle import (
     OneCochain,
     TwoCocycle,
     bicharacter_cocycle,
-    cech_cocycle,
     normalize,
     pauli_cocycle,
     solve_coboundary,
@@ -73,6 +71,4 @@ from .documents import (
     parse_cocycle,
     parse_groupoid,
     parse_spec,
-    serialize_cocycle,
-    serialize_groupoid,
 )

@@ -8,14 +8,16 @@ one n_arrows x n_arrows ``table`` aligned with the groupoid's compose array:
 int angles W over one ``conductor`` N, the lcm of the angle denominators and
 so the least one, with w(a, b) = e(W[a, b] / N), when every value is exact,
 else the complex values (a numeric cocycle).  Every operation reads the
-table; ``values``, the sparse ``CircleScalar`` view of the entries other
-than 1, is what documents parse and serialize.
+table, which is read-only, so ``normalized`` is decided once per cocycle;
+``values``, the sparse ``CircleScalar`` view of the entries other than 1,
+is what documents parse and serialize.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +25,6 @@ from .exact import APPROX_TOL, CircleScalar, ONE, cmul, solve_mod1
 from .groupoid import (
     FiniteGroupoid,
     ValidationReport,
-    _cover_arrows,
-    cover_groupoid,
     orbit_decomposition,
     principal_obstruction,
 )
@@ -132,6 +132,7 @@ class TwoCocycle:
         self.values = vals
         self.identity_checked = identity_checked
         self.conductor, self.table = _compile(vals, (base.n_arrows, base.n_arrows))
+        self.table.flags.writeable = False
 
     # -- constructors --------------------------------------------------------
 
@@ -161,7 +162,7 @@ class TwoCocycle:
             return (x.astype(object) if n >= _INT64_CONDUCTOR else x) * (n // self.conductor)
         return root_values(x, self.conductor) if self.is_exact else x
 
-    @property
+    @cached_property
     def normalized(self) -> bool:
         g, T = self.base, self.table
         units, arrows = np.asarray(g.unit_to_arrow, dtype=np.intp), np.arange(g.n_arrows)
@@ -293,42 +294,6 @@ def trivialize_principal(w: TwoCocycle) -> OneCochain:
     if not db.pointwise_equal(w):
         raise CocycleError("trivialization postcondition failed")
     return b
-
-
-class CechDataError(CocycleError):
-    pass
-
-
-def cech_cocycle(points, cover, lam) -> TwoCocycle:
-    """Turn Cech 2-cochain data on an indexed cover into a groupoid cocycle.
-
-    ``lam`` maps (i, j, k, x) with x in the triple overlap of U_i, U_j, U_k
-    to a circle value (a mapping or a callable).  The resulting cocycle on
-    the cover groupoid assigns lam(i,j,k,x) to the composable pair
-    ((x,i),(x,j)), ((x,j),(x,k)); it passes the cocycle identity exactly
-    when lam satisfies the Cech 2-cocycle condition on quadruple overlaps.
-    """
-    g = cover_groupoid(points, cover)
-    arrows = _cover_arrows(points, cover)
-
-    if callable(lam):
-        getter = lam
-    else:
-        def getter(i, j, k, x):
-            return lam[(i, j, k, x)]
-
-    vals = {}
-    for a, b in g.compose_table:
-        x, i, j = arrows[a]
-        k = arrows[b][2]
-        try:
-            v = getter(i, j, k, x)
-        except KeyError:
-            raise CechDataError(
-                f"cochain value missing on triple overlap (i={i}, j={j}, k={k}, x={x!r})"
-            ) from None
-        vals[(a, b)] = CircleScalar.coerce(v)
-    return TwoCocycle(g, vals)
 
 
 def solve_coboundary(w: TwoCocycle) -> OneCochain | None:

@@ -43,8 +43,12 @@ g and reads y z off the table, or no product; each meeting is one term
 f_i(y) g_j(z) zeta_k^(i + j) at y z, since zeta_k^k = 1, with the weight
 1/k.  The second step scatters the terms.  Numeric values meet nonzero
 arrows, in ascending (row, y, z) order, which is the order of the pairs,
-so their terms add per batch row in ascending pair order.
-``mode_projection`` is a cyclic shift and sum.  ``ideal_dimension`` spans
+so their terms add per batch row in ascending pair order.  The Fourier
+projections are two steps in the same way on exact values: the term step,
+``projection_terms``, reads only the nonzero entries, and a coefficient of
+zeta_k^s at (t, a) gives one term zeta_k^(s + jn) at (t - j, a) per shift
+j and mode n, with the weight 1/k; ``mode_projection`` scatters them.  On
+numeric values it is a cyclic shift and sum.  ``ideal_dimension`` spans
 an ideal in two batched ``conv`` calls, with the deltas on the left and then
 on the right, and no fixed-point loop.
 
@@ -56,12 +60,12 @@ Computational Algebraic Number Theory*, GTM 138, 1993, section 4.2).
 goes through its row of the same map into one accumulator per key, so the
 work of deciding a product grows with its terms, not with its arrows.
 
-Certificates cut their stacks, and ``mode_projection`` its gathers, into row
-chunks of about ``STACK_ENTRIES`` entries, so that their memory stays
-bounded for any k.  A dense stack counts its entries; a product decided
-from its terms counts four per meeting (row, arrow, exponent and
-coefficient), since its meetings, not its dense values, are what a chunk
-holds, and each passes through a few index arrays while it is made.
+Certificates cut their stacks into row chunks of about ``STACK_ENTRIES``
+entries, so that their memory stays bounded for any k.  A dense stack
+counts its entries; a product or a projection decided from its terms counts
+four per term (row, arrow, exponent and coefficient), since its terms, not
+its dense values, are what a chunk holds, and each passes through a few
+index arrays while it is made.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ from .groupoid import (
 
 # Integer results at or above this bound are computed on Python ints.
 _INT64_LIMIT = 2**63
-# Stacks and gathers that would hold more entries than this run in row
-# chunks, so the memory of a certificate stays bounded for any k.
+# Stacks that would hold more entries than this run in row chunks, so the
+# memory of a certificate stays bounded for any k.
 STACK_ENTRIES = 2**14
 # Singular values at or below this fraction of the largest (or of 1) count
 # as zero in an ideal's rank: the spanning products have entries of size
@@ -281,11 +285,7 @@ def conv(ext: CyclicExtension, f, g):
     per batch row in ascending (y, z) order."""
     N = ext.dimension
     if isinstance(f, Exact):
-        t = conv_terms(ext, f, g)
-        k = ext.k
-        out = np.zeros(math.prod(t.lead) * N * k, dtype=t.coefficient.dtype)
-        np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, t.coefficient)
-        return Exact(out.reshape(t.lead + (N, k)), t.e)
+        return _scatter(ext, conv_terms(ext, f, g))
     lead = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
     row, y, z, fy, gz = _nonzero_pairs(f, g)
     yz = ext.compose[y, z]
@@ -331,44 +331,65 @@ def star(ext: CyclicExtension, f):
     return f[..., ext.inverse].conj()
 
 
+def projection_terms(ext: CyclicExtension, f: Exact, modes) -> Terms:
+    """The terms of the Fourier projections p_n(f), n in ``modes``, on an
+    exact element: each nonzero coefficient c of zeta_k^s at (t, a) gives
+    c zeta_k^(s + jn) at (t - j, a) for every shift j, with the weight 1/k.
+    Batch rows are (row, n), the mode innermost, and the terms come in
+    ascending (row, t, a, s, j, n) order."""
+    k, m, N = ext.k, ext.base.n_arrows, ext.dimension
+    modes = np.asarray(modes, dtype=np.intp)
+    num = f.num.reshape(math.prod(f.num.shape[:-2]), N, k)
+    row, x, s = np.nonzero(num)
+    c = num[row, x, s]
+    # at most k terms, one per shift, meet at one coefficient of the projection
+    c = _widened(c, _max_abs(c) * k)
+    t, a = divmod(x, m)
+    j = np.arange(k)
+    # axes (entry, shift j, mode n)
+    parts = (
+        row[:, None, None] * len(modes) + np.arange(len(modes)),
+        ((t[:, None] - j) % k * m + a[:, None])[..., None],
+        (s[:, None, None] + j[:, None] * modes) % k,
+        c[:, None, None],
+    )
+    shape = (len(row), k, len(modes))
+    lead = f.num.shape[:-2] + (len(modes),)
+    return Terms(lead, *(np.broadcast_to(v, shape).ravel() for v in parts), f.e + 1)
+
+
+def _scatter(ext: CyclicExtension, t: Terms) -> Exact:
+    """The exact elements whose values are the sums of the terms."""
+    N, k = ext.dimension, ext.k
+    out = np.zeros(math.prod(t.lead) * N * k, dtype=t.coefficient.dtype)
+    np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, t.coefficient)
+    return Exact(out.reshape(t.lead + (N, k)), t.e)
+
+
 def mode_projection(ext: CyclicExtension, f, n: int):
     """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k):
-    shift the circle coordinate by j, rotate by e(jn/k), and sum."""
+    shift the circle coordinate by j, rotate by e(jn/k), and sum.  Exact
+    values scatter the terms of ``projection_terms``."""
+    if isinstance(f, Exact):
+        p = _scatter(ext, projection_terms(ext, f, [n]))
+        return Exact(p.num.reshape(f.num.shape), p.e)
     k, m = ext.k, ext.base.n_arrows
     t = np.arange(k)[:, None, None]
     a = np.arange(m)[None, :, None]
     j = np.arange(k)
     # source of term j at (t, a): the arrow (t + j, a)
     source = ((t + j) % k * m + a).reshape(k * m, k)
-    if isinstance(f, Exact):
-        # rotating by e(jn/k) moves coefficient s - jn to s
-        s = np.arange(k)[:, None]
-        index = (source[:, None, :] * k + (s - j * n) % k).reshape(k * m * k, k)
-        num = _widened(f.num, _max_abs(f.num) * k)
-        flat = num.reshape(math.prod(num.shape[:-2]), k * m * k)
-        out = np.empty_like(flat)
-        step = max(1, STACK_ENTRIES // max(1, index.size))
-        for i in range(0, len(flat), step):
-            out[i : i + step] = flat[i : i + step][:, index].sum(axis=-1)
-        return Exact(out.reshape(f.num.shape), f.e + 1)
     acc = cmul(ext.roots[0], f[..., source[:, 0]])
     for i in range(1, k):
         acc = acc + cmul(ext.roots[i * n % k], f[..., source[:, i]])
     return acc * (1.0 / k)
 
 
-def embed_mode(ext: CyclicExtension, n: int, coeffs):
-    """The inverse identification: base coefficients F_n into the mode-n
-    homogeneous part, (t, a) -> e(-tn/k) F_n(a).  coeffs is an Exact with num
-    of shape (..., |A|, k) or a complex array (..., |A|)."""
+def embed_mode(ext: CyclicExtension, n: int, coeffs: np.ndarray) -> np.ndarray:
+    """The inverse identification: numeric base coefficients F_n, a complex
+    array (..., |A|), into the mode-n homogeneous part, (t, a) -> e(-tn/k) F_n(a)."""
     k, m = ext.k, ext.base.n_arrows
-    t = np.arange(k)[:, None]
-    if isinstance(coeffs, Exact):
-        # rotating by e(-tn/k) moves coefficient s + tn to s
-        num = coeffs.num[..., (np.arange(k) + t * n) % k]  # (..., a, t, s)
-        num = np.swapaxes(num, -3, -2)
-        return Exact(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
-    out = cmul(ext.roots[-t * n % k], coeffs[..., None, :])
+    out = cmul(ext.roots[-np.arange(k)[:, None] * n % k], coeffs[..., None, :])
     return out.reshape(out.shape[:-2] + (k * m,))
 
 

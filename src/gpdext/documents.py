@@ -146,10 +146,6 @@ def groupoid_to_doc(g: FiniteGroupoid) -> dict:
     }
 
 
-def serialize_groupoid(g: FiniteGroupoid) -> str:
-    return canonical_json(groupoid_to_doc(g))
-
-
 # ---------------------------------------------------------------------------
 # cocycle documents
 
@@ -203,10 +199,6 @@ def cocycle_to_doc(w: TwoCocycle) -> dict:
         entries.append([[g.arrow_labels[a], g.arrow_labels[b]], _angle_to_doc(v)])
     entries.sort(key=lambda e: (e[0][0], e[0][1]))
     return {"entries": entries}
-
-
-def serialize_cocycle(w: TwoCocycle) -> str:
-    return canonical_json(cocycle_to_doc(w))
 
 
 def cochain_to_doc(b: OneCochain) -> dict:

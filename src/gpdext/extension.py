@@ -17,7 +17,6 @@ involution is certified by the reports' C*-identity and star checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,9 +392,11 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
     of about ``oracle.STACK_ENTRIES`` entries but at least one mode's m rows,
     and each chunk is decided in one batch, exactly with exact inputs and
-    within ``ORACLE_TOL`` otherwise.  Exact products are decided from the
-    terms of the oracle's ``conv_terms``, with the expected values negated,
-    by ``oracle.nonzero_sums``; numeric products, and every other kind,
+    within ``ORACLE_TOL`` otherwise.  Exact products and projections are
+    decided from their terms, from ``conv_terms`` and ``projection_terms``,
+    with the expected values negated, by ``oracle.nonzero_sums``: one call
+    per chunk covers all k target modes of the projections, and one the sum
+    over the modes of the Fourier block.  Numeric values, and exact stars,
     subtract the expected values from dense results.  The witness is the
     first failing comparison in the order products (n, p, a, b), stars
     (n, a), projections (n, mm, a), Fourier block (t, a), and its residual
@@ -414,16 +415,21 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     alg = ExtensionAlgebra(base, w)
     A, B, C = base.pair_table
     arrows, inv = np.arange(m), np.asarray(base.inverse_map, dtype=np.intp)
+    rows, t = np.arange(N), np.arange(k)
 
-    def embedded(n: int, index: tuple, values: np.ndarray, shape: tuple[int, ...]):
-        """The values at ``index`` of a zero array of ``shape``, in mode n."""
+    def mode_deltas(target: np.ndarray, values: np.ndarray):
+        """Row n * m + a: values[n, a] times the delta at base arrow
+        target[a] in mode n, e(-tn/k) values[n, a] at each arrow
+        (t, target[a]), as one stack of oracle elements."""
+        at, values = t * m + np.tile(target, k)[:, None], values.reshape(N, 1)
+        turn = -t * (rows // m)[:, None] % k
         if exact:
-            x = oracle.Exact(np.zeros(shape + (k,), dtype=np.int64))
-            x.num[(*index, values * (k // w.conductor))] = 1
+            x = oracle.Exact(np.zeros((N, N, k), dtype=np.int64))
+            x.num[rows[:, None], at, (values * (k // w.conductor) + turn) % k] = 1
         else:
-            x = np.zeros(shape, dtype=complex)
-            x[index] = values
-        return oracle.embed_mode(ext, n, x)
+            x = np.zeros((N, N), dtype=complex)
+            x[rows[:, None], at] = cmul(ext.roots[turn], values)
+        return x
 
     def chunks(rows: int, per_row: int):
         step = max(1, m, oracle.STACK_ENTRIES // max(1, per_row))
@@ -436,10 +442,8 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         conjugates = [-P % w.conductor for P in powers]
     else:
         powers, conjugates = [t.twist for t in twisted], [t.twist_conj for t in twisted]
-    one = np.zeros(m, dtype=np.int64) if exact else np.ones(m, dtype=complex)
     # Q[n * m + a]: the delta at base arrow a in mode n, as an oracle element
-    Q = _rows([embedded(n, (arrows, arrows), one, (m, m)) for n in range(k)])
-    rows, t = np.arange(N), np.arange(k)
+    Q = mode_deltas(arrows, np.zeros(N, dtype=np.int64) if exact else np.ones(N, dtype=complex))
     max_residual = 0.0
 
     def decided(diff):
@@ -453,24 +457,26 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         max_residual = max(max_residual, float(deviation.max(initial=0.0)))
         return deviation > tol, lambda i: diff.reshape(-1)[i]
 
-    def summed(terms, product, arrow, exponent):
-        """The failing (product, arrow) flags of exact products given by their
-        terms, against zeta_k^exponent at each (product, arrow), and the
-        difference at a flat (product, arrow), from that product's terms."""
+    def summed(size: int, row: np.ndarray, terms, expected):
+        """The failing (row, arrow) flags of ``size`` exact rows given by
+        their terms, the batch row of each term being ``row``, against the
+        expected values, zeta_k^j at each (row, arrow, j) of ``expected``,
+        and the difference at a flat (row, arrow), from that row's terms."""
         scale = k**terms.e  # the expected values over k**e, as the terms are
+        key, arrow, exponent = (x.ravel() for x in np.broadcast_arrays(*expected))
         bad = oracle.nonzero_sums(
             ext,
-            math.prod(terms.lead) * N,
-            (terms.row * N + terms.arrow, terms.exponent, terms.coefficient),
-            ((product[:, None] * N + arrow).ravel(), exponent.ravel(), -scale),
+            size * N,
+            (row * N + terms.arrow, terms.exponent, terms.coefficient),
+            (key * N + arrow, exponent, -scale),
         )
 
         def value(i: int):
             p, x = divmod(i, N)
             diff = np.zeros((N, k), dtype=terms.coefficient.dtype)
-            mine = terms.row == p
+            mine = row == p
             np.add.at(diff, (terms.arrow[mine], terms.exponent[mine]), terms.coefficient[mine])
-            mine = product == p
+            mine = key == p
             diff[arrow[mine], exponent[mine]] -= scale
             return oracle.to_complex(ext, oracle.Exact(diff, terms.e))[x]
 
@@ -490,45 +496,60 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             right = Q[n * m : (n + 1) * m][None, :]
             # a left row meets m right rows, k by k entries each; the terms of
             # one meeting hold four entries (row, arrow, exponent, coefficient)
-            for lo, hi in chunks(k * m, 4 * m * k * k if exact else m * N):
+            for lo, hi in chunks(N, 4 * m * k * k if exact else m * N):
                 own = (lo * m <= product) & (product < hi * m)
                 at = product[own] - lo * m  # the chunk's own products, by batch row
                 position = n * k * m * m + np.arange(lo * m, hi * m)
                 if exact:
                     terms = oracle.conv_terms(ext, Q[lo:hi, None], right)
-                    yield 0, position, *summed(terms, at, arrow[own], expected[own])
+                    expect = (at[:, None], arrow[own], expected[own])
+                    yield 0, position, *summed(len(position), terms.row, terms, expect)
                 else:
                     got = oracle.conv(ext, Q[lo:hi, None], right).reshape(-1, N)
                     got[at[:, None], arrow[own]] -= expected[own]
                     yield 0, position, *decided(got)
         # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n
-        stars = _rows(
-            [embedded(n, (arrows, inv), P[inv, arrows], (m, m)) for n, P in enumerate(conjugates)]
-        )
-        for lo, hi in chunks(k * m, N * k):
-            yield 1, rows[lo:hi], *decided(oracle.star(ext, Q[lo:hi]) - stars[lo:hi])
-        for mm in range(k):
-            for lo, hi in chunks(k * m, N * k):
-                # projecting onto mode mm keeps the deltas of mode mm and kills the rest
-                n, a = divmod(rows[lo:hi], m)
-                keep = (n == mm)[:, None]
-                want = oracle.Exact(Q.num[lo:hi] * keep[..., None]) if exact else Q[lo:hi] * keep
-                got = oracle.mode_projection(ext, Q[lo:hi], mm)
-                yield 2, (n * k + mm) * m + a, *decided(got - want)
-        # Fourier projections resolve every delta of the extension
+        stars = mode_deltas(inv, np.stack([P[inv, arrows] for P in conjugates]))
         for lo, hi in chunks(N, N * k):
-            deltas = oracle.deltas(ext, range(lo, hi), exact)
-            total = oracle.mode_projection(ext, deltas, 0)
-            for n in range(1, k):
-                total = total + oracle.mode_projection(ext, deltas, n)
-            yield 3, rows[lo:hi], *decided(total - deltas)
+            yield 1, rows[lo:hi], *decided(oracle.star(ext, Q[lo:hi]) - stars[lo:hi])
+        # projecting onto mode mm keeps the deltas of mode mm and kills the
+        # rest: batch row (r, mm) of a chunk, for all k target modes mm at
+        # once; exact, k shifts of k entries in k modes, k**3 terms per row
+        for lo, hi in chunks(N, 4 * k**3 if exact else N * k):
+            n, a = divmod(rows[lo:hi], m)
+            position = (((n * k)[:, None] + t) * m + a[:, None]).ravel()
+            if exact:
+                terms = oracle.projection_terms(ext, Q[lo:hi], t)
+                r, x, s = np.nonzero(Q.num[lo:hi])
+                yield 2, position, *summed((hi - lo) * k, terms.row, terms, (r * k + n[r], x, s))
+            else:
+                got = np.stack([oracle.mode_projection(ext, Q[lo:hi], mm) for mm in t], axis=1)
+                got[rows[: hi - lo], n] -= Q[lo:hi]
+                yield 2, position, *decided(got)
+        # Fourier projections resolve every delta of the extension; a chunk
+        # holds its dense deltas and k shifts in k modes of each
+        for lo, hi in chunks(N, max(N, 4 * k) * k):
+            x = rows[lo:hi]
+            deltas = oracle.deltas(ext, x, exact)
+            if exact:
+                # the terms of batch row (x, n) add into x
+                terms = oracle.projection_terms(ext, deltas, t)
+                yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo, x, 0))
+            else:
+                total = oracle.mode_projection(ext, deltas, 0)
+                for n in range(1, k):
+                    total = total + oracle.mode_projection(ext, deltas, n)
+                yield 3, x, *decided(total - deltas)
 
     first = None  # (rank, position, residual) of the first failing comparison
     for rank, position, bad, value in comparisons():
         failing = np.flatnonzero(bad)
-        if failing.size and (first is None or (rank, position[failing[0] // N]) < first[:2]):
-            i = int(failing[0])
-            first = (rank, int(position[i // N]), float(oracle.magnitude(value(i))))
+        if failing.size:
+            # a chunk's flat (row, arrow) order need not be its search order
+            at = position[failing // N]
+            least = int(at.argmin())
+            if first is None or (rank, int(at[least])) < first[:2]:
+                first = (rank, int(at[least]), float(oracle.magnitude(value(int(failing[least])))))
 
     summands = [
         ModeSummand(
@@ -549,14 +570,6 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         ok=first is None,
         witness=None if first is None else _witness(k, m, *first),
     )
-
-
-def _rows(parts: list):
-    """The batch rows of oracle elements of one form, one part after another."""
-    if not isinstance(parts[0], oracle.Exact):
-        return np.concatenate(parts)
-    e = max(x.e for x in parts)
-    return oracle.Exact(np.concatenate([x.over(e) for x in parts]), e)
 
 
 def _witness(k: int, m: int, rank: int, position: int, residual: float) -> OracleWitness:

@@ -442,10 +442,6 @@ def disjoint_union(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     )
 
 
-def empty_groupoid() -> FiniteGroupoid:
-    return FiniteGroupoid(0, [], [], {}, [], [], name="empty")
-
-
 def cover_groupoid(points, cover) -> FiniteGroupoid:
     """The groupoid of an indexed cover: units (x, i) with x in U_i, one arrow
     ((x, i), (x, j)) for every x in the overlap of U_i and U_j."""

@@ -1,24 +1,33 @@
-"""Writers, readers and random draws that only the tests use.
+"""Writers, readers, builders and random draws that only the tests use.
 
-No command writes a spec or an element document, reads a graded element, or
-draws these cochains and principal groupoids; the tests use them to build
-their inputs and to round-trip the formats.
+No command writes a spec or an element document, serializes a groupoid or a
+cocycle on its own, reads a graded element, builds the empty groupoid or a
+cocycle from Cech data, or draws these cochains and principal groupoids; the
+tests use them to build their inputs and to round-trip the formats.
 """
 
 import random
 from fractions import Fraction
 
-from gpdext.cocycle import OneCochain
+from gpdext.cocycle import CocycleError, OneCochain, TwoCocycle
 from gpdext.documents import (
     DocumentError,
     SpecDocument,
+    canonical_json,
     _coeffs_from_doc,
     _coeffs_to_doc,
     _load,
     cocycle_to_doc,
     groupoid_to_doc,
 )
-from gpdext.groupoid import FiniteGroupoid, cover_groupoid, disjoint_union, pair_groupoid
+from gpdext.exact import CircleScalar
+from gpdext.groupoid import (
+    FiniteGroupoid,
+    _cover_arrows,
+    cover_groupoid,
+    disjoint_union,
+    pair_groupoid,
+)
 
 
 def spec_to_doc(spec: SpecDocument) -> dict:
@@ -28,6 +37,14 @@ def spec_to_doc(spec: SpecDocument) -> dict:
     if spec.params:
         out["params"] = spec.params
     return out
+
+
+def serialize_groupoid(g: FiniteGroupoid) -> str:
+    return canonical_json(groupoid_to_doc(g))
+
+
+def serialize_cocycle(w: TwoCocycle) -> str:
+    return canonical_json(cocycle_to_doc(w))
 
 
 def element_to_doc(f) -> dict:
@@ -79,3 +96,43 @@ def random_principal_groupoid(rng: random.Random) -> FiniteGroupoid:
         lambda: cover_groupoid([1, 2, 3], [{1, 2}, {2, 3}, {3}]),
     ]
     return rng.choice(builders)()
+
+
+def empty_groupoid() -> FiniteGroupoid:
+    return FiniteGroupoid(0, [], [], {}, [], [], name="empty")
+
+
+class CechDataError(CocycleError):
+    pass
+
+
+def cech_cocycle(points, cover, lam) -> TwoCocycle:
+    """Turn Cech 2-cochain data on an indexed cover into a groupoid cocycle.
+
+    ``lam`` maps (i, j, k, x) with x in the triple overlap of U_i, U_j, U_k
+    to a circle value (a mapping or a callable).  The resulting cocycle on
+    the cover groupoid assigns lam(i,j,k,x) to the composable pair
+    ((x,i),(x,j)), ((x,j),(x,k)); it passes the cocycle identity exactly
+    when lam satisfies the Cech 2-cocycle condition on quadruple overlaps.
+    """
+    g = cover_groupoid(points, cover)
+    arrows = _cover_arrows(points, cover)
+
+    if callable(lam):
+        getter = lam
+    else:
+        def getter(i, j, k, x):
+            return lam[(i, j, k, x)]
+
+    vals = {}
+    for a, b in g.compose_table:
+        x, i, j = arrows[a]
+        k = arrows[b][2]
+        try:
+            v = getter(i, j, k, x)
+        except KeyError:
+            raise CechDataError(
+                f"cochain value missing on triple overlap (i={i}, j={j}, k={k}, x={x!r})"
+            ) from None
+        vals[(a, b)] = CircleScalar.coerce(v)
+    return TwoCocycle(g, vals)

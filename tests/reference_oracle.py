@@ -2,7 +2,11 @@
 decomposition certificate.
 
 ``scan_conv`` finds the composable pairs of a convolution by testing every
-pair of the extension against every batch row, ``loop_reduced_norm`` takes
+pair of the extension against every batch row, ``gather_projection`` takes
+an exact Fourier projection as one gather of shifted coefficients, where the
+library scatters the terms of each nonzero entry, ``embed_mode`` embeds
+exact base coefficients in a mode, which the library no longer does,
+``loop_reduced_norm`` takes
 one spectral norm per unit, and ``loop_decompose`` runs the comparisons of
 ``cyclic_decompose`` one (mode, mode) block at a time: products
 (n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
@@ -13,6 +17,7 @@ that involution against the oracle.  The tests compare the library with
 them field for field and bit for bit.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +63,39 @@ def scan_conv(ext, f, g):
     out = np.zeros(lead + fv.shape[-2:], dtype=x.dtype)
     np.add.at(out, (*batch, YZ[p]), products)
     return oracle.Exact(out, f.e + g.e + 1)
+
+
+def gather_projection(ext, f, n: int):
+    """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k),
+    exact values by one gather: coefficient s of the projection at (t, a)
+    sums coefficient s - jn of f at (t + j, a) over the shifts j.  Numeric
+    values take the oracle's own ``mode_projection``."""
+    if not isinstance(f, oracle.Exact):
+        return oracle.mode_projection(ext, f, n)
+    k, m = ext.k, ext.base.n_arrows
+    t = np.arange(k)[:, None, None]
+    a = np.arange(m)[None, :, None]
+    j = np.arange(k)
+    source = ((t + j) % k * m + a).reshape(k * m, k)
+    s = np.arange(k)[:, None]
+    index = (source[:, None, :] * k + (s - j * n) % k).reshape(k * m * k, k)
+    num = oracle._widened(f.num, oracle._max_abs(f.num) * k)
+    flat = num.reshape(math.prod(num.shape[:-2]), k * m * k)
+    return oracle.Exact(flat[:, index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
+
+
+def embed_mode(ext, n: int, coeffs):
+    """Base coefficients F_n into the mode-n homogeneous part,
+    (t, a) -> e(-tn/k) F_n(a): exact ones, an ``Exact`` with num of shape
+    (..., |A|, k), by rotating each coefficient vector; numeric ones by the
+    oracle's own ``embed_mode``."""
+    if not isinstance(coeffs, oracle.Exact):
+        return oracle.embed_mode(ext, n, coeffs)
+    k, m = ext.k, ext.base.n_arrows
+    # rotating by e(-tn/k) moves coefficient s + tn to s
+    num = coeffs.num[..., (np.arange(k) + np.arange(k)[:, None] * n) % k]  # (..., a, t, s)
+    num = np.swapaxes(num, -3, -2)
+    return oracle.Exact(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
 
 
 def loop_reduced_norm(ext, f: np.ndarray) -> float:
@@ -112,7 +150,7 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
     alg = ExtensionAlgebra(base, ext.cocycle)
 
     def embedded(n, values, shape):
-        return oracle.embed_mode(ext, n, _oracle_form(values, shape, k, exact))
+        return embed_mode(ext, n, _oracle_form(values, shape, k, exact))
 
     q = [embedded(n, {(a, a): one for a in base.arrows()}, (m, m)) for n in range(k)]
 
@@ -133,11 +171,11 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
         for n in range(k):
             for mm in range(k):
                 want = q[n] if mm == n else embedded(n, {}, (m, m))
-                yield "projection", (n, mm), oracle.mode_projection(ext, q[n], mm) - want
+                yield "projection", (n, mm), gather_projection(ext, q[n], mm) - want
         deltas = oracle.deltas(ext, range(ext.dimension), exact)
-        total = oracle.mode_projection(ext, deltas, 0)
+        total = gather_projection(ext, deltas, 0)
         for n in range(1, k):
-            total = total + oracle.mode_projection(ext, deltas, n)
+            total = total + gather_projection(ext, deltas, n)
         for t in range(k):
             block = slice(t * m, (t + 1) * m)
             yield "projection", tuple(range(k)), total[block] - deltas[block]

@@ -7,8 +7,9 @@ import pytest
 from gpdext import algebra
 from gpdext.algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from gpdext.cocycle import OneCochain, TwoCocycle
-from gpdext.groupoid import empty_groupoid, pair_groupoid
+from gpdext.groupoid import pair_groupoid
 from gpdext.randgen import random_element
+from helpers import empty_groupoid
 from reference_algebra import times
 from reference_ranks import stacked_faithfulness
 

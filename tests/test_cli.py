@@ -275,7 +275,7 @@ def test_oracle_skipped_for_non_root_of_unity_cocycles(tmp_path, capsys):
 
 def test_empty_groupoid_runs_the_whole_suite(tmp_path, capsys):
     from gpdext.documents import SpecDocument, canonical_json
-    from gpdext.groupoid import empty_groupoid
+    from helpers import empty_groupoid
 
     doc = tmp_path / "empty.json"
     doc.write_text(canonical_json(spec_to_doc(SpecDocument(groupoid=empty_groupoid()))))

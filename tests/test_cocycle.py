@@ -11,14 +11,12 @@ from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, load_spec
 from gpdext.exact import CircleScalar, frac_mod1
 from gpdext.cocycle import (
-    CechDataError,
     CocycleError,
     ExactnessError,
     IsotropyObstruction,
     OneCochain,
     TwoCocycle,
     bicharacter_cocycle,
-    cech_cocycle,
     normalize,
     solve_coboundary,
     trivialize_principal,
@@ -29,7 +27,7 @@ from gpdext.groupoid import (
     pair_groupoid,
 )
 from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
-from helpers import random_exact_cochain, random_principal_groupoid
+from helpers import CechDataError, cech_cocycle, random_exact_cochain, random_principal_groupoid
 from reference_algebra import sigma
 from reference_cocycle import loop_check_identity
 
@@ -163,6 +161,13 @@ class TestNormalize:
             w = TwoCocycle(pair2, {pair: Fraction(1, 2)})
             assert not w.normalized
             assert not _complex_copy(w).normalized
+
+    def test_the_table_is_read_only_and_normalized_is_decided_once(self, pair2):
+        for w in (TwoCocycle(pair2, {(0, 1): Fraction(1, 2)}), TwoCocycle(pair2, {(0, 1): 1j})):
+            with pytest.raises(ValueError):
+                w.table[0, 1] = 0
+            assert not w.normalized
+            assert w.__dict__["normalized"] is False
 
     def test_already_normalized_gives_unit_cochain(self, pauli):
         w2, b = normalize(pauli)

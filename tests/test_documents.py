@@ -10,8 +10,6 @@ from gpdext.documents import (
     parse_element,
     parse_groupoid,
     parse_spec,
-    serialize_cocycle,
-    serialize_groupoid,
 )
 from gpdext.algebra import TwistedAlgebra
 from gpdext.groupoid import (
@@ -21,7 +19,13 @@ from gpdext.groupoid import (
     symmetric_group_groupoid,
     validate,
 )
-from helpers import element_to_doc, parse_laurent, spec_to_doc
+from helpers import (
+    element_to_doc,
+    parse_laurent,
+    serialize_cocycle,
+    serialize_groupoid,
+    spec_to_doc,
+)
 
 
 @pytest.mark.parametrize(

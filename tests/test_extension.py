@@ -29,11 +29,12 @@ from gpdext.extension import (
 from gpdext.groupoid import (
     abelian_group_groupoid,
     cyclic_group_groupoid,
-    empty_groupoid,
     pair_groupoid,
     validate,
 )
 from gpdext.randgen import draw_oracle_instance, random_laurent, random_mu_k_coboundary
+from helpers import empty_groupoid
+import reference_oracle
 
 
 @pytest.fixture
@@ -515,10 +516,10 @@ class TestOracleArraysAgainstLoops:
                         Cyclo(),
                     ) * Fraction(1, k)
                     assert self.as_cyclo(p, x) == want
-            # base coefficients into mode n: (t, a) -> e(-tn/k) F(a)
+            # the loop reference embeds base coefficients in mode n: (t, a) -> e(-tn/k) F(a)
             base = oracle.Exact(f.num[: ext.base.n_arrows])
             for n in range(k):
-                embedded = oracle.embed_mode(ext, n, base)
+                embedded = reference_oracle.embed_mode(ext, n, base)
                 for x in range(N):
                     t, a = ext.parts(x)
                     want = fd.get(a, Cyclo()).rotated(Fraction(-t * n, k))

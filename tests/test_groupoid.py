@@ -9,7 +9,6 @@ from gpdext.groupoid import (
     cover_groupoid,
     cyclic_group_groupoid,
     disjoint_union,
-    empty_groupoid,
     group_groupoid,
     is_principal,
     is_proper,
@@ -22,6 +21,7 @@ from gpdext.groupoid import (
     symmetric_group_groupoid,
     validate,
 )
+from helpers import empty_groupoid
 
 
 class TestValidate:

@@ -14,10 +14,16 @@ as complex numbers, on k = 1 and on the empty groupoid, and on seeded
 single-point mutants: one twist exponent changed in the oracle's
 composition, one cocycle value changed after the oracle was built, and
 projections that fail for two (source, target) mode pairs whose search
-order differs from their target order; some of them again with the stacks
-cut into chunks of a few rows.  A changed graded involution leaves the
-library, which reads its stars off the table of w^n, passing, and fails the
-loop, which reads them from `involute`, so the two no longer match.  The
+order differs from their target order, or for two mode deltas of one chunk
+whose search order is the reverse of the chunk's flat (row, target) order;
+some of them again with the stacks cut into chunks of a few rows.  The
+exact projections are decided from the terms of `projection_terms`, so
+their mutants add a term there, and the loop's projections, one gather per
+(mode, mode) block in `reference_oracle.gather_projection`, are spoiled
+alike; that gather matches the scatter of the terms for k = 1 to 6.  A
+changed graded involution leaves the library, which reads its stars off the
+table of w^n, passing, and fails the loop, which reads them from
+`involute`, so the two no longer match.  The
 exact products are decided from the terms of `conv_terms`, so their
 mutants act there: a term added to the products of two (left, right) mode
 pairs whose search order differs from their left order, and one meeting
@@ -36,9 +42,16 @@ from gpdext.cli import _fixture_dir, load_spec
 from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.exact import CircleScalar
 from gpdext.extension import cyclic_decompose
-from gpdext.groupoid import empty_groupoid, symmetric_group_groupoid
+from gpdext.groupoid import symmetric_group_groupoid
 from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
-from reference_oracle import loop_decompose, loop_reduced_norm, scan_conv
+from helpers import empty_groupoid
+import reference_oracle
+from reference_oracle import (
+    gather_projection,
+    loop_decompose,
+    loop_reduced_norm,
+    scan_conv,
+)
 
 ORDERS = (2, 3, 4, 6)
 
@@ -262,6 +275,40 @@ def _source_modes(e, num: np.ndarray) -> np.ndarray:
     return (-rows.any(axis=1).argmax(axis=-1) % e.k).reshape(num.shape[:-2])
 
 
+def _added(terms, rows, arrow: int = 0):
+    """The terms with one more, 1 at ``arrow`` in exponent 0, in each of
+    the batch rows ``rows``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return terms._replace(
+        row=np.concatenate([terms.row, rows]),
+        arrow=np.concatenate([terms.arrow, np.full_like(rows, arrow)]),
+        exponent=np.concatenate([terms.exponent, np.zeros_like(rows)]),
+        coefficient=np.concatenate([terms.coefficient, np.ones_like(rows)]),
+    )
+
+
+def _spoil_projections(monkeypatch, spoiled, arrow: int = 0):
+    """Spoil p_n(f) in the batch rows of f that spoiled(e, f, n) flags, flat,
+    by 1 more at ``arrow`` in exponent 0: in the library as one more term
+    from ``projection_terms``, in the loop reference on its gather."""
+    projection_terms = oracle.projection_terms
+    gather_projection = reference_oracle.gather_projection
+
+    def terms(e, f, modes):
+        out = projection_terms(e, f, modes)
+        hit = np.stack([spoiled(e, f, int(n)).ravel() for n in modes], axis=-1)
+        return _added(out, np.flatnonzero(hit), arrow)
+
+    def gathered(e, f, n):
+        out = gather_projection(e, f, n)
+        num = out.num.reshape(-1, e.dimension, e.k).copy()
+        num[spoiled(e, f, n).ravel(), arrow, 0] += 1
+        return oracle.Exact(num.reshape(out.num.shape), out.e)
+
+    monkeypatch.setattr(oracle, "projection_terms", terms)
+    monkeypatch.setattr(reference_oracle, "gather_projection", gathered)
+
+
 @pytest.mark.parametrize("entries", (None, 1))
 @pytest.mark.parametrize("k", (3, 6))
 def test_projections_fail_first_in_source_mode_order(monkeypatch, k, entries):
@@ -272,21 +319,58 @@ def test_projections_fail_first_in_source_mode_order(monkeypatch, k, entries):
     w = random_mu_k_coboundary(random.Random(k), g, k)
     ext = oracle.CyclicExtension(g, w, k)
     spoiled = {(0, 2), (1, 0)}
-    mode_projection = oracle.mode_projection
 
-    def spoiling(e, f, n):
-        out = mode_projection(e, f, n)
-        hit = np.array([(int(s), n) in spoiled for s in _source_modes(e, f.num).ravel()])
-        num = out.num.reshape(-1, e.dimension, e.k).copy()
-        num[hit, 0, 0] += 1
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
+    def spoils(e, f, n):
+        return np.array([(int(s), n) in spoiled for s in _source_modes(e, f.num).ravel()], bool)
 
-    monkeypatch.setattr(oracle, "mode_projection", spoiling)
+    _spoil_projections(monkeypatch, spoils)
     if entries is not None:
         monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
     got = cyclic_decompose(ext, skip_centers=True)
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("projection", (0, 2), (0,))
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
+@pytest.mark.parametrize("entries", (None, 1))
+def test_projections_fail_first_in_search_order_within_a_chunk(monkeypatch, entries):
+    # the projections of the mode-0 delta at arrow 0 onto mode 2 and of the
+    # one at arrow 1 onto mode 1 are spoiled, in one chunk: its flat
+    # (row, target) order puts (0, 2) first, the search order (source,
+    # target, arrow) puts (0, 1) at arrow 1 first
+    k = 3
+    g, _ = _FAMILIES[3][1](k)
+    ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
+    spoiled = {(0, 0, 2), (0, 1, 1)}
+
+    def spoils(e, f, n):
+        labels = zip(_source_modes(e, f.num).ravel(), _source_arrows(e, f.num).ravel())
+        return np.array([(int(s), int(a), n) in spoiled for s, a in labels], bool)
+
+    _spoil_projections(monkeypatch, spoils)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("projection", (0, 1), (1,))
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_projection_scatter_matches_the_gather(k):
+    # the operands of the conv match, all-zero rows included, on the empty
+    # groupoid too, and again scaled beyond int64
+    rng = random.Random(k)
+    g, _ = _FAMILIES[3][1](k)
+    empty = empty_groupoid()
+    for ext in (
+        oracle.CyclicExtension(g, random_mu_k_coboundary(rng, g, k), k),
+        oracle.CyclicExtension(empty, TwoCocycle.trivial(empty), k),
+    ):
+        for pair in _operand_pairs(rng, ext, exact=True):
+            for f in pair:
+                for scaled in (f, oracle.Exact(f.num * 2**61, f.e)):
+                    for n in range(k):
+                        got = oracle.mode_projection(ext, scaled, n)
+                        assert_same_product(got, gather_projection(ext, scaled, n))
 
 
 def _source_arrows(e, num: np.ndarray) -> np.ndarray:
@@ -319,16 +403,8 @@ def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
     conv_terms = oracle.conv_terms
 
     def spoiling(e, f, h):
-        terms = conv_terms(e, f, h)
         hit = [i for i, ((p, _), (n, _)) in enumerate(_factors(e, f, h)) if (p, n) in spoiled]
-        hit = np.array(hit, dtype=np.intp)
-        zero = np.zeros_like(hit)
-        return terms._replace(
-            row=np.concatenate([terms.row, hit]),
-            arrow=np.concatenate([terms.arrow, zero]),
-            exponent=np.concatenate([terms.exponent, zero]),
-            coefficient=np.concatenate([terms.coefficient, zero + 1]),
-        )
+        return _added(conv_terms(e, f, h), hit)
 
     monkeypatch.setattr(oracle, "conv_terms", spoiling)
     if entries is not None:
@@ -383,16 +459,12 @@ def test_a_spoiled_fourier_resolution_names_its_arrow(monkeypatch, entries):
     g, _ = _FAMILIES[3][1](k)
     ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(1), g, k), k)
     target = ext.arrow(1, 2)
-    mode_projection = oracle.mode_projection
 
-    def spoiling(e, f, n):
-        out = mode_projection(e, f, n)
-        num = out.num.reshape(-1, e.dimension, e.k).copy()
-        single = f.num.reshape(num.shape).any(axis=-1)
-        num[(single.sum(axis=1) == 1) & single[:, target], target, 0] += 1
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
+    def spoils(e, f, n):
+        single = f.num.reshape(-1, e.dimension, e.k).any(axis=-1)
+        return (single.sum(axis=1) == 1) & single[:, target]
 
-    monkeypatch.setattr(oracle, "mode_projection", spoiling)
+    _spoil_projections(monkeypatch, spoils, target)
     if entries is not None:
         monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
     got = cyclic_decompose(ext, skip_centers=True)
