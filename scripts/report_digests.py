@@ -13,8 +13,9 @@ at k and at 2k.  A diff that moves one of these names the power or the
 order at which it moved.  Then one line
 `fixture float k=<k> ok=<ok> products=<p> stars=<s> projections=<q>
 max_residual=<repr>` for `cyclic_decompose` at k with the cocycle values
-given as complex numbers, which takes the numeric path of the oracle
-comparison; the residual is printed to the last bit.  For each principal
+given as complex numbers, whose values of w^n the oracle comparison snaps
+to their nearest k-th roots; the residual, the largest distance of a value
+from its root, is printed to the last bit.  For each principal
 fixture, one line `fixture morita k=<k> ideal=<d> full=<f> leakage=<repr>`
 at k = 1, at the fixture's k and at 2k: at k = 1 the ideal and the verdict
 of `fullness_check`, above it the ideal of `saturation_report` and whether
@@ -34,7 +35,7 @@ carries the cocycle's values as complex numbers, which takes the numeric
 path of the twisted algebras, and one line
 `fixture complex cyclic-oracle k=<k> sha256` for the `cyclic-oracle
 --samples 10 --k <k>` machine report on that spec at the fixture's own k,
-which takes the numeric path of the oracle comparison and prints its
+which snaps the complex values in the oracle comparison and prints its
 `max_residual`.
 
 Last, one line `<instance> wide <command> sha256` for the `algebra` and

@@ -29,7 +29,9 @@ comes in one of two forms:
 - exact: an ``Exact`` (num, e), num an int array of shape (..., k*|A|, k)
   whose last axis holds the coefficients of zeta_k^0, ..., zeta_k^(k-1) at
   each arrow, all over the one denominator k**e;
-- numeric: a complex array of shape (..., k*|A|).
+- numeric: a complex array of shape (..., k*|A|), taken by ``conv``,
+  ``mode_projection``, ``embed_mode``, ``reduced_norm`` and
+  ``ideal_dimension``.
 
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` is a
@@ -43,29 +45,29 @@ g and reads y z off the table, or no product; each meeting is one term
 f_i(y) g_j(z) zeta_k^(i + j) at y z, since zeta_k^k = 1, with the weight
 1/k.  The second step scatters the terms.  Numeric values meet nonzero
 arrows, in ascending (row, y, z) order, which is the order of the pairs,
-so their terms add per batch row in ascending pair order.  The Fourier
-projections are two steps in the same way on exact values: the term step,
-``projection_terms``, reads only the nonzero entries, and a coefficient of
-zeta_k^s at (t, a) gives one term zeta_k^(s + jn) at (t - j, a) per shift
-j and mode n, with the weight 1/k; ``mode_projection`` scatters them.  On
-numeric values it is a cyclic shift and sum.  ``ideal_dimension`` spans
-an ideal in two batched ``conv`` calls, with the deltas on the left and then
-on the right, and no fixed-point loop.
+so their terms add per batch row in ascending pair order.  The involution
+and the Fourier projections of exact values are term steps alike, reading
+only the nonzero entries: ``star_terms`` sends a coefficient of zeta_k^s
+at x to zeta_k^(-s) at x^-1 through the extension's own inverse, and
+``projection_terms`` gives one term zeta_k^(s + jn) at (t - j, a) per shift
+j and mode n, with the weight 1/k.  ``mode_projection`` of numeric values
+is a cyclic shift and sum.  ``ideal_dimension`` spans an ideal in two
+batched ``conv`` calls, with the deltas on the left and then on the right,
+and no fixed-point loop.
 
-``nonzero_rows`` decides which of many exact values are zero in one integer
-product, by mapping each coefficient vector into the power basis of
-Q(zeta_k), row j of the map being x^j mod Phi_k (H. Cohen, *A Course in
-Computational Algebraic Number Theory*, GTM 138, 1993, section 4.2).
-``nonzero_sums`` decides sums of terms without scattering them: each term
-goes through its row of the same map into one accumulator per key, so the
-work of deciding a product grows with its terms, not with its arrows.
+``nonzero_sums`` decides which sums of terms are zero without scattering
+them: each term goes through row j of the map into the power basis of
+Q(zeta_k), row j being x^j mod Phi_k (H. Cohen, *A Course in Computational
+Algebraic Number Theory*, GTM 138, 1993, section 4.2), into one
+accumulator per key, so the work of deciding a product grows with its
+terms, not with its arrows.
 
 Certificates cut their stacks into row chunks of about ``STACK_ENTRIES``
 entries, so that their memory stays bounded for any k.  A dense stack
-counts its entries; a product or a projection decided from its terms counts
-four per term (row, arrow, exponent and coefficient), since its terms, not
-its dense values, are what a chunk holds, and each passes through a few
-index arrays while it is made.
+counts its entries; a product, a star or a projection decided from its
+terms counts four per term (row, arrow, exponent and coefficient), since
+its terms, not its dense values, are what a chunk holds, and each passes
+through a few index arrays while it is made.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _max_abs(num: np.ndarray) -> int:
 class Exact:
     """An exact oracle element, or a stack of them: num / k**e, num an int
     array (..., k*|A|, k) of coefficients of zeta_k^j.  Indexing acts on the
-    batch axes; + and - bring both sides over the larger denominator."""
+    batch axes."""
 
     __slots__ = ("num", "e")
 
@@ -123,25 +125,6 @@ class Exact:
 
     def __getitem__(self, index) -> "Exact":
         return Exact(self.num[index], self.e)
-
-    def over(self, e: int) -> np.ndarray:
-        """The numerators over the denominator k**e, for e >= self.e."""
-        factor = self.num.shape[-1] ** (e - self.e)
-        if factor == 1:
-            return self.num
-        return _widened(self.num, _max_abs(self.num) * factor) * factor
-
-    def __add__(self, other: "Exact") -> "Exact":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Exact") -> "Exact":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Exact", sign: int) -> "Exact":
-        e = max(self.e, other.e)
-        a, b = self.over(e), other.over(e)
-        bound = _max_abs(a) + _max_abs(b)
-        return Exact(_widened(a, bound) + sign * _widened(b, bound), e)
 
 
 def magnitude(z: np.ndarray) -> np.ndarray:
@@ -323,12 +306,14 @@ def _nonzero_pairs(x: np.ndarray, y: np.ndarray):
     return row, i[a], j[q], xv[a], yv[q]
 
 
-def star(ext: CyclicExtension, f):
-    """f*(x) = conj(f(x^-1)); conjugation sends zeta_k^j to zeta_k^-j."""
-    if isinstance(f, Exact):
-        conj = -np.arange(ext.k) % ext.k
-        return Exact(f.num[..., ext.inverse, :][..., conj], f.e)
-    return f[..., ext.inverse].conj()
+def star_terms(ext: CyclicExtension, f: Exact) -> Terms:
+    """The terms of f*(x) = conj(f(x^-1)) on an exact element: each nonzero
+    coefficient c of zeta_k^s at x gives c zeta_k^(-s) at x^-1, in
+    ascending (row, x, s) order."""
+    k, N = ext.k, ext.dimension
+    num = f.num.reshape(math.prod(f.num.shape[:-2]), N, k)
+    row, x, s = np.nonzero(num)
+    return Terms(f.num.shape[:-2], row, ext.inverse[x], -s % k, num[row, x, s], f.e)
 
 
 def projection_terms(ext: CyclicExtension, f: Exact, modes) -> Terms:
@@ -366,13 +351,10 @@ def _scatter(ext: CyclicExtension, t: Terms) -> Exact:
     return Exact(out.reshape(t.lead + (N, k)), t.e)
 
 
-def mode_projection(ext: CyclicExtension, f, n: int):
-    """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k):
-    shift the circle coordinate by j, rotate by e(jn/k), and sum.  Exact
-    values scatter the terms of ``projection_terms``."""
-    if isinstance(f, Exact):
-        p = _scatter(ext, projection_terms(ext, f, [n]))
-        return Exact(p.num.reshape(f.num.shape), p.e)
+def mode_projection(ext: CyclicExtension, f: np.ndarray, n: int) -> np.ndarray:
+    """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k)
+    of numeric elements: shift the circle coordinate by j, rotate by
+    e(jn/k), and sum."""
     k, m = ext.k, ext.base.n_arrows
     t = np.arange(k)[:, None, None]
     a = np.arange(m)[None, :, None]
@@ -396,20 +378,6 @@ def embed_mode(ext: CyclicExtension, n: int, coeffs: np.ndarray) -> np.ndarray:
 def to_complex(ext: CyclicExtension, f: Exact) -> np.ndarray:
     """The complex values of an exact element."""
     return (f.num @ ext.roots) / ext.k**f.e
-
-
-def nonzero_rows(ext: CyclicExtension, D: np.ndarray) -> np.ndarray:
-    """Which rows of the int matrix D (B, k) hold a nonzero value
-    sum_j D[i, j] zeta_k^j.  A row is zero exactly when its image in the
-    power basis of Q(zeta_k) is, and the image is one integer product,
-    taken in int64 when max |D| times the largest column sum of |R| stays
-    in range and on Python ints otherwise."""
-    R = ext.reduction
-    if max(_max_abs(D), 1) * ext._reduction_bound < _INT64_LIMIT:
-        D, R = D.astype(np.int64, copy=False), R.astype(np.int64)
-    else:
-        D = D.astype(object)
-    return (D @ R != 0).any(axis=1)
 
 
 def nonzero_sums(ext: CyclicExtension, size: int, *terms) -> np.ndarray:

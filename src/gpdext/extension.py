@@ -11,8 +11,10 @@ The certification entry points compare this model against two other code
 paths: the left-regular matrices of the twisted algebras (intertwining and
 reduced-norm agreement) and the independent finite cyclic oracle
 (structure constants and norms of mu_k x_w G).  The oracle comparison reads
-its expected values off the tables of w^n in array expressions; the graded
-involution is certified by the reports' C*-identity and star checks.
+its expected values off the tables of w^n in array expressions, as exponents
+of zeta_k, numeric values snapped to their nearest k-th roots, and decides
+every comparison exactly from the oracle's terms; the graded involution is
+certified by the reports' C*-identity and star checks.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ import numpy as np
 
 from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
-from .cocycle import TwoCocycle
+from .cocycle import TwoCocycle, root_values
 from .cyclic_oracle import CyclicExtension
-from .exact import cmul, spectral_norms
+from .exact import spectral_norms
 from .groupoid import FiniteGroupoid
 
 # Tolerances of the numeric certificates, each far above the rounding of
 # what it bounds and far below the error it catches:
-ORACLE_TOL = 1e-10  # oracle values, sums of k unit-modulus products; |e(1/k) - 1| apart
+ORACLE_TOL = 1e-10  # a graded value of w^n from its nearest k-th root; roots |e(1/k) - 1| apart
 INTERTWINE_TOL = 1e-12  # R_u against L_u: the same products, summed in other orders
 NORM_TOL = 1e-9  # two spectral norms of one operator, by separate SVDs
 
@@ -391,71 +393,56 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     within a mode.  Involutions and the Fourier projections are checked the
     same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
     of about ``oracle.STACK_ENTRIES`` entries but at least one mode's m rows,
-    and each chunk is decided in one batch, exactly with exact inputs and
-    within ``ORACLE_TOL`` otherwise.  Exact products and projections are
-    decided from their terms, from ``conv_terms`` and ``projection_terms``,
-    with the expected values negated, by ``oracle.nonzero_sums``: one call
-    per chunk covers all k target modes of the projections, and one the sum
-    over the modes of the Fourier block.  Numeric values, and exact stars,
-    subtract the expected values from dense results.  The witness is the
-    first failing comparison in the order products (n, p, a, b), stars
-    (n, a), projections (n, mm, a), Fourier block (t, a), and its residual
-    is the modulus of that one difference.
+    and each chunk is decided exactly from its terms, from ``conv_terms``,
+    ``star_terms`` and ``projection_terms``, with the expected values
+    negated, by ``oracle.nonzero_sums``: one call per chunk covers all k
+    target modes of the projections, and one the sum over the modes of the
+    Fourier block.  The witness is the first failing comparison in the
+    order products (n, p, a, b), stars (n, a), projections (n, mm, a),
+    Fourier block (t, a), and its residual is the modulus of that one
+    difference.
 
-    The expected values are the tables of w^n, read in array expressions:
-    w^n(a, b) at (a, b, ab), conj w^n(a^-1, a) at (a, a^-1).  An exact angle
-    x over the conductor N (N divides k: every value is a k-th root) is the
-    one coefficient of zeta_k^(x k / N).  The oracle's own twist is not read,
-    or the comparison would check the oracle against itself.
+    The expected values are the tables of w^n as exponents of zeta_k, read
+    in array expressions: w^n(a, b) at (a, b, ab), conj w^n(a^-1, a) at
+    (a, a^-1).  An exact angle over the conductor (which divides k: every
+    value is a k-th root) is scaled to k.  A numeric value is snapped to
+    its nearest k-th root, and a pair whose value of w^n lies more than
+    ``ORACLE_TOL`` from it fails as the product (n, n, a, b), its residual
+    that distance; ``max_residual`` is the largest distance, 0.0 on exact
+    cocycles.  The oracle's own twist is not read, or the comparison would
+    check the oracle against itself.
     """
     base, w = ext.base, ext.cocycle
     k, m, N = ext.k, base.n_arrows, ext.dimension
-    exact = w.is_exact
-    tol = 0.0 if exact else ORACLE_TOL
     alg = ExtensionAlgebra(base, w)
     A, B, C = base.pair_table
-    arrows, inv = np.arange(m), np.asarray(base.inverse_map, dtype=np.intp)
+    inv = np.asarray(base.inverse_map, dtype=np.intp)
     rows, t = np.arange(N), np.arange(k)
-
-    def mode_deltas(target: np.ndarray, values: np.ndarray):
-        """Row n * m + a: values[n, a] times the delta at base arrow
-        target[a] in mode n, e(-tn/k) values[n, a] at each arrow
-        (t, target[a]), as one stack of oracle elements."""
-        at, values = t * m + np.tile(target, k)[:, None], values.reshape(N, 1)
-        turn = -t * (rows // m)[:, None] % k
-        if exact:
-            x = oracle.Exact(np.zeros((N, N, k), dtype=np.int64))
-            x.num[rows[:, None], at, (values * (k // w.conductor) + turn) % k] = 1
-        else:
-            x = np.zeros((N, N), dtype=complex)
-            x[rows[:, None], at] = cmul(ext.roots[turn], values)
-        return x
 
     def chunks(rows: int, per_row: int):
         step = max(1, m, oracle.STACK_ENTRIES // max(1, per_row))
         return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
-    # w^n and conj w^n per mode: int angles over the conductor, or complex values
+    # P[n, a, b]: w^n(a, b) = zeta_k^P, and each pair's distance from it
     twisted = [alg.twisted(n) for n in range(k)]
-    if exact:
-        powers = [t.powers for t in twisted]
-        conjugates = [-P % w.conductor for P in powers]
-    else:
-        powers, conjugates = [t.twist for t in twisted], [t.twist_conj for t in twisted]
-    # Q[n * m + a]: the delta at base arrow a in mode n, as an oracle element
-    Q = mode_deltas(arrows, np.zeros(N, dtype=np.int64) if exact else np.ones(N, dtype=complex))
-    max_residual = 0.0
-
-    def decided(diff):
-        """The failing (row, arrow) flags of a dense difference got - expected,
-        and its value at a flat (row, arrow)."""
-        nonlocal max_residual
-        if exact:
-            bad = oracle.nonzero_rows(ext, diff.num.reshape(-1, k))
-            return bad, lambda i: oracle.to_complex(ext, diff).reshape(-1)[i]
-        deviation = oracle.magnitude(diff).reshape(-1)
-        max_residual = max(max_residual, float(deviation.max(initial=0.0)))
-        return deviation > tol, lambda i: diff.reshape(-1)[i]
+    if w.is_exact:
+        P = np.array([T.powers for T in twisted], dtype=np.int64).reshape(k, m, m)
+        P *= k // w.conductor
+        distance = np.zeros((k, len(A)))
+    else:  # the nearest k-th root, from the value and k alone
+        z = np.array([T.twist for T in twisted]).reshape(k, m, m)
+        P = np.rint(k * np.angle(z) / (2 * np.pi)).astype(np.intp) % k
+        distance = oracle.magnitude(z - root_values(P, k))[:, A, B]
+    max_residual = float(distance.max(initial=0.0))
+    first = None  # (rank, position, residual) of the first failing comparison
+    far = np.argwhere(distance > ORACLE_TOL)  # ascending in (n, a, b)
+    if len(far):
+        n, i = far[0]
+        first = (0, int(((n * k + n) * m + A[i]) * m + B[i]), float(distance[n, i]))
+    # Q[n * m + a]: the delta at base arrow a in mode n, e(-tn/k) at each
+    # arrow (t, a), as one stack of exact oracle elements
+    Q = oracle.Exact(np.zeros((N, N, k), dtype=np.int64))
+    Q.num[rows[:, None], t * m + rows[:, None] % m, -t * (rows // m)[:, None] % k] = 1
 
     def summed(size: int, row: np.ndarray, terms, expected):
         """The failing (row, arrow) flags of ``size`` exact rows given by
@@ -485,63 +472,45 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     def comparisons():
         """(rank of the kind, the search position of each batch row, the
         failing (row, arrow) flags, the difference at one of them)"""
-        for n, P in enumerate(powers):
+        for n in range(k):
             # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise:
             # product (n * m + a) * m + b is e(-tn/k) w^n(a, b) at each arrow (t, ab)
             product, arrow = (n * m + A) * m + B, t * m + C[:, None]
-            if exact:
-                expected = (P[A, B, None] * (k // w.conductor) - t * n) % k  # exponents of zeta_k
-            else:
-                expected = cmul(ext.roots[-t * n % k], P[A, B, None])
+            expected = (P[n, A, B, None] - t * n) % k
             right = Q[n * m : (n + 1) * m][None, :]
             # a left row meets m right rows, k by k entries each; the terms of
             # one meeting hold four entries (row, arrow, exponent, coefficient)
-            for lo, hi in chunks(N, 4 * m * k * k if exact else m * N):
+            for lo, hi in chunks(N, 4 * m * k * k):
                 own = (lo * m <= product) & (product < hi * m)
-                at = product[own] - lo * m  # the chunk's own products, by batch row
+                terms = oracle.conv_terms(ext, Q[lo:hi, None], right)
+                expect = (product[own, None] - lo * m, arrow[own], expected[own])
                 position = n * k * m * m + np.arange(lo * m, hi * m)
-                if exact:
-                    terms = oracle.conv_terms(ext, Q[lo:hi, None], right)
-                    expect = (at[:, None], arrow[own], expected[own])
-                    yield 0, position, *summed(len(position), terms.row, terms, expect)
-                else:
-                    got = oracle.conv(ext, Q[lo:hi, None], right).reshape(-1, N)
-                    got[at[:, None], arrow[own]] -= expected[own]
-                    yield 0, position, *decided(got)
-        # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n
-        stars = mode_deltas(inv, np.stack([P[inv, arrows] for P in conjugates]))
-        for lo, hi in chunks(N, N * k):
-            yield 1, rows[lo:hi], *decided(oracle.star(ext, Q[lo:hi]) - stars[lo:hi])
+                yield 0, position, *summed(len(position), terms.row, terms, expect)
+        # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n: row
+        # n * m + a is e(-tn/k) conj w^n(a^-1, a) at each arrow (t, a^-1);
+        # k terms per row
+        for lo, hi in chunks(N, 4 * k):
+            n, a = divmod(rows[lo:hi, None], m)
+            terms = oracle.star_terms(ext, Q[lo:hi])
+            expect = (rows[lo:hi, None] - lo, t * m + inv[a], (-P[n, inv[a], a] - t * n) % k)
+            yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, expect)
         # projecting onto mode mm keeps the deltas of mode mm and kills the
         # rest: batch row (r, mm) of a chunk, for all k target modes mm at
-        # once; exact, k shifts of k entries in k modes, k**3 terms per row
-        for lo, hi in chunks(N, 4 * k**3 if exact else N * k):
+        # once; k shifts of k entries in k modes, k**3 terms per row
+        for lo, hi in chunks(N, 4 * k**3):
             n, a = divmod(rows[lo:hi], m)
             position = (((n * k)[:, None] + t) * m + a[:, None]).ravel()
-            if exact:
-                terms = oracle.projection_terms(ext, Q[lo:hi], t)
-                r, x, s = np.nonzero(Q.num[lo:hi])
-                yield 2, position, *summed((hi - lo) * k, terms.row, terms, (r * k + n[r], x, s))
-            else:
-                got = np.stack([oracle.mode_projection(ext, Q[lo:hi], mm) for mm in t], axis=1)
-                got[rows[: hi - lo], n] -= Q[lo:hi]
-                yield 2, position, *decided(got)
+            terms = oracle.projection_terms(ext, Q[lo:hi], t)
+            r, x, s = np.nonzero(Q.num[lo:hi])
+            yield 2, position, *summed((hi - lo) * k, terms.row, terms, (r * k + n[r], x, s))
         # Fourier projections resolve every delta of the extension; a chunk
-        # holds its dense deltas and k shifts in k modes of each
+        # holds its dense deltas and k shifts in k modes of each, and the
+        # terms of batch row (x, n) add into x
         for lo, hi in chunks(N, max(N, 4 * k) * k):
             x = rows[lo:hi]
-            deltas = oracle.deltas(ext, x, exact)
-            if exact:
-                # the terms of batch row (x, n) add into x
-                terms = oracle.projection_terms(ext, deltas, t)
-                yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo, x, 0))
-            else:
-                total = oracle.mode_projection(ext, deltas, 0)
-                for n in range(1, k):
-                    total = total + oracle.mode_projection(ext, deltas, n)
-                yield 3, x, *decided(total - deltas)
+            terms = oracle.projection_terms(ext, oracle.deltas(ext, x, True), t)
+            yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo, x, 0))
 
-    first = None  # (rank, position, residual) of the first failing comparison
     for rank, position, bad, value in comparisons():
         failing = np.flatnonzero(bad)
         if failing.size:
@@ -565,7 +534,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         products_checked=(k * m) ** 2,
         stars_checked=k * m,
         projections_checked=k * k * m + ext.dimension,
-        exact=exact,
+        exact=w.is_exact,
         max_residual=max_residual,
         ok=first is None,
         witness=None if first is None else _witness(k, m, *first),

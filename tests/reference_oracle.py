@@ -3,20 +3,28 @@ decomposition certificate.
 
 ``scan_conv`` finds the composable pairs of a convolution by testing every
 pair of the extension against every batch row, ``gather_projection`` takes
-an exact Fourier projection as one gather of shifted coefficients, where the
-library scatters the terms of each nonzero entry, ``embed_mode`` embeds
-exact base coefficients in a mode, which the library no longer does,
-``loop_reduced_norm`` takes
+an exact Fourier projection as one gather of shifted coefficients and
+``gather_star`` an exact involution as one gather at the inverses, where
+the library builds both from the terms of each nonzero entry, which
+``scatter_projection`` and ``scatter_star`` add up.  ``embed_mode`` embeds
+exact base coefficients in a mode, which the library no longer does, and
+``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
+dense, which the library no longer does either.  ``loop_reduced_norm`` takes
 one spectral norm per unit, and ``loop_decompose`` runs the comparisons of
 ``cyclic_decompose`` one (mode, mode) block at a time: products
 (n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
 Fourier block.  Its expected values cross into the oracle one at a time: a
 ``CircleScalar`` per composable pair from ``sigma``, and a star per mode
 delta from the graded model's own ``involute``, so matching it also checks
-that involution against the oracle.  The tests compare the library with
-them field for field and bit for bit.
+that involution against the oracle.  A numeric value is snapped to the
+k-th root nearest its phase, and every comparison is exact; a pair's value
+more than ``ORACLE_TOL`` from its root fails as its product within the
+mode, with that distance as its residual, and the largest such distance
+is ``max_residual``.  The tests compare the library with them field for
+field and bit for bit.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -67,11 +75,8 @@ def scan_conv(ext, f, g):
 
 def gather_projection(ext, f, n: int):
     """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k),
-    exact values by one gather: coefficient s of the projection at (t, a)
-    sums coefficient s - jn of f at (t + j, a) over the shifts j.  Numeric
-    values take the oracle's own ``mode_projection``."""
-    if not isinstance(f, oracle.Exact):
-        return oracle.mode_projection(ext, f, n)
+    of exact values by one gather: coefficient s of the projection at (t, a)
+    sums coefficient s - jn of f at (t + j, a) over the shifts j."""
     k, m = ext.k, ext.base.n_arrows
     t = np.arange(k)[:, None, None]
     a = np.arange(m)[None, :, None]
@@ -84,18 +89,63 @@ def gather_projection(ext, f, n: int):
     return oracle.Exact(flat[:, index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
 
 
+def scatter_projection(ext, f, n: int):
+    """p_n(f) of exact values, the scatter of the oracle's ``projection_terms``."""
+    p = oracle._scatter(ext, oracle.projection_terms(ext, f, [n]))
+    return oracle.Exact(p.num.reshape(f.num.shape), p.e)
+
+
+def gather_star(ext, f):
+    """f*(x) = conj(f(x^-1)) of exact values by one gather at the inverses;
+    conjugation sends zeta_k^j to zeta_k^-j."""
+    conj = -np.arange(ext.k) % ext.k
+    return oracle.Exact(f.num[..., ext.inverse, :][..., conj], f.e)
+
+
+def scatter_star(ext, f):
+    """f* of exact values, the scatter of the oracle's ``star_terms``."""
+    return oracle._scatter(ext, oracle.star_terms(ext, f))
+
+
 def embed_mode(ext, n: int, coeffs):
-    """Base coefficients F_n into the mode-n homogeneous part,
-    (t, a) -> e(-tn/k) F_n(a): exact ones, an ``Exact`` with num of shape
-    (..., |A|, k), by rotating each coefficient vector; numeric ones by the
-    oracle's own ``embed_mode``."""
-    if not isinstance(coeffs, oracle.Exact):
-        return oracle.embed_mode(ext, n, coeffs)
+    """Exact base coefficients F_n, an ``Exact`` with num of shape
+    (..., |A|, k), into the mode-n homogeneous part, (t, a) -> e(-tn/k) F_n(a),
+    by rotating each coefficient vector."""
     k, m = ext.k, ext.base.n_arrows
     # rotating by e(-tn/k) moves coefficient s + tn to s
     num = coeffs.num[..., (np.arange(k) + np.arange(k)[:, None] * n) % k]  # (..., a, t, s)
     num = np.swapaxes(num, -3, -2)
     return oracle.Exact(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
+
+
+def over(f, e: int) -> np.ndarray:
+    """The numerators of an exact stack over the denominator k**e, for e >= f.e."""
+    factor = f.num.shape[-1] ** (e - f.e)
+    if factor == 1:
+        return f.num
+    return oracle._widened(f.num, oracle._max_abs(f.num) * factor) * factor
+
+
+def combined(f, g, sign: int = 1):
+    """f + sign * g of exact stacks, over the larger denominator."""
+    e = max(f.e, g.e)
+    a, b = over(f, e), over(g, e)
+    bound = oracle._max_abs(a) + oracle._max_abs(b)
+    return oracle.Exact(oracle._widened(a, bound) + sign * oracle._widened(b, bound), e)
+
+
+def nonzero_rows(ext, D: np.ndarray) -> np.ndarray:
+    """Which rows of the int matrix D (B, k) hold a nonzero value
+    sum_j D[i, j] zeta_k^j.  A row is zero exactly when its image in the
+    power basis of Q(zeta_k) is, and the image is one integer product,
+    taken in int64 when max |D| times the largest column sum of |R| stays
+    in range and on Python ints otherwise."""
+    R = ext.reduction
+    if max(oracle._max_abs(D), 1) * ext._reduction_bound < oracle._INT64_LIMIT:
+        D, R = D.astype(np.int64, copy=False), R.astype(np.int64)
+    else:
+        D = D.astype(object)
+    return (D @ R != 0).any(axis=1)
 
 
 def loop_reduced_norm(ext, f: np.ndarray) -> float:
@@ -122,21 +172,17 @@ def _coefficients(c: Cyclo, k: int) -> list[int]:
     return out
 
 
-def _oracle_form(values: dict, shape: tuple[int, ...], k: int, exact: bool):
-    """Graded-model values {index: value} (circle values or algebra
-    coefficients) as one dense array in the oracle's form: exact values as
-    their coefficients of zeta_k^j, each value in Z[zeta_k], numeric ones as
-    complex."""
-    if exact:
-        num = np.zeros(shape + (k,), dtype=np.int64)
-        for index, c in values.items():
-            c = Cyclo.from_root(c.angle) if isinstance(c, CircleScalar) else Cyclo.coerce(c)
-            num[index] = _coefficients(c, k)
-        return oracle.Exact(num)
-    out = np.zeros(shape, dtype=complex)
-    for index, c in values.items():
-        out[index] = c.to_complex() if isinstance(c, CircleScalar) else complex(c)
-    return out
+def _root(c, k: int):
+    """The k-th root of unity a graded value names, as a Cyclo, and the
+    value's distance from it: an exact value is its own root, at distance
+    0.0; a numeric one is snapped to the k-th root nearest its phase."""
+    if isinstance(c, CircleScalar) and c.is_exact:
+        return Cyclo.from_root(c.angle), 0.0
+    if not isinstance(c, (CircleScalar, float, complex)):
+        return Cyclo.coerce(c), 0.0
+    z = c.to_complex() if isinstance(c, CircleScalar) else complex(c)
+    j = round(k * cmath.phase(z) / (2 * math.pi)) % k
+    return Cyclo.from_root(Fraction(j, k)), abs(z - CircleScalar(angle=Fraction(j, k)).to_complex())
 
 
 def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
@@ -145,14 +191,21 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
     base = ext.base
     k, m = ext.k, base.n_arrows
     exact = ext.cocycle.is_exact
-    one = Fraction(1) if exact else 1.0
-    tol = 0.0 if exact else ORACLE_TOL
     alg = ExtensionAlgebra(base, ext.cocycle)
 
     def embedded(n, values, shape):
-        return embed_mode(ext, n, _oracle_form(values, shape, k, exact))
+        """Graded values {index: value} in mode n, each snapped to its root,
+        as one exact stack, and their distances from their roots over all
+        but the last axis of ``shape``."""
+        num = np.zeros(shape + (k,), dtype=np.int64)
+        distance = np.zeros(shape[:-1])
+        for index, c in values.items():
+            root, distance[index[:-1]] = _root(c, k)
+            num[index] = _coefficients(root, k)
+        return embed_mode(ext, n, oracle.Exact(num)), distance
 
-    q = [embedded(n, {(a, a): one for a in base.arrows()}, (m, m)) for n in range(k)]
+    q = [embedded(n, {(a, a): 1 for a in base.arrows()}, (m, m))[0] for n in range(k)]
+    none = np.zeros(m)  # no expected value snapped along a block's rows
 
     def comparisons():
         for n in range(k):
@@ -160,42 +213,51 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
             within = {(a, b, c): sigma(alg_n, a, b) for (a, b), c in base.compose_table.items()}
             for p in range(k):
                 got = scan_conv(ext, q[p][:, None], q[n][None, :])
-                yield "product", (p, n), got - embedded(n, within, (m, m, m)) if p == n else got
+                if p == n:
+                    want, distance = embedded(n, within, (m, m, m))
+                    yield "product", (p, n), combined(got, want, -1), distance
+                else:
+                    yield "product", (p, n), got, none[:, None] + none
+        one = Fraction(1) if exact else 1.0
         for n in range(k):
             stars = {
                 (a, b): c
                 for a in base.arrows()
                 for b, c in alg.twisted(n).delta(a, one).star().coeff.items()
             }
-            yield "star", (n,), oracle.star(ext, q[n]) - embedded(n, stars, (m, m))
+            # a star's value is its pair's value of w^n conjugated, whose
+            # distance from its root the products count
+            want, _ = embedded(n, stars, (m, m))
+            yield "star", (n,), combined(gather_star(ext, q[n]), want, -1), none
         for n in range(k):
             for mm in range(k):
-                want = q[n] if mm == n else embedded(n, {}, (m, m))
-                yield "projection", (n, mm), gather_projection(ext, q[n], mm) - want
-        deltas = oracle.deltas(ext, range(ext.dimension), exact)
+                got = gather_projection(ext, q[n], mm)
+                yield "projection", (n, mm), combined(got, q[n], -1) if mm == n else got, none
+        deltas = oracle.deltas(ext, range(ext.dimension), True)
         total = gather_projection(ext, deltas, 0)
         for n in range(1, k):
-            total = total + gather_projection(ext, deltas, n)
+            total = combined(total, gather_projection(ext, deltas, n))
+        diff = combined(total, deltas, -1)
         for t in range(k):
             block = slice(t * m, (t + 1) * m)
-            yield "projection", tuple(range(k)), total[block] - deltas[block]
+            yield "projection", tuple(range(k)), diff[block], none
 
     max_residual = 0.0
     witness = None
-    for kind, modes, diff in comparisons():
-        if exact:
-            bad = oracle.nonzero_rows(ext, diff.num.reshape(-1, k))
-        else:
-            deviation = oracle.magnitude(diff).reshape(-1)
-            max_residual = max(max_residual, float(deviation.max(initial=0.0)))
-            bad = deviation > tol
-        for row in range(len(bad)):
-            if bad[row] and witness is None:
-                value = (oracle.to_complex(ext, diff) if exact else diff).reshape(-1)[row]
-                *arrows, _ = np.unravel_index(row, diff.num.shape[:-1] if exact else diff.shape)
+    for kind, modes, diff, distance in comparisons():
+        shape = diff.num.shape[:-1]
+        max_residual = max(max_residual, float(distance.max(initial=0.0)))
+        bad = nonzero_rows(ext, diff.num.reshape(-1, k)).reshape(shape)
+        for index in np.ndindex(shape if witness is None else (0,)):
+            *arrows, x = index
+            # a value far from its root fails first in its own rows
+            far = x == 0 and distance[tuple(arrows)] > ORACLE_TOL
+            if far or bad[index]:
+                residual = distance[tuple(arrows)] if far else oracle.to_complex(ext, diff)[index]
                 witness = OracleWitness(
-                    kind, modes, tuple(int(a) for a in arrows), float(oracle.magnitude(value))
+                    kind, modes, tuple(int(a) for a in arrows), float(oracle.magnitude(residual))
                 )
+                break
 
     summands = [
         ModeSummand(n, m, -1 if skip_centers else alg.twisted(n).center_dimension())

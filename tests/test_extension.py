@@ -501,13 +501,13 @@ class TestOracleArraysAgainstLoops:
             product = oracle.conv(ext, f, g)
             expected = self.loop_conv(ext, fd, gd, Fraction(1, k))
             assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(N))
-            star = oracle.star(ext, f)
+            star = reference_oracle.scatter_star(ext, f)
             assert all(
                 self.as_cyclo(star, ext.groupoid.inv(x)) == fd.get(x, Cyclo()).conjugate()
                 for x in range(N)
             )
             for n in range(k):
-                p = oracle.mode_projection(ext, f, n)
+                p = reference_oracle.scatter_projection(ext, f, n)
                 for x in range(N):
                     t, a = ext.parts(x)
                     want = sum(
@@ -566,18 +566,26 @@ class TestOracleArraysAgainstLoops:
                 assert np.array_equal(both.num[i, j], oracle.conv(ext, a, b).num)
 
     def test_sums_leave_int64_when_they_could_overflow(self):
+        # the loop reference adds exact stacks dense
+        added = reference_oracle.combined
         big = oracle.Exact(np.array([[2**62, 0]]))
-        assert (big + big).num.tolist() == [[2**63, 0]]
-        assert (oracle.Exact(-big.num) - big).num.tolist() == [[-(2**63), 0]]
+        assert added(big, big).num.tolist() == [[2**63, 0]]
+        assert added(oracle.Exact(-big.num), big, -1).num.tolist() == [[-(2**63), 0]]
         # over a larger denominator the numerators scale by k first
-        assert (big - oracle.Exact(np.array([[1, 0]]), 1)).num.tolist() == [[2**63 - 1, 0]]
+        assert added(big, oracle.Exact(np.array([[1, 0]]), 1), -1).num.tolist() == [[2**63 - 1, 0]]
 
     def test_zero_test_leaves_int64_when_it_could_overflow(self, klein, pauli):
         ext = cyclic_extension(klein, pauli, 2)  # zeta_2 = -1
         big = 2**70
-        D = np.array([[big, big], [big, big + 1], [0, 0]], dtype=object)
-        assert oracle.nonzero_rows(ext, D).tolist() == [False, True, False]
-        assert oracle.nonzero_rows(ext, np.array([[3, 3], [3, 2]])).tolist() == [False, True]
+        for D in (
+            np.array([[big, big], [big, big + 1], [0, 0]], dtype=object),
+            np.array([[3, 3], [3, 2], [0, 0]]),
+        ):
+            # row i of D as the terms D[i, j] zeta^j, keyed i
+            key, j = np.nonzero(np.ones(D.shape, dtype=bool))
+            got = oracle.nonzero_sums(ext, len(D), (key, j, D[key, j]))
+            assert got.tolist() == [False, True, False]
+            assert reference_oracle.nonzero_rows(ext, D).tolist() == [False, True, False]
 
 
 def _klein_pauli():

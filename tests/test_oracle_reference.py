@@ -12,15 +12,22 @@ for field, witness and `max_residual` included, on every bundled fixture and
 every `randgen` family at k = 2, 3, 4, 6, each also with its cocycle values
 as complex numbers, on k = 1 and on the empty groupoid, and on seeded
 single-point mutants: one twist exponent changed in the oracle's
-composition, one cocycle value changed after the oracle was built, and
-projections that fail for two (source, target) mode pairs whose search
-order differs from their target order, or for two mode deltas of one chunk
-whose search order is the reverse of the chunk's flat (row, target) order;
-some of them again with the stacks cut into chunks of a few rows.  The
-exact projections are decided from the terms of `projection_terms`, so
-their mutants add a term there, and the loop's projections, one gather per
-(mode, mode) block in `reference_oracle.gather_projection`, are spoiled
-alike; that gather matches the scatter of the terms for k = 1 to 6.  A
+composition, one cocycle value changed after the oracle was built, by a
+k-th root or by a turn off its root, and projections that fail for two
+(source, target) mode pairs whose search order differs from their target
+order, or for two mode deltas of one chunk whose search order is the
+reverse of the chunk's flat (row, target) order; some of them again with
+the stacks cut into chunks of a few rows.  Both snap a complex value of
+w^n to its nearest k-th root and compare exactly from there, so the
+complex copies take the exact path, and `max_residual` is the largest
+distance of a value from its root; a value that lies more than
+`ORACLE_TOL` from it fails as its product within the mode.  The library
+takes its roots from the values and k alone, never from the oracle's own
+twist.  The exact projections and stars are decided from the terms of
+`projection_terms` and `star_terms`, so the projection mutants add a term
+there, and the loop's projections, one gather per (mode, mode) block in
+`reference_oracle.gather_projection`, are spoiled alike; the gathers of
+projections and stars match the scatters of their terms for k = 1 to 6.  A
 changed graded involution leaves the library, which reads its stars off the
 table of w^n, passing, and fails the loop, which reads them from
 `involute`, so the two no longer match.  The
@@ -30,6 +37,7 @@ pairs whose search order differs from their left order, and one meeting
 dropped from one product, which must be named with a residual of 1/k.
 """
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -39,18 +47,22 @@ import pytest
 from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, load_spec
-from gpdext.cocycle import TwoCocycle, normalize
+from gpdext.cocycle import ROOT_TOL, TwoCocycle, normalize
 from gpdext.exact import CircleScalar
-from gpdext.extension import cyclic_decompose
+from gpdext.extension import ORACLE_TOL, cyclic_decompose
 from gpdext.groupoid import symmetric_group_groupoid
 from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
 from helpers import empty_groupoid
+from reference_algebra import sigma
 import reference_oracle
 from reference_oracle import (
     gather_projection,
+    gather_star,
     loop_decompose,
     loop_reduced_norm,
     scan_conv,
+    scatter_projection,
+    scatter_star,
 )
 
 ORDERS = (2, 3, 4, 6)
@@ -229,6 +241,66 @@ def test_a_changed_structure_constant_fails_as_in_the_loop(name, g, w, k):
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
+COMPLEX = [x for x in INSTANCES if not x[2].is_exact]
+
+
+def _turned_off_its_root(name, g, w, k, angle: float):
+    """w as complex values with one non-unit pair's value turned by the
+    angle, installed after the oracle was built, and the distances of that
+    pair's value of w^n from its nearest k-th root, n = 0..k-1."""
+    units = set(g.unit_to_arrow)
+    pair = random.Random(name).choice([p for p in sorted(g.compose_table) if not units & set(p)])
+    values = {p: w.value(*p).to_complex() for p in g.compose_table}
+    values[pair] *= cmath.exp(1j * angle)
+    turned = TwoCocycle(g, values, identity_checked=True)
+    distances = [
+        reference_oracle._root(sigma(TwistedAlgebra(g, turned, n), *pair), k)[1] for n in range(k)
+    ]
+    return turned, pair, distances
+
+
+@pytest.mark.parametrize("name,g,w,k", COMPLEX, ids=[x[0] for x in COMPLEX])
+def test_a_value_off_its_root_fails_as_in_the_loop(name, g, w, k):
+    # 5e-10 off in mode 1: above ORACLE_TOL, and below the ROOT_TOL that the
+    # oracle's build allows, so that only the comparison can catch it
+    ext = oracle.CyclicExtension(g, w, k)
+    ext.cocycle, pair, distances = _turned_off_its_root(name, g, w, k, 5e-10)
+    assert ORACLE_TOL < distances[1] < ROOT_TOL
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert not got.ok
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (1, 1), pair)
+    assert got.witness.residual == distances[1]
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
+@pytest.mark.parametrize("name,g,w,k", COMPLEX, ids=[x[0] for x in COMPLEX])
+def test_a_value_near_its_root_passes_with_its_distance(name, g, w, k):
+    # w^n turns the value n times as far, so mode k - 1 is 5e-11 off, below
+    # ORACLE_TOL, and that is the largest distance of any value
+    ext = oracle.CyclicExtension(g, w, k)
+    ext.cocycle, _, distances = _turned_off_its_root(name, g, w, k, 5e-11 / (k - 1))
+    assert max(distances) == pytest.approx(5e-11, rel=1e-3)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert got.ok
+    assert abs(got.max_residual - max(distances)) <= 1e-15
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
+def test_the_roots_are_never_read_off_the_oracle(monkeypatch):
+    # the oracle builds its composition from TwoCocycle.root_exponents; the
+    # certificate must take its roots from the graded values alone
+    fixtures = [x for x in INSTANCES if not x[0].startswith("family")]
+    assert len(fixtures) == 2 * len(list(_fixture_dir().glob("*.json")))
+    exts = [oracle.CyclicExtension(g, w, k) for _, g, w, k in fixtures]
+
+    def refused(self, k):
+        raise AssertionError("the certificate read the oracle's own twist")
+
+    monkeypatch.setattr(TwoCocycle, "root_exponents", refused)
+    for ext in exts:
+        assert cyclic_decompose(ext, skip_centers=True).ok
+
+
 @pytest.mark.parametrize("name,g,w,k", INSTANCES, ids=IDS)
 def test_a_changed_involution_fails_as_in_the_loop(monkeypatch, name, g, w, k):
     # the library reads its stars off the table of w^n and still passes; the
@@ -356,7 +428,8 @@ def test_projections_fail_first_in_search_order_within_a_chunk(monkeypatch, entr
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_projection_scatter_matches_the_gather(k):
-    # the operands of the conv match, all-zero rows included, on the empty
+    # the scatters of the projection and star terms match the gathers on
+    # the operands of the conv, all-zero rows included, on the empty
     # groupoid too, and again scaled beyond int64
     rng = random.Random(k)
     g, _ = _FAMILIES[3][1](k)
@@ -369,8 +442,9 @@ def test_projection_scatter_matches_the_gather(k):
             for f in pair:
                 for scaled in (f, oracle.Exact(f.num * 2**61, f.e)):
                     for n in range(k):
-                        got = oracle.mode_projection(ext, scaled, n)
+                        got = scatter_projection(ext, scaled, n)
                         assert_same_product(got, gather_projection(ext, scaled, n))
+                    assert_same_product(scatter_star(ext, scaled), gather_star(ext, scaled))
 
 
 def _source_arrows(e, num: np.ndarray) -> np.ndarray:
