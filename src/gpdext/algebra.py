@@ -13,29 +13,33 @@ source fiber s^-1(u); on that basis an element f acts by the matrix
 
 which is multiplicative and *-preserving for normalized cocycles (the
 cocycle identity on (c b^-1, b d^-1, d) is exactly what is needed).  The
-reduced norm is the largest spectral norm of these matrices over all units.
+reduced norm is the largest spectral norm of these matrices over the units;
+the matrices at the units of one orbit are unitarily equivalent, so one
+unit per orbit is enough.
 
 Faithfulness and the center dimension are decided exactly, by the
 structural arguments in ``full_norm_certificate`` and ``center_dimension``.
 
-An element is a dict of coefficients, exact (int/Fraction/Cyclo) or numeric
-(float/complex), and every operation reads the table of w^n, ``powers``.
-Numeric elements are combined in arrays over the groupoid's compiled tables:
-a product is one scatter of the terms w^n(a, b) f(a) g(b) onto a.b through
-``compose_array``, the involution is a gather through the inverse map, and M
-is one gather at c b^-1.  The complex table of w^n holds, entry by entry,
-the float ``CircleScalar.to_complex`` gives, and products round as Python's
-do (``exact.cmul``).  A sum runs over a in the left operand's support order,
-and a product's keys come in the order they are first touched, as in the
-exact loop: the reports print residuals near 1e-16 to 11 digits, so another
-order would move their bytes.  Exact elements stay on a dict loop, which
-reads the int angle table of w^n and rotates each exact coefficient by its
-angle, so products and involutions stay exact for the structure-constant
-certificates.
+An element is exact or numeric.  An exact one is a dict of int, Fraction or
+Cyclo coefficients; over an exact cocycle its products and involutions run
+on a dict loop that rotates each coefficient by the int angle of w^n, so
+they stay exact for the structure-constant certificates.  A numeric one is a
+complex array over the arrows, with optional leading batch axes, so that one
+call acts on a whole stack of samples; mixing it with an exact one, or a
+numeric cocycle, makes the result numeric.  A product is one scatter of the
+terms w^n(a, b) f(a) g(b) onto a.b, summed in ``pair_table`` order over
+every composable pair; the involution is a gather through the inverse map,
+and M is one gather at c b^-1.  Each term rounds as Python's complex product
+does (``exact.cmul``): numpy's own array multiply may fuse multiply-adds,
+which would make the reported residuals depend on the CPU.  The complex
+table of w^n holds e(x / N) as ``CircleScalar.to_complex`` gives it for each
+exact angle x, and the powers z ** n of a numeric cocycle's values as numpy
+takes them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +49,6 @@ import numpy as np
 from .cocycle import TwoCocycle, root_values
 from .exact import CLOSE_TOL, Cyclo, cmul, spectral_norms
 from .groupoid import FiniteGroupoid, orbit_decomposition
-
 
 class AlgebraError(ValueError):
     pass
@@ -73,18 +76,20 @@ class TwistedAlgebra:
 
     @cached_property
     def twist(self) -> np.ndarray:
-        """w^n as complex values, each the float ``CircleScalar.to_complex`` gives."""
+        """w^n as complex values: e(x / N) as ``CircleScalar.to_complex`` gives
+        it for each int angle x, or the numeric power table itself."""
         if self.cocycle.is_exact:
             return root_values(self.powers, self.cocycle.conductor)
-        return _unit(self.powers.tolist())
+        return self.powers
 
     @cached_property
-    def twist_conj(self) -> np.ndarray:
-        """conj(w^n) as complex values: those of the negated angles, or the
-        conjugates of ``twist`` normalized once more, as CircleScalar does."""
-        if self.cocycle.is_exact:
-            return root_values(-self.powers % self.cocycle.conductor, self.cocycle.conductor)
-        return _unit(self.twist.conj().tolist())
+    def orbit_units(self) -> list[int]:
+        """The first unit of each orbit, ascending: the units u that are the
+        least range of an arrow with source u."""
+        G = self.groupoid
+        least = np.arange(G.n_units)
+        np.minimum.at(least, np.asarray(G.source_map, dtype=np.intp), G.range_map)
+        return np.flatnonzero(least == np.arange(G.n_units)).tolist()
 
     @property
     def dimension(self) -> int:
@@ -99,7 +104,7 @@ class TwistedAlgebra:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, coeff: dict) -> "AlgebraElement":
+    def element(self, coeff) -> "AlgebraElement":
         return AlgebraElement(self, coeff)
 
     def delta(self, arrow: int, coeff=1) -> "AlgebraElement":
@@ -113,114 +118,80 @@ class TwistedAlgebra:
         cocycle is normalized."""
         return AlgebraElement(self, {a: 1 for a in self.groupoid.unit_to_arrow})
 
-    def basis(self):
-        return (self.delta(a) for a in self.groupoid.arrows())
-
     # -- operations ------------------------------------------------------------
 
-    def _times(self, a: int, b: int, coeff, conj: bool = False):
-        """w^n(a, b) * coeff, or conj(w^n(a, b)) * coeff: an exact coefficient
-        rotated by the angle of w^n when the cocycle is exact, else a
-        complex product."""
-        if self.cocycle.is_exact and isinstance(coeff, (int, Fraction, Cyclo)):
-            angle = self.powers.item(a, b)
-            angle = Fraction(-angle if conj else angle, self.cocycle.conductor)
-            return Cyclo.coerce(coeff).rotated(angle)
-        return (self.twist_conj if conj else self.twist).item(a, b) * complex(coeff)
-
-    def _terms(self, a: np.ndarray, x: np.ndarray, b: np.ndarray, y: np.ndarray):
-        """Every composable pair (a[i], b[j]), in row-major (i, j) order: j, the
-        product arrow a[i] b[j] and the term w^n(a[i], b[j]) x[i] y[j]."""
-        c = self.groupoid.compose_array[a[:, None], b]
-        i, j = np.nonzero(c >= 0)
-        return j, c[i, j], cmul(self.twist[a[i], b[j]], cmul(x[i], y[j]))
+    def _rotated(self, a: int, b: int, coeff, sign: int):
+        """The exact coefficient rotated by sign times the angle of w^n(a, b)."""
+        angle = Fraction(sign * self.powers.item(a, b), self.cocycle.conductor)
+        return Cyclo.coerce(coeff).rotated(angle)
 
     def convolve(self, f: "AlgebraElement", g: "AlgebraElement") -> "AlgebraElement":
         if f.algebra is not self or not self.same_tag(g.algebra):
             raise AlgebraError("convolution across different algebra tags")
-        if not (f.is_numeric or g.is_numeric):
-            return self._exact_convolve(f, g)
-        _, c, terms = self._terms(*_support(f), *_support(g))
-        # the first term at c sets it and the later ones add in order, so each
-        # sum runs over f's support order, as the exact loop's do
-        _, first = np.unique(c, return_index=True)
-        first.sort()
-        keys = c[first]
-        later = np.ones(len(c), dtype=bool)
-        later[first] = False
-        out = np.zeros(self.dimension, dtype=complex)
-        out[keys] = terms[first]
-        np.add.at(out, c[later], terms[later])
-        return AlgebraElement(self, dict(zip(keys.tolist(), out[keys].tolist())))
-
-    def _exact_convolve(self, f: "AlgebraElement", g: "AlgebraElement") -> "AlgebraElement":
+        if f.is_numeric or g.is_numeric or not self.cocycle.is_exact:
+            return AlgebraElement(self, products(self.groupoid, self.twist, f.array(), g.array()))
         G = self.groupoid
         out: dict = {}
         for a, ca in f.coeff.items():
             for b, cb in g.coeff.items():
                 c = G.compose_or_none(a, b)
-                if c is None:
-                    continue
-                term = self._times(a, b, ca * cb)
-                acc = out.get(c)
-                out[c] = term if acc is None else acc + term
+                if c is not None:
+                    term = self._rotated(a, b, ca * cb, 1)
+                    out[c] = out[c] + term if c in out else term
         return AlgebraElement(self, out)
 
     def involute(self, f: "AlgebraElement") -> "AlgebraElement":
+        if f.is_numeric or not self.cocycle.is_exact:
+            return AlgebraElement(self, stars(self.groupoid, self.twist, f.array()))
         inv = self.groupoid.inverse_map
-        if not f.is_numeric:
-            out = {inv[a]: self._times(inv[a], a, c.conjugate(), True) for a, c in f.coeff.items()}
-            return AlgebraElement(self, out)
-        a = np.fromiter(f.coeff, dtype=np.intp, count=len(f.coeff))
-        x = np.fromiter((complex(c.conjugate()) for c in f.coeff.values()), complex, len(a))
-        ai = np.array(inv, dtype=np.intp)[a]
-        out = cmul(self.twist_conj[ai, a], x)
-        return AlgebraElement(self, dict(zip(ai.tolist(), out.tolist())))
+        out = {inv[a]: self._rotated(inv[a], a, c.conjugate(), -1) for a, c in f.coeff.items()}
+        return AlgebraElement(self, out)
 
     # -- representation and norms ----------------------------------------------
 
     def regular_rep(self, f: "AlgebraElement", u: int) -> "RegularRep":
-        """lambda_u(f), gathered: M[c, b] = f(c b^-1) w^n(c b^-1, b)."""
+        """lambda_u(f), gathered: M[c, b] = f(c b^-1) w^n(c b^-1, b); over a
+        batch of elements, one matrix per batch row."""
         G = self.groupoid
         if not (0 <= u < G.n_units):
             raise AlgebraError(f"unknown unit {u}")
         basis = G.source_fiber(u)
         b = np.array(basis, dtype=np.intp)
         a = G.compose_array[b[:, None], np.array(G.inverse_map, dtype=np.intp)[b]]
-        arrows, x = _support(f)
-        values = np.zeros(self.dimension, dtype=complex)
-        values[arrows] = x
-        # + 0.0 clears the signs of zero parts, as accumulating into zeros does
-        M = cmul(values[a], self.twist[a, b]) + 0.0
-        return RegularRep(unit=u, basis=basis, matrix=M)
+        return RegularRep(unit=u, basis=basis, matrix=cmul(f.array()[..., a], self.twist[a, b]))
 
     def fiber_products(self, f: "AlgebraElement", u: int) -> np.ndarray:
         """lambda_u(f) built from the product: column j holds f * delta_b for the
-        j-th arrow b of the source fiber of u.  A numeric f meets every delta
-        in one scatter; an exact f takes one exact product per column."""
-        fiber = self.groupoid.source_fiber(u)
-        M = np.zeros((len(fiber), len(fiber)), dtype=complex)
-        if not f.is_numeric:
-            for j, b in enumerate(fiber):
-                for c, v in self.convolve(f, self.delta(b)).coeff.items():
-                    M[fiber.index(c), j] = complex(v)
-            return M
-        b = np.array(fiber, dtype=np.intp)
-        # each delta's coefficient is the int 1, which Python multiplies as 1 + 0j
-        j, c, terms = self._terms(*_support(f), b, np.ones(len(b), dtype=complex))
-        M[np.searchsorted(b, c), j] = terms
-        return M
+        j-th arrow b of the source fiber of u.  f meets every delta in one
+        scatter of the product's terms over the pairs (a, b) of ``pair_table``
+        with b in the fiber; over a batch of elements, one matrix per row."""
+        fiber = list(self.groupoid.source_fiber(u))
+        d = len(fiber)
+        A, B, C = self.groupoid.pair_table
+        pos = np.full(self.dimension, -1)
+        pos[fiber] = np.arange(d)
+        p = np.flatnonzero(pos[B] >= 0)  # then a.b lies in the fiber too
+        one = np.ones(len(p), dtype=complex)  # each delta's coefficient, as 1 + 0j
+        terms = cmul(self.twist[A[p], B[p]], cmul(f.array()[..., A[p]], one))
+        return summed(terms, pos[C[p]] * d + pos[B[p]], d * d).reshape(terms.shape[:-1] + (d, d))
 
     def reduced_norm(self, f: "AlgebraElement") -> "NormReport":
-        """The largest norm of lambda_u(f) over the units, attained at the first
-        unit that reaches it; one SVD call per fibre size."""
-        units = list(self.groupoid.units())
-        norms = spectral_norms([self.regular_rep(f, u).matrix for u in units])
-        best = int(np.argmax(norms)) if norms else None
+        """The largest norm of lambda_u(f), over the first unit u of each
+        orbit: the regular representations at the units of one orbit are
+        unitarily equivalent (J. Renault, *A Groupoid Approach to
+        C*-Algebras*, LNM 793, 1980), so they share one norm.  Attained at the
+        first such unit that reaches it; one SVD call per fibre size.  Over a
+        batch of elements both are arrays over the batch axes."""
+        units = self.orbit_units
+        faithful = self.full_norm_certificate().faithful
+        if not units:
+            return NormReport(reduced_norm=0.0, attained_at=None, faithful=faithful)
+        norms = np.stack(spectral_norms([self.regular_rep(f, u).matrix for u in units]), -1)
+        norm, at = norms.max(axis=-1), np.array(units)[norms.argmax(axis=-1)]
         return NormReport(
-            reduced_norm=0.0 if best is None else norms[best],
-            attained_at=None if best is None else units[best],
-            faithful=self.full_norm_certificate().faithful,
+            reduced_norm=norm if norm.ndim else float(norm),
+            attained_at=at if at.ndim else int(at),
+            faithful=faithful,
         )
 
     def full_norm_certificate(self) -> "FullNormCertificate":
@@ -288,28 +259,55 @@ class TwistedAlgebra:
 
 
 class AlgebraElement:
-    """A finitely-supported coefficient vector over the arrows of one algebra."""
+    """An element of one algebra: exact coefficients as a dict over the
+    arrows, or numeric ones as a complex array ``values`` over the arrows,
+    with optional leading batch axes.  A dict with a float or complex
+    coefficient, or an array, makes a numeric element."""
 
-    __slots__ = ("algebra", "coeff")
+    __slots__ = ("algebra", "_coeff", "values")
 
-    def __init__(self, algebra: TwistedAlgebra, coeff: dict):
+    def __init__(self, algebra: TwistedAlgebra, coeff):
         self.algebra = algebra
-        self.coeff = {a: c for a, c in coeff.items() if c}
+        if isinstance(coeff, dict) and all(isinstance(c, _EXACT) for c in coeff.values()):
+            self._coeff, self.values = {a: c for a, c in coeff.items() if c}, None
+        elif isinstance(coeff, dict):
+            self._coeff, self.values = None, np.zeros(algebra.dimension, dtype=complex)
+            self.values[list(coeff)] = [complex(c) for c in coeff.values()]
+        else:
+            self._coeff, self.values = None, np.asarray(coeff, dtype=complex)
+
+    @property
+    def coeff(self) -> dict:
+        """The nonzero coefficients by arrow; a numeric element's in ascending
+        arrow order, as complex values."""
+        if self.values is None:
+            return self._coeff
+        arrows = np.flatnonzero(self.values)
+        return dict(zip(arrows.tolist(), self.values[arrows].tolist()))
+
+    def array(self) -> np.ndarray:
+        """The coefficients as a complex array over the arrows."""
+        if self.values is not None:
+            return self.values
+        out = np.zeros(self.algebra.dimension, dtype=complex)
+        out[list(self._coeff)] = [complex(c) for c in self._coeff.values()]
+        return out
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeff
+        return not self._coeff if self.values is None else not self.values.any()
 
     @property
     def is_numeric(self) -> bool:
-        """Every coefficient is a float or a complex (so the zero element is)."""
-        return all(isinstance(c, (float, complex)) for c in self.coeff.values())
+        return self.values is not None
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not self.algebra.same_tag(other.algebra):
             raise AlgebraError("mixing algebra tags")
-        out = dict(self.coeff)
-        for a, c in other.coeff.items():
+        if self.is_numeric or other.is_numeric:
+            return AlgebraElement(self.algebra, self.array() + other.array())
+        out = dict(self._coeff)
+        for a, c in other._coeff.items():
             out[a] = out[a] + c if a in out else c
         return AlgebraElement(self.algebra, out)
 
@@ -317,7 +315,9 @@ class AlgebraElement:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {a: v * c for a, v in self.coeff.items()})
+        if self.is_numeric or not isinstance(c, _EXACT):
+            return AlgebraElement(self.algebra, self.array() * c)
+        return AlgebraElement(self.algebra, {a: v * c for a, v in self._coeff.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -331,47 +331,59 @@ class AlgebraElement:
         return self.algebra.involute(self)
 
     def value(self, arrow: int):
-        return self.coeff.get(arrow, 0)
+        return self._coeff.get(arrow, 0) if self.values is None else self.values[..., arrow]
 
     def equals(self, other: "AlgebraElement", tol: float = 0.0) -> bool:
+        """Equal coefficients: exact ones exactly, numeric ones (on every
+        batch row) within tol."""
         if not self.algebra.same_tag(other.algebra):
             return False
-        for a in set(self.coeff) | set(other.coeff):
-            d = self.value(a) - other.value(a)
-            # an exact difference must vanish exactly, a numeric one within tol
-            close = abs(d) <= tol if isinstance(d, (float, complex)) else not d
-            if not close:
-                return False
-        return True
+        if self.is_numeric or other.is_numeric:
+            return bool((np.abs(self.array() - other.array()) <= tol).all())
+        return not any(self.value(a) - other.value(a) for a in set(self._coeff) | set(other._coeff))
 
     def sup_difference(self, other: "AlgebraElement") -> float:
-        d = 0.0
-        for a in set(self.coeff) | set(other.coeff):
-            d = max(d, abs(complex(self.value(a)) - complex(other.value(a))))
-        return d
+        """The largest modulus of a coefficient difference, over every batch row."""
+        return float(np.abs(self.array() - other.array()).max(initial=0.0))
 
     def __repr__(self):
         labels = self.algebra.groupoid.arrow_labels
-        if not self.coeff:
-            return "0"
+        if self.values is not None and self.values.ndim > 1:
+            return f"<{self.values.shape[:-1]} stack of elements of {self.algebra!r}>"
         parts = [f"{c!r}*d[{labels[a]}]" for a, c in sorted(self.coeff.items())]
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
-def _support(f: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
-    """f's arrows in support order, and its coefficients as complex."""
-    n = len(f.coeff)
-    return (
-        np.fromiter(f.coeff, dtype=np.intp, count=n),
-        np.fromiter(map(complex, f.coeff.values()), dtype=complex, count=n),
-    )
+_EXACT = (int, Fraction, Cyclo)
 
 
-def _unit(rows: list) -> np.ndarray:
-    """z / abs(z) for the complex values z of a table, as CircleScalar
-    normalizes them: by Python's own division, whose signs of zero parts
-    differ between Python versions and from numpy's."""
-    return np.array([[z / abs(z) for z in row] for row in rows], dtype=complex)
+def summed(terms: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """out[..., i], the sum of terms[..., p] over the p with index[p] = i,
+    added in order of p from 0.0 (as ``np.bincount`` adds), for every leading
+    index of terms."""
+    lead = terms.shape[:-1]
+    n = math.prod(lead) * size
+    at = (np.arange(math.prod(lead))[:, None] * size + index).ravel()
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(at, terms.real.ravel(), n)
+    out.imag = np.bincount(at, terms.imag.ravel(), n)
+    return out.reshape(lead + (size,))
+
+
+def products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The twisted products of the coefficient arrays x and y (..., arrows):
+    the terms twist[a, b] (x[a] y[b]) of every composable pair, each rounded
+    as Python's complex product, summed onto a.b in ``pair_table`` order.
+    ``twist`` is one table of w^n, or a stack broadcast against x and y."""
+    A, B, C = G.pair_table
+    return summed(cmul(twist[..., A, B], cmul(x[..., A], y[..., B])), C, G.n_arrows)
+
+
+def stars(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The involutions of the coefficient arrays x (..., arrows), gathered:
+    conj(w^n(c, c^-1)) conj(x[c^-1]) at each arrow c."""
+    inv = np.asarray(G.inverse_map, dtype=np.intp)
+    return cmul(twist[..., np.arange(G.n_arrows), inv].conj(), x[..., inv].conj())
 
 
 @dataclass

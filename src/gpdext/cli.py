@@ -17,6 +17,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import cyclic_oracle as oracle
 from .algebra import TwistedAlgebra
@@ -57,7 +59,7 @@ from .groupoid import (
     validate,
 )
 from .morita import MoritaError, fullness_check, positivity_check, saturation_report
-from .randgen import random_bimodule, random_element, random_laurent
+from .randgen import random_bimodule, random_laurents, random_values
 
 FIXTURE_ENV = "GPDEXT_FIXTURE_DIR"
 
@@ -297,30 +299,22 @@ def cmd_algebra(
         return report
     g = spec.groupoid
     alg = TwistedAlgebra(g, w, power)
-    rng = random.Random(seed)
     cert = alg.full_norm_certificate()
     report.add(
-        "faithful-regular-representation",
-        cert.faithful,
-        rank=cert.rank,
-        dimension=cert.dimension,
+        "faithful-regular-representation", cert.faithful, rank=cert.rank, dimension=cert.dimension
     )
     if g.n_arrows:
         e_norm = alg.reduced_norm(alg.identity()).reduced_norm
         report.add("identity-norm", abs(e_norm - 1.0) <= UNIT_NORM_TOL, norm=fmt_float(e_norm))
-    worst_cstar = 0.0
-    worst_assoc = 0.0
-    worst_star = 0.0
-    for _ in range(samples):
-        f = random_element(rng, alg)
-        h = random_element(rng, alg)
-        x = random_element(rng, alg)
-        n1 = alg.reduced_norm(f.star() * f).reduced_norm
-        n2 = alg.reduced_norm(f).reduced_norm
-        worst_cstar = max(worst_cstar, abs(n1 - n2 * n2) / max(1.0, n2 * n2))
-        fh = f * h
-        worst_assoc = max(worst_assoc, (fh * x - f * (h * x)).sup_difference(alg.zero()))
-        worst_star = max(worst_star, fh.star().sup_difference(h.star() * f.star()))
+    # one stack of samples, drawn f, h, x per sample as one draw at a time would
+    draws = random_values(random.Random(seed), (samples, 3, g.n_arrows))
+    f, h, x = (alg.element(draws[:, i]) for i in range(3))
+    n1 = alg.reduced_norm(f.star() * f).reduced_norm
+    n2 = alg.reduced_norm(f).reduced_norm
+    worst_cstar = float((np.abs(n1 - n2 * n2) / np.maximum(1.0, n2 * n2)).max(initial=0.0))
+    fh = f * h
+    worst_assoc = (fh * x - f * (h * x)).sup_difference(alg.zero())
+    worst_star = fh.star().sup_difference(h.star() * f.star())
     report.add("cstar-identity", worst_cstar <= CSTAR_TOL, relative_error=fmt_float(worst_cstar))
     report.add("associativity", worst_assoc <= PRODUCT_TOL, residual=fmt_float(worst_assoc))
     report.add("star-antihomomorphism", worst_star <= PRODUCT_TOL, residual=fmt_float(worst_star))
@@ -330,14 +324,13 @@ def cmd_algebra(
         f = parse_element(element_doc, alg)
         nr = alg.reduced_norm(f)
         report.add("element-norm", True, **norm_report_to_doc(nr, g))
-        matrices = {}
-        for u in g.units():
-            rep_u = alg.regular_rep(f, u)
-            matrices[g.unit_labels[u]] = [
+        report.extras["element_regular_rep"] = {
+            g.unit_labels[u]: [
                 [[fmt_float(z.real), fmt_float(z.imag)] for z in row]
-                for row in rep_u.matrix
+                for row in alg.regular_rep(f, u).matrix
             ]
-        report.extras["element_regular_rep"] = matrices
+            for u in g.units()
+        }
     report.extras["power"] = power
     return report
 
@@ -352,7 +345,6 @@ def cmd_decompose(
     g = spec.groupoid
     ea = ExtensionAlgebra(g, w)
     window = _window(spec, modes)
-    rng = random.Random(seed)
 
     if g.n_arrows:
         _, idrep = decompose(ea.identity(), with_centers=False)
@@ -361,29 +353,17 @@ def cmd_decompose(
             abs(idrep.extension_norm - 1.0) <= UNIT_NORM_TOL,
             norm=fmt_float(idrep.extension_norm),
         )
-    proj_ok = True
-    homo = 0.0
-    star = 0.0
-    elements = []
-    for _ in range(samples):
-        F = random_laurent(rng, ea, window)
-        G = random_laurent(rng, ea, window)
-        elements.append(F)
-        # projection laws
-        for n in range(window[0] - 1, window[1] + 2):
-            P = mode_projection(F, n)
-            if not mode_projection(P, n).equals(P):
-                proj_ok = False
-        total = ea.zero()
-        for n in range(window[0], window[1] + 1):
-            total = total + mode_projection(F, n)
-        if not total.equals(F):
-            proj_ok = False
-        FG, F_star = F * G, F.star()
-        for n in range(window[0], window[1] + 1):
-            zero = ea.twisted(n).zero()
-            homo = max(homo, (FG.mode(n) - F.mode(n) * G.mode(n)).sup_difference(zero))
-            star = max(star, (F_star.mode(n) - F.mode(n).star()).sup_difference(zero))
+    # one stack of samples, drawn F, G per sample as one draw at a time would
+    draws = random_laurents(random.Random(seed), ea, window, (samples, 2))
+    F, G = draws[:, 0], draws[:, 1]
+    elements = [F[i] for i in range(samples)]
+    # projection laws: each projection is idempotent, and they sum to F
+    projections = {n: mode_projection(F, n) for n in range(window[0] - 1, window[1] + 2)}
+    proj_ok = all(mode_projection(P, n).equals(P) for n, P in projections.items())
+    proj_ok = proj_ok and sum(projections.values(), ea.zero()).equals(F)
+    FG, F_star, modes = F * G, F.star(), range(window[0], window[1] + 1)
+    homo = max((FG.mode(n).sup_difference(F.mode(n) * G.mode(n)) for n in modes), default=0.0)
+    star = max((F_star.mode(n).sup_difference(F.mode(n).star()) for n in modes), default=0.0)
     report.add("mode-projection-laws", proj_ok)
     report.add("mode-homomorphism", homo <= PRODUCT_TOL, residual=fmt_float(homo))
     report.add("mode-star", star <= MODE_STAR_TOL, residual=fmt_float(star))
@@ -448,12 +428,7 @@ def cmd_cyclic_oracle(
     except oracle.OracleError as e:
         report.add("extension-groupoid", False, error=str(e))
         return report
-    report.add(
-        "extension-groupoid",
-        ext.validation.ok,
-        k=kk,
-        arrows=ext.groupoid.n_arrows,
-    )
+    report.add("extension-groupoid", ext.validation.ok, k=kk, arrows=ext.groupoid.n_arrows)
     cd = cyclic_decompose(ext)
     details = dict(
         exact=cd.exact,
@@ -476,11 +451,8 @@ def cmd_cyclic_oracle(
     report.add("oracle-faithfulness", rank == dim, rank=rank, dimension=dim)
 
     ea = ExtensionAlgebra(g, w)
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        F = random_laurent(rng, ea, (0, kk - 1))
-        worst = max(worst, oracle_norm_deviation(F, ext))
+    draws = random_laurents(random.Random(seed), ea, (0, kk - 1), (samples,))
+    worst = float(np.max(oracle_norm_deviation(draws, ext), initial=0.0))
     report.add("norm-agreement", worst <= NORM_TOL, deviation=fmt_float(worst))
     report.extras["oracle_agreement"] = worst <= NORM_TOL
 

@@ -206,10 +206,10 @@ class TwoCocycle:
 
     def power_table(self, n: int) -> np.ndarray:
         """The table of w^n: the angles n W mod N over the conductor, or the
-        powers z ** n, taken entry by entry with Python's complex power."""
+        powers z ** n of the complex values, as numpy takes them."""
         if self.is_exact:
             return n % self.conductor * self.table % self.conductor
-        return np.array([[z**n for z in row] for row in self.table.tolist()], complex)
+        return self.table**n
 
     def root_exponents(self, k: int) -> tuple[np.ndarray, tuple[int, int] | None]:
         """The table of exponents t with w(a, b) = e(t / k), and the first

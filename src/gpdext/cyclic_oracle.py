@@ -398,13 +398,15 @@ def nonzero_sums(ext: CyclicExtension, size: int, *terms) -> np.ndarray:
     return acc.any(axis=0)
 
 
-def reduced_norm(ext: CyclicExtension, f: np.ndarray) -> float:
+def reduced_norm(ext: CyclicExtension, f: np.ndarray):
     """The largest norm of convolution by the numeric element f on a source
-    fiber; row x of one conv against every delta is f * delta_x."""
+    fiber; row x of one conv against every delta is f * delta_x.  A stack of
+    elements (..., dimension) gets an array of norms over its leading axes."""
     G = ext.groupoid
-    columns = conv(ext, f, deltas(ext, G.arrows(), exact=False))
+    columns = conv(ext, f[..., None, :], deltas(ext, G.arrows(), exact=False))
     fibers = [list(G.source_fiber(u)) for u in G.units()]
-    return max(spectral_norms([columns[F][:, F].T for F in fibers]), default=0.0)
+    norms = spectral_norms([columns[..., F, :][..., F].swapaxes(-1, -2) for F in fibers])
+    return np.max(norms, axis=0, initial=0.0)
 
 
 def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:

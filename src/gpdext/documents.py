@@ -130,22 +130,6 @@ def parse_groupoid(doc) -> FiniteGroupoid:
     )
 
 
-def groupoid_to_doc(g: FiniteGroupoid) -> dict:
-    return {
-        "name": g.name,
-        "units": list(g.unit_labels),
-        "arrows": [
-            {"id": g.arrow_labels[a], "range": g.unit_labels[g.r(a)], "source": g.unit_labels[g.s(a)]}
-            for a in g.arrows()
-        ],
-        "compose": sorted(
-            [g.arrow_labels[a], g.arrow_labels[b], g.arrow_labels[c]]
-            for (a, b), c in g.compose_table.items()
-        ),
-        "inverse": sorted([g.arrow_labels[a], g.arrow_labels[g.inv(a)]] for a in g.arrows()),
-    }
-
-
 # ---------------------------------------------------------------------------
 # cocycle documents
 

@@ -395,15 +395,16 @@ def cmul(a, b) -> np.ndarray:
     return out
 
 
-def spectral_norms(matrices: list[np.ndarray]) -> list[float]:
+def spectral_norms(matrices: list[np.ndarray]) -> list:
     """The spectral norm of each matrix, as ``np.linalg.norm(M, 2)`` gives it,
-    from one stacked SVD per matrix shape; 0.0 for an empty matrix."""
-    norms = [0.0] * len(matrices)
+    from one stacked SVD per matrix shape; 0.0 for an empty matrix.  A stack
+    of matrices (..., r, c) gets an array of norms over its leading axes."""
+    norms = [np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0 for M in matrices]
     for shape in {M.shape for M in matrices if M.size}:
         index = [i for i, M in enumerate(matrices) if M.shape == shape]
         s = np.linalg.svd(np.stack([matrices[i] for i in index]), compute_uv=False)
-        for i, v in zip(index, s.max(axis=-1).tolist()):
-            norms[i] = v
+        for i, v in zip(index, s.max(axis=-1)):
+            norms[i] = v if v.ndim else float(v)
     return norms
 
 

@@ -5,7 +5,9 @@ mode n carrying an element of C(G, w^n); it stands for the function
 sum_n s^{-n} (x) f_n on the product of the circle with G.  Integrals over the
 circle are never discretized: Fourier orthogonality makes them exact mode
 bookkeeping, so the graded product of homogeneous elements vanishes across
-modes and is the w^n-twisted convolution within a mode.
+modes and is the w^n-twisted convolution within a mode.  A numeric element
+is one complex array (..., modes, arrows) over its mode window, so that a
+stack of samples takes each product, star and certificate in one pass.
 
 The certification entry points compare this model against two other code
 paths: the left-regular matrices of the twisted algebras (intertwining and
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cyclic_oracle as oracle
-from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra
+from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra, products, stars
 from .cocycle import TwoCocycle, root_values
 from .cyclic_oracle import CyclicExtension
 from .exact import spectral_norms
@@ -69,13 +71,11 @@ class ExtensionAlgebra:
     def element(self, modes: dict) -> "LaurentElement":
         out = {}
         for n, f in modes.items():
-            if isinstance(f, dict):
+            if not isinstance(f, AlgebraElement):
                 f = self.twisted(n).element(f)
-            elif f.algebra is not self.twisted(n):
-                if not self.twisted(n).same_tag(f.algebra):
-                    raise AlgebraError(f"mode {n} component carries the wrong tag")
-            if not f.is_zero:
-                out[n] = f
+            elif not self.twisted(n).same_tag(f.algebra):
+                raise AlgebraError(f"mode {n} component carries the wrong tag")
+            out[n] = f
         return LaurentElement(self, out)
 
     def delta(self, n: int, arrow: int, coeff=1) -> "LaurentElement":
@@ -87,22 +87,49 @@ class ExtensionAlgebra:
     def identity(self) -> "LaurentElement":
         return self.element({0: self.twisted(0).identity()})
 
+    def stack(self, lo: int, values: np.ndarray) -> "LaurentElement":
+        """The numeric element of coefficients ``values`` (..., modes, arrows) from mode lo."""
+        F = LaurentElement(self, {})
+        F._hold(lo, values)
+        return F
+
     def __repr__(self):
         return f"ExtensionAlgebra({self.groupoid.name})"
 
 
 class LaurentElement:
-    """Finitely many modes, each an element of the matching twisted algebra."""
+    """Finitely many modes, each an element of the matching twisted algebra; a
+    numeric element also holds them as one complex array ``values`` (...,
+    modes, arrows) from mode ``lo``, each numeric mode a view of it."""
 
-    __slots__ = ("algebra", "modes")
+    __slots__ = ("algebra", "modes", "lo", "values")
 
     def __init__(self, algebra: ExtensionAlgebra, modes: dict[int, AlgebraElement]):
         self.algebra = algebra
+        self.modes = {n: f for n, f in modes.items() if not f.is_zero}
+        self.lo = self.values = None
+        if any(f.is_numeric for f in self.modes.values()):
+            self._hold(min(self.modes), self.on(min(self.modes), max(self.modes)))
+
+    def _hold(self, lo: int, values: np.ndarray):
+        self.lo, self.values = lo, values
+        modes = range(lo, lo + values.shape[-2])
+        modes = {n: self.algebra.twisted(n).element(values[..., n - lo, :]) for n in modes}
         self.modes = {n: f for n, f in modes.items() if not f.is_zero}
 
     def mode(self, n: int) -> AlgebraElement:
         f = self.modes.get(n)
         return f if f is not None else self.algebra.twisted(n).zero()
+
+    def on(self, lo: int, hi: int) -> np.ndarray:
+        """The coefficients of the modes lo..hi as a complex array (...,
+        modes, arrows)."""
+        arrays = np.broadcast_arrays(*(self.mode(n).array() for n in range(lo, hi + 1)))
+        return np.stack(arrays, axis=-2)
+
+    def __getitem__(self, index) -> "LaurentElement":
+        """The batch rows at index of a numeric element."""
+        return self.algebra.stack(self.lo, self.values[index])
 
     @property
     def is_zero(self) -> bool:
@@ -117,6 +144,10 @@ class LaurentElement:
             or other.algebra.cocycle is not self.algebra.cocycle
         ):
             raise AlgebraError("mixing extension tags")
+
+    def _twists(self, lo: int, hi: int) -> np.ndarray:
+        """The complex tables of w^n for the modes lo..hi, stacked."""
+        return np.stack([self.algebra.twisted(n).twist for n in range(lo, hi + 1)])
 
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
         self._require_same(other)
@@ -136,17 +167,20 @@ class LaurentElement:
             return self.scaled(other)
         self._require_same(other)
         # cross-mode products vanish by circle-average orthogonality
-        out = {}
-        for n in set(self.modes) & set(other.modes):
-            p = self.modes[n] * other.modes[n]
-            if not p.is_zero:
-                out[n] = p
-        return LaurentElement(self.algebra, out)
+        common = set(self.modes) & set(other.modes)
+        if not common or (self.values is None and other.values is None):
+            return LaurentElement(self.algebra, {n: self.modes[n] * other.modes[n] for n in common})
+        lo, hi = min(common), max(common)
+        x, y, twists = self.on(lo, hi), other.on(lo, hi), self._twists(lo, hi)
+        return self.algebra.stack(lo, products(self.algebra.groupoid, twists, x, y))
 
     __rmul__ = scaled
 
     def star(self) -> "LaurentElement":
-        return LaurentElement(self.algebra, {n: f.star() for n, f in self.modes.items()})
+        if self.values is None:
+            return LaurentElement(self.algebra, {n: f.star() for n, f in self.modes.items()})
+        twists = self._twists(self.lo, self.lo + self.values.shape[-2] - 1)
+        return self.algebra.stack(self.lo, stars(self.algebra.groupoid, twists, self.values))
 
     def equals(self, other: "LaurentElement", tol: float = 0.0) -> bool:
         self._require_same(other)
@@ -183,26 +217,18 @@ class DecompositionReport:
 
 def decompose(F: LaurentElement, with_centers: bool = False):
     """Split into mode components and compute the extension norm as the
-    largest per-mode reduced norm; returns (components, report)."""
-    comps = dict(F.modes)
-    norms = {}
-    faithful = {}
-    centers = {}
-    best = 0.0
-    attained = None
-    for n, f in sorted(comps.items()):
-        rep = F.algebra.twisted(n).reduced_norm(f)
-        norms[n] = rep.reduced_norm
-        faithful[n] = rep.faithful
-        if with_centers:
-            centers[n] = F.algebra.twisted(n).center_dimension()
-        if attained is None or rep.reduced_norm > best:
-            best, attained = rep.reduced_norm, n
+    largest per-mode reduced norm, attained at the first mode reaching it;
+    returns (components, report)."""
+    comps = dict(sorted(F.modes.items()))
+    reports = {n: F.algebra.twisted(n).reduced_norm(f) for n, f in comps.items()}
+    norms = {n: rep.reduced_norm for n, rep in reports.items()}
+    attained = max(norms, key=norms.get, default=None)
+    centers = {n: F.algebra.twisted(n).center_dimension() for n in comps} if with_centers else {}
     report = DecompositionReport(
         mode_norms=norms,
-        extension_norm=best if comps else 0.0,
+        extension_norm=norms.get(attained, 0.0),
         attained_mode=attained,
-        faithful_modes=faithful,
+        faithful_modes={n: rep.faithful for n, rep in reports.items()},
         mode_dimensions={n: F.algebra.groupoid.n_arrows for n in comps},
         center_dimensions=centers,
     )
@@ -226,44 +252,37 @@ def extension_regular_matrix(
     """Matrix of graded convolution by F on the windowed fiber space over u,
     computed from the graded product: circle orthogonality keeps mode m on
     the basis slots (m, fiber), where F acts by the products F_m * delta_b
-    of ``TwistedAlgebra.fiber_products``, not by the regular_rep gather."""
+    of ``TwistedAlgebra.fiber_products``, not by the regular_rep gather.
+    Over a batch of elements, one matrix per batch row."""
     lo, hi = window
     missing = [n for n in F.modes if not lo <= n <= hi]
     if missing:
         raise WindowError(missing)
     modes = tuple(range(lo, hi + 1))
-    fiber = F.algebra.groupoid.source_fiber(u)
-    d = len(fiber)
-    M = np.zeros((d * len(modes), d * len(modes)), dtype=complex)
-    for i, m in enumerate(modes):
-        M[i * d : (i + 1) * d, i * d : (i + 1) * d] = F.algebra.twisted(m).fiber_products(
-            F.mode(m), u
-        )
-    return M, modes, fiber
+    blocks = [F.algebra.twisted(m).fiber_products(F.mode(m), u) for m in modes]
+    return _block_diagonal(blocks), modes, F.algebra.groupoid.source_fiber(u)
 
 
-def _fiber_matrices(
-    F: LaurentElement, u: int, window: tuple[int, int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _fiber_matrices(F: LaurentElement, u: int, window: tuple[int, int]):
     """The two sides of the fiber over u, each built once: R_u from the
     graded product, and the blocks lambda_u(F_n) of the twisted regular
-    representations, one per window mode in order."""
+    representations, one per window mode in order; with the largest entry of
+    |R_u - L_u|, L_u the block-diagonal sum of the blocks, per batch row."""
     R, modes, _ = extension_regular_matrix(F, u, window)
     blocks = [F.algebra.twisted(n).regular_rep(F.mode(n), u).matrix for n in modes]
-    return R, blocks
+    return R, blocks, np.abs(R - _block_diagonal(blocks)).max(axis=(-2, -1), initial=0.0)
 
 
-def _block_sum_residual(R: np.ndarray, blocks: list[np.ndarray]) -> float:
-    """Largest entry of |R - L|, L the block-diagonal sum of the blocks; mode
-    n's block sits on the basis slots (n, fiber), which circle orthogonality
-    keeps apart from every other mode's."""
-    L = np.zeros_like(R)
-    i = 0
-    for block in blocks:
-        j = i + len(block)
-        L[i:j, i:j] = block
-        i = j
-    return float(np.abs(R - L).max()) if R.size else 0.0
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of the square blocks (..., d, d), in order:
+    mode n's block sits on the basis slots (n, fiber), which circle
+    orthogonality keeps apart from every other mode's."""
+    d = blocks[0].shape[-1]
+    batch = np.broadcast_shapes(*(block.shape[:-2] for block in blocks))
+    M = np.zeros(batch + (d * len(blocks), d * len(blocks)), dtype=complex)
+    for i, block in enumerate(blocks):
+        M[..., i * d : (i + 1) * d, i * d : (i + 1) * d] = block
+    return M
 
 
 def intertwine_check(F: LaurentElement, u: int, window: tuple[int, int]) -> IntertwineResidual:
@@ -271,10 +290,8 @@ def intertwine_check(F: LaurentElement, u: int, window: tuple[int, int]) -> Inte
     sum of twisted-algebra regular representations, read from the same
     per-unit pass as check_reduced_decomposition; the two sides are computed
     by unrelated code paths."""
-    R, blocks = _fiber_matrices(F, u, window)
-    return IntertwineResidual(
-        unit=u, window=window, residual=_block_sum_residual(R, blocks), dimension=len(R)
-    )
+    R, _, residual = _fiber_matrices(F, u, window)
+    return IntertwineResidual(u, window, float(residual), R.shape[-1])
 
 
 @dataclass
@@ -304,40 +321,41 @@ class ReducedDecompositionCertificate:
 
 
 def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecompositionCertificate:
-    """One pass per sample and unit over F's own mode span: build R_u and the
-    mode blocks once, record the intertwining residual, and verify that
-    ||R_u|| equals the largest block norm.  The extension norm (the largest
-    block norm over all units) must agree with the largest ||R_u||.  The
-    witness is the first fiber whose residual exceeds ``INTERTWINE_TOL`` or
-    whose norms differ by more than ``NORM_TOL``."""
-    max_dev = 0.0
-    max_unit_dev = 0.0
-    max_res = 0.0
-    witness = None
+    """For every sample and unit, over the sample's own mode span: build R_u
+    and the mode blocks once, record the intertwining residual, and verify
+    that ||R_u|| equals the largest block norm.  The extension norm, the
+    largest block norm at the first unit of each orbit, as ``decompose``
+    reads it, must agree with the largest ||R_u||.  The samples of one
+    algebra and span go as one stack, with one SVD call per matrix shape.
+    The witness is the first fiber, in (sample, unit) order, whose residual
+    exceeds ``INTERTWINE_TOL`` or whose norms differ by more than ``NORM_TOL``."""
+    stacks: dict[tuple, list[int]] = {}
     for i, F in enumerate(elements):
-        if F.is_zero:
-            continue
-        window = (min(F.modes), max(F.modes))
-        overall = 0.0
-        extension_norm = 0.0
-        for u in F.algebra.groupoid.units():
-            R, blocks = _fiber_matrices(F, u, window)
-            residual = _block_sum_residual(R, blocks)
-            nR, *block_norms = spectral_norms([R, *blocks])
-            nL = max(block_norms, default=0.0)
-            if witness is None and (residual > INTERTWINE_TOL or abs(nR - nL) > NORM_TOL):
-                witness = UnitWitness(i, u, window, abs(nR - nL), residual)
-            max_res = max(max_res, residual)
-            max_unit_dev = max(max_unit_dev, abs(nR - nL))
-            overall = max(overall, nR)
-            extension_norm = max(extension_norm, nL)
-        max_dev = max(max_dev, abs(overall - extension_norm))
+        if not F.is_zero:
+            stacks.setdefault((F.algebra, min(F.modes), max(F.modes)), []).append(i)
+    max_dev = max_unit_dev = max_res = 0.0
+    witnesses = []
+    for (algebra, lo, hi), index in stacks.items():
+        F = algebra.stack(lo, np.stack([elements[i].on(lo, hi) for i in index]))
+        sides = [_fiber_matrices(F, u, (lo, hi)) for u in algebra.groupoid.units()]
+        residual = np.stack([r for *_, r in sides], axis=-1)  # (sample, unit)
+        norms = spectral_norms([M for R, blocks, _ in sides for M in (R, *blocks)])
+        norms = np.stack(np.broadcast_arrays(*norms), axis=-1).reshape(*residual.shape, -1)
+        nR, nL = norms[..., 0], norms[..., 1:].max(axis=-1)
+        deviation = np.abs(nR - nL)
+        max_res = max(max_res, float(residual.max()))
+        max_unit_dev = max(max_unit_dev, float(deviation.max()))
+        extension_norm = nL[:, algebra.twisted(0).orbit_units].max(axis=1)
+        max_dev = max(max_dev, float(np.abs(nR.max(axis=1) - extension_norm).max()))
+        for i, u in np.argwhere((residual > INTERTWINE_TOL) | (deviation > NORM_TOL))[:1]:
+            d, r = float(deviation[i, u]), float(residual[i, u])
+            witnesses.append(UnitWitness(index[i], int(u), (lo, hi), d, r))
     return ReducedDecompositionCertificate(
         samples=len(elements),
         max_norm_deviation=max_dev,
         max_unit_deviation=max_unit_dev,
         max_residual=max_res,
-        witness=witness,
+        witness=min(witnesses, key=lambda w: (w.sample, w.unit), default=None),
     )
 
 
@@ -552,19 +570,19 @@ def _witness(k: int, m: int, rank: int, position: int, residual: float) -> Oracl
     return OracleWitness(*named(*(int(i) for i in np.unravel_index(position, shape))), residual)
 
 
-def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension) -> float:
+def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension):
     """Distance between the max-of-modes extension norm of F and the reduced
-    norm of its image in the finite cyclic oracle.
+    norm of its image in the finite cyclic oracle; over a stack of elements,
+    an array of distances over the batch axes.
 
     F must be supported on modes 0..k-1: the finite extension cannot separate
     modes that differ by k."""
-    k, m = ext.k, ext.base.n_arrows
+    k = ext.k
     if any(not 0 <= n < k for n in F.modes):
         raise WindowError([n for n in F.modes if not 0 <= n < k])
     img = np.zeros(ext.dimension, dtype=complex)
+    norms = [0.0]
     for n, comp in F.modes.items():
-        coeffs = np.zeros(m, dtype=complex)
-        coeffs[list(comp.coeff)] = list(map(complex, comp.coeff.values()))
-        img = img + oracle.embed_mode(ext, n, coeffs)
-    _, report = decompose(F)
-    return abs(report.extension_norm - oracle.reduced_norm(ext, img))
+        img = img + oracle.embed_mode(ext, n, comp.array())
+        norms.append(F.algebra.twisted(n).reduced_norm(comp).reduced_norm)
+    return np.abs(np.max(np.broadcast_arrays(*norms), axis=0) - oracle.reduced_norm(ext, img))

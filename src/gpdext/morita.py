@@ -64,11 +64,7 @@ def left_inner(f: BimoduleElement, g: BimoduleElement, algebra: TwistedAlgebra) 
     if f.groupoid is not G or g.groupoid is not G:
         raise MoritaError("bimodule elements live on a different groupoid")
     _require_principal(G, "left_inner")
-    out = {}
-    for a in G.arrows():
-        v = f.value(G.r(a)) * g.value(G.s(a)).conjugate()
-        if v:
-            out[a] = v
+    out = {a: f.value(G.r(a)) * g.value(G.s(a)).conjugate() for a in G.arrows()}
     return AlgebraElement(algebra, out)
 
 

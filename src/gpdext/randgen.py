@@ -8,8 +8,11 @@ extension mu_k x G stays cheap even at k = 6.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from .cocycle import OneCochain, TwoCocycle, bicharacter_cocycle, pauli_cocycle
 from .groupoid import (
@@ -96,24 +99,33 @@ def random_unit_cochain(rng: random.Random, g: FiniteGroupoid, k: int) -> OneCoc
     )
 
 
-def random_element(rng: random.Random, algebra, scale: float = 1.0):
-    return algebra.element(
-        {
-            a: complex(rng.gauss(0, scale), rng.gauss(0, scale))
-            for a in algebra.groupoid.arrows()
-        }
-    )
-
-
 def random_laurent(rng: random.Random, ext_algebra, window: tuple[int, int], density: float = 1.0):
     modes = {}
     for n in range(window[0], window[1] + 1):
         if rng.random() <= density:
-            modes[n] = {
-                a: complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                for a in ext_algebra.groupoid.arrows()
-            }
+            modes[n] = random_values(rng, (ext_algebra.groupoid.n_arrows,))
     return ext_algebra.element(modes)
+
+
+def random_values(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex values complex(rng.gauss(0, 1), rng.gauss(0, 1)) in the C order
+    of shape: a stack of elements' coefficients, drawn one element after
+    another and, within one, arrow by arrow."""
+    draws = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(math.prod(shape))]
+    return np.array(draws, dtype=complex).reshape(shape)
+
+
+def random_laurents(rng: random.Random, ext_algebra, window: tuple[int, int], shape):
+    """A stack of the given batch shape of graded elements, drawn one after
+    another as random_laurent draws them at density 1: per element and mode
+    one rng.random(), then the mode's coefficients."""
+    lo, hi = window
+    m = ext_algebra.groupoid.n_arrows
+    rows = []
+    for _ in range(math.prod(shape) * (hi - lo + 1)):
+        rng.random()  # random_laurent's draw against its density
+        rows.append(random_values(rng, (m,)))
+    return ext_algebra.stack(lo, np.array(rows, dtype=complex).reshape(*shape, hi - lo + 1, m))
 
 
 def random_bimodule(rng: random.Random, g: FiniteGroupoid):

@@ -1,9 +1,10 @@
 """Writers, readers, builders and random draws that only the tests use.
 
-No command writes a spec or an element document, serializes a groupoid or a
-cocycle on its own, reads a graded element, builds the empty groupoid or a
-cocycle from Cech data, or draws these cochains and principal groupoids; the
-tests use them to build their inputs and to round-trip the formats.
+No command writes a spec, a groupoid or an element document, serializes a
+groupoid or a cocycle on its own, reads a graded element, builds the empty
+groupoid or a cocycle from Cech data, or draws these cochains, principal
+groupoids or single algebra elements; the tests use them to build their
+inputs and to round-trip the formats.
 """
 
 import random
@@ -18,7 +19,6 @@ from gpdext.documents import (
     _coeffs_to_doc,
     _load,
     cocycle_to_doc,
-    groupoid_to_doc,
 )
 from gpdext.exact import CircleScalar
 from gpdext.groupoid import (
@@ -28,6 +28,22 @@ from gpdext.groupoid import (
     disjoint_union,
     pair_groupoid,
 )
+
+
+def groupoid_to_doc(g: FiniteGroupoid) -> dict:
+    return {
+        "name": g.name,
+        "units": list(g.unit_labels),
+        "arrows": [
+            {"id": g.arrow_labels[a], "range": g.unit_labels[g.r(a)], "source": g.unit_labels[g.s(a)]}
+            for a in g.arrows()
+        ],
+        "compose": sorted(
+            [g.arrow_labels[a], g.arrow_labels[b], g.arrow_labels[c]]
+            for (a, b), c in g.compose_table.items()
+        ),
+        "inverse": sorted([g.arrow_labels[a], g.arrow_labels[g.inv(a)]] for a in g.arrows()),
+    }
 
 
 def spec_to_doc(spec: SpecDocument) -> dict:
@@ -136,3 +152,11 @@ def cech_cocycle(points, cover, lam) -> TwoCocycle:
             ) from None
         vals[(a, b)] = CircleScalar.coerce(v)
     return TwoCocycle(g, vals)
+
+
+def random_element(rng: random.Random, algebra):
+    """One element of the algebra, its coefficients drawn one arrow at a time,
+    as ``randgen.random_values`` draws each row of a stack."""
+    return algebra.element(
+        {a: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for a in algebra.groupoid.arrows()}
+    )

@@ -14,7 +14,7 @@ one spectral norm per unit, and ``loop_decompose`` runs the comparisons of
 ``cyclic_decompose`` one (mode, mode) block at a time: products
 (n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
 Fourier block.  Its expected values cross into the oracle one at a time: a
-``CircleScalar`` per composable pair from ``sigma``, and a star per mode
+value of w^n per composable pair from ``sigma``, and a star per mode
 delta from the graded model's own ``involute``, so matching it also checks
 that involution against the oracle.  A numeric value is snapped to the
 k-th root nearest its phase, and every comparison is exact; a pair's value

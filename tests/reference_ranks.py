@@ -17,7 +17,7 @@ from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cocycle import TwoCocycle
 from gpdext.morita import BimoduleElement, left_inner
-from reference_algebra import sigma
+from reference_algebra import sigma, value
 
 
 def stacked_faithfulness(alg) -> tuple[int, dict]:
@@ -35,7 +35,7 @@ def stacked_faithfulness(alg) -> tuple[int, dict]:
         cols = np.zeros((len(fiber) ** 2, dim), dtype=complex)
         for j, b in enumerate(fiber):
             for a in G.source_fiber(G.r(b)):
-                cols[pos[G.compose(a, b)] * len(fiber) + j, a] = sigma(alg, a, b).to_complex()
+                cols[pos[G.compose(a, b)] * len(fiber) + j, a] = value(sigma(alg, a, b))
         per_unit_rank[u] = int(np.linalg.matrix_rank(cols)) if cols.size else 0
         blocks.append(cols)
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim))
@@ -55,10 +55,10 @@ def commutator_center_dimension(alg) -> int:
         for a in G.arrows():
             ab = G.compose_or_none(a, b)
             if ab is not None:
-                rows[b * m + ab, a] += sigma(alg, a, b).to_complex()
+                rows[b * m + ab, a] += value(sigma(alg, a, b))
             ba = G.compose_or_none(b, a)
             if ba is not None:
-                rows[b * m + ba, a] -= sigma(alg, b, a).to_complex()
+                rows[b * m + ba, a] -= value(sigma(alg, b, a))
     return m - int(np.linalg.matrix_rank(rows))
 
 

@@ -8,8 +8,7 @@ from gpdext import algebra
 from gpdext.algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from gpdext.cocycle import OneCochain, TwoCocycle
 from gpdext.groupoid import pair_groupoid
-from gpdext.randgen import random_element
-from helpers import empty_groupoid
+from helpers import empty_groupoid, random_element
 from reference_algebra import times
 from reference_ranks import stacked_faithfulness
 

@@ -5,25 +5,28 @@ references, bit for bit.
 `reduced_norm` are compared with the loops of `reference_algebra` on seeded
 elements:
 dense and sparse complex ones, exact ones (int, Fraction and Cyclo
-coefficients) and mixed ones, in shuffled support orders, on every bundled
-fixture, every `randgen` family and `pair_groupoid(2..8)`, each cocycle also
-with its values as complex numbers.  Products of products and `f.star() * f`
-sum over supports that are not in ascending arrow order.  Keys must come in
-the same order and every value must have the same bits.
+coefficients) and mixed ones, which are numeric, in shuffled support
+orders, on every bundled fixture, every `randgen` family and
+`pair_groupoid(2..8)`, each cocycle also with its values as complex
+numbers.  Numeric results must have the same bits entry by entry; exact
+ones the same keys in the same order, with the same values.  Stacks of
+elements are compared row by row with the single elements.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, load_spec
-from gpdext.cocycle import TwoCocycle, normalize
+from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, normalize
 from gpdext.exact import Cyclo
-from gpdext.extension import ExtensionAlgebra, extension_regular_matrix
-from gpdext.groupoid import pair_groupoid
-from gpdext.randgen import _FAMILIES, random_element, random_mu_k_coboundary
+from gpdext.extension import NORM_TOL, ExtensionAlgebra, extension_regular_matrix
+from gpdext.groupoid import abelian_group_groupoid, orbit_decomposition, pair_groupoid
+from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
+from helpers import random_element
 from reference_algebra import (
     loop_convolve,
     loop_extension_regular_matrix,
@@ -99,6 +102,10 @@ def _bits(x):
 
 
 def assert_same(f, ref):
+    assert f.is_numeric == ref.is_numeric
+    if f.is_numeric:
+        assert_same_matrix(f.values, ref.values)
+        return
     assert [(a, _bits(c)) for a, c in f.coeff.items()] == [
         (a, _bits(c)) for a, c in ref.coeff.items()
     ]
@@ -160,6 +167,43 @@ def test_fibre_matrices_match_the_loop(name, g, w):
             assert_same_matrix(M, loop_extension_regular_matrix(F, u, WINDOW))
 
 
+def _ladder_instances():
+    """The groupoids of the algebra_ladder benchmark: pair groupoids on 2..11
+    units with mu_k coboundaries, and Z_a x Z_b with a bicharacter cocycle
+    times a mu_k coboundary."""
+    rng = random.Random(11)
+    out = []
+    for n in range(2, 12):
+        g = pair_groupoid(n)
+        out.append((f"ladder-pair{n}", g, random_mu_k_coboundary(rng, g, rng.choice((2, 3, 4, 6)))))
+    for orders, k in (((2, 2), 2), ((2, 4), 4), ((3, 3), 3), ((4, 4), 4), ((3, 6), 3)):
+        g = abelian_group_groupoid(orders)
+        w = bicharacter_cocycle(g, orders, k).mul(random_mu_k_coboundary(rng, g, k))
+        out.append((f"ladder-z{orders[0]}z{orders[1]}", g, w))
+    return out
+
+
+LADDER = _ladder_instances()
+
+
+def _assert_norms_per_orbit(alg, elements):
+    """reduced_norm at the first unit of each orbit against the loop over
+    every unit: the unit is the first of its orbit, the norm is the bits of
+    np.linalg.norm there, and it is the loop's largest norm within NORM_TOL;
+    a stack of the elements gets the same bits row by row."""
+    firsts = [orbit[0] for orbit in orbit_decomposition(alg.groupoid).orbits]
+    reports = [alg.reduced_norm(x) for x in elements]
+    for x, rep in zip(elements, reports):
+        norm, _ = loop_reduced_norm(alg, x)
+        assert rep.attained_at in firsts
+        at = alg.regular_rep(x, rep.attained_at).matrix
+        assert rep.reduced_norm.hex() == float(np.linalg.norm(at, 2)).hex()
+        assert abs(rep.reduced_norm - norm) <= NORM_TOL
+    stacked = alg.reduced_norm(alg.element(np.stack([x.array() for x in elements])))
+    assert stacked.reduced_norm.tolist() == [rep.reduced_norm for rep in reports]
+    assert stacked.attained_at.tolist() == [rep.attained_at for rep in reports]
+
+
 @pytest.mark.parametrize("name,g,w", INSTANCES, ids=[x[0] for x in INSTANCES])
 def test_reduced_norms_match_the_loop(name, g, w):
     rng = random.Random(name)
@@ -167,7 +211,12 @@ def test_reduced_norms_match_the_loop(name, g, w):
         alg = TwistedAlgebra(g, w, n)
         elements = [alg.element(c) for c in _coefficient_maps(rng, g.n_arrows)]
         # the identity has norm 1 at every unit: the first unit attains it
-        for x in elements + [alg.identity(), alg.zero()]:
-            rep = alg.reduced_norm(x)
-            norm, unit = loop_reduced_norm(alg, x)
-            assert (rep.reduced_norm.hex(), rep.attained_at) == (norm.hex(), unit)
+        _assert_norms_per_orbit(alg, elements + [alg.identity(), alg.zero()])
+
+
+@pytest.mark.parametrize("name,g,w", LADDER, ids=[x[0] for x in LADDER])
+def test_reduced_norms_on_the_ladder_match_the_loop(name, g, w):
+    rng = random.Random(name)
+    alg = TwistedAlgebra(g, w, 1)
+    f = random_element(rng, alg)
+    _assert_norms_per_orbit(alg, [f, f.star() * f, alg.identity()])

@@ -244,6 +244,17 @@ class TestPower:
                 assert (sigma(pm, *p) * sigma(pn, *p)).angle == sigma(pmn, *p).angle
 
 
+    @pytest.mark.parametrize("n", range(-3, 5))
+    def test_numeric_power_table_is_the_entrywise_power(self, n):
+        # the array power against Python's, value by value: both take w^n of
+        # unit-modulus values, a few roundings apart at most
+        g = pair_groupoid(5)
+        exact = random_mu_k_coboundary(random.Random(n), g, 6)
+        w = TwoCocycle(g, {p: v.to_complex() for p, v in exact.values.items()})
+        want = [[z**n for z in row] for row in w.table.tolist()]
+        assert abs(w.power_table(n) - want).max() <= 8 * n * n * 2.0**-52
+
+
 class TestCoboundary:
     def test_unit_cochain(self):
         g = pair_groupoid(2)
