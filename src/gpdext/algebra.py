@@ -13,9 +13,11 @@ source fiber s^-1(u); on that basis an element f acts by the matrix
 
 which is multiplicative and *-preserving for normalized cocycles (the
 cocycle identity on (c b^-1, b d^-1, d) is exactly what is needed).  The
+matrices of all listed units come from one gather (``regular_reps``), or
+from one scatter of products (``fiber_products``), per fiber size.  The
 reduced norm is the largest spectral norm of these matrices over the units;
-the matrices at the units of one orbit are unitarily equivalent, so one
-unit per orbit is enough.
+the units of one orbit give unitarily equivalent ones, so one unit per
+orbit is enough.
 
 Faithfulness and the center dimension are decided exactly, by the
 structural arguments in ``full_norm_certificate`` and ``center_dimension``.
@@ -28,13 +30,12 @@ complex array over the arrows, with optional leading batch axes, so that one
 call acts on a whole stack of samples; mixing it with an exact one, or a
 numeric cocycle, makes the result numeric.  A product is one scatter of the
 terms w^n(a, b) f(a) g(b) onto a.b, summed in ``pair_table`` order over
-every composable pair; the involution is a gather through the inverse map,
-and M is one gather at c b^-1.  Each term rounds as Python's complex product
-does (``exact.cmul``): numpy's own array multiply may fuse multiply-adds,
-which would make the reported residuals depend on the CPU.  The complex
-table of w^n holds e(x / N) as ``CircleScalar.to_complex`` gives it for each
-exact angle x, and the powers z ** n of a numeric cocycle's values as numpy
-takes them.
+every composable pair; the involution is a gather through the inverse map.
+Each term rounds as Python's complex product does (``exact.cmul``): numpy's
+own array multiply may fuse multiply-adds, which would make the reported
+residuals depend on the CPU.  The complex table of w^n holds e(x / N) as
+``CircleScalar.to_complex`` gives it for each exact angle x, and the powers
+z ** n of a numeric cocycle's values as numpy takes them.
 """
 
 from __future__ import annotations
@@ -78,9 +79,8 @@ class TwistedAlgebra:
     def twist(self) -> np.ndarray:
         """w^n as complex values: e(x / N) as ``CircleScalar.to_complex`` gives
         it for each int angle x, or the numeric power table itself."""
-        if self.cocycle.is_exact:
-            return root_values(self.powers, self.cocycle.conductor)
-        return self.powers
+        w = self.cocycle
+        return root_values(self.powers, w.conductor) if w.is_exact else self.powers
 
     @cached_property
     def orbit_units(self) -> list[int]:
@@ -96,11 +96,8 @@ class TwistedAlgebra:
         return self.groupoid.n_arrows
 
     def same_tag(self, other: "TwistedAlgebra") -> bool:
-        return (
-            other.groupoid is self.groupoid
-            and other.cocycle is self.cocycle
-            and other.power == self.power
-        )
+        same = other.groupoid is self.groupoid and other.cocycle is self.cocycle
+        return same and other.power == self.power
 
     # -- element constructors ------------------------------------------------
 
@@ -150,49 +147,28 @@ class TwistedAlgebra:
     # -- representation and norms ----------------------------------------------
 
     def regular_rep(self, f: "AlgebraElement", u: int) -> "RegularRep":
-        """lambda_u(f), gathered: M[c, b] = f(c b^-1) w^n(c b^-1, b); over a
+        """lambda_u(f), the ``regular_reps`` gather at the one unit u; over a
         batch of elements, one matrix per batch row."""
-        G = self.groupoid
-        if not (0 <= u < G.n_units):
+        if not (0 <= u < self.groupoid.n_units):
             raise AlgebraError(f"unknown unit {u}")
-        basis = G.source_fiber(u)
-        b = np.array(basis, dtype=np.intp)
-        a = G.compose_array[b[:, None], np.array(G.inverse_map, dtype=np.intp)[b]]
-        return RegularRep(unit=u, basis=basis, matrix=cmul(f.array()[..., a], self.twist[a, b]))
-
-    def fiber_products(self, f: "AlgebraElement", u: int) -> np.ndarray:
-        """lambda_u(f) built from the product: column j holds f * delta_b for the
-        j-th arrow b of the source fiber of u.  f meets every delta in one
-        scatter of the product's terms over the pairs (a, b) of ``pair_table``
-        with b in the fiber; over a batch of elements, one matrix per row."""
-        fiber = list(self.groupoid.source_fiber(u))
-        d = len(fiber)
-        A, B, C = self.groupoid.pair_table
-        pos = np.full(self.dimension, -1)
-        pos[fiber] = np.arange(d)
-        p = np.flatnonzero(pos[B] >= 0)  # then a.b lies in the fiber too
-        one = np.ones(len(p), dtype=complex)  # each delta's coefficient, as 1 + 0j
-        terms = cmul(self.twist[A[p], B[p]], cmul(f.array()[..., A[p]], one))
-        return summed(terms, pos[C[p]] * d + pos[B[p]], d * d).reshape(terms.shape[:-1] + (d, d))
+        [(_, fiber)] = fibers(self.groupoid, [u])
+        M = regular_reps(self.groupoid, self.twist, f.array(), fiber)[..., 0, :, :]
+        return RegularRep(unit=u, basis=self.groupoid.source_fiber(u), matrix=M)
 
     def reduced_norm(self, f: "AlgebraElement") -> "NormReport":
         """The largest norm of lambda_u(f), over the first unit u of each
         orbit: the regular representations at the units of one orbit are
         unitarily equivalent (J. Renault, *A Groupoid Approach to
         C*-Algebras*, LNM 793, 1980), so they share one norm.  Attained at the
-        first such unit that reaches it; one SVD call per fibre size.  Over a
-        batch of elements both are arrays over the batch axes."""
+        first such unit that reaches it; all of them in one ``unit_norms``
+        pass.  Over a batch of elements both are arrays over the batch axes."""
         units = self.orbit_units
         faithful = self.full_norm_certificate().faithful
         if not units:
             return NormReport(reduced_norm=0.0, attained_at=None, faithful=faithful)
-        norms = np.stack(spectral_norms([self.regular_rep(f, u).matrix for u in units]), -1)
+        norms = unit_norms(self.groupoid, self.twist, f.array(), units)
         norm, at = norms.max(axis=-1), np.array(units)[norms.argmax(axis=-1)]
-        return NormReport(
-            reduced_norm=norm if norm.ndim else float(norm),
-            attained_at=at if at.ndim else int(at),
-            faithful=faithful,
-        )
+        return NormReport(norm if norm.ndim else float(norm), at if at.ndim else int(at), faithful)
 
     def full_norm_certificate(self) -> "FullNormCertificate":
         """Certify that the universal and reduced norms coincide.
@@ -208,17 +184,14 @@ class TwistedAlgebra:
         """
         if self._faithfulness is not None:
             return self._faithfulness
-        G = self.groupoid
-        rank = sum(G.compose_or_none(a, G.unit_arrow(G.s(a))) == a for a in G.arrows())
-        self._faithfulness = FullNormCertificate(
-            faithful=(rank == G.n_arrows),
-            rank=rank,
-            dimension=G.n_arrows,
-            note=(
-                "finite-dimensional *-algebra with a faithful *-representation "
-                "has a unique C*-norm; hence full norm = reduced norm"
-            ),
+        G, arrows = self.groupoid, np.arange(self.groupoid.n_arrows)
+        units = np.array(G.unit_to_arrow, dtype=np.intp)[np.array(G.source_map, dtype=np.intp)]
+        rank = int((G.compose_array[arrows, units] == arrows).sum())
+        note = (
+            "finite-dimensional *-algebra with a faithful *-representation "
+            "has a unique C*-norm; hence full norm = reduced norm"
         )
+        self._faithfulness = FullNormCertificate(rank == G.n_arrows, rank, G.n_arrows, note)
         return self._faithfulness
 
     def center_dimension(self) -> int:
@@ -368,6 +341,52 @@ def summed(terms: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     out.real = np.bincount(at, terms.real.ravel(), n)
     out.imag = np.bincount(at, terms.imag.ravel(), n)
     return out.reshape(lead + (size,))
+
+
+def fibers(G: FiniteGroupoid, units) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The listed units grouped by the size d of their source fibers, in
+    order of first appearance: each group's positions in the list, and its
+    fibers as an int array (units, d), each in ascending arrow order."""
+    fiber, groups = G.source_fiber, {}
+    for i, u in enumerate(units):
+        groups.setdefault(len(fiber(u)), []).append(i)
+    return [(np.array(at), np.array([fiber(units[i]) for i in at])) for at in groups.values()]
+
+
+def regular_reps(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, fiber: np.ndarray):
+    """lambda_u(x) at the unit of each row of ``fiber`` (units, d), gathered:
+    M[..., u, i, j] = x[a] w^n(a, b_j), a = b_i b_j^-1, over u's fiber b.
+    ``twist`` is one table of w^n, or a stack broadcast against x (...,
+    arrows), as in ``products``; the matrices are (..., units, d, d)."""
+    a = G.compose_array[fiber[:, :, None], np.asarray(G.inverse_map, dtype=np.intp)[fiber[:, None]]]
+    return cmul(x[..., a], twist[..., a, fiber[:, None]])
+
+
+def fiber_products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, fiber: np.ndarray):
+    """lambda_u(x) at the unit of each row of ``fiber``, built from the
+    product instead: column j holds x * delta_b for the j-th arrow b of u's
+    fiber.  x meets every delta in one scatter of the product's terms over
+    the pairs (a, b) of ``pair_table`` with b in a listed fiber (then a.b is
+    in it too), keyed (unit, pos(a.b), pos(b)) and summed in pair order."""
+    (A, B, C), (units, d) = G.pair_table, fiber.shape
+    key = np.full(G.n_arrows, -1)
+    key[fiber.ravel()] = np.arange(units * d)  # the unit's row times d, plus pos
+    p = np.flatnonzero(key[B] >= 0)
+    one = np.ones(len(p), dtype=complex)  # each delta's coefficient, as 1 + 0j
+    terms = cmul(twist[..., A[p], B[p]], cmul(x[..., A[p]], one))
+    out = summed(terms, key[C[p]] * d + key[B[p]] % d, units * d * d)
+    return out.reshape(terms.shape[:-1] + (units, d, d))
+
+
+def unit_norms(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, units) -> np.ndarray:
+    """The spectral norm of lambda_u(x) at each listed unit, (..., units):
+    one ``regular_reps`` gather and one SVD call per fiber size."""
+    groups = fibers(G, units)
+    norms = spectral_norms([regular_reps(G, twist, x, fiber) for _, fiber in groups])
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], twist.shape[:-2]) + (len(units),))
+    for (at, _), norm in zip(groups, norms):
+        out[..., at] = norm
+    return out
 
 
 def products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

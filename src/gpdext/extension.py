@@ -11,8 +11,10 @@ stack of samples takes each product, star and certificate in one pass.
 
 The certification entry points compare this model against two other code
 paths: the left-regular matrices of the twisted algebras (intertwining and
-reduced-norm agreement) and the independent finite cyclic oracle
-(structure constants and norms of mu_k x_w G).  The oracle comparison reads
+reduced-norm agreement), built for every unit and mode of a stack at once by
+one scatter of products and one separate gather per fiber size, and the
+independent finite cyclic oracle (structure constants and norms of
+mu_k x_w G).  The oracle comparison reads
 its expected values off the tables of w^n in array expressions, as exponents
 of zeta_k, numeric values snapped to their nearest k-th roots, and decides
 every comparison exactly from the oracle's terms; the graded involution is
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra, products, stars
+from .algebra import fiber_products, fibers, regular_reps, unit_norms
 from .cocycle import TwoCocycle, root_values
 from .cyclic_oracle import CyclicExtension
 from .exact import spectral_norms
@@ -62,11 +65,9 @@ class ExtensionAlgebra:
         self._twisted: dict[int, TwistedAlgebra] = {}
 
     def twisted(self, n: int) -> TwistedAlgebra:
-        alg = self._twisted.get(n)
-        if alg is None:
-            alg = TwistedAlgebra(self.groupoid, self.cocycle, n)
-            self._twisted[n] = alg
-        return alg
+        if n not in self._twisted:
+            self._twisted[n] = TwistedAlgebra(self.groupoid, self.cocycle, n)
+        return self._twisted[n]
 
     def element(self, modes: dict) -> "LaurentElement":
         out = {}
@@ -118,8 +119,7 @@ class LaurentElement:
         self.modes = {n: f for n, f in modes.items() if not f.is_zero}
 
     def mode(self, n: int) -> AlgebraElement:
-        f = self.modes.get(n)
-        return f if f is not None else self.algebra.twisted(n).zero()
+        return self.modes[n] if n in self.modes else self.algebra.twisted(n).zero()
 
     def on(self, lo: int, hi: int) -> np.ndarray:
         """The coefficients of the modes lo..hi as a complex array (...,
@@ -145,9 +145,9 @@ class LaurentElement:
         ):
             raise AlgebraError("mixing extension tags")
 
-    def _twists(self, lo: int, hi: int) -> np.ndarray:
-        """The complex tables of w^n for the modes lo..hi, stacked."""
-        return np.stack([self.algebra.twisted(n).twist for n in range(lo, hi + 1)])
+    def _twists(self, modes) -> np.ndarray:
+        """The complex tables of w^n for the listed modes, stacked."""
+        return np.stack([self.algebra.twisted(n).twist for n in modes])
 
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
         self._require_same(other)
@@ -171,7 +171,7 @@ class LaurentElement:
         if not common or (self.values is None and other.values is None):
             return LaurentElement(self.algebra, {n: self.modes[n] * other.modes[n] for n in common})
         lo, hi = min(common), max(common)
-        x, y, twists = self.on(lo, hi), other.on(lo, hi), self._twists(lo, hi)
+        x, y, twists = self.on(lo, hi), other.on(lo, hi), self._twists(range(lo, hi + 1))
         return self.algebra.stack(lo, products(self.algebra.groupoid, twists, x, y))
 
     __rmul__ = scaled
@@ -179,15 +179,13 @@ class LaurentElement:
     def star(self) -> "LaurentElement":
         if self.values is None:
             return LaurentElement(self.algebra, {n: f.star() for n, f in self.modes.items()})
-        twists = self._twists(self.lo, self.lo + self.values.shape[-2] - 1)
+        twists = self._twists(range(self.lo, self.lo + self.values.shape[-2]))
         return self.algebra.stack(self.lo, stars(self.algebra.groupoid, twists, self.values))
 
     def equals(self, other: "LaurentElement", tol: float = 0.0) -> bool:
         self._require_same(other)
-        for n in set(self.modes) | set(other.modes):
-            if not self.mode(n).equals(other.mode(n), tol):
-                return False
-        return True
+        modes = set(self.modes) | set(other.modes)
+        return all(self.mode(n).equals(other.mode(n), tol) for n in modes)
 
     def __repr__(self):
         if not self.modes:
@@ -201,8 +199,7 @@ class LaurentElement:
 def mode_projection(F: LaurentElement, n: int) -> LaurentElement:
     """Circle-average against the n-th character: keeps mode n, kills the
     rest; a *-homomorphism of the graded model onto its n-th summand."""
-    f = F.modes.get(n)
-    return LaurentElement(F.algebra, {n: f} if f is not None else {})
+    return LaurentElement(F.algebra, {n: F.modes[n]} if n in F.modes else {})
 
 
 @dataclass
@@ -220,19 +217,23 @@ def decompose(F: LaurentElement, with_centers: bool = False):
     largest per-mode reduced norm, attained at the first mode reaching it;
     returns (components, report)."""
     comps = dict(sorted(F.modes.items()))
-    reports = {n: F.algebra.twisted(n).reduced_norm(f) for n, f in comps.items()}
-    norms = {n: rep.reduced_norm for n, rep in reports.items()}
+    norms = dict(zip(comps, _mode_norms(F, list(comps)).tolist()))
     attained = max(norms, key=norms.get, default=None)
     centers = {n: F.algebra.twisted(n).center_dimension() for n in comps} if with_centers else {}
-    report = DecompositionReport(
-        mode_norms=norms,
-        extension_norm=norms.get(attained, 0.0),
-        attained_mode=attained,
-        faithful_modes={n: rep.faithful for n, rep in reports.items()},
-        mode_dimensions={n: F.algebra.groupoid.n_arrows for n in comps},
-        center_dimensions=centers,
-    )
+    faithful = {n: F.algebra.twisted(n).full_norm_certificate().faithful for n in comps}
+    dims = {n: F.algebra.groupoid.n_arrows for n in comps}
+    report = DecompositionReport(norms, norms.get(attained, 0.0), attained, faithful, dims, centers)
     return comps, report
+
+
+def _mode_norms(F: LaurentElement, modes: list[int]) -> np.ndarray:
+    """The reduced norm of each listed mode of F, (..., modes), as
+    ``reduced_norm`` takes it: one gather over the stacked tables of w^n."""
+    if not modes:
+        return np.zeros(0)
+    x = np.stack(np.broadcast_arrays(*(F.mode(n).array() for n in modes)), axis=-2)
+    units = F.algebra.twisted(0).orbit_units
+    return unit_norms(F.algebra.groupoid, F._twists(modes), x, units).max(axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,52 +247,38 @@ class IntertwineResidual:
     dimension: int
 
 
-def extension_regular_matrix(
-    F: LaurentElement, u: int, window: tuple[int, int]
-) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """Matrix of graded convolution by F on the windowed fiber space over u,
-    computed from the graded product: circle orthogonality keeps mode m on
-    the basis slots (m, fiber), where F acts by the products F_m * delta_b
-    of ``TwistedAlgebra.fiber_products``, not by the regular_rep gather.
-    Over a batch of elements, one matrix per batch row."""
+def fiber_sides(F: LaurentElement, window: tuple[int, int], units) -> list[tuple]:
+    """Both sides of the fiber over every listed unit at once, per group of
+    one fiber size d: (the group's positions in the list, R, L, the largest
+    entry of |R_u - L_u| per unit), over F's batch axes.  R (..., units,
+    modes * d, modes * d) is graded convolution by F on the windowed fiber
+    space, from the graded product: circle orthogonality keeps mode m on the
+    basis slots (m, fiber), where F acts by the products F_m * delta_b, one
+    ``fiber_products`` scatter.  L (..., modes, units, d, d) holds the
+    blocks lambda_u(F_n), one ``regular_reps`` gather, a separate code path;
+    L_u is their block-diagonal sum."""
     lo, hi = window
     missing = [n for n in F.modes if not lo <= n <= hi]
     if missing:
         raise WindowError(missing)
-    modes = tuple(range(lo, hi + 1))
-    blocks = [F.algebra.twisted(m).fiber_products(F.mode(m), u) for m in modes]
-    return _block_diagonal(blocks), modes, F.algebra.groupoid.source_fiber(u)
-
-
-def _fiber_matrices(F: LaurentElement, u: int, window: tuple[int, int]):
-    """The two sides of the fiber over u, each built once: R_u from the
-    graded product, and the blocks lambda_u(F_n) of the twisted regular
-    representations, one per window mode in order; with the largest entry of
-    |R_u - L_u|, L_u the block-diagonal sum of the blocks, per batch row."""
-    R, modes, _ = extension_regular_matrix(F, u, window)
-    blocks = [F.algebra.twisted(n).regular_rep(F.mode(n), u).matrix for n in modes]
-    return R, blocks, np.abs(R - _block_diagonal(blocks)).max(axis=(-2, -1), initial=0.0)
-
-
-def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """The block-diagonal matrix of the square blocks (..., d, d), in order:
-    mode n's block sits on the basis slots (n, fiber), which circle
-    orthogonality keeps apart from every other mode's."""
-    d = blocks[0].shape[-1]
-    batch = np.broadcast_shapes(*(block.shape[:-2] for block in blocks))
-    M = np.zeros(batch + (d * len(blocks), d * len(blocks)), dtype=complex)
-    for i, block in enumerate(blocks):
-        M[..., i * d : (i + 1) * d, i * d : (i + 1) * d] = block
-    return M
+    G, x, twists = F.algebra.groupoid, F.on(lo, hi), F._twists(range(lo, hi + 1))
+    out = []
+    for at, fiber in fibers(G, units):
+        blocks, L = fiber_products(G, twists, x, fiber), regular_reps(G, twists, x, fiber)
+        *lead, M, U, d, _ = blocks.shape
+        R, n = np.zeros((*lead, U, M, d, M, d), dtype=complex), np.arange(M)
+        R[..., n, :, n, :] = np.moveaxis(blocks, -4, 0)  # mode n's block at the slots (n, fiber)
+        residual = np.abs(blocks - L).max(axis=(-4, -2, -1), initial=0.0)
+        out.append((at, R.reshape(*lead, U, M * d, M * d), L, residual))
+    return out
 
 
 def intertwine_check(F: LaurentElement, u: int, window: tuple[int, int]) -> IntertwineResidual:
     """Compare graded convolution on the extension fiber against the direct
-    sum of twisted-algebra regular representations, read from the same
-    per-unit pass as check_reduced_decomposition; the two sides are computed
-    by unrelated code paths."""
-    R, _, residual = _fiber_matrices(F, u, window)
-    return IntertwineResidual(u, window, float(residual), R.shape[-1])
+    sum of twisted-algebra regular representations, two unrelated code
+    paths: the ``fiber_sides`` pass of check_reduced_decomposition on u."""
+    [(_, R, _, residual)] = fiber_sides(F, window, [u])
+    return IntertwineResidual(u, window, float(residual[..., 0]), R.shape[-1])
 
 
 @dataclass
@@ -321,14 +308,15 @@ class ReducedDecompositionCertificate:
 
 
 def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecompositionCertificate:
-    """For every sample and unit, over the sample's own mode span: build R_u
-    and the mode blocks once, record the intertwining residual, and verify
-    that ||R_u|| equals the largest block norm.  The extension norm, the
-    largest block norm at the first unit of each orbit, as ``decompose``
-    reads it, must agree with the largest ||R_u||.  The samples of one
-    algebra and span go as one stack, with one SVD call per matrix shape.
-    The witness is the first fiber, in (sample, unit) order, whose residual
-    exceeds ``INTERTWINE_TOL`` or whose norms differ by more than ``NORM_TOL``."""
+    """For every sample and unit, over the sample's own mode span: record
+    the intertwining residual of R_u and the mode blocks, and verify that
+    ||R_u|| equals the largest block norm.  The extension norm, the largest
+    block norm at the first unit of each orbit, as ``decompose`` reads it,
+    must agree with the largest ||R_u||.  The samples of one algebra and
+    span go as one stack through one ``fiber_sides`` pass over every unit
+    and mode, with one SVD call per matrix shape.  The witness is the first
+    fiber, in (sample, unit) order, whose residual exceeds ``INTERTWINE_TOL``
+    or whose norms differ by more than ``NORM_TOL``."""
     stacks: dict[tuple, list[int]] = {}
     for i, F in enumerate(elements):
         if not F.is_zero:
@@ -337,11 +325,11 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
     witnesses = []
     for (algebra, lo, hi), index in stacks.items():
         F = algebra.stack(lo, np.stack([elements[i].on(lo, hi) for i in index]))
-        sides = [_fiber_matrices(F, u, (lo, hi)) for u in algebra.groupoid.units()]
-        residual = np.stack([r for *_, r in sides], axis=-1)  # (sample, unit)
-        norms = spectral_norms([M for R, blocks, _ in sides for M in (R, *blocks)])
-        norms = np.stack(np.broadcast_arrays(*norms), axis=-1).reshape(*residual.shape, -1)
-        nR, nL = norms[..., 0], norms[..., 1:].max(axis=-1)
+        sides = fiber_sides(F, (lo, hi), algebra.groupoid.units())
+        norms = spectral_norms([M for _, R, L, _ in sides for M in (R, L)])
+        residual, nR, nL = (np.zeros((len(index), algebra.groupoid.n_units)) for _ in range(3))
+        for (at, *_, r), R, L in zip(sides, norms[::2], norms[1::2]):  # (sample, unit)
+            residual[:, at], nR[:, at], nL[:, at] = r, R, L.max(axis=-2)
         deviation = np.abs(nR - nL)
         max_res = max(max_res, float(residual.max()))
         max_unit_dev = max(max_unit_dev, float(deviation.max()))
@@ -350,13 +338,8 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
         for i, u in np.argwhere((residual > INTERTWINE_TOL) | (deviation > NORM_TOL))[:1]:
             d, r = float(deviation[i, u]), float(residual[i, u])
             witnesses.append(UnitWitness(index[i], int(u), (lo, hi), d, r))
-    return ReducedDecompositionCertificate(
-        samples=len(elements),
-        max_norm_deviation=max_dev,
-        max_unit_deviation=max_unit_dev,
-        max_residual=max_res,
-        witness=min(witnesses, key=lambda w: (w.sample, w.unit), default=None),
-    )
+    witness = min(witnesses, key=lambda w: (w.sample, w.unit), default=None)
+    return ReducedDecompositionCertificate(len(elements), max_dev, max_unit_dev, max_res, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +521,8 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             if first is None or (rank, int(at[least])) < first[:2]:
                 first = (rank, int(at[least]), float(oracle.magnitude(value(int(failing[least])))))
 
-    summands = [
-        ModeSummand(
-            mode=n,
-            dimension=m,
-            center_dimension=-1 if skip_centers else alg.twisted(n).center_dimension(),
-        )
-        for n in range(k)
-    ]
+    centers = [-1 if skip_centers else alg.twisted(n).center_dimension() for n in range(k)]
+    summands = [ModeSummand(mode=n, dimension=m, center_dimension=c) for n, c in enumerate(centers)]
     return CyclicDecomposition(
         k=k,
         summands=summands,
@@ -581,8 +558,7 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension):
     if any(not 0 <= n < k for n in F.modes):
         raise WindowError([n for n in F.modes if not 0 <= n < k])
     img = np.zeros(ext.dimension, dtype=complex)
-    norms = [0.0]
     for n, comp in F.modes.items():
         img = img + oracle.embed_mode(ext, n, comp.array())
-        norms.append(F.algebra.twisted(n).reduced_norm(comp).reduced_norm)
-    return np.abs(np.max(np.broadcast_arrays(*norms), axis=0) - oracle.reduced_norm(ext, img))
+    norm = _mode_norms(F, list(F.modes)).max(axis=-1, initial=0.0)
+    return np.abs(norm - oracle.reduced_norm(ext, img))

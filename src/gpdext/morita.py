@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclic_oracle as oracle
-from .algebra import AlgebraElement, TwistedAlgebra
+from .algebra import AlgebraElement, TwistedAlgebra, fibers, regular_reps
 from .cocycle import TwoCocycle
 from .exact import cmul
 from .groupoid import FiniteGroupoid, orbit_decomposition, principal_obstruction
@@ -77,14 +77,17 @@ POSITIVITY_TOL = 1e-12
 def positivity_check(g: FiniteGroupoid, elements: list[BimoduleElement]) -> bool:
     """Every regular-representation matrix of <f, f>, for every f of the
     elements on g, is positive semidefinite (it is a rank-one Gram matrix);
-    one untwisted algebra serves them all."""
+    one untwisted algebra serves them all.  The matrices of every element
+    at every unit come from one ``regular_reps`` gather per fiber size,
+    their eigenvalues from one ``eigvalsh`` call per fiber shape."""
     algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
-    for f in elements:
-        x = left_inner(f, f, algebra)
-        for u in g.units():
-            m = algebra.regular_rep(x, u).matrix
-            if m.size and np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -POSITIVITY_TOL:
-                return False
+    x = np.array([left_inner(f, f, algebra).array() for f in elements])
+    x = x.reshape(len(elements), g.n_arrows)
+    for _, fiber in fibers(g, g.units()):
+        m = regular_reps(g, algebra.twist, x, fiber)
+        m = (m + m.conj().swapaxes(-1, -2)) / 2
+        if np.linalg.eigvalsh(m).min(initial=0.0) < -POSITIVITY_TOL:
+            return False
     return True
 
 

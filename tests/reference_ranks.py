@@ -19,6 +19,16 @@ from gpdext.cocycle import TwoCocycle
 from gpdext.morita import BimoduleElement, left_inner
 from reference_algebra import sigma, value
 
+# Singular values of the commutator system at or below this are rounding.
+# Each entry is a sum of values of w^n of modulus 1, so a pair whose values
+# w^n(a, b) and w^n(b, a) agree up to rounding leaves entries of a few ulps,
+# and a pair that does not commute leaves a column of norm at least their
+# distance, which the closed form counts as a difference above
+# ``exact.CLOSE_TOL`` = 1e-10.  ``matrix_rank``'s default tolerance is
+# relative to the largest singular value, which is itself rounding when
+# every pair commutes: it would count that rounding as rank.
+CENTER_RANK_TOL = 1e-10
+
 
 def stacked_faithfulness(alg) -> tuple[int, dict]:
     """Rank of the direct sum of the left-regular representations of a
@@ -59,7 +69,7 @@ def commutator_center_dimension(alg) -> int:
             ba = G.compose_or_none(b, a)
             if ba is not None:
                 rows[b * m + ba, a] -= value(sigma(alg, b, a))
-    return m - int(np.linalg.matrix_rank(rows))
+    return m - int(np.linalg.matrix_rank(rows, tol=CENTER_RANK_TOL))
 
 
 def regular_rep_matrix(ext, f: np.ndarray, u: int) -> np.ndarray:

@@ -1,16 +1,17 @@
 """The twisted algebra and the graded fibre matrix against their loop
 references, bit for bit.
 
-`convolve`, `involute`, `regular_rep`, `extension_regular_matrix` and
-`reduced_norm` are compared with the loops of `reference_algebra` on seeded
-elements:
-dense and sparse complex ones, exact ones (int, Fraction and Cyclo
-coefficients) and mixed ones, which are numeric, in shuffled support
-orders, on every bundled fixture, every `randgen` family and
-`pair_groupoid(2..8)`, each cocycle also with its values as complex
-numbers.  Numeric results must have the same bits entry by entry; exact
-ones the same keys in the same order, with the same values.  Stacks of
-elements are compared row by row with the single elements.
+`convolve`, `involute`, `regular_rep`, `reduced_norm`, and the matrices,
+residuals and norms of every unit and mode from `fiber_sides`, are compared
+with the loops of `reference_algebra` on seeded elements: dense and sparse
+complex ones, exact ones (int, Fraction and Cyclo coefficients) and mixed
+ones, which are numeric, in shuffled support orders, on every bundled
+fixture, every `randgen` family and `pair_groupoid(2..8)`, each cocycle
+also with its values as complex numbers; the fibres also on the
+`algebra_ladder` groupoids and on groupoids whose units have fibres of
+different sizes.  Numeric results must have the same bits entry by entry;
+exact ones the same keys in the same order, with the same values.  Stacks
+of elements are compared row by row with the single elements.
 """
 
 import random
@@ -19,18 +20,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gpdext.algebra import TwistedAlgebra
+from gpdext.algebra import TwistedAlgebra, unit_norms
 from gpdext.cli import _fixture_dir, load_spec
 from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, normalize
 from gpdext.exact import Cyclo
-from gpdext.extension import NORM_TOL, ExtensionAlgebra, extension_regular_matrix
-from gpdext.groupoid import abelian_group_groupoid, orbit_decomposition, pair_groupoid
-from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
+from gpdext.extension import (
+    NORM_TOL,
+    ExtensionAlgebra,
+    check_reduced_decomposition,
+    decompose,
+    fiber_sides,
+)
+from gpdext.groupoid import (
+    abelian_group_groupoid,
+    cover_groupoid,
+    disjoint_union,
+    orbit_decomposition,
+    pair_groupoid,
+)
+from gpdext.randgen import _FAMILIES, random_laurents, random_mu_k_coboundary
 from helpers import random_element
 from reference_algebra import (
     loop_convolve,
     loop_extension_regular_matrix,
     loop_involute,
+    loop_reduced_decomposition,
     loop_reduced_norm,
     loop_regular_rep,
 )
@@ -154,6 +168,43 @@ def test_regular_representations_match_the_loop(name, g, w):
                 assert_same_matrix(alg.regular_rep(x, u).matrix, loop_regular_rep(x, u))
 
 
+def _assert_fibres_match_the_loop(F, window):
+    """Every unit's R_u and mode blocks from one ``fiber_sides`` pass, and
+    its residual, against the loops unit by unit, bit for bit; with each
+    mode's norms at every unit (``unit_norms``) against ``np.linalg.norm``
+    of the loop blocks."""
+    G = F.algebra.groupoid
+    units, modes = list(G.units()[::-1]), range(window[0], window[1] + 1)  # units out of order
+    sides = fiber_sides(F, window, units)
+    assert sorted(i for at, *_ in sides for i in at) == list(range(len(units)))
+    twists = np.stack([F.algebra.twisted(n).twist for n in modes])
+    norms = unit_norms(G, twists, F.on(*window), units)
+    for at, R, L, residual in sides:
+        assert R.shape[:-2] == residual.shape == (len(at),) and L.shape[:2] == (len(modes), len(at))
+        for j, u in enumerate(units[i] for i in at):
+            blocks = [loop_regular_rep(F.mode(n), u) for n in modes]
+            R_u = loop_extension_regular_matrix(F, u, window)
+            assert_same_matrix(R[j], R_u)
+            for n, block in enumerate(blocks):
+                assert_same_matrix(L[n, j], block)
+                assert norms[n, at[j]].hex() == float(np.linalg.norm(block, 2)).hex()
+            L_u = np.zeros_like(R_u)
+            for n, block in enumerate(blocks):
+                d = len(block)
+                L_u[n * d : (n + 1) * d, n * d : (n + 1) * d] = block
+            assert residual[j].hex() == float(np.abs(R_u - L_u).max()).hex()
+
+
+def _assert_stack_rows(F, window):
+    """The sides of a stack, row by row, have the bits of each row's own."""
+    units = F.algebra.groupoid.units()
+    for i in range(len(F.values)):
+        for stacked, alone in zip(fiber_sides(F, window, units), fiber_sides(F[i], window, units)):
+            assert stacked[0].tolist() == alone[0].tolist()
+            for M, ref in zip(stacked[1:], alone[1:]):
+                assert_same_matrix(M[i], ref)
+
+
 @pytest.mark.parametrize("name,g,w", INSTANCES, ids=[x[0] for x in INSTANCES])
 def test_fibre_matrices_match_the_loop(name, g, w):
     rng = random.Random(name)
@@ -161,10 +212,10 @@ def test_fibre_matrices_match_the_loop(name, g, w):
     dense, sparse, exact, mixed = _coefficient_maps(rng, g.n_arrows)
     # numeric modes with mode 1 empty, then exact, mixed and numeric ones with mode -1 empty
     for modes in ({-1: dense, 0: sparse, 2: dense}, {0: exact, 1: mixed, 2: sparse}):
-        F = ea.element(modes)
-        for u in g.units():
-            M, _, _ = extension_regular_matrix(F, u, WINDOW)
-            assert_same_matrix(M, loop_extension_regular_matrix(F, u, WINDOW))
+        _assert_fibres_match_the_loop(ea.element(modes), WINDOW)
+    F = random_laurents(rng, ea, WINDOW, (3,))
+    _assert_fibres_match_the_loop(F[0], WINDOW)
+    _assert_stack_rows(F, WINDOW)
 
 
 def _ladder_instances():
@@ -220,3 +271,81 @@ def test_reduced_norms_on_the_ladder_match_the_loop(name, g, w):
     alg = TwistedAlgebra(g, w, 1)
     f = random_element(rng, alg)
     _assert_norms_per_orbit(alg, [f, f.star() * f, alg.identity()])
+
+
+@pytest.mark.parametrize("name,g,w", LADDER, ids=[x[0] for x in LADDER])
+def test_fibres_on_the_ladder_match_the_loop(name, g, w):
+    rng = random.Random(name)
+    ea = ExtensionAlgebra(g, w)
+    # the benchmark's element, modes 0 and 1, in a stack
+    F = random_laurents(rng, ea, (0, 1), (3,))
+    _assert_fibres_match_the_loop(F[0], (0, 1))
+    _assert_stack_rows(F, (0, 1))
+    _assert_decomposition_matches_the_loop([F[1]])
+
+
+def _uneven_instances():
+    """Groupoids whose units have fibres of different sizes, each with a
+    mu_4 coboundary: pair(2)+pair(1), pair(3)+pair(2), and the cover of
+    {1, 2, 3} by {1, 2, 3} and {1}; then each with complex values."""
+    rng = random.Random(13)
+    out = []
+    for name, g in (
+        ("pair2+pair1", disjoint_union(pair_groupoid(2), pair_groupoid(1))),
+        ("pair3+pair2", disjoint_union(pair_groupoid(3), pair_groupoid(2))),
+        ("cover", cover_groupoid([1, 2, 3], [{1, 2, 3}, {1}])),
+    ):
+        assert len({len(g.source_fiber(u)) for u in g.units()}) > 1
+        out.append((name, g, random_mu_k_coboundary(rng, g, 4)))
+    return out + [(f"{name}-complex", g, _complex_copy(w)) for name, g, w in out]
+
+
+UNEVEN = _uneven_instances()
+
+
+def _assert_decomposition_matches_the_loop(elements):
+    """check_reduced_decomposition against the loop, its deviations and
+    residual bit for bit."""
+    cert = check_reduced_decomposition(elements)
+    *ref, witness = loop_reduced_decomposition(elements)
+    got = (cert.max_norm_deviation, cert.max_unit_deviation, cert.max_residual)
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
+    assert (cert.witness and (cert.witness.sample, cert.witness.unit)) == witness
+
+
+@pytest.mark.parametrize("name,g,w", UNEVEN, ids=[x[0] for x in UNEVEN])
+def test_fibres_of_different_sizes_match_the_loop(name, g, w):
+    rng = random.Random(name)
+    ea = ExtensionAlgebra(g, w)
+    dense, sparse, exact, mixed = _coefficient_maps(rng, g.n_arrows)
+    for modes in ({-1: dense, 0: sparse, 2: dense}, {0: exact, 1: mixed, 2: sparse}):
+        _assert_fibres_match_the_loop(ea.element(modes), WINDOW)
+    F = random_laurents(rng, ea, WINDOW, (3,))
+    _assert_fibres_match_the_loop(F[0], WINDOW)
+    _assert_stack_rows(F, WINDOW)
+    _assert_decomposition_matches_the_loop([F[i] for i in range(3)] + [ea.element({0: exact})])
+    for n in POWERS:
+        alg = TwistedAlgebra(g, w, n)
+        elements = [alg.element(c) for c in _coefficient_maps(rng, g.n_arrows)]
+        for x in elements:
+            for u in g.units():
+                assert_same_matrix(alg.regular_rep(x, u).matrix, loop_regular_rep(x, u))
+        _assert_norms_per_orbit(alg, elements + [alg.identity(), alg.zero()])
+
+
+@pytest.mark.parametrize("name,g,w", INSTANCES + UNEVEN, ids=[x[0] for x in INSTANCES + UNEVEN])
+def test_decompose_takes_each_mode_norm_as_reduced_norm_does(name, g, w):
+    # every mode's norm from one gather over the stacked tables of w^n, with
+    # the bits of the mode's own reduced_norm
+    rng = random.Random(name)
+    ea = ExtensionAlgebra(g, w)
+    dense, sparse, exact, mixed = _coefficient_maps(rng, g.n_arrows)
+    for F in (ea.element({-1: dense, 0: exact, 2: mixed, 3: sparse}), ea.identity(), ea.zero()):
+        _, report = decompose(F)
+        reports = {n: ea.twisted(n).reduced_norm(f) for n, f in sorted(F.modes.items())}
+        assert list(report.mode_norms) == list(reports)
+        assert [x.hex() for x in report.mode_norms.values()] == [
+            r.reduced_norm.hex() for r in reports.values()
+        ]
+        assert report.faithful_modes == {n: r.faithful for n, r in reports.items()}
+        assert report.extension_norm == max(report.mode_norms.values(), default=0.0)

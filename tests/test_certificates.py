@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from gpdext import cyclic_oracle as oracle
-from gpdext.algebra import RegularRep, TwistedAlgebra
+from gpdext import extension
+from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, cmd_decompose, load_spec
 from gpdext.cocycle import (
     OneCochain,
@@ -131,6 +132,22 @@ def test_closed_forms_match_the_rank_references(name, g, w):
         assert A.center_dimension() == commutator_center_dimension(A), f"power {n}"
 
 
+def test_the_center_reference_reads_through_a_one_ulp_asymmetry(monkeypatch):
+    # klein-pauli-numeric at each power, with w^n((0,1), (1,0)) turned by
+    # one ulp: the closed form counts it equal to w^n((1,0), (0,1)), so the
+    # center is C^4 at even powers and M_2's at odd ones, and the reference
+    # must not count the rounding as rank
+    klein = abelian_group_groupoid((2, 2))
+    w = pauli_cocycle(klein).mul(_numeric_coboundary(random.Random(3), klein))
+    for n in POWERS:
+        A = TwistedAlgebra(klein, w, n)
+        table = A.powers.copy()
+        table[1, 2] = complex(np.nextafter(table[1, 2].real, 2.0), table[1, 2].imag)
+        assert table[1, 2] != table[2, 1] or n % 2
+        monkeypatch.setattr(A, "powers", table)
+        assert A.center_dimension() == commutator_center_dimension(A) == (1 if n % 2 else 4)
+
+
 def test_mixed_union_centers():
     # Klein with the sign cocycle: C^4 at even powers, M_2 at odd ones;
     # S3 has 3 classes; pair(3) is M_3
@@ -176,11 +193,11 @@ def test_missing_unit_composition_is_not_faithful(monkeypatch):
     g = pair_groupoid(3)
     a = 1  # the arrow (0,1)
     unit = g.unit_arrow(g.s(a))
-    compose_or_none = g.compose_or_none
-    monkeypatch.setattr(
-        g, "compose_or_none", lambda x, y: None if (x, y) == (a, unit) else compose_or_none(x, y)
-    )
-    cert = TwistedAlgebra(g, TwoCocycle.trivial(g), 1).full_norm_certificate()
+    w = TwoCocycle.trivial(g)
+    table = g.compose_array.copy()
+    table[a, unit] = -1  # a . 1_{s(a)} off the composition table
+    monkeypatch.setattr(g, "_compose_array", table)
+    cert = TwistedAlgebra(g, w, 1).full_norm_certificate()
     assert cert.rank == cert.dimension - 1 == 8
     assert not cert.faithful
 
@@ -209,20 +226,29 @@ def test_one_noncommuting_twist_value_shrinks_the_klein_center(monkeypatch, klei
     assert A.center_dimension() < 4
 
 
+def _conjugated_blocks(monkeypatch, P, mode, unit=None, rows=None):
+    """The gathered blocks lambda_u(F_n) of the fiber pass, the L side,
+    replaced by P M P^T at window position ``mode`` (an index or a slice):
+    at every unit, or at ``unit`` only, and on every batch row, or on the
+    rows where ``rows(x)`` holds."""
+    regular_reps = extension.regular_reps
+
+    def conjugated(G, twist, x, fiber):
+        M = regular_reps(G, twist, x, fiber)  # (..., modes, units, d, d)
+        j = slice(None) if unit is None else [G.s(b) for b in fiber[:, 0]].index(unit)
+        at = (...,) if rows is None else (rows(x), ...)
+        at += (mode, j, slice(None), slice(None))
+        M[at] = P @ M[at] @ P.T
+        return M
+
+    monkeypatch.setattr(extension, "regular_reps", conjugated)
+
+
 def test_permuted_mode_block_is_caught_by_the_residual_not_the_norms(monkeypatch, klein, pauli):
     # mode 1's regular representation replaced by a unitary conjugate P M P^T,
     # P swapping the first two of the four fiber arrows: every norm is kept,
     # the block-sum identity R_u = L_u is not
-    regular_rep = TwistedAlgebra.regular_rep
-    P = np.eye(4)[[1, 0, 2, 3]]
-
-    def permuted(self, f, u):
-        rep = regular_rep(self, f, u)
-        if self.power != 1:
-            return rep
-        return RegularRep(unit=rep.unit, basis=rep.basis, matrix=P @ rep.matrix @ P.T)
-
-    monkeypatch.setattr(TwistedAlgebra, "regular_rep", permuted)
+    _conjugated_blocks(monkeypatch, np.eye(4)[[1, 0, 2, 3]], 1)
     ea = ExtensionAlgebra(klein, pauli)
     F = ea.element({0: {0: 1.0, 1: 0.5j}, 1: {0: 0.3, 1: 2.0, 2: -1.0j, 3: 0.7}})
     assert intertwine_check(F, 0, (0, 1)).residual > 1e-12
@@ -239,19 +265,8 @@ def test_permuted_mode_block_at_one_unit_is_named_by_the_witness(monkeypatch):
     # mode-1 coefficient at arrow 0 is 0.25
     g = pair_groupoid(3)
     w = random_mu_k_coboundary(random.Random(5), g, 4)
-    regular_rep = TwistedAlgebra.regular_rep
-    P = np.eye(3)[[1, 0, 2]]
-
-    def permuted(self, f, u):
-        rep = regular_rep(self, f, u)
-        if (self.power, u) != (1, 2):
-            return rep
-        matrix = rep.matrix.copy()
-        row = f.array()[..., 0] == 0.25
-        matrix[row] = P @ matrix[row] @ P.T
-        return RegularRep(unit=rep.unit, basis=rep.basis, matrix=matrix)
-
-    monkeypatch.setattr(TwistedAlgebra, "regular_rep", permuted)
+    rows = lambda x: x[..., 1, 0] == 0.25  # mode 1 at arrow 0
+    _conjugated_blocks(monkeypatch, np.eye(3)[[1, 0, 2]], 1, unit=2, rows=rows)
     ea = ExtensionAlgebra(g, w)
     values = {a: complex(1 + a, 2 - a) for a in g.arrows()}
     F = ea.element({0: values, 1: {**values, 0: 0.5}})
@@ -264,17 +279,11 @@ def test_permuted_mode_block_at_one_unit_is_named_by_the_witness(monkeypatch):
 
 
 def test_a_failing_decompose_report_names_the_fiber(monkeypatch):
-    regular_rep = TwistedAlgebra.regular_rep
-
-    def permuted(self, f, u):
-        rep = regular_rep(self, f, u)
-        P = np.eye(len(rep.basis))[::-1]
-        return RegularRep(unit=rep.unit, basis=rep.basis, matrix=P @ rep.matrix @ P.T)
-
+    # every mode block at every unit conjugated by the reversal of the fiber
     spec, source = load_spec(None, "pauli")
     passing = cmd_decompose(spec, source, 0, 4).to_doc()["checks"]
     assert all("witness" not in c["details"] for c in passing)
-    monkeypatch.setattr(TwistedAlgebra, "regular_rep", permuted)
+    _conjugated_blocks(monkeypatch, np.eye(4)[::-1], slice(None))
     checks = {c["name"]: c for c in cmd_decompose(spec, source, 0, 4).to_doc()["checks"]}
     assert not checks["intertwining"]["passed"]
     witness = checks["intertwining"]["details"]["witness"]
@@ -288,23 +297,19 @@ def test_twist_flipped_in_the_product_scatter_only_is_caught_by_the_residual(
     monkeypatch, klein, pauli
 ):
     # R_u's blocks (fiber_products, a scatter of products) read w(a, b) with
-    # the value at ((0,1), (1,0)) negated; the regular_rep gather of the mode
-    # blocks reads the true table
-    fiber_products = TwistedAlgebra.fiber_products
+    # the value at ((0,1), (1,0)) negated in every mode; the regular_reps
+    # gather of the mode blocks reads the true table
+    fiber_products = extension.fiber_products
 
-    def flipped(self, f, u):
-        twist = self.twist
-        self.twist = twist.copy()
-        self.twist[1, 2] *= -1
-        try:
-            return fiber_products(self, f, u)
-        finally:
-            self.twist = twist
+    def flipped(G, twist, x, fiber):
+        twist = twist.copy()
+        twist[..., 1, 2] *= -1
+        return fiber_products(G, twist, x, fiber)
 
     ea = ExtensionAlgebra(klein, pauli)
     F = ea.element({0: {0: 1.0, 1: 0.5j}, 1: {0: 0.3, 1: 2.0, 2: -1.0j, 3: 0.7}})
     assert intertwine_check(F, 0, (0, 1)).residual == 0.0
-    monkeypatch.setattr(TwistedAlgebra, "fiber_products", flipped)
+    monkeypatch.setattr(extension, "fiber_products", flipped)
     # at mode 1, column (1,0), row (1,1): 2.0 * w against 2.0 * (-w)
     assert intertwine_check(F, 0, (0, 1)).residual == 4.0
     assert check_reduced_decomposition([F]).max_residual == 4.0

@@ -21,7 +21,7 @@ from gpdext.extension import (
     cyclic_decompose,
     cyclic_extension,
     decompose,
-    extension_regular_matrix,
+    fiber_sides,
     intertwine_check,
     mode_projection,
     oracle_norm_deviation,
@@ -228,7 +228,7 @@ class TestReducedDecomposition:
                 continue
             span = (min(F.modes), max(F.modes))
             fiber_norm = max(
-                float(np.linalg.norm(extension_regular_matrix(F, u, span)[0], 2)) for u in units
+                float(np.linalg.norm(M, 2)) for _, R, _, _ in fiber_sides(F, span, units) for M in R
             )
             _, report = decompose(F)
             cert = check_reduced_decomposition([F])

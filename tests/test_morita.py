@@ -103,6 +103,24 @@ class TestPositivity:
         assert not positivity_check(pair2, samples)
         assert positivity_check(pair2, samples[:3])
 
+    def test_a_negative_sample_at_the_unit_of_the_smaller_fibre_fails(self, rng, monkeypatch):
+        # pair(2)+pair(1) has fibres of sizes 2 and 1, so the matrices come
+        # in two gathers; <f, f> of the delta at the pair(1) unit, negated,
+        # is nonzero only at that unit
+        g = disjoint_union(pair_groupoid(2), pair_groupoid(1))
+        samples = [random_bimodule(rng, g) for _ in range(4)]
+        lone = BimoduleElement.delta(g, 2, 1.5)
+        inner = morita.left_inner
+
+        def negated(f, h, algebra):
+            x = inner(f, h, algebra)
+            return x.scaled(-1) if f is lone else x
+
+        monkeypatch.setattr(morita, "left_inner", negated)
+        assert positivity_check(g, samples) and positivity_check(g, [])
+        assert not positivity_check(g, samples + [lone])
+        assert not positivity_check(g, [lone])
+
     def test_gram_matrix_is_rank_one(self, pair2, rng):
         # the regular matrices of <f,f> are v v*, hence PSD of rank <= 1
         alg = TwistedAlgebra(pair2, TwoCocycle.trivial(pair2), 0)
