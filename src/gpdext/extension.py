@@ -328,8 +328,8 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
         sides = fiber_sides(F, (lo, hi), algebra.groupoid.units())
         norms = spectral_norms([M for _, R, L, _ in sides for M in (R, L)])
         residual, nR, nL = (np.zeros((len(index), algebra.groupoid.n_units)) for _ in range(3))
-        for (at, *_, r), R, L in zip(sides, norms[::2], norms[1::2]):  # (sample, unit)
-            residual[:, at], nR[:, at], nL[:, at] = r, R, L.max(axis=-2)
+        for (at, *_, r), of_R, of_L in zip(sides, norms[::2], norms[1::2]):  # (sample, unit)
+            residual[:, at], nR[:, at], nL[:, at] = r, of_R, of_L.max(axis=-2)  # max over modes
         deviation = np.abs(nR - nL)
         max_res = max(max_res, float(residual.max()))
         max_unit_dev = max(max_unit_dev, float(deviation.max()))

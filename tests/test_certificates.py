@@ -193,7 +193,7 @@ def test_missing_unit_composition_is_not_faithful(monkeypatch):
     g = pair_groupoid(3)
     a = 1  # the arrow (0,1)
     unit = g.unit_arrow(g.s(a))
-    w = TwoCocycle.trivial(g)
+    w = TwoCocycle.trivial(g)  # before the patch: only the certificate reads it
     table = g.compose_array.copy()
     table[a, unit] = -1  # a . 1_{s(a)} off the composition table
     monkeypatch.setattr(g, "_compose_array", table)
