@@ -74,7 +74,7 @@ from gpdext.documents import SpecDocument
 from gpdext.extension import cyclic_decompose, cyclic_extension
 from gpdext.groupoid import abelian_group_groupoid, is_principal, pair_groupoid
 from gpdext.morita import fullness_check, saturation_report
-from gpdext.randgen import random_bimodule, random_mu_k_coboundary
+from gpdext.randgen import random_mu_k_coboundary, random_values
 
 SEEDS = range(5)
 SAMPLES = 10
@@ -115,7 +115,7 @@ def _wide_instances():
 
 def _print_morita(name, g, w, k) -> None:
     rng = random.Random(0)
-    pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(SAMPLES)]
+    pairs = random_values(rng, (SAMPLES, 2, g.n_units))
     cert = fullness_check(g)
     for kk, ww in ((1, TwoCocycle.trivial(g)), (k, w), (2 * k, w)):
         rep = saturation_report(g, ww, kk, pairs)

@@ -57,10 +57,10 @@ from .extension import (
     oracle_norm_deviation,
 )
 from .morita import (
-    BimoduleElement,
     FullnessCertificate,
     MoritaError,
     fullness_check,
+    inner_products,
     left_inner,
     positivity_check,
     saturation_report,

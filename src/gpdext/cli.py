@@ -36,7 +36,11 @@ from .documents import (
     canonical_json,
     cochain_to_doc,
     cocycle_to_doc,
+    decomposition_report_to_doc,
     fmt_float,
+    laurent_to_doc,
+    norm_report_to_doc,
+    parse_element,
     parse_spec,
 )
 from .extension import (
@@ -59,7 +63,7 @@ from .groupoid import (
     validate,
 )
 from .morita import MoritaError, fullness_check, positivity_check, saturation_report
-from .randgen import random_bimodule, random_laurents, random_values
+from .randgen import random_laurents, random_values
 
 FIXTURE_ENV = "GPDEXT_FIXTURE_DIR"
 
@@ -319,8 +323,6 @@ def cmd_algebra(
     report.add("associativity", worst_assoc <= PRODUCT_TOL, residual=fmt_float(worst_assoc))
     report.add("star-antihomomorphism", worst_star <= PRODUCT_TOL, residual=fmt_float(worst_star))
     if element_doc is not None:
-        from .documents import norm_report_to_doc, parse_element
-
         f = parse_element(element_doc, alg)
         nr = alg.reduced_norm(f)
         report.add("element-norm", True, **norm_report_to_doc(nr, g))
@@ -347,7 +349,7 @@ def cmd_decompose(
     window = _window(spec, modes)
 
     if g.n_arrows:
-        _, idrep = decompose(ea.identity(), with_centers=False)
+        _, idrep = decompose(ea.identity())
         report.add(
             "identity-decomposition",
             abs(idrep.extension_norm - 1.0) <= UNIT_NORM_TOL,
@@ -398,9 +400,7 @@ def cmd_decompose(
     report.extras["modes"] = per_mode
     report.extras["window"] = list(window)
     if elements and not elements[0].is_zero:
-        from .documents import decomposition_report_to_doc, laurent_to_doc
-
-        _, sample_rep = decompose(elements[0], with_centers=True)
+        _, sample_rep = decompose(elements[0])
         report.extras["sample_element"] = laurent_to_doc(elements[0])
         report.extras["sample_decomposition"] = decomposition_report_to_doc(sample_rep)
     return report
@@ -480,12 +480,15 @@ def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Repo
         orbit_count=cert.orbit_count,
     )
     rng = random.Random(seed)
-    elements = [random_bimodule(rng, g) for _ in range(samples)]
-    report.add("positivity", positivity_check(g, elements))
+    report.add("positivity", positivity_check(g, random_values(rng, (samples, g.n_units))))
     kk = _oracle_order(spec, w, None)
     if kk is not None:
-        pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(samples)]
-        sat = saturation_report(g, w, max(kk, 2), pairs)
+        pairs = random_values(rng, (samples, 2, g.n_units))
+        try:
+            sat = saturation_report(g, w, max(kk, 2), pairs)
+        except oracle.OracleError as e:
+            report.add("extension-groupoid", False, error=str(e))
+            return report
         report.add(
             "mode-zero-inner-products",
             sat.mode_zero_ok,
@@ -609,6 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.samples is not None and args.samples < 0:
+            raise DocumentError(f"--samples must be at least 0, got {args.samples}")
         spec, source = load_spec(args.path, args.fixture)
         seed = args.seed if args.seed is not None else int(spec.params.get("seed", 0))
         samples = (

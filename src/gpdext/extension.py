@@ -212,14 +212,15 @@ class DecompositionReport:
     center_dimensions: dict[int, int] = field(default_factory=dict)
 
 
-def decompose(F: LaurentElement, with_centers: bool = False):
+def decompose(F: LaurentElement):
     """Split into mode components and compute the extension norm as the
-    largest per-mode reduced norm, attained at the first mode reaching it;
-    returns (components, report)."""
+    largest per-mode reduced norm, attained at the first mode reaching it,
+    with each mode's dimension, faithfulness and center dimension (closed
+    forms, cached on each summand's algebra); returns (components, report)."""
     comps = dict(sorted(F.modes.items()))
     norms = dict(zip(comps, _mode_norms(F, list(comps)).tolist()))
     attained = max(norms, key=norms.get, default=None)
-    centers = {n: F.algebra.twisted(n).center_dimension() for n in comps} if with_centers else {}
+    centers = {n: F.algebra.twisted(n).center_dimension() for n in comps}
     faithful = {n: F.algebra.twisted(n).full_norm_certificate().faithful for n in comps}
     dims = {n: F.algebra.groupoid.n_arrows for n in comps}
     report = DecompositionReport(norms, norms.get(attained, 0.0), attained, faithful, dims, centers)

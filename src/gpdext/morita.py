@@ -1,17 +1,21 @@
 """Imprimitivity inner products and the ideals they generate, at finite scale.
 
-For a principal finite groupoid the algebra-valued inner product of two
-functions on units is
+An element of the dense part of the imprimitivity bimodule is a function on
+the units, held as a complex array (..., units) with optional leading batch
+axes.  For a principal finite groupoid the algebra-valued inner product of
+two of them is
 
     <f, g>(a) = f(range(a)) * conj(g(source(a))),
 
-an element of the untwisted algebra C(G).  Lifted to the algebra of a cyclic
-extension mu_k x_w G it is constant along the circle coordinate, hence purely
-mode 0, and the two-sided ideal that the inner products of unit deltas
-generate there is exactly the mode-0 summand: for k >= 2 the action is far
-from saturated.  At k = 1 the extension is G itself, so the same ideal
-computation shows the bimodule is full over C(G).  Both ideals are computed
-in the cyclic oracle's algebra by ``cyclic_oracle.ideal_dimension``.
+an element of the untwisted algebra C(G); ``inner_products`` takes it over
+whole stacks at once, one gather through the range and source maps.  Lifted
+to the algebra of a cyclic extension mu_k x_w G it is constant along the
+circle coordinate, hence purely mode 0, and the two-sided ideal that the
+inner products of unit deltas generate there is exactly the mode-0 summand:
+for k >= 2 the action is far from saturated.  At k = 1 the extension is G
+itself, so the same ideal computation shows the bimodule is full over C(G).
+Both ideals are computed in the cyclic oracle's algebra by
+``cyclic_oracle.ideal_dimension``.
 """
 
 from __future__ import annotations
@@ -31,22 +35,6 @@ class MoritaError(ValueError):
     pass
 
 
-@dataclass
-class BimoduleElement:
-    """A finitely-supported function on units, the dense part of the
-    imprimitivity bimodule."""
-
-    groupoid: FiniteGroupoid
-    coeff: dict
-
-    def value(self, u: int):
-        return self.coeff.get(u, 0)
-
-    @staticmethod
-    def delta(groupoid: FiniteGroupoid, u: int, c=1) -> "BimoduleElement":
-        return BimoduleElement(groupoid, {u: c})
-
-
 def _require_principal(g: FiniteGroupoid, what: str):
     bad = principal_obstruction(g)
     if bad is not None:
@@ -56,16 +44,26 @@ def _require_principal(g: FiniteGroupoid, what: str):
         )
 
 
-def left_inner(f: BimoduleElement, g: BimoduleElement, algebra: TwistedAlgebra) -> AlgebraElement:
-    """<f, g>(a) = f(r(a)) conj(g(s(a))) in the untwisted algebra."""
+def inner_products(g: FiniteGroupoid, f, h) -> np.ndarray:
+    """<f, h>(a) = f(r(a)) conj(h(s(a))) for stacks f, h (..., units) of
+    functions on the units of g, broadcast against each other: (..., arrows),
+    each product rounded as Python's complex product."""
+    f, h = np.asarray(f, dtype=complex), np.asarray(h, dtype=complex)
+    if f.shape[-1:] != (g.n_units,) or h.shape[-1:] != (g.n_units,):
+        raise MoritaError(
+            f"bimodule elements of {g.n_units} units expected, got shapes {f.shape} and {h.shape}"
+        )
+    r, s = (np.asarray(m, dtype=np.intp) for m in (g.range_map, g.source_map))
+    return cmul(f[..., r], h[..., s].conj())
+
+
+def left_inner(f, g, algebra: TwistedAlgebra) -> AlgebraElement:
+    """<f, g> in the untwisted algebra, over the batch axes of f and g."""
     if algebra.power != 0:
         raise MoritaError("inner products land in the untwisted algebra (power 0)")
     G = algebra.groupoid
-    if f.groupoid is not G or g.groupoid is not G:
-        raise MoritaError("bimodule elements live on a different groupoid")
     _require_principal(G, "left_inner")
-    out = {a: f.value(G.r(a)) * g.value(G.s(a)).conjugate() for a in G.arrows()}
-    return AlgebraElement(algebra, out)
+    return algebra.element(inner_products(G, f, g))
 
 
 # Smallest eigenvalue accepted in a positive semidefinite regular matrix:
@@ -74,17 +72,18 @@ def left_inner(f: BimoduleElement, g: BimoduleElement, algebra: TwistedAlgebra) 
 POSITIVITY_TOL = 1e-12
 
 
-def positivity_check(g: FiniteGroupoid, elements: list[BimoduleElement]) -> bool:
-    """Every regular-representation matrix of <f, f>, for every f of the
-    elements on g, is positive semidefinite (it is a rank-one Gram matrix);
-    one untwisted algebra serves them all.  The matrices of every element
-    at every unit come from one ``regular_reps`` gather per fiber size,
-    their eigenvalues from one ``eigvalsh`` call per fiber shape."""
-    algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
-    x = np.array([left_inner(f, f, algebra).array() for f in elements])
-    x = x.reshape(len(elements), g.n_arrows)
+def positivity_check(g: FiniteGroupoid, elements) -> bool:
+    """Every regular-representation matrix of <f, f>, for every row f of the
+    stack (samples, units) on g, is positive semidefinite (it is a rank-one
+    Gram matrix).  The untwisted algebra's table of w^0 is all ones; the
+    matrices of every row at every unit come from one ``regular_reps``
+    gather per fiber size, their eigenvalues from one ``eigvalsh`` call per
+    fiber shape."""
+    _require_principal(g, "positivity_check")
+    x = inner_products(g, elements, elements)
+    ones = np.broadcast_to(np.complex128(1), (g.n_arrows, g.n_arrows))
     for _, fiber in fibers(g, g.units()):
-        m = regular_reps(g, algebra.twist, x, fiber)
+        m = regular_reps(g, ones, x, fiber)
         m = (m + m.conj().swapaxes(-1, -2)) / 2
         if np.linalg.eigvalsh(m).min(initial=0.0) < -POSITIVITY_TOL:
             return False
@@ -102,24 +101,19 @@ class FullnessCertificate:
         return self.ideal_dimension == self.algebra_dimension
 
 
-def _lifts(ext: oracle.CyclicExtension, pairs) -> np.ndarray:
-    """The inner products <f, h>(a) = f(r(a)) conj(h(s(a))) of the pairs as
-    a stack of numeric elements of the extension algebra, constant along the
-    circle coordinate."""
-    g = ext.base
-    V = np.array(
-        [[x.value(u) for u in g.units()] for pair in pairs for x in pair], dtype=complex
-    ).reshape(len(pairs), 2, g.n_units)
-    r, s = (np.asarray(m, dtype=np.intp) for m in (g.range_map, g.source_map))
-    rows = cmul(V[:, 0, r], V[:, 1, s].conj())
-    return np.tile(rows, ext.k)
+def _lifts(ext: oracle.CyclicExtension, f, h) -> np.ndarray:
+    """The inner products <f, h> of two stacks (..., units) as a stack of
+    numeric elements of the extension algebra, constant along the circle
+    coordinate."""
+    return np.tile(inner_products(ext.base, f, h), ext.k)
 
 
 def _unit_pair_lifts(ext: oracle.CyclicExtension) -> np.ndarray:
-    """The lifts of <delta_u, delta_v> over all pairs of units."""
-    g = ext.base
-    delta = BimoduleElement.delta
-    return _lifts(ext, [(delta(g, u), delta(g, v)) for u in g.units() for v in g.units()])
+    """The lifts of <delta_u, delta_v> over all pairs (u, v) of units, u
+    outer: one row of the identity matrix against another."""
+    n = ext.base.n_units
+    e = np.eye(n, dtype=complex)
+    return _lifts(ext, e[:, None], e[None]).reshape(n * n, ext.dimension)
 
 
 def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
@@ -141,7 +135,6 @@ def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
 @dataclass
 class SaturationReport:
     k: int
-    inner_products: int
     mode_zero_ok: bool
     ideal_dimension: int
     mode_zero_summand_dimension: int
@@ -159,22 +152,20 @@ class SaturationReport:
 LEAKAGE_TOL = 1e-12
 
 
-def saturation_report(
-    g: FiniteGroupoid, w: TwoCocycle, k: int, pairs: list[tuple[BimoduleElement, BimoduleElement]]
-) -> SaturationReport:
-    """Lift inner products into the finite cyclic extension and measure their
-    mode content: all mass in mode 0, and the generated ideal exactly the
-    mode-0 summand (dimension |arrows|), never the whole extension algebra."""
+def saturation_report(g: FiniteGroupoid, w: TwoCocycle, k: int, pairs) -> SaturationReport:
+    """Lift the inner products <f, h> of a stack of pairs (samples, 2, units)
+    into the finite cyclic extension and measure their mode content: all mass
+    in mode 0, and the generated ideal exactly the mode-0 summand (dimension
+    |arrows|), never the whole extension algebra."""
     _require_principal(g, "saturation_report")
     ext = oracle.CyclicExtension(g, w, k)
-    L = _lifts(ext, pairs)
+    L = _lifts(ext, pairs[..., 0, :], pairs[..., 1, :])
     # what mode 0 misses, and every other mode, over the whole stack at once
     off = [L - oracle.mode_projection(ext, L, 0)]
     off += [oracle.mode_projection(ext, L, n) for n in range(1, k)]
     leakage = max(float(oracle.magnitude(p).max(initial=0.0)) for p in off)
     return SaturationReport(
         k=k,
-        inner_products=len(pairs),
         mode_zero_ok=leakage <= LEAKAGE_TOL,
         ideal_dimension=oracle.ideal_dimension(ext, _unit_pair_lifts(ext)),
         mode_zero_summand_dimension=g.n_arrows,

@@ -127,10 +127,3 @@ def random_laurents(rng: random.Random, ext_algebra, window: tuple[int, int], sh
         rows.append(random_values(rng, (m,)))
     return ext_algebra.stack(lo, np.array(rows, dtype=complex).reshape(*shape, hi - lo + 1, m))
 
-
-def random_bimodule(rng: random.Random, g: FiniteGroupoid):
-    from .morita import BimoduleElement
-
-    return BimoduleElement(
-        g, {u: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for u in g.units()}
-    )

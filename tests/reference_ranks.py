@@ -16,7 +16,7 @@ import numpy as np
 from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cocycle import TwoCocycle
-from gpdext.morita import BimoduleElement, left_inner
+from gpdext.morita import left_inner
 from reference_algebra import sigma, value
 
 # Singular values of the commutator system at or below this are rounding.
@@ -147,22 +147,10 @@ def graded_fullness_dimension(g) -> int:
     """Dimension of the ideal of C(G) generated by the inner products of
     unit deltas, by the closure loop on the graded model's products."""
     algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
-    gens = [
-        left_inner(BimoduleElement.delta(g, u), BimoduleElement.delta(g, v), algebra)
-        for u in g.units()
-        for v in g.units()
-    ]
-
-    def dense(x) -> np.ndarray:
-        v = np.zeros(algebra.dimension, dtype=complex)
-        for a, c in x.coeff.items():
-            v[a] = complex(c)
-        return v
-
-    def element(v: np.ndarray):
-        return algebra.element({int(a): complex(v[a]) for a in np.flatnonzero(v)})
-
+    n = g.n_units
+    e = np.eye(n, dtype=complex)
+    gens = left_inner(e[:, None], e[None], algebra).array().reshape(n * n, g.n_arrows)
     return closure_ideal_dimension(
-        [dense(x) for x in gens],
-        lambda F, H: [dense(element(f) * element(h)) for f, h in zip(F, H)],
+        list(gens),
+        lambda F, H: [(algebra.element(f) * algebra.element(h)).array() for f, h in zip(F, H)],
     )

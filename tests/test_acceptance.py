@@ -37,9 +37,9 @@ from gpdext.groupoid import abelian_group_groupoid, is_principal
 from gpdext.morita import fullness_check, positivity_check, saturation_report
 from gpdext.randgen import (
     draw_oracle_instance,
-    random_bimodule,
     random_laurent,
     random_mu_k_coboundary,
+    random_values,
 )
 from helpers import random_exact_cochain, random_principal_groupoid
 
@@ -333,7 +333,7 @@ def test_10_imprimitivity(fixture_specs):
         from math import lcm
 
         k = max(2, lcm(*dens) if dens else 1)
-        pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(10)]
+        pairs = random_values(rng, (10, 2, g.n_units))
         rep = saturation_report(g, w, k, pairs)
         mode_zero_ok = mode_zero_ok and rep.mode_zero_ok and rep.not_saturated
 
@@ -341,7 +341,8 @@ def test_10_imprimitivity(fixture_specs):
     count = 0
     while count < 200:
         _, g, w = principal_fixtures[count % len(principal_fixtures)]
-        positivity_ok = positivity_ok and positivity_check(g, [random_bimodule(rng, g)])
+        sample = random_values(rng, (1, g.n_units))
+        positivity_ok = positivity_ok and positivity_check(g, sample)
         count += 1
     accept(
         10,

@@ -31,6 +31,7 @@ MALFORMED_SPECS = [
     (("cocycle", "entries"), 5),
     (("params", "k"), "x"),
     (("params", "modes"), [1]),
+    (("params", "samples"), -2),
 ]
 
 
@@ -81,6 +82,25 @@ class TestExitCodes:
         assert main([command, str(doc), "--samples", "2"]) == 2
         assert "params.k must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["algebra", "decompose", "morita", "verify-all"])
+    def test_negative_sample_flag_is_two(self, command, capsys):
+        assert main([command, "--fixture", "pair3_cobound", "--samples", "-2"]) == 2
+        assert "--samples must be at least 0, got -2" in capsys.readouterr().err
+        assert main([command, "--fixture", "pair3_cobound", "--samples", "0"]) == 0
+
+    @pytest.mark.parametrize("command", ["morita", "verify-all"])
+    def test_k_outside_the_cocycle_values_fails_the_morita_suite(self, command, tmp_path, capsys):
+        path = Path(__file__).parents[1] / "src/gpdext/fixtures/pair3_cobound.json"
+        spec = json.loads(path.read_text())
+        spec["params"]["k"] = 4
+        doc = tmp_path / "k4.json"
+        doc.write_text(json.dumps(spec))
+        rc, out = run(capsys, command, str(doc), "--samples", "2", "--format", "machine")
+        assert rc == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        failed = checks["extension-groupoid" if command == "morita" else "morita/extension-groupoid"]
+        assert not failed["passed"]
+        assert failed["details"]["error"].endswith("is not a mu_4 root")
 
     @pytest.mark.parametrize("pair", ['["x", 0]', "1.5", "[1e400, 0]", "[%s, 0]" % ("9" * 400)])
     def test_malformed_element_coefficient_is_two(self, pair, tmp_path, capsys):

@@ -155,7 +155,7 @@ class TestDecompose:
 
     def test_two_mode_element(self, pauli_ext):
         F = pauli_ext.delta(1, 1) + pauli_ext.delta(0, 0)
-        _, rep = decompose(F, with_centers=True)
+        _, rep = decompose(F)
         assert rep.mode_norms == {0: pytest.approx(1.0), 1: pytest.approx(1.0)}
         assert rep.extension_norm == pytest.approx(1.0)
         assert rep.center_dimensions == {0: 4, 1: 1}

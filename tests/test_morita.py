@@ -17,14 +17,14 @@ from gpdext.groupoid import (
     pair_groupoid,
 )
 from gpdext.morita import (
-    BimoduleElement,
     MoritaError,
     fullness_check,
+    inner_products,
     left_inner,
     positivity_check,
     saturation_report,
 )
-from gpdext.randgen import random_bimodule, random_mu_k_coboundary
+from gpdext.randgen import random_mu_k_coboundary, random_values
 
 from reference_ranks import (
     graded_fullness_dimension,
@@ -38,68 +38,95 @@ def pair_untwisted(pair2, pair2_trivial):
     return TwistedAlgebra(pair2, pair2_trivial, 0)
 
 
+def delta(g, u, c=1.0):
+    """The function on the units of g that is c at u and 0 elsewhere."""
+    return c * np.eye(g.n_units, dtype=complex)[u]
+
+
 class TestLeftInner:
     def test_unit_deltas_give_matrix_units(self, pair2, pair_untwisted):
-        f = BimoduleElement.delta(pair2, 0)
-        g = BimoduleElement.delta(pair2, 1)
+        f, g = delta(pair2, 0), delta(pair2, 1)
         assert left_inner(f, g, pair_untwisted).equals(pair_untwisted.delta(1))
 
     def test_diagonal_is_projection(self, pair2, pair_untwisted):
-        f = BimoduleElement.delta(pair2, 0)
+        f = delta(pair2, 0)
         p = left_inner(f, f, pair_untwisted)
         assert p.equals(pair_untwisted.delta(0))
         assert (p * p).equals(p)
 
     def test_hermitian_symmetry(self, pair2, pair_untwisted, rng):
-        for _ in range(20):
-            f = random_bimodule(rng, pair2)
-            g = random_bimodule(rng, pair2)
-            assert left_inner(f, g, pair_untwisted).star().equals(
-                left_inner(g, f, pair_untwisted), 1e-12
-            )
+        f, g = random_values(rng, (2, 20, pair2.n_units))
+        assert left_inner(f, g, pair_untwisted).star().equals(
+            left_inner(g, f, pair_untwisted), 1e-12
+        )
+
+    @pytest.mark.parametrize("name", ["pair2", "pair2+pair1", "cover"])
+    def test_a_stack_matches_the_arrow_loop(self, name, rng):
+        # bit for bit, each product as Python's complex product rounds it
+        g = SMALL_PRINCIPAL[name]()
+        f, h = random_values(rng, (2, 5, g.n_units))
+        stack = inner_products(g, f, h)
+        assert stack.shape == (5, g.n_arrows)
+        for i in range(5):
+            loop = [complex(f[i, g.r(a)]) * complex(h[i, g.s(a)]).conjugate() for a in g.arrows()]
+            assert stack[i].tolist() == loop
 
     def test_requires_untwisted_tag(self, pair2, pair2_trivial):
         twisted = TwistedAlgebra(pair2, pair2_trivial, 1)
-        f = BimoduleElement.delta(pair2, 0)
+        f = delta(pair2, 0)
         with pytest.raises(MoritaError):
             left_inner(f, f, twisted)
 
     def test_requires_principal(self):
         z2 = cyclic_group_groupoid(2)
         alg = TwistedAlgebra(z2, TwoCocycle.trivial(z2), 0)
-        f = BimoduleElement.delta(z2, 0)
+        f = delta(z2, 0)
         with pytest.raises(MoritaError, match="hypotheses not met"):
             left_inner(f, f, alg)
+        with pytest.raises(MoritaError, match="hypotheses not met"):
+            positivity_check(z2, f[None])
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 1), ()])
+    def test_last_axis_must_be_the_units(self, pair2, shape):
+        good = np.ones(pair2.n_units)
+        bad = np.ones(shape)
+        for f, h in ((bad, good), (good, bad)):
+            with pytest.raises(MoritaError, match="2 units expected"):
+                inner_products(pair2, f, h)
+
+
+def negated_at(row, monkeypatch):
+    """Make ``inner_products`` negate <f, h> wherever f is the given row."""
+    inner = morita.inner_products
+
+    def negated(g, f, h):
+        x = inner(g, f, h)
+        return np.where((f == row).all(axis=-1, keepdims=True), -x, x)
+
+    monkeypatch.setattr(morita, "inner_products", negated)
 
 
 class TestPositivity:
     def test_delta(self, pair2):
-        assert positivity_check(pair2, [BimoduleElement.delta(pair2, 0)])
+        assert positivity_check(pair2, delta(pair2, 0)[None])
 
     def test_random(self, pair2, rng):
-        assert positivity_check(pair2, [random_bimodule(rng, pair2) for _ in range(30)])
+        assert positivity_check(pair2, random_values(rng, (30, pair2.n_units)))
 
     def test_zero(self, pair2):
-        assert positivity_check(pair2, [BimoduleElement(pair2, {})])
+        assert positivity_check(pair2, np.zeros((1, pair2.n_units)))
 
-    def test_one_algebra_serves_every_sample(self, pair2, rng, monkeypatch):
-        built = []
-        init = TwistedAlgebra.__init__
-        monkeypatch.setattr(
-            TwistedAlgebra, "__init__", lambda self, *args: built.append(args) or init(self, *args)
-        )
-        assert positivity_check(pair2, [random_bimodule(rng, pair2) for _ in range(10)])
-        assert len(built) == 1
+    def test_builds_no_algebra_and_no_cocycle(self, pair2, rng, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(TwistedAlgebra, "__init__", refuse)
+        monkeypatch.setattr(TwoCocycle, "__init__", refuse)
+        assert positivity_check(pair2, random_values(rng, (10, pair2.n_units)))
 
     def test_one_negative_sample_fails_the_batch(self, pair2, rng, monkeypatch):
-        samples = [random_bimodule(rng, pair2) for _ in range(5)]
-        inner = morita.left_inner
-
-        def negated(f, g, algebra):
-            x = inner(f, g, algebra)
-            return x.scaled(-1) if f is samples[3] else x
-
-        monkeypatch.setattr(morita, "left_inner", negated)
+        samples = random_values(rng, (5, pair2.n_units))
+        negated_at(samples[3], monkeypatch)
         assert not positivity_check(pair2, samples)
         assert positivity_check(pair2, samples[:3])
 
@@ -108,23 +135,17 @@ class TestPositivity:
         # in two gathers; <f, f> of the delta at the pair(1) unit, negated,
         # is nonzero only at that unit
         g = disjoint_union(pair_groupoid(2), pair_groupoid(1))
-        samples = [random_bimodule(rng, g) for _ in range(4)]
-        lone = BimoduleElement.delta(g, 2, 1.5)
-        inner = morita.left_inner
-
-        def negated(f, h, algebra):
-            x = inner(f, h, algebra)
-            return x.scaled(-1) if f is lone else x
-
-        monkeypatch.setattr(morita, "left_inner", negated)
-        assert positivity_check(g, samples) and positivity_check(g, [])
-        assert not positivity_check(g, samples + [lone])
-        assert not positivity_check(g, [lone])
+        samples = random_values(rng, (4, g.n_units))
+        lone = delta(g, 2, 1.5)
+        negated_at(lone, monkeypatch)
+        assert positivity_check(g, samples) and positivity_check(g, samples[:0])
+        assert not positivity_check(g, np.vstack([samples, lone]))
+        assert not positivity_check(g, lone[None])
 
     def test_gram_matrix_is_rank_one(self, pair2, rng):
         # the regular matrices of <f,f> are v v*, hence PSD of rank <= 1
         alg = TwistedAlgebra(pair2, TwoCocycle.trivial(pair2), 0)
-        f = random_bimodule(rng, pair2)
+        f = random_values(rng, (pair2.n_units,))
         x = left_inner(f, f, alg)
         for u in pair2.units():
             m = alg.regular_rep(x, u).matrix
@@ -156,7 +177,7 @@ class TestFullness:
 
 class TestSaturation:
     def test_trivial_cocycle(self, pair2, pair2_trivial, rng):
-        pairs = [(random_bimodule(rng, pair2), random_bimodule(rng, pair2)) for _ in range(10)]
+        pairs = random_values(rng, (10, 2, pair2.n_units))
         rep = saturation_report(pair2, pair2_trivial, 2, pairs)
         assert rep.mode_zero_ok
         assert rep.not_saturated
@@ -165,7 +186,7 @@ class TestSaturation:
 
     def test_trivial_extension_is_saturated(self, pair2, pair2_trivial, rng):
         # at k = 1 the extension is G itself: the ideal fills all of it
-        pairs = [(random_bimodule(rng, pair2), random_bimodule(rng, pair2))]
+        pairs = random_values(rng, (1, 2, pair2.n_units))
         rep = saturation_report(pair2, pair2_trivial, 1, pairs)
         assert rep.ideal_dimension == rep.k * pair2.n_arrows == 4
         assert not rep.not_saturated
@@ -173,7 +194,7 @@ class TestSaturation:
     def test_twisted_cocycle(self, rng):
         g = pair_groupoid(2)
         w = random_mu_k_coboundary(rng, g, 3)
-        pairs = [(random_bimodule(rng, g), random_bimodule(rng, g)) for _ in range(10)]
+        pairs = random_values(rng, (10, 2, g.n_units))
         rep = saturation_report(g, w, 3, pairs)
         assert rep.mode_zero_ok and rep.not_saturated
         assert rep.ideal_dimension == 4
@@ -207,7 +228,7 @@ class TestIdealReference:
         ext = oracle.CyclicExtension(g, w, k)
         expected = oracle_closure_dimension(ext, unit_pair_lifts(ext))
         assert oracle.ideal_dimension(ext, unit_pair_lifts(ext)) == expected
-        assert saturation_report(g, w, k, []).ideal_dimension == expected
+        assert saturation_report(g, w, k, np.zeros((0, 2, g.n_units))).ideal_dimension == expected
         return expected
 
     @pytest.mark.parametrize("spec", _principal_fixtures())
@@ -275,13 +296,13 @@ class TestNegativeControls:
     def test_lift_varying_along_the_circle_leaks(self, pair2, pair2_trivial, rng, monkeypatch):
         lifts = morita._lifts
 
-        def varying(ext, pairs):
-            L = lifts(ext, pairs)
+        def varying(ext, f, h):
+            L = lifts(ext, f, h)
             L[:, : ext.base.n_arrows] *= 2  # the t = 0 sheet differs from t = 1
             return L
 
         monkeypatch.setattr(morita, "_lifts", varying)
-        pairs = [(random_bimodule(rng, pair2), random_bimodule(rng, pair2))]
+        pairs = random_values(rng, (1, 2, pair2.n_units))
         rep = saturation_report(pair2, pair2_trivial, 2, pairs)
         assert rep.nonzero_mode_leakage > 1e-12 and not rep.mode_zero_ok
 
