@@ -487,6 +487,46 @@ def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (2, 0), (0, 0))
 
 
+@pytest.mark.parametrize("entries", (None, 1))
+def test_products_keep_their_search_order_across_chunks(monkeypatch, entries):
+    # the cross-mode products (p, n) = (1, 0) and (0, 1) each gain a term,
+    # and so does the in-mode product of mode 2 at the last composable pair,
+    # which lies in a later chunk; the search runs over (n, p, a, b), so
+    # (1, 0) at (0, 0) is the witness, in the library and in the loop, with
+    # one row per chunk or several
+    k = 3
+    g, _ = _FAMILIES[11][1](k)  # pair(3): nine arrows, so three modes fill two chunks
+    ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
+    a, b = max(g.compose_table)
+
+    def spoiled(e, f, h) -> list:
+        return [
+            i
+            for i, ((p, x), (n, y)) in enumerate(_factors(e, f, h))
+            if (p, n) in {(1, 0), (0, 1)} or (p, x, n, y) == (2, a, 2, b)
+        ]
+
+    conv_terms, scan_conv = oracle.conv_terms, reference_oracle.scan_conv
+
+    def spoiling(e, f, h):
+        return _added(conv_terms(e, f, h), spoiled(e, f, h))
+
+    def scanned(e, f, h):
+        out = scan_conv(e, f, h)
+        num = out.num.reshape(-1, e.dimension, e.k).copy()
+        num[spoiled(e, f, h), 0, 0] += 1
+        return oracle.Exact(num.reshape(out.num.shape), out.e)
+
+    monkeypatch.setattr(oracle, "conv_terms", spoiling)
+    monkeypatch.setattr(reference_oracle, "scan_conv", scanned)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    got = cyclic_decompose(ext, skip_centers=True)
+    assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (1, 0), (0, 0))
+    assert got.witness.residual == pytest.approx(1 / k, abs=1e-12)
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
+
+
 EXACT = [x for x in INSTANCES if x[2].is_exact]
 
 
