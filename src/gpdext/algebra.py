@@ -33,9 +33,10 @@ terms w^n(a, b) f(a) g(b) onto a.b, summed in ``pair_table`` order over
 every composable pair; the involution is a gather through the inverse map.
 Each term rounds as Python's complex product does (``exact.cmul``): numpy's
 own array multiply may fuse multiply-adds, which would make the reported
-residuals depend on the CPU.  The complex table of w^n holds e(x / N) as
-``CircleScalar.to_complex`` gives it for each exact angle x, and the powers
-z ** n of a numeric cocycle's values as numpy takes them.
+residuals depend on the CPU.  The complex table of w^n is the cocycle's
+(``TwoCocycle.twists``): e(x / N) as ``CircleScalar.to_complex`` gives it
+for each exact angle x, and the powers z ** n of a numeric cocycle's values
+as numpy takes them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cocycle import TwoCocycle, root_values
+from .cocycle import TwoCocycle
 from .exact import CLOSE_TOL, Cyclo, cmul, spectral_norms
 from .groupoid import FiniteGroupoid, orbit_decomposition
 
@@ -77,10 +78,9 @@ class TwistedAlgebra:
 
     @cached_property
     def twist(self) -> np.ndarray:
-        """w^n as complex values: e(x / N) as ``CircleScalar.to_complex`` gives
-        it for each int angle x, or the numeric power table itself."""
-        w = self.cocycle
-        return root_values(self.powers, w.conductor) if w.is_exact else self.powers
+        """w^n as complex values, the cocycle's table of this one mode: a
+        gather from its roots by the int angles, or the numeric powers."""
+        return self.cocycle.twists([self.power])[0]
 
     @cached_property
     def orbit_units(self) -> list[int]:

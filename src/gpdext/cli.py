@@ -489,10 +489,14 @@ def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Repo
         except oracle.OracleError as e:
             report.add("extension-groupoid", False, error=str(e))
             return report
+        w = sat.witness  # a failing check names its largest leakage
+        witness = w and {"witness": dict(
+            sample=w.sample, circle=w.circle, arrow=g.arrow_labels[w.arrow], mode=w.mode,
+            leakage=fmt_float(w.leakage),
+        )}
         report.add(
-            "mode-zero-inner-products",
-            sat.mode_zero_ok,
-            leakage=fmt_float(sat.nonzero_mode_leakage),
+            "mode-zero-inner-products", sat.mode_zero_ok,
+            leakage=fmt_float(sat.nonzero_mode_leakage), **(witness or {}),
         )
         report.add(
             "not-saturated",

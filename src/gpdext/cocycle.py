@@ -10,7 +10,9 @@ so the least one, with w(a, b) = e(W[a, b] / N), when every value is exact,
 else the complex values (a numeric cocycle).  Every operation reads the
 table, which is read-only, so ``normalized`` is decided once per cocycle;
 ``values``, the sparse ``CircleScalar`` view of the entries other than 1,
-is what documents parse and serialize.
+is what documents parse and serialize.  An exact cocycle also holds its N
+roots e(j / N), so the complex table of w^n, for any list of modes n, is
+one gather through the angles n W mod N.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ class ExactnessError(CocycleError):
     pass
 
 
-def root_values(angles: np.ndarray, n: int) -> np.ndarray:
-    """The complex values e(x / n) of a table of int angles x, each the float
-    ``CircleScalar.to_complex`` gives, taken once per distinct angle."""
-    keys, inverse = np.unique(angles, return_inverse=True)
-    values = [CircleScalar(angle=Fraction(x, n)).to_complex() for x in keys.tolist()]
-    return np.array(values, dtype=complex)[inverse].reshape(angles.shape)
+def circle_values(angles, n: int) -> np.ndarray:
+    """e(x / n) for each listed int angle x, the float that
+    ``CircleScalar.to_complex`` gives."""
+    values = [CircleScalar(angle=Fraction(x, n)).to_complex() for x in angles]
+    return np.array(values, dtype=complex)
 
 
 def _compile(values: dict, shape) -> tuple[int | None, np.ndarray]:
@@ -160,7 +161,7 @@ class TwoCocycle:
         x = self.table[A, B]
         if n is not None:
             return (x.astype(object) if n >= _INT64_CONDUCTOR else x) * (n // self.conductor)
-        return root_values(x, self.conductor) if self.is_exact else x
+        return self.twists([1])[0, A, B] if self.is_exact else x
 
     @cached_property
     def normalized(self) -> bool:
@@ -210,6 +211,27 @@ class TwoCocycle:
         if self.is_exact:
             return n % self.conductor * self.table % self.conductor
         return self.table**n
+
+    @cached_property
+    def roots(self) -> np.ndarray | None:
+        """e(j / N) for j < N, as ``CircleScalar.to_complex`` gives each; None
+        for a numeric cocycle or a conductor above the composable pairs."""
+        n = self.conductor
+        if not self.is_exact or n > len(self.base.pair_table[0]):
+            return None
+        return circle_values(range(n), n)
+
+    def twists(self, modes) -> np.ndarray:
+        """The complex tables of w^n over the listed modes n, stacked: a gather
+        from ``roots`` at the angles of ``power_table(n)`` (one value per
+        distinct angle without ``roots``), or the numeric powers."""
+        tables = np.stack([self.power_table(n) for n in modes])
+        if not self.is_exact:
+            return tables
+        if self.roots is not None:
+            return self.roots[tables]
+        keys, inverse = np.unique(tables, return_inverse=True)
+        return circle_values(keys.tolist(), self.conductor)[inverse].reshape(tables.shape)
 
     def root_exponents(self, k: int) -> tuple[np.ndarray, tuple[int, int] | None]:
         """The table of exponents t with w(a, b) = e(t / k), and the first

@@ -30,7 +30,7 @@ import numpy as np
 from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, AlgebraError, TwistedAlgebra, products, stars
 from .algebra import fiber_products, fibers, regular_reps, unit_norms
-from .cocycle import TwoCocycle, root_values
+from .cocycle import TwoCocycle, circle_values
 from .cyclic_oracle import CyclicExtension
 from .exact import spectral_norms
 from .groupoid import FiniteGroupoid
@@ -145,10 +145,6 @@ class LaurentElement:
         ):
             raise AlgebraError("mixing extension tags")
 
-    def _twists(self, modes) -> np.ndarray:
-        """The complex tables of w^n for the listed modes, stacked."""
-        return np.stack([self.algebra.twisted(n).twist for n in modes])
-
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
         self._require_same(other)
         out = dict(self.modes)
@@ -171,15 +167,15 @@ class LaurentElement:
         if not common or (self.values is None and other.values is None):
             return LaurentElement(self.algebra, {n: self.modes[n] * other.modes[n] for n in common})
         lo, hi = min(common), max(common)
-        x, y, twists = self.on(lo, hi), other.on(lo, hi), self._twists(range(lo, hi + 1))
-        return self.algebra.stack(lo, products(self.algebra.groupoid, twists, x, y))
+        G, twists = self.algebra.groupoid, self.algebra.cocycle.twists(range(lo, hi + 1))
+        return self.algebra.stack(lo, products(G, twists, self.on(lo, hi), other.on(lo, hi)))
 
     __rmul__ = scaled
 
     def star(self) -> "LaurentElement":
         if self.values is None:
             return LaurentElement(self.algebra, {n: f.star() for n, f in self.modes.items()})
-        twists = self._twists(range(self.lo, self.lo + self.values.shape[-2]))
+        twists = self.algebra.cocycle.twists(range(self.lo, self.lo + self.values.shape[-2]))
         return self.algebra.stack(self.lo, stars(self.algebra.groupoid, twists, self.values))
 
     def equals(self, other: "LaurentElement", tol: float = 0.0) -> bool:
@@ -234,7 +230,8 @@ def _mode_norms(F: LaurentElement, modes: list[int]) -> np.ndarray:
         return np.zeros(0)
     x = np.stack(np.broadcast_arrays(*(F.mode(n).array() for n in modes)), axis=-2)
     units = F.algebra.twisted(0).orbit_units
-    return unit_norms(F.algebra.groupoid, F._twists(modes), x, units).max(axis=-1, initial=0.0)
+    twists = F.algebra.cocycle.twists(modes)
+    return unit_norms(F.algebra.groupoid, twists, x, units).max(axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +259,7 @@ def fiber_sides(F: LaurentElement, window: tuple[int, int], units) -> list[tuple
     missing = [n for n in F.modes if not lo <= n <= hi]
     if missing:
         raise WindowError(missing)
-    G, x, twists = F.algebra.groupoid, F.on(lo, hi), F._twists(range(lo, hi + 1))
+    G, x, twists = F.algebra.groupoid, F.on(lo, hi), F.algebra.cocycle.twists(range(lo, hi + 1))
     out = []
     for at, fiber in fibers(G, units):
         blocks, L = fiber_products(G, twists, x, fiber), regular_reps(G, twists, x, fiber)
@@ -394,47 +391,46 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     twisted structure constants: zero across modes, w^n(a,b) delta_{ab}
     within a mode.  Involutions and the Fourier projections are checked the
     same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
-    of about ``oracle.STACK_ENTRIES`` entries but at least one mode's m rows,
-    and each chunk is decided exactly from its terms, from ``conv_terms``,
+    of about ``oracle.STACK_ENTRIES`` entries (at least one row), and each
+    chunk is decided exactly from its terms, from ``conv_terms``,
     ``star_terms`` and ``projection_terms``, with the expected values
-    negated, by ``oracle.nonzero_sums``: one call per chunk covers all k
-    target modes of the projections, and one the sum over the modes of the
-    Fourier block.  The witness is the first failing comparison in the
-    order products (n, p, a, b), stars (n, a), projections (n, mm, a),
-    Fourier block (t, a), and its residual is the modulus of that one
-    difference.
+    negated, by ``oracle.nonzero_sums``: one call per chunk covers its left
+    mode deltas times all k right-hand modes, all k target modes of the
+    projections, and the sum over the modes of the Fourier block.  The
+    witness is the first failing comparison in the order products
+    (n, p, a, b), stars (n, a), projections (n, mm, a), Fourier block
+    (t, a), which need not be a chunk's row order, and its residual is the
+    modulus of that one difference.
 
-    The expected values are the tables of w^n as exponents of zeta_k, read
-    in array expressions: w^n(a, b) at (a, b, ab), conj w^n(a^-1, a) at
-    (a, a^-1).  An exact angle over the conductor (which divides k: every
-    value is a k-th root) is scaled to k.  A numeric value is snapped to
-    its nearest k-th root, and a pair whose value of w^n lies more than
-    ``ORACLE_TOL`` from it fails as the product (n, n, a, b), its residual
-    that distance; ``max_residual`` is the largest distance, 0.0 on exact
-    cocycles.  The oracle's own twist is not read, or the comparison would
-    check the oracle against itself.
+    The expected values are the cocycle's tables of w^n (``power_table``)
+    as exponents of zeta_k, read in array expressions: w^n(a, b) at
+    (a, b, ab), conj w^n(a^-1, a) at (a, a^-1).  An exact angle over the
+    conductor (which divides k: every value is a k-th root) is scaled to k.
+    A numeric value (``twists``) is snapped to its nearest k-th root, and a
+    pair whose value of w^n lies more than ``ORACLE_TOL`` from it fails as
+    the product (n, n, a, b), its residual that distance; ``max_residual``
+    is the largest distance, 0.0 on exact cocycles.  The oracle's own twist
+    is not read, or the comparison would check the oracle against itself.
     """
     base, w = ext.base, ext.cocycle
     k, m, N = ext.k, base.n_arrows, ext.dimension
-    alg = ExtensionAlgebra(base, w)
     A, B, C = base.pair_table
     inv = np.asarray(base.inverse_map, dtype=np.intp)
     rows, t = np.arange(N), np.arange(k)
 
     def chunks(rows: int, per_row: int):
-        step = max(1, m, oracle.STACK_ENTRIES // max(1, per_row))
+        step = max(1, oracle.STACK_ENTRIES // max(1, per_row))
         return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
     # P[n, a, b]: w^n(a, b) = zeta_k^P, and each pair's distance from it
-    twisted = [alg.twisted(n) for n in range(k)]
     if w.is_exact:
-        P = np.array([T.powers for T in twisted], dtype=np.int64).reshape(k, m, m)
+        P = np.array([w.power_table(n) for n in range(k)], dtype=np.int64).reshape(k, m, m)
         P *= k // w.conductor
         distance = np.zeros((k, len(A)))
     else:  # the nearest k-th root, from the value and k alone
-        z = np.array([T.twist for T in twisted]).reshape(k, m, m)
+        z = w.twists(range(k))
         P = np.rint(k * np.angle(z) / (2 * np.pi)).astype(np.intp) % k
-        distance = oracle.magnitude(z - root_values(P, k))[:, A, B]
+        distance = oracle.magnitude(z - circle_values(range(k), k)[P])[:, A, B]
     max_residual = float(distance.max(initial=0.0))
     first = None  # (rank, position, residual) of the first failing comparison
     far = np.argwhere(distance > ORACLE_TOL)  # ascending in (n, a, b)
@@ -474,20 +470,22 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     def comparisons():
         """(rank of the kind, the search position of each batch row, the
         failing (row, arrow) flags, the difference at one of them)"""
-        for n in range(k):
-            # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise:
-            # product (n * m + a) * m + b is e(-tn/k) w^n(a, b) at each arrow (t, ab)
-            product, arrow = (n * m + A) * m + B, t * m + C[:, None]
-            expected = (P[n, A, B, None] - t * n) % k
-            right = Q[n * m : (n + 1) * m][None, :]
-            # a left row meets m right rows, k by k entries each; the terms of
-            # one meeting hold four entries (row, arrow, exponent, coefficient)
-            for lo, hi in chunks(N, 4 * m * k * k):
-                own = (lo * m <= product) & (product < hi * m)
-                terms = oracle.conv_terms(ext, Q[lo:hi, None], right)
-                expect = (product[own, None] - lo * m, arrow[own], expected[own])
-                position = n * k * m * m + np.arange(lo * m, hi * m)
-                yield 0, position, *summed(len(position), terms.row, terms, expect)
+        # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise:
+        # left row p * m + a times right row n * m + b is product (n, p, a, b),
+        # within mode n e(-tn/k) w^n(a, b) at each arrow (t, ab)
+        n, a, b = np.repeat(t, len(A)), np.tile(A, k), np.tile(B, k)
+        left, right = n * m + a, n * m + b
+        arrow = t * m + np.tile(C, k)[:, None]
+        expected = (P[n, a, b, None] - t * n[:, None]) % k
+        # a left row meets all N right rows, k by k entries each; the terms of
+        # one meeting hold four entries (row, arrow, exponent, coefficient)
+        for lo, hi in chunks(N, 4 * N * k * k):
+            own = (lo <= left) & (left < hi)
+            terms = oracle.conv_terms(ext, Q[lo:hi, None], Q[None, :])
+            expect = ((left[own, None] - lo) * N + right[own, None], arrow[own], expected[own])
+            p, x = divmod(rows[lo:hi, None], m)
+            position = (((rows // m * k + p) * m + x) * m + rows % m).ravel()
+            yield 0, position, *summed(len(position), terms.row, terms, expect)
         # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n: row
         # n * m + a is e(-tn/k) conj w^n(a^-1, a) at each arrow (t, a^-1);
         # k terms per row
@@ -522,7 +520,9 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             if first is None or (rank, int(at[least])) < first[:2]:
                 first = (rank, int(at[least]), float(oracle.magnitude(value(int(failing[least])))))
 
-    centers = [-1 if skip_centers else alg.twisted(n).center_dimension() for n in range(k)]
+    centers = [-1] * k
+    if not skip_centers:
+        centers = [TwistedAlgebra(base, w, n).center_dimension() for n in range(k)]
     summands = [ModeSummand(mode=n, dimension=m, center_dimension=c) for n, c in enumerate(centers)]
     return CyclicDecomposition(
         k=k,

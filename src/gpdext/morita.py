@@ -133,12 +133,27 @@ def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
 # lifts into a circle extension, checked against the cyclic oracle
 
 @dataclass
+class LeakageWitness:
+    """The largest leakage of a failing mode-zero check: the sample's index,
+    the extension arrow (circle exponent t, base arrow a) where it sits, the
+    mode n >= 1 whose projection carries the most mass there, and the
+    leakage."""
+
+    sample: int
+    circle: int
+    arrow: int
+    mode: int
+    leakage: float
+
+
+@dataclass
 class SaturationReport:
     k: int
     mode_zero_ok: bool
     ideal_dimension: int
     mode_zero_summand_dimension: int
     nonzero_mode_leakage: float
+    witness: LeakageWitness | None = None
 
     @property
     def not_saturated(self) -> bool:
@@ -156,18 +171,28 @@ def saturation_report(g: FiniteGroupoid, w: TwoCocycle, k: int, pairs) -> Satura
     """Lift the inner products <f, h> of a stack of pairs (samples, 2, units)
     into the finite cyclic extension and measure their mode content: all mass
     in mode 0, and the generated ideal exactly the mode-0 summand (dimension
-    |arrows|), never the whole extension algebra."""
+    |arrows|), never the whole extension algebra.  A leakage above
+    ``LEAKAGE_TOL`` is named by its witness, at the first largest one in
+    (sample, t, a) order."""
     _require_principal(g, "saturation_report")
     ext = oracle.CyclicExtension(g, w, k)
     L = _lifts(ext, pairs[..., 0, :], pairs[..., 1, :])
     # what mode 0 misses, and every other mode, over the whole stack at once
-    off = [L - oracle.mode_projection(ext, L, 0)]
-    off += [oracle.mode_projection(ext, L, n) for n in range(1, k)]
-    leakage = max(float(oracle.magnitude(p).max(initial=0.0)) for p in off)
+    off = np.stack([oracle.mode_projection(ext, L, n) for n in range(k)])
+    off[0] = L - off[0]
+    mass = oracle.magnitude(off)
+    leakage = float(mass.max(initial=0.0))
+    witness = None
+    if leakage > LEAKAGE_TOL:  # so the stack is not empty, and k > 1
+        mass = mass.reshape(k, -1, k, g.n_arrows)  # (mode, sample, t, a)
+        at = np.unravel_index(mass.max(axis=0).argmax(), mass.shape[1:])
+        mode = 1 + int(mass[(slice(1, None), *at)].argmax())
+        witness = LeakageWitness(*(int(i) for i in at), mode, leakage)
     return SaturationReport(
         k=k,
         mode_zero_ok=leakage <= LEAKAGE_TOL,
         ideal_dimension=oracle.ideal_dimension(ext, _unit_pair_lifts(ext)),
         mode_zero_summand_dimension=g.n_arrows,
         nonzero_mode_leakage=leakage,
+        witness=witness,
     )

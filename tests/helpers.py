@@ -3,8 +3,8 @@
 No command writes a spec, a groupoid or an element document, serializes a
 groupoid or a cocycle on its own, reads a graded element, builds the empty
 groupoid or a cocycle from Cech data, or draws these cochains, principal
-groupoids or single algebra elements; the tests use them to build their
-inputs and to round-trip the formats.
+groupoids, single algebra elements or the oracle batch pool; the tests use
+them to build their inputs and to round-trip the formats.
 """
 
 import random
@@ -21,6 +21,7 @@ from gpdext.documents import (
     cocycle_to_doc,
 )
 from gpdext.exact import CircleScalar
+from gpdext.extension import ExtensionAlgebra
 from gpdext.groupoid import (
     FiniteGroupoid,
     _cover_arrows,
@@ -28,6 +29,7 @@ from gpdext.groupoid import (
     disjoint_union,
     pair_groupoid,
 )
+from gpdext.randgen import _FAMILIES, _MAX_ARROWS_BY_K, random_laurent, random_mu_k_coboundary
 
 
 def groupoid_to_doc(g: FiniteGroupoid) -> dict:
@@ -160,3 +162,29 @@ def random_element(rng: random.Random, algebra):
     return algebra.element(
         {a: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for a in algebra.groupoid.arrows()}
     )
+
+
+# The oracle batch pool: instances per k, and the share of instances with a
+# seed cocycle that get it, as in acceptance test 01.
+ORACLE_ORDERS = (2, 3, 4, 6)
+ORACLE_PER_K = 18
+SEED_COCYCLE_RATE = 0.7
+
+
+def oracle_batch_pool(seed: int):
+    """The (groupoid, cocycle, k) instances of the oracle_batch benchmark
+    pool at a seed, in its order and from the same draws: per k, ORACLE_PER_K
+    instances cycling over the test-01 families that k admits, each a random
+    mu_k coboundary times the family's seed cocycle with probability
+    SEED_COCYCLE_RATE.  Each instance's sample element is drawn too, so the
+    next instance comes from the same state of the rng."""
+    rng = random.Random(seed)
+    for k in ORACLE_ORDERS:
+        builds = [build for size, build in _FAMILIES if size <= _MAX_ARROWS_BY_K[k]]
+        for i in range(ORACLE_PER_K):
+            g, seed_cocycle = builds[i % len(builds)](k)
+            w = random_mu_k_coboundary(rng, g, k)
+            if seed_cocycle is not None and rng.random() < SEED_COCYCLE_RATE:
+                w = w.mul(seed_cocycle)
+            random_laurent(rng, ExtensionAlgebra(g, w), (0, k - 1))
+            yield g, w, k

@@ -1,11 +1,21 @@
-"""A loop reference for ``TwoCocycle.check_identity``.
+"""Loop references for ``TwoCocycle.check_identity`` and ``TwoCocycle.twists``.
 
 ``check_identity`` decides the cocycle identity on index arrays.  The
 function here checks it the long way, two ``CircleScalar`` products per
 composable triple, with its own triple enumeration over the composition
 dict, so the tests can compare the two violation for violation.
+
+``twists`` gathers the complex tables of w^n from one table of roots per
+cocycle; ``root_values`` takes one table of angles at a time, one
+``CircleScalar.to_complex`` per distinct angle, so the tests can compare
+the two bit for bit.
 """
 
+from fractions import Fraction
+
+import numpy as np
+
+from gpdext.exact import CircleScalar
 from gpdext.groupoid import ValidationReport
 
 
@@ -29,3 +39,11 @@ def loop_check_identity(w) -> ValidationReport:
                     f"lhs={lhs!r} rhs={rhs!r}",
                 )
     return rep
+
+
+def root_values(angles: np.ndarray, n: int) -> np.ndarray:
+    """The complex values e(x / n) of a table of int angles x, each the float
+    ``CircleScalar.to_complex`` gives, taken once per distinct angle."""
+    keys, inverse = np.unique(angles, return_inverse=True)
+    values = [CircleScalar(angle=Fraction(x, n)).to_complex() for x in keys.tolist()]
+    return np.array(values, dtype=complex)[inverse].reshape(angles.shape)

@@ -316,9 +316,9 @@ def test_twist_flipped_in_the_product_scatter_only_is_caught_by_the_residual(
 
 
 def test_cyclic_decompose_rejects_the_next_mode_summand(monkeypatch, klein, pauli):
-    # expected values read from C(G, w^(n+1)): the sign cocycle has w^n != w^(n+1)
-    twisted = ExtensionAlgebra.twisted
-    monkeypatch.setattr(ExtensionAlgebra, "twisted", lambda self, n: twisted(self, n + 1))
+    # expected values read from the table of w^(n+1): the sign cocycle has w^n != w^(n+1)
+    power_table = TwoCocycle.power_table
+    monkeypatch.setattr(TwoCocycle, "power_table", lambda self, n: power_table(self, n + 1))
     cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
     assert not cd.ok
     # first at mode 0: delta_a * delta_b = delta_ab, where w(a, b) = -1 was expected

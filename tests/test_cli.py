@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gpdext import morita
 from gpdext.cli import load_spec, main
 from gpdext.documents import DocumentError, fmt_float
 from helpers import spec_to_doc
@@ -239,6 +240,28 @@ class TestCommands:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["fullness"]["details"]["ideal_dimension"] == 4
         assert checks["not-saturated"]["passed"]
+        assert "witness" not in checks["mode-zero-inner-products"]["details"]
+
+    def test_a_leaking_lift_names_its_witness(self, monkeypatch, capsys):
+        # sample 1's lift gains 1 at the extension arrow (e(1/2), (1,0)); at
+        # k = 2 the two sheets over (1,0) leak alike, and the first is named
+        lifts = morita._lifts
+
+        def leaking(ext, f, h):
+            L = lifts(ext, f, h)
+            if L.ndim == 2:  # the samples' lifts, not the unit pairs' ones
+                L[1, ext.base.n_arrows + 2] += 1
+            return L
+
+        monkeypatch.setattr(morita, "_lifts", leaking)
+        rc, out = run(capsys, "morita", "--fixture", "pair2_trivial", "--samples", "3",
+                      "--format", "machine")
+        assert rc == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["mode-zero-inner-products"]
+        witness = check["details"]["witness"]
+        assert not check["passed"]
+        assert (witness["sample"], witness["circle"], witness["arrow"]) == (1, 0, "(1,0)")
+        assert witness["mode"] >= 1 and witness["leakage"] == check["details"]["leakage"]
 
     def test_verify_all_every_fixture(self, capsys):
         for fixture in ("pair2_trivial", "pair3_cobound", "pauli", "z6_bichar", "cover3_cech5"):
@@ -360,14 +383,14 @@ def test_verify_all_checks_the_cocycle_identity_once(fixture, monkeypatch):
 
 def test_failing_mode_decomposition_names_its_witness(monkeypatch):
     import gpdext.cli as cli
-    from gpdext.extension import ExtensionAlgebra
+    from gpdext.cocycle import TwoCocycle
 
     spec, source = load_spec(None, "pauli")
     passing = {c.name: c for c in cli.cmd_cyclic_oracle(spec, source, 0, 2).checks}
     assert "witness" not in passing["mode-decomposition"].details
-    # expected values read from the next mode's summand
-    twisted = ExtensionAlgebra.twisted
-    monkeypatch.setattr(ExtensionAlgebra, "twisted", lambda self, n: twisted(self, n + 1))
+    # expected values read from the next mode's table of w^n
+    power_table = TwoCocycle.power_table
+    monkeypatch.setattr(TwoCocycle, "power_table", lambda self, n: power_table(self, n + 1))
     checks = {c.name: c for c in cli.cmd_cyclic_oracle(spec, source, 0, 2).checks}
     check = checks["mode-decomposition"]
     assert not check.passed

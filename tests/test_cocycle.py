@@ -29,7 +29,7 @@ from gpdext.groupoid import (
 from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
 from helpers import CechDataError, cech_cocycle, random_exact_cochain, random_principal_groupoid
 from reference_algebra import sigma
-from reference_cocycle import loop_check_identity
+from reference_cocycle import loop_check_identity, root_values
 
 angles = st.fractions(min_value=0, max_value=1, max_denominator=12).map(frac_mod1)
 
@@ -442,3 +442,45 @@ def test_cocycle_value_on_non_composable_pair_rejected():
     g = pair_groupoid(2)
     with pytest.raises(CocycleError):
         TwoCocycle(g, {(1, 1): Fraction(1, 2)})  # (0,1) does not follow itself
+
+
+def _twist_cases():
+    """(name, cocycle): every bundled fixture's cocycle and its complex copy,
+    every randgen family at k = 2, 3, 4, 6 (a mu_k coboundary times the
+    family's own cocycle), and Z3 over conductors at, just above and far
+    above its nine composable pairs."""
+    for path in sorted(_fixture_dir().glob("*.json")):
+        w = load_spec(None, path.stem)[0].cocycle_or_trivial()
+        yield path.stem, w
+        numeric = {p: v.to_complex() for p, v in w.values.items()}
+        yield f"{path.stem}-complex", TwoCocycle(w.base, numeric)
+    for i, (_, build) in enumerate(_FAMILIES):
+        for k in (2, 3, 4, 6):
+            g, seed = build(k)
+            w = random_mu_k_coboundary(random.Random(f"{i}-{k}"), g, k)
+            yield f"family{i}-k{k}", w if seed is None else w.mul(seed)
+    z3 = cyclic_group_groupoid(3)
+    for n in (9, 10, 2**61 - 1):
+        w = TwoCocycle(z3, {(1, 1): Fraction(1, n), (2, 2): Fraction(2, 3)})
+        yield f"Z3-conductor-{w.conductor}", w
+
+
+TWIST_CASES = list(_twist_cases())
+
+
+@pytest.mark.parametrize("name,w", TWIST_CASES, ids=[name for name, _ in TWIST_CASES])
+def test_stacked_twist_tables_match_the_per_mode_ones(name, w):
+    # one gather from the table of roots (or one value per distinct angle,
+    # over a conductor above the pair count) gives every mode's table as the
+    # per-mode reference gives it, bit for bit; numeric ones are the powers
+    modes = range(-3, 7)
+    got = w.twists(modes)
+    assert got.shape == (len(modes), w.base.n_arrows, w.base.n_arrows)
+    for n, table in zip(modes, got):
+        if w.is_exact:
+            want = root_values(w.power_table(n), w.conductor)
+        else:
+            want = w.table**n
+        assert table.dtype == want.dtype == complex and table.tobytes() == want.tobytes()
+    pairs = len(w.base.pair_table[0])
+    assert (w.roots is None) == (not w.is_exact or w.conductor > pairs)

@@ -1,8 +1,6 @@
 import ast
-import importlib.util
 import itertools
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +31,7 @@ from gpdext.groupoid import (
     validate,
 )
 from gpdext.randgen import draw_oracle_instance, random_laurent, random_mu_k_coboundary
-from helpers import empty_groupoid
+from helpers import empty_groupoid, oracle_batch_pool
 import reference_oracle
 
 
@@ -368,29 +366,21 @@ class TestCyclicDecompose:
         assert cd.ok and not cd.exact
         assert cd.max_residual <= 1e-10
 
-    def test_memory_stays_bounded_on_the_oracle_batch_pool(self, monkeypatch):
-        # the tracemalloc peak of each decomposition over the seed-1 pool of
-        # the oracle_batch benchmark workload: its worst items (k = 6, six
-        # arrows) stay within 1.1 MB
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
+    def test_memory_stays_bounded_on_the_oracle_batch_pool(self):
+        # the tracemalloc peak of each decomposition over the instances of
+        # the seed-1 pool of the oracle_batch benchmark workload: its worst
+        # items (k = 6, six arrows) stay within 1.1 MB
         peaks = []
-
-        def traced(ext, skip_centers=False):
+        for g, w, k in oracle_batch_pool(1):
+            ext = cyclic_extension(g, w, k)
             tracemalloc.start()
             try:
-                return cyclic_decompose(ext, skip_centers=skip_centers)
+                cd = cyclic_decompose(ext, skip_centers=True)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
-
-        monkeypatch.setattr(workloads, "cyclic_decompose", traced)
-        pool = workloads.setup_oracle_batch(1, None)(0)
-        assert [item.run() for item in pool] == [None] * len(pool)
-        assert len(peaks) == len(pool) and max(peaks) <= 1_100_000
+            assert cd.ok and cd.exact and cd.max_residual == 0.0
+        assert len(peaks) == 4 * 18 and max(peaks) <= 1_100_000
 
 
 class TestOracleNormAgreement:

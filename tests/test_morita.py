@@ -305,6 +305,42 @@ class TestNegativeControls:
         pairs = random_values(rng, (1, 2, pair2.n_units))
         rep = saturation_report(pair2, pair2_trivial, 2, pairs)
         assert rep.nonzero_mode_leakage > 1e-12 and not rep.mode_zero_ok
+        assert rep.witness is not None and rep.witness.leakage == rep.nonzero_mode_leakage
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_the_witness_names_the_largest_leakage(self, pair2, pair2_trivial, monkeypatch, k):
+        # one sample's lift gains 5 e(-tn/k) along the circle over one base
+        # arrow, mass in mode n alone; the witness names that sample, that
+        # base arrow at some circle exponent, mode n and the largest mass
+        # outside mode 0, as a loop over the projections finds it
+        lifts, m = morita._lifts, pair2.n_arrows
+        sample, a, n = 3, 2, k - 1
+        t = np.arange(k)
+
+        def leaking(ext, f, h):
+            L = lifts(ext, f, h)
+            if L.ndim == 2:  # the samples' lifts, not the unit pairs' ones
+                L[sample, t * m + a] += 5 * ext.roots[-t * n % k]
+            return L
+
+        monkeypatch.setattr(morita, "_lifts", leaking)
+        pairs = random_values(random.Random(k), (5, 2, pair2.n_units))
+        rep = saturation_report(pair2, pair2_trivial, k, pairs)
+        ext = oracle.CyclicExtension(pair2, pair2_trivial, k)
+        L = leaking(ext, pairs[:, 0], pairs[:, 1])
+        off = [L - oracle.mode_projection(ext, L, 0)]
+        off += [oracle.mode_projection(ext, L, j) for j in range(1, k)]
+        largest = max(float(abs(v[i, x])) for v in off for i in range(5) for x in range(k * m))
+        w = rep.witness
+        assert not rep.mode_zero_ok and w.leakage == rep.nonzero_mode_leakage == largest
+        assert (w.sample, w.arrow, w.mode) == (sample, a, n) and 0 <= w.circle < k
+        assert max(float(abs(v[w.sample, w.circle * m + w.arrow])) for v in off) == largest
+        assert largest == pytest.approx(5)
+
+    def test_a_passing_report_has_no_witness(self, pair2, pair2_trivial, rng):
+        pairs = random_values(rng, (4, 2, pair2.n_units))
+        rep = saturation_report(pair2, pair2_trivial, 3, pairs)
+        assert rep.mode_zero_ok and rep.witness is None
 
     def test_missing_orbit_is_not_full(self, monkeypatch):
         g = disjoint_union(pair_groupoid(2), pair_groupoid(3))

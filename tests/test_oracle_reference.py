@@ -34,7 +34,11 @@ table of w^n, passing, and fails the loop, which reads them from
 exact products are decided from the terms of `conv_terms`, so their
 mutants act there: a term added to the products of two (left, right) mode
 pairs whose search order differs from their left order, and one meeting
-dropped from one product, which must be named with a residual of 1/k.
+dropped from one product, which must be named with a residual of 1/k.  A
+chunk multiplies its left mode deltas by all k right-hand modes at once, so
+its rows are not in search order: the cross-mode products (1, 0) and
+(0, 1) and one in-mode product of a later chunk are spoiled alike in
+`conv_terms` and in the loop's `scan_conv`, and the two witnesses match.
 """
 
 import cmath
