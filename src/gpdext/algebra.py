@@ -210,8 +210,7 @@ class TwistedAlgebra:
         if self._center_dimension is not None:
             return self._center_dimension
         G = self.groupoid
-        exact = self.cocycle.is_exact
-        table = self.powers if exact else self.twist
+        exact, table = self.cocycle.is_exact, self.powers
         inverse = np.asarray(G.inverse_map, dtype=np.intp)
         dec = orbit_decomposition(G)
         total = 0

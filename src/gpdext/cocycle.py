@@ -11,8 +11,8 @@ else the complex values (a numeric cocycle).  Every operation reads the
 table, which is read-only, so ``normalized`` is decided once per cocycle;
 ``values``, the sparse ``CircleScalar`` view of the entries other than 1,
 is what documents parse and serialize.  An exact cocycle also holds its N
-roots e(j / N), so the complex table of w^n, for any list of modes n, is
-one gather through the angles n W mod N.
+roots e(j / N), so the complex tables of w^n for a list of modes n are one
+gather: each mode's roots e(nj / N), read at the angles j = W.
 """
 
 from __future__ import annotations
@@ -222,16 +222,19 @@ class TwoCocycle:
         return circle_values(range(n), n)
 
     def twists(self, modes) -> np.ndarray:
-        """The complex tables of w^n over the listed modes n, stacked: a gather
-        from ``roots`` at the angles of ``power_table(n)`` (one value per
-        distinct angle without ``roots``), or the numeric powers."""
-        tables = np.stack([self.power_table(n) for n in modes])
+        """The complex tables of w^n over the listed modes n, stacked: e(x / N)
+        at the angles x = n W mod N of ``power_table(n)``, gathered from the
+        roots e(nj / N) of each mode at j = W (one value per distinct angle
+        without ``roots``), or the numeric powers."""
+        n = self.conductor
+        if self.roots is not None:
+            modes = np.array([p % n for p in modes], dtype=np.int64)
+            return self.roots[modes[:, None] * np.arange(n) % n][:, self.table]
+        tables = np.stack([self.power_table(p) for p in modes])
         if not self.is_exact:
             return tables
-        if self.roots is not None:
-            return self.roots[tables]
         keys, inverse = np.unique(tables, return_inverse=True)
-        return circle_values(keys.tolist(), self.conductor)[inverse].reshape(tables.shape)
+        return circle_values(keys.tolist(), n)[inverse].reshape(tables.shape)
 
     def root_exponents(self, k: int) -> tuple[np.ndarray, tuple[int, int] | None]:
         """The table of exponents t with w(a, b) = e(t / k), and the first
