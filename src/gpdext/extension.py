@@ -472,19 +472,21 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         failing (row, arrow) flags, the difference at one of them)"""
         # delta_a * delta_b = w^n(a, b) delta_ab within mode n, 0 otherwise:
         # left row p * m + a times right row n * m + b is product (n, p, a, b),
-        # within mode n e(-tn/k) w^n(a, b) at each arrow (t, ab)
+        # at search position (n * k * m + b) + (p * m + a) * m, and within
+        # mode n it is e(-tn/k) w^n(a, b) at each arrow (t, ab), listed over
+        # (n, pair), so that the left rows ascend
         n, a, b = np.repeat(t, len(A)), np.tile(A, k), np.tile(B, k)
         left, right = n * m + a, n * m + b
         arrow = t * m + np.tile(C, k)[:, None]
         expected = (P[n, a, b, None] - t * n[:, None]) % k
+        by_right = rows // m * k * m * m + rows % m
         # a left row meets all N right rows, k by k entries each; the terms of
         # one meeting hold four entries (row, arrow, exponent, coefficient)
         for lo, hi in chunks(N, 4 * N * k * k):
-            own = (lo <= left) & (left < hi)
+            i, j = np.searchsorted(left, (lo, hi))
             terms = oracle.conv_terms(ext, Q[lo:hi, None], Q[None, :])
-            expect = ((left[own, None] - lo) * N + right[own, None], arrow[own], expected[own])
-            p, x = divmod(rows[lo:hi, None], m)
-            position = (((rows // m * k + p) * m + x) * m + rows % m).ravel()
+            expect = ((left[i:j, None] - lo) * N + right[i:j, None], arrow[i:j], expected[i:j])
+            position = (rows[lo:hi, None] * m + by_right).ravel()
             yield 0, position, *summed(len(position), terms.row, terms, expect)
         # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n: row
         # n * m + a is e(-tn/k) conj w^n(a^-1, a) at each arrow (t, a^-1);
