@@ -120,7 +120,8 @@ class OneCochain:
 
 class TwoCocycle:
     """A circle-valued function on composable pairs of a finite groupoid,
-    compiled into one table (see the module docstring)."""
+    compiled into one table (see the module docstring); every complex table
+    of its powers w^n comes from ``twists``, through ``roots`` when exact."""
 
     def __init__(self, base: FiniteGroupoid, values=None, identity_checked: bool = False):
         self.base = base
