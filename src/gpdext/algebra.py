@@ -50,7 +50,7 @@ import numpy as np
 
 from .cocycle import TwoCocycle
 from .exact import CLOSE_TOL, Cyclo, cmul, spectral_norms
-from .groupoid import FiniteGroupoid, orbit_decomposition
+from .groupoid import FiniteGroupoid, orbit_decomposition, orbit_units
 
 class AlgebraError(ValueError):
     pass
@@ -72,24 +72,17 @@ class TwistedAlgebra:
         self.groupoid = groupoid
         self.cocycle = cocycle
         self.power = int(power)
-        self.powers = cocycle.power_table(self.power)  # w^n: int angles, or complex values
-        self._faithfulness = None
-        self._center_dimension = None
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """w^n as the cocycle's ``power_table``: int angles, or complex values."""
+        return self.cocycle.power_table(self.power)
 
     @cached_property
     def twist(self) -> np.ndarray:
         """w^n as complex values, the cocycle's table of this one mode: a
         gather from its roots by the int angles, or the numeric powers."""
         return self.cocycle.twists([self.power])[0]
-
-    @cached_property
-    def orbit_units(self) -> list[int]:
-        """The first unit of each orbit, ascending: the units u that are the
-        least range of an arrow with source u."""
-        G = self.groupoid
-        least = np.arange(G.n_units)
-        np.minimum.at(least, np.asarray(G.source_map, dtype=np.intp), G.range_map)
-        return np.flatnonzero(least == np.arange(G.n_units)).tolist()
 
     @property
     def dimension(self) -> int:
@@ -113,7 +106,8 @@ class TwistedAlgebra:
     def identity(self) -> "AlgebraElement":
         """Indicator of the unit arrows; the multiplicative unit because the
         cocycle is normalized."""
-        return AlgebraElement(self, {a: 1 for a in self.groupoid.unit_to_arrow})
+        G = self.groupoid
+        return AlgebraElement(self, {G.unit_arrow(u): 1 for u in G.units()})
 
     # -- operations ------------------------------------------------------------
 
@@ -140,8 +134,8 @@ class TwistedAlgebra:
     def involute(self, f: "AlgebraElement") -> "AlgebraElement":
         if f.is_numeric or not self.cocycle.is_exact:
             return AlgebraElement(self, stars(self.groupoid, self.twist, f.array()))
-        inv = self.groupoid.inverse_map
-        out = {inv[a]: self._rotated(inv[a], a, c.conjugate(), -1) for a, c in f.coeff.items()}
+        inv = self.groupoid.inv
+        out = {inv(a): self._rotated(inv(a), a, c.conjugate(), -1) for a, c in f.coeff.items()}
         return AlgebraElement(self, out)
 
     # -- representation and norms ----------------------------------------------
@@ -156,13 +150,14 @@ class TwistedAlgebra:
         return RegularRep(unit=u, basis=self.groupoid.source_fiber(u), matrix=M)
 
     def reduced_norm(self, f: "AlgebraElement") -> "NormReport":
-        """The largest norm of lambda_u(f), over the first unit u of each
-        orbit: the regular representations at the units of one orbit are
-        unitarily equivalent (J. Renault, *A Groupoid Approach to
-        C*-Algebras*, LNM 793, 1980), so they share one norm.  Attained at the
-        first such unit that reaches it; all of them in one ``unit_norms``
-        pass.  Over a batch of elements both are arrays over the batch axes."""
-        units = self.orbit_units
+        """The largest norm of lambda_u(f), over the least unit u of each
+        orbit (``groupoid.orbit_units``): the regular representations at the
+        units of one orbit are unitarily equivalent (J. Renault, *A Groupoid
+        Approach to C*-Algebras*, LNM 793, 1980), so they share one norm.
+        Attained at the first such unit that reaches it; all of them in one
+        ``unit_norms`` pass.  Over a batch of elements both are arrays over
+        the batch axes."""
+        units = orbit_units(self.groupoid)
         faithful = self.full_norm_certificate().faithful
         if not units:
             return NormReport(reduced_norm=0.0, attained_at=None, faithful=faithful)
@@ -182,17 +177,17 @@ class TwistedAlgebra:
         C*-norm, so the regular ones attain the full norm (J. Renault, *A
         Groupoid Approach to C*-Algebras*, LNM 793, 1980).
         """
-        if self._faithfulness is not None:
-            return self._faithfulness
+        return self._faithfulness
+
+    @cached_property
+    def _faithfulness(self) -> "FullNormCertificate":
         G, arrows = self.groupoid, np.arange(self.groupoid.n_arrows)
-        units = np.array(G.unit_to_arrow, dtype=np.intp)[np.array(G.source_map, dtype=np.intp)]
-        rank = int((G.compose_array[arrows, units] == arrows).sum())
+        rank = int((G.compose_array[arrows, G.unit_to_arrow[G.source_map]] == arrows).sum())
         note = (
             "finite-dimensional *-algebra with a faithful *-representation "
             "has a unique C*-norm; hence full norm = reduced norm"
         )
-        self._faithfulness = FullNormCertificate(rank == G.n_arrows, rank, G.n_arrows, note)
-        return self._faithfulness
+        return FullNormCertificate(rank == G.n_arrows, rank, G.n_arrows, note)
 
     def center_dimension(self) -> int:
         """Dimension of the center, in closed form.
@@ -207,11 +202,12 @@ class TwistedAlgebra:
         complex values within ``CLOSE_TOL``.  H is in ascending order, so the
         least arrow of each class represents it.
         """
-        if self._center_dimension is not None:
-            return self._center_dimension
+        return self._center_dimension
+
+    @cached_property
+    def _center_dimension(self) -> int:
         G = self.groupoid
         exact, table = self.cocycle.is_exact, self.powers
-        inverse = np.asarray(G.inverse_map, dtype=np.intp)
         dec = orbit_decomposition(G)
         total = 0
         for orbit in dec.orbits:
@@ -221,9 +217,8 @@ class TwistedAlgebra:
             agree = x == y if exact else np.hypot((x - y).real, (x - y).imag) <= CLOSE_TOL
             gh = G.compose_array[h[:, None], h]
             regular = (agree | (gh != gh.T)).all(axis=1)  # over the h commuting with g
-            least = G.compose_array[gh.T, inverse[h]].min(axis=1) == h  # of h g h^-1
+            least = G.compose_array[gh.T, G.inverse_map[h]].min(axis=1) == h  # of h g h^-1
             total += int((regular & least).sum())
-        self._center_dimension = total
         return total
 
     def __repr__(self):
@@ -357,7 +352,7 @@ def regular_reps(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, fiber: np.
     M[..., u, i, j] = x[a] w^n(a, b_j), a = b_i b_j^-1, over u's fiber b.
     ``twist`` is one table of w^n, or a stack broadcast against x (...,
     arrows), as in ``products``; the matrices are (..., units, d, d)."""
-    a = G.compose_array[fiber[:, :, None], np.asarray(G.inverse_map, dtype=np.intp)[fiber[:, None]]]
+    a = G.compose_array[fiber[:, :, None], G.inverse_map[fiber[:, None]]]
     return cmul(x[..., a], twist[..., a, fiber[:, None]])
 
 
@@ -400,7 +395,7 @@ def products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, y: np.ndarray)
 def stars(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The involutions of the coefficient arrays x (..., arrows), gathered:
     conj(w^n(c, c^-1)) conj(x[c^-1]) at each arrow c."""
-    inv = np.asarray(G.inverse_map, dtype=np.intp)
+    inv = G.inverse_map
     return cmul(twist[..., np.arange(G.n_arrows), inv].conj(), x[..., inv].conj())
 
 

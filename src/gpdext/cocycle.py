@@ -24,12 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .exact import APPROX_TOL, CircleScalar, ONE, cmul, solve_mod1
-from .groupoid import (
-    FiniteGroupoid,
-    ValidationReport,
-    orbit_decomposition,
-    principal_obstruction,
-)
+from .groupoid import FiniteGroupoid, ValidationReport, least_units, principal_obstruction
 
 # numeric values this close are equal, in the identity and in comparisons
 IDENTITY_TOL = 1e-10
@@ -167,8 +162,8 @@ class TwoCocycle:
     @cached_property
     def normalized(self) -> bool:
         g, T = self.base, self.table
-        units, arrows = np.asarray(g.unit_to_arrow, dtype=np.intp), np.arange(g.n_arrows)
-        r, s = units[list(g.range_map)], units[list(g.source_map)]  # unit arrows at r(a), s(a)
+        units, arrows = g.unit_to_arrow, np.arange(g.n_arrows)
+        r, s = units[g.range_map], units[g.source_map]  # unit arrows at r(a), s(a)
         x = np.concatenate((T[r, arrows], T[arrows, s]))
         return bool((x == 0).all() if self.is_exact else (np.abs(x - 1) <= APPROX_TOL).all())
 
@@ -297,25 +292,20 @@ def normalize(w: TwoCocycle) -> tuple[TwoCocycle, OneCochain]:
 def trivialize_principal(w: TwoCocycle) -> OneCochain:
     """Write a cocycle on a principal groupoid as a coboundary.
 
-    Per orbit, fix the minimal unit u; for each arrow a let alpha be the
-    unique arrow from u to source(a) and set b(a) = w(a, alpha).  Uniqueness
-    of arrows between units forces  w = coboundary(b)  exactly, which is
-    verified pointwise before returning.
+    Per orbit, fix the least unit u (``least_units``); for each arrow a let
+    alpha be the unique arrow from u to source(a) and set b(a) = w(a, alpha).
+    Uniqueness of arrows between units forces  w = coboundary(b)  exactly,
+    which is verified pointwise before returning.
     """
     g = w.base
     bad = principal_obstruction(g)
     if bad is not None:
         raise IsotropyObstruction(g, bad, "trivialize")
     w.require_checked("trivialize")
-    dec = orbit_decomposition(g)
-    base_unit = [orb[0] for orb in dec.orbits]
-    arrow_by_rs = {(g.r(a), g.s(a)): a for a in g.arrows()}
-    vals = {}
-    for a in g.arrows():
-        u = base_unit[dec.orbit_of[g.s(a)]]
-        alpha = arrow_by_rs[(g.s(a), u)]
-        vals[a] = w.value(a, alpha)
-    b = OneCochain(g, vals)
+    arrow_at = np.zeros((g.n_units, g.n_units), dtype=np.intp)  # by (range, source)
+    arrow_at[g.range_map, g.source_map] = np.arange(g.n_arrows)
+    alpha = arrow_at[g.source_map, least_units(g)[g.source_map]]
+    b = OneCochain(g, {a: w.value(a, x) for a, x in enumerate(alpha.tolist())})
     db = b.coboundary()
     if not db.pointwise_equal(w):
         raise CocycleError("trivialization postcondition failed")

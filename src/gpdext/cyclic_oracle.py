@@ -179,13 +179,13 @@ class CyclicExtension:
         t1, t2 = np.arange(k)[:, None, None], np.arange(k)[None, :, None]
         YZ = (t1 + t2 + twist[A, B]) % k * n + C
         Y, Z = (np.broadcast_to(x, YZ.shape).ravel().tolist() for x in (t1 * n + A, t2 * n + B))
-        inv = np.asarray(base.inverse_map, dtype=np.intp)
+        inv = base.inverse_map
         self.inverse = ((-np.arange(k)[:, None] - twist[np.arange(n), inv]) % k * n + inv).ravel()
-        unit_to_arrow = [base.unit_arrow(u) for u in base.units()]  # t = 0 block
         labels = [f"(e({t}/{k})|{lab[a]})" for t in range(k) for a in range(n)]
         self.groupoid = FiniteGroupoid(
-            base.n_units, list(base.range_map) * k, list(base.source_map) * k,
-            dict(zip(zip(Y, Z), YZ.ravel().tolist())), self.inverse.tolist(), unit_to_arrow,
+            base.n_units, np.tile(base.range_map, k), np.tile(base.source_map, k),
+            dict(zip(zip(Y, Z), YZ.ravel().tolist())), self.inverse,
+            base.unit_to_arrow,  # the t = 0 block
             unit_labels=base.unit_labels, arrow_labels=labels,
             name=f"mu{k}x{base.name}",
         )
@@ -420,7 +420,7 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     Faithfulness is what makes the full and reduced norms agree (J. Renault,
     *A Groupoid Approach to C*-Algebras*, LNM 793, 1980)."""
     G = ext.groupoid
-    units = [G.unit_arrow(G.s(x)) for x in G.arrows()]
+    units = G.unit_to_arrow[G.source_map]
     products = conv(ext, deltas(ext, G.arrows(), True), deltas(ext, units, True))
     support = products.num.any(axis=-1)
     rank = int((support == np.eye(ext.dimension, dtype=bool)).all(axis=1).sum())
@@ -459,15 +459,12 @@ def quotient_matches_base(ext: CyclicExtension) -> list[str]:
     if not is_principal(ext.base):
         return ["base groupoid is not principal"]
     q, proj = quotient_by_isotropy(ext.groupoid)
-    n_classes = q.n_arrows
-    arrow_map = [None] * n_classes
-    for x in range(ext.dimension):
-        _, a = ext.parts(x)
-        cls = proj[x]
-        if arrow_map[cls] is None:
-            arrow_map[cls] = a
-        elif arrow_map[cls] != a:
-            return [f"class {cls} mixes distinct base arrows"]
-    if any(a is None for a in arrow_map):
+    x, cls, m = np.arange(ext.dimension), np.array(proj, dtype=np.intp), ext.base.n_arrows
+    first = np.full(q.n_arrows, ext.dimension)
+    np.minimum.at(first, cls, x)  # each class's first member
+    mixed = np.flatnonzero(first[cls] % m != x % m)  # base arrow a of x = t * m + a
+    if len(mixed):
+        return [f"class {proj[mixed[0]]} mixes distinct base arrows"]
+    if (first == ext.dimension).any():
         return ["projection misses a class"]
-    return isomorphism_violations(q, ext.base, arrow_map)
+    return isomorphism_violations(q, ext.base, (first % m).tolist())

@@ -227,6 +227,8 @@ def parse_spec(doc) -> SpecDocument:
             int(x)
         except (TypeError, ValueError, OverflowError):
             raise DocumentError(f"params.{key} must be an integer, got {x!r:.40}") from None
+    if int(modes[0]) > int(modes[1]):
+        raise DocumentError(f"params.modes window is empty, got {modes!r:.40}")
     if int(params.get("samples", 0)) < 0:
         raise DocumentError(f"params.samples must be at least 0, got {params['samples']!r:.40}")
     return SpecDocument(groupoid=g, cocycle=w, params=params)

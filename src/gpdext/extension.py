@@ -33,7 +33,7 @@ from .algebra import fiber_products, fibers, regular_reps, unit_norms
 from .cocycle import TwoCocycle, circle_values
 from .cyclic_oracle import CyclicExtension
 from .exact import spectral_norms
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, orbit_units
 
 # Tolerances of the numeric certificates, each far above the rounding of
 # what it bounds and far below the error it catches:
@@ -229,7 +229,7 @@ def _mode_norms(F: LaurentElement, modes: list[int]) -> np.ndarray:
     if not modes:
         return np.zeros(0)
     x = np.stack(np.broadcast_arrays(*(F.mode(n).array() for n in modes)), axis=-2)
-    units = F.algebra.twisted(0).orbit_units
+    units = orbit_units(F.algebra.groupoid)
     twists = F.algebra.cocycle.twists(modes)
     return unit_norms(F.algebra.groupoid, twists, x, units).max(axis=-1, initial=0.0)
 
@@ -331,7 +331,7 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
         deviation = np.abs(nR - nL)
         max_res = max(max_res, float(residual.max()))
         max_unit_dev = max(max_unit_dev, float(deviation.max()))
-        extension_norm = nL[:, algebra.twisted(0).orbit_units].max(axis=1)
+        extension_norm = nL[:, orbit_units(algebra.groupoid)].max(axis=1)
         max_dev = max(max_dev, float(np.abs(nR.max(axis=1) - extension_norm).max()))
         for i, u in np.argwhere((residual > INTERTWINE_TOL) | (deviation > NORM_TOL))[:1]:
             d, r = float(deviation[i, u]), float(residual[i, u])
@@ -415,7 +415,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     base, w = ext.base, ext.cocycle
     k, m, N = ext.k, base.n_arrows, ext.dimension
     A, B, C = base.pair_table
-    inv = np.asarray(base.inverse_map, dtype=np.intp)
+    inv = base.inverse_map
     rows, t = np.arange(N), np.arange(k)
 
     def chunks(rows: int, per_row: int):

@@ -1,12 +1,14 @@
 """Finite groupoids with table-backed composition.
 
-Units and arrows are dense integer indices.  Composition is a partial map,
+Units and arrows are dense integer indices, and the range, source, inverse
+and unit maps read-only ``intp`` arrays.  Composition is a partial map,
 given as a dict keyed by composable pairs and compiled on first use into
 index arrays: the composable pairs (A, B, C = A∘B) in ascending (A, B) order,
 and a dense compose array holding -1 off the table.  The composable triples
 (a, b, c, ab, bc) are generated from these in blocks of bounded size.
-``validate``, the triple enumeration and the cocycle identity check read
-these tables.  Instances are treated as immutable after construction: all
+``validate``, the triple enumeration, the cocycle identity check, the
+orbits, principality and the isotropy quotient read these tables.
+Instances are treated as immutable after construction: all
 operations here are pure functions and may be evaluated in parallel on
 disjoint inputs.
 
@@ -73,7 +75,10 @@ class FiniteGroupoid:
 
     range_map/source_map send arrow ids to unit ids, compose_table maps
     composable pairs (a, b) to a∘b, inverse_map is an involution on arrows,
-    and unit_to_arrow embeds units as identity arrows.
+    and unit_to_arrow embeds units as identity arrows.  The four maps are
+    stored as read-only intp arrays over the arrows (over the units for
+    unit_to_arrow), whatever sequences they are given as; ``r``, ``s``,
+    ``inv`` and ``unit_arrow`` read one entry as a Python int.
     """
 
     def __init__(
@@ -89,11 +94,11 @@ class FiniteGroupoid:
         name: str = "groupoid",
     ):
         self.n_units = int(n_units)
-        self.range_map = tuple(range_map)
-        self.source_map = tuple(source_map)
+        maps = [np.array(m, np.intp) for m in (range_map, source_map, inverse_map, unit_to_arrow)]
+        for m in maps:
+            m.flags.writeable = False
+        self.range_map, self.source_map, self.inverse_map, self.unit_to_arrow = maps
         self.compose_table = dict(compose_table)
-        self.inverse_map = tuple(inverse_map)
-        self.unit_to_arrow = tuple(unit_to_arrow)
         self.name = name
         self.n_arrows = len(self.range_map)
         if unit_labels is None:
@@ -109,16 +114,16 @@ class FiniteGroupoid:
     # -- basic queries ------------------------------------------------------
 
     def r(self, a: int) -> int:
-        return self.range_map[a]
+        return self.range_map.item(a)
 
     def s(self, a: int) -> int:
-        return self.source_map[a]
+        return self.source_map.item(a)
 
     def inv(self, a: int) -> int:
-        return self.inverse_map[a]
+        return self.inverse_map.item(a)
 
     def unit_arrow(self, u: int) -> int:
-        return self.unit_to_arrow[u]
+        return self.unit_to_arrow.item(u)
 
     def compose(self, a: int, b: int) -> int:
         try:
@@ -141,8 +146,8 @@ class FiniteGroupoid:
         """Arrows with source u, in ascending id order."""
         if self._source_fibers is None:
             fibers = [[] for _ in range(self.n_units)]
-            for a in range(self.n_arrows):
-                fibers[self.source_map[a]].append(a)
+            for a, v in enumerate(self.source_map.tolist()):
+                fibers[v].append(a)
             self._source_fibers = tuple(tuple(f) for f in fibers)
         return self._source_fibers[u]
 
@@ -171,16 +176,16 @@ class FiniteGroupoid:
         in pair_table and then by c, in blocks of at most about _TRIPLE_BLOCK
         rows; bc is -1 where (b, c) is missing from the table."""
         A, B, C = self.pair_table
-        rng = np.asarray(self.range_map, dtype=np.intp)
-        s_b = np.asarray(self.source_map, dtype=np.intp)[B]
+        s_b = self.source_map[B]
         step = max(1, _TRIPLE_BLOCK // max(1, self.n_arrows))
         for lo in range(0, len(A), step):
-            p, c = np.nonzero(s_b[lo : lo + step, None] == rng)
+            p, c = np.nonzero(s_b[lo : lo + step, None] == self.range_map)
             p += lo
             yield A[p], B[p], c, C[p], self.compose_array[B[p], c]
 
     def isotropy(self, u: int) -> tuple[int, ...]:
-        return tuple(a for a in self.source_fiber(u) if self.range_map[a] == u)
+        """Arrows with range and source u, in ascending id order."""
+        return tuple(np.flatnonzero((self.range_map == u) & (self.source_map == u)).tolist())
 
     def __repr__(self):
         return f"{self.name}({self.n_units} units, {self.n_arrows} arrows)"
@@ -206,8 +211,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     rep = ValidationReport(subject=g.name)
     lab = g.arrow_labels
     n_u, n_a = g.n_units, g.n_arrows
-    maps = (g.range_map, g.source_map, g.inverse_map, g.unit_to_arrow)
-    rng, src, inv, unit = (np.asarray(m, dtype=np.intp) for m in maps)
+    rng, src, inv, unit = g.range_map, g.source_map, g.inverse_map, g.unit_to_arrow
     A, B, C = g.pair_table
 
     for name, m in (("source_map", src), ("inverse_map", inv)):
@@ -291,16 +295,15 @@ def is_principal(g: FiniteGroupoid) -> bool:
 
 
 def principal_obstruction(g: FiniteGroupoid):
-    """A non-unit isotropy arrow witnessing failure of principality, or None."""
-    for u in range(g.n_units):
-        for a in g.isotropy(u):
-            if a != g.unit_arrow(u):
-                return a
-    return None
+    """A non-unit isotropy arrow witnessing failure of principality, or
+    None: the first in (unit, arrow) order."""
+    s = g.source_map
+    bad = np.flatnonzero((g.range_map == s) & (g.unit_to_arrow[s] != np.arange(g.n_arrows)))
+    return int(bad[np.argmin(s[bad])]) if len(bad) else None
 
 
 def is_transitive(g: FiniteGroupoid) -> bool:
-    return len(orbit_decomposition(g).orbits) <= 1
+    return len(orbit_units(g)) <= 1
 
 
 def is_proper(g: FiniteGroupoid) -> bool:
@@ -314,29 +317,41 @@ class OrbitDecomposition:
     isotropy: tuple[tuple[int, ...], ...]  # unit -> arrows with r = s = u
 
 
+def least_units(g: FiniteGroupoid) -> np.ndarray:
+    """The least unit of the orbit of each unit u, as an array over the
+    units: the arrows with source u reach exactly u's orbit, so it is the
+    least of their ranges."""
+    least = np.arange(g.n_units)
+    np.minimum.at(least, g.source_map, g.range_map)
+    return least
+
+
+def _classes(least: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Given the least member of each element's class, the class id of each
+    element, ids ascending with the least member, and the least members in
+    id order."""
+    firsts = least == np.arange(len(least))
+    return (np.cumsum(firsts) - 1)[least], np.flatnonzero(firsts)
+
+
+def orbit_units(g: FiniteGroupoid) -> list[int]:
+    """The least unit of each orbit, ascending: the units that are their own
+    ``least_units``."""
+    return np.flatnonzero(least_units(g) == np.arange(g.n_units)).tolist()
+
+
 def orbit_decomposition(g: FiniteGroupoid) -> OrbitDecomposition:
-    """Orbits of the unit space (ids ordered by minimal unit) and isotropy groups."""
-    parent = list(range(g.n_units))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(g.n_arrows):
-        ru, su = find(g.r(a)), find(g.s(a))
-        if ru != su:
-            parent[max(ru, su)] = min(ru, su)
-
-    roots = sorted({find(u) for u in range(g.n_units)})
-    orbit_id = {root: i for i, root in enumerate(roots)}
-    orbit_of = tuple(orbit_id[find(u)] for u in range(g.n_units))
-    orbits = tuple(
-        tuple(u for u in range(g.n_units) if orbit_of[u] == i) for i in range(len(roots))
-    )
-    iso = tuple(g.isotropy(u) for u in range(g.n_units))
-    return OrbitDecomposition(orbit_of, orbits, iso)
+    """Orbits of the unit space and isotropy groups, read off the map arrays.
+    The arrows with source u reach exactly u's orbit, so the least of their
+    ranges is the orbit's least unit (``least_units``); orbit ids ascend
+    with it, and each orbit lists its units in ascending order.  The
+    isotropy group at u holds the arrows with range and source u."""
+    orbit_of, firsts = _classes(least_units(g))
+    orbits = [[] for _ in firsts]
+    for u, i in enumerate(orbit_of.tolist()):
+        orbits[i].append(u)
+    iso = tuple(map(g.isotropy, g.units()))
+    return OrbitDecomposition(tuple(orbit_of.tolist()), tuple(map(tuple, orbits)), iso)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +443,12 @@ def symmetric_group_groupoid(n: int) -> FiniteGroupoid:
 
 def disjoint_union(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     du, da = g.n_units, g.n_arrows
-    rng = list(g.range_map) + [u + du for u in h.range_map]
-    src = list(g.source_map) + [u + du for u in h.source_map]
     compose = dict(g.compose_table)
     compose.update({(a + da, b + da): c + da for (a, b), c in h.compose_table.items()})
-    inverse = list(g.inverse_map) + [a + da for a in h.inverse_map]
-    unit_to_arrow = list(g.unit_to_arrow) + [a + da for a in h.unit_to_arrow]
+    rng = np.concatenate((g.range_map, h.range_map + du))
+    src = np.concatenate((g.source_map, h.source_map + du))
+    inverse = np.concatenate((g.inverse_map, h.inverse_map + da))
+    unit_to_arrow = np.concatenate((g.unit_to_arrow, h.unit_to_arrow + da))
     return FiniteGroupoid(
         g.n_units + h.n_units, rng, src, compose, inverse, unit_to_arrow,
         unit_labels=[f"L.{x}" for x in g.unit_labels] + [f"R.{x}" for x in h.unit_labels],
@@ -492,42 +507,38 @@ def _cover_arrows(points, cover) -> list[tuple]:
 def quotient_by_isotropy(g: FiniteGroupoid):
     """Collapse the isotropy bundle.
 
-    Arrows of the quotient are classes gamma*A (A the isotropy bundle, which
-    is normal: conjugation maps isotropy groups to isotropy groups), ordered
-    and labelled by the minimal member arrow.  Returns the quotient groupoid
-    and the projection arrow -> class id, which is a groupoid morphism.
+    Arrows of the quotient are the classes a.H, H the isotropy group at
+    s(a) (the isotropy bundle is normal: conjugation maps isotropy groups to
+    isotropy groups).  Each class is ordered and labelled by its least
+    member, the least a.h over the rows of ``pair_table`` whose right factor
+    h is an isotropy arrow, all in one ``np.minimum.at``.  The quotient's
+    composition is the pair table's, class by class, in ``compose_table``
+    order.  Returns the quotient groupoid and the projection arrow -> class
+    id, which is a groupoid morphism.
     """
-    dec = orbit_decomposition(g)
-    class_of = [None] * g.n_arrows
-    reps = []
-    for a in range(g.n_arrows):
-        if class_of[a] is not None:
-            continue
-        members = sorted(g.compose(a, al) for al in dec.isotropy[g.s(a)])
-        cid = len(reps)
-        reps.append(members[0])
-        for m in members:
-            if class_of[m] is not None and class_of[m] != cid:
-                raise GroupoidError("isotropy classes are inconsistent; input not a groupoid?")
-            class_of[m] = cid
-    n_q = len(reps)
-    rng = [g.r(rep) for rep in reps]
-    src = [g.s(rep) for rep in reps]
-    compose = {}
-    for (a, b), c in g.compose_table.items():
-        key = (class_of[a], class_of[b])
-        val = class_of[c]
-        if compose.setdefault(key, val) != val:
-            raise GroupoidError("quotient composition not well defined; input not a groupoid?")
-    inverse = [class_of[g.inv(rep)] for rep in reps]
-    unit_to_arrow = [class_of[g.unit_arrow(u)] for u in range(g.n_units)]
+    A, B, C = g.pair_table
+    p = np.flatnonzero(g.range_map[B] == g.source_map[B])
+    least = np.arange(g.n_arrows)
+    np.minimum.at(least, A[p], C[p])
+    if (least[C[p]] != least[A[p]]).any():
+        raise GroupoidError("isotropy classes are inconsistent; input not a groupoid?")
+    class_of, reps = _classes(least)
+    order = np.empty_like(g._pair_order)  # each compose_table entry's row
+    order[g._pair_order] = np.arange(len(order))
+    qa, qb, qc = class_of[A[order]], class_of[B[order]], class_of[C[order]]
+    table = np.full((len(reps), len(reps)), -1)
+    table[qa, qb] = qc
+    if (table[qa, qb] != qc).any():
+        raise GroupoidError("quotient composition not well defined; input not a groupoid?")
     q = FiniteGroupoid(
-        g.n_units, rng, src, compose, inverse, unit_to_arrow,
+        g.n_units, g.range_map[reps], g.source_map[reps],
+        dict(zip(zip(qa.tolist(), qb.tolist()), qc.tolist())),
+        class_of[g.inverse_map[reps]], class_of[g.unit_to_arrow],
         unit_labels=g.unit_labels,
-        arrow_labels=[f"[{g.arrow_labels[rep]}]" for rep in reps],
+        arrow_labels=[f"[{g.arrow_labels[rep]}]" for rep in reps.tolist()],
         name=f"{g.name}/iso",
     )
-    return q, tuple(class_of)
+    return q, tuple(class_of.tolist())
 
 
 def isomorphism_violations(g: FiniteGroupoid, h: FiniteGroupoid, arrow_map) -> list[str]:

@@ -28,7 +28,7 @@ from . import cyclic_oracle as oracle
 from .algebra import AlgebraElement, TwistedAlgebra, fibers, regular_reps
 from .cocycle import TwoCocycle
 from .exact import cmul
-from .groupoid import FiniteGroupoid, orbit_decomposition, principal_obstruction
+from .groupoid import FiniteGroupoid, orbit_units, principal_obstruction
 
 
 class MoritaError(ValueError):
@@ -53,8 +53,7 @@ def inner_products(g: FiniteGroupoid, f, h) -> np.ndarray:
         raise MoritaError(
             f"bimodule elements of {g.n_units} units expected, got shapes {f.shape} and {h.shape}"
         )
-    r, s = (np.asarray(m, dtype=np.intp) for m in (g.range_map, g.source_map))
-    return cmul(f[..., r], h[..., s].conj())
+    return cmul(f[..., g.range_map], h[..., g.source_map].conj())
 
 
 def left_inner(f, g, algebra: TwistedAlgebra) -> AlgebraElement:
@@ -125,7 +124,7 @@ def fullness_check(g: FiniteGroupoid) -> FullnessCertificate:
     return FullnessCertificate(
         ideal_dimension=oracle.ideal_dimension(ext, _unit_pair_lifts(ext)),
         algebra_dimension=g.n_arrows,
-        orbit_count=len(orbit_decomposition(g).orbits),
+        orbit_count=len(orbit_units(g)),
     )
 
 

@@ -83,6 +83,17 @@ class TestExitCodes:
         assert main([command, str(doc), "--samples", "2"]) == 2
         assert "params.k must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "verify-all"])
+    def test_empty_document_mode_window_is_two(self, command, tmp_path, capsys):
+        # as --modes=2..1 is: an empty window would pass every mode check
+        # with nothing drawn
+        spec = json.loads((Path(__file__).parents[1] / "src/gpdext/fixtures/pauli.json").read_text())
+        spec.setdefault("params", {})["modes"] = [2, 1]
+        doc = tmp_path / "modes.json"
+        doc.write_text(json.dumps(spec))
+        assert main([command, str(doc), "--samples", "2"]) == 2
+        assert "params.modes window is empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["algebra", "decompose", "morita", "verify-all"])
     def test_negative_sample_flag_is_two(self, command, capsys):
         assert main([command, "--fixture", "pair3_cobound", "--samples", "-2"]) == 2

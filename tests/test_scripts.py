@@ -11,11 +11,11 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _main(name: str):
+def _module(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
 
 
 @pytest.mark.parametrize(
@@ -24,7 +24,7 @@ def _main(name: str):
 )
 def test_script_exits_zero(monkeypatch, capsys, name, args):
     monkeypatch.setattr(sys, "argv", [name, *args])
-    assert _main(name)() == 0
+    assert _module(name).main() == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
@@ -32,8 +32,25 @@ def test_report_digests_match_the_golden_lines(monkeypatch, capsys):
     # every report the digests cover stays byte-identical; a change meant to
     # move one rewrites tests/golden/report_digests.txt and says why
     monkeypatch.setattr(sys, "argv", ["report_digests"])
-    assert _main("report_digests")() == 0
+    assert _module("report_digests").main() == 0
     got = capsys.readouterr().out.splitlines()
     want = (GOLDEN / "report_digests.txt").read_text().splitlines()
     assert len(got) == len(want) == 181
     assert [g for g, w in zip(got, want) if g != w] == []
+
+
+def test_design_counts_print_each_module_and_the_totals(monkeypatch, capsys):
+    module = _module("design_counts")
+    # parameters with a default, positional and keyword-only, in every def
+    source = "def f(a, b=1, *, c=2, d): pass\nclass C:\n    def g(self, x=None): pass\n"
+    assert module.settable_options(source) == 3
+    monkeypatch.setattr(sys, "argv", ["design_counts"])
+    assert module.main() == 0
+    *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    package = SCRIPTS.parent / "src" / "gpdext"
+    assert [name for name, _, _ in rows] == sorted(p.name for p in package.glob("*.py"))
+    for name, lines, options in rows:
+        source = (package / name).read_text()
+        assert int(lines) == source.count("\n")
+        assert int(options) == module.settable_options(source)
+    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2))]

@@ -109,7 +109,7 @@ def test_inverse_out_of_bounds_is_an_index_violation():
 
 
 @pytest.mark.parametrize("field", ["source_map", "inverse_map"])
-@pytest.mark.parametrize("change", [lambda m: m[:-1], lambda m: m + (0,)], ids=["short", "long"])
+@pytest.mark.parametrize("change", [lambda m: m[:-1], lambda m: (*m, 0)], ids=["short", "long"])
 def test_arrow_map_of_wrong_length_is_an_index_violation(field, change):
     g = pair_groupoid(2)
     assert rules(rebuild(g, **{field: change(getattr(g, field))})) == [("index", ())]
