@@ -382,6 +382,24 @@ class TestCyclicDecompose:
             assert cd.ok and cd.exact and cd.max_residual == 0.0
         assert len(peaks) == 4 * 18 and max(peaks) <= 1_100_000
 
+    def test_build_memory_stays_bounded_on_the_oracle_batch_pool(self):
+        # the tracemalloc peak of building mu_k x_w G, its full validate
+        # included, on the largest extensions of the seed-1 oracle_batch
+        # pool (k = 6 over six base arrows, 36 arrows): about 475 kB when
+        # the build went through a dict of composable pairs
+        peaks = []
+        for g, w, k in oracle_batch_pool(1):
+            if (k, g.n_arrows) != (6, 6):
+                continue
+            tracemalloc.start()
+            try:
+                ext = oracle.CyclicExtension(g, w, k)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert ext.validation.ok
+        assert len(peaks) == 4 and max(peaks) <= 480_000
+
 
 class TestOracleNormAgreement:
     def test_pauli(self, klein, pauli, pauli_ext, rng):
