@@ -14,7 +14,7 @@ import os
 import random
 import sys
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +84,7 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    skipped: bool = False  # not decided: it counts as passed
 
 
 @dataclass
@@ -102,6 +103,11 @@ class Report:
     def add(self, name: str, passed: bool, **details):
         self.checks.append(CheckResult(name, bool(passed), details))
 
+    def skip(self, name: str, **details):
+        """Record a check that could not run; the machine report marks it
+        ``"skipped": true``, the text report ``skip``."""
+        self.checks.append(CheckResult(name, True, details, skipped=True))
+
     def to_doc(self) -> dict:
         return {
             "command": self.command,
@@ -109,7 +115,9 @@ class Report:
             "provenance": {"seed": self.seed, "samples": self.samples, "version": __version__},
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details} for c in self.checks
+                {"name": c.name, "passed": c.passed, "details": c.details}
+                | ({"skipped": True} if c.skipped else {})
+                for c in self.checks
             ],
             "extras": self.extras,
         }
@@ -124,7 +132,7 @@ class Report:
         ]
         for c in self.checks:
             info = ", ".join(f"{k}={v}" for k, v in c.details.items())
-            mark = "pass" if c.passed else "FAIL"
+            mark = "skip" if c.skipped else "pass" if c.passed else "FAIL"
             lines.append(f"  {c.name.ljust(width)}  {mark}  {info}")
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
@@ -416,9 +424,8 @@ def cmd_cyclic_oracle(
     g = spec.groupoid
     kk = _oracle_order(spec, w, k)
     if kk is None:
-        report.add(
+        report.skip(
             "oracle-order",
-            True,
             applicable=False,
             reason="no small mu_k contains the cocycle values; oracle comparison skipped",
         )
@@ -531,7 +538,7 @@ def cmd_verify_all(
             ("cyclic-oracle", cmd_cyclic_oracle(spec, source, seed, samples, k=k)),
         ):
             for c in sub.checks:
-                report.checks.append(CheckResult(f"{prefix}/{c.name}", c.passed, c.details))
+                report.checks.append(replace(c, name=f"{prefix}/{c.name}"))
             for key, val in sub.extras.items():
                 report.extras[f"{prefix}.{key}"] = val
         if idrep.ok:
@@ -543,9 +550,7 @@ def cmd_verify_all(
                     for c in sub.checks:
                         if c.name in ("cocycle-identity", "cocycle-normalized"):
                             continue
-                        report.checks.append(
-                            CheckResult(f"{sub.command}/{c.name}", c.passed, c.details)
-                        )
+                        report.checks.append(replace(c, name=f"{sub.command}/{c.name}"))
             elif w.is_exact:
                 ww = w if w.normalized else normalize(w)[0]
                 sol = solve_coboundary(ww)

@@ -173,16 +173,18 @@ class TwoCocycle:
         IDENTITY_TOL) per triple block; Python visits only failing triples."""
         g = self.base
         rep = ValidationReport(subject=f"cocycle on {g.name}")
-        lab, T, n = g.arrow_labels, self.table, self.conductor
-        for block in g.triple_blocks():
-            a, b, c, ab, bc = block
+        lab, T, n, D = g.arrow_labels, self.table, self.conductor, g.compose_array
+        for a, b, ab, bc, triple in g.triple_blocks():
+            a_bc = a[:, None] * g.n_arrows + bc  # (a, bc) in the flat tables
+            w_ab, w_abc, w_bc, w_a_bc = T[a, b, None], T[ab], T[b], T.ravel()[a_bc]
             if n is None:
-                bad = np.abs(T[a, b] * T[ab, c] - T[b, c] * T[a, bc]) > IDENTITY_TOL
+                bad = np.abs(w_ab * w_abc - w_bc * w_a_bc) > IDENTITY_TOL
             else:
-                bad = (T[a, b] + T[ab, c] - T[b, c] - T[a, bc]) % n != 0
+                bad = (w_ab + w_abc - w_bc - w_a_bc) % n != 0
             # a pair missing from the table (no groupoid) raises in value()
-            bad |= (bc < 0) | (g.compose_array[ab, c] < 0) | (g.compose_array[a, bc] < 0)
-            for a, b, c, ab, bc in zip(*(x[bad].tolist() for x in block)):
+            bad |= (bc < 0) | (D[ab] < 0) | (D.ravel()[a_bc] < 0)
+            p, c = np.nonzero(bad & triple)
+            for a, b, c, ab, bc in zip(*(x.tolist() for x in (a[p], b[p], c, ab[p], bc[p, c]))):
                 lhs = self.value(a, b) * self.value(ab, c)
                 rhs = self.value(b, c) * self.value(a, bc)
                 rep.add(

@@ -8,9 +8,10 @@ mu_k x G becomes an honest finite groupoid under
 with unit space identified with the units of G.  Associativity of this
 multiplication is literally the cocycle identity, so building the extension
 and validating it re-proves the identity through an independent code path.
-The composition table and the inverse are built in one broadcast: the base's
-composable pairs (a, b, ab) against every pair of circle exponents (t1, t2),
-with w(a, b) = e(twist(a, b)/k) read off the cocycle's table at once.
+The composition goes to ``FiniteGroupoid`` as pair arrays, the composable
+pairs of the base's table tiled over every (t1, t2) in ascending order, and
+the inverse is one broadcast, with w(a, b) = e(twist(a, b)/k) read off the
+cocycle's table at once.
 
 The algebra of the extension carries the convolution with the circle factor
 averaged (weight 1/k per circle coordinate, counting measure along G), which
@@ -36,24 +37,23 @@ comes in one of two forms:
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` is a
 scatter over the composable pairs (y, z) of the extension's own composition
-table.  Its pairs come from the nonzero entries alone, and neither operand
-is broadcast in memory, so the work is the number of meetings of nonzero
-entries, not the number of pairs times the batch.  On exact values it is
-two steps.  The term step, ``conv_terms``, meets each batch row's nonzero
-(arrow y, exponent i) entries of f with the row's nonzero (z, j) entries of
-g and reads y z off the table, or no product; each meeting is one term
-f_i(y) g_j(z) zeta_k^(i + j) at y z, since zeta_k^k = 1, with the weight
-1/k.  The second step scatters the terms.  Numeric values meet nonzero
-arrows, in ascending (row, y, z) order, which is the order of the pairs,
-so their terms add per batch row in ascending pair order.  The involution
-and the Fourier projections of exact values are term steps alike, reading
-only the nonzero entries: ``star_terms`` sends a coefficient of zeta_k^s
-at x to zeta_k^(-s) at x^-1 through the extension's own inverse, and
+table, met from the nonzero entries alone (an exact element scans its own
+once) by repeats and offsets, with neither operand broadcast in memory, so
+the work is the number of meetings.  On exact values it is two steps.  The
+term step, ``conv_terms``, meets each batch row's nonzero (arrow y, exponent
+i) entries of f with the row's (z, j) entries of g and reads y z off the
+table, or no product; each meeting is one term f_i(y) g_j(z) zeta_k^(i + j)
+at y z, with the weight 1/k.  The second step scatters the terms.  Numeric
+values meet nonzero arrows in ascending (row, y, z) order, the order of the
+pairs, so their terms add in ascending pair order.  The involution and the
+Fourier projections of exact values are term steps alike, reading only the
+nonzero entries: ``star_terms`` sends a coefficient of zeta_k^s at x to
+zeta_k^(-s) at x^-1 through the extension's own inverse, and
 ``projection_terms`` gives one term zeta_k^(s + jn) at (t - j, a) per shift
-j and mode n, with the weight 1/k.  ``mode_projection`` of numeric values
-is a cyclic shift and sum.  ``ideal_dimension`` spans an ideal in two
-batched ``conv`` calls, with the deltas on the left and then on the right,
-and no fixed-point loop.
+j and mode n, with the weight 1/k.  ``mode_projection`` of numeric values is
+a cyclic shift and sum.  ``ideal_dimension`` spans an ideal in two batched
+``conv`` calls, with the deltas on the left and then on the right, and no
+fixed-point loop.
 
 ``nonzero_sums`` decides which sums of terms are zero without scattering
 them: each term goes through row j of the map into the power basis of
@@ -115,13 +115,21 @@ def _max_abs(num: np.ndarray) -> int:
 class Exact:
     """An exact oracle element, or a stack of them: num / k**e, num an int
     array (..., k*|A|, k) of coefficients of zeta_k^j.  Indexing acts on the
-    batch axes."""
+    batch axes.  ``entries`` scans num on first read, so num does not change
+    once the element has been multiplied."""
 
-    __slots__ = ("num", "e")
+    __slots__ = ("num", "e", "_entries")
 
     def __init__(self, num: np.ndarray, e: int = 0):
-        self.num = num
-        self.e = e
+        self.num, self.e, self._entries = num, e, None
+
+    @property
+    def entries(self) -> tuple:
+        """``_nonzero_entries`` of num, each batch row flat over (arrow, exponent)."""
+        if self._entries is None:
+            *lead, N, k = self.num.shape
+            self._entries = _nonzero_entries(self.num.reshape(*lead, N * k))
+        return self._entries
 
     def __getitem__(self, index) -> "Exact":
         return Exact(self.num[index], self.e)
@@ -161,30 +169,27 @@ class CyclicExtension:
         cocycle.require_checked("cyclic extension")
         if not cocycle.normalized:
             raise OracleError("cyclic extension needs a normalized cocycle")
-        self.base = base
-        self.cocycle = cocycle
-        self.k = k
-        n = base.n_arrows
-        lab = base.arrow_labels
+        self.base, self.cocycle, self.k = base, cocycle, k
+        n, lab = base.n_arrows, base.arrow_labels
 
-        # extension arrow t * n + a: the twist exponent of a base pair (a, b)
-        # adds to the circle exponent of every product over it
-        A, B, C = base.pair_table
         twist, bad = cocycle.root_exponents(k)
         if bad is not None:
             a, b = bad
             raise OracleError(
                 f"cocycle value {cocycle.value(a, b)!r} on ({lab[a]},{lab[b]}) is not a mu_{k} root"
             )
-        t1, t2 = np.arange(k)[:, None, None], np.arange(k)[None, :, None]
-        YZ = (t1 + t2 + twist[A, B]) % k * n + C
-        Y, Z = (np.broadcast_to(x, YZ.shape).ravel().tolist() for x in (t1 * n + A, t2 * n + B))
+        # extension arrow t * n + a: the pairs (t1 n + a, t2 n + b) over the base
+        # pairs (a, b), ascending, and the twist of (a, b) adds to t1 + t2
+        defined = np.zeros((n, n), dtype=bool)
+        defined[base.pair_table[:2]] = True
+        Y, Z = np.nonzero(np.tile(defined, (k, k)))
+        (t1, a), (t2, b) = divmod(Y, n), divmod(Z, n)
         inv = base.inverse_map
         self.inverse = ((-np.arange(k)[:, None] - twist[np.arange(n), inv]) % k * n + inv).ravel()
         labels = [f"(e({t}/{k})|{lab[a]})" for t in range(k) for a in range(n)]
         self.groupoid = FiniteGroupoid(
             base.n_units, np.tile(base.range_map, k), np.tile(base.source_map, k),
-            dict(zip(zip(Y, Z), YZ.ravel().tolist())), self.inverse,
+            (Y, Z, (t1 + t2 + twist[a, b]) % k * n + base.compose_array[a, b]), self.inverse,
             base.unit_to_arrow,  # the t = 0 block
             unit_labels=base.unit_labels, arrow_labels=labels,
             name=f"mu{k}x{base.name}",
@@ -216,14 +221,10 @@ class CyclicExtension:
 def deltas(ext: CyclicExtension, arrows, exact: bool):
     """The stack of delta elements at the given extension arrows."""
     arrows = np.asarray(arrows, dtype=np.intp)
-    rows = np.arange(len(arrows))
-    if exact:
-        num = np.zeros((len(arrows), ext.dimension, ext.k), dtype=np.int64)
-        num[rows, arrows, 0] = 1
-        return Exact(num)
-    out = np.zeros((len(arrows), ext.dimension), dtype=complex)
-    out[rows, arrows] = 1
-    return out
+    shape = (len(arrows), ext.dimension, ext.k if exact else 1)  # exact: the coefficient of 1
+    out = np.zeros(shape, dtype=np.int64 if exact else complex)
+    out[np.arange(len(arrows)), arrows, 0] = 1
+    return Exact(out) if exact else out[..., 0]
 
 
 class Terms(NamedTuple):
@@ -247,16 +248,19 @@ def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
     ascending (row, y, i, z, j) order, with the weight 1/k of the circle."""
     k, N = ext.k, ext.dimension
     lead = np.broadcast_shapes(f.num.shape[:-2], g.num.shape[:-2])
-    row, u, v, fu, gv = _nonzero_pairs(
-        *(x.num.reshape(x.num.shape[:-2] + (N * k,)) for x in (f, g))
-    )
-    arrow = ext.compose[u // k, v // k]
-    keep = arrow >= 0
+    row, u, v, fu, gv = _nonzero_pairs(f.entries, g.entries)
+    y, z = u // k, v // k
+    arrow = ext.compose.ravel()[y * N + z]
+    # zeta^i * zeta^j = zeta^(i + j), i + j = u + v - (y + z) k < 2k
+    exponent = u + v - (y + z) * k
+    exponent -= exponent // k * k
     # k terms per coefficient of one product, at most dimension products per arrow
     bound = _max_abs(fu) * _max_abs(gv) * k * N
-    coefficient = _widened(fu[keep], bound) * _widened(gv[keep], bound)
-    # zeta^i * zeta^j = zeta^((i + j) mod k), and u + v = i + j mod k
-    return Terms(lead, row[keep], arrow[keep], (u[keep] + v[keep]) % k, coefficient, f.e + g.e + 1)
+    keep = arrow >= 0
+    if not keep.all():
+        row, arrow, exponent, fu, gv = (x[keep] for x in (row, arrow, exponent, fu, gv))
+    coefficient = _widened(fu, bound) * _widened(gv, bound)
+    return Terms(lead, row, arrow, exponent, coefficient, f.e + g.e + 1)
 
 
 def conv(ext: CyclicExtension, f, g):
@@ -270,40 +274,41 @@ def conv(ext: CyclicExtension, f, g):
     if isinstance(f, Exact):
         return _scatter(ext, conv_terms(ext, f, g))
     lead = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
-    row, y, z, fy, gz = _nonzero_pairs(f, g)
-    yz = ext.compose[y, z]
+    row, y, z, fy, gz = _nonzero_pairs(_nonzero_entries(f), _nonzero_entries(g))
+    yz = ext.compose.ravel()[y * N + z]
     keep = yz >= 0
     out = np.zeros((math.prod(lead), N), dtype=complex)
     np.add.at(out, (row[keep], yz[keep]), cmul(fy[keep], gz[keep]))
     return out.reshape(lead + (N,)) * (1.0 / ext.k)
 
 
-def _nonzero_pairs(x: np.ndarray, y: np.ndarray):
+def _nonzero_entries(x: np.ndarray) -> tuple:
+    """The nonzero entries of a stack (..., n): the flat ids of its rows over
+    its batch shape, each row's number of entries and the place of its
+    first, and every entry's index and value, in ascending (row, index) order."""
+    flat = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    r, i = np.nonzero(flat)
+    count = np.bincount(r, minlength=len(flat))
+    return np.arange(len(flat)).reshape(x.shape[:-1]), count, np.cumsum(count) - count, i, flat[r, i]
+
+
+def _nonzero_pairs(x: tuple, y: tuple):
     """Every (row, i, j) with x[row, i] and y[row, j] both nonzero, in
-    ascending order, with those two values.  The leading axes of x and y
-    broadcast, row runs over their broadcast, flattened, and neither operand
-    is broadcast in memory: the work is the number of pairs."""
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    sides = []
-    for v in (x, y):
-        flat = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
-        r, i = np.nonzero(flat)
-        count = np.bincount(r, minlength=len(flat))
-        # the row of v that each row of the broadcast reads
-        own = np.broadcast_to(np.arange(len(flat)).reshape(v.shape[:-1]), lead).ravel()
-        sides.append((count[own], (np.cumsum(count) - count)[own], i, flat[r, i]))
-    (cx, sx, i, xv), (cy, sy, j, yv) = sides
-    reps = cx * cy
-    row = np.repeat(np.arange(len(reps)), reps)
-    # the pair's place q in its row: its entry of x is q // cy, of y q % cy
-    q = np.arange(len(row))
-    q -= (np.cumsum(reps) - reps)[row]
-    per_row = cy[row]
-    a = q // per_row
-    a += sx[row]
-    q %= per_row
-    q += sy[row]
-    return row, i[a], j[q], xv[a], yv[q]
+    ascending order, with those two values, from the ``_nonzero_entries`` x
+    and y.  Their batch shapes broadcast, row runs over the broadcast,
+    flattened, and neither operand is broadcast in memory: the work is the
+    number of pairs, expanded in two levels of a repeat less an offset, each
+    row's entries of x, then each of those met with its row's entries of y."""
+    (ox, cx, fx, i, xv), (oy, cy, fy, j, yv) = x, y
+    # the row of each side that each row of the broadcast reads
+    ox, oy = (ox + 0 * oy).ravel(), (oy + 0 * ox).ravel()
+    count = cx[ox]
+    row = np.repeat(np.arange(len(count)), count)
+    a = np.arange(len(row)) - np.repeat(np.cumsum(count) - count - fx[ox], count)
+    count = cy[oy][row]
+    b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - fy[oy][row], count)
+    a = np.repeat(a, count)
+    return np.repeat(row, count), i[a], j[b], xv[a], yv[b]
 
 
 def star_terms(ext: CyclicExtension, f: Exact) -> Terms:
@@ -356,11 +361,8 @@ def mode_projection(ext: CyclicExtension, f: np.ndarray, n: int) -> np.ndarray:
     of numeric elements: shift the circle coordinate by j, rotate by
     e(jn/k), and sum."""
     k, m = ext.k, ext.base.n_arrows
-    t = np.arange(k)[:, None, None]
-    a = np.arange(m)[None, :, None]
-    j = np.arange(k)
-    # source of term j at (t, a): the arrow (t + j, a)
-    source = ((t + j) % k * m + a).reshape(k * m, k)
+    t, a, j = np.ix_(range(k), range(m), range(k))
+    source = ((t + j) % k * m + a).reshape(k * m, k)  # term j at (t, a) reads (t + j, a)
     acc = cmul(ext.roots[0], f[..., source[:, 0]])
     for i in range(1, k):
         acc = acc + cmul(ext.roots[i * n % k], f[..., source[:, i]])

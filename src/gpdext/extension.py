@@ -229,9 +229,8 @@ def _mode_norms(F: LaurentElement, modes: list[int]) -> np.ndarray:
     if not modes:
         return np.zeros(0)
     x = np.stack(np.broadcast_arrays(*(F.mode(n).array() for n in modes)), axis=-2)
-    units = orbit_units(F.algebra.groupoid)
-    twists = F.algebra.cocycle.twists(modes)
-    return unit_norms(F.algebra.groupoid, twists, x, units).max(axis=-1, initial=0.0)
+    G, twists = F.algebra.groupoid, F.algebra.cocycle.twists(modes)
+    return unit_norms(G, twists, x, orbit_units(G)).max(axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +478,12 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         left, right = n * m + a, n * m + b
         arrow = t * m + np.tile(C, k)[:, None]
         expected = (P[n, a, b, None] - t * n[:, None]) % k
-        by_right = rows // m * k * m * m + rows % m
+        by_right, rhs = rows // m * k * m * m + rows % m, Q[None, :]  # Q scanned once
         # a left row meets all N right rows, k by k entries each; the terms of
         # one meeting hold four entries (row, arrow, exponent, coefficient)
         for lo, hi in chunks(N, 4 * N * k * k):
             i, j = np.searchsorted(left, (lo, hi))
-            terms = oracle.conv_terms(ext, Q[lo:hi, None], Q[None, :])
+            terms = oracle.conv_terms(ext, Q[lo:hi, None], rhs)
             expect = ((left[i:j, None] - lo) * N + right[i:j, None], arrow[i:j], expected[i:j])
             position = (rows[lo:hi, None] * m + by_right).ravel()
             yield 0, position, *summed(len(position), terms.row, terms, expect)
@@ -560,8 +559,7 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension):
     k = ext.k
     if any(not 0 <= n < k for n in F.modes):
         raise WindowError([n for n in F.modes if not 0 <= n < k])
-    img = np.zeros(ext.dimension, dtype=complex)
-    for n, comp in F.modes.items():
-        img = img + oracle.embed_mode(ext, n, comp.array())
+    zero = np.zeros(ext.dimension, dtype=complex)
+    img = sum((oracle.embed_mode(ext, n, comp.array()) for n, comp in F.modes.items()), zero)
     norm = _mode_norms(F, list(F.modes)).max(axis=-1, initial=0.0)
     return np.abs(norm - oracle.reduced_norm(ext, img))

@@ -1,19 +1,22 @@
 """Finite groupoids with table-backed composition.
 
 Units and arrows are dense integer indices, and the range, source, inverse
-and unit maps read-only ``intp`` arrays.  Composition is a partial map,
-given as a dict keyed by composable pairs and compiled on first use into
-index arrays: the composable pairs (A, B, C = A∘B) in ascending (A, B) order,
-and a dense compose array holding -1 off the table.  The composable triples
-(a, b, c, ab, bc) are generated from these in blocks of bounded size.
+and unit maps read-only ``intp`` arrays.  Composition is a partial map held
+as index arrays: the composable pairs (A, B, C = A∘B) in ascending (A, B)
+order, and a dense compose array holding -1 off the table.  It is given
+either as those pair arrays, checked at construction, or as a dict keyed by
+composable pairs, sorted into them; ``compose_table`` is the dict view, in
+the given order or, from pair arrays, in pair order.  The composable
+triples are generated from these in row blocks of bounded size.
 ``validate``, the triple enumeration, the cocycle identity check, the
 orbits, principality and the isotropy quotient read these tables.
 Instances are treated as immutable after construction: all
 operations here are pure functions and may be evaluated in parallel on
 disjoint inputs.
 
-Construction does not validate; ``validate`` reports every violated axiom
-with witnessing arrows, which lets tests build deliberately broken tables.
+Construction checks only the shape of pair arrays; ``validate`` reports
+every violated axiom with witnessing arrows, which lets tests build
+deliberately broken tables.
 """
 
 from __future__ import annotations
@@ -70,15 +73,34 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _pair_arrays(A, B, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair arrays as intp copies, once they are checked to be of one
+    length and strictly ascending in (A, B)."""
+    A, B, C = (np.array(x, dtype=np.intp) for x in (A, B, C))
+    if A.ndim != 1 or A.shape != B.shape or A.shape != C.shape:
+        raise GroupoidError("pair arrays must be one-dimensional and of one length")
+    step = np.where(A[1:] == A[:-1], B[1:] - B[:-1], A[1:] - A[:-1])
+    repeated = np.flatnonzero(step == 0)
+    if len(repeated):
+        i = repeated[0] + 1
+        raise GroupoidError(f"pair ({A[i]}, {B[i]}) repeated in the pair arrays")
+    if (step < 0).any():
+        raise GroupoidError("pair arrays not ascending in (A, B)")
+    return A, B, C
+
+
 class FiniteGroupoid:
     """A finite groupoid.
 
-    range_map/source_map send arrow ids to unit ids, compose_table maps
-    composable pairs (a, b) to a∘b, inverse_map is an involution on arrows,
-    and unit_to_arrow embeds units as identity arrows.  The four maps are
-    stored as read-only intp arrays over the arrows (over the units for
-    unit_to_arrow), whatever sequences they are given as; ``r``, ``s``,
-    ``inv`` and ``unit_arrow`` read one entry as a Python int.
+    range_map/source_map send arrow ids to unit ids, inverse_map is an
+    involution on arrows, and unit_to_arrow embeds units as identity arrows.
+    The four maps are stored as read-only intp arrays over the arrows (over
+    the units for unit_to_arrow), whatever sequences they are given as;
+    ``r``, ``s``, ``inv`` and ``unit_arrow`` read one entry as a Python int.
+    The composition is given as a dict mapping composable pairs (a, b) to
+    a∘b, or as the pair arrays (A, B, C = A∘B), strictly ascending in
+    (A, B); arrays of unequal length, out of order or with a repeated pair
+    raise ``GroupoidError``.
     """
 
     def __init__(
@@ -86,7 +108,7 @@ class FiniteGroupoid:
         n_units: int,
         range_map,
         source_map,
-        compose_table: dict,
+        compose_table,
         inverse_map,
         unit_to_arrow,
         unit_labels=None,
@@ -98,7 +120,11 @@ class FiniteGroupoid:
         for m in maps:
             m.flags.writeable = False
         self.range_map, self.source_map, self.inverse_map, self.unit_to_arrow = maps
-        self.compose_table = dict(compose_table)
+        if isinstance(compose_table, dict):
+            self._compose_table, self._pair_table = dict(compose_table), None
+        else:
+            self._compose_table, self._pair_table = None, _pair_arrays(*compose_table)
+            self._pair_order = np.arange(len(self._pair_table[0]))
         self.name = name
         self.n_arrows = len(self.range_map)
         if unit_labels is None:
@@ -108,7 +134,6 @@ class FiniteGroupoid:
         self.unit_labels = tuple(str(x) for x in unit_labels)
         self.arrow_labels = tuple(str(x) for x in arrow_labels)
         self._source_fibers = None
-        self._pair_table = None
         self._compose_array = None
 
     # -- basic queries ------------------------------------------------------
@@ -152,6 +177,15 @@ class FiniteGroupoid:
         return self._source_fibers[u]
 
     @property
+    def compose_table(self) -> dict:
+        """The composition as a dict {(a, b): a∘b}: as given, or built from
+        the pair arrays on first read, in pair order."""
+        if self._compose_table is None:
+            A, B, C = self._pair_table
+            self._compose_table = dict(zip(zip(A.tolist(), B.tolist()), C.tolist()))
+        return self._compose_table
+
+    @property
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The composable pairs (A, B, C = A∘B) as index arrays, ascending in (A, B)."""
         if self._pair_table is None:
@@ -171,17 +205,17 @@ class FiniteGroupoid:
         return self._compose_array
 
     def triple_blocks(self):
-        """The composable triples, the (a, b, c) with (a, b) in the table and
-        r(c) = s(b), as index arrays (a, b, c, ab, bc), ordered by (a, b) as
-        in pair_table and then by c, in blocks of at most about _TRIPLE_BLOCK
-        rows; bc is -1 where (b, c) is missing from the table."""
+        """The composable triples in row blocks: per block, pairs (a, b, ab)
+        of pair_table, in its order, against every arrow x as columns, with
+        bc = compose_array[b], the composites b∘x (-1 off the table), and the
+        mask r(x) = s(b) that marks the triples (a, b, x).  A block holds at
+        most about _TRIPLE_BLOCK (pair, x) entries."""
         A, B, C = self.pair_table
-        s_b = self.source_map[B]
+        s_b = self.source_map[B, None]
         step = max(1, _TRIPLE_BLOCK // max(1, self.n_arrows))
         for lo in range(0, len(A), step):
-            p, c = np.nonzero(s_b[lo : lo + step, None] == self.range_map)
-            p += lo
-            yield A[p], B[p], c, C[p], self.compose_array[B[p], c]
+            p = slice(lo, lo + step)
+            yield A[p], B[p], C[p], self.compose_array[B[p]], s_b[p] == self.range_map
 
     def isotropy(self, u: int) -> tuple[int, ...]:
         """Arrows with range and source u, in ascending id order."""
@@ -269,11 +303,12 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
          D[inv, x] != at_s),
     ])
 
-    for a, b, c, ab, bc in g.triple_blocks():
-        left, right = D[ab, c], D[a, bc]
+    flat = D.ravel()
+    for a, b, ab, bc, triple in g.triple_blocks():
+        left, right = D[ab], flat[a[:, None] * n_a + bc]
         # a gap (b, c), bc = -1, was already reported by the composability check
-        bad = (bc >= 0) & ((left != right) | (left < 0))
-        for x1, x2, x3 in zip(a[bad].tolist(), b[bad].tolist(), c[bad].tolist()):
+        p, c = np.nonzero(triple & (bc >= 0) & ((left != right) | (left < 0)))
+        for x1, x2, x3 in zip(a[p].tolist(), b[p].tolist(), c.tolist()):
             l1, l2, l3 = lab[x1], lab[x2], lab[x3]
             rep.add("associativity", (x1, x2, x3), f"({l1}{l2}){l3} != {l1}({l2}{l3})")
     return rep

@@ -327,6 +327,36 @@ def test_oracle_skipped_for_non_root_of_unity_cocycles(tmp_path, capsys):
     assert checks["oracle-order"]["details"]["applicable"] is False
 
 
+def test_an_oracle_run_of_conductor_13_is_skipped_not_passed(tmp_path, capsys):
+    # angles over 13: no mu_k with k <= 12 holds the values, so the oracle
+    # does not run; the check is skipped, the verdict and exit code stay pass
+    from fractions import Fraction
+
+    from gpdext.cocycle import OneCochain
+    from gpdext.documents import SpecDocument, canonical_json
+    from gpdext.groupoid import pair_groupoid
+
+    g = pair_groupoid(2)
+    b = OneCochain(g, {1: Fraction(1, 13), 2: Fraction(3, 13)})
+    assert b.coboundary().conductor == 13
+    doc = tmp_path / "conductor13.json"
+    doc.write_text(canonical_json(spec_to_doc(SpecDocument(groupoid=g, cocycle=b.coboundary()))))
+    checks = (("cyclic-oracle", "oracle-order"), ("verify-all", "cyclic-oracle/oracle-order"))
+    for command, name in checks:
+        rc, out = run(capsys, command, str(doc), "--format", "machine")
+        report = json.loads(out)
+        assert rc == 0 and report["passed"] is True
+        skipped = [c for c in report["checks"] if "skipped" in c]
+        assert [(c["name"], c["passed"], c["skipped"]) for c in skipped] == [(name, True, True)]
+        assert skipped[0]["details"]["applicable"] is False
+        rc, out = run(capsys, command, str(doc))
+        assert rc == 0 and out.rstrip().endswith("overall: pass")
+        [line] = [x for x in out.splitlines() if x.split()[:1] == [name]]
+        assert line.split()[1] == "skip"
+        others = [x.split()[1] for x in out.splitlines()[1:-1] if x.split()[:1] != [name]]
+        assert set(others) == {"pass"}
+
+
 def test_empty_groupoid_runs_the_whole_suite(tmp_path, capsys):
     from gpdext.documents import SpecDocument, canonical_json
     from helpers import empty_groupoid

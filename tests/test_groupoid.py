@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gpdext.groupoid import (
@@ -198,9 +199,11 @@ class TestQuotient:
 
 
 def composable_triples(g):
-    """All (a, b, c) with (a, b) in the table and r(c) = s(b)."""
-    for a, b, c, _, _ in g.triple_blocks():
-        yield from zip(a.tolist(), b.tolist(), c.tolist())
+    """All (a, b, c) with (a, b) in the table and r(c) = s(b): the entries
+    of each row block where its mask holds."""
+    for a, b, _, _, triple in g.triple_blocks():
+        p, c = np.nonzero(triple)
+        yield from zip(a[p].tolist(), b[p].tolist(), c.tolist())
 
 
 def test_associativity_exhaustive_on_samples():
