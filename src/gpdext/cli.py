@@ -212,7 +212,7 @@ def _oracle_order(spec: SpecDocument, w: TwoCocycle, k_flag: int | None) -> int 
     if k_flag is not None:
         k, name = k_flag, "--k"
     elif "k" in spec.params:
-        k, name = int(spec.params["k"]), "params.k"
+        k, name = spec.params["k"], "params.k"
     else:
         return w.conductor if w.is_exact and w.conductor <= 12 else None
     if k < 1:
@@ -225,7 +225,7 @@ def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
         return modes_flag
     if "modes" in spec.params:
         lo, hi = spec.params["modes"]
-        return int(lo), int(hi)
+        return lo, hi
     return (-2, 2)
 
 
@@ -624,10 +624,8 @@ def main(argv=None) -> int:
         if args.samples is not None and args.samples < 0:
             raise DocumentError(f"--samples must be at least 0, got {args.samples}")
         spec, source = load_spec(args.path, args.fixture)
-        seed = args.seed if args.seed is not None else int(spec.params.get("seed", 0))
-        samples = (
-            args.samples if args.samples is not None else int(spec.params.get("samples", 25))
-        )
+        seed = args.seed if args.seed is not None else spec.params.get("seed", 0)
+        samples = args.samples if args.samples is not None else spec.params.get("samples", 25)
         # the command's own flags, by the keyword names of its cmd_* function
         options = {key: getattr(args, key) for key in ("modes", "k", "power") if key in args}
         if getattr(args, "element", None):

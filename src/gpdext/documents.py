@@ -5,8 +5,9 @@ table; omitted compose entries mean non-composable.  Cocycle documents attach
 angles to composable arrow-id pairs, exact angles as "p/q" strings and
 numeric ones as floats in [0, 1); omitted pairs default to angle 0.  One
 float angle makes the cocycle numeric, and it serializes every angle as a
-float.  A spec document bundles a groupoid, an optional cocycle and optional
-run parameters.
+float.  A compose, inverse or cocycle entry given twice for one pair or
+arrow is an input error.  A spec document bundles a groupoid, an optional
+cocycle and optional run parameters, which are JSON integers.
 
 Serialization is canonical: keys sorted, entries sorted, two-space indent,
 one trailing newline, so serialize(parse(x)) is a stable canonical form and
@@ -89,6 +90,8 @@ def parse_groupoid(doc) -> FiniteGroupoid:
         for x in (a, b, c):
             if x not in aindex:
                 raise DocumentError(f"compose entry references unknown arrow {x!r}")
+        if (aindex[a], aindex[b]) in compose:
+            raise DocumentError(f"compose entry for ({a!r}, {b!r}) repeated")
         compose[(aindex[a], aindex[b])] = aindex[c]
 
     inverse = [None] * len(arrow_names)
@@ -98,6 +101,8 @@ def parse_groupoid(doc) -> FiniteGroupoid:
         a, b = (str(x) for x in pair)
         if a not in aindex or b not in aindex:
             raise DocumentError(f"inverse entry references unknown arrow")
+        if inverse[aindex[a]] is not None:
+            raise DocumentError(f"inverse entry for arrow {a!r} repeated")
         inverse[aindex[a]] = aindex[b]
     if any(v is None for v in inverse):
         missing = arrow_names[inverse.index(None)]
@@ -172,6 +177,8 @@ def parse_cocycle(doc, g: FiniteGroupoid) -> TwoCocycle:
         pair = (aindex[a], aindex[b])
         if pair not in g.compose_table:
             raise DocumentError(f"cocycle entry on non-composable pair ({a!r}, {b!r})")
+        if pair in vals:
+            raise DocumentError(f"cocycle entry on ({a!r}, {b!r}) repeated")
         vals[pair] = _angle_from_doc(angle)
     return TwoCocycle(g, vals)
 
@@ -223,13 +230,11 @@ def parse_spec(doc) -> SpecDocument:
         raise DocumentError(f"params.modes must be [lo, hi], got {modes!r:.40}")
     numbers = [(key, params[key]) for key in ("k", "seed", "samples") if key in params]
     for key, x in numbers + [("modes", x) for x in modes]:
-        try:
-            int(x)
-        except (TypeError, ValueError, OverflowError):
-            raise DocumentError(f"params.{key} must be an integer, got {x!r:.40}") from None
-    if int(modes[0]) > int(modes[1]):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise DocumentError(f"params.{key} must be an integer, got {x!r:.40}")
+    if modes[0] > modes[1]:
         raise DocumentError(f"params.modes window is empty, got {modes!r:.40}")
-    if int(params.get("samples", 0)) < 0:
+    if params.get("samples", 0) < 0:
         raise DocumentError(f"params.samples must be at least 0, got {params['samples']!r:.40}")
     return SpecDocument(groupoid=g, cocycle=w, params=params)
 

@@ -3,11 +3,12 @@
 Units and arrows are dense integer indices, and the range, source, inverse
 and unit maps read-only ``intp`` arrays.  Composition is a partial map held
 as index arrays: the composable pairs (A, B, C = A∘B) in ascending (A, B)
-order, and a dense compose array holding -1 off the table.  It is given
-either as those pair arrays, checked at construction, or as a dict keyed by
-composable pairs, sorted into them; ``compose_table`` is the dict view, in
-the given order or, from pair arrays, in pair order.  The composable
-triples are generated from these in row blocks of bounded size.
+order, and a dense compose array holding -1 off the table.  These arrays
+are its one stored form: pair arrays given to the constructor are checked,
+and a dict keyed by composable pairs is sorted into them, so nothing
+depends on the order a dict was written in.  ``compose_table`` is a dict
+view built from the arrays, in pair order.  The composable triples are
+generated from these in row blocks of bounded size.
 ``validate``, the triple enumeration, the cocycle identity check, the
 orbits, principality and the isotropy quotient read these tables.
 Instances are treated as immutable after construction: all
@@ -97,10 +98,11 @@ class FiniteGroupoid:
     The four maps are stored as read-only intp arrays over the arrows (over
     the units for unit_to_arrow), whatever sequences they are given as;
     ``r``, ``s``, ``inv`` and ``unit_arrow`` read one entry as a Python int.
-    The composition is given as a dict mapping composable pairs (a, b) to
-    a∘b, or as the pair arrays (A, B, C = A∘B), strictly ascending in
-    (A, B); arrays of unequal length, out of order or with a repeated pair
-    raise ``GroupoidError``.
+    The composition is stored as the pair arrays ``pair_table`` (A, B,
+    C = A∘B), strictly ascending in (A, B).  It is given either as those
+    arrays, where arrays of unequal length, out of order or with a repeated
+    pair raise ``GroupoidError``, or as a dict mapping composable pairs
+    (a, b) to a∘b, which is sorted into them.
     """
 
     def __init__(
@@ -121,10 +123,10 @@ class FiniteGroupoid:
             m.flags.writeable = False
         self.range_map, self.source_map, self.inverse_map, self.unit_to_arrow = maps
         if isinstance(compose_table, dict):
-            self._compose_table, self._pair_table = dict(compose_table), None
-        else:
-            self._compose_table, self._pair_table = None, _pair_arrays(*compose_table)
-            self._pair_order = np.arange(len(self._pair_table[0]))
+            triples = sorted((a, b, c) for (a, b), c in compose_table.items())
+            compose_table = np.array(triples, np.intp).reshape(-1, 3).T
+        self.pair_table = _pair_arrays(*compose_table)
+        self._compose_table = None
         self.name = name
         self.n_arrows = len(self.range_map)
         if unit_labels is None:
@@ -178,22 +180,12 @@ class FiniteGroupoid:
 
     @property
     def compose_table(self) -> dict:
-        """The composition as a dict {(a, b): a∘b}: as given, or built from
-        the pair arrays on first read, in pair order."""
+        """The composition as a dict {(a, b): a∘b}, built from ``pair_table``
+        on first read and in its order, whatever form it was given in."""
         if self._compose_table is None:
-            A, B, C = self._pair_table
+            A, B, C = self.pair_table
             self._compose_table = dict(zip(zip(A.tolist(), B.tolist()), C.tolist()))
         return self._compose_table
-
-    @property
-    def pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The composable pairs (A, B, C = A∘B) as index arrays, ascending in (A, B)."""
-        if self._pair_table is None:
-            keys = np.array(list(self.compose_table), dtype=np.intp).reshape(-1, 2)
-            C = np.fromiter(self.compose_table.values(), dtype=np.intp, count=len(keys))
-            self._pair_order = np.lexsort(keys.T[::-1])  # each row's compose_table position
-            self._pair_table = (*keys[self._pair_order].T, C[self._pair_order])
-        return self._pair_table
 
     @property
     def compose_array(self) -> np.ndarray:
@@ -280,7 +272,6 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     bad_c = _outside(C, n_a)
     c_in = np.where(bad_c, 0, C)
     fail = np.flatnonzero(bad_c | (rng[c_in] != rng[A]) | (src[c_in] != src[B]))
-    fail = fail[np.argsort(g._pair_order[fail])]  # in compose_table order
     for a, b, c in zip(A[fail].tolist(), B[fail].tolist(), C[fail].tolist()):
         ab = f"compose({lab[a]},{lab[b]})"
         if not 0 <= c < n_a:
@@ -396,19 +387,11 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     """Arrows (i, j) on n units with (i, j)(j, k) = (i, k); principal and transitive."""
     if n < 1:
         raise GroupoidError("pair groupoid needs at least one unit")
-    idx = lambda i, j: i * n + j
-    rng = [i for i in range(n) for _ in range(n)]
-    src = [j for _ in range(n) for j in range(n)]
-    compose = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                compose[(idx(i, j), idx(j, k))] = idx(i, k)
-    inverse = [idx(j, i) for i in range(n) for j in range(n)]
-    unit_to_arrow = [idx(u, u) for u in range(n)]
     labels = [f"({i},{j})" for i in range(n) for j in range(n)]
+    rng, src = np.indices((n, n)).reshape(2, -1)
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
     return FiniteGroupoid(
-        n, rng, src, compose, inverse, unit_to_arrow,
+        n, rng, src, (i * n + j, j * n + k, i * n + k), src * n + rng, np.arange(n) * (n + 1),
         unit_labels=[str(u) for u in range(n)],
         arrow_labels=labels,
         name=f"pair({n})",
@@ -435,11 +418,11 @@ def group_groupoid(table: list[list[int]], labels=None, name: str = "group") -> 
                 break
         if inverse[a] is None:
             raise GroupoidError(f"element {a} has no inverse")
-    compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
     if labels is None:
         labels = [f"g{a}" for a in range(n)]
+    A, B = np.indices((n, n)).reshape(2, -1)
     return FiniteGroupoid(
-        1, [0] * n, [0] * n, compose, inverse, [identity],
+        1, [0] * n, [0] * n, (A, B, np.ravel(table)), inverse, [identity],
         unit_labels=["*"], arrow_labels=labels, name=name,
     )
 
@@ -478,8 +461,7 @@ def symmetric_group_groupoid(n: int) -> FiniteGroupoid:
 
 def disjoint_union(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     du, da = g.n_units, g.n_arrows
-    compose = dict(g.compose_table)
-    compose.update({(a + da, b + da): c + da for (a, b), c in h.compose_table.items()})
+    compose = [np.concatenate((x, y + da)) for x, y in zip(g.pair_table, h.pair_table)]
     rng = np.concatenate((g.range_map, h.range_map + du))
     src = np.concatenate((g.source_map, h.source_map + du))
     inverse = np.concatenate((g.inverse_map, h.inverse_map + da))
@@ -524,9 +506,8 @@ def cover_groupoid(points, cover) -> FiniteGroupoid:
 
 def _cover_arrows(points, cover) -> list[tuple]:
     """The arrows (x, i, j) of ``cover_groupoid(points, cover)`` in arrow-id
-    order: x in the overlap of U_i and U_j, the range at (x, i)."""
-    points = list(points)
-    cover = [set(U) for U in cover]
+    order: x in the overlap of U_i and U_j, the range at (x, i).  The points
+    are a list and the cover a list of sets, as ``cover_groupoid`` makes them."""
     return [
         (x, i, j)
         for i, U in enumerate(cover)
@@ -547,9 +528,9 @@ def quotient_by_isotropy(g: FiniteGroupoid):
     isotropy groups).  Each class is ordered and labelled by its least
     member, the least a.h over the rows of ``pair_table`` whose right factor
     h is an isotropy arrow, all in one ``np.minimum.at``.  The quotient's
-    composition is the pair table's, class by class, in ``compose_table``
-    order.  Returns the quotient groupoid and the projection arrow -> class
-    id, which is a groupoid morphism.
+    composition is the pair table's, class by class, read off the class
+    table that checks it is well defined.  Returns the quotient groupoid
+    and the projection arrow -> class id, which is a groupoid morphism.
     """
     A, B, C = g.pair_table
     p = np.flatnonzero(g.range_map[B] == g.source_map[B])
@@ -558,16 +539,14 @@ def quotient_by_isotropy(g: FiniteGroupoid):
     if (least[C[p]] != least[A[p]]).any():
         raise GroupoidError("isotropy classes are inconsistent; input not a groupoid?")
     class_of, reps = _classes(least)
-    order = np.empty_like(g._pair_order)  # each compose_table entry's row
-    order[g._pair_order] = np.arange(len(order))
-    qa, qb, qc = class_of[A[order]], class_of[B[order]], class_of[C[order]]
+    qa, qb, qc = class_of[A], class_of[B], class_of[C]
     table = np.full((len(reps), len(reps)), -1)
     table[qa, qb] = qc
     if (table[qa, qb] != qc).any():
         raise GroupoidError("quotient composition not well defined; input not a groupoid?")
     q = FiniteGroupoid(
         g.n_units, g.range_map[reps], g.source_map[reps],
-        dict(zip(zip(qa.tolist(), qb.tolist()), qc.tolist())),
+        (*np.nonzero(table >= 0), table[table >= 0]),
         class_of[g.inverse_map[reps]], class_of[g.unit_to_arrow],
         unit_labels=g.unit_labels,
         arrow_labels=[f"[{g.arrow_labels[rep]}]" for rep in reps.tolist()],
@@ -602,10 +581,9 @@ def isomorphism_violations(g: FiniteGroupoid, h: FiniteGroupoid, arrow_map) -> l
         if h.r(arrow_map[a]) != unit_map[g.r(a)] or h.s(arrow_map[a]) != unit_map[g.s(a)]:
             out.append(f"range/source not preserved at arrow {g.arrow_labels[a]}")
             break
-    for (a, b), c in g.compose_table.items():
-        if h.compose_or_none(arrow_map[a], arrow_map[b]) != arrow_map[c]:
-            out.append(
-                f"composition not preserved at ({g.arrow_labels[a]},{g.arrow_labels[b]})"
-            )
-            break
+    m, (A, B, C) = np.asarray(arrow_map, np.intp), g.pair_table
+    bad = np.flatnonzero(h.compose_array[m[A], m[B]] != m[C])
+    if len(bad):
+        a, b = A[bad[0]], B[bad[0]]
+        out.append(f"composition not preserved at ({g.arrow_labels[a]},{g.arrow_labels[b]})")
     return out

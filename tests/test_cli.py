@@ -33,6 +33,21 @@ MALFORMED_SPECS = [
     (("params", "k"), "x"),
     (("params", "modes"), [1]),
     (("params", "samples"), -2),
+    (("params", "k"), 2.5),
+    (("params", "k"), True),
+    (("params", "k"), "4"),
+    (("params", "seed"), 0.5),
+    (("params", "samples"), True),
+    (("params", "modes"), [-1.5, 1]),
+    (("params", "modes"), [0, "1"]),
+]
+
+# an entry of pair2_trivial.json written again, with another value, before
+# the correct one: (field, entry, what the error names)
+REPEATED_ENTRIES = [
+    (("groupoid", "compose"), ["(0,0)", "(0,0)", "(0,1)"], "compose entry for ('(0,0)', '(0,0)')"),
+    (("groupoid", "inverse"), ["(0,1)", "(0,1)"], "inverse entry for arrow '(0,1)'"),
+    (("cocycle", "entries"), [["(0,1)", "(1,0)"], "1/2"], "cocycle entry on ('(0,1)', '(1,0)')"),
 ]
 
 
@@ -149,6 +164,20 @@ class TestExitCodes:
         doc.write_text(json.dumps(spec))
         assert main(["verify-all", str(doc), "--samples", "2"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, entry, named", REPEATED_ENTRIES, ids=[path[-1] for path, _, _ in REPEATED_ENTRIES]
+    )
+    def test_repeated_entry_is_two(self, path, entry, named, tmp_path, capsys):
+        spec = json.loads(
+            (Path(__file__).parents[1] / "src/gpdext/fixtures/pair2_trivial.json").read_text()
+        )
+        spec.setdefault("cocycle", {"entries": [[["(0,1)", "(1,0)"], "0/1"]]})
+        spec[path[0]][path[1]].insert(0, entry)
+        doc = tmp_path / "repeated.json"
+        doc.write_text(json.dumps(spec))
+        assert main(["validate", str(doc)]) == 2
+        assert f"{named} repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", ["normalize", "trivialize", "algebra", "decompose", "cyclic-oracle", "morita"]

@@ -1,12 +1,13 @@
 """The groupoid's compiled tables and the walks over them.
 
 A groupoid given its composition as pair arrays must be the groupoid given
-the same pairs as a dict: the same pair table, compose array, dict view (in
-pair order), ``validate`` report and isotropy quotient, on every bundled
-fixture, every ``randgen`` family, broken tables, and mu_k x_w G.  Pair
-arrays of unequal length, out of order or with a repeated pair are refused
-at construction.  The row-block triples of ``triple_blocks`` and the
-meetings of the oracle's ``_nonzero_pairs`` are checked against plain loops.
+the same pairs as a dict, in whatever order the dict is written: the same
+pair table, compose array, dict view (in pair order), ``validate`` report
+and isotropy quotient, on every bundled fixture, every ``randgen`` family,
+broken tables, and mu_k x_w G.  Pair arrays of unequal length, out of order
+or with a repeated pair are refused at construction.  The row-block triples
+of ``triple_blocks`` and the meetings of the oracle's ``_nonzero_pairs`` are
+checked against plain loops.
 """
 
 import random
@@ -109,10 +110,10 @@ def test_the_extensions_cover_every_order_and_are_built_from_arrays():
     assert ext.groupoid._compose_table is None
 
 
-@pytest.mark.parametrize("g", BASES, ids=lambda g: g.name)
-def test_broken_pair_arrays_report_as_the_dict_does(g):
-    # a changed composite (also out of bounds), a deleted pair and an added
-    # pair (also outside the arrows), each kept in ascending order
+def broken_tables(g):
+    """Pair arrays of g with a changed composite (also out of bounds), a
+    deleted pair and an added pair (also outside the arrows), each kept in
+    ascending order, three times over."""
     rng = random.Random(f"broken-{g.name}")
     A, B, C = g.pair_table
     n = g.n_arrows
@@ -125,9 +126,29 @@ def test_broken_pair_arrays_report_as_the_dict_does(g):
         pairs = dict(zip(zip(A.tolist(), B.tolist()), C.tolist()))
         pairs.setdefault(extra, rng.randrange(n))
         added = [np.array(x) for x in zip(*sorted((a, b, c) for (a, b), c in pairs.items()))]
-        for case in ((A, B, changed), (A[keep], B[keep], C[keep]), added):
-            arrays, table = both_forms(g, case)
-            same_tables(arrays, table)
+        yield from ((A, B, changed), (A[keep], B[keep], C[keep]), added)
+
+
+@pytest.mark.parametrize("g", BASES, ids=lambda g: g.name)
+def test_broken_pair_arrays_report_as_the_dict_does(g):
+    for case in broken_tables(g):
+        arrays, table = both_forms(g, case)
+        same_tables(arrays, table)
+
+
+@pytest.mark.parametrize("g", BASES, ids=lambda g: g.name)
+def test_the_order_a_dict_is_written_in_does_not_matter(g):
+    # reversed and shuffled dicts give the sorted build's pair table, dict
+    # view in pair order, quotient, and validate report of broken tables
+    rng = random.Random(f"written-order-{g.name}")
+    for case in (g.pair_table, *broken_tables(g)):
+        arrays = rebuilt(g, case)
+        items = list(arrays.compose_table.items())
+        for written in (items[::-1], rng.sample(items, len(items))):
+            h = rebuilt(g, dict(written))
+            same_tables(arrays, h)
+            if case is g.pair_table:
+                same_quotient(arrays, h)
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,15 @@ class TestGroupConstructions:
             group_groupoid([[0, 1], [0, 1]])  # no identity
 
 
+def test_a_map_breaking_composition_is_named_at_its_first_pair():
+    # on Z4, swapping 1 and 2 first breaks 1+1 = 2 in pair order; a dict
+    # written in reverse would meet 3+3 = 2 first, but it is sorted
+    z4 = cyclic_group_groupoid(4)
+    written = dict(reversed(z4.compose_table.items()))
+    g = FiniteGroupoid(1, [0] * 4, [0] * 4, written, z4.inverse_map, [0], arrow_labels="0123")
+    assert isomorphism_violations(g, z4, [0, 2, 1, 3]) == ["composition not preserved at (1,1)"]
+
+
 class TestQuotient:
     def test_principal_quotient_is_identity(self):
         g = pair_groupoid(2)

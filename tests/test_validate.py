@@ -72,7 +72,8 @@ def _groupoids():
         yield family(4)[0]
     klein = abelian_group_groupoid((2, 2))
     yield cyclic_extension(klein, pauli_cocycle(klein), 2).groupoid
-    # range-source violations come in compose_table's order, not sorted
+    # a dict written in reverse is sorted at construction, so its violations
+    # come in pair order, as the loop reference reads compose_table
     g = pair_groupoid(3)
     yield rebuild(g, compose_table=dict(reversed(g.compose_table.items())), name="pair(3)-reversed")
 
