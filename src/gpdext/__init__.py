@@ -7,7 +7,6 @@ from .exact import CircleScalar, Cyclo
 from .groupoid import (
     FiniteGroupoid,
     GroupoidError,
-    OrbitDecomposition,
     ValidationReport,
     abelian_group_groupoid,
     cover_groupoid,
@@ -17,7 +16,6 @@ from .groupoid import (
     is_principal,
     is_proper,
     is_transitive,
-    orbit_decomposition,
     pair_groupoid,
     quotient_by_isotropy,
     symmetric_group_groupoid,

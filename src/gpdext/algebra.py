@@ -20,7 +20,8 @@ the units of one orbit give unitarily equivalent ones, so one unit per
 orbit is enough.
 
 Faithfulness and the center dimension are decided exactly, by the
-structural arguments in ``full_norm_certificate`` and ``center_dimension``.
+structural arguments in ``full_norm_certificate`` and ``center_dimension``;
+the latter reads one isotropy group per orbit, at its least unit.
 
 An element is exact or numeric.  An exact one is a dict of int, Fraction or
 Cyclo coefficients; over an exact cocycle its products and involutions run
@@ -50,7 +51,7 @@ import numpy as np
 
 from .cocycle import TwoCocycle
 from .exact import CLOSE_TOL, Cyclo, cmul, spectral_norms
-from .groupoid import FiniteGroupoid, orbit_decomposition, orbit_units
+from .groupoid import FiniteGroupoid, orbit_units
 
 class AlgebraError(ValueError):
     pass
@@ -193,7 +194,8 @@ class TwistedAlgebra:
         """Dimension of the center, in closed form.
 
         Over each orbit O, C(G, w^n) is M_|O| tensor C^sigma[H], with H the
-        isotropy group at a unit of O and sigma = w^n on H (Renault 1980).
+        isotropy group at a unit of O and sigma = w^n on H (Renault 1980);
+        H is read at the least unit (``groupoid.orbit_units``).
         The center of C^sigma[H] has one basis element per sigma-regular
         class: a conjugacy class whose representative g has sigma(g, h) =
         sigma(h, g) for every h in H commuting with g (G. Karpilovsky,
@@ -208,11 +210,9 @@ class TwistedAlgebra:
     def _center_dimension(self) -> int:
         G = self.groupoid
         exact, table = self.cocycle.is_exact, self.powers
-        dec = orbit_decomposition(G)
         total = 0
-        for orbit in dec.orbits:
-            H = dec.isotropy[orbit[0]]
-            h = np.array(H, dtype=np.intp)
+        for u in orbit_units(G):
+            h = np.array(G.isotropy(u), dtype=np.intp)
             x, y = table[h[:, None], h], table[h, h[:, None]]  # sigma(g, h), sigma(h, g)
             agree = x == y if exact else np.hypot((x - y).real, (x - y).imag) <= CLOSE_TOL
             gh = G.compose_array[h[:, None], h]

@@ -59,7 +59,7 @@ from .groupoid import (
     is_principal,
     is_proper,
     is_transitive,
-    orbit_decomposition,
+    orbit_units,
     validate,
 )
 from .morita import MoritaError, fullness_check, positivity_check, saturation_report
@@ -245,7 +245,6 @@ def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Re
         first="" if rep.ok else rep.violations[0].message,
     )
     if rep.ok:
-        dec = orbit_decomposition(g)
         report.add(
             "structure",
             True,
@@ -253,7 +252,7 @@ def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Re
             transitive=is_transitive(g),
             proper=is_proper(g),
             proper_note=PROPER_NOTE,
-            orbits=len(dec.orbits),
+            orbits=len(orbit_units(g)),
         )
         if spec.cocycle is not None:
             w = spec.cocycle

@@ -23,11 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import APPROX_TOL, CircleScalar, ONE, cmul, solve_mod1
+from .exact import APPROX_TOL, CLOSE_TOL, CircleScalar, ONE, cmul, solve_mod1
 from .groupoid import FiniteGroupoid, ValidationReport, least_units, principal_obstruction
 
-# numeric values this close are equal, in the identity and in comparisons
-IDENTITY_TOL = 1e-10
 # a numeric value this close to e(t/k) is that k-th root: computed values sit
 # a few rounding errors off, and two roots are at least |e(1/k) - 1| apart
 ROOT_TOL = 1e-9
@@ -170,7 +168,7 @@ class TwoCocycle:
     def check_identity(self) -> ValidationReport:
         """Exhaustively verify the cocycle identity on all composable triples,
         as W[a,b] + W[ab,c] - W[b,c] - W[a,bc] = 0 mod N (numeric: within
-        IDENTITY_TOL) per triple block; Python visits only failing triples."""
+        CLOSE_TOL) per triple block; Python visits only failing triples."""
         g = self.base
         rep = ValidationReport(subject=f"cocycle on {g.name}")
         lab, T, n, D = g.arrow_labels, self.table, self.conductor, g.compose_array
@@ -178,7 +176,7 @@ class TwoCocycle:
             a_bc = a[:, None] * g.n_arrows + bc  # (a, bc) in the flat tables
             w_ab, w_abc, w_bc, w_a_bc = T[a, b, None], T[ab], T[b], T.ravel()[a_bc]
             if n is None:
-                bad = np.abs(w_ab * w_abc - w_bc * w_a_bc) > IDENTITY_TOL
+                bad = np.abs(w_ab * w_abc - w_bc * w_a_bc) > CLOSE_TOL
             else:
                 bad = (w_ab + w_abc - w_bc - w_a_bc) % n != 0
             # a pair missing from the table (no groupoid) raises in value()
@@ -261,12 +259,12 @@ class TwoCocycle:
 
     def pointwise_equal(self, other: "TwoCocycle") -> bool:
         """Equal on every composable pair: equal angles when both are exact,
-        values within IDENTITY_TOL otherwise."""
+        values within CLOSE_TOL otherwise."""
         if other.base is not self.base:
             return False
         n = math.lcm(self.conductor, other.conductor) if self.is_exact and other.is_exact else None
         x, y = self._entries(n), other._entries(n)
-        return bool((x == y).all() if n else (np.abs(x - y) <= IDENTITY_TOL).all())
+        return bool((x == y).all() if n else (np.abs(x - y) <= CLOSE_TOL).all())
 
     def __repr__(self):
         return f"TwoCocycle({len(self.values)} non-unit values on {self.base.name})"

@@ -150,7 +150,7 @@ def _angle_from_doc(x) -> CircleScalar:
             return CircleScalar(angle=Fraction(x))
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"bad exact angle {x!r}") from None
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         if not 0 <= x < 1:
             raise DocumentError(f"float angle {x!r} outside [0, 1)")
         return CircleScalar(z=cmath.exp(2j * math.pi * x))

@@ -34,16 +34,10 @@ import numpy as np
 
 # A numeric value is on the circle, or is 1, within this (a few roundings).
 APPROX_TOL = 1e-12
-# Circle values, one numeric, are equal within this, as cocycle.IDENTITY_TOL.
+# Circle values, one numeric, are equal within this, in identities and comparisons.
 CLOSE_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
-
-
-def frac_mod1(a: int | Fraction) -> int | Fraction:
-    """Reduce a rational, an int or a Fraction, to its representative in
-    [0, 1), of the same type."""
-    return a % 1
 
 
 @lru_cache(maxsize=None)
@@ -174,33 +168,21 @@ class Cyclo:
         return -self + other
 
     def __mul__(self, other):
-        if type(other) is not Cyclo:
-            if isinstance(other, (float, complex)):
-                return self.to_complex() * other
-            if isinstance(other, (int, Fraction)):
-                if not other:
-                    return Cyclo()
-                p, q = other.numerator, other.denominator
-                return _reduced(self.n, {e: c * p for e, c in self.terms.items()}, self.den * q)
-            other = Cyclo.coerce(other)
+        if isinstance(other, (float, complex)):
+            return self.to_complex() * other
+        other = Cyclo.coerce(other)
         n = self.n if self.n == other.n else math.lcm(self.n, other.n)
         s, t = n // self.n, n // other.n
-        # Fast path: multiplying by a single monomial is a rotation.
-        if len(other.terms) == 1:
-            (f, d), = other.terms.items()
-            f *= t
-            terms = {(e * s + f) % n: c * d for e, c in self.terms.items()}
-        else:
-            terms = {}
-            for e, c in self.terms.items():
-                e *= s
-                for f, d in other.terms.items():
-                    k = (e + f * t) % n
-                    v = terms.get(k, 0) + c * d
-                    if v:
-                        terms[k] = v
-                    else:
-                        terms.pop(k, None)
+        terms = {}
+        for e, c in self.terms.items():
+            e *= s
+            for f, d in other.terms.items():
+                k = (e + f * t) % n
+                v = terms.get(k, 0) + c * d
+                if v:
+                    terms[k] = v
+                else:
+                    terms.pop(k, None)
         return _reduced(n, terms, self.den * other.den)
 
     def __rmul__(self, other):
@@ -304,7 +286,7 @@ class CircleScalar:
         if (angle is None) == (z is None):
             raise ValueError("exactly one of angle, z required")
         if angle is not None:
-            self.angle = frac_mod1(angle)
+            self.angle = angle % 1
             self.z = None
         else:
             z = complex(z)
@@ -500,7 +482,7 @@ def solve_mod1(rows: list[list[int]], rhs) -> list[Fraction] | None:
 
     y = [Fraction(0)] * n
     for i in range(rank):
-        y[i] = frac_mod1(w[i] / S[i][i])
+        y[i] = w[i] / S[i][i] % 1
     for i in range(rank, m):
         if w[i].denominator != 1:
             return None
@@ -511,5 +493,5 @@ def solve_mod1(rows: list[list[int]], rhs) -> list[Fraction] | None:
         for j in range(rank):
             if Ci[j]:
                 acc += Ci[j] * y[j]
-        x.append(frac_mod1(acc))
+        x.append(acc % 1)
     return x

@@ -55,14 +55,10 @@ class ExtensionAlgebra:
     caches the twisted algebra of each cocycle power."""
 
     def __init__(self, groupoid: FiniteGroupoid, cocycle: TwoCocycle):
-        if cocycle.base is not groupoid:
-            raise AlgebraError("cocycle is not defined on this groupoid")
-        cocycle.require_checked("extension algebra")
-        if not cocycle.normalized:
-            raise AlgebraError("extension algebra needs a normalized cocycle")
         self.groupoid = groupoid
         self.cocycle = cocycle
-        self._twisted: dict[int, TwistedAlgebra] = {}
+        # mode 0's algebra checks the cocycle as every mode's does
+        self._twisted = {0: TwistedAlgebra(groupoid, cocycle, 0)}
 
     def twisted(self, n: int) -> TwistedAlgebra:
         if n not in self._twisted:

@@ -10,7 +10,10 @@ depends on the order a dict was written in.  ``compose_table`` is a dict
 view built from the arrays, in pair order.  The composable triples are
 generated from these in row blocks of bounded size.
 ``validate``, the triple enumeration, the cocycle identity check, the
-orbits, principality and the isotropy quotient read these tables.
+orbits, principality and the isotropy quotient read these tables.  The
+orbits have one rule: each unit's orbit is named by its least unit
+(``least_units``), and ``orbit_units`` lists those least units; an orbit's
+isotropy group is ``FiniteGroupoid.isotropy`` at its least unit.
 Instances are treated as immutable after construction: all
 operations here are pure functions and may be evaluated in parallel on
 disjoint inputs.
@@ -336,13 +339,6 @@ def is_proper(g: FiniteGroupoid) -> bool:
     return True
 
 
-@dataclass
-class OrbitDecomposition:
-    orbit_of: tuple[int, ...]           # unit -> orbit id
-    orbits: tuple[tuple[int, ...], ...]  # orbit id -> sorted units
-    isotropy: tuple[tuple[int, ...], ...]  # unit -> arrows with r = s = u
-
-
 def least_units(g: FiniteGroupoid) -> np.ndarray:
     """The least unit of the orbit of each unit u, as an array over the
     units: the arrows with source u reach exactly u's orbit, so it is the
@@ -364,20 +360,6 @@ def orbit_units(g: FiniteGroupoid) -> list[int]:
     """The least unit of each orbit, ascending: the units that are their own
     ``least_units``."""
     return np.flatnonzero(least_units(g) == np.arange(g.n_units)).tolist()
-
-
-def orbit_decomposition(g: FiniteGroupoid) -> OrbitDecomposition:
-    """Orbits of the unit space and isotropy groups, read off the map arrays.
-    The arrows with source u reach exactly u's orbit, so the least of their
-    ranges is the orbit's least unit (``least_units``); orbit ids ascend
-    with it, and each orbit lists its units in ascending order.  The
-    isotropy group at u holds the arrows with range and source u."""
-    orbit_of, firsts = _classes(least_units(g))
-    orbits = [[] for _ in firsts]
-    for u, i in enumerate(orbit_of.tolist()):
-        orbits[i].append(u)
-    iso = tuple(map(g.isotropy, g.units()))
-    return OrbitDecomposition(tuple(orbit_of.tolist()), tuple(map(tuple, orbits)), iso)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,22 @@ oracle's quotient check by matching classes to base arrows one extension
 arrow at a time, so the tests can compare the two field by field.
 """
 
+from typing import NamedTuple
+
 from gpdext.groupoid import (
     FiniteGroupoid,
     GroupoidError,
-    OrbitDecomposition,
     isomorphism_violations,
 )
 
 
-def loop_orbit_decomposition(g) -> OrbitDecomposition:
+class LoopOrbits(NamedTuple):
+    orbit_of: tuple[int, ...]  # unit -> orbit id
+    orbits: tuple[tuple[int, ...], ...]  # orbit id -> sorted units
+    isotropy: tuple[tuple[int, ...], ...]  # unit -> arrows with r = s = u
+
+
+def loop_orbit_decomposition(g) -> LoopOrbits:
     """Orbits by union-find over the arrows, ids ordered by least unit."""
     parent = list(range(g.n_units))
 
@@ -38,7 +45,7 @@ def loop_orbit_decomposition(g) -> OrbitDecomposition:
     iso = tuple(
         tuple(a for a in g.source_fiber(u) if g.r(a) == u) for u in g.units()
     )
-    return OrbitDecomposition(orbit_of, orbits, iso)
+    return LoopOrbits(orbit_of, orbits, iso)
 
 
 def loop_orbit_units(g) -> list[int]:

@@ -7,7 +7,7 @@ import pytest
 from gpdext import algebra
 from gpdext.algebra import AlgebraElement, AlgebraError, TwistedAlgebra
 from gpdext.cocycle import OneCochain, TwoCocycle
-from gpdext.groupoid import pair_groupoid
+from gpdext.groupoid import FiniteGroupoid, abelian_group_groupoid, disjoint_union, pair_groupoid
 from helpers import empty_groupoid, random_element
 from reference_algebra import times
 from reference_ranks import stacked_faithfulness
@@ -228,17 +228,38 @@ class TestCenters:
 
     def test_second_call_is_cached(self, pauli_algebra, monkeypatch):
         calls = []
-        decompose = algebra.orbit_decomposition
+        orbit_units = algebra.orbit_units
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return decompose(*args, **kwargs)
+            return orbit_units(*args, **kwargs)
 
-        monkeypatch.setattr(algebra, "orbit_decomposition", counted)
+        monkeypatch.setattr(algebra, "orbit_units", counted)
         assert pauli_algebra.center_dimension() == 1
         assert len(calls) == 1
         assert pauli_algebra.center_dimension() == 1
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "g, dimension, orbits",
+        [
+            (pair_groupoid(3), 1, 1),
+            (disjoint_union(pair_groupoid(2), abelian_group_groupoid((2, 2))), 5, 2),
+        ],
+        ids=["pair3", "pair2+klein"],
+    )
+    def test_one_isotropy_group_per_orbit(self, g, dimension, orbits, monkeypatch):
+        alg = TwistedAlgebra(g, TwoCocycle.trivial(g), 1)
+        calls = []
+        isotropy = FiniteGroupoid.isotropy
+
+        def counted(self, u):
+            calls.append(u)
+            return isotropy(self, u)
+
+        monkeypatch.setattr(FiniteGroupoid, "isotropy", counted)
+        assert alg.center_dimension() == dimension
+        assert len(calls) == orbits
 
 
 def cocycle_change_isomorphism(alg_src: TwistedAlgebra, alg_dst: TwistedAlgebra, b) -> bool:

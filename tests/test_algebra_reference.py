@@ -35,7 +35,7 @@ from gpdext.groupoid import (
     abelian_group_groupoid,
     cover_groupoid,
     disjoint_union,
-    orbit_decomposition,
+    orbit_units,
     pair_groupoid,
 )
 from gpdext.randgen import _FAMILIES, random_laurents, random_mu_k_coboundary
@@ -242,7 +242,7 @@ def _assert_norms_per_orbit(alg, elements):
     every unit: the unit is the first of its orbit, the norm is the bits of
     np.linalg.norm there, and it is the loop's largest norm within NORM_TOL;
     a stack of the elements gets the same bits row by row."""
-    firsts = [orbit[0] for orbit in orbit_decomposition(alg.groupoid).orbits]
+    firsts = orbit_units(alg.groupoid)
     reports = [alg.reduced_norm(x) for x in elements]
     for x, rep in zip(elements, reports):
         norm, _ = loop_reduced_norm(alg, x)

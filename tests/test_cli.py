@@ -30,6 +30,8 @@ MALFORMED_SPECS = [
     (("cocycle", "entries", 0), 5),
     (("cocycle", "entries", 0), [5, "1/2"]),
     (("cocycle", "entries"), 5),
+    (("cocycle", "entries", 0, 1), False),
+    (("cocycle", "entries", 0, 1), True),
     (("params", "k"), "x"),
     (("params", "modes"), [1]),
     (("params", "samples"), -2),

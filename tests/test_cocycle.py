@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, load_spec
-from gpdext.exact import CircleScalar, frac_mod1
+from gpdext.exact import CircleScalar
 from gpdext.cocycle import (
     CocycleError,
     ExactnessError,
@@ -31,7 +31,7 @@ from helpers import CechDataError, cech_cocycle, random_exact_cochain, random_pr
 from reference_algebra import sigma
 from reference_cocycle import loop_check_identity, root_values
 
-angles = st.fractions(min_value=0, max_value=1, max_denominator=12).map(frac_mod1)
+angles = st.fractions(min_value=0, max_value=1, max_denominator=12).map(lambda a: a % 1)
 
 
 class TestCheckIdentity:

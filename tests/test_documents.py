@@ -137,6 +137,10 @@ class TestErrors:
             parse_cocycle('{"entries": [[["(0,1)", "(1,0)"], 1.5]]}', pair2)
         with pytest.raises(DocumentError, match="angle"):
             parse_cocycle('{"entries": [[["(0,1)", "(1,0)"], "x/y"]]}', pair2)
+        # a JSON boolean is no number here, as in the run parameters
+        for flag in ("false", "true"):
+            with pytest.raises(DocumentError, match="bad angle value"):
+                parse_cocycle('{"entries": [[["(0,1)", "(1,0)"], %s]]}' % flag, pair2)
 
 
 def test_element_round_trip(pair2, pair2_trivial):

@@ -15,7 +15,7 @@ from gpdext.groupoid import (
     is_proper,
     is_transitive,
     isomorphism_violations,
-    orbit_decomposition,
+    orbit_units,
     pair_groupoid,
     principal_obstruction,
     quotient_by_isotropy,
@@ -140,7 +140,7 @@ class TestPredicates:
         g = disjoint_union(pair_groupoid(2), pair_groupoid(1))
         assert not is_transitive(g)
         assert is_principal(g)
-        assert len(orbit_decomposition(g).orbits) == 2
+        assert orbit_units(g) == [0, 2]
 
 
 class TestGroupConstructions:

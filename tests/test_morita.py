@@ -13,7 +13,6 @@ from gpdext.groupoid import (
     cyclic_group_groupoid,
     disjoint_union,
     is_principal,
-    orbit_decomposition,
     pair_groupoid,
 )
 from gpdext.morita import (
@@ -26,6 +25,7 @@ from gpdext.morita import (
 )
 from gpdext.randgen import random_mu_k_coboundary, random_values
 
+from reference_groupoid import loop_orbit_decomposition
 from reference_ranks import (
     graded_fullness_dimension,
     oracle_closure_dimension,
@@ -272,7 +272,7 @@ class TestIdealReference:
         g = disjoint_union(pair_groupoid(2), pair_groupoid(3))
         w = random_mu_k_coboundary(random.Random(k), g, k)
         ext = oracle.CyclicExtension(g, w, k)
-        for units in orbit_decomposition(g).orbits:
+        for units in loop_orbit_decomposition(g).orbits:
             lifts = unit_pair_lifts(ext, units)
             dim = oracle.ideal_dimension(ext, lifts)
             assert dim == oracle_closure_dimension(ext, lifts) == len(units) ** 2
@@ -344,7 +344,7 @@ class TestNegativeControls:
 
     def test_missing_orbit_is_not_full(self, monkeypatch):
         g = disjoint_union(pair_groupoid(2), pair_groupoid(3))
-        small, big = orbit_decomposition(g).orbits
+        small, big = loop_orbit_decomposition(g).orbits
         missing = [a for a in g.arrows() if g.r(a) in big]
         lifts = morita._unit_pair_lifts
 
