@@ -35,32 +35,26 @@ comes in one of two forms:
   ``ideal_dimension``.
 
 Leading axes are batch axes, and every operation broadcasts over them, so a
-certificate handles a whole stack of elements in one call.  ``conv`` is a
-scatter over the composable pairs (y, z) of the extension's own composition
-table, met from the nonzero entries alone (an exact element scans its own
-once) by repeats and offsets, with neither operand broadcast in memory, so
-the work is the number of meetings.  On exact values it is two steps.  The
-term step, ``conv_terms``, meets each batch row's nonzero (arrow y, exponent
-i) entries of f with the row's (z, j) entries of g and reads y z off the
-table, or no product; each meeting is one term f_i(y) g_j(z) zeta_k^(i + j)
-at y z, with the weight 1/k.  The second step scatters the terms.  Numeric
-values meet nonzero arrows in ascending (row, y, z) order, the order of the
-pairs, so their terms add in ascending pair order.  The involution and the
-Fourier projections of exact values are term steps alike, reading only the
-nonzero entries: ``star_terms`` sends a coefficient of zeta_k^s at x to
-zeta_k^(-s) at x^-1 through the extension's own inverse, and
-``projection_terms`` gives one term zeta_k^(s + jn) at (t - j, a) per shift
-j and mode n, with the weight 1/k.  ``mode_projection`` of numeric values is
-a cyclic shift and sum.  ``ideal_dimension`` spans an ideal in two batched
-``conv`` calls, with the deltas on the left and then on the right, and no
-fixed-point loop.
+certificate handles a whole stack of elements in one call.  ``conv`` meets
+each batch row's nonzero entries of f with those of g (an exact element
+scans its own once) by repeats and offsets, reading y z off the extension's
+own composition table, with neither operand broadcast in memory, so the
+work is the number of meetings; numeric terms add in ascending pair order.
+On exact values a product, the involution and the Fourier projections are
+term steps, ``conv_terms``, ``star_terms`` and ``projection_terms``, each
+term a coefficient of a power of zeta_k at one arrow, which ``_scatter``
+adds up.  ``embed_mode`` embeds any list of modes in one gather of roots,
+``reduced_norm`` takes all source fibers of one size in one gather, and
+``ideal_dimension`` spans an ideal in two batched ``conv`` calls, with the
+deltas on the left and then on the right, and no fixed-point loop.
 
 ``nonzero_sums`` decides which sums of terms are zero without scattering
 them: each term goes through row j of the map into the power basis of
 Q(zeta_k), row j being x^j mod Phi_k (H. Cohen, *A Course in Computational
 Algebraic Number Theory*, GTM 138, 1993, section 4.2), into one
 accumulator per key, so the work of deciding a product grows with its
-terms, not with its arrows.
+terms, not with its arrows.  That map and the roots e(j/k) depend on k
+alone, so ``circle_constants`` builds them once per k for every extension.
 
 Certificates cut their stacks into row chunks of about ``STACK_ENTRIES``
 entries, so that their memory stays bounded for any k.  A dense stack
@@ -73,13 +67,13 @@ through a few index arrays while it is made.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .exact import CircleScalar, cmul, cyclotomic_polynomial, spectral_norms
-from .cocycle import TwoCocycle
+from .exact import cmul, cyclotomic_polynomial, spectral_norms
+from .cocycle import TwoCocycle, circle_values
 from .groupoid import (
     FiniteGroupoid,
     is_principal,
@@ -108,8 +102,8 @@ def _widened(num: np.ndarray, bound: int) -> np.ndarray:
     return num.astype(object) if bound >= _INT64_LIMIT else num
 
 
-def _max_abs(num: np.ndarray) -> int:
-    return int(np.abs(num).max()) if num.size else 0
+def _max_abs(num) -> int:
+    return int(np.maximum.reduce(np.abs(num), axis=None, initial=0))
 
 
 class Exact:
@@ -141,17 +135,20 @@ def magnitude(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _power_basis(k: int) -> np.ndarray:
-    """The k x phi(k) matrix whose row j holds x^j mod Phi_k in the basis
-    1, x, ..., x^(phi(k)-1), as Python ints."""
+@lru_cache(maxsize=None)
+def circle_constants(k: int) -> tuple:
+    """The constants of the oracle at k, built once per k and read-only: the
+    roots e(j/k), j < k, as ``circle_values`` gives them; the k x phi(k)
+    matrix R, as Python ints, whose row j holds x^j mod Phi_k in the basis
+    1, x, ..., x^(phi(k)-1); and the largest column sum of |R|."""
     phi = cyclotomic_polynomial(k)  # ascending and monic
-    d = len(phi) - 1
-    rows = [[1] + [0] * (d - 1)]
+    rows = [[1] + [0] * (len(phi) - 2)]
     for _ in range(1, k):
-        top = rows[-1][-1]
-        shifted = [0] + rows[-1][:-1]
+        top, shifted = rows[-1][-1], [0] + rows[-1][:-1]
         rows.append([c - top * p for c, p in zip(shifted, phi)])
-    return np.array(rows, dtype=object)
+    roots, R = circle_values(range(k), k), np.array(rows, dtype=object)
+    roots.flags.writeable = R.flags.writeable = False
+    return roots, R, int(np.abs(R).sum(axis=0).max())
 
 
 class CyclicExtension:
@@ -169,7 +166,7 @@ class CyclicExtension:
         cocycle.require_checked("cyclic extension")
         if not cocycle.normalized:
             raise OracleError("cyclic extension needs a normalized cocycle")
-        self.base, self.cocycle, self.k = base, cocycle, k
+        self.base, self.cocycle, self.k, self.dimension = base, cocycle, k, k * base.n_arrows
         n, lab = base.n_arrows, base.arrow_labels
 
         twist, bad = cocycle.root_exponents(k)
@@ -198,21 +195,7 @@ class CyclicExtension:
         self.validation.raise_if_failed()
         # y z for extension arrows y, z as a table, -1 where they do not compose
         self.compose = self.groupoid.compose_array
-        self.roots = np.array([CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)])
-        self.reduction = _power_basis(k)
-        self._reduction_bound = int(np.abs(self.reduction).sum(axis=0).max())
-
-    # -- indexing -------------------------------------------------------------
-
-    def arrow(self, t: int, a: int) -> int:
-        return (t % self.k) * self.base.n_arrows + a
-
-    def parts(self, arrow_id: int) -> tuple[int, int]:
-        return divmod(arrow_id, self.base.n_arrows)
-
-    @property
-    def dimension(self) -> int:
-        return self.k * self.base.n_arrows
+        self.roots, self.reduction, self._reduction_bound = circle_constants(k)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +229,17 @@ def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
     (arrow y, exponent i) entries of f met with its nonzero (z, j) entries of
     g where y z exists, giving f_i(y) g_j(z) zeta_k^(i + j) at y z, in
     ascending (row, y, i, z, j) order, with the weight 1/k of the circle."""
-    k, N = ext.k, ext.dimension
-    lead = np.broadcast_shapes(f.num.shape[:-2], g.num.shape[:-2])
-    row, u, v, fu, gv = _nonzero_pairs(f.entries, g.entries)
+    k = ext.k
+    lead, row, u, v, fu, gv = _nonzero_pairs(f.entries, g.entries)
     y, z = u // k, v // k
-    arrow = ext.compose.ravel()[y * N + z]
+    arrow = ext.compose[y, z]
     # zeta^i * zeta^j = zeta^(i + j), i + j = u + v - (y + z) k < 2k
     exponent = u + v - (y + z) * k
     exponent -= exponent // k * k
     # k terms per coefficient of one product, at most dimension products per arrow
-    bound = _max_abs(fu) * _max_abs(gv) * k * N
+    bound = _max_abs(fu) * _max_abs(gv) * k * ext.dimension
     keep = arrow >= 0
-    if not keep.all():
-        row, arrow, exponent, fu, gv = (x[keep] for x in (row, arrow, exponent, fu, gv))
+    row, arrow, exponent, fu, gv = row[keep], arrow[keep], exponent[keep], fu[keep], gv[keep]
     coefficient = _widened(fu, bound) * _widened(gv, bound)
     return Terms(lead, row, arrow, exponent, coefficient, f.e + g.e + 1)
 
@@ -273,9 +254,8 @@ def conv(ext: CyclicExtension, f, g):
     N = ext.dimension
     if isinstance(f, Exact):
         return _scatter(ext, conv_terms(ext, f, g))
-    lead = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
-    row, y, z, fy, gz = _nonzero_pairs(_nonzero_entries(f), _nonzero_entries(g))
-    yz = ext.compose.ravel()[y * N + z]
+    lead, row, y, z, fy, gz = _nonzero_pairs(_nonzero_entries(f), _nonzero_entries(g))
+    yz = ext.compose[y, z]
     keep = yz >= 0
     out = np.zeros((math.prod(lead), N), dtype=complex)
     np.add.at(out, (row[keep], yz[keep]), cmul(fy[keep], gz[keep]))
@@ -287,28 +267,29 @@ def _nonzero_entries(x: np.ndarray) -> tuple:
     its batch shape, each row's number of entries and the place of its
     first, and every entry's index and value, in ascending (row, index) order."""
     flat = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
-    r, i = np.nonzero(flat)
+    r, i = flat.nonzero()
     count = np.bincount(r, minlength=len(flat))
-    return np.arange(len(flat)).reshape(x.shape[:-1]), count, np.cumsum(count) - count, i, flat[r, i]
+    return np.arange(len(flat)).reshape(x.shape[:-1]), count, count.cumsum() - count, i, flat[r, i]
 
 
 def _nonzero_pairs(x: tuple, y: tuple):
-    """Every (row, i, j) with x[row, i] and y[row, j] both nonzero, in
-    ascending order, with those two values, from the ``_nonzero_entries`` x
-    and y.  Their batch shapes broadcast, row runs over the broadcast,
+    """The broadcast batch shape of the ``_nonzero_entries`` x and y, and
+    every (row, i, j) with x[row, i] and y[row, j] both nonzero, in
+    ascending order, with those two values.  Row runs over the broadcast,
     flattened, and neither operand is broadcast in memory: the work is the
     number of pairs, expanded in two levels of a repeat less an offset, each
     row's entries of x, then each of those met with its row's entries of y."""
     (ox, cx, fx, i, xv), (oy, cy, fy, j, yv) = x, y
     # the row of each side that each row of the broadcast reads
-    ox, oy = (ox + 0 * oy).ravel(), (oy + 0 * ox).ravel()
+    ox, oy = ox + 0 * oy, oy + 0 * ox
+    lead, ox, oy = ox.shape, ox.ravel(), oy.ravel()
     count = cx[ox]
-    row = np.repeat(np.arange(len(count)), count)
-    a = np.arange(len(row)) - np.repeat(np.cumsum(count) - count - fx[ox], count)
+    row = np.arange(len(count)).repeat(count)
+    a = np.arange(len(row)) - (count.cumsum() - count - fx[ox]).repeat(count)
     count = cy[oy][row]
-    b = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - fy[oy][row], count)
-    a = np.repeat(a, count)
-    return np.repeat(row, count), i[a], j[b], xv[a], yv[b]
+    a = a.repeat(count)
+    b = np.arange(len(a)) - (count.cumsum() - count - fy[oy][row]).repeat(count)
+    return lead, row.repeat(count), i[a], j[b], xv[a], yv[b]
 
 
 def star_terms(ext: CyclicExtension, f: Exact) -> Terms:
@@ -317,7 +298,7 @@ def star_terms(ext: CyclicExtension, f: Exact) -> Terms:
     ascending (row, x, s) order."""
     k, N = ext.k, ext.dimension
     num = f.num.reshape(math.prod(f.num.shape[:-2]), N, k)
-    row, x, s = np.nonzero(num)
+    row, x, s = num.nonzero()
     return Terms(f.num.shape[:-2], row, ext.inverse[x], -s % k, num[row, x, s], f.e)
 
 
@@ -327,25 +308,25 @@ def projection_terms(ext: CyclicExtension, f: Exact, modes) -> Terms:
     c zeta_k^(s + jn) at (t - j, a) for every shift j, with the weight 1/k.
     Batch rows are (row, n), the mode innermost, and the terms come in
     ascending (row, t, a, s, j, n) order."""
-    k, m, N = ext.k, ext.base.n_arrows, ext.dimension
-    modes = np.asarray(modes, dtype=np.intp)
+    k, m, N, M = ext.k, ext.base.n_arrows, ext.dimension, len(modes)
     num = f.num.reshape(math.prod(f.num.shape[:-2]), N, k)
-    row, x, s = np.nonzero(num)
+    row, x, s = num.nonzero()
     c = num[row, x, s]
     # at most k terms, one per shift, meet at one coefficient of the projection
     c = _widened(c, _max_abs(c) * k)
-    t, a = divmod(x, m)
     j = np.arange(k)
-    # axes (entry, shift j, mode n)
-    parts = (
-        row[:, None, None] * len(modes) + np.arange(len(modes)),
-        ((t[:, None] - j) % k * m + a[:, None])[..., None],
-        (s[:, None, None] + j[:, None] * modes) % k,
-        c[:, None, None],
+    # axes (entry, shift j, mode n), each expanded to all three by + 0 * exponent
+    exponent = (s[:, None, None] + j[:, None] * np.asarray(modes)) % k
+    zero = 0 * exponent
+    arrow = (x[:, None] - j * m) % N  # (t - j, a) = (t - j) m + a, cyclic in t
+    return Terms(
+        f.num.shape[:-2] + (M,),
+        (row[:, None, None] * M + np.arange(M) + zero).ravel(),
+        (arrow[..., None] + zero).ravel(),
+        exponent.ravel(),
+        c.repeat(k * M),
+        f.e + 1,
     )
-    shape = (len(row), k, len(modes))
-    lead = f.num.shape[:-2] + (len(modes),)
-    return Terms(lead, *(np.broadcast_to(v, shape).ravel() for v in parts), f.e + 1)
 
 
 def _scatter(ext: CyclicExtension, t: Terms) -> Exact:
@@ -369,11 +350,14 @@ def mode_projection(ext: CyclicExtension, f: np.ndarray, n: int) -> np.ndarray:
     return acc * (1.0 / k)
 
 
-def embed_mode(ext: CyclicExtension, n: int, coeffs: np.ndarray) -> np.ndarray:
+def embed_mode(ext: CyclicExtension, n, coeffs: np.ndarray) -> np.ndarray:
     """The inverse identification: numeric base coefficients F_n, a complex
-    array (..., |A|), into the mode-n homogeneous part, (t, a) -> e(-tn/k) F_n(a)."""
+    array (..., |A|), into the mode-n homogeneous part, (t, a) -> e(-tn/k) F_n(a).
+    An array of modes n embeds the stack coeffs (..., modes, |A|) of those
+    modes in one gather of roots, as (..., modes, k*|A|)."""
     k, m = ext.k, ext.base.n_arrows
-    out = cmul(ext.roots[-np.arange(k)[:, None] * n % k], coeffs[..., None, :])
+    turns = -np.arange(k)[:, None] * np.asarray(n, dtype=np.intp)[..., None, None] % k
+    out = cmul(ext.roots[turns], coeffs[..., None, :])
     return out.reshape(out.shape[:-2] + (k * m,))
 
 
@@ -389,26 +373,30 @@ def nonzero_sums(ext: CyclicExtension, size: int, *terms) -> np.ndarray:
     one accumulator keyed (key, power-basis index), in int64 when the
     largest |c| times the number of terms times the largest column sum of
     |R| stays in range and on Python ints otherwise."""
-    bound = sum(_max_abs(np.asarray(c)) * len(key) for key, _, c in terms)
+    bound = sum([_max_abs(c) * key.size for key, _, c in terms])
     R = ext.reduction
     if bound * ext._reduction_bound < _INT64_LIMIT:
         R = R.astype(np.int64)
     acc = np.zeros((R.shape[1], size), dtype=R.dtype)
     for b, column in enumerate(R.T):
         for key, j, c in terms:
-            np.add.at(acc[b], key, (column[j] * c).astype(R.dtype, copy=False))
+            np.add.at(acc[b], key, column[j] * c)
     return acc.any(axis=0)
 
 
 def reduced_norm(ext: CyclicExtension, f: np.ndarray):
     """The largest norm of convolution by the numeric element f on a source
-    fiber; row x of one conv against every delta is f * delta_x.  A stack of
-    elements (..., dimension) gets an array of norms over its leading axes."""
+    fiber; row x of one conv against every delta is f * delta_x.  The fibers
+    of one size d are one gather (units, d, d), their arrows read off the
+    arrows sorted by source.  A stack of elements (..., dimension) gets an
+    array of norms over its leading axes."""
     G = ext.groupoid
     columns = conv(ext, f[..., None, :], deltas(ext, G.arrows(), exact=False))
-    fibers = [list(G.source_fiber(u)) for u in G.units()]
-    norms = spectral_norms([columns[..., F, :][..., F].swapaxes(-1, -2) for F in fibers])
-    return np.max(norms, axis=0, initial=0.0)
+    by_source, size = G.source_map.argsort(kind="stable"), np.bincount(G.source_map)
+    first = size.cumsum() - size
+    fibers = [by_source[first[size == d, None] + np.arange(d)] for d in set(size.tolist())]
+    norms = spectral_norms([columns[..., F[:, None, :], F[..., None]] for F in fibers])
+    return np.max([n.max(axis=-1) for n in norms], axis=0, initial=0.0)
 
 
 def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:

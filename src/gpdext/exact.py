@@ -371,7 +371,7 @@ def cmul(a, b) -> np.ndarray:
     Python's complex multiplication does.  numpy's complex multiply may fuse
     multiply-adds, which moves the last digits of the reported norms and
     makes a product depend on the order of its factors."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out

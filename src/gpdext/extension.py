@@ -14,11 +14,13 @@ paths: the left-regular matrices of the twisted algebras (intertwining and
 reduced-norm agreement), built for every unit and mode of a stack at once by
 one scatter of products and one separate gather per fiber size, and the
 independent finite cyclic oracle (structure constants and norms of
-mu_k x_w G).  The oracle comparison reads
-its expected values off the tables of w^n in array expressions, as exponents
-of zeta_k, numeric values snapped to their nearest k-th roots, and decides
-every comparison exactly from the oracle's terms; the graded involution is
-certified by the reports' C*-identity and star checks.
+mu_k x_w G).  The oracle comparison reads its expected values off the
+tables of w^n in array expressions, as exponents of zeta_k, numeric values
+snapped to their nearest k-th roots, and decides every comparison exactly
+from the oracle's terms; the graded involution is certified by the reports'
+C*-identity and star checks.  The norm agreement gathers every mode of a
+stack once (``LaurentElement.stacked``) and embeds them all in the oracle
+in one gather of its roots, which the oracle builds once per k.
 """
 
 from __future__ import annotations
@@ -118,9 +120,20 @@ class LaurentElement:
         return self.modes[n] if n in self.modes else self.algebra.twisted(n).zero()
 
     def on(self, lo: int, hi: int) -> np.ndarray:
-        """The coefficients of the modes lo..hi as a complex array (...,
-        modes, arrows)."""
-        arrays = np.broadcast_arrays(*(self.mode(n).array() for n in range(lo, hi + 1)))
+        """The ``stacked`` coefficients of the modes lo..hi."""
+        return self.stacked(range(lo, hi + 1))
+
+    def stacked(self, modes) -> np.ndarray:
+        """The coefficients of the listed modes as a complex array (...,
+        modes, arrows): a gather from ``values`` when it holds them all, else
+        the modes' arrays stacked, broadcast only where their shapes differ."""
+        if self.values is not None and all(n in self.modes for n in modes):
+            return self.values[..., np.array(modes, dtype=np.intp) - self.lo, :]
+        arrays = [self.mode(n).array() for n in modes]
+        if not arrays:
+            return np.zeros((0, self.algebra.groupoid.n_arrows), dtype=complex)
+        if len({x.shape for x in arrays}) > 1:
+            arrays = np.broadcast_arrays(*arrays)
         return np.stack(arrays, axis=-2)
 
     def __getitem__(self, index) -> "LaurentElement":
@@ -130,9 +143,6 @@ class LaurentElement:
     @property
     def is_zero(self) -> bool:
         return not self.modes
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.modes))
 
     def _require_same(self, other: "LaurentElement"):
         if other.algebra is not self.algebra and (
@@ -210,7 +220,7 @@ def decompose(F: LaurentElement):
     with each mode's dimension, faithfulness and center dimension (closed
     forms, cached on each summand's algebra); returns (components, report)."""
     comps = dict(sorted(F.modes.items()))
-    norms = dict(zip(comps, _mode_norms(F, list(comps)).tolist()))
+    norms = dict(zip(comps, _mode_norms(F, list(comps), F.stacked(list(comps))).tolist()))
     attained = max(norms, key=norms.get, default=None)
     centers = {n: F.algebra.twisted(n).center_dimension() for n in comps}
     faithful = {n: F.algebra.twisted(n).full_norm_certificate().faithful for n in comps}
@@ -219,12 +229,11 @@ def decompose(F: LaurentElement):
     return comps, report
 
 
-def _mode_norms(F: LaurentElement, modes: list[int]) -> np.ndarray:
-    """The reduced norm of each listed mode of F, (..., modes), as
+def _mode_norms(F: LaurentElement, modes: list[int], x: np.ndarray) -> np.ndarray:
+    """The reduced norm of each listed mode of F, of coefficients x, as
     ``reduced_norm`` takes it: one gather over the stacked tables of w^n."""
     if not modes:
-        return np.zeros(0)
-    x = np.stack(np.broadcast_arrays(*(F.mode(n).array() for n in modes)), axis=-2)
+        return np.zeros(x.shape[:-1])
     G, twists = F.algebra.groupoid, F.algebra.cocycle.twists(modes)
     return unit_norms(G, twists, x, orbit_units(G)).max(axis=-1, initial=0.0)
 
@@ -437,18 +446,18 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     Q = oracle.Exact(np.zeros((N, N, k), dtype=np.int64))
     Q.num[rows[:, None], t * m + rows[:, None] % m, -t * (rows // m)[:, None] % k] = 1
 
-    def summed(size: int, row: np.ndarray, terms, expected):
-        """The failing (row, arrow) flags of ``size`` exact rows given by
-        their terms, the batch row of each term being ``row``, against the
-        expected values, zeta_k^j at each (row, arrow, j) of ``expected``,
-        and the difference at a flat (row, arrow), from that row's terms."""
+    def summed(size: int, row: np.ndarray, terms, flat: np.ndarray, exponent: np.ndarray):
+        """The failing flat (row, arrow) flags of ``size`` exact rows given
+        by their terms, the batch row of each term being ``row``, against the
+        expected values, zeta_k^exponent at each flat (row, arrow) of
+        ``flat``, and the difference at a flat (row, arrow), from that row's
+        terms."""
         scale = k**terms.e  # the expected values over k**e, as the terms are
-        key, arrow, exponent = (x.ravel() for x in np.broadcast_arrays(*expected))
         bad = oracle.nonzero_sums(
             ext,
             size * N,
             (row * N + terms.arrow, terms.exponent, terms.coefficient),
-            (key * N + arrow, exponent, -scale),
+            (flat, exponent, -scale),
         )
 
         def value(i: int):
@@ -456,8 +465,8 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             diff = np.zeros((N, k), dtype=terms.coefficient.dtype)
             mine = row == p
             np.add.at(diff, (terms.arrow[mine], terms.exponent[mine]), terms.coefficient[mine])
-            mine = key == p
-            diff[arrow[mine], exponent[mine]] -= scale
+            mine = flat // N == p
+            diff[flat[mine] % N, exponent[mine]] -= scale
             return oracle.to_complex(ext, oracle.Exact(diff, terms.e))[x]
 
         return bad, value
@@ -470,7 +479,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         # at search position (n * k * m + b) + (p * m + a) * m, and within
         # mode n it is e(-tn/k) w^n(a, b) at each arrow (t, ab), listed over
         # (n, pair), so that the left rows ascend
-        n, a, b = np.repeat(t, len(A)), np.tile(A, k), np.tile(B, k)
+        n, a, b = t.repeat(len(A)), np.tile(A, k), np.tile(B, k)
         left, right = n * m + a, n * m + b
         arrow = t * m + np.tile(C, k)[:, None]
         expected = (P[n, a, b, None] - t * n[:, None]) % k
@@ -478,19 +487,19 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         # a left row meets all N right rows, k by k entries each; the terms of
         # one meeting hold four entries (row, arrow, exponent, coefficient)
         for lo, hi in chunks(N, 4 * N * k * k):
-            i, j = np.searchsorted(left, (lo, hi))
+            i, j = left.searchsorted((lo, hi))
             terms = oracle.conv_terms(ext, Q[lo:hi, None], rhs)
-            expect = ((left[i:j, None] - lo) * N + right[i:j, None], arrow[i:j], expected[i:j])
             position = (rows[lo:hi, None] * m + by_right).ravel()
-            yield 0, position, *summed(len(position), terms.row, terms, expect)
+            flat = ((left[i:j, None] - lo) * N + right[i:j, None]) * N + arrow[i:j]
+            yield 0, position, *summed(len(position), terms.row, terms, flat, expected[i:j])
         # delta_a* = conj w^n(a^-1, a) delta_(a^-1) within mode n: row
         # n * m + a is e(-tn/k) conj w^n(a^-1, a) at each arrow (t, a^-1);
         # k terms per row
         for lo, hi in chunks(N, 4 * k):
             n, a = divmod(rows[lo:hi, None], m)
             terms = oracle.star_terms(ext, Q[lo:hi])
-            expect = (rows[lo:hi, None] - lo, t * m + inv[a], (-P[n, inv[a], a] - t * n) % k)
-            yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, expect)
+            flat, expect = (rows[lo:hi, None] - lo) * N + t * m + inv[a], (-P[n, inv[a], a] - t * n) % k
+            yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, flat, expect)
         # projecting onto mode mm keeps the deltas of mode mm and kills the
         # rest: batch row (r, mm) of a chunk, for all k target modes mm at
         # once; k shifts of k entries in k modes, k**3 terms per row
@@ -498,18 +507,18 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             n, a = divmod(rows[lo:hi], m)
             position = (((n * k)[:, None] + t) * m + a[:, None]).ravel()
             terms = oracle.projection_terms(ext, Q[lo:hi], t)
-            r, x, s = np.nonzero(Q.num[lo:hi])
-            yield 2, position, *summed((hi - lo) * k, terms.row, terms, (r * k + n[r], x, s))
+            r, x, s = Q.num[lo:hi].nonzero()
+            yield 2, position, *summed((hi - lo) * k, terms.row, terms, (r * k + n[r]) * N + x, s)
         # Fourier projections resolve every delta of the extension; a chunk
         # holds its dense deltas and k shifts in k modes of each, and the
         # terms of batch row (x, n) add into x
         for lo, hi in chunks(N, max(N, 4 * k) * k):
             x = rows[lo:hi]
             terms = oracle.projection_terms(ext, oracle.deltas(ext, x, True), t)
-            yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo, x, 0))
+            yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo) * N + x, 0 * x)
 
     for rank, position, bad, value in comparisons():
-        failing = np.flatnonzero(bad)
+        failing = bad.nonzero()[0]
         if failing.size:
             # a chunk's flat (row, arrow) order need not be its search order
             at = position[failing // N]
@@ -552,10 +561,12 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension):
 
     F must be supported on modes 0..k-1: the finite extension cannot separate
     modes that differ by k."""
-    k = ext.k
-    if any(not 0 <= n < k for n in F.modes):
-        raise WindowError([n for n in F.modes if not 0 <= n < k])
-    zero = np.zeros(ext.dimension, dtype=complex)
-    img = sum((oracle.embed_mode(ext, n, comp.array()) for n, comp in F.modes.items()), zero)
-    norm = _mode_norms(F, list(F.modes)).max(axis=-1, initial=0.0)
+    k, modes = ext.k, list(F.modes)
+    if any(not 0 <= n < k for n in modes):
+        raise WindowError([n for n in modes if not 0 <= n < k])
+    x = F.stacked(modes)
+    parts, img = oracle.embed_mode(ext, modes, x), np.zeros(x.shape[:-2] + (ext.dimension,), complex)
+    for i in range(len(modes)):
+        img = img + parts[..., i, :]  # from zero, in F's mode order, as one sum adds them
+    norm = _mode_norms(F, modes, x).max(axis=-1, initial=0.0)
     return np.abs(norm - oracle.reduced_norm(ext, img))

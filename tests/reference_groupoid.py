@@ -102,7 +102,7 @@ def loop_quotient_matches_base(ext, q, proj) -> list[str]:
     projection, one extension arrow at a time."""
     arrow_map = [None] * q.n_arrows
     for x in range(ext.dimension):
-        _, a = ext.parts(x)
+        a = x % ext.base.n_arrows
         cls = proj[x]
         if arrow_map[cls] is None:
             arrow_map[cls] = a

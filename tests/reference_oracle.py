@@ -10,7 +10,8 @@ the library builds both from the terms of each nonzero entry, which
 exact base coefficients in a mode, which the library no longer does, and
 ``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
 dense, which the library no longer does either.  ``loop_reduced_norm`` takes
-one spectral norm per unit, and ``loop_decompose`` runs the comparisons of
+one spectral norm per unit, ``loop_norm_deviation`` embeds a graded element
+one mode at a time and takes every norm of the norm agreement per unit, and ``loop_decompose`` runs the comparisons of
 ``cyclic_decompose`` one (mode, mode) block at a time: products
 (n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
 Fourier block.  Its expected values cross into the oracle one at a time: a
@@ -39,6 +40,7 @@ from gpdext.extension import (
     ModeSummand,
     OracleWitness,
 )
+from gpdext.groupoid import orbit_units
 from reference_algebra import sigma
 from reference_ranks import regular_rep_matrix
 
@@ -157,6 +159,21 @@ def loop_reduced_norm(ext, f: np.ndarray) -> float:
         if m.size:
             best = max(best, float(np.linalg.norm(m, 2)))
     return best
+
+
+def loop_norm_deviation(F, ext) -> float:
+    """``oracle_norm_deviation`` of one graded element, a mode and a unit at
+    a time: the image of F in the oracle is the sum from zero of the
+    library's ``embed_mode`` of each mode, in F's mode order, and each side
+    takes one spectral norm per unit, of each mode's regular representation
+    at the least unit of each orbit, and of the oracle's convolution on each
+    source fiber (``loop_reduced_norm``)."""
+    img, norm = np.zeros(ext.dimension, dtype=complex), 0.0
+    for n, f in F.modes.items():
+        img = img + oracle.embed_mode(ext, n, f.array())
+        for u in orbit_units(F.algebra.groupoid):
+            norm = max(norm, float(np.linalg.norm(f.algebra.regular_rep(f, u).matrix, 2)))
+    return abs(norm - loop_reduced_norm(ext, img))
 
 
 def _coefficients(c: Cyclo, k: int) -> list[int]:

@@ -155,6 +155,14 @@ def test_reduced_decomposition_over_a_stack_matches_the_per_sample_loop(name, g,
 
 
 @pytest.mark.parametrize("name,g,w,k,window", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_norm_agreement_over_an_all_zero_stack_keeps_its_batch_shape(name, g, w, k, window, lead):
+    F = ExtensionAlgebra(g, w).stack(0, np.zeros(lead + (k, g.n_arrows), dtype=complex))
+    assert F.is_zero
+    _same_bits(oracle_norm_deviation(F, cyclic_extension(g, w, k)), np.zeros(lead))
+
+
+@pytest.mark.parametrize("name,g,w,k,window", INSTANCES, ids=IDS)
 def test_norm_agreement_over_a_stack_matches_the_per_sample_loop(name, g, w, k, window):
     ext = cyclic_extension(g, w, k)
     ea = ExtensionAlgebra(g, w)

@@ -205,7 +205,7 @@ def test_missing_unit_composition_is_not_faithful(monkeypatch):
 def test_oracle_conv_dropping_an_arrow_loses_rank(monkeypatch, klein, pauli):
     ext = cyclic_extension(klein, pauli, 2)
     conv = oracle.conv
-    dropped = ext.arrow(1, 3)
+    dropped = klein.n_arrows + 3  # (e(1/2), 3)
 
     def dropping(e, f, h):
         product = conv(e, f, h)

@@ -285,7 +285,8 @@ def test_nonzero_pairs_match_a_loop(lx, ly, density, kind):
     x, y = _sparse(rng, lx + (7,), kind, density), _sparse(rng, ly + (5,), kind, density)
     if x.ndim > 1 and x.shape[0]:
         x[0] = 0  # an empty row
-    got = oracle._nonzero_pairs(oracle._nonzero_entries(x), oracle._nonzero_entries(y))
+    lead, *got = oracle._nonzero_pairs(oracle._nonzero_entries(x), oracle._nonzero_entries(y))
+    assert lead == np.broadcast_shapes(lx, ly)
     want = loop_pairs(x, y)
     assert all(len(v) == len(want) for v in got)
     want = [(*t[:3], t[3].item(), t[4].item()) for t in want]

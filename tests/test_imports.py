@@ -59,3 +59,38 @@ def test_no_tier_one_file_reads_the_benchmark(path):
             continue
         found += [f"{path.name}:{node.lineno}" for name in names if INTO_BENCHMARK.search(name)]
     assert not found
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The gpdext modules a module's syntax tree imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gpdext.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "gpdext"):
+            inner = node.module if node.level else None
+            found |= {inner.split(".")[0]} if inner else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gpdext."):
+            found.add(node.module.split(".")[1])
+    return found
+
+
+def test_the_oracle_imports_only_exact_cocycle_and_groupoid():
+    # the oracle shares no code with the graded model, so that agreement
+    # between the two is evidence: of the package it reads only the exact
+    # arithmetic, the cocycle and the groupoid
+    tree = ast.parse((ROOT / "src" / "gpdext" / "cyclic_oracle.py").read_text())
+    assert _package_imports(tree) == {"exact", "cocycle", "groupoid"}
+
+
+def test_the_import_pin_sees_every_form_of_import():
+    forms = (
+        "from .algebra import fibers",
+        "from . import algebra",
+        "from gpdext.algebra import fibers",
+        "from gpdext import algebra",
+        "import gpdext.algebra",
+    )
+    for source in forms:
+        assert _package_imports(ast.parse(source)) == {"algebra"}, source
+    assert _package_imports(ast.parse("import numpy as np\nfrom math import prod")) == set()

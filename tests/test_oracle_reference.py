@@ -53,9 +53,15 @@ from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import _fixture_dir, load_spec
 from gpdext.cocycle import ROOT_TOL, TwoCocycle, normalize
 from gpdext.exact import CircleScalar
-from gpdext.extension import ORACLE_TOL, cyclic_decompose
+from gpdext.extension import ORACLE_TOL, ExtensionAlgebra, cyclic_decompose, oracle_norm_deviation
 from gpdext.groupoid import symmetric_group_groupoid
-from gpdext.randgen import _FAMILIES, random_mu_k_coboundary
+from gpdext.randgen import (
+    _FAMILIES,
+    draw_oracle_instance,
+    random_laurent,
+    random_laurents,
+    random_mu_k_coboundary,
+)
 from helpers import empty_groupoid
 from reference_algebra import sigma
 import reference_oracle
@@ -63,6 +69,7 @@ from reference_oracle import (
     gather_projection,
     gather_star,
     loop_decompose,
+    loop_norm_deviation,
     loop_reduced_norm,
     scan_conv,
     scatter_projection,
@@ -176,6 +183,38 @@ def test_reduced_norm_matches_the_loop(name, g, w, k):
     for density in (1.0, 0.3, 0.0):
         f = _random_complex(rng, (ext.dimension,), density)
         assert oracle.reduced_norm(ext, f).hex() == loop_reduced_norm(ext, f).hex()
+
+
+# acceptance test 01's seed: its first draws, in its order
+TEST_01_SEED = 20260808
+
+
+def _test_01_draws(count: int) -> list[tuple]:
+    """(groupoid, cocycle, k, sample) of the first ``count`` draws of
+    acceptance test 01, k cycling over 2, 3, 4 and 6."""
+    rng, out = random.Random(TEST_01_SEED), []
+    for i in range(count):
+        k = ORDERS[i % len(ORDERS)]
+        g, w = draw_oracle_instance(rng, k)
+        out.append((g, w, k, random_laurent(rng, ExtensionAlgebra(g, w), (0, k - 1))))
+    return out
+
+
+TEST_01_DRAWS = _test_01_draws(16)
+
+
+@pytest.mark.parametrize(
+    "g,w,k,F", TEST_01_DRAWS, ids=[f"{i}-k{x[2]}-{x[0].name}" for i, x in enumerate(TEST_01_DRAWS)]
+)
+def test_norm_agreement_matches_the_loop_bit_for_bit(g, w, k, F):
+    # the golden reports print this distance to 11 digits: the one-gather
+    # embedding and the per-size fibre gathers keep every bit of the loop
+    ext = oracle.CyclicExtension(g, w, k)
+    assert oracle_norm_deviation(F, ext) == loop_norm_deviation(F, ext)
+    stack = random_laurents(random.Random(k), F.algebra, (0, k - 1), (3,))
+    got = oracle_norm_deviation(stack, ext)
+    assert got.shape == (3,)
+    assert got.tolist() == [loop_norm_deviation(stack[i], ext) for i in range(3)]
 
 
 def test_conv_matches_the_scan_beyond_int64(klein, pauli):
@@ -576,7 +615,7 @@ def test_a_spoiled_fourier_resolution_names_its_arrow(monkeypatch, entries):
     k = 3
     g, _ = _FAMILIES[3][1](k)
     ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(1), g, k), k)
-    target = ext.arrow(1, 2)
+    target = g.n_arrows + 2  # (e(1/k), 2)
 
     def spoils(e, f, n):
         single = f.num.reshape(-1, e.dimension, e.k).any(axis=-1)

@@ -28,6 +28,19 @@ def test_script_exits_zero(monkeypatch, capsys, name, args):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_oracle_profile_prints_time_and_calls_for_every_stage(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oracle_profile", "--count", "4", "--seed", "1"])
+    assert _module("oracle_profile").main() == 0
+    head, columns, *rows = capsys.readouterr().out.splitlines()
+    assert head == "4 instances, seed 1" and columns.split()[0] == "stage"
+    stages = ["build", "cyclic_decompose", "faithfulness_rank", "norm_agreement", "total"]
+    assert [row.split()[0] for row in rows] == stages
+    values = [[float(v) for v in row.split()[1:]] for row in rows]
+    assert all(ms > 0 and calls > 0 for ms, calls in values)
+    for i in range(2):  # the total is the sum of the stages
+        assert values[-1][i] == pytest.approx(sum(v[i] for v in values[:-1]), rel=0.01)
+
+
 def test_report_digests_match_the_golden_lines(monkeypatch, capsys):
     # every report the digests cover stays byte-identical; a change meant to
     # move one rewrites tests/golden/report_digests.txt and says why
