@@ -177,15 +177,15 @@ class CyclicExtension:
             )
         # extension arrow t * n + a: the pairs (t1 n + a, t2 n + b) over the base
         # pairs (a, b), ascending, and the twist of (a, b) adds to t1 + t2
-        defined = np.zeros((n, n), dtype=bool)
+        defined, tiled = np.zeros((n, n), dtype=bool), np.arange(k * n) % n  # a of t * n + a
         defined[base.pair_table[:2]] = True
-        Y, Z = np.nonzero(np.tile(defined, (k, k)))
+        Y, Z = defined[tiled[:, None], tiled].nonzero()
         (t1, a), (t2, b) = divmod(Y, n), divmod(Z, n)
         inv = base.inverse_map
         self.inverse = ((-np.arange(k)[:, None] - twist[np.arange(n), inv]) % k * n + inv).ravel()
         labels = [f"(e({t}/{k})|{lab[a]})" for t in range(k) for a in range(n)]
         self.groupoid = FiniteGroupoid(
-            base.n_units, np.tile(base.range_map, k), np.tile(base.source_map, k),
+            base.n_units, base.range_map[tiled], base.source_map[tiled],
             (Y, Z, (t1 + t2 + twist[a, b]) % k * n + base.compose_array[a, b]), self.inverse,
             base.unit_to_arrow,  # the t = 0 block
             unit_labels=base.unit_labels, arrow_labels=labels,

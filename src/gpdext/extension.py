@@ -479,9 +479,10 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         # at search position (n * k * m + b) + (p * m + a) * m, and within
         # mode n it is e(-tn/k) w^n(a, b) at each arrow (t, ab), listed over
         # (n, pair), so that the left rows ascend
-        n, a, b = t.repeat(len(A)), np.tile(A, k), np.tile(B, k)
+        n, pair = divmod(np.arange(k * len(A)), len(A))
+        a, b = A[pair], B[pair]
         left, right = n * m + a, n * m + b
-        arrow = t * m + np.tile(C, k)[:, None]
+        arrow = t * m + C[pair, None]
         expected = (P[n, a, b, None] - t * n[:, None]) % k
         by_right, rhs = rows // m * k * m * m + rows % m, Q[None, :]  # Q scanned once
         # a left row meets all N right rows, k by k entries each; the terms of
