@@ -315,7 +315,7 @@ def projection_terms(ext: CyclicExtension, f: Exact, modes) -> Terms:
     # at most k terms, one per shift, meet at one coefficient of the projection
     c = _widened(c, _max_abs(c) * k)
     j = np.arange(k)
-    # axes (entry, shift j, mode n), each expanded to all three by + 0 * exponent
+    # axes (entry, shift j, mode n): each index spans all three by + 0 * exponent
     exponent = (s[:, None, None] + j[:, None] * np.asarray(modes)) % k
     zero = 0 * exponent
     arrow = (x[:, None] - j * m) % N  # (t - j, a) = (t - j) m + a, cyclic in t

@@ -18,9 +18,8 @@ mu_k x_w G).  The oracle comparison reads its expected values off the
 tables of w^n in array expressions, as exponents of zeta_k, numeric values
 snapped to their nearest k-th roots, and decides every comparison exactly
 from the oracle's terms; the graded involution is certified by the reports'
-C*-identity and star checks.  The norm agreement gathers every mode of a
-stack once (``LaurentElement.stacked``) and embeds them all in the oracle
-in one gather of its roots, which the oracle builds once per k.
+C*-identity and star checks.  The norm agreement embeds all modes of a
+stack in the oracle in one gather of the roots it builds once per k.
 """
 
 from __future__ import annotations
@@ -448,10 +447,9 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
 
     def summed(size: int, row: np.ndarray, terms, flat: np.ndarray, exponent: np.ndarray):
         """The failing flat (row, arrow) flags of ``size`` exact rows given
-        by their terms, the batch row of each term being ``row``, against the
-        expected values, zeta_k^exponent at each flat (row, arrow) of
-        ``flat``, and the difference at a flat (row, arrow), from that row's
-        terms."""
+        by their terms, each in batch row ``row``, against the expected
+        values zeta_k^exponent at the flat (row, arrow) keys ``flat``, and
+        the difference at one flat (row, arrow), from that row's terms."""
         scale = k**terms.e  # the expected values over k**e, as the terms are
         bad = oracle.nonzero_sums(
             ext,
@@ -499,8 +497,9 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         for lo, hi in chunks(N, 4 * k):
             n, a = divmod(rows[lo:hi, None], m)
             terms = oracle.star_terms(ext, Q[lo:hi])
-            flat, expect = (rows[lo:hi, None] - lo) * N + t * m + inv[a], (-P[n, inv[a], a] - t * n) % k
-            yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, flat, expect)
+            flat = (rows[lo:hi, None] - lo) * N + t * m + inv[a]
+            exponent = (-P[n, inv[a], a] - t * n) % k
+            yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, flat, exponent)
         # projecting onto mode mm keeps the deltas of mode mm and kills the
         # rest: batch row (r, mm) of a chunk, for all k target modes mm at
         # once; k shifts of k entries in k modes, k**3 terms per row
@@ -566,7 +565,8 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension):
     if any(not 0 <= n < k for n in modes):
         raise WindowError([n for n in modes if not 0 <= n < k])
     x = F.stacked(modes)
-    parts, img = oracle.embed_mode(ext, modes, x), np.zeros(x.shape[:-2] + (ext.dimension,), complex)
+    parts = oracle.embed_mode(ext, modes, x)
+    img = np.zeros(x.shape[:-2] + (ext.dimension,), dtype=complex)
     for i in range(len(modes)):
         img = img + parts[..., i, :]  # from zero, in F's mode order, as one sum adds them
     norm = _mode_norms(F, modes, x).max(axis=-1, initial=0.0)

@@ -11,10 +11,10 @@ exact base coefficients in a mode, which the library no longer does, and
 ``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
 dense, which the library no longer does either.  ``loop_reduced_norm`` takes
 one spectral norm per unit, ``loop_norm_deviation`` embeds a graded element
-one mode at a time and takes every norm of the norm agreement per unit, and ``loop_decompose`` runs the comparisons of
-``cyclic_decompose`` one (mode, mode) block at a time: products
-(n, p, a, b), then stars (n, a), then projections (n, mm, a), then the
-Fourier block.  Its expected values cross into the oracle one at a time: a
+one mode at a time and takes every norm of the norm agreement per unit, and
+``loop_decompose`` runs the comparisons of ``cyclic_decompose`` one
+(mode, mode) block at a time: products (n, p, a, b), then stars (n, a),
+then projections (n, mm, a), then the Fourier block.  Its expected values cross into the oracle one at a time: a
 value of w^n per composable pair from ``sigma``, and a star per mode
 delta from the graded model's own ``involute``, so matching it also checks
 that involution against the oracle.  A numeric value is snapped to the

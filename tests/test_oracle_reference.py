@@ -176,6 +176,20 @@ def test_conv_matches_the_scan(name, g, w, k):
             assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
 
 
+@pytest.mark.parametrize("k", ORDERS)
+def test_extensions_at_one_k_share_read_only_constants(klein, pauli, k):
+    # the roots and the power basis are built once per k, so no extension
+    # may write into them; the roots are CircleScalar's floats
+    w = pauli if k % 2 == 0 else TwoCocycle.trivial(klein)
+    first, second = oracle.CyclicExtension(klein, w, k), oracle.CyclicExtension(klein, w, k)
+    assert first.roots is second.roots and first.reduction is second.reduction
+    for table in (first.roots, first.reduction):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    roots = [CircleScalar(angle=Fraction(j, k)).to_complex() for j in range(k)]
+    assert first.roots.tolist() == roots
+
+
 @pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
 def test_reduced_norm_matches_the_loop(name, g, w, k):
     rng = random.Random(name)
