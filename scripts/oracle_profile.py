@@ -21,6 +21,7 @@ import pstats
 import random
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 
 from gpdext.cyclic_oracle import CyclicExtension, faithfulness_rank
 from gpdext.extension import ExtensionAlgebra, cyclic_decompose, oracle_norm_deviation
@@ -56,32 +57,6 @@ def run_pass(pool: list[tuple], around) -> None:
             raise RuntimeError(f"decomposition fails at k={k} on {g.name}")
 
 
-class Timer:
-    def __init__(self):
-        self.seconds = dict.fromkeys(STAGES, 0.0)
-
-    def __call__(self, stage: str):
-        self.stage = stage
-        return self
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-
-    def __exit__(self, *exc):
-        self.seconds[self.stage] += time.perf_counter() - self.start
-
-
-class Profiler:
-    def __init__(self):
-        self.profiles = {stage: cProfile.Profile() for stage in STAGES}
-
-    def __call__(self, stage: str):
-        return self.profiles[stage]  # enables on entry, disables on exit
-
-    def calls(self, stage: str) -> int:
-        return pstats.Stats(self.profiles[stage]).total_calls
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=40)
@@ -90,21 +65,26 @@ def main() -> int:
     if args.count < 1:
         ap.error("--count must be positive")
 
-    pool = instances(args.count, args.seed)
-    timer, profiler = Timer(), Profiler()
-    run_pass(pool, timer)  # warm
-    timer = Timer()
-    run_pass(pool, timer)
-    run_pass(pool, profiler)
+    pool, seconds = instances(args.count, args.seed), dict.fromkeys(STAGES, 0.0)
+
+    @contextmanager
+    def timed(stage: str):
+        start = time.perf_counter()
+        yield
+        seconds[stage] += time.perf_counter() - start
+
+    run_pass(pool, lambda stage: nullcontext())  # warm
+    run_pass(pool, timed)
+    profiles = {stage: cProfile.Profile() for stage in STAGES}
+    run_pass(pool, profiles.__getitem__)  # a Profile enables on entry, disables on exit
     n = len(pool)
+    calls = {stage: pstats.Stats(profile).total_calls for stage, profile in profiles.items()}
+    rows = [(stage, 1000 * seconds[stage] / n, calls[stage] / n) for stage in STAGES]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     print(f"{n} instances, seed {args.seed}")
     print(f"{'stage':<18} {'ms/instance':>11} {'calls/instance':>14}")
-    for stage in STAGES:
-        ms, calls = 1000 * timer.seconds[stage] / n, profiler.calls(stage) / n
+    for stage, ms, calls in rows:
         print(f"{stage:<18} {ms:>11.3f} {calls:>14.1f}")
-    ms = 1000 * sum(timer.seconds.values()) / n
-    calls = sum(profiler.calls(stage) for stage in STAGES) / n
-    print(f"{'total':<18} {ms:>11.3f} {calls:>14.1f}")
     return 0
 
 
