@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-stage cost of the cyclic-oracle audit on seeded random instances.
+"""Per-stage cost of the cyclic-oracle audit on seeded random instances,
+or of verify-all's oracle stages on the bundled fixtures.
 
 Draws ``--count`` instances as the random audit does (k cycling over
 2, 3, 4, 6, each a ``randgen.draw_oracle_instance`` with one
@@ -11,8 +12,19 @@ goes first.  A timed pass gives each stage's wall time per instance, and a
 pass under cProfile its Python calls per instance, as cProfile counts them
 (calls into numpy's C functions included).
 
-Example:
+With ``--fixtures`` it runs verify-all's oracle stages on each bundled
+fixture instead, at the k verify-all picks, with verify-all's draws of
+``SAMPLES`` samples at ``--seed``: the build of every extension verify-all
+makes (mu_k x_w G, and for a principal base the extensions of the fullness
+check at k = 1 and of the saturation report at max(k, 2)), the
+``cyclic_decompose`` of mu_k x_w G (with centers), the norm agreement of
+the samples, and the ``ideal_dimension`` of the unit-pair lifts in each
+extension of a principal base.  One warm pass goes first, then ``--count``
+timed passes, and it prints each stage's wall time per pass and fixture.
+
+Examples:
     python scripts/oracle_profile.py --count 40 --seed 1
+    python scripts/oracle_profile.py --fixtures --count 20
 """
 
 import argparse
@@ -23,12 +35,18 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 
-from gpdext.cyclic_oracle import CyclicExtension, faithfulness_rank
+from gpdext.cli import _fixture_dir, _oracle_order, load_spec
+from gpdext.cocycle import TwoCocycle, normalize
+from gpdext.cyclic_oracle import CyclicExtension, faithfulness_rank, ideal_dimension
 from gpdext.extension import ExtensionAlgebra, cyclic_decompose, oracle_norm_deviation
-from gpdext.randgen import draw_oracle_instance, random_laurent
+from gpdext.groupoid import is_principal
+from gpdext.morita import _unit_pair_lifts
+from gpdext.randgen import draw_oracle_instance, random_laurent, random_laurents
 
 ORDERS = (2, 3, 4, 6)
 STAGES = ("build", "cyclic_decompose", "faithfulness_rank", "norm_agreement")
+FIXTURE_STAGES = ("build", "cyclic_decompose", "norm_agreement", "ideal_dimension")
+SAMPLES = 10  # verify-all's samples, as scripts/verify_fixtures.py runs it
 
 
 def instances(count: int, seed: int) -> list[tuple]:
@@ -38,6 +56,22 @@ def instances(count: int, seed: int) -> list[tuple]:
         k = ORDERS[i % len(ORDERS)]
         g, w = draw_oracle_instance(rng, k)
         out.append((g, w, k, random_laurent(rng, ExtensionAlgebra(g, w), (0, k - 1))))
+    return out
+
+
+def fixtures(seed: int) -> list[tuple]:
+    """(name, groupoid, normalized cocycle, k, samples) for each bundled
+    fixture that verify-all runs the oracle on, as it draws them."""
+    out = []
+    for path in sorted(_fixture_dir().glob("*.json")):
+        spec, _ = load_spec(None, path.stem)
+        g, w = spec.groupoid, spec.cocycle_or_trivial()
+        w = w if w.normalized else normalize(w)[0]
+        k = _oracle_order(spec, w, None)
+        if k is not None:
+            ea = ExtensionAlgebra(g, w)
+            draws = random_laurents(random.Random(seed), ea, (0, k - 1), (SAMPLES,))
+            out.append((path.stem, g, w, k, draws))
     return out
 
 
@@ -57,24 +91,69 @@ def run_pass(pool: list[tuple], around) -> None:
             raise RuntimeError(f"decomposition fails at k={k} on {g.name}")
 
 
+def run_fixture_pass(pool: list[tuple], around) -> None:
+    """One pass of verify-all's oracle stages over the fixtures, each made
+    inside ``around((fixture, stage))``."""
+    for name, g, w, k, draws in pool:
+        with around((name, "build")):
+            ext = CyclicExtension(g, w, k)
+            ideals = []  # fullness at k = 1 and saturation at max(k, 2)
+            if is_principal(g):
+                trivial = TwoCocycle.trivial(g)
+                ideals = [CyclicExtension(g, trivial, 1), CyclicExtension(g, w, max(k, 2))]
+        with around((name, "cyclic_decompose")):
+            cd = cyclic_decompose(ext)
+        with around((name, "norm_agreement")):
+            oracle_norm_deviation(draws, ext)
+        with around((name, "ideal_dimension")):
+            for e in ideals:
+                ideal_dimension(e, _unit_pair_lifts(e))
+        if not cd.ok:
+            raise RuntimeError(f"decomposition fails at k={k} on {name}")
+
+
+def timed_passes(run, keys, passes: int) -> dict:
+    """The wall time of each key over ``passes`` timed calls of
+    run(around), after one warm call."""
+    seconds = dict.fromkeys(keys, 0.0)
+
+    @contextmanager
+    def timed(key):
+        start = time.perf_counter()
+        yield
+        seconds[key] += time.perf_counter() - start
+
+    run(lambda key: nullcontext())  # warm
+    for _ in range(passes):
+        run(timed)
+    return seconds
+
+
+def profile_fixtures(count: int, seed: int) -> None:
+    pool = fixtures(seed)
+    keys = [(name, stage) for name, *_ in pool for stage in FIXTURE_STAGES]
+    seconds = timed_passes(lambda around: run_fixture_pass(pool, around), keys, count)
+    print(f"{len(pool)} fixtures, {count} passes, seed {seed}, ms/pass")
+    print(f"{'fixture':<16}" + "".join(f" {s:>16}" for s in FIXTURE_STAGES + ("total",)))
+    for name, *_ in pool:
+        ms = [1000 * seconds[name, stage] / count for stage in FIXTURE_STAGES]
+        print(f"{name:<16}" + "".join(f" {v:>16.3f}" for v in ms + [sum(ms)]))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=40)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--fixtures", action="store_true")
     args = ap.parse_args()
     if args.count < 1:
         ap.error("--count must be positive")
+    if args.fixtures:
+        profile_fixtures(args.count, args.seed)
+        return 0
 
-    pool, seconds = instances(args.count, args.seed), dict.fromkeys(STAGES, 0.0)
-
-    @contextmanager
-    def timed(stage: str):
-        start = time.perf_counter()
-        yield
-        seconds[stage] += time.perf_counter() - start
-
-    run_pass(pool, lambda stage: nullcontext())  # warm
-    run_pass(pool, timed)
+    pool = instances(args.count, args.seed)
+    seconds = timed_passes(lambda around: run_pass(pool, around), STAGES, 1)
     profiles = {stage: cProfile.Profile() for stage in STAGES}
     run_pass(pool, profiles.__getitem__)  # a Profile enables on entry, disables on exit
     n = len(pool)

@@ -30,23 +30,26 @@ comes in one of two forms:
 - exact: an ``Exact`` (num, e), num an int array of shape (..., k*|A|, k)
   whose last axis holds the coefficients of zeta_k^0, ..., zeta_k^(k-1) at
   each arrow, all over the one denominator k**e;
-- numeric: a complex array of shape (..., k*|A|), taken by ``conv``,
-  ``mode_projection``, ``embed_mode``, ``reduced_norm`` and
-  ``ideal_dimension``.
+- numeric: a complex array of shape (..., k*|A|), taken by
+  ``delta_products``, ``mode_projection``, ``embed_mode``,
+  ``reduced_norm`` and ``ideal_dimension``, never by ``conv``.
 
 Leading axes are batch axes, and every operation broadcasts over them, so a
 certificate handles a whole stack of elements in one call.  ``conv`` meets
 each batch row's nonzero entries of f with those of g (an exact element
 scans its own once) by repeats and offsets, reading y z off the extension's
 own composition table, with neither operand broadcast in memory, so the
-work is the number of meetings; numeric terms add in ascending pair order.
-On exact values a product, the involution and the Fourier projections are
-term steps, ``conv_terms``, ``star_terms`` and ``projection_terms``, each
-term a coefficient of a power of zeta_k at one arrow, which ``_scatter``
-adds up.  ``embed_mode`` embeds any list of modes in one gather of roots,
-``reduced_norm`` takes all source fibers of one size in one gather, and
-``ideal_dimension`` spans an ideal in two batched ``conv`` calls, with the
-deltas on the left and then on the right, and no fixed-point loop.
+work is the number of meetings.  A product, the involution and the Fourier
+projections are term steps, ``conv_terms``, ``star_terms`` and
+``projection_terms``, each term a coefficient of a power of zeta_k at one
+arrow, which ``_scatter`` adds up.  Every numeric product is one with a
+delta, one term per entry, so ``delta_products`` takes an element against
+every delta from one side in one scatter over the extension's pairs
+(y, z, y z).  ``embed_mode`` embeds any list of modes in one gather of
+roots, ``reduced_norm`` gathers all source fibers of one size from the
+right delta products at once, and ``ideal_dimension`` spans an ideal from
+the left delta products of the generators and the right ones of a basis of
+those, each rank SVD on the distinct nonzero rows of its stack.
 
 ``nonzero_sums`` decides which sums of terms are zero without scattering
 them: each term goes through row j of the map into the power basis of
@@ -244,22 +247,29 @@ def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
     return Terms(lead, row, arrow, exponent, coefficient, f.e + g.e + 1)
 
 
-def conv(ext: CyclicExtension, f, g):
+def conv(ext: CyclicExtension, f: Exact, g: Exact) -> Exact:
     """Convolution over mu_k x_w G with the circle factor averaged:
     (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z), for
-    elements of one form, broadcast over their batch axes.  Exact products
-    scatter the terms of ``conv_terms``; numeric ones meet each batch row's
-    nonzero arrows y of f with its nonzero z of g and add f(y) g(z) at y z,
-    per batch row in ascending (y, z) order."""
-    N = ext.dimension
-    if isinstance(f, Exact):
-        return _scatter(ext, conv_terms(ext, f, g))
-    lead, row, y, z, fy, gz = _nonzero_pairs(_nonzero_entries(f), _nonzero_entries(g))
-    yz = ext.compose[y, z]
-    keep = yz >= 0
-    out = np.zeros((math.prod(lead), N), dtype=complex)
-    np.add.at(out, (row[keep], yz[keep]), cmul(fy[keep], gz[keep]))
-    return out.reshape(lead + (N,)) * (1.0 / ext.k)
+    exact elements, broadcast over their batch axes: the scatter of the
+    terms of ``conv_terms``."""
+    return _scatter(ext, conv_terms(ext, f, g))
+
+
+def delta_products(ext: CyclicExtension, f: np.ndarray, left: bool) -> np.ndarray:
+    """Numeric elements f (..., dimension) against every delta, as (...,
+    dimension, dimension): row x is delta_x * f when ``left``, else
+    f * delta_x.  Each entry is one term, f(z) / k at x z or f(y) / k at
+    y x, so one scatter over the pairs (y, z, y z) places them all; f + 0.0
+    makes each -0.0 a 0.0, as a sum into zeros does, so the rows match a
+    convolution that adds terms, bit for bit."""
+    Y, Z, YZ = ext.groupoid.pair_table
+    values = (f + 0.0) * (1.0 / ext.k)
+    out = np.zeros(f.shape[:-1] + (ext.dimension, ext.dimension), dtype=complex)
+    if left:
+        out[..., Y, YZ] = values[..., Z]
+    else:
+        out[..., Z, YZ] = values[..., Y]
+    return out
 
 
 def _nonzero_entries(x: np.ndarray) -> tuple:
@@ -386,12 +396,12 @@ def nonzero_sums(ext: CyclicExtension, size: int, *terms) -> np.ndarray:
 
 def reduced_norm(ext: CyclicExtension, f: np.ndarray):
     """The largest norm of convolution by the numeric element f on a source
-    fiber; row x of one conv against every delta is f * delta_x.  The fibers
+    fiber; row x of the right ``delta_products`` is f * delta_x.  The fibers
     of one size d are one gather (units, d, d), their arrows read off the
     arrows sorted by source.  A stack of elements (..., dimension) gets an
     array of norms over its leading axes."""
     G = ext.groupoid
-    columns = conv(ext, f[..., None, :], deltas(ext, G.arrows(), exact=False))
+    columns = delta_products(ext, f, left=False)
     by_source, size = G.source_map.argsort(kind="stable"), np.bincount(G.source_map)
     first = size.cumsum() - size
     fibers = [by_source[first[size == d, None] + np.arange(d)] for d in set(size.tolist())]
@@ -417,25 +427,33 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     return rank, ext.dimension
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the row span of a 2-d stack."""
-    if rows.size == 0:
-        return rows[:0]
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: int((s > RANK_TOL * max(1.0, float(s[0]))).sum())]
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct nonzero rows of a 2-d stack, each at its first place,
+    compared by their bytes as one void scalar per row."""
+    rows = np.ascontiguousarray(rows[rows.any(axis=1)])
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return rows[np.sort(np.unique(keys, return_index=True)[1])]
+
+
+def _rank(s: np.ndarray) -> int:
+    """How many singular values, in descending order, exceed ``RANK_TOL``
+    times the largest (or 1)."""
+    return int((s > RANK_TOL * max(1.0, float(s[0]))).sum()) if len(s) else 0
 
 
 def ideal_dimension(ext: CyclicExtension, generators: np.ndarray) -> int:
     """Dimension of the two-sided ideal generated by a stack of numeric
-    elements.  The algebra has a unit, so the ideal is the span of the
-    products delta_x s delta_y: one conv of every delta against every
-    generator spans the left ideal, and one conv of an orthonormal basis of
-    it against every delta spans the two-sided one."""
+    elements (n, dimension).  The algebra has a unit, so the ideal is the
+    span of the products delta_x s delta_y: the left ``delta_products`` of
+    the generators span the left ideal, and the right ones of an
+    orthonormal basis of it the two-sided one.  Each SVD takes the
+    distinct nonzero rows of its stack, the last one singular values alone."""
     n, N = len(generators), ext.dimension
-    d = deltas(ext, ext.groupoid.arrows(), exact=False)
-    left = _orthonormal_rows(conv(ext, d[:, None], generators[None]).reshape(N * n, N))
-    both = conv(ext, left[:, None], d[None]).reshape(len(left) * N, N)
-    return len(_orthonormal_rows(both))
+    rows = _distinct_rows(delta_products(ext, generators, left=True).reshape(n * N, N))
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = vh[: _rank(s)]
+    rows = _distinct_rows(delta_products(ext, basis, left=False).reshape(len(basis) * N, N))
+    return _rank(np.linalg.svd(rows, compute_uv=False))
 
 
 def quotient_matches_base(ext: CyclicExtension) -> list[str]:

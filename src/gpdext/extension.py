@@ -205,9 +205,9 @@ def mode_projection(F: LaurentElement, n: int) -> LaurentElement:
 
 @dataclass
 class DecompositionReport:
-    mode_norms: dict[int, float]
-    extension_norm: float
-    attained_mode: int | None
+    mode_norms: dict[int, float | list]  # lists over the batch of a stack
+    extension_norm: float | list
+    attained_mode: int | list | None
     faithful_modes: dict[int, bool]
     mode_dimensions: dict[int, int] = field(default_factory=dict)
     center_dimensions: dict[int, int] = field(default_factory=dict)
@@ -217,15 +217,20 @@ def decompose(F: LaurentElement):
     """Split into mode components and compute the extension norm as the
     largest per-mode reduced norm, attained at the first mode reaching it,
     with each mode's dimension, faithfulness and center dimension (closed
-    forms, cached on each summand's algebra); returns (components, report)."""
-    comps = dict(sorted(F.modes.items()))
-    norms = dict(zip(comps, _mode_norms(F, list(comps), F.stacked(list(comps))).tolist()))
-    attained = max(norms, key=norms.get, default=None)
-    centers = {n: F.algebra.twisted(n).center_dimension() for n in comps}
-    faithful = {n: F.algebra.twisted(n).full_norm_certificate().faithful for n in comps}
-    dims = {n: F.algebra.groupoid.n_arrows for n in comps}
-    report = DecompositionReport(norms, norms.get(attained, 0.0), attained, faithful, dims, centers)
-    return comps, report
+    forms, cached on each summand's algebra); returns (components, report).
+    On a stack each mode maps to its norms per sample, and the extension
+    norm and its mode are per sample too, as nested lists over the batch."""
+    modes = sorted(F.modes)
+    x = _mode_norms(F, modes, F.stacked(modes))  # (..., modes)
+    norms = dict(zip(modes, np.moveaxis(x, -1, 0).tolist()))
+    attained = np.take(modes, x.argmax(axis=-1)).tolist() if modes else None
+    centers = {n: F.algebra.twisted(n).center_dimension() for n in modes}
+    faithful = {n: F.algebra.twisted(n).full_norm_certificate().faithful for n in modes}
+    dims = {n: F.algebra.groupoid.n_arrows for n in modes}
+    report = DecompositionReport(
+        norms, x.max(axis=-1, initial=0.0).tolist(), attained, faithful, dims, centers
+    )
+    return {n: F.modes[n] for n in modes}, report
 
 
 def _mode_norms(F: LaurentElement, modes: list[int], x: np.ndarray) -> np.ndarray:

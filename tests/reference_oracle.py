@@ -10,8 +10,10 @@ the library builds both from the terms of each nonzero entry, which
 exact base coefficients in a mode, which the library no longer does, and
 ``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
 dense, which the library no longer does either.  ``loop_reduced_norm`` takes
-one spectral norm per unit, ``loop_norm_deviation`` embeds a graded element
-one mode at a time and takes every norm of the norm agreement per unit, and
+one spectral norm per unit, of ``regular_rep_matrix``, the scan's products
+against the deltas of the unit's source fiber, ``loop_norm_deviation``
+embeds a graded element one mode at a time and takes every norm of the norm
+agreement per unit, and
 ``loop_decompose`` runs the comparisons of ``cyclic_decompose`` one
 (mode, mode) block at a time: products (n, p, a, b), then stars (n, a),
 then projections (n, mm, a), then the Fourier block.  Its expected values cross into the oracle one at a time: a
@@ -42,7 +44,6 @@ from gpdext.extension import (
 )
 from gpdext.groupoid import orbit_units
 from reference_algebra import sigma
-from reference_ranks import regular_rep_matrix
 
 
 def scan_conv(ext, f, g):
@@ -73,6 +74,14 @@ def scan_conv(ext, f, g):
     out = np.zeros(lead + fv.shape[-2:], dtype=x.dtype)
     np.add.at(out, (*batch, YZ[p]), products)
     return oracle.Exact(out, f.e + g.e + 1)
+
+
+def regular_rep_matrix(ext, f: np.ndarray, u: int) -> np.ndarray:
+    """Matrix of convolution by the numeric oracle element f on the source
+    fiber over unit u, from ``scan_conv`` against the deltas of the fiber."""
+    fiber = list(ext.groupoid.source_fiber(u))
+    columns = scan_conv(ext, f, oracle.deltas(ext, fiber, exact=False))
+    return columns[:, fiber].T
 
 
 def gather_projection(ext, f, n: int):

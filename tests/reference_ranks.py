@@ -5,9 +5,10 @@ functions here compute the same numbers the long way, with
 ``np.linalg.matrix_rank`` on the stacked regular representations and on the
 commutator system, so the tests can cross-check the closed forms.
 
-The library spans a two-sided ideal in two batched products.  The functions
-here span it by closure under products with the delta basis, repeated until
-the span stops growing, and compute fullness through the graded model's
+The library spans a two-sided ideal in two scatters of products with the
+delta basis.  The functions here span it by closure under products with the
+delta basis, taken by ``reference_oracle.scan_conv``, repeated until the
+span stops growing, and compute fullness through the graded model's
 products, one ``AlgebraElement`` at a time.
 """
 
@@ -18,6 +19,7 @@ from gpdext.algebra import TwistedAlgebra
 from gpdext.cocycle import TwoCocycle
 from gpdext.morita import left_inner
 from reference_algebra import sigma, value
+from reference_oracle import regular_rep_matrix, scan_conv
 
 # Singular values of the commutator system at or below this are rounding.
 # Each entry is a sum of values of w^n of modulus 1, so a pair whose values
@@ -70,14 +72,6 @@ def commutator_center_dimension(alg) -> int:
             if ba is not None:
                 rows[b * m + ba, a] -= value(sigma(alg, b, a))
     return m - int(np.linalg.matrix_rank(rows, tol=CENTER_RANK_TOL))
-
-
-def regular_rep_matrix(ext, f: np.ndarray, u: int) -> np.ndarray:
-    """Matrix of convolution by the numeric oracle element f on the source
-    fiber over unit u."""
-    fiber = list(ext.groupoid.source_fiber(u))
-    columns = oracle.conv(ext, f, oracle.deltas(ext, fiber, exact=False))
-    return columns[:, fiber].T
 
 
 def oracle_stacked_rank(ext) -> tuple[int, int]:
@@ -139,8 +133,8 @@ def unit_pair_lifts(ext, units=None) -> np.ndarray:
 
 
 def oracle_closure_dimension(ext, generators) -> int:
-    """The closure loop on the oracle's own products."""
-    return closure_ideal_dimension(list(generators), lambda F, H: oracle.conv(ext, F, H))
+    """The closure loop on the oracle's products, as ``scan_conv`` takes them."""
+    return closure_ideal_dimension(list(generators), lambda F, H: scan_conv(ext, F, H))
 
 
 def graded_fullness_dimension(g) -> int:

@@ -30,7 +30,12 @@ from gpdext.groupoid import (
     pair_groupoid,
     validate,
 )
-from gpdext.randgen import draw_oracle_instance, random_laurent, random_mu_k_coboundary
+from gpdext.randgen import (
+    draw_oracle_instance,
+    random_laurent,
+    random_laurents,
+    random_mu_k_coboundary,
+)
 from helpers import empty_groupoid, oracle_batch_pool
 import reference_oracle
 
@@ -158,6 +163,19 @@ class TestDecompose:
         assert rep.extension_norm == pytest.approx(1.0)
         assert rep.center_dimensions == {0: 4, 1: 1}
         assert rep.faithful_modes == {0: True, 1: True}
+
+    def test_a_stack_maps_each_mode_to_its_norms_per_sample(self, pauli_ext):
+        F = random_laurents(random.Random(4), pauli_ext, (0, 1), (3,))
+        comps, rep = decompose(F)
+        assert list(comps) == [0, 1]
+        each = [decompose(F[i])[1] for i in range(3)]
+        assert rep.mode_norms == {n: [r.mode_norms[n] for r in each] for n in (0, 1)}
+        assert rep.extension_norm == [r.extension_norm for r in each]
+        assert rep.attained_mode == [r.attained_mode for r in each]
+        for r in each:  # the samples' modes differ in norm
+            assert r.mode_norms[r.attained_mode] == r.extension_norm == max(r.mode_norms.values())
+        assert rep.faithful_modes == each[0].faithful_modes
+        assert rep.center_dimensions == each[0].center_dimensions
 
     def test_zero_element(self, pair_ext):
         comps, rep = decompose(pair_ext.zero())
@@ -549,7 +567,7 @@ class TestOracleArraysAgainstLoops:
             g = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(N)])
             fd = {x: complex(v) for x, v in enumerate(f)}
             gd = {x: complex(v) for x, v in enumerate(g)}
-            product = oracle.conv(ext, f, g)
+            product = reference_oracle.scan_conv(ext, f, g)
             expected = self.loop_conv(ext, fd, gd, 1.0 / ext.k)
             assert [complex(v) for v in product] == [expected.get(x, 0j) for x in range(N)]
             for n in range(ext.k):

@@ -25,6 +25,7 @@ from gpdext.morita import (
 )
 from gpdext.randgen import random_mu_k_coboundary, random_values
 
+from helpers import empty_groupoid
 from reference_groupoid import loop_orbit_decomposition
 from reference_ranks import (
     graded_fullness_dimension,
@@ -277,19 +278,26 @@ class TestIdealReference:
             dim = oracle.ideal_dimension(ext, lifts)
             assert dim == oracle_closure_dimension(ext, lifts) == len(units) ** 2
 
+    def test_zero_generators_and_the_empty_groupoid_span_nothing(self):
+        # no nonzero row is left to span with, down to rows of no entries
+        for g in (pair_groupoid(2), empty_groupoid()):
+            ext = oracle.CyclicExtension(g, TwoCocycle.trivial(g), 2)
+            for n in (0, 3):
+                assert oracle.ideal_dimension(ext, np.zeros((n, ext.dimension), dtype=complex)) == 0
+
 
 class TestNegativeControls:
     """The Morita certificates can fail."""
 
     def test_lost_products_break_fullness(self, monkeypatch):
-        conv = oracle.conv
+        products = oracle.delta_products
 
-        def lossy(ext, f, h):
-            out = conv(ext, f, h)
+        def lossy(ext, f, left):
+            out = products(ext, f, left)
             out[..., 1] = 0  # every product landing on arrow 1 is lost
             return out
 
-        monkeypatch.setattr(oracle, "conv", lossy)
+        monkeypatch.setattr(oracle, "delta_products", lossy)
         cert = fullness_check(pair_groupoid(2))
         assert not cert.full and cert.ideal_dimension == 3
 

@@ -1,11 +1,13 @@
 """The oracle convolution and the mode decomposition certificate against
 their loop references.
 
-`conv` is compared with `reference_oracle.scan_conv` on seeded operands:
-dense and sparse elements, stacks that broadcast against each other, and
-dense elements against delta stacks from either side, exact ones by
-numerators, dtype and denominator and numeric ones by their bytes, also on
-k = 1 and on the empty groupoid.
+`conv` is compared with `reference_oracle.scan_conv` on seeded exact
+operands: dense and sparse elements, stacks that broadcast against each
+other, and dense elements against delta stacks from either side, by
+numerators, dtype and denominator, also on k = 1 and on the empty groupoid.
+`delta_products` is compared by its bytes with `scan_conv` against every
+delta from either side, on single elements and stacks, some entries with
+signed zeros, on the same instances.
 `reduced_norm` is compared with one spectral norm per unit, bit for bit.
 `cyclic_decompose` is compared with `reference_oracle.loop_decompose` field
 for field, witness and `max_residual` included, on every bundled fixture and
@@ -130,28 +132,27 @@ def _random_complex(rng, shape, density):
     return np.array(values, dtype=complex).reshape(shape)
 
 
-def _operand_pairs(rng, ext, exact: bool):
-    """(f, g) pairs: dense, sparse, broadcast stacks, dense against deltas in
-    both orders, deltas against unit deltas, mode deltas against each other."""
+def _operand_pairs(rng, ext):
+    """Exact (f, g) pairs: dense, sparse, broadcast stacks, dense against
+    deltas in both orders, deltas against unit deltas, mode deltas against
+    each other."""
     N, k = ext.dimension, ext.k
     G = ext.groupoid
 
     def element(shape, density, e=0):
-        if exact:
-            return oracle.Exact(_random_num(rng, shape + (N,), k, density), e)
-        return _random_complex(rng, shape + (N,), density)
+        return oracle.Exact(_random_num(rng, shape + (N,), k, density), e)
 
     fiber = list(G.source_fiber(rng.randrange(G.n_units))) if G.n_units else []
-    deltas = oracle.deltas(ext, fiber, exact)
+    deltas = oracle.deltas(ext, fiber, True)
     units = [G.unit_arrow(G.s(x)) for x in G.arrows()]
-    modes = oracle.deltas(ext, rng.sample(range(N), min(N, 5)), exact)
+    modes = oracle.deltas(ext, rng.sample(range(N), min(N, 5)), True)
     yield element((), 0.9), element((), 0.9, 1)
     yield element((), 0.2, 2), element((), 0.6)
     yield element((3, 1), 0.3), element((1, 4), 0.5)
     yield element((2, 3), 0.1), element((3,), 0.7)
     yield element((), 1.0), deltas
     yield deltas, element((), 1.0)
-    yield oracle.deltas(ext, G.arrows(), exact), oracle.deltas(ext, units, exact)
+    yield oracle.deltas(ext, G.arrows(), True), oracle.deltas(ext, units, True)
     yield modes[:, None], modes[None, :]
     yield element((2,), 0.0), element((2,), 0.5)
 
@@ -171,9 +172,24 @@ def assert_same_product(got, want):
 def test_conv_matches_the_scan(name, g, w, k):
     rng = random.Random(name)
     ext = oracle.CyclicExtension(g, w, k)
-    for exact in (True, False):
-        for f, h in _operand_pairs(rng, ext, exact):
-            assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
+    for f, h in _operand_pairs(rng, ext):
+        assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
+
+
+@pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
+def test_delta_products_match_the_scan(name, g, w, k):
+    # row x is delta_x * f on the left and f * delta_x on the right; the
+    # scan adds each entry's one term into zeros, so a -0.0 part reads 0.0
+    rng = random.Random(name)
+    ext = oracle.CyclicExtension(g, w, k)
+    d = oracle.deltas(ext, ext.groupoid.arrows(), exact=False)
+    for shape in ((), (3,), (2, 3)):
+        f = _random_complex(rng, shape + (ext.dimension,), 0.7)
+        f.real[..., ::4] = -0.0
+        f[..., 1::5] = complex(-0.0, -0.0)
+        left, right = (oracle.delta_products(ext, f, side) for side in (True, False))
+        assert_same_product(left, scan_conv(ext, d, f[..., None, :]))
+        assert_same_product(right, scan_conv(ext, f[..., None, :], d))
 
 
 @pytest.mark.parametrize("k", ORDERS)
@@ -232,7 +248,7 @@ def test_norm_agreement_matches_the_loop_bit_for_bit(g, w, k, F):
 def test_conv_matches_the_scan_beyond_int64(klein, pauli):
     rng = random.Random(3)
     ext = oracle.CyclicExtension(klein, pauli, 2)
-    for f, h in _operand_pairs(rng, ext, exact=True):
+    for f, h in _operand_pairs(rng, ext):
         f, h = oracle.Exact(f.num * 2**40, f.e), oracle.Exact(h.num * 2**40, h.e)
         product = oracle.conv(ext, f, h)
         if f.num.any() and h.num.any():
@@ -493,7 +509,7 @@ def test_projection_scatter_matches_the_gather(k):
         oracle.CyclicExtension(g, random_mu_k_coboundary(rng, g, k), k),
         oracle.CyclicExtension(empty, TwoCocycle.trivial(empty), k),
     ):
-        for pair in _operand_pairs(rng, ext, exact=True):
+        for pair in _operand_pairs(rng, ext):
             for f in pair:
                 for scaled in (f, oracle.Exact(f.num * 2**61, f.e)):
                     for n in range(k):

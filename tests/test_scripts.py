@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from gpdext.cli import load_spec
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -39,6 +41,33 @@ def test_oracle_profile_prints_time_and_calls_for_every_stage(monkeypatch, capsy
     assert all(ms > 0 and calls > 0 for ms, calls in values)
     for i in range(2):  # the total is the sum of the stages
         assert values[-1][i] == pytest.approx(sum(v[i] for v in values[:-1]), rel=0.01)
+
+
+def test_oracle_profile_times_the_oracle_stages_of_every_fixture(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oracle_profile", "--fixtures", "--count", "1", "--seed", "0"])
+    module, spanned = _module("oracle_profile"), []
+    ideal_dimension = module.ideal_dimension
+
+    def counted(ext, generators):
+        spanned.append(ext.base.name)
+        return ideal_dimension(ext, generators)
+
+    monkeypatch.setattr(module, "ideal_dimension", counted)
+    assert module.main() == 0
+    head, columns, *rows = capsys.readouterr().out.splitlines()
+    assert head == "5 fixtures, 1 passes, seed 0, ms/pass"
+    stages = ["build", "cyclic_decompose", "norm_agreement", "ideal_dimension", "total"]
+    assert columns.split() == ["fixture", *stages]
+    names = ["cover3_cech5", "pair2_trivial", "pair3_cobound", "pauli", "z6_bichar"]
+    assert [row.split()[0] for row in rows] == names
+    for row in rows:
+        ms = dict(zip(stages, map(float, row.split()[1:])))
+        assert all(ms[s] > 0 for s in stages[:3])
+        assert ms["total"] == pytest.approx(sum(ms[s] for s in stages[:4]), abs=0.002)
+    # a principal base spans its fullness and saturation ideals, in the warm
+    # pass and the timed one; the others span none
+    principal = [load_spec(None, name)[0].groupoid.name for name in names[:3]]
+    assert sorted(spanned) == sorted(principal * 4)
 
 
 def test_report_digests_match_the_golden_lines(monkeypatch, capsys):
