@@ -13,14 +13,15 @@ pass under cProfile its Python calls per instance, as cProfile counts them
 (calls into numpy's C functions included).
 
 With ``--fixtures`` it runs verify-all's oracle stages on each bundled
-fixture instead, at the k verify-all picks, with verify-all's draws of
-``SAMPLES`` samples at ``--seed``: the build of every extension verify-all
-makes (mu_k x_w G, and for a principal base the extensions of the fullness
-check at k = 1 and of the saturation report at max(k, 2)), the
-``cyclic_decompose`` of mu_k x_w G (with centers), the norm agreement of
-the samples, and the ``ideal_dimension`` of the unit-pair lifts in each
-extension of a principal base.  One warm pass goes first, then ``--count``
-timed passes, and it prints each stage's wall time per pass and fixture.
+fixture instead, at the k verify-all picks: every sample draw verify-all
+makes, of ``SAMPLES`` samples at ``--seed``; the build of every extension
+verify-all makes (mu_k x_w G, and for a principal base the extension of
+the fullness check at k = 1 and, when k = 1, that of the saturation report
+at k = 2, which otherwise reads mu_k x_w G); the ``cyclic_decompose`` of
+mu_k x_w G (with centers); the norm agreement of cyclic-oracle's samples;
+and the ``ideal_dimension`` of the unit-pair lifts in each extension of a
+principal base.  One warm pass goes first, then ``--count`` timed passes,
+and it prints each stage's wall time per pass and fixture.
 
 Examples:
     python scripts/oracle_profile.py --count 40 --seed 1
@@ -35,17 +36,17 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 
-from gpdext.cli import _fixture_dir, _oracle_order, load_spec
+from gpdext.cli import _fixture_dir, _oracle_order, _window, load_spec
 from gpdext.cocycle import TwoCocycle, normalize
 from gpdext.cyclic_oracle import CyclicExtension, faithfulness_rank, ideal_dimension
 from gpdext.extension import ExtensionAlgebra, cyclic_decompose, oracle_norm_deviation
 from gpdext.groupoid import is_principal
 from gpdext.morita import _unit_pair_lifts
-from gpdext.randgen import draw_oracle_instance, random_laurent, random_laurents
+from gpdext.randgen import draw_oracle_instance, random_laurent, random_laurents, random_values
 
 ORDERS = (2, 3, 4, 6)
 STAGES = ("build", "cyclic_decompose", "faithfulness_rank", "norm_agreement")
-FIXTURE_STAGES = ("build", "cyclic_decompose", "norm_agreement", "ideal_dimension")
+FIXTURE_STAGES = ("draws", "build", "cyclic_decompose", "norm_agreement", "ideal_dimension")
 SAMPLES = 10  # verify-all's samples, as scripts/verify_fixtures.py runs it
 
 
@@ -59,9 +60,9 @@ def instances(count: int, seed: int) -> list[tuple]:
     return out
 
 
-def fixtures(seed: int) -> list[tuple]:
-    """(name, groupoid, normalized cocycle, k, samples) for each bundled
-    fixture that verify-all runs the oracle on, as it draws them."""
+def fixtures() -> list[tuple]:
+    """(name, groupoid, normalized cocycle, k, decompose's mode window) for
+    each bundled fixture that verify-all runs the oracle on."""
     out = []
     for path in sorted(_fixture_dir().glob("*.json")):
         spec, _ = load_spec(None, path.stem)
@@ -69,10 +70,23 @@ def fixtures(seed: int) -> list[tuple]:
         w = w if w.normalized else normalize(w)[0]
         k = _oracle_order(spec, w, None)
         if k is not None:
-            ea = ExtensionAlgebra(g, w)
-            draws = random_laurents(random.Random(seed), ea, (0, k - 1), (SAMPLES,))
-            out.append((path.stem, g, w, k, draws))
+            out.append((path.stem, g, w, k, _window(spec, None)))
     return out
+
+
+def verify_all_draws(g, w, k: int, window, seed: int):
+    """Every sample draw verify-all makes on (g, w), as its sub-suites make
+    them; returns cyclic-oracle's stack of samples on modes 0..k-1."""
+    ea = ExtensionAlgebra(g, w)
+    for _ in range(2):  # algebra[n=0] and algebra[n=1]
+        random_values(random.Random(seed), (SAMPLES, 3, g.n_arrows))
+    random_laurents(random.Random(seed), ea, window, (SAMPLES, 2))
+    draws = random_laurents(random.Random(seed), ea, (0, k - 1), (SAMPLES,))
+    if is_principal(g):  # morita: positivity, then the saturation pairs
+        rng = random.Random(seed)
+        random_values(rng, (SAMPLES, g.n_units))
+        random_values(rng, (SAMPLES, 2, g.n_units))
+    return draws
 
 
 def run_pass(pool: list[tuple], around) -> None:
@@ -91,16 +105,19 @@ def run_pass(pool: list[tuple], around) -> None:
             raise RuntimeError(f"decomposition fails at k={k} on {g.name}")
 
 
-def run_fixture_pass(pool: list[tuple], around) -> None:
+def run_fixture_pass(pool: list[tuple], seed: int, around) -> None:
     """One pass of verify-all's oracle stages over the fixtures, each made
     inside ``around((fixture, stage))``."""
-    for name, g, w, k, draws in pool:
+    for name, g, w, k, window in pool:
+        with around((name, "draws")):
+            draws = verify_all_draws(g, w, k, window, seed)
         with around((name, "build")):
             ext = CyclicExtension(g, w, k)
             ideals = []  # fullness at k = 1 and saturation at max(k, 2)
             if is_principal(g):
                 trivial = TwoCocycle.trivial(g)
-                ideals = [CyclicExtension(g, trivial, 1), CyclicExtension(g, w, max(k, 2))]
+                saturation = ext if k >= 2 else CyclicExtension(g, w, 2)
+                ideals = [CyclicExtension(g, trivial, 1), saturation]
         with around((name, "cyclic_decompose")):
             cd = cyclic_decompose(ext)
         with around((name, "norm_agreement")):
@@ -130,9 +147,9 @@ def timed_passes(run, keys, passes: int) -> dict:
 
 
 def profile_fixtures(count: int, seed: int) -> None:
-    pool = fixtures(seed)
+    pool = fixtures()
     keys = [(name, stage) for name, *_ in pool for stage in FIXTURE_STAGES]
-    seconds = timed_passes(lambda around: run_fixture_pass(pool, around), keys, count)
+    seconds = timed_passes(lambda around: run_fixture_pass(pool, seed, around), keys, count)
     print(f"{len(pool)} fixtures, {count} passes, seed {seed}, ms/pass")
     print(f"{'fixture':<16}" + "".join(f" {s:>16}" for s in FIXTURE_STAGES + ("total",)))
     for name, *_ in pool:

@@ -118,7 +118,7 @@ def _print_morita(name, g, w, k) -> None:
     pairs = random_values(rng, (SAMPLES, 2, g.n_units))
     cert = fullness_check(g)
     for kk, ww in ((1, TwoCocycle.trivial(g)), (k, w), (2 * k, w)):
-        rep = saturation_report(g, ww, kk, pairs)
+        rep = saturation_report(cyclic_extension(g, ww, kk), pairs)
         ideal, full = rep.ideal_dimension, rep.ideal_dimension == kk * g.n_arrows
         if kk == 1:
             ideal, full = cert.ideal_dimension, cert.full

@@ -74,9 +74,10 @@ CSTAR_TOL = 1e-9  # ||f* f|| against ||f||^2, relative: SVDs of two different op
 PRODUCT_TOL = 1e-10  # one product of random elements taken two ways: other sums of the terms
 MODE_STAR_TOL = 1e-12  # the graded star against each mode's own: the same values conjugated
 
-# the reports of the verify-all call in progress, keyed by the groupoid or
-# the cocycle they decide, so that its sub-suites do not decide them again
-_verify_all_reports: ContextVar = ContextVar("verify_all_reports", default=None)
+# what the verify-all call in progress has decided or built, so that its
+# sub-suites do not do it again: the reports keyed by the groupoid or the
+# cocycle they decide, and each extension mu_k x_w G keyed by its k
+_verify_all_held: ContextVar = ContextVar("verify_all_held", default=None)
 
 
 @dataclass
@@ -165,8 +166,19 @@ def load_spec(path: str | None, fixture: str | None) -> tuple[SpecDocument, str]
 
 def _report(x, decide):
     """decide(x), or the report on x that the verify-all call in progress holds."""
-    held = _verify_all_reports.get() or {}
+    held = _verify_all_held.get() or {}
     return held[x] if x in held else decide(x)
+
+
+def _extension(g, w: TwoCocycle, k: int) -> oracle.CyclicExtension:
+    """mu_k x_w G, built once per k in the verify-all call in progress: its
+    sub-suites all read one spec, so one k names one extension."""
+    held = _verify_all_held.get()
+    if held is None:
+        return cyclic_extension(g, w, k)
+    if k not in held:
+        held[k] = cyclic_extension(g, w, k)
+    return held[k]
 
 
 def _base_is_groupoid(spec: SpecDocument, report: Report) -> bool:
@@ -430,7 +442,7 @@ def cmd_cyclic_oracle(
         )
         return report
     try:
-        ext = cyclic_extension(g, w, kk)
+        ext = _extension(g, w, kk)
     except oracle.OracleError as e:
         report.add("extension-groupoid", False, error=str(e))
         return report
@@ -491,7 +503,7 @@ def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Repo
     if kk is not None:
         pairs = random_values(rng, (samples, 2, g.n_units))
         try:
-            sat = saturation_report(g, w, max(kk, 2), pairs)
+            sat = saturation_report(_extension(g, w, max(kk, 2)), pairs)
         except oracle.OracleError as e:
             report.add("extension-groupoid", False, error=str(e))
             return report
@@ -527,7 +539,7 @@ def cmd_verify_all(
         return report
     w = spec.cocycle_or_trivial()
     idrep = w.check_identity()
-    token = _verify_all_reports.set({g: rep, w: idrep})
+    token = _verify_all_held.set({g: rep, w: idrep})
     try:
         for prefix, sub in (
             ("validate", cmd_validate(spec, source, seed, samples)),
@@ -559,7 +571,7 @@ def cmd_verify_all(
                     trivial=sol is not None,
                 )
     finally:
-        _verify_all_reports.reset(token)
+        _verify_all_held.reset(token)
     return report
 
 

@@ -204,13 +204,12 @@ class CyclicExtension:
 # ---------------------------------------------------------------------------
 # the extension algebra, written directly against the composition table.
 
-def deltas(ext: CyclicExtension, arrows, exact: bool):
-    """The stack of delta elements at the given extension arrows."""
+def deltas(ext: CyclicExtension, arrows) -> Exact:
+    """The stack of exact delta elements at the given extension arrows."""
     arrows = np.asarray(arrows, dtype=np.intp)
-    shape = (len(arrows), ext.dimension, ext.k if exact else 1)  # exact: the coefficient of 1
-    out = np.zeros(shape, dtype=np.int64 if exact else complex)
-    out[np.arange(len(arrows)), arrows, 0] = 1
-    return Exact(out) if exact else out[..., 0]
+    out = np.zeros((len(arrows), ext.dimension, ext.k), dtype=np.int64)
+    out[np.arange(len(arrows)), arrows, 0] = 1  # the coefficient of 1
+    return Exact(out)
 
 
 class Terms(NamedTuple):
@@ -421,7 +420,7 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     *A Groupoid Approach to C*-Algebras*, LNM 793, 1980)."""
     G = ext.groupoid
     units = G.unit_to_arrow[G.source_map]
-    products = conv(ext, deltas(ext, G.arrows(), True), deltas(ext, units, True))
+    products = conv(ext, deltas(ext, G.arrows()), deltas(ext, units))
     support = products.num.any(axis=-1)
     rank = int((support == np.eye(ext.dimension, dtype=bool)).all(axis=1).sum())
     return rank, ext.dimension

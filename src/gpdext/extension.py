@@ -519,7 +519,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         # terms of batch row (x, n) add into x
         for lo, hi in chunks(N, max(N, 4 * k) * k):
             x = rows[lo:hi]
-            terms = oracle.projection_terms(ext, oracle.deltas(ext, x, True), t)
+            terms = oracle.projection_terms(ext, oracle.deltas(ext, x), t)
             yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo) * N + x, 0 * x)
 
     for rank, position, bad, value in comparisons():

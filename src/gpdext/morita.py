@@ -166,15 +166,15 @@ class SaturationReport:
 LEAKAGE_TOL = 1e-12
 
 
-def saturation_report(g: FiniteGroupoid, w: TwoCocycle, k: int, pairs) -> SaturationReport:
+def saturation_report(ext: oracle.CyclicExtension, pairs) -> SaturationReport:
     """Lift the inner products <f, h> of a stack of pairs (samples, 2, units)
-    into the finite cyclic extension and measure their mode content: all mass
-    in mode 0, and the generated ideal exactly the mode-0 summand (dimension
-    |arrows|), never the whole extension algebra.  A leakage above
-    ``LEAKAGE_TOL`` is named by its witness, at the first largest one in
-    (sample, t, a) order."""
+    into the finite cyclic extension mu_k x_w G and measure their mode
+    content: all mass in mode 0, and the generated ideal exactly the mode-0
+    summand (dimension |arrows|), never the whole extension algebra.  A
+    leakage above ``LEAKAGE_TOL`` is named by its witness, at the first
+    largest one in (sample, t, a) order."""
+    g, k = ext.base, ext.k
     _require_principal(g, "saturation_report")
-    ext = oracle.CyclicExtension(g, w, k)
     L = _lifts(ext, pairs[..., 0, :], pairs[..., 1, :])
     # what mode 0 misses, and every other mode, over the whole stack at once
     off = np.stack([oracle.mode_projection(ext, L, n) for n in range(k)])

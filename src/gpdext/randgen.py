@@ -107,12 +107,30 @@ def random_laurent(rng: random.Random, ext_algebra, window: tuple[int, int], den
     return ext_algebra.element(modes)
 
 
+def _gaussians(rng: random.Random, count: int) -> list[complex]:
+    """``count`` values complex(rng.gauss(0, 1), rng.gauss(0, 1)), bit for bit
+    and leaving rng in the same state: each is one Box-Muller pair, made from
+    two rng.random() draws by the formulas of random.gauss with the libm
+    functions of ``math`` (numpy's vectorised ones may round differently).
+    ``0.0 +`` turns -0.0 into 0.0, as gauss's ``mu + z * sigma`` does.  A
+    generator holding gauss's pending second value is refused: its stream
+    is half a value ahead."""
+    if rng.gauss_next is not None:
+        raise ValueError("the generator holds a pending rng.gauss value; reseed it first")
+    draw = rng.random
+    out = []
+    for _ in range(count):
+        x = draw() * math.tau
+        r = math.sqrt(-2.0 * math.log(1.0 - draw()))
+        out.append(complex(0.0 + math.cos(x) * r, 0.0 + math.sin(x) * r))
+    return out
+
+
 def random_values(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
     """Complex values complex(rng.gauss(0, 1), rng.gauss(0, 1)) in the C order
     of shape: a stack of elements' coefficients, drawn one element after
     another and, within one, arrow by arrow."""
-    draws = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(math.prod(shape))]
-    return np.array(draws, dtype=complex).reshape(shape)
+    return np.array(_gaussians(rng, math.prod(shape)), dtype=complex).reshape(shape)
 
 
 def random_laurents(rng: random.Random, ext_algebra, window: tuple[int, int], shape):
@@ -121,9 +139,9 @@ def random_laurents(rng: random.Random, ext_algebra, window: tuple[int, int], sh
     one rng.random(), then the mode's coefficients."""
     lo, hi = window
     m = ext_algebra.groupoid.n_arrows
-    rows = []
+    values = []
     for _ in range(math.prod(shape) * (hi - lo + 1)):
         rng.random()  # random_laurent's draw against its density
-        rows.append(random_values(rng, (m,)))
-    return ext_algebra.stack(lo, np.array(rows, dtype=complex).reshape(*shape, hi - lo + 1, m))
+        values += _gaussians(rng, m)
+    return ext_algebra.stack(lo, np.array(values, dtype=complex).reshape(*shape, hi - lo + 1, m))
 

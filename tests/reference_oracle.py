@@ -80,7 +80,7 @@ def regular_rep_matrix(ext, f: np.ndarray, u: int) -> np.ndarray:
     """Matrix of convolution by the numeric oracle element f on the source
     fiber over unit u, from ``scan_conv`` against the deltas of the fiber."""
     fiber = list(ext.groupoid.source_fiber(u))
-    columns = scan_conv(ext, f, oracle.deltas(ext, fiber, exact=False))
+    columns = scan_conv(ext, f, np.eye(ext.dimension, dtype=complex)[fiber])
     return columns[:, fiber].T
 
 
@@ -259,7 +259,7 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
             for mm in range(k):
                 got = gather_projection(ext, q[n], mm)
                 yield "projection", (n, mm), combined(got, q[n], -1) if mm == n else got, none
-        deltas = oracle.deltas(ext, range(ext.dimension), True)
+        deltas = oracle.deltas(ext, range(ext.dimension))
         total = gather_projection(ext, deltas, 0)
         for n in range(1, k):
             total = combined(total, gather_projection(ext, deltas, n))

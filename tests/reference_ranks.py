@@ -14,7 +14,6 @@ products, one ``AlgebraElement`` at a time.
 
 import numpy as np
 
-from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cocycle import TwoCocycle
 from gpdext.morita import left_inner
@@ -82,7 +81,7 @@ def oracle_stacked_rank(ext) -> tuple[int, int]:
     for u in ext.groupoid.units():
         fiber = ext.groupoid.source_fiber(u)
         cols = np.zeros((len(fiber) ** 2, dim), dtype=complex)
-        for x, delta in enumerate(oracle.deltas(ext, range(dim), exact=False)):
+        for x, delta in enumerate(np.eye(dim, dtype=complex)):
             cols[:, x] = regular_rep_matrix(ext, delta, u).reshape(-1)
         blocks.append(cols)
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim))

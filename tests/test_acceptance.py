@@ -334,7 +334,7 @@ def test_10_imprimitivity(fixture_specs):
 
         k = max(2, lcm(*dens) if dens else 1)
         pairs = random_values(rng, (10, 2, g.n_units))
-        rep = saturation_report(g, w, k, pairs)
+        rep = saturation_report(cyclic_extension(g, w, k), pairs)
         mode_zero_ok = mode_zero_ok and rep.mode_zero_ok and rep.not_saturated
 
     positivity_ok = True

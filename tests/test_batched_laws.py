@@ -29,6 +29,7 @@ from gpdext.extension import (
 from gpdext.randgen import random_laurent, random_laurents, random_values
 from helpers import random_element
 from reference_algebra import loop_reduced_decomposition
+from reference_draws import gauss_laurent
 
 SAMPLES = 4
 SEEDS = (0, 1)
@@ -56,16 +57,6 @@ INSTANCES = _instances()
 IDS = [x[0] for x in INSTANCES]
 
 
-def _one_laurent(rng, g, window) -> dict:
-    """One draw of random_laurent at density 1, written out: per mode one
-    rng.random(), then a complex Gaussian per arrow."""
-    modes = {}
-    for n in range(window[0], window[1] + 1):
-        if rng.random() <= 1.0:
-            modes[n] = {a: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for a in g.arrows()}
-    return modes
-
-
 def _same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -89,7 +80,7 @@ def test_stacked_draws_match_the_per_sample_draws(name, g, w, k, window, seed):
         rows = draws.values.reshape(-1, *draws.values.shape[-2:])
         assert draws.lo == win[0] and len(rows) == np.prod(shape)
         for row in rows:
-            want = ea.element(_one_laurent(single, g, win))
+            want = gauss_laurent(single, ea, win, 1.0)
             _same_bits(row, want.on(*win))
             _same_bits(row, random_laurent(library, ea, win).on(*win))
         assert stacked.getstate() == single.getstate() == library.getstate()

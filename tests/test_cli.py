@@ -482,3 +482,50 @@ def test_normalize_decides_the_identity_twice(monkeypatch, capsys):
     assert main(["normalize", "--fixture", "pauli", "--format", "machine"]) == 0
     # once on the input, once as normalize's postcondition on its output
     assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+def _count_builds(monkeypatch) -> list:
+    """The k of every mu_k x_w G built from now on, in build order."""
+    from gpdext.cyclic_oracle import CyclicExtension
+
+    builds = []
+    init = CyclicExtension.__init__
+
+    def counting(self, g, w, k):
+        builds.append(k)
+        init(self, g, w, k)
+
+    monkeypatch.setattr(CyclicExtension, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("fixture,k", [("pair3_cobound", 6), ("cover3_cech5", 5)])
+def test_verify_all_builds_each_extension_once(fixture, k, monkeypatch, capsys):
+    import gpdext.cli as cli
+
+    args = ["verify-all", "--fixture", fixture, "--samples", "3", "--format", "machine"]
+    # each sub-suite building its own extensions gives the same bytes
+    monkeypatch.setattr(cli, "_extension", cli.cyclic_extension)
+    rc, separate = run(capsys, *args)
+    monkeypatch.undo()
+    builds = _count_builds(monkeypatch)
+    assert run(capsys, *args) == (rc, separate) and rc == 0
+    # cyclic-oracle's mu_k x_w G serves the saturation report; the fullness
+    # check builds the extension at k = 1
+    assert builds == [k, 1]
+    # standalone, the morita suite builds its own, and nothing outlives the call
+    builds.clear()
+    spec, source = load_spec(None, fixture)
+    assert cli.cmd_morita(spec, source, 0, 3).passed
+    assert builds == [1, k]
+
+
+def test_verify_all_builds_apart_at_other_orders(monkeypatch, capsys):
+    # --k 3 moves the oracle's order, not the saturation report's (the
+    # document's k = 2)
+    builds = _count_builds(monkeypatch)
+    rc, _ = run(capsys, "verify-all", "--fixture", "pair2_trivial", "--samples", "2", "--k", "3")
+    assert rc == 0 and builds == [3, 1, 2]
+    builds.clear()
+    rc, _ = run(capsys, "verify-all", "--fixture", "pair2_trivial", "--samples", "2", "--k", "2")
+    assert rc == 0 and builds == [2, 1]

@@ -45,29 +45,45 @@ def test_oracle_profile_prints_time_and_calls_for_every_stage(monkeypatch, capsy
 
 def test_oracle_profile_times_the_oracle_stages_of_every_fixture(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["oracle_profile", "--fixtures", "--count", "1", "--seed", "0"])
-    module, spanned = _module("oracle_profile"), []
-    ideal_dimension = module.ideal_dimension
+    module, spanned, built = _module("oracle_profile"), [], []
+    ideal_dimension, extension = module.ideal_dimension, module.CyclicExtension
 
     def counted(ext, generators):
         spanned.append(ext.base.name)
         return ideal_dimension(ext, generators)
 
+    def counted_build(g, w, k):
+        built.append((g.name, k))
+        return extension(g, w, k)
+
     monkeypatch.setattr(module, "ideal_dimension", counted)
+    monkeypatch.setattr(module, "CyclicExtension", counted_build)
     assert module.main() == 0
     head, columns, *rows = capsys.readouterr().out.splitlines()
     assert head == "5 fixtures, 1 passes, seed 0, ms/pass"
-    stages = ["build", "cyclic_decompose", "norm_agreement", "ideal_dimension", "total"]
+    stages = ["draws", "build", "cyclic_decompose", "norm_agreement", "ideal_dimension", "total"]
     assert columns.split() == ["fixture", *stages]
     names = ["cover3_cech5", "pair2_trivial", "pair3_cobound", "pauli", "z6_bichar"]
     assert [row.split()[0] for row in rows] == names
     for row in rows:
         ms = dict(zip(stages, map(float, row.split()[1:])))
-        assert all(ms[s] > 0 for s in stages[:3])
-        assert ms["total"] == pytest.approx(sum(ms[s] for s in stages[:4]), abs=0.002)
+        assert all(ms[s] > 0 for s in stages[:4])
+        # the six printed values are each rounded by up to 0.0005
+        assert ms["total"] == pytest.approx(sum(ms[s] for s in stages[:5]), abs=0.003)
     # a principal base spans its fullness and saturation ideals, in the warm
     # pass and the timed one; the others span none
     principal = [load_spec(None, name)[0].groupoid.name for name in names[:3]]
     assert sorted(spanned) == sorted(principal * 4)
+    # as verify-all does, each pass builds mu_k x_w G once, and a principal
+    # base also the extension at k = 1 of its fullness check
+    specs = [load_spec(None, name)[0] for name in names]
+    one_pass = [
+        build
+        for spec in specs
+        for build in [(spec.groupoid.name, spec.params["k"])]
+        + ([(spec.groupoid.name, 1)] if spec.groupoid.name in principal else [])
+    ]
+    assert built == one_pass * 2
 
 
 def test_report_digests_match_the_golden_lines(monkeypatch, capsys):
