@@ -76,13 +76,10 @@ def test_oracle_profile_times_the_oracle_stages_of_every_fixture(monkeypatch, ca
     assert sorted(spanned) == sorted(principal * 4)
     # as verify-all does, each pass builds mu_k x_w G once, and a principal
     # base also the extension at k = 1 of its fullness check
-    specs = [load_spec(None, name)[0] for name in names]
-    one_pass = [
-        build
-        for spec in specs
-        for build in [(spec.groupoid.name, spec.params["k"])]
-        + ([(spec.groupoid.name, 1)] if spec.groupoid.name in principal else [])
-    ]
+    one_pass = []
+    for spec in (load_spec(None, name)[0] for name in names):
+        g = spec.groupoid.name
+        one_pass += [(g, spec.params["k"])] + [(g, 1)] * (g in principal)
     assert built == one_pass * 2
 
 
