@@ -59,7 +59,6 @@ from .morita import (
     MoritaError,
     fullness_check,
     inner_products,
-    left_inner,
     positivity_check,
     saturation_report,
 )

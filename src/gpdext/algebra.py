@@ -199,10 +199,10 @@ class TwistedAlgebra:
         The center of C^sigma[H] has one basis element per sigma-regular
         class: a conjugacy class whose representative g has sigma(g, h) =
         sigma(h, g) for every h in H commuting with g (G. Karpilovsky,
-        *Projective Representations of Finite Groups*, 1985).  Values of sigma
-        compare as ``CircleScalar.isclose`` compares them: equal angles, or
-        complex values within ``CLOSE_TOL``.  H is in ascending order, so the
-        least arrow of each class represents it.
+        *Projective Representations of Finite Groups*, 1985).  Two values of
+        sigma agree when their angles are equal, on an exact cocycle, or when
+        their complex values are within ``CLOSE_TOL``, on a numeric one.
+        H is in ascending order, so the least arrow of each class represents it.
         """
         return self._center_dimension
 
@@ -287,12 +287,9 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {a: v * c for a, v in self._coeff.items()})
 
     def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.algebra.convolve(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.algebra.convolve(self, other)
 
     def star(self) -> "AlgebraElement":
         return self.algebra.involute(self)

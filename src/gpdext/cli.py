@@ -583,9 +583,9 @@ def _parse_modes(text: str) -> tuple[int, int]:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise DocumentError(f"--modes wants the form a..b, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"wants the form a..b, got {text!r}") from None
     if lo > hi:
-        raise DocumentError("--modes window is empty")
+        raise argparse.ArgumentTypeError(f"window is empty, got {text!r}")
     return lo, hi
 
 

@@ -32,24 +32,26 @@ comes in one of two forms:
   each arrow, all over the one denominator k**e;
 - numeric: a complex array of shape (..., k*|A|), taken by
   ``delta_products``, ``mode_projection``, ``embed_mode``,
-  ``reduced_norm`` and ``ideal_dimension``, never by ``conv``.
+  ``reduced_norm`` and ``ideal_dimension``.
 
 Leading axes are batch axes, and every operation broadcasts over them, so a
-certificate handles a whole stack of elements in one call.  ``conv`` meets
-each batch row's nonzero entries of f with those of g (an exact element
-scans its own once) by repeats and offsets, reading y z off the extension's
-own composition table, with neither operand broadcast in memory, so the
-work is the number of meetings.  A product, the involution and the Fourier
-projections are term steps, ``conv_terms``, ``star_terms`` and
-``projection_terms``, each term a coefficient of a power of zeta_k at one
-arrow, which ``_scatter`` adds up.  Every numeric product is one with a
-delta, one term per entry, so ``delta_products`` takes an element against
-every delta from one side in one scatter over the extension's pairs
-(y, z, y z).  ``embed_mode`` embeds any list of modes in one gather of
-roots, ``reduced_norm`` gathers all source fibers of one size from the
-right delta products at once, and ``ideal_dimension`` spans an ideal from
-the left delta products of the generators and the right ones of a basis of
-those, each rank SVD on the distinct nonzero rows of its stack.
+certificate handles a whole stack of elements in one call.  An exact
+product, the involution and the Fourier projections are term steps,
+``conv_terms``, ``star_terms`` and ``projection_terms``, each term a
+coefficient of a power of zeta_k at one arrow.  ``conv_terms`` meets each
+batch row's nonzero entries of f with those of g (an exact element scans
+its own once) by repeats and offsets, reading y z off the extension's own
+composition table, with neither operand broadcast in memory, so the work
+is the number of meetings.  ``faithfulness_rank`` reads the product of
+every delta with its source unit off that table at once.  Every numeric
+product is one with a delta, one term per entry, so ``delta_products``
+takes an element against every delta from one side in one scatter over
+the extension's pairs (y, z, y z).  ``embed_mode`` embeds any list of
+modes in one gather of roots, ``reduced_norm`` gathers all source fibers
+of one size from the right delta products at once, and
+``ideal_dimension`` spans an ideal from the left delta products of the
+generators and the right ones of a basis of those, each rank SVD on the
+distinct nonzero rows of its stack.
 
 ``nonzero_sums`` decides which sums of terms are zero without scattering
 them: each term goes through row j of the map into the power basis of
@@ -227,10 +229,12 @@ class Terms(NamedTuple):
 
 
 def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
-    """The terms of conv(f, g) on exact elements: each batch row's nonzero
-    (arrow y, exponent i) entries of f met with its nonzero (z, j) entries of
-    g where y z exists, giving f_i(y) g_j(z) zeta_k^(i + j) at y z, in
-    ascending (row, y, i, z, j) order, with the weight 1/k of the circle."""
+    """The terms of the convolution (f*g)(x) = (1/k) * sum over x = y.z of
+    f(y) g(z), the circle factor averaged, on exact elements broadcast over
+    their batch axes: each batch row's nonzero (arrow y, exponent i) entries
+    of f met with its nonzero (z, j) entries of g where y z exists, giving
+    f_i(y) g_j(z) zeta_k^(i + j) at y z, in ascending (row, y, i, z, j)
+    order, with the weight 1/k of the circle."""
     k = ext.k
     lead, row, u, v, fu, gv = _nonzero_pairs(f.entries, g.entries)
     y, z = u // k, v // k
@@ -244,14 +248,6 @@ def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
     row, arrow, exponent, fu, gv = row[keep], arrow[keep], exponent[keep], fu[keep], gv[keep]
     coefficient = _widened(fu, bound) * _widened(gv, bound)
     return Terms(lead, row, arrow, exponent, coefficient, f.e + g.e + 1)
-
-
-def conv(ext: CyclicExtension, f: Exact, g: Exact) -> Exact:
-    """Convolution over mu_k x_w G with the circle factor averaged:
-    (f*g)(x) = (1/k) * sum over factorizations x = y.z of f(y) g(z), for
-    exact elements, broadcast over their batch axes: the scatter of the
-    terms of ``conv_terms``."""
-    return _scatter(ext, conv_terms(ext, f, g))
 
 
 def delta_products(ext: CyclicExtension, f: np.ndarray, left: bool) -> np.ndarray:
@@ -338,14 +334,6 @@ def projection_terms(ext: CyclicExtension, f: Exact, modes) -> Terms:
     )
 
 
-def _scatter(ext: CyclicExtension, t: Terms) -> Exact:
-    """The exact elements whose values are the sums of the terms."""
-    N, k = ext.dimension, ext.k
-    out = np.zeros(math.prod(t.lead) * N * k, dtype=t.coefficient.dtype)
-    np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, t.coefficient)
-    return Exact(out.reshape(t.lead + (N, k)), t.e)
-
-
 def mode_projection(ext: CyclicExtension, f: np.ndarray, n: int) -> np.ndarray:
     """The n-th Fourier projection p_n(f)(t, a) = (1/k) sum_j f(t + j, a) e(jn/k)
     of numeric elements: shift the circle coordinate by j, rotate by
@@ -412,17 +400,15 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     """Rank of the direct sum of all regular representations on the delta
     basis, against the algebra dimension k*|arrows|.
 
-    At unit u the column of the unit arrow is conv(f, delta at u) = (1/k) f
-    restricted to s^-1(u), so the unit columns read off f, and the rank
-    counts the arrows x whose product with the unit at s(x) is supported on
-    {x} alone, all taken in one batched call of this module's own conv.
-    Faithfulness is what makes the full and reduced norms agree (J. Renault,
-    *A Groupoid Approach to C*-Algebras*, LNM 793, 1980)."""
-    G = ext.groupoid
-    units = G.unit_to_arrow[G.source_map]
-    products = conv(ext, deltas(ext, G.arrows()), deltas(ext, units))
-    support = products.num.any(axis=-1)
-    rank = int((support == np.eye(ext.dimension, dtype=bool)).all(axis=1).sum())
+    At unit u the column of the unit arrow is f * delta_u = (1/k) f
+    restricted to s^-1(u), so the unit columns read off f.  The product
+    delta_x * delta_u, with u the unit at s(x), is (1/k) delta at x u, so
+    the rank counts the arrows x with x u = x, all read at once off the
+    extension's own composition table.  Faithfulness is what makes the full
+    and reduced norms agree (J. Renault, *A Groupoid Approach to
+    C*-Algebras*, LNM 793, 1980)."""
+    G, x = ext.groupoid, np.arange(ext.dimension)
+    rank = int((ext.compose[x, G.unit_to_arrow[G.source_map]] == x).sum())
     return rank, ext.dimension
 
 

@@ -343,13 +343,6 @@ class CircleScalar:
             return self.angle == 0
         return abs(self.z - 1.0) <= APPROX_TOL
 
-    def isclose(self, other) -> bool:
-        """Equal angles when both are exact, values within CLOSE_TOL otherwise."""
-        other = CircleScalar.coerce(other)
-        if self.is_exact and other.is_exact:
-            return self.angle == other.angle
-        return abs(self.to_complex() - other.to_complex()) <= CLOSE_TOL
-
     def __eq__(self, other):
         if not isinstance(other, CircleScalar):
             try:

@@ -157,15 +157,9 @@ class LaurentElement:
             out[n] = out[n] + f if n in out else f
         return LaurentElement(self.algebra, out)
 
-    def __sub__(self, other: "LaurentElement") -> "LaurentElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "LaurentElement":
-        return LaurentElement(self.algebra, {n: f.scaled(c) for n, f in self.modes.items()})
-
     def __mul__(self, other):
         if not isinstance(other, LaurentElement):
-            return self.scaled(other)
+            return NotImplemented
         self._require_same(other)
         # cross-mode products vanish by circle-average orthogonality
         common = set(self.modes) & set(other.modes)
@@ -174,8 +168,6 @@ class LaurentElement:
         lo, hi = min(common), max(common)
         G, twists = self.algebra.groupoid, self.algebra.cocycle.twists(range(lo, hi + 1))
         return self.algebra.stack(lo, products(G, twists, self.on(lo, hi), other.on(lo, hi)))
-
-    __rmul__ = scaled
 
     def star(self) -> "LaurentElement":
         if self.values is None:

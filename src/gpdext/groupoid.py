@@ -155,14 +155,6 @@ class FiniteGroupoid:
     def unit_arrow(self, u: int) -> int:
         return self.unit_to_arrow.item(u)
 
-    def compose(self, a: int, b: int) -> int:
-        try:
-            return self.compose_table[(a, b)]
-        except KeyError:
-            raise GroupoidError(
-                f"{self.arrow_labels[a]} and {self.arrow_labels[b]} are not composable"
-            ) from None
-
     def compose_or_none(self, a: int, b: int):
         return self.compose_table.get((a, b))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclic_oracle as oracle
-from .algebra import AlgebraElement, TwistedAlgebra, fibers, regular_reps
+from .algebra import fibers, regular_reps
 from .cocycle import TwoCocycle
 from .exact import cmul
 from .groupoid import FiniteGroupoid, orbit_units, principal_obstruction
@@ -54,15 +54,6 @@ def inner_products(g: FiniteGroupoid, f, h) -> np.ndarray:
             f"bimodule elements of {g.n_units} units expected, got shapes {f.shape} and {h.shape}"
         )
     return cmul(f[..., g.range_map], h[..., g.source_map].conj())
-
-
-def left_inner(f, g, algebra: TwistedAlgebra) -> AlgebraElement:
-    """<f, g> in the untwisted algebra, over the batch axes of f and g."""
-    if algebra.power != 0:
-        raise MoritaError("inner products land in the untwisted algebra (power 0)")
-    G = algebra.groupoid
-    _require_principal(G, "left_inner")
-    return algebra.element(inner_products(G, f, g))
 
 
 # Smallest eigenvalue accepted in a positive semidefinite regular matrix:

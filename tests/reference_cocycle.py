@@ -15,8 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from gpdext.exact import CircleScalar
+from gpdext.exact import CLOSE_TOL, CircleScalar
 from gpdext.groupoid import ValidationReport
+
+
+def _close(x: CircleScalar, y: CircleScalar) -> bool:
+    """Equal angles when both are exact, values within CLOSE_TOL otherwise."""
+    if x.is_exact and y.is_exact:
+        return x.angle == y.angle
+    return abs(x.to_complex() - y.to_complex()) <= CLOSE_TOL
 
 
 def loop_check_identity(w) -> ValidationReport:
@@ -31,7 +38,7 @@ def loop_check_identity(w) -> ValidationReport:
                 continue
             lhs = w.value(a, b) * w.value(ab, c)
             rhs = w.value(b, c) * w.value(a, table[(b, c)])
-            if not lhs.isclose(rhs):
+            if not _close(lhs, rhs):
                 rep.add(
                     "cocycle-identity",
                     (a, b, c),

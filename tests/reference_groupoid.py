@@ -71,7 +71,7 @@ def loop_quotient_by_isotropy(g):
     for a in g.arrows():
         if class_of[a] is not None:
             continue
-        members = sorted(g.compose(a, h) for h in iso[g.s(a)])
+        members = sorted(g.compose_table[a, h] for h in iso[g.s(a)])
         cid = len(reps)
         reps.append(members[0])
         for m in members:

@@ -6,7 +6,8 @@ pair of the extension against every batch row, ``gather_projection`` takes
 an exact Fourier projection as one gather of shifted coefficients and
 ``gather_star`` an exact involution as one gather at the inverses, where
 the library builds both from the terms of each nonzero entry, which
-``scatter_projection`` and ``scatter_star`` add up.  ``embed_mode`` embeds
+``scatter_projection`` and ``scatter_star`` add up, as ``scatter_conv``
+adds up the terms of an exact product.  ``embed_mode`` embeds
 exact base coefficients in a mode, which the library no longer does, and
 ``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
 dense, which the library no longer does either.  ``loop_reduced_norm`` takes
@@ -100,9 +101,24 @@ def gather_projection(ext, f, n: int):
     return oracle.Exact(flat[:, index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
 
 
+def scatter(ext, t):
+    """The exact elements whose values are the sums of the oracle's terms t."""
+    N, k = ext.dimension, ext.k
+    out = np.zeros(math.prod(t.lead) * N * k, dtype=t.coefficient.dtype)
+    np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, t.coefficient)
+    return oracle.Exact(out.reshape(t.lead + (N, k)), t.e)
+
+
+def scatter_conv(ext, f, g):
+    """(f*g)(x) = (1/k) * sum over x = y.z of f(y) g(z) of exact values,
+    broadcast over their batch axes: the scatter of the oracle's
+    ``conv_terms``."""
+    return scatter(ext, oracle.conv_terms(ext, f, g))
+
+
 def scatter_projection(ext, f, n: int):
     """p_n(f) of exact values, the scatter of the oracle's ``projection_terms``."""
-    p = oracle._scatter(ext, oracle.projection_terms(ext, f, [n]))
+    p = scatter(ext, oracle.projection_terms(ext, f, [n]))
     return oracle.Exact(p.num.reshape(f.num.shape), p.e)
 
 
@@ -115,7 +131,7 @@ def gather_star(ext, f):
 
 def scatter_star(ext, f):
     """f* of exact values, the scatter of the oracle's ``star_terms``."""
-    return oracle._scatter(ext, oracle.star_terms(ext, f))
+    return scatter(ext, oracle.star_terms(ext, f))
 
 
 def embed_mode(ext, n: int, coeffs):

@@ -16,7 +16,7 @@ import numpy as np
 
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cocycle import TwoCocycle
-from gpdext.morita import left_inner
+from gpdext.morita import inner_products
 from reference_algebra import sigma, value
 from reference_oracle import regular_rep_matrix, scan_conv
 
@@ -46,7 +46,7 @@ def stacked_faithfulness(alg) -> tuple[int, dict]:
         cols = np.zeros((len(fiber) ** 2, dim), dtype=complex)
         for j, b in enumerate(fiber):
             for a in G.source_fiber(G.r(b)):
-                cols[pos[G.compose(a, b)] * len(fiber) + j, a] = value(sigma(alg, a, b))
+                cols[pos[G.compose_table[a, b]] * len(fiber) + j, a] = value(sigma(alg, a, b))
         per_unit_rank[u] = int(np.linalg.matrix_rank(cols)) if cols.size else 0
         blocks.append(cols)
     stacked = np.vstack(blocks) if blocks else np.zeros((0, dim))
@@ -142,7 +142,7 @@ def graded_fullness_dimension(g) -> int:
     algebra = TwistedAlgebra(g, TwoCocycle.trivial(g), 0)
     n = g.n_units
     e = np.eye(n, dtype=complex)
-    gens = left_inner(e[:, None], e[None], algebra).array().reshape(n * n, g.n_arrows)
+    gens = inner_products(g, e[:, None], e[None]).reshape(n * n, g.n_arrows)
     return closure_ideal_dimension(
         list(gens),
         lambda F, H: [(algebra.element(f) * algebra.element(h)).array() for f, h in zip(F, H)],

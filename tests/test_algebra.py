@@ -122,7 +122,7 @@ class TestRegularRep:
         signs = {0: 1, 1: 1, 2: -1, 3: -1}  # w((0,1), g) over g ids
         k4 = pauli_algebra.groupoid
         for j in range(4):
-            expected[k4.compose(1, j), j] = signs[j]
+            expected[k4.compose_table[1, j], j] = signs[j]
         assert np.array_equal(M, expected)
         assert np.array_equal(M @ M, np.eye(4))
 

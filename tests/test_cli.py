@@ -81,6 +81,21 @@ class TestExitCodes:
     def test_missing_input_is_two(self):
         assert main(["validate"]) == 2
 
+    def test_missing_document_is_two(self, tmp_path, capsys):
+        assert main(["verify-all", str(tmp_path / "absent.json")]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decompose", "verify-all"])
+    @pytest.mark.parametrize(
+        "window, message",
+        [("1-2", "wants the form a..b, got '1-2'"), ("2..1", "window is empty, got '2..1'")],
+    )
+    def test_malformed_mode_flag_is_two(self, command, window, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--fixture", "pauli", f"--modes={window}"])
+        assert exited.value.code == 2
+        assert f"argument --modes: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["cyclic-oracle", "verify-all"])
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_two(self, command, k, capsys):
@@ -182,7 +197,8 @@ class TestExitCodes:
         assert f"{named} repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", ["normalize", "trivialize", "algebra", "decompose", "cyclic-oracle", "morita"]
+        "command",
+        ["normalize", "trivialize", "algebra", "decompose", "cyclic-oracle", "morita", "verify-all"],
     )
     def test_non_groupoid_base_fails_the_suite(self, command, tmp_path, capsys):
         # an order-5 loop: a unital Latin square that is not associative
@@ -386,6 +402,30 @@ def test_an_oracle_run_of_conductor_13_is_skipped_not_passed(tmp_path, capsys):
         assert line.split()[1] == "skip"
         others = [x.split()[1] for x in out.splitlines()[1:-1] if x.split()[:1] != [name]]
         assert set(others) == {"pass"}
+
+
+def test_an_unnormalized_cocycle_is_normalized_by_each_suite(tmp_path, capsys):
+    # w = delta b on pair(2) with b = e(1/4) at one unit arrow u, so
+    # w(u, u) = e(1/4) and w is not normalized; the document sets no params.k
+    from fractions import Fraction
+
+    from gpdext.cocycle import OneCochain
+    from gpdext.documents import SpecDocument, canonical_json
+    from gpdext.groupoid import pair_groupoid
+
+    g = pair_groupoid(2)
+    w = OneCochain(g, {g.unit_arrow(0): Fraction(1, 4)}).coboundary()
+    assert not w.normalized
+    doc = tmp_path / "unnormalized.json"
+    doc.write_text(canonical_json(spec_to_doc(SpecDocument(groupoid=g, cocycle=w))))
+    for command in ("trivialize", "algebra", "decompose", "cyclic-oracle", "morita"):
+        rc, out = run(capsys, command, str(doc), "--samples", "2", "--format", "machine")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert rc == 0, command
+        assert checks["cocycle-normalized"]["passed"] is True
+        assert checks["cocycle-normalized"]["details"] == {"auto_normalized": True}
+    rc, out = run(capsys, "verify-all", str(doc), "--samples", "2")
+    assert rc == 0 and out.rstrip().endswith("overall: pass")
 
 
 def test_empty_groupoid_runs_the_whole_suite(tmp_path, capsys):

@@ -47,7 +47,7 @@ class TestCheckIdentity:
             return -1 if (coords[a][1] * coords[b][0]) % 2 else 1
 
         for a, b, c in itertools.product(range(4), repeat=3):
-            ab, bc = klein.compose(a, b), klein.compose(b, c)
+            ab, bc = klein.compose_table[a, b], klein.compose_table[b, c]
             assert wf(a, b) * wf(ab, c) == wf(b, c) * wf(a, bc)
         assert pauli.check_identity().ok
         for a, b in klein.compose_table:
@@ -60,6 +60,25 @@ class TestCheckIdentity:
         rep = bad.check_identity()
         assert not rep.ok
         assert all(v.rule == "cocycle-identity" for v in rep.violations)
+
+    def test_an_unchecked_failing_cocycle_is_refused_with_its_summary(self, klein, pauli):
+        # w(a, b) = e(a^2 b / 5) on Z/5 misses the identity by e(2abc / 5),
+        # on the 64 triples with abc != 0; the summary lists the first 20
+        z5 = cyclic_group_groupoid(5)
+        w = TwoCocycle(z5, {(a, b): Fraction(a * a * b, 5) for a, b in z5.compose_table})
+        summary = w.check_identity().summary()
+        lines = summary.splitlines()
+        assert lines[0] == "cocycle on Z5: 64 violation(s)"
+        assert len(lines) == 22 and lines[-1] == "  ... and 44 more"
+        with pytest.raises(CocycleError) as refused:
+            TwistedAlgebra(z5, w, 1)
+        assert str(refused.value) == f"twisted algebra: cocycle identity fails; {summary}"
+        # ten violations are all listed; a cocycle that holds reads ok
+        vals = {p: pauli.value(*p) for p in klein.compose_table}
+        vals[(1, 2)] = vals[(1, 2)] * CircleScalar(angle=Fraction(1, 4))
+        lines = TwoCocycle(klein, vals).check_identity().summary().splitlines()
+        assert len(lines) == 11 and lines[0] == "cocycle on Z2xZ2: 10 violation(s)"
+        assert TwoCocycle.trivial(z5).check_identity().summary() == "cocycle on Z5: ok"
 
 
 def _identity_cases():

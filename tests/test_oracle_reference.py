@@ -1,9 +1,10 @@
 """The oracle convolution and the mode decomposition certificate against
 their loop references.
 
-`conv` is compared with `reference_oracle.scan_conv` on seeded exact
-operands: dense and sparse elements, stacks that broadcast against each
-other, and dense elements against delta stacks from either side, by
+The scatter of `conv_terms` (`reference_oracle.scatter_conv`) is compared
+with `reference_oracle.scan_conv` on seeded exact operands: dense and
+sparse elements, stacks that broadcast against each other, and dense
+elements against delta stacks from either side, by
 numerators, dtype and denominator, also on k = 1 and on the empty groupoid.
 `delta_products` is compared by its bytes with `scan_conv` against every
 delta from either side, on single elements and stacks, some entries with
@@ -74,6 +75,7 @@ from reference_oracle import (
     loop_norm_deviation,
     loop_reduced_norm,
     scan_conv,
+    scatter_conv,
     scatter_projection,
     scatter_star,
 )
@@ -173,7 +175,7 @@ def test_conv_matches_the_scan(name, g, w, k):
     rng = random.Random(name)
     ext = oracle.CyclicExtension(g, w, k)
     for f, h in _operand_pairs(rng, ext):
-        assert_same_product(oracle.conv(ext, f, h), scan_conv(ext, f, h))
+        assert_same_product(scatter_conv(ext, f, h), scan_conv(ext, f, h))
 
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
@@ -250,7 +252,7 @@ def test_conv_matches_the_scan_beyond_int64(klein, pauli):
     ext = oracle.CyclicExtension(klein, pauli, 2)
     for f, h in _operand_pairs(rng, ext):
         f, h = oracle.Exact(f.num * 2**40, f.e), oracle.Exact(h.num * 2**40, h.e)
-        product = oracle.conv(ext, f, h)
+        product = scatter_conv(ext, f, h)
         if f.num.any() and h.num.any():
             assert product.num.dtype == object
         assert_same_product(product, scan_conv(ext, f, h))

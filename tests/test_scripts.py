@@ -96,16 +96,23 @@ def test_report_digests_match_the_golden_lines(monkeypatch, capsys):
 
 def test_design_counts_print_each_module_and_the_totals(monkeypatch, capsys):
     module = _module("design_counts")
-    # parameters with a default, positional and keyword-only, in every def
-    source = "def f(a, b=1, *, c=2, d): pass\nclass C:\n    def g(self, x=None): pass\n"
-    assert module.settable_options(source) == 3
+    # parameters with a default, positional and keyword-only, in every def;
+    # functions, methods and nested defs, but no lambda or class
+    source = (
+        "def f(a, b=1, *, c=2, d):\n    def h(y=0): pass\nclass C:\n"
+        "    def g(self, x=None): pass\n    k = lambda z=1: z\n"
+    )
+    assert module.settable_options(source) == 4
+    assert module.def_count(source) == 3
     monkeypatch.setattr(sys, "argv", ["design_counts"])
     assert module.main() == 0
-    *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    head, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert head == ["module", "lines", "defs", "options"]
     package = SCRIPTS.parent / "src" / "gpdext"
-    assert [name for name, _, _ in rows] == sorted(p.name for p in package.glob("*.py"))
-    for name, lines, options in rows:
+    assert [name for name, *_ in rows] == sorted(p.name for p in package.glob("*.py"))
+    for name, lines, defs, options in rows:
         source = (package / name).read_text()
         assert int(lines) == source.count("\n")
+        assert int(defs) == module.def_count(source)
         assert int(options) == module.settable_options(source)
-    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2))]
+    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in (1, 2, 3))]
