@@ -18,7 +18,8 @@ makes, of ``SAMPLES`` samples at ``--seed``; the build of every extension
 verify-all makes (mu_k x_w G, and for a principal base the extension of
 the fullness check at k = 1 and, when k = 1, that of the saturation report
 at k = 2, which otherwise reads mu_k x_w G); the ``cyclic_decompose`` of
-mu_k x_w G (with centers); the norm agreement of cyclic-oracle's samples;
+mu_k x_w G (without centers: verify-all reads those off the algebras of
+its session); the norm agreement of cyclic-oracle's samples;
 and the ``ideal_dimension`` of the unit-pair lifts in each extension of a
 principal base.  One warm pass goes first, then ``--count`` timed passes,
 and it prints each stage's wall time per pass and fixture.
@@ -36,8 +37,8 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 
-from gpdext.cli import _fixture_dir, _oracle_order, _window, load_spec
-from gpdext.cocycle import TwoCocycle, normalize
+from gpdext.cli import Session, _fixture_dir, _window, load_spec
+from gpdext.cocycle import TwoCocycle
 from gpdext.cyclic_oracle import CyclicExtension, faithfulness_rank, ideal_dimension
 from gpdext.extension import ExtensionAlgebra, cyclic_decompose, oracle_norm_deviation
 from gpdext.groupoid import is_principal
@@ -61,16 +62,15 @@ def instances(count: int, seed: int) -> list[tuple]:
 
 
 def fixtures() -> list[tuple]:
-    """(name, groupoid, normalized cocycle, k, decompose's mode window) for
-    each bundled fixture that verify-all runs the oracle on."""
+    """(name, groupoid, prepared cocycle, k, decompose's mode window) for
+    each bundled fixture that verify-all runs the oracle on, as verify-all's
+    session reads them."""
     out = []
     for path in sorted(_fixture_dir().glob("*.json")):
-        spec, _ = load_spec(None, path.stem)
-        g, w = spec.groupoid, spec.cocycle_or_trivial()
-        w = w if w.normalized else normalize(w)[0]
-        k = _oracle_order(spec, w, None)
+        session = Session(*load_spec(None, path.stem))
+        g, w, k = session.groupoid, session.cocycle, session.order(None)
         if k is not None:
-            out.append((path.stem, g, w, k, _window(spec, None)))
+            out.append((path.stem, g, w, k, _window(session.spec, None)))
     return out
 
 
@@ -119,7 +119,7 @@ def run_fixture_pass(pool: list[tuple], seed: int, around) -> None:
                 saturation = ext if k >= 2 else CyclicExtension(g, w, 2)
                 ideals = [CyclicExtension(g, trivial, 1), saturation]
         with around((name, "cyclic_decompose")):
-            cd = cyclic_decompose(ext)
+            cd = cyclic_decompose(ext, skip_centers=True)
         with around((name, "norm_agreement")):
             oracle_norm_deviation(draws, ext)
         with around((name, "ideal_dimension")):

@@ -60,6 +60,7 @@ import sys
 
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import (
+    Session,
     _fixture_dir,
     cmd_algebra,
     cmd_cyclic_oracle,
@@ -68,7 +69,7 @@ from gpdext.cli import (
     load_spec,
 )
 from gpdext.cli import main as cli_main
-from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, normalize
+from gpdext.cocycle import TwoCocycle, bicharacter_cocycle
 from gpdext.cyclic_oracle import faithfulness_rank
 from gpdext.documents import SpecDocument
 from gpdext.extension import cyclic_decompose, cyclic_extension
@@ -132,15 +133,12 @@ def main() -> int:
             spec, source = load_spec(None, path.stem)
             print(path.stem, seed, _digest(cmd_verify_all(spec, source, seed, SAMPLES)))
     for path in paths:
-        spec, source = load_spec(None, path.stem)
-        k = 2 * int(spec.params["k"])
-        print(path.stem, f"k={k}", _digest(cmd_cyclic_oracle(spec, source, 0, SAMPLES, k=k)))
+        session = Session(*load_spec(None, path.stem))
+        k = 2 * int(session.spec.params["k"])
+        print(path.stem, f"k={k}", _digest(cmd_cyclic_oracle(session, 0, SAMPLES, k=k)))
     for path in paths:
-        spec, _ = load_spec(None, path.stem)
-        g, k = spec.groupoid, int(spec.params["k"])
-        w = spec.cocycle_or_trivial()
-        if not w.normalized:
-            w = normalize(w)[0]
+        session = Session(*load_spec(None, path.stem))
+        g, w, k = session.groupoid, session.cocycle, int(session.spec.params["k"])
         for n in range(-k, 2 * k + 1):
             alg = TwistedAlgebra(g, w, n)
             cert = alg.full_norm_certificate()
@@ -171,15 +169,15 @@ def main() -> int:
         numeric = TwoCocycle(spec.groupoid, {p: v.to_complex() for p, v in w.values.items()})
         spec = SpecDocument(groupoid=spec.groupoid, cocycle=numeric, params=spec.params)
         for command in (cmd_algebra, cmd_decompose):
-            report = command(spec, source, 0, SAMPLES)
+            report = command(Session(spec, source), 0, SAMPLES)
             print(path.stem, "complex", report.command, _digest(report))
         k = int(spec.params["k"])
-        report = cmd_cyclic_oracle(spec, source, 0, SAMPLES, k=k)
+        report = cmd_cyclic_oracle(Session(spec, source), 0, SAMPLES, k=k)
         print(path.stem, "complex", report.command, f"k={k}", _digest(report))
     for name, g, w in _wide_instances():
         spec = SpecDocument(groupoid=g, cocycle=w, params={})
         for command in (cmd_algebra, cmd_decompose):
-            report = command(spec, name, 0, SAMPLES)
+            report = command(Session(spec, name), 0, SAMPLES)
             print(name, "wide", report.command, _digest(report))
     return 0
 

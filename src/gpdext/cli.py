@@ -13,15 +13,14 @@ import argparse
 import os
 import random
 import sys
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import cyclic_oracle as oracle
-from .algebra import TwistedAlgebra
 from .cocycle import (
     CocycleError,
     IsotropyObstruction,
@@ -73,11 +72,6 @@ UNIT_NORM_TOL = 1e-12  # the norm of the unit: one SVD of a unitary, 1 up to rou
 CSTAR_TOL = 1e-9  # ||f* f|| against ||f||^2, relative: SVDs of two different operators
 PRODUCT_TOL = 1e-10  # one product of random elements taken two ways: other sums of the terms
 MODE_STAR_TOL = 1e-12  # the graded star against each mode's own: the same values conjugated
-
-# what the verify-all call in progress has decided or built, so that its
-# sub-suites do not do it again: the reports keyed by the groupoid or the
-# cocycle they decide, and each extension mu_k x_w G keyed by its k
-_verify_all_held: ContextVar = ContextVar("verify_all_held", default=None)
 
 
 @dataclass
@@ -164,72 +158,71 @@ def load_spec(path: str | None, fixture: str | None) -> tuple[SpecDocument, str]
     return parse_spec(p.read_text()), path
 
 
-def _report(x, decide):
-    """decide(x), or the report on x that the verify-all call in progress holds."""
-    held = _verify_all_held.get() or {}
-    return held[x] if x in held else decide(x)
+class Session:
+    """One spec as every suite on it reads it, each piece decided or built
+    once: the base's validation, the given cocycle's identity report, the
+    prepared cocycle, one ``ExtensionAlgebra`` (whose ``twisted(n)`` is the
+    one algebra of mode n) and the extensions mu_k x_w G by k.  The cocycle,
+    the algebra and each extension are built on first use.  A command builds
+    a session and drops it, so nothing outlives the call."""
 
+    def __init__(self, spec: SpecDocument, source: str):
+        self.spec, self.source, self.groupoid = spec, source, spec.groupoid
+        self.validation = validate(spec.groupoid)
+        # the given cocycle and its identity report, on a groupoid only
+        self.given = spec.cocycle_or_trivial() if self.validation.ok else None
+        self.identity = self.given.check_identity() if self.validation.ok else None
+        self.extensions: dict[int, oracle.CyclicExtension] = {}
 
-def _extension(g, w: TwoCocycle, k: int) -> oracle.CyclicExtension:
-    """mu_k x_w G, built once per k in the verify-all call in progress: its
-    sub-suites all read one spec, so one k names one extension."""
-    held = _verify_all_held.get()
-    if held is None:
-        return cyclic_extension(g, w, k)
-    if k not in held:
-        held[k] = cyclic_extension(g, w, k)
-    return held[k]
+    @cached_property
+    def cocycle(self) -> TwoCocycle | None:
+        """The given cocycle, normalized when it is not; None when the base
+        or the identity fails."""
+        w = self.given
+        if self.identity is None or not self.identity.ok:
+            return None
+        return w if w.normalized else normalize(w)[0]
 
+    @cached_property
+    def checks(self) -> list[CheckResult]:
+        """What each suite on the prepared cocycle reports first: a failing
+        base, as groupoid-axioms; else the identity and, when it passes,
+        the normalization."""
+        rep, w = self.validation, self.cocycle
+        if not rep.ok:
+            details = dict(violations=len(rep.violations), first=rep.violations[0].message)
+            return [CheckResult("groupoid-axioms", False, details)]
+        details = dict(violations=len(self.identity.violations), exact=self.given.is_exact)
+        checks = [CheckResult("cocycle-identity", self.identity.ok, details)]
+        if w is not None:
+            details = dict(auto_normalized=w is not self.given)
+            checks.append(CheckResult("cocycle-normalized", w.normalized, details))
+        return checks
 
-def _base_is_groupoid(spec: SpecDocument, report: Report) -> bool:
-    """Validate the base; only a failure is reported, as groupoid-axioms."""
-    rep = _report(spec.groupoid, validate)
-    if not rep.ok:
-        report.add(
-            "groupoid-axioms",
-            False,
-            violations=len(rep.violations),
-            first=rep.violations[0].message,
-        )
-    return rep.ok
+    @cached_property
+    def algebra(self) -> ExtensionAlgebra:
+        return ExtensionAlgebra(self.groupoid, self.cocycle)
 
+    def extension(self, k: int) -> oracle.CyclicExtension:
+        """mu_k x_w G of the prepared cocycle."""
+        if k not in self.extensions:
+            self.extensions[k] = cyclic_extension(self.groupoid, self.cocycle, k)
+        return self.extensions[k]
 
-def _prepared_cocycle(spec: SpecDocument, report: Report) -> TwoCocycle | None:
-    """Identity-check the cocycle and normalize it when needed; report both.
-    None when the base is no groupoid or the identity fails."""
-    if not _base_is_groupoid(spec, report):
-        return None
-    w = spec.cocycle_or_trivial()
-    rep = _report(w, TwoCocycle.check_identity)
-    report.add(
-        "cocycle-identity",
-        rep.ok,
-        violations=len(rep.violations),
-        exact=w.is_exact,
-    )
-    if not rep.ok:
-        return None
-    if w.normalized:
-        report.add("cocycle-normalized", True, auto_normalized=False)
-        return w
-    w2, _ = normalize(w)
-    report.add("cocycle-normalized", w2.normalized, auto_normalized=True)
-    return w2
-
-
-def _oracle_order(spec: SpecDocument, w: TwoCocycle, k_flag: int | None) -> int | None:
-    """The cyclic order used for oracle runs: the --k flag, the document
-    parameter, or the smallest k containing all exact cocycle values: the
-    conductor of its angle table."""
-    if k_flag is not None:
-        k, name = k_flag, "--k"
-    elif "k" in spec.params:
-        k, name = spec.params["k"], "params.k"
-    else:
-        return w.conductor if w.is_exact and w.conductor <= 12 else None
-    if k < 1:
-        raise oracle.OracleError(f"{name} must be at least 1, got {k}")
-    return k
+    def order(self, k_flag: int | None) -> int | None:
+        """The cyclic order used for oracle runs: the --k flag, the document
+        parameter, or the smallest k containing all exact values of the
+        prepared cocycle: the conductor of its angle table."""
+        if k_flag is not None:
+            k, name = k_flag, "--k"
+        elif "k" in self.spec.params:
+            k, name = self.spec.params["k"], "params.k"
+        else:
+            w = self.cocycle
+            return w.conductor if w.is_exact and w.conductor <= 12 else None
+        if k < 1:
+            raise oracle.OracleError(f"{name} must be at least 1, got {k}")
+        return k
 
 
 def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
@@ -244,10 +237,9 @@ def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
-    report = Report("validate", source, seed, samples)
-    g = spec.groupoid
-    rep = _report(g, validate)
+def cmd_validate(session: Session, seed: int, samples: int) -> Report:
+    report = Report("validate", session.source, seed, samples)
+    g, rep = session.groupoid, session.validation
     report.add(
         "groupoid-axioms",
         rep.ok,
@@ -266,9 +258,8 @@ def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Re
             proper_note=PROPER_NOTE,
             orbits=len(orbit_units(g)),
         )
-        if spec.cocycle is not None:
-            w = spec.cocycle
-            idrep = _report(w, TwoCocycle.check_identity)
+        if session.spec.cocycle is not None:
+            w, idrep = session.given, session.identity
             report.add(
                 "cocycle-identity",
                 idrep.ok,
@@ -279,25 +270,26 @@ def cmd_validate(spec: SpecDocument, source: str, seed: int, samples: int) -> Re
     return report
 
 
-def cmd_normalize(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
-    report = Report("normalize", source, seed, samples)
-    if not _base_is_groupoid(spec, report):
+def cmd_normalize(session: Session, seed: int, samples: int) -> Report:
+    report = Report("normalize", session.source, seed, samples)
+    if not session.validation.ok:
+        report.checks += session.checks  # the failing base
         return report
-    w = spec.cocycle_or_trivial()
-    rep = _report(w, TwoCocycle.check_identity)
+    rep = session.identity
     report.add("cocycle-identity", rep.ok, violations=len(rep.violations))
     if not rep.ok:
         return report
-    w2, b = normalize(w)  # which raises unless w2 passes the identity and is normalized
+    # which raises unless w2 passes the identity and is normalized
+    w2, b = normalize(session.given)
     report.add("normalized-output", w2.normalized, nontrivial_values=len(w2.values))
     report.extras["normalized_cocycle"] = cocycle_to_doc(w2)
     report.extras["normalizing_cochain"] = cochain_to_doc(b)
     return report
 
 
-def cmd_trivialize(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
-    report = Report("trivialize", source, seed, samples)
-    w = _prepared_cocycle(spec, report)
+def cmd_trivialize(session: Session, seed: int, samples: int) -> Report:
+    report = Report("trivialize", session.source, seed, samples, list(session.checks))
+    w = session.cocycle
     if w is None:
         return report
     try:
@@ -314,14 +306,12 @@ def cmd_trivialize(spec: SpecDocument, source: str, seed: int, samples: int) -> 
 
 
 def cmd_algebra(
-    spec: SpecDocument, source: str, seed: int, samples: int, power: int = 1, element_doc=None
+    session: Session, seed: int, samples: int, power: int = 1, element_doc=None
 ) -> Report:
-    report = Report("algebra", source, seed, samples)
-    w = _prepared_cocycle(spec, report)
-    if w is None:
+    report = Report("algebra", session.source, seed, samples, list(session.checks))
+    if session.cocycle is None:
         return report
-    g = spec.groupoid
-    alg = TwistedAlgebra(g, w, power)
+    g, alg = session.groupoid, session.algebra.twisted(power)
     cert = alg.full_norm_certificate()
     report.add(
         "faithful-regular-representation", cert.faithful, rank=cert.rank, dimension=cert.dimension
@@ -356,16 +346,12 @@ def cmd_algebra(
     return report
 
 
-def cmd_decompose(
-    spec: SpecDocument, source: str, seed: int, samples: int, modes=None
-) -> Report:
-    report = Report("decompose", source, seed, samples)
-    w = _prepared_cocycle(spec, report)
-    if w is None:
+def cmd_decompose(session: Session, seed: int, samples: int, modes=None) -> Report:
+    report = Report("decompose", session.source, seed, samples, list(session.checks))
+    if session.cocycle is None:
         return report
-    g = spec.groupoid
-    ea = ExtensionAlgebra(g, w)
-    window = _window(spec, modes)
+    g, ea = session.groupoid, session.algebra
+    window = _window(session.spec, modes)
 
     if g.n_arrows:
         _, idrep = decompose(ea.identity())
@@ -390,10 +376,10 @@ def cmd_decompose(
     report.add("mode-star", star <= MODE_STAR_TOL, residual=fmt_float(star))
 
     cert = check_reduced_decomposition(elements[: max(1, samples // 2)])
-    w = cert.witness  # a failing check names the first failing fiber
-    witness = w and {"witness": dict(
-        sample=w.sample, unit=g.unit_labels[w.unit], modes=list(w.window),
-        deviation=fmt_float(w.deviation), residual=fmt_float(w.residual),
+    first = cert.witness  # a failing check names the first failing fiber
+    witness = first and {"witness": dict(
+        sample=first.sample, unit=g.unit_labels[first.unit], modes=list(first.window),
+        deviation=fmt_float(first.deviation), residual=fmt_float(first.residual),
     )}
     intertwined = cert.max_residual <= INTERTWINE_TOL
     report.add(
@@ -425,15 +411,11 @@ def cmd_decompose(
     return report
 
 
-def cmd_cyclic_oracle(
-    spec: SpecDocument, source: str, seed: int, samples: int, k: int | None = None
-) -> Report:
-    report = Report("cyclic-oracle", source, seed, samples)
-    w = _prepared_cocycle(spec, report)
-    if w is None:
+def cmd_cyclic_oracle(session: Session, seed: int, samples: int, k: int | None = None) -> Report:
+    report = Report("cyclic-oracle", session.source, seed, samples, list(session.checks))
+    if session.cocycle is None:
         return report
-    g = spec.groupoid
-    kk = _oracle_order(spec, w, k)
+    g, kk = session.groupoid, session.order(k)
     if kk is None:
         report.skip(
             "oracle-order",
@@ -442,12 +424,12 @@ def cmd_cyclic_oracle(
         )
         return report
     try:
-        ext = _extension(g, w, kk)
+        ext = session.extension(kk)
     except oracle.OracleError as e:
         report.add("extension-groupoid", False, error=str(e))
         return report
     report.add("extension-groupoid", ext.validation.ok, k=kk, arrows=ext.groupoid.n_arrows)
-    cd = cyclic_decompose(ext)
+    cd = cyclic_decompose(ext, skip_centers=True)
     details = dict(
         exact=cd.exact,
         max_residual=fmt_float(cd.max_residual),
@@ -455,7 +437,7 @@ def cmd_cyclic_oracle(
         stars=cd.stars_checked,
         projections=cd.projections_checked,
         summand_dimensions=[s.dimension for s in cd.summands],
-        center_dimensions=[s.center_dimension for s in cd.summands],
+        center_dimensions=[session.algebra.twisted(n).center_dimension() for n in range(kk)],
     )
     if cd.witness is not None:
         details["witness"] = {
@@ -468,8 +450,7 @@ def cmd_cyclic_oracle(
     rank, dim = oracle.faithfulness_rank(ext)
     report.add("oracle-faithfulness", rank == dim, rank=rank, dimension=dim)
 
-    ea = ExtensionAlgebra(g, w)
-    draws = random_laurents(random.Random(seed), ea, (0, kk - 1), (samples,))
+    draws = random_laurents(random.Random(seed), session.algebra, (0, kk - 1), (samples,))
     worst = float(np.max(oracle_norm_deviation(draws, ext), initial=0.0))
     report.add("norm-agreement", worst <= NORM_TOL, deviation=fmt_float(worst))
     report.extras["oracle_agreement"] = worst <= NORM_TOL
@@ -480,12 +461,11 @@ def cmd_cyclic_oracle(
     return report
 
 
-def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Report:
-    report = Report("morita", source, seed, samples)
-    w = _prepared_cocycle(spec, report)
-    if w is None:
+def cmd_morita(session: Session, seed: int, samples: int) -> Report:
+    report = Report("morita", session.source, seed, samples, list(session.checks))
+    if session.cocycle is None:
         return report
-    g = spec.groupoid
+    g = session.groupoid
     if not is_principal(g):
         report.add("principal", False, reason="proposition hypotheses not met")
         return report
@@ -499,18 +479,18 @@ def cmd_morita(spec: SpecDocument, source: str, seed: int, samples: int) -> Repo
     )
     rng = random.Random(seed)
     report.add("positivity", positivity_check(g, random_values(rng, (samples, g.n_units))))
-    kk = _oracle_order(spec, w, None)
+    kk = session.order(None)
     if kk is not None:
         pairs = random_values(rng, (samples, 2, g.n_units))
         try:
-            sat = saturation_report(_extension(g, w, max(kk, 2)), pairs)
+            sat = saturation_report(session.extension(max(kk, 2)), pairs)
         except oracle.OracleError as e:
             report.add("extension-groupoid", False, error=str(e))
             return report
-        w = sat.witness  # a failing check names its largest leakage
-        witness = w and {"witness": dict(
-            sample=w.sample, circle=w.circle, arrow=g.arrow_labels[w.arrow], mode=w.mode,
-            leakage=fmt_float(w.leakage),
+        worst = sat.witness  # a failing check names its largest leakage
+        witness = worst and {"witness": dict(
+            sample=worst.sample, circle=worst.circle, arrow=g.arrow_labels[worst.arrow],
+            mode=worst.mode, leakage=fmt_float(worst.leakage),
         )}
         report.add(
             "mode-zero-inner-products", sat.mode_zero_ok,
@@ -530,48 +510,34 @@ def cmd_verify_all(
     spec: SpecDocument, source: str, seed: int, samples: int, modes=None, k: int | None = None
 ) -> Report:
     report = Report("verify-all", source, seed, samples)
-    g = spec.groupoid
-    rep = validate(g)
+    session = Session(spec, source)
+    g, rep = spec.groupoid, session.validation
     report.add(
         "groupoid-axioms", rep.ok, units=g.n_units, arrows=g.n_arrows, violations=len(rep.violations)
     )
     if not rep.ok:
         return report
-    w = spec.cocycle_or_trivial()
-    idrep = w.check_identity()
-    token = _verify_all_held.set({g: rep, w: idrep})
-    try:
-        for prefix, sub in (
-            ("validate", cmd_validate(spec, source, seed, samples)),
-            ("algebra[n=0]", cmd_algebra(spec, source, seed, samples, power=0)),
-            ("algebra[n=1]", cmd_algebra(spec, source, seed, samples, power=1)),
-            ("decompose", cmd_decompose(spec, source, seed, samples, modes=modes)),
-            ("cyclic-oracle", cmd_cyclic_oracle(spec, source, seed, samples, k=k)),
-        ):
-            for c in sub.checks:
-                report.checks.append(replace(c, name=f"{prefix}/{c.name}"))
-            for key, val in sub.extras.items():
-                report.extras[f"{prefix}.{key}"] = val
-        if idrep.ok:
-            if is_principal(g):
-                for sub in (
-                    cmd_trivialize(spec, source, seed, samples),
-                    cmd_morita(spec, source, seed, samples),
-                ):
-                    for c in sub.checks:
-                        if c.name in ("cocycle-identity", "cocycle-normalized"):
-                            continue
-                        report.checks.append(replace(c, name=f"{sub.command}/{c.name}"))
-            elif w.is_exact:
-                ww = w if w.normalized else normalize(w)[0]
-                sol = solve_coboundary(ww)
-                report.add(
-                    "coboundary-class",
-                    True,
-                    trivial=sol is not None,
-                )
-    finally:
-        _verify_all_held.reset(token)
+    for prefix, sub in (
+        ("validate", cmd_validate(session, seed, samples)),
+        ("algebra[n=0]", cmd_algebra(session, seed, samples, power=0)),
+        ("algebra[n=1]", cmd_algebra(session, seed, samples, power=1)),
+        ("decompose", cmd_decompose(session, seed, samples, modes=modes)),
+        ("cyclic-oracle", cmd_cyclic_oracle(session, seed, samples, k=k)),
+    ):
+        for c in sub.checks:
+            report.checks.append(replace(c, name=f"{prefix}/{c.name}"))
+        for key, val in sub.extras.items():
+            report.extras[f"{prefix}.{key}"] = val
+    w = session.cocycle
+    if w is None:
+        return report
+    if is_principal(g):
+        for sub in (cmd_trivialize(session, seed, samples), cmd_morita(session, seed, samples)):
+            # after the session's checks, which each suite above reported
+            for c in sub.checks[len(session.checks):]:
+                report.checks.append(replace(c, name=f"{sub.command}/{c.name}"))
+    elif w.is_exact:
+        report.add("coboundary-class", True, trivial=solve_coboundary(w) is not None)
     return report
 
 
@@ -641,7 +607,10 @@ def main(argv=None) -> int:
         options = {key: getattr(args, key) for key in ("modes", "k", "power") if key in args}
         if getattr(args, "element", None):
             options["element_doc"] = Path(args.element).read_text()
-        report = COMMANDS[args.command](spec, source, seed, samples, **options)
+        if args.command == "verify-all":
+            report = cmd_verify_all(spec, source, seed, samples, **options)
+        else:
+            report = COMMANDS[args.command](Session(spec, source), seed, samples, **options)
     except (DocumentError, OSError, CocycleError, MoritaError, oracle.OracleError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

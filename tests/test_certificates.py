@@ -17,7 +17,7 @@ import pytest
 from gpdext import cyclic_oracle as oracle
 from gpdext import extension
 from gpdext.algebra import TwistedAlgebra
-from gpdext.cli import _fixture_dir, cmd_decompose, load_spec
+from gpdext.cli import Session, _fixture_dir, cmd_decompose, load_spec
 from gpdext.cocycle import (
     OneCochain,
     TwoCocycle,
@@ -277,10 +277,11 @@ def test_permuted_mode_block_at_one_unit_is_named_by_the_witness(monkeypatch):
 def test_a_failing_decompose_report_names_the_fiber(monkeypatch):
     # every mode block at every unit conjugated by the reversal of the fiber
     spec, source = load_spec(None, "pauli")
-    passing = cmd_decompose(spec, source, 0, 4).to_doc()["checks"]
+    passing = cmd_decompose(Session(spec, source), 0, 4).to_doc()["checks"]
     assert all("witness" not in c["details"] for c in passing)
     _conjugated_blocks(monkeypatch, np.eye(4)[::-1], slice(None))
-    checks = {c["name"]: c for c in cmd_decompose(spec, source, 0, 4).to_doc()["checks"]}
+    report = cmd_decompose(Session(spec, source), 0, 4)
+    checks = {c["name"]: c for c in report.to_doc()["checks"]}
     assert not checks["intertwining"]["passed"]
     witness = checks["intertwining"]["details"]["witness"]
     assert (witness["sample"], witness["unit"]) == (0, spec.groupoid.unit_labels[0])

@@ -9,6 +9,7 @@ from gpdext.documents import DocumentError, fmt_float
 from helpers import spec_to_doc
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all_pauli_seed0.json"
+FIXTURES = ["pauli", "pair2_trivial", "pair3_cobound", "z6_bichar", "cover3_cech5"]
 
 
 def run(capsys, *args):
@@ -404,12 +405,13 @@ def test_an_oracle_run_of_conductor_13_is_skipped_not_passed(tmp_path, capsys):
         assert set(others) == {"pass"}
 
 
-def test_an_unnormalized_cocycle_is_normalized_by_each_suite(tmp_path, capsys):
+def test_an_unnormalized_cocycle_is_normalized_by_each_suite(tmp_path, capsys, monkeypatch):
     # w = delta b on pair(2) with b = e(1/4) at one unit arrow u, so
     # w(u, u) = e(1/4) and w is not normalized; the document sets no params.k
     from fractions import Fraction
 
-    from gpdext.cocycle import OneCochain
+    import gpdext.cli as cli
+    from gpdext.cocycle import OneCochain, TwoCocycle
     from gpdext.documents import SpecDocument, canonical_json
     from gpdext.groupoid import pair_groupoid
 
@@ -424,8 +426,20 @@ def test_an_unnormalized_cocycle_is_normalized_by_each_suite(tmp_path, capsys):
         assert rc == 0, command
         assert checks["cocycle-normalized"]["passed"] is True
         assert checks["cocycle-normalized"]["details"] == {"auto_normalized": True}
-    rc, out = run(capsys, "verify-all", str(doc), "--samples", "2")
-    assert rc == 0 and out.rstrip().endswith("overall: pass")
+    # verify-all passes, normalizes once, and decides the identity on its
+    # input and as normalize's postcondition on the output
+    calls = []
+    normalize, check_identity = cli.normalize, TwoCocycle.check_identity
+    monkeypatch.setattr(cli, "normalize", lambda w: calls.append("normalize") or normalize(w))
+    monkeypatch.setattr(
+        TwoCocycle, "check_identity", lambda w: calls.append("identity") or check_identity(w)
+    )
+    rc, out = run(capsys, "verify-all", str(doc), "--samples", "2", "--format", "machine")
+    assert rc == 0 and calls == ["identity", "normalize", "identity"]
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for suite in ("algebra[n=0]", "algebra[n=1]", "decompose", "cyclic-oracle"):
+        assert checks[f"{suite}/cocycle-normalized"]["passed"] is True
+        assert checks[f"{suite}/cocycle-normalized"]["details"] == {"auto_normalized": True}
 
 
 def test_empty_groupoid_runs_the_whole_suite(tmp_path, capsys):
@@ -464,7 +478,7 @@ def test_verify_all_validates_the_base_once(fixture, monkeypatch):
     assert cli.cmd_verify_all(spec, source, 0, 2).passed
     assert calls == [spec.groupoid]
     # the report does not outlive the call
-    cli.cmd_validate(spec, source, 0, 2)
+    cli.cmd_validate(cli.Session(spec, source), 0, 2)
     assert len(calls) == 2
 
 
@@ -489,7 +503,7 @@ def test_verify_all_checks_the_cocycle_identity_once(fixture, monkeypatch):
     assert cli.cmd_verify_all(spec, source, 0, 2).passed
     assert calls == [w]
     # the report does not outlive the call
-    cli.cmd_algebra(spec, source, 0, 2)
+    cli.cmd_algebra(cli.Session(spec, source), 0, 2)
     assert calls == [w, w]
 
 
@@ -498,12 +512,12 @@ def test_failing_mode_decomposition_names_its_witness(monkeypatch):
     from gpdext.cocycle import TwoCocycle
 
     spec, source = load_spec(None, "pauli")
-    passing = {c.name: c for c in cli.cmd_cyclic_oracle(spec, source, 0, 2).checks}
+    passing = {c.name: c for c in cli.cmd_cyclic_oracle(cli.Session(spec, source), 0, 2).checks}
     assert "witness" not in passing["mode-decomposition"].details
     # expected values read from the next mode's table of w^n
     power_table = TwoCocycle.power_table
     monkeypatch.setattr(TwoCocycle, "power_table", lambda self, n: power_table(self, n + 1))
-    checks = {c.name: c for c in cli.cmd_cyclic_oracle(spec, source, 0, 2).checks}
+    checks = {c.name: c for c in cli.cmd_cyclic_oracle(cli.Session(spec, source), 0, 2).checks}
     check = checks["mode-decomposition"]
     assert not check.passed
     witness = check.details["witness"]
@@ -539,25 +553,79 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_verify_all_checks_equal_the_standalone_commands(fixture, seed):
+    import gpdext.cli as cli
+    from gpdext.groupoid import is_principal
+
+    spec, source = load_spec(None, fixture)
+    suites = [
+        ("validate", cli.cmd_validate, {}),
+        ("algebra[n=0]", cli.cmd_algebra, {"power": 0}),
+        ("algebra[n=1]", cli.cmd_algebra, {"power": 1}),
+        ("decompose", cli.cmd_decompose, {}),
+        ("cyclic-oracle", cli.cmd_cyclic_oracle, {}),
+    ]
+    if is_principal(spec.groupoid):
+        suites += [("trivialize", cli.cmd_trivialize, {}), ("morita", cli.cmd_morita, {})]
+    want, extras = [], {}
+    for prefix, command, options in suites:
+        sub = command(cli.Session(spec, source), seed, 3, **options)
+        for c in sub.checks:
+            # verify-all reports the cocycle's checks once per suite before
+            # trivialize, and none of trivialize's or morita's extras
+            if prefix not in ("trivialize", "morita") or not c.name.startswith("cocycle-"):
+                want.append((f"{prefix}/{c.name}", c.passed, c.details, c.skipped))
+        if prefix not in ("trivialize", "morita"):
+            extras |= {f"{prefix}.{key}": value for key, value in sub.extras.items()}
+    report = cli.cmd_verify_all(spec, source, seed, 3)
+    assert report.passed
+    got = [(c.name, c.passed, c.details, c.skipped) for c in report.checks if "/" in c.name]
+    assert got == want
+    assert report.extras == extras
+
+
 @pytest.mark.parametrize("fixture,k", [("pair3_cobound", 6), ("cover3_cech5", 5)])
 def test_verify_all_builds_each_extension_once(fixture, k, monkeypatch, capsys):
     import gpdext.cli as cli
 
-    args = ["verify-all", "--fixture", fixture, "--samples", "3", "--format", "machine"]
-    # each sub-suite building its own extensions gives the same bytes
-    monkeypatch.setattr(cli, "_extension", cli.cyclic_extension)
-    rc, separate = run(capsys, *args)
-    monkeypatch.undo()
     builds = _count_builds(monkeypatch)
-    assert run(capsys, *args) == (rc, separate) and rc == 0
+    rc, _ = run(capsys, "verify-all", "--fixture", fixture, "--samples", "3")
+    assert rc == 0
     # cyclic-oracle's mu_k x_w G serves the saturation report; the fullness
     # check builds the extension at k = 1
     assert builds == [k, 1]
     # standalone, the morita suite builds its own, and nothing outlives the call
     builds.clear()
     spec, source = load_spec(None, fixture)
-    assert cli.cmd_morita(spec, source, 0, 3).passed
+    assert cli.cmd_morita(cli.Session(spec, source), 0, 3).passed
     assert builds == [1, k]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_verify_all_builds_one_algebra_per_mode(fixture, monkeypatch, capsys):
+    from gpdext.algebra import TwistedAlgebra
+
+    built = []
+    init = TwistedAlgebra.__init__
+
+    def counting(self, g, w, power=1):
+        built.append(power)
+        init(self, g, w, power)
+
+    monkeypatch.setattr(TwistedAlgebra, "__init__", counting)
+    rc, _ = run(capsys, "verify-all", "--fixture", fixture, "--seed", "3", "--samples", "3")
+    assert rc == 0
+    # the algebra suites' powers 0 and 1, decompose's window, and the
+    # oracle's modes 0..k-1, whose centers it reads: one algebra each
+    spec, _ = load_spec(None, fixture)
+    (lo, hi), k = spec.params["modes"], spec.params["k"]
+    assert sorted(built) == sorted({0, 1} | set(range(lo, hi + 1)) | set(range(k)))
+    # a standalone command builds its own, so nothing outlives the call
+    built.clear()
+    rc, _ = run(capsys, "algebra", "--fixture", fixture, "--seed", "3", "--samples", "3")
+    assert rc == 0 and built == [0, 1]
 
 
 def test_verify_all_builds_apart_at_other_orders(monkeypatch, capsys):
