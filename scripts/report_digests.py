@@ -44,6 +44,13 @@ pair_groupoid(6) with a mu_4 coboundary, and Z3 x Z6 with its bicharacter
 cocycle.  Their products and involutions sum over supports whose
 first-touch order is not the ascending arrow order.
 
+Then, per fixture at seed 0, the command-line flags: one line
+`fixture main decompose --modes=-1..3 --format machine exit=<code> sha256`
+for `main([...])` with that mode window, and one line
+`fixture element algebra sha256` for the `algebra --samples 10` machine
+report given an element document (`--element`) with a dyadic coefficient
+on every arrow of the fixture.
+
 The lines are committed as tests/golden/report_digests.txt, and
 tests/test_scripts.py compares this script's output with them, so a change
 that moves a report fails there.  A change meant to move one rewrites that
@@ -114,6 +121,13 @@ def _wide_instances():
     )
 
 
+def _element_doc(g) -> dict:
+    """An element document with the coefficient 1 + i/4 - (-1)^i i/2 j on
+    the i-th arrow of g: dyadic, so that it parses to the same bits."""
+    coeff = {a: [1 + i / 4, -((-1) ** i) * i / 2] for i, a in enumerate(g.arrow_labels)}
+    return {"coeff": coeff}
+
+
 def _print_morita(name, g, w, k) -> None:
     rng = random.Random(0)
     pairs = random_values(rng, (SAMPLES, 2, g.n_units))
@@ -179,6 +193,13 @@ def main() -> int:
         for command in (cmd_algebra, cmd_decompose):
             report = command(Session(spec, name), 0, SAMPLES)
             print(name, "wide", report.command, _digest(report))
+    for path in paths:
+        run = ("decompose", "--modes=-1..3", "--format", "machine")
+        code, digest = _main_digest([*run, "--fixture", path.stem, "--seed", "0"])
+        print(path.stem, "main", " ".join(run), f"exit={code}", digest)
+        session = Session(*load_spec(None, path.stem))
+        report = cmd_algebra(session, 0, SAMPLES, element_doc=_element_doc(session.groupoid))
+        print(path.stem, "element", report.command, _digest(report))
     return 0
 
 
