@@ -354,7 +354,7 @@ def cmd_decompose(session: Session, seed: int, samples: int, modes=None) -> Repo
     window = _window(session.spec, modes)
 
     if g.n_arrows:
-        _, idrep = decompose(ea.identity())
+        idrep = decompose(ea.identity())
         report.add(
             "identity-decomposition",
             abs(idrep.extension_norm - 1.0) <= UNIT_NORM_TOL,
@@ -364,16 +364,23 @@ def cmd_decompose(session: Session, seed: int, samples: int, modes=None) -> Repo
     draws = random_laurents(random.Random(seed), ea, window, (samples, 2))
     F, G = draws[:, 0], draws[:, 1]
     elements = [F[i] for i in range(samples)]
-    # projection laws: each projection is idempotent, and they sum to F
+    # projection laws: each projection is idempotent, and they sum to F; a
+    # failure names the first law that fails
     projections = {n: mode_projection(F, n) for n in range(window[0] - 1, window[1] + 2)}
-    proj_ok = all(mode_projection(P, n).equals(P) for n, P in projections.items())
-    proj_ok = proj_ok and sum(projections.values(), ea.zero()).equals(F)
+    bad = [n for n, P in projections.items() if not mode_projection(P, n).equals(P)]
+    law = {"law": "idempotence", "mode": bad[0]} if bad else None
+    if law is None and not sum(projections.values(), ea.zero()).equals(F):
+        law = {"law": "sum"}
+    report.add("mode-projection-laws", law is None, **(law or {}))
     FG, F_star, modes = F * G, F.star(), range(window[0], window[1] + 1)
-    homo = max((FG.mode(n).sup_difference(F.mode(n) * G.mode(n)) for n in modes), default=0.0)
-    star = max((F_star.mode(n).sup_difference(F.mode(n).star()) for n in modes), default=0.0)
-    report.add("mode-projection-laws", proj_ok)
-    report.add("mode-homomorphism", homo <= PRODUCT_TOL, residual=fmt_float(homo))
-    report.add("mode-star", star <= MODE_STAR_TOL, residual=fmt_float(star))
+    homo = {n: FG.mode(n).sup_difference(F.mode(n) * G.mode(n)) for n in modes}
+    star = {n: F_star.mode(n).sup_difference(F.mode(n).star()) for n in modes}
+    # a failure names the first mode of the largest residual
+    checks = (("mode-homomorphism", homo, PRODUCT_TOL), ("mode-star", star, MODE_STAR_TOL))
+    for name, residual, tol in checks:
+        worst = max(residual, key=residual.get)
+        ok = residual[worst] <= tol
+        report.add(name, ok, residual=fmt_float(residual[worst]), **({} if ok else {"mode": worst}))
 
     cert = check_reduced_decomposition(elements[: max(1, samples // 2)])
     first = cert.witness  # a failing check names the first failing fiber
@@ -405,7 +412,7 @@ def cmd_decompose(session: Session, seed: int, samples: int, modes=None) -> Repo
     report.extras["modes"] = per_mode
     report.extras["window"] = list(window)
     if elements and not elements[0].is_zero:
-        _, sample_rep = decompose(elements[0])
+        sample_rep = decompose(elements[0])
         report.extras["sample_element"] = laurent_to_doc(elements[0])
         report.extras["sample_decomposition"] = decomposition_report_to_doc(sample_rep)
     return report

@@ -6,20 +6,14 @@ sum_n s^{-n} (x) f_n on the product of the circle with G.  Integrals over the
 circle are never discretized: Fourier orthogonality makes them exact mode
 bookkeeping, so the graded product of homogeneous elements vanishes across
 modes and is the w^n-twisted convolution within a mode.  A numeric element
-is one complex array (..., modes, arrows) over its mode window, so that a
-stack of samples takes each product, star and certificate in one pass.
+is one complex array (..., modes, arrows) from its lowest mode and nothing
+else, so that a stack of samples takes each product, star and certificate
+in one pass; an exact one is a dict of its nonzero exact modes.
 
-The certification entry points compare this model against two other code
-paths: the left-regular matrices of the twisted algebras (intertwining and
-reduced-norm agreement), built for every unit and mode of a stack at once by
-one scatter of products and one separate gather per fiber size, and the
-independent finite cyclic oracle (structure constants and norms of
-mu_k x_w G).  The oracle comparison reads its expected values off the
-tables of w^n in array expressions, as exponents of zeta_k, numeric values
-snapped to their nearest k-th roots, and decides every comparison exactly
-from the oracle's terms; the graded involution is certified by the reports'
-C*-identity and star checks.  The norm agreement embeds all modes of a
-stack in the oracle in one gather of the roots it builds once per k.
+The certificates compare this model against two other code paths: the
+left-regular matrices of the twisted algebras (``fiber_sides``), and the
+independent finite cyclic oracle mu_k x_w G (``cyclic_decompose``,
+``oracle_norm_deviation``); the reports' star checks cover the involution.
 """
 
 from __future__ import annotations
@@ -67,56 +61,67 @@ class ExtensionAlgebra:
         return self._twisted[n]
 
     def element(self, modes: dict) -> "LaurentElement":
+        """The graded element of the listed modes, each an element of mode
+        n's algebra or its coefficients; zero modes are dropped."""
         out = {}
         for n, f in modes.items():
             if not isinstance(f, AlgebraElement):
                 f = self.twisted(n).element(f)
             elif not self.twisted(n).same_tag(f.algebra):
                 raise AlgebraError(f"mode {n} component carries the wrong tag")
-            out[n] = f
-        return LaurentElement(self, out)
+            if not f.is_zero:
+                out[n] = f
+        F = LaurentElement(self, None, out)
+        if any(f.is_numeric for f in out.values()):
+            F.lo, F.values = min(out), F.on(min(out), max(out))
+        return F
 
-    def delta(self, n: int, arrow: int, coeff=1) -> "LaurentElement":
-        return self.element({n: {arrow: coeff}})
+    def delta(self, n: int, arrow: int) -> "LaurentElement":
+        return self.element({n: {arrow: 1}})
 
     def zero(self) -> "LaurentElement":
-        return LaurentElement(self, {})
+        return LaurentElement(self, None, {})
 
     def identity(self) -> "LaurentElement":
         return self.element({0: self.twisted(0).identity()})
 
     def stack(self, lo: int, values: np.ndarray) -> "LaurentElement":
         """The numeric element of coefficients ``values`` (..., modes, arrows) from mode lo."""
-        F = LaurentElement(self, {})
-        F._hold(lo, values)
-        return F
+        return LaurentElement(self, lo, values)
 
     def __repr__(self):
         return f"ExtensionAlgebra({self.groupoid.name})"
 
 
 class LaurentElement:
-    """Finitely many modes, each an element of the matching twisted algebra; a
-    numeric element also holds them as one complex array ``values`` (...,
-    modes, arrows) from mode ``lo``, each numeric mode a view of it."""
+    """Finitely many modes, each an element of the matching twisted algebra.
+    A numeric element is only the complex array ``values`` (..., modes,
+    arrows) from mode ``lo``, each mode a view of it made when asked; an
+    exact one has ``lo`` None and ``values`` a dict of its nonzero modes."""
 
-    __slots__ = ("algebra", "modes", "lo", "values")
+    __slots__ = ("algebra", "lo", "values")
 
-    def __init__(self, algebra: ExtensionAlgebra, modes: dict[int, AlgebraElement]):
-        self.algebra = algebra
-        self.modes = {n: f for n, f in modes.items() if not f.is_zero}
-        self.lo = self.values = None
-        if any(f.is_numeric for f in self.modes.values()):
-            self._hold(min(self.modes), self.on(min(self.modes), max(self.modes)))
+    def __init__(self, algebra: ExtensionAlgebra, lo: int | None, values):
+        self.algebra, self.lo, self.values = algebra, lo, values
 
-    def _hold(self, lo: int, values: np.ndarray):
-        self.lo, self.values = lo, values
-        modes = range(lo, lo + values.shape[-2])
-        modes = {n: self.algebra.twisted(n).element(values[..., n - lo, :]) for n in modes}
-        self.modes = {n: f for n, f in modes.items() if not f.is_zero}
+    @property
+    def support(self) -> list[int]:
+        """The nonzero modes: ascending if numeric, in dict order if exact."""
+        if self.lo is None:
+            return list(self.values)
+        nonzero = self.values.any(axis=-1).reshape(-1, self.values.shape[-2]).any(axis=0)
+        return (np.flatnonzero(nonzero) + self.lo).tolist()
+
+    @property
+    def modes(self) -> dict[int, AlgebraElement]:
+        return {n: self.mode(n) for n in self.support}
 
     def mode(self, n: int) -> AlgebraElement:
-        return self.modes[n] if n in self.modes else self.algebra.twisted(n).zero()
+        if self.lo is None and n in self.values:
+            return self.values[n]
+        if self.lo is not None and 0 <= n - self.lo < self.values.shape[-2]:
+            return self.algebra.twisted(n).element(self.values[..., n - self.lo, :])
+        return self.algebra.twisted(n).zero()
 
     def on(self, lo: int, hi: int) -> np.ndarray:
         """The ``stacked`` coefficients of the modes lo..hi."""
@@ -124,16 +129,17 @@ class LaurentElement:
 
     def stacked(self, modes) -> np.ndarray:
         """The coefficients of the listed modes as a complex array (...,
-        modes, arrows): a gather from ``values`` when it holds them all, else
-        the modes' arrays stacked, broadcast only where their shapes differ."""
-        if self.values is not None and all(n in self.modes for n in modes):
-            return self.values[..., np.array(modes, dtype=np.intp) - self.lo, :]
+        modes, arrows): a gather from ``values`` when its window holds them
+        all, else each mode's array, with zeros outside the window."""
+        at = np.array(modes, dtype=np.intp) - (self.lo or 0)
+        if self.lo is not None and ((0 <= at) & (at < self.values.shape[-2])).all():
+            return self.values[..., at, :]
         arrays = [self.mode(n).array() for n in modes]
-        if not arrays:
-            return np.zeros((0, self.algebra.groupoid.n_arrows), dtype=complex)
-        if len({x.shape for x in arrays}) > 1:
-            arrays = np.broadcast_arrays(*arrays)
-        return np.stack(arrays, axis=-2)
+        lead = np.broadcast_shapes(*(x.shape[:-1] for x in arrays))
+        out = np.zeros((*lead, len(arrays), self.algebra.groupoid.n_arrows), dtype=complex)
+        for i, x in enumerate(arrays):
+            out[..., i, :] = x
+        return out
 
     def __getitem__(self, index) -> "LaurentElement":
         """The batch rows at index of a numeric element."""
@@ -141,49 +147,45 @@ class LaurentElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self.modes
+        return not self.values if self.lo is None else not self.values.any()
 
     def _require_same(self, other: "LaurentElement"):
-        if other.algebra is not self.algebra and (
-            other.algebra.groupoid is not self.algebra.groupoid
-            or other.algebra.cocycle is not self.algebra.cocycle
-        ):
+        if not self.algebra.twisted(0).same_tag(other.algebra.twisted(0)):
             raise AlgebraError("mixing extension tags")
 
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
+        # a mode of one summand alone is copied, so its signed zeros keep their bits
         self._require_same(other)
-        out = dict(self.modes)
+        out = self.modes
         for n, f in other.modes.items():
             out[n] = out[n] + f if n in out else f
-        return LaurentElement(self.algebra, out)
+        return self.algebra.element(out)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentElement):
             return NotImplemented
         self._require_same(other)
         # cross-mode products vanish by circle-average orthogonality
-        common = set(self.modes) & set(other.modes)
-        if not common or (self.values is None and other.values is None):
-            return LaurentElement(self.algebra, {n: self.modes[n] * other.modes[n] for n in common})
+        common = set(self.support) & set(other.support)
+        if not common or (self.lo is None and other.lo is None):
+            return self.algebra.element({n: self.mode(n) * other.mode(n) for n in common})
         lo, hi = min(common), max(common)
         G, twists = self.algebra.groupoid, self.algebra.cocycle.twists(range(lo, hi + 1))
         return self.algebra.stack(lo, products(G, twists, self.on(lo, hi), other.on(lo, hi)))
 
     def star(self) -> "LaurentElement":
-        if self.values is None:
-            return LaurentElement(self.algebra, {n: f.star() for n, f in self.modes.items()})
+        if self.lo is None:
+            return self.algebra.element({n: f.star() for n, f in self.values.items()})
         twists = self.algebra.cocycle.twists(range(self.lo, self.lo + self.values.shape[-2]))
         return self.algebra.stack(self.lo, stars(self.algebra.groupoid, twists, self.values))
 
     def equals(self, other: "LaurentElement", tol: float = 0.0) -> bool:
         self._require_same(other)
-        modes = set(self.modes) | set(other.modes)
+        modes = set(self.support) | set(other.support)
         return all(self.mode(n).equals(other.mode(n), tol) for n in modes)
 
     def __repr__(self):
-        if not self.modes:
-            return "0"
-        return " + ".join(f"s^{-n}(x)[{f!r}]" for n, f in sorted(self.modes.items()))
+        return " + ".join(f"s^{-n}(x)[{f!r}]" for n, f in sorted(self.modes.items())) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ class LaurentElement:
 def mode_projection(F: LaurentElement, n: int) -> LaurentElement:
     """Circle-average against the n-th character: keeps mode n, kills the
     rest; a *-homomorphism of the graded model onto its n-th summand."""
-    return LaurentElement(F.algebra, {n: F.modes[n]} if n in F.modes else {})
+    return F.algebra.element({n: F.mode(n)} if n in F.support else {})
 
 
 @dataclass
@@ -205,24 +207,22 @@ class DecompositionReport:
     center_dimensions: dict[int, int] = field(default_factory=dict)
 
 
-def decompose(F: LaurentElement):
-    """Split into mode components and compute the extension norm as the
-    largest per-mode reduced norm, attained at the first mode reaching it,
-    with each mode's dimension, faithfulness and center dimension (closed
-    forms, cached on each summand's algebra); returns (components, report).
-    On a stack each mode maps to its norms per sample, and the extension
-    norm and its mode are per sample too, as nested lists over the batch."""
-    modes = sorted(F.modes)
+def decompose(F: LaurentElement) -> DecompositionReport:
+    """The extension norm of F, the largest reduced norm of its components
+    ``F.modes``, attained at the first mode reaching it, with each mode's
+    dimension, faithfulness and center dimension (closed forms, cached on
+    each summand's algebra).  On a stack each mode maps to its norms per
+    sample, and the extension norm and its mode are lists over the batch."""
+    modes = sorted(F.support)
     x = _mode_norms(F, modes, F.stacked(modes))  # (..., modes)
     norms = dict(zip(modes, np.moveaxis(x, -1, 0).tolist()))
     attained = np.take(modes, x.argmax(axis=-1)).tolist() if modes else None
     centers = {n: F.algebra.twisted(n).center_dimension() for n in modes}
     faithful = {n: F.algebra.twisted(n).full_norm_certificate().faithful for n in modes}
     dims = {n: F.algebra.groupoid.n_arrows for n in modes}
-    report = DecompositionReport(
+    return DecompositionReport(
         norms, x.max(axis=-1, initial=0.0).tolist(), attained, faithful, dims, centers
     )
-    return {n: F.modes[n] for n in modes}, report
 
 
 def _mode_norms(F: LaurentElement, modes: list[int], x: np.ndarray) -> np.ndarray:
@@ -256,7 +256,7 @@ def fiber_sides(F: LaurentElement, window: tuple[int, int], units) -> list[tuple
     blocks lambda_u(F_n), one ``regular_reps`` gather, a separate code path;
     L_u is their block-diagonal sum."""
     lo, hi = window
-    missing = [n for n in F.modes if not lo <= n <= hi]
+    missing = [n for n in F.support if not lo <= n <= hi]
     if missing:
         raise WindowError(missing)
     G, x, twists = F.algebra.groupoid, F.on(lo, hi), F.algebra.cocycle.twists(range(lo, hi + 1))
@@ -318,7 +318,7 @@ def check_reduced_decomposition(elements: list[LaurentElement]) -> ReducedDecomp
     stacks: dict[tuple, list[int]] = {}
     for i, F in enumerate(elements):
         if not F.is_zero:
-            stacks.setdefault((F.algebra, min(F.modes), max(F.modes)), []).append(i)
+            stacks.setdefault((F.algebra, min(F.support), max(F.support)), []).append(i)
     max_dev = max_unit_dev = max_res = 0.0
     witnesses = []
     for (algebra, lo, hi), index in stacks.items():
@@ -558,7 +558,7 @@ def oracle_norm_deviation(F: LaurentElement, ext: CyclicExtension):
 
     F must be supported on modes 0..k-1: the finite extension cannot separate
     modes that differ by k."""
-    k, modes = ext.k, list(F.modes)
+    k, modes = ext.k, F.support
     if any(not 0 <= n < k for n in modes):
         raise WindowError([n for n in modes if not 0 <= n < k])
     x = F.stacked(modes)

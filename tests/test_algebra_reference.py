@@ -341,7 +341,7 @@ def test_decompose_takes_each_mode_norm_as_reduced_norm_does(name, g, w):
     ea = ExtensionAlgebra(g, w)
     dense, sparse, exact, mixed = _coefficient_maps(rng, g.n_arrows)
     for F in (ea.element({-1: dense, 0: exact, 2: mixed, 3: sparse}), ea.identity(), ea.zero()):
-        _, report = decompose(F)
+        report = decompose(F)
         reports = {n: ea.twisted(n).reduced_norm(f) for n, f in sorted(F.modes.items())}
         assert list(report.mode_norms) == list(reports)
         assert [x.hex() for x in report.mode_norms.values()] == [

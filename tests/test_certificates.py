@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gpdext import cyclic_oracle as oracle
-from gpdext import extension
+from gpdext import cli, extension
 from gpdext.algebra import TwistedAlgebra
 from gpdext.cli import Session, _fixture_dir, cmd_decompose, load_spec
 from gpdext.cocycle import (
@@ -288,6 +288,65 @@ def test_a_failing_decompose_report_names_the_fiber(monkeypatch):
     assert witness["residual"] == checks["intertwining"]["details"]["residual"]
     assert checks["reduced-decomposition"]["passed"]
     assert "witness" not in checks["reduced-decomposition"]["details"]
+
+
+def _decompose_checks(window=(-1, 2)):
+    """The checks of a pauli decompose report over the mode window, by name."""
+    report = cmd_decompose(Session(*load_spec(None, "pauli")), 0, 4, modes=window)
+    return {c["name"]: c for c in report.to_doc()["checks"]}
+
+
+def test_passing_mode_laws_name_no_witness():
+    checks = _decompose_checks()
+    assert checks["mode-projection-laws"] == {
+        "name": "mode-projection-laws", "passed": True, "details": {}
+    }
+    for name in ("mode-homomorphism", "mode-star"):
+        assert checks[name]["passed"] and list(checks[name]["details"]) == ["residual"]
+
+
+def test_a_projection_that_is_not_idempotent_is_named_with_its_mode(monkeypatch):
+    # the projection onto mode 1 doubles it: P = 2 F_1, and P projects to 4 F_1
+    def doubled(F, n):
+        P = extension.mode_projection(F, n)
+        return P + P if n == 1 else P
+
+    monkeypatch.setattr(cli, "mode_projection", doubled)
+    check = _decompose_checks()["mode-projection-laws"]
+    assert not check["passed"]
+    assert check["details"] == {"law": "idempotence", "mode": 1}
+
+
+def test_projections_that_miss_a_mode_fail_the_sum(monkeypatch):
+    # the projection onto mode 0 is zero: idempotent, but the sum lacks F_0
+    def missing(F, n):
+        return F.algebra.zero() if n == 0 else extension.mode_projection(F, n)
+
+    monkeypatch.setattr(cli, "mode_projection", missing)
+    check = _decompose_checks()["mode-projection-laws"]
+    assert not check["passed"] and check["details"] == {"law": "sum"}
+
+
+@pytest.mark.parametrize(
+    "name, kernel, mode", [("mode-homomorphism", "products", 1), ("mode-star", "stars", 2)]
+)
+def test_a_failing_mode_law_names_its_worst_mode(monkeypatch, name, kernel, mode):
+    # the graded product (or star) is off by 1e-3 at one arrow of one mode,
+    # by 1e-6 at another; each mode's own product (or star) is untouched
+    original = getattr(extension, kernel)
+
+    def perturbed(G, twist, *x):
+        out = original(G, twist, *x)
+        out[..., mode + 1, 0] += 1e-3  # the window starts at mode -1
+        out[..., 0, 1] += 1e-6
+        return out
+
+    monkeypatch.setattr(extension, kernel, perturbed)
+    checks = _decompose_checks()
+    assert checks["mode-projection-laws"]["passed"]
+    details = checks[name]["details"]
+    assert not checks[name]["passed"] and details["mode"] == mode
+    assert float(details["residual"]) == pytest.approx(1e-3)
 
 
 def test_twist_flipped_in_the_product_scatter_only_is_caught_by_the_residual(

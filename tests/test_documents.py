@@ -181,7 +181,7 @@ def test_decomposition_report_doc(pair2, pair2_trivial):
     from gpdext.extension import ExtensionAlgebra, decompose
 
     ea = ExtensionAlgebra(pair2, pair2_trivial)
-    _, rep = decompose(ea.identity())
+    rep = decompose(ea.identity())
     doc = decomposition_report_to_doc(rep)
     assert doc["modes"]["0"]["dimension"] == 4
     assert doc["modes"]["0"]["norm"] == "1.0000000000e+00"

@@ -95,7 +95,7 @@ class TestGradedProduct:
     @pytest.mark.parametrize("exact", [True, False])
     def test_elements_multiply_only_elements(self, pauli_ext, exact):
         # a graded or a summand element times a number is no product here
-        F = pauli_ext.delta(1, 1, 1 if exact else 1.0)
+        F = pauli_ext.element({1: {1: 1 if exact else 1.0}})
         for x in (F, F.mode(1)):
             for a, b in ((x, 2), (2, x), (x, 0.5j), (0.5j, x)):
                 with pytest.raises(TypeError):
@@ -137,13 +137,14 @@ class TestModeCalculus:
                 assert mode_projection(F.star(), n).equals(mode_projection(F, n).star())
 
     def test_component_homomorphism_exhaustive(self, pair_ext):
-        # delta-basis structure constants for every window mode
+        # delta-basis structure constants for every window mode; the exact
+        # product of two deltas that do not compose is the zero element
         for n in range(-2, 3):
             tw = pair_ext.twisted(n)
             for a, b in itertools.product(range(4), repeat=2):
-                F = pair_ext.delta(n, a)
-                G = pair_ext.delta(n, b)
-                assert (F * G).mode(n).equals(tw.delta(a) * tw.delta(b))
+                P = pair_ext.delta(n, a) * pair_ext.delta(n, b)
+                assert P.mode(n).equals(tw.delta(a) * tw.delta(b))
+                assert P.is_zero == (pair_ext.groupoid.compose_or_none(a, b) is None)
 
     def test_component_star_random(self, pauli_ext, rng):
         for _ in range(25):
@@ -159,15 +160,59 @@ class TestModeCalculus:
             assert pauli_ext.element({n: f}).equals(mode_projection(F, n))
 
 
+class TestOneForm:
+    """A numeric graded element is its array from its lowest mode and
+    nothing else; an exact one is a dict of its nonzero exact modes."""
+
+    @staticmethod
+    def numeric_elements(ea):
+        rng = random.Random(3)
+        F = random_laurents(rng, ea, (-1, 1), (3,))
+        G = random_laurents(rng, ea, (0, 2), (3,))
+        E = ea.element({0: {0: 1.0}, 2: {1: 0.5j}})
+        return {
+            "stack": F, "element": E, "sum": F + G, "mixed sum": E + ea.delta(1, 2),
+            "product": F * G, "star": F.star(), "projection": mode_projection(F, 0), "row": F[1],
+        }
+
+    def test_numeric_elements_store_only_their_array(self, pauli_ext):
+        for how, F in self.numeric_elements(pauli_ext).items():
+            assert not hasattr(F, "__dict__") and F.__slots__ == ("algebra", "lo", "values")
+            assert isinstance(F.lo, int) and type(F.values) is np.ndarray, how
+            assert F.modes and list(F.modes) == F.support, how
+            for n, f in F.modes.items():
+                assert np.shares_memory(f.values, F.values), (how, n)
+                assert f.equals(F.mode(n)) and not f.is_zero
+
+    def test_zero_modes_inside_the_window_are_not_listed(self, pauli_ext):
+        F = pauli_ext.element({-1: {0: 1.0}, 2: {3: 2.0}})
+        assert (F.lo, F.values.shape) == (-1, (4, 4))
+        assert F.support == [-1, 2] and F.mode(0).is_zero and F.mode(5).is_zero
+
+    def test_exact_star_is_each_modes_star_in_cyclo(self, pauli_ext):
+        F = pauli_ext.element({
+            1: {1: Cyclo.from_root(Fraction(1, 3), 2), 2: Fraction(1, 2)},
+            -2: {3: Cyclo.from_root(Fraction(1, 4), -1)},
+            0: {0: 1},
+        })
+        S = F.star()
+        assert S.lo is None and list(S.modes) == list(F.modes) == [1, -2, 0]
+        for n, f in F.modes.items():
+            assert S.mode(n).equals(f.star()) and not S.mode(n).is_numeric
+            assert all(isinstance(c, Cyclo) for c in S.mode(n).coeff.values())
+        assert S.star().equals(F)
+
+
 class TestDecompose:
     def test_identity(self, pair_ext):
-        comps, rep = decompose(pair_ext.identity())
-        assert list(comps) == [0]
+        F = pair_ext.identity()
+        rep = decompose(F)
+        assert list(F.modes) == [0] and list(rep.mode_norms) == [0]
         assert rep.extension_norm == pytest.approx(1.0)
 
     def test_two_mode_element(self, pauli_ext):
         F = pauli_ext.delta(1, 1) + pauli_ext.delta(0, 0)
-        _, rep = decompose(F)
+        rep = decompose(F)
         assert rep.mode_norms == {0: pytest.approx(1.0), 1: pytest.approx(1.0)}
         assert rep.extension_norm == pytest.approx(1.0)
         assert rep.center_dimensions == {0: 4, 1: 1}
@@ -175,9 +220,9 @@ class TestDecompose:
 
     def test_a_stack_maps_each_mode_to_its_norms_per_sample(self, pauli_ext):
         F = random_laurents(random.Random(4), pauli_ext, (0, 1), (3,))
-        comps, rep = decompose(F)
-        assert list(comps) == [0, 1]
-        each = [decompose(F[i])[1] for i in range(3)]
+        rep = decompose(F)
+        assert list(F.modes) == list(rep.mode_norms) == [0, 1]
+        each = [decompose(F[i]) for i in range(3)]
         assert rep.mode_norms == {n: [r.mode_norms[n] for r in each] for n in (0, 1)}
         assert rep.extension_norm == [r.extension_norm for r in each]
         assert rep.attained_mode == [r.attained_mode for r in each]
@@ -187,13 +232,14 @@ class TestDecompose:
         assert rep.center_dimensions == each[0].center_dimensions
 
     def test_zero_element(self, pair_ext):
-        comps, rep = decompose(pair_ext.zero())
-        assert comps == {} and rep.extension_norm == 0.0
+        F = pair_ext.zero()
+        rep = decompose(F)
+        assert F.modes == {} and rep.mode_norms == {} and rep.extension_norm == 0.0
 
     def test_empty_groupoid(self):
         g = empty_groupoid()
         ea = ExtensionAlgebra(g, TwoCocycle.trivial(g))
-        comps, rep = decompose(ea.zero())
+        rep = decompose(ea.zero())
         assert rep.extension_norm == 0.0
 
 
@@ -255,7 +301,7 @@ class TestReducedDecomposition:
             fiber_norm = max(
                 float(np.linalg.norm(M, 2)) for _, R, _, _ in fiber_sides(F, span, units) for M in R
             )
-            _, report = decompose(F)
+            report = decompose(F)
             cert = check_reduced_decomposition([F])
             assert cert.max_norm_deviation == abs(fiber_norm - report.extension_norm)
 
