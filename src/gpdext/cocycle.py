@@ -3,16 +3,21 @@
 A 2-cocycle assigns a circle value to every composable pair subject to
     w(a,b) * w(ab,c) = w(b,c) * w(a,bc)
 on composable triples; it is normalized when it is 1 on every pair that
-involves a unit arrow.  A cocycle is compiled once, at construction, into
-one n_arrows x n_arrows ``table`` aligned with the groupoid's compose array:
-int angles W over one ``conductor`` N, the lcm of the angle denominators and
-so the least one, with w(a, b) = e(W[a, b] / N), when every value is exact,
-else the complex values (a numeric cocycle).  Every operation reads the
-table, which is read-only, so ``normalized`` is decided once per cocycle;
-``values``, the sparse ``CircleScalar`` view of the entries other than 1,
-is what documents parse and serialize.  An exact cocycle also holds its N
-roots e(j / N), so the complex tables of w^n for a list of modes n are one
-gather: each mode's roots e(nj / N), read at the angles j = W.
+involves a unit arrow.  A cocycle is one n_arrows x n_arrows ``table``
+aligned with the groupoid's compose array: int angles W over one
+``conductor`` N, the least one, with w(a, b) = e(W[a, b] / N), when every
+value is exact, else the complex values (a numeric cocycle).  A 1-cochain
+is one such array over the arrows.  The exact array operations
+(``coboundary``, ``mul``, ``conj``, ``bicharacter_cocycle``) compute int
+angles and end in the table, over the least conductor (one of 2**31 or
+more goes through the values); a cocycle given by its values, and every
+numeric one, is compiled into the table once, at construction.  Every operation reads the table, which is read-only, so
+``normalized`` is decided once per cocycle.  ``values``, the sparse
+``CircleScalar`` view of the entries other than 1, is what documents parse
+and serialize; for a table an operation wrote, it is built on first read,
+in pair order.  An exact cocycle also holds its N roots e(j / N), so the
+complex tables of w^n for a list of modes n are one gather: each mode's
+roots e(nj / N), read at the angles j = W.
 """
 
 from __future__ import annotations
@@ -75,12 +80,34 @@ def _compile(values: dict, shape) -> tuple[int | None, np.ndarray]:
     return n, table
 
 
+def _reduced(n: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(N, x / (n / N)) for int angles x in [0, n): the same angles over the
+    least conductor N = n / gcd(n, x)."""
+    step = math.gcd(n, int(np.gcd.reduce(x)))
+    return n // step, x // step
+
+
+def _angle_view(keys, x: np.ndarray, n: int) -> dict:
+    """{key: e(x / n)} over the keys whose int angle x is not 0, in order: the
+    sparse ``CircleScalar`` view of an angle array."""
+    return {key: CircleScalar(angle=Fraction(t, n)) for key, t in zip(keys, x.tolist()) if t}
+
+
 def _cocycle(base: FiniteGroupoid, n: int | None, entries: np.ndarray, checked=False):
     """The cocycle with these entries on ``base.pair_table``'s pairs: int
-    angles over n, or complex values."""
+    angles in [0, n), written into the table over their least conductor, or
+    complex values (or angles over n >= 2**31), read as a dict of values."""
     A, B, _ = base.pair_table
-    values = entries.tolist() if n is None else [Fraction(x, n) for x in entries.tolist()]
-    return TwoCocycle(base, dict(zip(zip(A.tolist(), B.tolist()), values)), checked)
+    if n is None or n >= _INT64_CONDUCTOR:
+        values = entries.tolist() if n is None else [Fraction(x, n) for x in entries.tolist()]
+        return TwoCocycle(base, dict(zip(zip(A.tolist(), B.tolist()), values)), checked)
+    w = TwoCocycle.__new__(TwoCocycle)
+    w.base, w.identity_checked = base, checked
+    w.conductor, x = _reduced(n, entries)
+    w.table = np.zeros((base.n_arrows, base.n_arrows), dtype=np.int64)
+    w.table[A, B] = x
+    w.table.flags.writeable = False
+    return w
 
 
 def _circle_values(values) -> dict:
@@ -89,11 +116,27 @@ def _circle_values(values) -> dict:
 
 
 class OneCochain:
-    """A circle-valued function on arrows, default 1 off the stored support."""
+    """A circle-valued function on arrows, default 1 off the stored support,
+    compiled like a cocycle into one array ``table`` over the arrows."""
 
     def __init__(self, base: FiniteGroupoid, values: dict[int, CircleScalar] | None = None):
         self.base = base
         self.values = _circle_values(values)
+        self.conductor, self.table = _compile(self.values, base.n_arrows)
+
+    @staticmethod
+    def from_angles(base: FiniteGroupoid, n: int, angles: np.ndarray) -> "OneCochain":
+        """The cochain a -> e(angles[a] / n) of int angles in [0, n), held
+        over their least conductor; ``values`` is built on first read."""
+        b = OneCochain.__new__(OneCochain)
+        b.base = base
+        x = np.asarray(angles, dtype=np.int64 if n < _INT64_CONDUCTOR else object)
+        b.conductor, b.table = _reduced(n, x)
+        return b
+
+    @cached_property
+    def values(self) -> dict:
+        return _angle_view(range(self.base.n_arrows), self.table, self.conductor)
 
     def value(self, a: int) -> CircleScalar:
         return self.values.get(a, ONE)
@@ -103,7 +146,7 @@ class OneCochain:
         the cocycle identity."""
         g = self.base
         A, B, C = g.pair_table
-        n, x = _compile(self.values, g.n_arrows)
+        n, x = self.conductor, self.table
         db = (x[A] + x[B] - x[C]) % n if n else cmul(cmul(x[A], x[B]), x[C].conj())
         return _cocycle(g, n, db, checked=True)
 
@@ -136,6 +179,11 @@ class TwoCocycle:
         return TwoCocycle(base, identity_checked=True)
 
     # -- queries --------------------------------------------------------------
+
+    @cached_property
+    def values(self) -> dict:
+        A, B, _ = self.base.pair_table
+        return _angle_view(zip(A.tolist(), B.tolist()), self.table[A, B], self.conductor)
 
     def value(self, a: int, b: int) -> CircleScalar:
         if (a, b) not in self.base.compose_table:
@@ -226,7 +274,8 @@ class TwoCocycle:
         if self.roots is not None:
             modes = np.array([p % n for p in modes], dtype=np.int64)
             return self.roots[modes[:, None] * np.arange(n) % n][:, self.table]
-        tables = np.stack([self.power_table(p) for p in modes])
+        tables = np.array([self.power_table(p) for p in modes], dtype=self.table.dtype)
+        tables = tables.reshape(len(tables), *self.table.shape)
         if not self.is_exact:
             return tables
         keys, inverse = np.unique(tables, return_inverse=True)

@@ -404,14 +404,18 @@ def solve_mod1(rows: list[list[int]], rhs) -> list[Fraction] | None:
     solvability per diagonal entry.  Returns angles in [0, 1) or ``None``
     when no rational solution exists; the criterion is exact, so ``None``
     certifies unsolvability over the reals as well (the right-hand side is
-    rational).
+    rational).  Every step runs on ints: the right-hand side as numerators
+    over the lcm N of its denominators, the solution over N times the lcm
+    of the pivots.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     S = [list(map(int, r)) for r in rows]
-    w = [Fraction(x) for x in rhs]
+    rhs = [Fraction(x) for x in rhs]
+    N = math.lcm(*(x.denominator for x in rhs))
+    w = [x.numerator * (N // x.denominator) for x in rhs]
     # columns transform: x = C @ y
-    C = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    C = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_addmul(i, j, q):  # row_i -= q * row_j
         Si, Sj = S[i], S[j]
@@ -473,18 +477,9 @@ def solve_mod1(rows: list[list[int]], rhs) -> list[Fraction] | None:
         t += 1
     rank = t
 
-    y = [Fraction(0)] * n
-    for i in range(rank):
-        y[i] = w[i] / S[i][i] % 1
-    for i in range(rank, m):
-        if w[i].denominator != 1:
-            return None
-    x = []
-    for i in range(n):
-        acc = Fraction(0)
-        Ci = C[i]
-        for j in range(rank):
-            if Ci[j]:
-                acc += Ci[j] * y[j]
-        x.append(acc % 1)
-    return x
+    if any(w[i] % N for i in range(rank, m)):
+        return None
+    L = math.lcm(*(S[i][i] for i in range(rank)))
+    D = N * L  # y[i] / D = w[i] / (N S[i][i]) mod 1
+    y = [w[i] * (L // S[i][i]) % D for i in range(rank)]
+    return [Fraction(sum(c * t for c, t in zip(Ci, y) if c) % D, D) for Ci in C]

@@ -228,8 +228,6 @@ def decompose(F: LaurentElement) -> DecompositionReport:
 def _mode_norms(F: LaurentElement, modes: list[int], x: np.ndarray) -> np.ndarray:
     """The reduced norm of each listed mode of F, of coefficients x, as
     ``reduced_norm`` takes it: one gather over the stacked tables of w^n."""
-    if not modes:
-        return np.zeros(x.shape[:-1])
     G, twists = F.algebra.groupoid, F.algebra.cocycle.twists(modes)
     return unit_norms(G, twists, x, orbit_units(G)).max(axis=-1, initial=0.0)
 

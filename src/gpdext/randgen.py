@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,10 +92,7 @@ def random_unit_cochain(rng: random.Random, g: FiniteGroupoid, k: int) -> OneCoc
     """Random mu_k-valued cochain equal to 1 on unit arrows, so its
     coboundary is normalized."""
     units = set(g.unit_to_arrow)
-    return OneCochain(
-        g,
-        {a: Fraction(rng.randrange(k), k) for a in g.arrows() if a not in units},
-    )
+    return OneCochain.from_angles(g, k, [0 if a in units else rng.randrange(k) for a in g.arrows()])
 
 
 def random_laurent(rng: random.Random, ext_algebra, window: tuple[int, int], density: float = 1.0):
