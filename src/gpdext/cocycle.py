@@ -11,13 +11,14 @@ is one such array over the arrows.  The exact array operations
 (``coboundary``, ``mul``, ``conj``, ``bicharacter_cocycle``) compute int
 angles and end in the table, over the least conductor (one of 2**31 or
 more goes through the values); a cocycle given by its values, and every
-numeric one, is compiled into the table once, at construction.  Every operation reads the table, which is read-only, so
-``normalized`` is decided once per cocycle.  ``values``, the sparse
-``CircleScalar`` view of the entries other than 1, is what documents parse
-and serialize; for a table an operation wrote, it is built on first read,
-in pair order.  An exact cocycle also holds its N roots e(j / N), so the
-complex tables of w^n for a list of modes n are one gather: each mode's
-roots e(nj / N), read at the angles j = W.
+numeric one, is compiled into the table once, at construction.  Every
+operation reads the table, which is read-only, so ``normalized`` is
+decided once per cocycle.  ``values``, the sparse ``CircleScalar`` view of
+the entries other than 1, is what documents parse and serialize; for a
+table an operation wrote, it is built on first read, in pair order.  An
+exact cocycle also holds its N roots e(j / N), so the complex tables of
+w^n for a list of modes n are one gather: each mode's roots e(nj / N),
+read at the angles j = W.
 """
 
 from __future__ import annotations
@@ -319,6 +320,14 @@ class TwoCocycle:
         return f"TwoCocycle({len(self.values)} non-unit values on {self.base.name})"
 
 
+def _cochain_at(w: TwoCocycle, a: np.ndarray, b: np.ndarray) -> OneCochain:
+    """The cochain x -> w(a[x], b[x]) on composable pairs: read off the int
+    table when w is exact, else off its values."""
+    if w.is_exact:
+        return OneCochain.from_angles(w.base, w.conductor, w.table[a, b])
+    return OneCochain(w.base, {x: w.value(*p) for x, p in enumerate(zip(a.tolist(), b.tolist()))})
+
+
 def normalize(w: TwoCocycle) -> tuple[TwoCocycle, OneCochain]:
     """Normalize a cocycle by dividing out the coboundary of
     b(a) = w(unit at range(a), a).
@@ -328,7 +337,7 @@ def normalize(w: TwoCocycle) -> tuple[TwoCocycle, OneCochain]:
     """
     w.require_checked("normalize")
     g = w.base
-    b = OneCochain(g, {a: w.value(g.unit_arrow(g.r(a)), a) for a in g.arrows()})
+    b = _cochain_at(w, g.unit_to_arrow[g.range_map], np.arange(g.n_arrows))
     w2 = w.mul(b.coboundary().conj())
     rep = w2.check_identity()
     if not rep.ok:
@@ -354,7 +363,7 @@ def trivialize_principal(w: TwoCocycle) -> OneCochain:
     arrow_at = np.zeros((g.n_units, g.n_units), dtype=np.intp)  # by (range, source)
     arrow_at[g.range_map, g.source_map] = np.arange(g.n_arrows)
     alpha = arrow_at[g.source_map, least_units(g)[g.source_map]]
-    b = OneCochain(g, {a: w.value(a, x) for a, x in enumerate(alpha.tolist())})
+    b = _cochain_at(w, np.arange(g.n_arrows), alpha)
     db = b.coboundary()
     if not db.pointwise_equal(w):
         raise CocycleError("trivialization postcondition failed")

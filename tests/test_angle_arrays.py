@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 from gpdext.cli import _fixture_dir, load_spec
-from gpdext.cocycle import OneCochain, TwoCocycle, bicharacter_cocycle, normalize, pauli_cocycle
+from gpdext.cocycle import (
+    OneCochain,
+    TwoCocycle,
+    bicharacter_cocycle,
+    normalize,
+    pauli_cocycle,
+    trivialize_principal,
+)
 from gpdext.exact import CircleScalar, solve_mod1
 from gpdext.extension import ExtensionAlgebra, decompose
 from gpdext.groupoid import abelian_group_groupoid, cyclic_group_groupoid, pair_groupoid
@@ -126,7 +133,8 @@ def test_seeded_oracle_draws_are_pinned():
 
 def test_array_operations_make_no_circle_scalar(monkeypatch):
     # a coboundary on pair(11) has 1 331 composable pairs; neither drawing
-    # it nor its product and conjugate builds a CircleScalar per pair
+    # it nor its product, conjugate, normalization and trivialization
+    # builds a CircleScalar per pair
     made = []
     init = CircleScalar.__init__
 
@@ -138,7 +146,8 @@ def test_array_operations_make_no_circle_scalar(monkeypatch):
     monkeypatch.setattr(CircleScalar, "__init__", counted)
     w = random_mu_k_coboundary(random.Random(1), g, 6)
     assert len(made) == 0
-    made_by = {"mul": w.mul(w), "conj": w.conj()}
+    made_by = {"mul": w.mul(w), "conj": w.conj(), "normalize": normalize(w)[0]}
+    assert trivialize_principal(w).coboundary().pointwise_equal(w)
     assert len(made) == 0
     for v in (w, *made_by.values()):
         A, B, _ = g.pair_table
@@ -259,3 +268,21 @@ def test_the_int_solver_answers_as_the_fraction_one_on_coboundary_systems(name, 
     assert solve_mod1(rows, rhs) == fraction_solve_mod1(rows, rhs)
     if name == "Z3-conductor-3p":
         assert w.conductor == 3 * (2**61 - 1) and solve_mod1(rows, rhs) is not None
+
+
+def test_a_numeric_cocycle_normalizes_off_its_values():
+    # the normalizing cochain of a numeric cocycle holds its stored values
+    # at (unit at r(a), a), bit for bit; the exact one reads the same angles
+    g = abelian_group_groupoid((2, 2))
+    w = pauli_cocycle(g).mul(OneCochain(g, {a: Fraction(a + 1, 5) for a in g.arrows()}).coboundary())
+    numeric = TwoCocycle(g, {p: v.to_complex() for p, v in w.values.items()})
+    w2, b = normalize(numeric)
+    assert not w2.is_exact and w2.normalized and b.conductor is None
+    units = g.unit_to_arrow[g.range_map].tolist()
+    at_units = [(a, numeric.value(u, a)) for a, u in enumerate(units)]
+    assert list(b.values.items()) == [(a, v) for a, v in at_units if not v.is_one()]
+    assert all(b.values[a].z == v.z for a, v in at_units if not v.is_one())
+    exact2, c = normalize(w)
+    assert w2.pointwise_equal(exact2)
+    want = [(a, w.value(u, a)) for a, u in enumerate(units)]
+    assert list(c.values.items()) == [(a, v) for a, v in want if not v.is_one()] and c.values
