@@ -9,16 +9,15 @@ aligned with the groupoid's compose array: int angles W over one
 value is exact, else the complex values (a numeric cocycle).  A 1-cochain
 is one such array over the arrows.  The exact array operations
 (``coboundary``, ``mul``, ``conj``, ``bicharacter_cocycle``) compute int
-angles and end in the table, over the least conductor (one of 2**31 or
-more goes through the values); a cocycle given by its values, and every
-numeric one, is compiled into the table once, at construction.  Every
-operation reads the table, which is read-only, so ``normalized`` is
-decided once per cocycle.  ``values``, the sparse ``CircleScalar`` view of
-the entries other than 1, is what documents parse and serialize; for a
-table an operation wrote, it is built on first read, in pair order.  An
-exact cocycle also holds its N roots e(j / N), so the complex tables of
-w^n for a list of modes n are one gather: each mode's roots e(nj / N),
-read at the angles j = W.
+angles and end in the table, over the least conductor; a cocycle given by
+its values, and every numeric one, is compiled into the table once, at
+construction.  Every operation reads the table, which is read-only, so
+``normalized`` is decided once per cocycle.  ``values``, the sparse
+``CircleScalar`` view of the entries other than 1, is what documents parse
+and serialize; for a table an operation wrote, it is built on first read,
+in pair order.  An exact cocycle also holds its N roots e(j / N), so the
+complex tables of w^n for a list of modes n are one gather: each mode's
+roots e(nj / N), read at the angles j = W.
 """
 
 from __future__ import annotations
@@ -81,11 +80,13 @@ def _compile(values: dict, shape) -> tuple[int | None, np.ndarray]:
     return n, table
 
 
-def _reduced(n: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+def _reduced(n: int, x) -> tuple[int, np.ndarray]:
     """(N, x / (n / N)) for int angles x in [0, n): the same angles over the
-    least conductor N = n / gcd(n, x)."""
+    least conductor N = n / gcd(n, x), as ``_compile`` types them."""
+    x = np.asarray(x, dtype=np.int64 if n < _INT64_CONDUCTOR else object)
     step = math.gcd(n, int(np.gcd.reduce(x)))
-    return n // step, x // step
+    n //= step
+    return n, np.asarray(x // step, dtype=np.int64 if n < _INT64_CONDUCTOR else object)
 
 
 def _angle_view(keys, x: np.ndarray, n: int) -> dict:
@@ -97,15 +98,14 @@ def _angle_view(keys, x: np.ndarray, n: int) -> dict:
 def _cocycle(base: FiniteGroupoid, n: int | None, entries: np.ndarray, checked=False):
     """The cocycle with these entries on ``base.pair_table``'s pairs: int
     angles in [0, n), written into the table over their least conductor, or
-    complex values (or angles over n >= 2**31), read as a dict of values."""
+    complex values, read as a dict of values."""
     A, B, _ = base.pair_table
-    if n is None or n >= _INT64_CONDUCTOR:
-        values = entries.tolist() if n is None else [Fraction(x, n) for x in entries.tolist()]
-        return TwoCocycle(base, dict(zip(zip(A.tolist(), B.tolist()), values)), checked)
+    if n is None:
+        return TwoCocycle(base, dict(zip(zip(A.tolist(), B.tolist()), entries.tolist())), checked)
     w = TwoCocycle.__new__(TwoCocycle)
     w.base, w.identity_checked = base, checked
     w.conductor, x = _reduced(n, entries)
-    w.table = np.zeros((base.n_arrows, base.n_arrows), dtype=np.int64)
+    w.table = np.zeros((base.n_arrows, base.n_arrows), dtype=x.dtype)
     w.table[A, B] = x
     w.table.flags.writeable = False
     return w
@@ -131,8 +131,7 @@ class OneCochain:
         over their least conductor; ``values`` is built on first read."""
         b = OneCochain.__new__(OneCochain)
         b.base = base
-        x = np.asarray(angles, dtype=np.int64 if n < _INT64_CONDUCTOR else object)
-        b.conductor, b.table = _reduced(n, x)
+        b.conductor, b.table = _reduced(n, angles)
         return b
 
     @cached_property
