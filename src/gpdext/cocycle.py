@@ -91,8 +91,10 @@ def _reduced(n: int, x) -> tuple[int, np.ndarray]:
 
 def _angle_view(keys, x: np.ndarray, n: int) -> dict:
     """{key: e(x / n)} over the keys whose int angle x is not 0, in order: the
-    sparse ``CircleScalar`` view of an angle array."""
-    return {key: CircleScalar(angle=Fraction(t, n)) for key, t in zip(keys, x.tolist()) if t}
+    sparse ``CircleScalar`` view of an angle array, one scalar per angle."""
+    x = x.tolist()
+    scalar = {t: CircleScalar(angle=Fraction(t, n)) for t in set(x) if t}
+    return {key: scalar[t] for key, t in zip(keys, x) if t}
 
 
 def _cocycle(base: FiniteGroupoid, n: int | None, entries: np.ndarray, checked=False):
