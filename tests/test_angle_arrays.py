@@ -287,3 +287,16 @@ def test_a_numeric_cocycle_normalizes_off_its_values():
     assert w2.pointwise_equal(exact2)
     want = [(a, w.value(u, a)) for a, u in enumerate(units)]
     assert list(c.values.items()) == [(a, v) for a, v in want if not v.is_one()] and c.values
+
+
+def test_normalize_divides_out_the_values_at_the_range_unit():
+    # b(a) = w(unit at r(a), a) on a groupoid whose unit arrows carry
+    # distinct values, so that w(a, unit at s(a)) would be another cochain
+    g = pair_groupoid(3)
+    exact = OneCochain(g, {a: Fraction(a + 1, 7) for a in g.arrows()}).coboundary()
+    numeric = TwoCocycle(g, {p: v.to_complex() for p, v in exact.values.items()})
+    r = g.unit_to_arrow[g.range_map].tolist()
+    for w in (exact, numeric):
+        w2, b = normalize(w)
+        assert w2.normalized and not w.normalized
+        assert all(b.value(a) == w.value(u, a) for a, u in enumerate(r))
