@@ -21,8 +21,9 @@ at k = 2, which otherwise reads mu_k x_w G); the ``cyclic_decompose`` of
 mu_k x_w G (without centers: verify-all reads those off the algebras of
 its session); the norm agreement of cyclic-oracle's samples;
 and the ``ideal_dimension`` of the unit-pair lifts in each extension of a
-principal base.  One warm pass goes first, then ``--count`` timed passes,
-and it prints each stage's wall time per pass and fixture.
+principal base.  One warm pass goes first, then ``--count`` timed passes
+and one pass under cProfile, and it prints each stage's wall time and
+Python calls per pass, one line per fixture and stage.
 
 Examples:
     python scripts/oracle_profile.py --count 40 --seed 1
@@ -150,11 +151,17 @@ def profile_fixtures(count: int, seed: int) -> None:
     pool = fixtures()
     keys = [(name, stage) for name, *_ in pool for stage in FIXTURE_STAGES]
     seconds = timed_passes(lambda around: run_fixture_pass(pool, seed, around), keys, count)
-    print(f"{len(pool)} fixtures, {count} passes, seed {seed}, ms/pass")
-    print(f"{'fixture':<16}" + "".join(f" {s:>16}" for s in FIXTURE_STAGES + ("total",)))
+    profiles = {key: cProfile.Profile() for key in keys}
+    run_fixture_pass(pool, seed, profiles.__getitem__)
+    calls = {key: pstats.Stats(profile).total_calls for key, profile in profiles.items()}
+    print(f"{len(pool)} fixtures, {count} passes, seed {seed}")
+    print(f"{'fixture':<16} {'stage':<18} {'ms/pass':>11} {'calls/pass':>10}")
     for name, *_ in pool:
-        ms = [1000 * seconds[name, stage] / count for stage in FIXTURE_STAGES]
-        print(f"{name:<16}" + "".join(f" {v:>16.3f}" for v in ms + [sum(ms)]))
+        rows = [(stage, 1000 * seconds[name, stage] / count, calls[name, stage])
+                for stage in FIXTURE_STAGES]
+        rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+        for stage, ms, n in rows:
+            print(f"{name:<16} {stage:<18} {ms:>11.3f} {n:>10}")
 
 
 def main() -> int:

@@ -35,14 +35,15 @@ comes in one of two forms:
   ``reduced_norm`` and ``ideal_dimension``.
 
 Leading axes are batch axes, and every operation broadcasts over them, so a
-certificate handles a whole stack of elements in one call.  An exact
-product, the involution and the Fourier projections are term steps,
-``conv_terms``, ``star_terms`` and ``projection_terms``, each term a
-coefficient of a power of zeta_k at one arrow.  ``conv_terms`` meets each
-batch row's nonzero entries of f with those of g (an exact element scans
-its own once) by repeats and offsets, reading y z off the extension's own
-composition table, with neither operand broadcast in memory, so the work
-is the number of meetings.  ``faithfulness_rank`` reads the product of
+certificate handles a whole stack of elements in one call.  The exact
+products of mode deltas, the involution and the Fourier projections are
+term steps, ``mode_product_terms``, ``star_terms`` and
+``projection_terms``, each term a coefficient of a power of zeta_k at one
+arrow.  A mode delta q_(n m + a) holds zeta_k^(-tn) at each (t, a), so
+``mode_product_terms`` reads its terms straight off the rows of the
+extension's own composition table at the arrows (t, a) of the left
+deltas: each composable pair gives one term per right mode, and no
+meeting of entries is dropped.  ``faithfulness_rank`` reads the product of
 every delta with its source unit off that table at once.  Every numeric
 product is one with a delta, one term per entry, so ``delta_products``
 takes an element against every delta from one side in one scatter over
@@ -114,21 +115,12 @@ def _max_abs(num) -> int:
 class Exact:
     """An exact oracle element, or a stack of them: num / k**e, num an int
     array (..., k*|A|, k) of coefficients of zeta_k^j.  Indexing acts on the
-    batch axes.  ``entries`` scans num on first read, so num does not change
-    once the element has been multiplied."""
+    batch axes."""
 
-    __slots__ = ("num", "e", "_entries")
+    __slots__ = ("num", "e")
 
     def __init__(self, num: np.ndarray, e: int = 0):
-        self.num, self.e, self._entries = num, e, None
-
-    @property
-    def entries(self) -> tuple:
-        """``_nonzero_entries`` of num, each batch row flat over (arrow, exponent)."""
-        if self._entries is None:
-            *lead, N, k = self.num.shape
-            self._entries = _nonzero_entries(self.num.reshape(*lead, N * k))
-        return self._entries
+        self.num, self.e = num, e
 
     def __getitem__(self, index) -> "Exact":
         return Exact(self.num[index], self.e)
@@ -228,26 +220,32 @@ class Terms(NamedTuple):
     e: int
 
 
-def conv_terms(ext: CyclicExtension, f: Exact, g: Exact) -> Terms:
-    """The terms of the convolution (f*g)(x) = (1/k) * sum over x = y.z of
-    f(y) g(z), the circle factor averaged, on exact elements broadcast over
-    their batch axes: each batch row's nonzero (arrow y, exponent i) entries
-    of f met with its nonzero (z, j) entries of g where y z exists, giving
-    f_i(y) g_j(z) zeta_k^(i + j) at y z, in ascending (row, y, i, z, j)
-    order, with the weight 1/k of the circle."""
-    k = ext.k
-    lead, row, u, v, fu, gv = _nonzero_pairs(f.entries, g.entries)
-    y, z = u // k, v // k
-    arrow = ext.compose[y, z]
-    # zeta^i * zeta^j = zeta^(i + j), i + j = u + v - (y + z) k < 2k
-    exponent = u + v - (y + z) * k
-    exponent -= exponent // k * k
-    # k terms per coefficient of one product, at most dimension products per arrow
-    bound = _max_abs(fu) * _max_abs(gv) * k * ext.dimension
-    keep = arrow >= 0
-    row, arrow, exponent, fu, gv = row[keep], arrow[keep], exponent[keep], fu[keep], gv[keep]
-    coefficient = _widened(fu, bound) * _widened(gv, bound)
-    return Terms(lead, row, arrow, exponent, coefficient, f.e + g.e + 1)
+def mode_product_terms(ext: CyclicExtension, left) -> Terms:
+    """The terms of the products q_L * q_R of the mode deltas
+    q_(n m + a) = sum_t zeta_k^(-tn) delta_(t, a), the left ones at the ids
+    ``left`` against all N right ones, read straight off the extension's
+    composition table: each composable pair (y, z) = ((t1, a), (t2, b)) of
+    a left q_L, L = n m + a, and each right mode p give
+    zeta_k^(-(t1 n + t2 p)) at y z in batch row (L, p m + b), with the
+    weight 1/k.  Every coefficient is 1, batch rows are flat over
+    (len(left), N), and the terms come in ascending (L, y, z, p) order."""
+    k, m, N = ext.k, ext.base.n_arrows, ext.dimension
+    n, a = divmod(np.asarray(left, dtype=np.intp), m)
+    t = np.arange(k)
+    yz = ext.compose[t * m + a[:, None]]  # (L, t1, z): y z for y = (t1, a)
+    i, t1, z = (yz >= 0).nonzero()
+    t2, b = divmod(z, m)
+    # axes (pair, right mode p)
+    exponent = -(t1 * n[i])[:, None] - t2[:, None] * t
+    row = (i * N + b)[:, None] + t * m
+    return Terms(
+        (len(n), N),
+        row.ravel(),
+        yz[i, t1, z].repeat(k),
+        (exponent % k).ravel(),
+        np.ones(row.size, dtype=np.int64),
+        1,
+    )
 
 
 def delta_products(ext: CyclicExtension, f: np.ndarray, left: bool) -> np.ndarray:
@@ -265,36 +263,6 @@ def delta_products(ext: CyclicExtension, f: np.ndarray, left: bool) -> np.ndarra
     else:
         out[..., Z, YZ] = values[..., Y]
     return out
-
-
-def _nonzero_entries(x: np.ndarray) -> tuple:
-    """The nonzero entries of a stack (..., n): the flat ids of its rows over
-    its batch shape, each row's number of entries and the place of its
-    first, and every entry's index and value, in ascending (row, index) order."""
-    flat = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
-    r, i = flat.nonzero()
-    count = np.bincount(r, minlength=len(flat))
-    return np.arange(len(flat)).reshape(x.shape[:-1]), count, count.cumsum() - count, i, flat[r, i]
-
-
-def _nonzero_pairs(x: tuple, y: tuple):
-    """The broadcast batch shape of the ``_nonzero_entries`` x and y, and
-    every (row, i, j) with x[row, i] and y[row, j] both nonzero, in
-    ascending order, with those two values.  Row runs over the broadcast,
-    flattened, and neither operand is broadcast in memory: the work is the
-    number of pairs, expanded in two levels of a repeat less an offset, each
-    row's entries of x, then each of those met with its row's entries of y."""
-    (ox, cx, fx, i, xv), (oy, cy, fy, j, yv) = x, y
-    # the row of each side that each row of the broadcast reads
-    ox, oy = ox + 0 * oy, oy + 0 * ox
-    lead, ox, oy = ox.shape, ox.ravel(), oy.ravel()
-    count = cx[ox]
-    row = np.arange(len(count)).repeat(count)
-    a = np.arange(len(row)) - (count.cumsum() - count - fx[ox]).repeat(count)
-    count = cy[oy][row]
-    a = a.repeat(count)
-    b = np.arange(len(a)) - (count.cumsum() - count - fy[oy][row]).repeat(count)
-    return lead, row.repeat(count), i[a], j[b], xv[a], yv[b]
 
 
 def star_terms(ext: CyclicExtension, f: Exact) -> Terms:

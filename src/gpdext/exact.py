@@ -286,7 +286,9 @@ class CircleScalar:
         if (angle is None) == (z is None):
             raise ValueError("exactly one of angle, z required")
         if angle is not None:
-            self.angle = angle % 1
+            # an angle already in [0, 1) is kept: angle % 1 makes a new Fraction
+            in_range = type(angle) is Fraction and 0 <= angle.numerator < angle.denominator
+            self.angle = angle if in_range else angle % 1
             self.z = None
         else:
             z = complex(z)

@@ -384,21 +384,22 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     """Certify the mode decomposition of the cyclic extension algebra.
 
     For every pair of modes and every pair of base arrows, the product of the
-    embedded basis elements is computed with the oracle convolution (written
-    against the extension's composition table) and compared against the
-    twisted structure constants: zero across modes, w^n(a,b) delta_{ab}
-    within a mode.  Involutions and the Fourier projections are checked the
-    same way.  Each kind runs on stacks of all k*m mode deltas, in row chunks
-    of about ``oracle.STACK_ENTRIES`` entries (at least one row), and each
-    chunk is decided exactly from its terms, from ``conv_terms``,
-    ``star_terms`` and ``projection_terms``, with the expected values
-    negated, by ``oracle.nonzero_sums``: one call per chunk covers its left
-    mode deltas times all k right-hand modes, all k target modes of the
-    projections, and the sum over the modes of the Fourier block.  The
-    witness is the first failing comparison in the order products
-    (n, p, a, b), stars (n, a), projections (n, mm, a), Fourier block
-    (t, a), which need not be a chunk's row order, and its residual is the
-    modulus of that one difference.
+    embedded basis elements in the oracle is compared against the twisted
+    structure constants: zero across modes, w^n(a,b) delta_{ab} within a
+    mode.  Involutions and the Fourier projections are checked the same way.
+    Each kind runs on stacks of all k*m mode deltas, in row chunks of about
+    ``oracle.STACK_ENTRIES`` entries (at least one row), and each chunk is
+    decided exactly from its terms, with the expected values negated, by
+    ``oracle.nonzero_sums``: one call per chunk covers its left mode deltas
+    times all k right-hand modes, all k target modes of the projections, and
+    the sum over the modes of the Fourier block.  The products' terms come
+    from ``mode_product_terms``, one per composable pair of the extension's
+    own composition table and right mode, so a chunk is sized by the terms
+    its left rows make; the stars' from ``star_terms`` and the projections'
+    from ``projection_terms``.  The witness is the first failing comparison
+    in the order products (n, p, a, b), stars (n, a), projections
+    (n, mm, a), Fourier block (t, a), which need not be a chunk's row order,
+    and its residual is the modulus of that one difference.
 
     The expected values are the cocycle's tables of w^n (``power_table``)
     as exponents of zeta_k, read in array expressions: w^n(a, b) at
@@ -477,12 +478,13 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         left, right = n * m + a, n * m + b
         arrow = t * m + C[pair, None]
         expected = (P[n, a, b, None] - t * n[:, None]) % k
-        by_right, rhs = rows // m * k * m * m + rows % m, Q[None, :]  # Q scanned once
-        # a left row meets all N right rows, k by k entries each; the terms of
-        # one meeting hold four entries (row, arrow, exponent, coefficient)
-        for lo, hi in chunks(N, 4 * N * k * k):
+        by_right = rows // m * k * m * m + rows % m
+        # left row p * m + a makes k**3 terms per base pair (a, b), k circle
+        # exponents on each side and k right modes, and a term holds four
+        # entries (row, arrow, exponent, coefficient)
+        for lo, hi in chunks(N, 4 * k**3 * int(np.bincount(A).max(initial=0))):
             i, j = left.searchsorted((lo, hi))
-            terms = oracle.conv_terms(ext, Q[lo:hi, None], rhs)
+            terms = oracle.mode_product_terms(ext, rows[lo:hi])
             position = (rows[lo:hi, None] * m + by_right).ravel()
             flat = ((left[i:j, None] - lo) * N + right[i:j, None]) * N + arrow[i:j]
             yield 0, position, *summed(len(position), terms.row, terms, flat, expected[i:j])

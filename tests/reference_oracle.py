@@ -6,9 +6,10 @@ pair of the extension against every batch row, ``gather_projection`` takes
 an exact Fourier projection as one gather of shifted coefficients and
 ``gather_star`` an exact involution as one gather at the inverses, where
 the library builds both from the terms of each nonzero entry, which
-``scatter_projection`` and ``scatter_star`` add up, as ``scatter_conv``
-adds up the terms of an exact product.  ``embed_mode`` embeds
+``scatter_projection`` and ``scatter_star`` add up, as ``scatter`` adds up
+the terms of the library's products of mode deltas.  ``embed_mode`` embeds
 exact base coefficients in a mode, which the library no longer does, and
+``mode_deltas`` stacks every mode delta with it;
 ``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
 dense, which the library no longer does either.  ``loop_reduced_norm`` takes
 one spectral norm per unit, of ``regular_rep_matrix``, the scan's products
@@ -109,13 +110,6 @@ def scatter(ext, t):
     return oracle.Exact(out.reshape(t.lead + (N, k)), t.e)
 
 
-def scatter_conv(ext, f, g):
-    """(f*g)(x) = (1/k) * sum over x = y.z of f(y) g(z) of exact values,
-    broadcast over their batch axes: the scatter of the oracle's
-    ``conv_terms``."""
-    return scatter(ext, oracle.conv_terms(ext, f, g))
-
-
 def scatter_projection(ext, f, n: int):
     """p_n(f) of exact values, the scatter of the oracle's ``projection_terms``."""
     p = scatter(ext, oracle.projection_terms(ext, f, [n]))
@@ -132,6 +126,16 @@ def gather_star(ext, f):
 def scatter_star(ext, f):
     """f* of exact values, the scatter of the oracle's ``star_terms``."""
     return scatter(ext, oracle.star_terms(ext, f))
+
+
+def mode_deltas(ext):
+    """Every mode delta q_(n m + a), the delta at base arrow a embedded in
+    mode n, as one exact stack (k*m, k*m, k) from ``embed_mode``."""
+    k, m = ext.k, ext.base.n_arrows
+    one = np.zeros((m, m, k), dtype=np.int64)
+    one[np.arange(m), np.arange(m), 0] = 1
+    stacks = [embed_mode(ext, n, oracle.Exact(one)).num for n in range(k)]
+    return oracle.Exact(np.concatenate(stacks))
 
 
 def embed_mode(ext, n: int, coeffs):

@@ -384,13 +384,13 @@ def test_cyclic_decompose_rejects_the_next_mode_summand(monkeypatch, klein, paul
 
 
 def test_cyclic_decompose_rejects_conv_without_the_circle_weight(monkeypatch, klein, pauli):
-    conv_terms = oracle.conv_terms
+    mode_product_terms = oracle.mode_product_terms
 
-    def unweighted(e, f, h):
-        terms = conv_terms(e, f, h)
+    def unweighted(e, left):
+        terms = mode_product_terms(e, left)
         return terms._replace(e=terms.e - 1)  # over one power of k less
 
-    monkeypatch.setattr(oracle, "conv_terms", unweighted)
+    monkeypatch.setattr(oracle, "mode_product_terms", unweighted)
     cd = cyclic_decompose(cyclic_extension(klein, pauli, 2), skip_centers=True)
     assert not cd.ok
     # the first product, of the unit with itself, comes out k = 2 times too large

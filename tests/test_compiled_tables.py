@@ -6,8 +6,7 @@ pair table, compose array, dict view (in pair order), ``validate`` report
 and isotropy quotient, on every bundled fixture, every ``randgen`` family,
 broken tables, and mu_k x_w G.  Pair arrays of unequal length, out of order
 or with a repeated pair are refused at construction.  The row-block triples
-of ``triple_blocks`` and the meetings of the oracle's ``_nonzero_pairs`` are
-checked against plain loops.
+of ``triple_blocks`` are checked against a plain loop.
 """
 
 import random
@@ -15,7 +14,6 @@ import random
 import numpy as np
 import pytest
 
-from gpdext import cyclic_oracle as oracle
 from gpdext.cli import _fixture_dir, load_spec
 from gpdext.cyclic_oracle import CyclicExtension
 from gpdext.groupoid import (
@@ -31,7 +29,6 @@ from gpdext.groupoid import (
 )
 from gpdext.randgen import _FAMILIES, _MAX_ARROWS_BY_K, random_mu_k_coboundary
 from helpers import empty_groupoid
-import reference_oracle
 
 MAPS = ("range_map", "source_map", "inverse_map", "unit_to_arrow")
 
@@ -239,70 +236,3 @@ def test_the_mask_not_a_composite_marks_the_triples():
 def test_the_blocks_span_several_blocks_on_a_large_table():
     g = disjoint_union(cyclic_group_groupoid(50), pair_groupoid(2))
     assert len(list(g.triple_blocks())) > 1
-
-
-# -- the oracle's meetings -------------------------------------------------
-
-
-def loop_pairs(x: np.ndarray, y: np.ndarray) -> list[tuple]:
-    """(row, i, j, x value, y value) over the broadcast rows, flat, then i, then j."""
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    xs = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
-    ys = np.broadcast_to(y, lead + y.shape[-1:]).reshape(-1, y.shape[-1])
-    return [
-        (r, i, j, xs[r, i], ys[r, j])
-        for r in range(len(xs))
-        for i in np.flatnonzero(xs[r]).tolist()
-        for j in np.flatnonzero(ys[r]).tolist()
-    ]
-
-
-def _sparse(rng: np.random.Generator, shape, kind: str, density: float) -> np.ndarray:
-    if kind == "int":
-        values = rng.integers(-5, 6, shape)
-    else:
-        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return np.where(rng.random(shape) < density, values, 0)
-
-
-SHAPES = [
-    ((3, 1), (1, 4)),
-    ((), ()),
-    ((), (5,)),
-    ((4,), ()),
-    ((2, 3), (3,)),
-    ((0,), (0,)),
-    ((0, 3), (1, 3)),
-    ((6,), (6,)),
-]
-
-
-@pytest.mark.parametrize("kind", ["int", "complex"])
-@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("lx,ly", SHAPES, ids=[f"{a}x{b}" for a, b in SHAPES])
-def test_nonzero_pairs_match_a_loop(lx, ly, density, kind):
-    rng = np.random.default_rng([len(lx), len(ly), int(10 * density), len(kind)])
-    x, y = _sparse(rng, lx + (7,), kind, density), _sparse(rng, ly + (5,), kind, density)
-    if x.ndim > 1 and x.shape[0]:
-        x[0] = 0  # an empty row
-    lead, *got = oracle._nonzero_pairs(oracle._nonzero_entries(x), oracle._nonzero_entries(y))
-    assert lead == np.broadcast_shapes(lx, ly)
-    want = loop_pairs(x, y)
-    assert all(len(v) == len(want) for v in got)
-    want = [(*t[:3], t[3].item(), t[4].item()) for t in want]
-    assert list(zip(*(v.tolist() for v in got))) == want
-    assert got[3].dtype == x.dtype and got[4].dtype == y.dtype
-
-
-def test_an_element_and_its_slices_each_meet_their_own_entries():
-    # an exact element keeps the scan of its entries once multiplied; a
-    # slice of it is a new element with entries of its own
-    g, k = pair_groupoid(2), 3
-    ext = CyclicExtension(g, random_mu_k_coboundary(random.Random(1), g, k), k)
-    rng = np.random.default_rng(5)
-    f, h = (oracle.Exact(_sparse(rng, (4, ext.dimension, k), "int", 0.3)) for _ in range(2))
-    scatter_conv, scan_conv = reference_oracle.scatter_conv, reference_oracle.scan_conv
-    assert np.array_equal(scatter_conv(ext, f, h).num, scan_conv(ext, f, h).num)
-    for i, j in ((slice(1, None),) * 2, (slice(None, None, 2), slice(2)), (0, 3)):
-        x, y = f[i], h[j]  # sliced once f and h were multiplied whole
-        assert np.array_equal(scatter_conv(ext, x, y).num, scan_conv(ext, x, y).num)

@@ -136,6 +136,22 @@ def test_circle_scalar_products_stay_exact(a, b):
     assert (x * CircleScalar(angle=-a)).is_one()
 
 
+def test_circle_scalar_keeps_an_angle_in_range_and_reduces_the_rest():
+    # a Fraction in [0, 1) is stored as it is; any other angle is reduced mod 1
+    for a in (Fraction(0), Fraction(1, 3), Fraction(5, 6)):
+        assert CircleScalar(angle=a).angle is a
+    for a, want in (
+        (Fraction(1), 0),
+        (Fraction(5, 4), Fraction(1, 4)),
+        (Fraction(-1, 3), Fraction(2, 3)),
+    ):
+        got = CircleScalar(angle=a).angle
+        assert got == want and type(got) is Fraction
+    for a, want in ((0, 0), (3, 0), (-1, 0), (0.25, 0.25), (1.75, 0.75)):
+        got = CircleScalar(angle=a).angle
+        assert got == want and type(got) is type(a)
+
+
 def test_circle_scalar_approx():
     z = CircleScalar(z=1j)
     assert not z.is_exact

@@ -579,10 +579,18 @@ class TestOracleArraysAgainstLoops:
     def test_exact_conv_star_and_projection(self, rng):
         for ext in self.extensions(rng):
             k, m, N = ext.k, ext.base.n_arrows, ext.dimension
-            (f, fd), (g, gd) = self.exact_pair(rng, ext), self.exact_pair(rng, ext)
-            product = reference_oracle.scatter_conv(ext, f, g)
-            expected = self.loop_conv(ext, fd, gd, Fraction(1, k))
-            assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(N))
+            f, fd = self.exact_pair(rng, ext)
+            # the products of mode deltas, q_(n m + a) being e(-tn/k) at (t, a)
+            q = [
+                {t * m + a: Cyclo.from_root(Fraction(-t * n % k, k)) for t in range(k)}
+                for n in range(k)
+                for a in range(m)
+            ]
+            products = reference_oracle.scatter(ext, oracle.mode_product_terms(ext, range(N)))
+            for left, right in rng.sample(list(itertools.product(range(N), repeat=2)), 8):
+                expected = self.loop_conv(ext, q[left], q[right], Fraction(1, k))
+                product = products[left, right]
+                assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(N))
             star = reference_oracle.scatter_star(ext, f)
             assert all(
                 self.as_cyclo(star, ext.groupoid.inv(x)) == fd.get(x, Cyclo()).conjugate()
@@ -607,16 +615,6 @@ class TestOracleArraysAgainstLoops:
                     want = fd.get(a, Cyclo()).rotated(Fraction(-t * n, k))
                     assert self.as_cyclo(embedded, x) == want
 
-    def test_exact_conv_leaves_int64_when_it_could_overflow(self, rng):
-        ext = next(self.extensions(rng))
-        (f, fd), (g, gd) = self.exact_pair(rng, ext), self.exact_pair(rng, ext)
-        scale = 2**40  # products reach 2**80
-        f, g = oracle.Exact(f.num * scale), oracle.Exact(g.num * scale)
-        product = reference_oracle.scatter_conv(ext, f, g)
-        assert product.num.dtype == object
-        expected = self.loop_conv(ext, fd, gd, Fraction(scale * scale, ext.k))
-        assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(ext.dimension))
-
     def test_numeric_conv_and_projection_to_the_bit(self, rng):
         for ext in self.extensions(rng):
             N = ext.dimension
@@ -635,17 +633,6 @@ class TestOracleArraysAgainstLoops:
                 m = ext.base.n_arrows
                 expected = [ext.roots[-(x // m) * n % ext.k].item() * fd[x % m] for x in range(N)]
                 assert [complex(v) for v in embedded] == expected
-
-    def test_batch_axes_broadcast(self, rng):
-        ext = next(self.extensions(rng))
-        f, _ = self.exact_pair(rng, ext)
-        g, _ = self.exact_pair(rng, ext)
-        stack = oracle.Exact(np.stack([f.num, g.num]))
-        scatter_conv = reference_oracle.scatter_conv
-        both = scatter_conv(ext, stack[:, None], stack[None, :])
-        for i, a in enumerate((f, g)):
-            for j, b in enumerate((f, g)):
-                assert np.array_equal(both.num[i, j], scatter_conv(ext, a, b).num)
 
     def test_sums_leave_int64_when_they_could_overflow(self):
         # the loop reference adds exact stacks dense

@@ -1,11 +1,11 @@
 """The oracle convolution and the mode decomposition certificate against
 their loop references.
 
-The scatter of `conv_terms` (`reference_oracle.scatter_conv`) is compared
-with `reference_oracle.scan_conv` on seeded exact operands: dense and
-sparse elements, stacks that broadcast against each other, and dense
-elements against delta stacks from either side, by
-numerators, dtype and denominator, also on k = 1 and on the empty groupoid.
+The scatter of `mode_product_terms` (`reference_oracle.scatter`) is
+compared with `reference_oracle.scan_conv` of every mode delta against
+every other, whole and one left row at a time, by numerators, dtype and
+denominator, also on k = 1 and on the empty groupoid, and one decomposition
+makes k**2 product terms per composable pair of mu_k x_w G, no more.
 `delta_products` is compared by its bytes with `scan_conv` against every
 delta from either side, on single elements and stacks, some entries with
 signed zeros, on the same instances.
@@ -33,15 +33,15 @@ there, and the loop's projections, one gather per (mode, mode) block in
 projections and stars match the scatters of their terms for k = 1 to 6.  A
 changed graded involution leaves the library, which reads its stars off the
 table of w^n, passing, and fails the loop, which reads them from
-`involute`, so the two no longer match.  The
-exact products are decided from the terms of `conv_terms`, so their
-mutants act there: a term added to the products of two (left, right) mode
-pairs whose search order differs from their left order, and one meeting
-dropped from one product, which must be named with a residual of 1/k.  A
-chunk multiplies its left mode deltas by all k right-hand modes at once, so
-its rows are not in search order: the cross-mode products (1, 0) and
-(0, 1) and one in-mode product of a later chunk are spoiled alike in
-`conv_terms` and in the loop's `scan_conv`, and the two witnesses match.
+`involute`, so the two no longer match.  The exact products are decided
+from the terms of `mode_product_terms`, so their mutants act there and,
+alike, on the loop's `scan_conv`, and the two witnesses match: a term
+added to the products of two (left, right) mode pairs whose search order
+differs from their left order, and one term dropped from one product,
+which must be named with a residual of 1/k.  A chunk multiplies its left
+mode deltas by all k right-hand modes at once, so its rows are not in
+search order: the cross-mode products (1, 0) and (0, 1) and one in-mode
+product of a later chunk are spoiled.
 """
 
 import cmath
@@ -74,8 +74,9 @@ from reference_oracle import (
     loop_decompose,
     loop_norm_deviation,
     loop_reduced_norm,
+    mode_deltas,
     scan_conv,
-    scatter_conv,
+    scatter,
     scatter_projection,
     scatter_star,
 )
@@ -171,11 +172,55 @@ def assert_same_product(got, want):
 
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
-def test_conv_matches_the_scan(name, g, w, k):
-    rng = random.Random(name)
+def test_mode_product_terms_match_the_scan(name, g, w, k):
+    # scattered per (left, right) row, the terms are the scan's products of
+    # every mode delta with every other, whole and one left row at a time
     ext = oracle.CyclicExtension(g, w, k)
-    for f, h in _operand_pairs(rng, ext):
-        assert_same_product(scatter_conv(ext, f, h), scan_conv(ext, f, h))
+    q, rows = mode_deltas(ext), np.arange(ext.dimension)
+    want = scan_conv(ext, q[:, None], q[None, :])
+    assert_same_product(scatter(ext, oracle.mode_product_terms(ext, rows)), want)
+    for lo in rows:
+        got = scatter(ext, oracle.mode_product_terms(ext, rows[lo : lo + 1]))
+        assert_same_product(got, want[lo : lo + 1])
+
+
+def _counted_product_terms(monkeypatch) -> list:
+    """The number of terms of each ``mode_product_terms`` call from here on."""
+    made, step = [], oracle.mode_product_terms
+
+    def counted(e, left):
+        terms = step(e, left)
+        made.append(len(terms.row))
+        return terms
+
+    monkeypatch.setattr(oracle, "mode_product_terms", counted)
+    return made
+
+
+@pytest.mark.parametrize("entries", (None, 1))
+@pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
+def test_a_decomposition_makes_k2_product_terms_per_extension_pair(
+    monkeypatch, entries, name, g, w, k
+):
+    # no meeting is made only to be dropped: each composable pair of
+    # mu_k x_w G gives one term per (left, right) mode pair
+    made = _counted_product_terms(monkeypatch)
+    if entries is not None:
+        monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
+    ext = oracle.CyclicExtension(g, w, k)
+    assert cyclic_decompose(ext, skip_centers=True).ok
+    assert sum(made) == k * k * len(ext.groupoid.pair_table[0])
+
+
+def test_the_fixtures_make_their_product_terms(monkeypatch):
+    made = _counted_product_terms(monkeypatch)
+    counts = {}
+    for name, g, w, k in INSTANCES:
+        if name in {"cover3_cech5", "pair3_cobound", "z6_bichar"}:
+            made.clear()
+            assert cyclic_decompose(oracle.CyclicExtension(g, w, k), skip_centers=True).ok
+            counts[name] = sum(made)
+    assert counts == {"cover3_cech5": 16875, "pair3_cobound": 34992, "z6_bichar": 46656}
 
 
 @pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
@@ -245,17 +290,6 @@ def test_norm_agreement_matches_the_loop_bit_for_bit(g, w, k, F):
     got = oracle_norm_deviation(stack, ext)
     assert got.shape == (3,)
     assert got.tolist() == [loop_norm_deviation(stack[i], ext) for i in range(3)]
-
-
-def test_conv_matches_the_scan_beyond_int64(klein, pauli):
-    rng = random.Random(3)
-    ext = oracle.CyclicExtension(klein, pauli, 2)
-    for f, h in _operand_pairs(rng, ext):
-        f, h = oracle.Exact(f.num * 2**40, f.e), oracle.Exact(h.num * 2**40, h.e)
-        product = scatter_conv(ext, f, h)
-        if f.num.any() and h.num.any():
-            assert product.num.dtype == object
-        assert_same_product(product, scan_conv(ext, f, h))
 
 
 def assert_same_decomposition(got, want):
@@ -538,6 +572,34 @@ def _factors(e, f, h) -> list:
     return list(zip(zip(p, a), zip(n, b)))
 
 
+def _row_factors(e, left) -> list:
+    """((p, a), (n, b)) for each batch row of ``mode_product_terms`` on the
+    left mode deltas ``left``, flat: the left factor p * m + a, the right
+    one n * m + b, for every right one."""
+    m = e.base.n_arrows
+    return [(divmod(int(x), m), divmod(y, m)) for x in left for y in range(e.dimension)]
+
+
+def _spoil_products(monkeypatch, spoiled):
+    """Spoil the products of mode deltas whose factors spoiled((p, a),
+    (n, b)) flags by 1 more at arrow 0 in exponent 0: in the library as one
+    more term from ``mode_product_terms``, in the loop reference on its scan."""
+    step, scan = oracle.mode_product_terms, reference_oracle.scan_conv
+
+    def spoiling(e, left):
+        hit = [i for i, factors in enumerate(_row_factors(e, left)) if spoiled(*factors)]
+        return _added(step(e, left), hit)
+
+    def scanned(e, f, h):
+        out = scan(e, f, h)
+        num = out.num.reshape(-1, e.dimension, e.k).copy()
+        num[[i for i, factors in enumerate(_factors(e, f, h)) if spoiled(*factors)], 0, 0] += 1
+        return oracle.Exact(num.reshape(out.num.shape), out.e)
+
+    monkeypatch.setattr(oracle, "mode_product_terms", spoiling)
+    monkeypatch.setattr(reference_oracle, "scan_conv", scanned)
+
+
 @pytest.mark.parametrize("entries", (None, 1))
 @pytest.mark.parametrize("k", (3, 4))
 def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
@@ -546,18 +608,12 @@ def test_products_fail_first_in_right_mode_order(monkeypatch, k, entries):
     # for the product of mode p with mode n, so (p, n) = (2, 0) comes first
     g, _ = _FAMILIES[5][1](k)
     ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
-    spoiled = {(0, 1), (2, 0)}
-    conv_terms = oracle.conv_terms
-
-    def spoiling(e, f, h):
-        hit = [i for i, ((p, _), (n, _)) in enumerate(_factors(e, f, h)) if (p, n) in spoiled]
-        return _added(conv_terms(e, f, h), hit)
-
-    monkeypatch.setattr(oracle, "conv_terms", spoiling)
+    _spoil_products(monkeypatch, lambda left, right: (left[0], right[0]) in {(0, 1), (2, 0)})
     if entries is not None:
         monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
     got = cyclic_decompose(ext, skip_centers=True)
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (2, 0), (0, 0))
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
 @pytest.mark.parametrize("entries", (None, 1))
@@ -572,26 +628,10 @@ def test_products_keep_their_search_order_across_chunks(monkeypatch, entries):
     ext = oracle.CyclicExtension(g, random_mu_k_coboundary(random.Random(k), g, k), k)
     a, b = max(g.compose_table)
 
-    def spoiled(e, f, h) -> list:
-        return [
-            i
-            for i, ((p, x), (n, y)) in enumerate(_factors(e, f, h))
-            if (p, n) in {(1, 0), (0, 1)} or (p, x, n, y) == (2, a, 2, b)
-        ]
+    def spoiled(left, right) -> bool:
+        return (left[0], right[0]) in {(1, 0), (0, 1)} or (left, right) == ((2, a), (2, b))
 
-    conv_terms, scan_conv = oracle.conv_terms, reference_oracle.scan_conv
-
-    def spoiling(e, f, h):
-        return _added(conv_terms(e, f, h), spoiled(e, f, h))
-
-    def scanned(e, f, h):
-        out = scan_conv(e, f, h)
-        num = out.num.reshape(-1, e.dimension, e.k).copy()
-        num[spoiled(e, f, h), 0, 0] += 1
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
-
-    monkeypatch.setattr(oracle, "conv_terms", spoiling)
-    monkeypatch.setattr(reference_oracle, "scan_conv", scanned)
+    _spoil_products(monkeypatch, spoiled)
     if entries is not None:
         monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
     got = cyclic_decompose(ext, skip_centers=True)
@@ -606,18 +646,19 @@ EXACT = [x for x in INSTANCES if x[2].is_exact]
 @pytest.mark.parametrize("entries", (None, 1))
 @pytest.mark.parametrize("name,g,w,k", EXACT[::4], ids=[x[0] for x in EXACT[::4]])
 def test_a_dropped_meeting_names_its_product(monkeypatch, entries, name, g, w, k):
-    # the term step loses the first meeting of one product of mode deltas,
+    # the term step loses the first term of one product of mode deltas,
     # across modes or within one, so that product alone comes out wrong, by
-    # one term f_i(y) g_j(z) zeta^(i + j) / k of modulus 1/k
+    # one term zeta^0 / k of modulus 1/k: that of the pair ((0, a), (0, b)),
+    # the scan's first meeting, which the loop loses alike
     rng = random.Random(name)
     p, n = rng.randrange(k), rng.randrange(k)
     a, b = rng.choice(sorted(g.compose_table))
     target = ((p, a), (n, b))
-    conv_terms = oracle.conv_terms
+    step, scan = oracle.mode_product_terms, reference_oracle.scan_conv
 
-    def dropping(e, f, h):
-        terms = conv_terms(e, f, h)
-        hit = [i for i, factors in enumerate(_factors(e, f, h)) if factors == target]
+    def dropping(e, left):
+        terms = step(e, left)
+        hit = [i for i, factors in enumerate(_row_factors(e, left)) if factors == target]
         if not hit:
             return terms
         keep = np.ones(len(terms.row), dtype=bool)
@@ -629,13 +670,23 @@ def test_a_dropped_meeting_names_its_product(monkeypatch, entries, name, g, w, k
             coefficient=terms.coefficient[keep],
         )
 
-    monkeypatch.setattr(oracle, "conv_terms", dropping)
+    def scanned(e, f, h):
+        out = scan(e, f, h)
+        num = out.num.reshape(-1, e.dimension, e.k).copy()
+        hit = [i for i, factors in enumerate(_factors(e, f, h)) if factors == target]
+        num[hit, e.compose[a, b], 0] -= 1  # y z of y = (0, a), z = (0, b)
+        return oracle.Exact(num.reshape(out.num.shape), out.e)
+
+    monkeypatch.setattr(oracle, "mode_product_terms", dropping)
+    monkeypatch.setattr(reference_oracle, "scan_conv", scanned)
     if entries is not None:
         monkeypatch.setattr(oracle, "STACK_ENTRIES", entries)
-    got = cyclic_decompose(oracle.CyclicExtension(g, w, k), skip_centers=True)
+    ext = oracle.CyclicExtension(g, w, k)
+    got = cyclic_decompose(ext, skip_centers=True)
     assert not got.ok
     assert (got.witness.kind, got.witness.modes, got.witness.arrows) == ("product", (p, n), (a, b))
     assert got.witness.residual == pytest.approx(1 / k, abs=1e-12)
+    assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
 @pytest.mark.parametrize("entries", (None, 1))

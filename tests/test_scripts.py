@@ -60,27 +60,34 @@ def test_oracle_profile_times_the_oracle_stages_of_every_fixture(monkeypatch, ca
     monkeypatch.setattr(module, "CyclicExtension", counted_build)
     assert module.main() == 0
     head, columns, *rows = capsys.readouterr().out.splitlines()
-    assert head == "5 fixtures, 1 passes, seed 0, ms/pass"
+    assert head == "5 fixtures, 1 passes, seed 0"
+    assert columns.split() == ["fixture", "stage", "ms/pass", "calls/pass"]
     stages = ["draws", "build", "cyclic_decompose", "norm_agreement", "ideal_dimension", "total"]
-    assert columns.split() == ["fixture", *stages]
     names = ["cover3_cech5", "pair2_trivial", "pair3_cobound", "pauli", "z6_bichar"]
-    assert [row.split()[0] for row in rows] == names
-    for row in rows:
-        ms = dict(zip(stages, map(float, row.split()[1:])))
-        assert all(ms[s] > 0 for s in stages[:4])
-        # the six printed values are each rounded by up to 0.0005
+    assert [row.split()[:2] for row in rows] == [[n, s] for n in names for s in stages]
+    spans = []
+    for i in range(len(names)):
+        cells = [row.split()[2:] for row in rows[i * len(stages) : (i + 1) * len(stages)]]
+        ms = dict(zip(stages, (float(c[0]) for c in cells)))
+        calls = dict(zip(stages, (int(c[1]) for c in cells)))
+        assert all(ms[s] > 0 and calls[s] > 0 for s in stages[:4])
+        # the six printed times are each rounded by up to 0.0005; calls are whole
         assert ms["total"] == pytest.approx(sum(ms[s] for s in stages[:5]), abs=0.003)
+        assert calls["total"] == sum(calls[s] for s in stages[:5])
+        spans.append(calls["ideal_dimension"])
+    # only the principal bases, the first three, call into ideal_dimension
+    assert min(spans[:3]) > 10 * max(spans[3:])
     # a principal base spans its fullness and saturation ideals, in the warm
-    # pass and the timed one; the others span none
+    # pass, the timed one and the profiled one; the others span none
     principal = [load_spec(None, name)[0].groupoid.name for name in names[:3]]
-    assert sorted(spanned) == sorted(principal * 4)
+    assert sorted(spanned) == sorted(principal * 6)
     # as verify-all does, each pass builds mu_k x_w G once, and a principal
     # base also the extension at k = 1 of its fullness check
     one_pass = []
     for spec in (load_spec(None, name)[0] for name in names):
         g = spec.groupoid.name
         one_pass += [(g, spec.params["k"])] + [(g, 1)] * (g in principal)
-    assert built == one_pass * 2
+    assert built == one_pass * 3
 
 
 def test_report_digests_match_the_golden_lines(monkeypatch, capsys):
