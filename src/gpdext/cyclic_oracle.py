@@ -23,33 +23,31 @@ convolution machinery, so agreement between the two is evidence, not
 tautology.
 
 Every value of this algebra on exact data lies in Z[zeta_k][1/k], so the
-oracle works at the one conductor k, in integer arrays.  Extension arrows are
-indexed x = t * |A| + a (circle exponent t, base arrow a), and an element
-comes in one of two forms:
+oracle works at the one conductor k, in integer arrays.  Extension arrows
+are indexed x = t * |A| + a (circle exponent t, base arrow a).  The only
+exact elements the certificate takes are mode deltas and deltas, and each
+is a list of unit entries (batch row, arrow, exponent), zeta_k^exponent at
+that arrow: ``mode_delta_entries`` gives those of the mode deltas
+q_(n m + a), which hold zeta_k^(-tn) at each (t, a), and the delta at x is
+the one entry (row, x, 0).  The exact products, involutions and Fourier
+projections are term steps, ``mode_product_terms``, ``star_terms`` and
+``projection_terms``, each term a power of zeta_k at one arrow in one batch
+row, all with coefficient 1.  ``mode_product_terms`` reads its terms
+straight off the rows of the extension's own composition table at the
+arrows of the left mode deltas' entries: each composable pair gives one
+term per right mode, and no meeting of entries is dropped.
+``faithfulness_rank`` reads the product of every delta with its source unit
+off that table at once.
 
-- exact: an ``Exact`` (num, e), num an int array of shape (..., k*|A|, k)
-  whose last axis holds the coefficients of zeta_k^0, ..., zeta_k^(k-1) at
-  each arrow, all over the one denominator k**e;
-- numeric: a complex array of shape (..., k*|A|), taken by
-  ``delta_products``, ``mode_projection``, ``embed_mode``,
-  ``reduced_norm`` and ``ideal_dimension``.
-
-Leading axes are batch axes, and every operation broadcasts over them, so a
-certificate handles a whole stack of elements in one call.  The exact
-products of mode deltas, the involution and the Fourier projections are
-term steps, ``mode_product_terms``, ``star_terms`` and
-``projection_terms``, each term a coefficient of a power of zeta_k at one
-arrow.  A mode delta q_(n m + a) holds zeta_k^(-tn) at each (t, a), so
-``mode_product_terms`` reads its terms straight off the rows of the
-extension's own composition table at the arrows (t, a) of the left
-deltas: each composable pair gives one term per right mode, and no
-meeting of entries is dropped.  ``faithfulness_rank`` reads the product of
-every delta with its source unit off that table at once.  Every numeric
-product is one with a delta, one term per entry, so ``delta_products``
-takes an element against every delta from one side in one scatter over
-the extension's pairs (y, z, y z).  ``embed_mode`` embeds any list of
-modes in one gather of roots, ``reduced_norm`` gathers all source fibers
-of one size from the right delta products at once, and
+A numeric element is a complex array of shape (..., k*|A|), taken by
+``delta_products``, ``mode_projection``, ``embed_mode``, ``reduced_norm``
+and ``ideal_dimension``.  Leading axes are batch axes, and every operation
+broadcasts over them, so a certificate handles a whole stack of elements in
+one call.  Every numeric product is one with a delta, one term per entry,
+so ``delta_products`` takes an element against every delta from one side
+in one scatter over the extension's pairs (y, z, y z).  ``embed_mode``
+embeds any list of modes in one gather of roots, ``reduced_norm`` gathers
+all source fibers of one size from the right delta products at once, and
 ``ideal_dimension`` spans an ideal from the left delta products of the
 generators and the right ones of a basis of those, each rank SVD on the
 distinct nonzero rows of its stack.
@@ -62,17 +60,15 @@ accumulator per key, so the work of deciding a product grows with its
 terms, not with its arrows.  That map and the roots e(j/k) depend on k
 alone, so ``circle_constants`` builds them once per k for every extension.
 
-Certificates cut their stacks into row chunks of about ``STACK_ENTRIES``
-entries, so that their memory stays bounded for any k.  A dense stack
-counts its entries; a product, a star or a projection decided from its
-terms counts four per term (row, arrow, exponent and coefficient), since
-its terms, not its dense values, are what a chunk holds, and each passes
-through a few index arrays while it is made.
+Certificates cut their term steps into row chunks of about
+``STACK_ENTRIES`` entries, so that their memory stays bounded for any k.
+A product, a star or a projection decided from its terms counts four
+entries per term (row, arrow, exponent and the key it is summed under),
+since its terms, not its dense values, are what a chunk holds.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -90,8 +86,8 @@ from .groupoid import (
 
 # Integer results at or above this bound are computed on Python ints.
 _INT64_LIMIT = 2**63
-# Stacks that would hold more entries than this run in row chunks, so the
-# memory of a certificate stays bounded for any k.
+# Term steps that would hold more entries than this run in row chunks, so
+# the memory of a certificate stays bounded for any k.
 STACK_ENTRIES = 2**14
 # Singular values at or below this fraction of the largest (or of 1) count
 # as zero in an ideal's rank: the spanning products have entries of size
@@ -101,29 +97,6 @@ RANK_TOL = 1e-10
 
 class OracleError(ValueError):
     pass
-
-
-def _widened(num: np.ndarray, bound: int) -> np.ndarray:
-    """num as Python ints when a result bounded by ``bound`` could leave int64."""
-    return num.astype(object) if bound >= _INT64_LIMIT else num
-
-
-def _max_abs(num) -> int:
-    return int(np.maximum.reduce(np.abs(num), axis=None, initial=0))
-
-
-class Exact:
-    """An exact oracle element, or a stack of them: num / k**e, num an int
-    array (..., k*|A|, k) of coefficients of zeta_k^j.  Indexing acts on the
-    batch axes."""
-
-    __slots__ = ("num", "e")
-
-    def __init__(self, num: np.ndarray, e: int = 0):
-        self.num, self.e = num, e
-
-    def __getitem__(self, index) -> "Exact":
-        return Exact(self.num[index], self.e)
 
 
 def magnitude(z: np.ndarray) -> np.ndarray:
@@ -198,53 +171,46 @@ class CyclicExtension:
 # ---------------------------------------------------------------------------
 # the extension algebra, written directly against the composition table.
 
-def deltas(ext: CyclicExtension, arrows) -> Exact:
-    """The stack of exact delta elements at the given extension arrows."""
-    arrows = np.asarray(arrows, dtype=np.intp)
-    out = np.zeros((len(arrows), ext.dimension, ext.k), dtype=np.int64)
-    out[np.arange(len(arrows)), arrows, 0] = 1  # the coefficient of 1
-    return Exact(out)
+def mode_delta_entries(ext: CyclicExtension, ids) -> tuple:
+    """The unit entries (row, arrow, exponent) of the mode deltas
+    q_(n m + a) = sum_t zeta_k^(-tn) delta_(t, a) at the ids: batch row i
+    holds zeta_k^(-tn) at the arrow t m + a for each t, in ascending (i, t)
+    order."""
+    k, m = ext.k, ext.base.n_arrows
+    n, a = divmod(np.asarray(ids, dtype=np.intp), m)
+    t = np.arange(k)
+    return np.arange(len(n)).repeat(k), (t * m + a[:, None]).ravel(), (-t * n[:, None] % k).ravel()
 
 
 class Terms(NamedTuple):
-    """The terms of an exact product before they are summed: term i is
-    coefficient[i] * zeta_k**exponent[i] at (batch row[i], arrow[i]), rows
-    flat over the batch shape ``lead``, and the product is their sum over
-    k**e."""
+    """The terms of an exact product, star or projection before they are
+    summed: term i is zeta_k**exponent[i] at (batch row[i], arrow[i]), and
+    the result is their sum over k**e."""
 
-    lead: tuple[int, ...]
     row: np.ndarray
     arrow: np.ndarray
     exponent: np.ndarray
-    coefficient: np.ndarray
     e: int
 
 
 def mode_product_terms(ext: CyclicExtension, left) -> Terms:
-    """The terms of the products q_L * q_R of the mode deltas
-    q_(n m + a) = sum_t zeta_k^(-tn) delta_(t, a), the left ones at the ids
-    ``left`` against all N right ones, read straight off the extension's
-    composition table: each composable pair (y, z) = ((t1, a), (t2, b)) of
-    a left q_L, L = n m + a, and each right mode p give
-    zeta_k^(-(t1 n + t2 p)) at y z in batch row (L, p m + b), with the
-    weight 1/k.  Every coefficient is 1, batch rows are flat over
+    """The terms of the products q_L * q_R of the mode deltas, the left ones
+    at the ids ``left`` against all N right ones, read straight off the
+    extension's composition table at the arrows of the left entries: each
+    composable pair (y, z) = ((t1, a), (t2, b)) of a left q_L, L = n m + a,
+    and each right mode p give zeta_k^(-(t1 n + t2 p)) at y z in batch row
+    (L, p m + b), with the weight 1/k.  Batch rows are flat over
     (len(left), N), and the terms come in ascending (L, y, z, p) order."""
     k, m, N = ext.k, ext.base.n_arrows, ext.dimension
-    n, a = divmod(np.asarray(left, dtype=np.intp), m)
-    t = np.arange(k)
-    yz = ext.compose[t * m + a[:, None]]  # (L, t1, z): y z for y = (t1, a)
-    i, t1, z = (yz >= 0).nonzero()
+    row, y, s = mode_delta_entries(ext, left)
+    yz = ext.compose[y]  # (entry, z): y z for the entry's arrow y
+    i, z = (yz >= 0).nonzero()
     t2, b = divmod(z, m)
+    p = np.arange(k)
     # axes (pair, right mode p)
-    exponent = -(t1 * n[i])[:, None] - t2[:, None] * t
-    row = (i * N + b)[:, None] + t * m
+    exponent = s[i, None] - t2[:, None] * p
     return Terms(
-        (len(n), N),
-        row.ravel(),
-        yz[i, t1, z].repeat(k),
-        (exponent % k).ravel(),
-        np.ones(row.size, dtype=np.int64),
-        1,
+        ((row[i] * N + b)[:, None] + p * m).ravel(), yz[i, z].repeat(k), (exponent % k).ravel(), 1
     )
 
 
@@ -265,40 +231,32 @@ def delta_products(ext: CyclicExtension, f: np.ndarray, left: bool) -> np.ndarra
     return out
 
 
-def star_terms(ext: CyclicExtension, f: Exact) -> Terms:
-    """The terms of f*(x) = conj(f(x^-1)) on an exact element: each nonzero
-    coefficient c of zeta_k^s at x gives c zeta_k^(-s) at x^-1, in
-    ascending (row, x, s) order."""
-    k, N = ext.k, ext.dimension
-    num = f.num.reshape(math.prod(f.num.shape[:-2]), N, k)
-    row, x, s = num.nonzero()
-    return Terms(f.num.shape[:-2], row, ext.inverse[x], -s % k, num[row, x, s], f.e)
+def star_terms(ext: CyclicExtension, entries) -> Terms:
+    """The terms of f*(x) = conj(f(x^-1)) on the unit entries (row, arrow,
+    exponent) of exact elements: zeta_k^s at x gives zeta_k^(-s) at x^-1, in
+    the order of the entries."""
+    row, x, s = entries
+    return Terms(row, ext.inverse[x], -s % ext.k, 0)
 
 
-def projection_terms(ext: CyclicExtension, f: Exact, modes) -> Terms:
-    """The terms of the Fourier projections p_n(f), n in ``modes``, on an
-    exact element: each nonzero coefficient c of zeta_k^s at (t, a) gives
-    c zeta_k^(s + jn) at (t - j, a) for every shift j, with the weight 1/k.
-    Batch rows are (row, n), the mode innermost, and the terms come in
-    ascending (row, t, a, s, j, n) order."""
+def projection_terms(ext: CyclicExtension, entries, modes) -> Terms:
+    """The terms of the Fourier projections p_n(f), n in ``modes``, on the
+    unit entries (row, arrow, exponent) of exact elements: zeta_k^s at
+    (t, a) gives zeta_k^(s + jn) at (t - j, a) for every shift j, with the
+    weight 1/k.  Batch rows are (row, n), the mode innermost, and the terms
+    come in (entry, j, n) order."""
     k, m, N, M = ext.k, ext.base.n_arrows, ext.dimension, len(modes)
-    num = f.num.reshape(math.prod(f.num.shape[:-2]), N, k)
-    row, x, s = num.nonzero()
-    c = num[row, x, s]
-    # at most k terms, one per shift, meet at one coefficient of the projection
-    c = _widened(c, _max_abs(c) * k)
+    row, x, s = entries
     j = np.arange(k)
     # axes (entry, shift j, mode n): each index spans all three by + 0 * exponent
     exponent = (s[:, None, None] + j[:, None] * np.asarray(modes)) % k
     zero = 0 * exponent
     arrow = (x[:, None] - j * m) % N  # (t - j, a) = (t - j) m + a, cyclic in t
     return Terms(
-        f.num.shape[:-2] + (M,),
         (row[:, None, None] * M + np.arange(M) + zero).ravel(),
         (arrow[..., None] + zero).ravel(),
         exponent.ravel(),
-        c.repeat(k * M),
-        f.e + 1,
+        1,
     )
 
 
@@ -326,19 +284,14 @@ def embed_mode(ext: CyclicExtension, n, coeffs: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (k * m,))
 
 
-def to_complex(ext: CyclicExtension, f: Exact) -> np.ndarray:
-    """The complex values of an exact element."""
-    return (f.num @ ext.roots) / ext.k**f.e
-
-
 def nonzero_sums(ext: CyclicExtension, size: int, *terms) -> np.ndarray:
     """Which of ``size`` keys hold a nonzero sum of c * zeta_k^j over the
-    terms, each given as arrays (key, j, c), c maybe one int for all.  Each
-    term is mapped through row j of the power-basis matrix and added into
-    one accumulator keyed (key, power-basis index), in int64 when the
-    largest |c| times the number of terms times the largest column sum of
-    |R| stays in range and on Python ints otherwise."""
-    bound = sum([_max_abs(c) * key.size for key, _, c in terms])
+    terms, given in groups (key, j, c): arrays key and j, and one int c for
+    the whole group.  Each term is mapped through row j of the power-basis
+    matrix and added into one accumulator keyed (key, power-basis index),
+    in int64 when the sum of |c| times the group's size, times the largest
+    column sum of |R|, stays in range and on Python ints otherwise."""
+    bound = sum([abs(c) * key.size for key, _, c in terms])
     R = ext.reduction
     if bound * ext._reduction_bound < _INT64_LIMIT:
         R = R.astype(np.int64)

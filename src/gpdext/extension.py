@@ -387,19 +387,22 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     embedded basis elements in the oracle is compared against the twisted
     structure constants: zero across modes, w^n(a,b) delta_{ab} within a
     mode.  Involutions and the Fourier projections are checked the same way.
-    Each kind runs on stacks of all k*m mode deltas, in row chunks of about
-    ``oracle.STACK_ENTRIES`` entries (at least one row), and each chunk is
-    decided exactly from its terms, with the expected values negated, by
-    ``oracle.nonzero_sums``: one call per chunk covers its left mode deltas
-    times all k right-hand modes, all k target modes of the projections, and
-    the sum over the modes of the Fourier block.  The products' terms come
+    Each kind runs over all k*m mode deltas, in row chunks of about
+    ``oracle.STACK_ENTRIES`` entries (at least one row), each chunk sized by
+    the terms its rows make, and each chunk is decided exactly from its
+    terms, with the expected values negated, by ``oracle.nonzero_sums``: one
+    call per chunk covers its left mode deltas times all k right-hand modes,
+    all k target modes of the projections, and the sum over the modes of
+    the Fourier block.  No exact element is built: the products' terms come
     from ``mode_product_terms``, one per composable pair of the extension's
-    own composition table and right mode, so a chunk is sized by the terms
-    its left rows make; the stars' from ``star_terms`` and the projections'
-    from ``projection_terms``.  The witness is the first failing comparison
-    in the order products (n, p, a, b), stars (n, a), projections
-    (n, mm, a), Fourier block (t, a), which need not be a chunk's row order,
-    and its residual is the modulus of that one difference.
+    own composition table and right mode; the stars' and the projections'
+    from ``star_terms`` and ``projection_terms`` on the unit entries of the
+    mode deltas (``mode_delta_entries``), and the Fourier block's on those
+    of the deltas, (row, x, 0) each.  The witness is the first failing
+    comparison in the order products (n, p, a, b), stars (n, a),
+    projections (n, mm, a), Fourier block (t, a), which need not be a
+    chunk's row order, and its residual is the modulus of that one
+    difference.
 
     The expected values are the cocycle's tables of w^n (``power_table``)
     as exponents of zeta_k, read in array expressions: w^n(a, b) at
@@ -436,10 +439,6 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     if len(far):
         n, i = far[0]
         first = (0, int(((n * k + n) * m + A[i]) * m + B[i]), float(distance[n, i]))
-    # Q[n * m + a]: the delta at base arrow a in mode n, e(-tn/k) at each
-    # arrow (t, a), as one stack of exact oracle elements
-    Q = oracle.Exact(np.zeros((N, N, k), dtype=np.int64))
-    Q.num[rows[:, None], t * m + rows[:, None] % m, -t * (rows // m)[:, None] % k] = 1
 
     def summed(size: int, row: np.ndarray, terms, flat: np.ndarray, exponent: np.ndarray):
         """The failing flat (row, arrow) flags of ``size`` exact rows given
@@ -448,20 +447,17 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         the difference at one flat (row, arrow), from that row's terms."""
         scale = k**terms.e  # the expected values over k**e, as the terms are
         bad = oracle.nonzero_sums(
-            ext,
-            size * N,
-            (row * N + terms.arrow, terms.exponent, terms.coefficient),
-            (flat, exponent, -scale),
+            ext, size * N, (row * N + terms.arrow, terms.exponent, 1), (flat, exponent, -scale)
         )
 
         def value(i: int):
             p, x = divmod(i, N)
-            diff = np.zeros((N, k), dtype=terms.coefficient.dtype)
+            diff = np.zeros((N, k), dtype=np.int64)
             mine = row == p
-            np.add.at(diff, (terms.arrow[mine], terms.exponent[mine]), terms.coefficient[mine])
+            np.add.at(diff, (terms.arrow[mine], terms.exponent[mine]), 1)
             mine = flat // N == p
             diff[flat[mine] % N, exponent[mine]] -= scale
-            return oracle.to_complex(ext, oracle.Exact(diff, terms.e))[x]
+            return ((diff @ ext.roots) / k**terms.e)[x]
 
         return bad, value
 
@@ -493,7 +489,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         # k terms per row
         for lo, hi in chunks(N, 4 * k):
             n, a = divmod(rows[lo:hi, None], m)
-            terms = oracle.star_terms(ext, Q[lo:hi])
+            terms = oracle.star_terms(ext, oracle.mode_delta_entries(ext, rows[lo:hi]))
             flat = (rows[lo:hi, None] - lo) * N + t * m + inv[a]
             exponent = (-P[n, inv[a], a] - t * n) % k
             yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, flat, exponent)
@@ -503,15 +499,16 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         for lo, hi in chunks(N, 4 * k**3):
             n, a = divmod(rows[lo:hi], m)
             position = (((n * k)[:, None] + t) * m + a[:, None]).ravel()
-            terms = oracle.projection_terms(ext, Q[lo:hi], t)
-            r, x, s = Q.num[lo:hi].nonzero()
+            r, x, s = entries = oracle.mode_delta_entries(ext, rows[lo:hi])
+            terms = oracle.projection_terms(ext, entries, t)
             yield 2, position, *summed((hi - lo) * k, terms.row, terms, (r * k + n[r]) * N + x, s)
-        # Fourier projections resolve every delta of the extension; a chunk
-        # holds its dense deltas and k shifts in k modes of each, and the
-        # terms of batch row (x, n) add into x
-        for lo, hi in chunks(N, max(N, 4 * k) * k):
+        # Fourier projections resolve every delta of the extension: the
+        # delta at x is the one entry (row, x, 0), which makes k shifts in k
+        # modes, k**2 terms per row, and the terms of batch row (x, n) add
+        # into x
+        for lo, hi in chunks(N, 4 * k**2):
             x = rows[lo:hi]
-            terms = oracle.projection_terms(ext, oracle.deltas(ext, x), t)
+            terms = oracle.projection_terms(ext, (x - lo, x, 0 * x), t)
             yield 3, x, *summed(hi - lo, terms.row // k, terms, (x - lo) * N + x, 0 * x)
 
     for rank, position, bad, value in comparisons():

@@ -1,17 +1,21 @@
 """Loop references for the cyclic oracle's convolution and the mode
 decomposition certificate.
 
-``scan_conv`` finds the composable pairs of a convolution by testing every
-pair of the extension against every batch row, ``gather_projection`` takes
-an exact Fourier projection as one gather of shifted coefficients and
-``gather_star`` an exact involution as one gather at the inverses, where
-the library builds both from the terms of each nonzero entry, which
-``scatter_projection`` and ``scatter_star`` add up, as ``scatter`` adds up
-the terms of the library's products of mode deltas.  ``embed_mode`` embeds
-exact base coefficients in a mode, which the library no longer does, and
-``mode_deltas`` stacks every mode delta with it;
-``combined`` and ``nonzero_rows`` add exact stacks and decide their rows
-dense, which the library no longer does either.  ``loop_reduced_norm`` takes
+The references hold an exact element, or a stack of them, dense: a
+``Dense`` (num, e), num an int array (..., k*|A|, k) of the coefficients
+of zeta_k^j at each extension arrow over k**e, which the library no longer
+builds.  ``scan_conv`` finds the composable pairs of a convolution by
+testing every pair of the extension against every batch row,
+``gather_projection`` takes an exact Fourier projection as one gather of
+shifted coefficients and ``gather_star`` an exact involution as one gather
+at the inverses, where the library builds both from the terms of the unit
+entries of mode deltas and deltas, which ``scatter_projection`` and
+``scatter_star`` add up, as ``scatter`` adds up the terms of the library's
+products of mode deltas.  ``embed_mode`` embeds exact base coefficients in
+a mode, which the library no longer does, ``mode_deltas`` stacks every mode
+delta with it and ``deltas`` stacks every delta; ``combined`` and
+``nonzero_rows`` add exact stacks and decide their rows dense, which the
+library no longer does either.  ``loop_reduced_norm`` takes
 one spectral norm per unit, of ``regular_rep_matrix``, the scan's products
 against the deltas of the unit's source fiber, ``loop_norm_deviation``
 embeds a graded element one mode at a time and takes every norm of the norm
@@ -48,13 +52,36 @@ from gpdext.groupoid import orbit_units
 from reference_algebra import sigma
 
 
+class Dense:
+    """An exact oracle element, or a stack of them: num / k**e, num an int
+    array (..., k*|A|, k) of coefficients of zeta_k^j.  Indexing acts on the
+    batch axes."""
+
+    __slots__ = ("num", "e")
+
+    def __init__(self, num: np.ndarray, e: int = 0):
+        self.num, self.e = num, e
+
+    def __getitem__(self, index) -> "Dense":
+        return Dense(self.num[index], self.e)
+
+
+def _max_abs(num) -> int:
+    return int(np.maximum.reduce(np.abs(num), axis=None, initial=0))
+
+
+def _widened(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as Python ints when a result bounded by ``bound`` could leave int64."""
+    return num.astype(object) if bound >= oracle._INT64_LIMIT else num
+
+
 def scan_conv(ext, f, g):
     """(f*g)(x) = (1/k) * sum over x = y.z of f(y) g(z), with the pairs found
     by a boolean scan of every extension pair for every batch row; numeric
     terms add per batch row in ascending pair order."""
     Y, Z = np.nonzero(ext.compose >= 0)  # every composable pair, in (y, z) order
     YZ = ext.compose[Y, Z]
-    exact = isinstance(f, oracle.Exact)
+    exact = isinstance(f, Dense)
     fv, gv = (f.num, g.num) if exact else (f, g)
     tail = 2 if exact else 1
     lead = np.broadcast_shapes(fv.shape[:-tail], gv.shape[:-tail])
@@ -68,14 +95,14 @@ def scan_conv(ext, f, g):
         np.add.at(out, (*batch, YZ[p]), cmul(x, y))
         return out * (1.0 / ext.k)
     k = ext.k
-    bound = oracle._max_abs(fv) * oracle._max_abs(gv) * k * ext.dimension
-    x, y = oracle._widened(x, bound), oracle._widened(y, bound)
+    bound = _max_abs(fv) * _max_abs(gv) * k * ext.dimension
+    x, y = _widened(x, bound), _widened(y, bound)
     # the cyclic convolution of the coefficient vectors: zeta^i * zeta^j = zeta^(i + j)
     s, i = np.ogrid[:k, :k]
     products = (x[:, None, :] * y[:, (s - i) % k]).sum(axis=-1)
     out = np.zeros(lead + fv.shape[-2:], dtype=x.dtype)
     np.add.at(out, (*batch, YZ[p]), products)
-    return oracle.Exact(out, f.e + g.e + 1)
+    return Dense(out, f.e + g.e + 1)
 
 
 def regular_rep_matrix(ext, f: np.ndarray, u: int) -> np.ndarray:
@@ -97,35 +124,45 @@ def gather_projection(ext, f, n: int):
     source = ((t + j) % k * m + a).reshape(k * m, k)
     s = np.arange(k)[:, None]
     index = (source[:, None, :] * k + (s - j * n) % k).reshape(k * m * k, k)
-    num = oracle._widened(f.num, oracle._max_abs(f.num) * k)
+    num = _widened(f.num, _max_abs(f.num) * k)
     flat = num.reshape(math.prod(num.shape[:-2]), k * m * k)
-    return oracle.Exact(flat[:, index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
+    return Dense(flat[:, index].sum(axis=-1).reshape(f.num.shape), f.e + 1)
 
 
-def scatter(ext, t):
-    """The exact elements whose values are the sums of the oracle's terms t."""
+def scatter(ext, t, lead: tuple):
+    """The exact elements of batch shape ``lead`` whose values are the sums
+    of the oracle's terms t."""
     N, k = ext.dimension, ext.k
-    out = np.zeros(math.prod(t.lead) * N * k, dtype=t.coefficient.dtype)
-    np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, t.coefficient)
-    return oracle.Exact(out.reshape(t.lead + (N, k)), t.e)
+    out = np.zeros(math.prod(lead) * N * k, dtype=np.int64)
+    np.add.at(out, (t.row * N + t.arrow) * k + t.exponent, 1)
+    return Dense(out.reshape(lead + (N, k)), t.e)
 
 
-def scatter_projection(ext, f, n: int):
-    """p_n(f) of exact values, the scatter of the oracle's ``projection_terms``."""
-    p = scatter(ext, oracle.projection_terms(ext, f, [n]))
-    return oracle.Exact(p.num.reshape(f.num.shape), p.e)
+def scatter_projection(ext, entries, rows: int, n: int):
+    """p_n of the ``rows`` exact elements of the unit entries, the scatter
+    of the oracle's ``projection_terms``."""
+    return scatter(ext, oracle.projection_terms(ext, entries, [n]), (rows,))
 
 
 def gather_star(ext, f):
     """f*(x) = conj(f(x^-1)) of exact values by one gather at the inverses;
     conjugation sends zeta_k^j to zeta_k^-j."""
     conj = -np.arange(ext.k) % ext.k
-    return oracle.Exact(f.num[..., ext.inverse, :][..., conj], f.e)
+    return Dense(f.num[..., ext.inverse, :][..., conj], f.e)
 
 
-def scatter_star(ext, f):
-    """f* of exact values, the scatter of the oracle's ``star_terms``."""
-    return scatter(ext, oracle.star_terms(ext, f))
+def scatter_star(ext, entries, rows: int):
+    """The stars of the ``rows`` exact elements of the unit entries, the
+    scatter of the oracle's ``star_terms``."""
+    return scatter(ext, oracle.star_terms(ext, entries), (rows,))
+
+
+def deltas(ext):
+    """Every delta of the extension, as one exact stack (N, N, k)."""
+    N = ext.dimension
+    num = np.zeros((N, N, ext.k), dtype=np.int64)
+    num[np.arange(N), np.arange(N), 0] = 1  # the coefficient of 1
+    return Dense(num)
 
 
 def mode_deltas(ext):
@@ -134,19 +171,19 @@ def mode_deltas(ext):
     k, m = ext.k, ext.base.n_arrows
     one = np.zeros((m, m, k), dtype=np.int64)
     one[np.arange(m), np.arange(m), 0] = 1
-    stacks = [embed_mode(ext, n, oracle.Exact(one)).num for n in range(k)]
-    return oracle.Exact(np.concatenate(stacks))
+    stacks = [embed_mode(ext, n, Dense(one)).num for n in range(k)]
+    return Dense(np.concatenate(stacks))
 
 
 def embed_mode(ext, n: int, coeffs):
-    """Exact base coefficients F_n, an ``Exact`` with num of shape
+    """Exact base coefficients F_n, a ``Dense`` with num of shape
     (..., |A|, k), into the mode-n homogeneous part, (t, a) -> e(-tn/k) F_n(a),
     by rotating each coefficient vector."""
     k, m = ext.k, ext.base.n_arrows
     # rotating by e(-tn/k) moves coefficient s + tn to s
     num = coeffs.num[..., (np.arange(k) + np.arange(k)[:, None] * n) % k]  # (..., a, t, s)
     num = np.swapaxes(num, -3, -2)
-    return oracle.Exact(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
+    return Dense(num.reshape(num.shape[:-3] + (k * m, k)), coeffs.e)
 
 
 def over(f, e: int) -> np.ndarray:
@@ -154,15 +191,15 @@ def over(f, e: int) -> np.ndarray:
     factor = f.num.shape[-1] ** (e - f.e)
     if factor == 1:
         return f.num
-    return oracle._widened(f.num, oracle._max_abs(f.num) * factor) * factor
+    return _widened(f.num, _max_abs(f.num) * factor) * factor
 
 
 def combined(f, g, sign: int = 1):
     """f + sign * g of exact stacks, over the larger denominator."""
     e = max(f.e, g.e)
     a, b = over(f, e), over(g, e)
-    bound = oracle._max_abs(a) + oracle._max_abs(b)
-    return oracle.Exact(oracle._widened(a, bound) + sign * oracle._widened(b, bound), e)
+    bound = _max_abs(a) + _max_abs(b)
+    return Dense(_widened(a, bound) + sign * _widened(b, bound), e)
 
 
 def nonzero_rows(ext, D: np.ndarray) -> np.ndarray:
@@ -172,11 +209,16 @@ def nonzero_rows(ext, D: np.ndarray) -> np.ndarray:
     taken in int64 when max |D| times the largest column sum of |R| stays
     in range and on Python ints otherwise."""
     R = ext.reduction
-    if max(oracle._max_abs(D), 1) * ext._reduction_bound < oracle._INT64_LIMIT:
+    if max(_max_abs(D), 1) * ext._reduction_bound < oracle._INT64_LIMIT:
         D, R = D.astype(np.int64, copy=False), R.astype(np.int64)
     else:
         D = D.astype(object)
     return (D @ R != 0).any(axis=1)
+
+
+def to_complex(ext, f) -> np.ndarray:
+    """The complex values of an exact stack."""
+    return (f.num @ ext.roots) / ext.k**f.e
 
 
 def loop_reduced_norm(ext, f: np.ndarray) -> float:
@@ -248,7 +290,7 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
         for index, c in values.items():
             root, distance[index[:-1]] = _root(c, k)
             num[index] = _coefficients(root, k)
-        return embed_mode(ext, n, oracle.Exact(num)), distance
+        return embed_mode(ext, n, Dense(num)), distance
 
     q = [embedded(n, {(a, a): 1 for a in base.arrows()}, (m, m))[0] for n in range(k)]
     none = np.zeros(m)  # no expected value snapped along a block's rows
@@ -279,11 +321,11 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
             for mm in range(k):
                 got = gather_projection(ext, q[n], mm)
                 yield "projection", (n, mm), combined(got, q[n], -1) if mm == n else got, none
-        deltas = oracle.deltas(ext, range(ext.dimension))
-        total = gather_projection(ext, deltas, 0)
+        every = deltas(ext)
+        total = gather_projection(ext, every, 0)
         for n in range(1, k):
-            total = combined(total, gather_projection(ext, deltas, n))
-        diff = combined(total, deltas, -1)
+            total = combined(total, gather_projection(ext, every, n))
+        diff = combined(total, every, -1)
         for t in range(k):
             block = slice(t * m, (t + 1) * m)
             yield "projection", tuple(range(k)), diff[block], none
@@ -299,7 +341,7 @@ def loop_decompose(ext, skip_centers: bool = False) -> CyclicDecomposition:
             # a value far from its root fails first in its own rows
             far = x == 0 and distance[tuple(arrows)] > ORACLE_TOL
             if far or bad[index]:
-                residual = distance[tuple(arrows)] if far else oracle.to_complex(ext, diff)[index]
+                residual = distance[tuple(arrows)] if far else to_complex(ext, diff)[index]
                 witness = OracleWitness(
                     kind, modes, tuple(int(a) for a in arrows), float(oracle.magnitude(residual))
                 )

@@ -10,6 +10,7 @@ import pytest
 
 from gpdext import cyclic_oracle as oracle
 from gpdext.algebra import AlgebraError
+from gpdext.cli import load_spec
 from gpdext.cocycle import TwoCocycle, bicharacter_cocycle, pauli_cocycle
 from gpdext.exact import Cyclo
 from gpdext.extension import (
@@ -474,6 +475,22 @@ class TestCyclicDecompose:
             assert ext.validation.ok
         assert len(peaks) == 4 and max(peaks) <= 480_000
 
+    def test_memory_stays_bounded_on_pair3_cobound_at_k12(self):
+        # the tracemalloc peak of one decomposition of the pair3_cobound
+        # fixture at k = 12 (N = 108 mode deltas) stays within 1.5 MB: about
+        # 0.86 MB with the stars and projections read off the unit entries
+        # of the mode deltas, 2.06 MB with a dense (N, N, k) stack of them
+        spec, _ = load_spec(None, "pair3_cobound")
+        ext = cyclic_extension(spec.groupoid, spec.cocycle_or_trivial(), 12)
+        tracemalloc.start()
+        try:
+            cd = cyclic_decompose(ext, skip_centers=True)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert cd.ok and cd.exact
+        assert peak <= 1_500_000
+
 
 class TestOracleNormAgreement:
     def test_pauli(self, klein, pauli, pauli_ext, rng):
@@ -531,7 +548,7 @@ class TestOracleArraysAgainstLoops:
 
     @staticmethod
     def exact_pair(rng, ext):
-        """A random exact element as an Exact and as a dict of Cyclo values."""
+        """A random exact element, dense, and as a dict of Cyclo values."""
         k = ext.k
         num = np.array(
             [[rng.choice((0, 0, 1, -2, 3)) for _ in range(k)] for _ in range(ext.dimension)]
@@ -541,10 +558,10 @@ class TestOracleArraysAgainstLoops:
             for x, row in enumerate(num)
             if row.any()
         }
-        return oracle.Exact(num), values
+        return reference_oracle.Dense(num), values
 
     @staticmethod
-    def as_cyclo(f: oracle.Exact, x: int) -> Cyclo:
+    def as_cyclo(f: reference_oracle.Dense, x: int) -> Cyclo:
         k = f.num.shape[-1]
         total = sum(
             (Cyclo.from_root(Fraction(j, k), int(c)) for j, c in enumerate(f.num[x])), Cyclo()
@@ -580,34 +597,40 @@ class TestOracleArraysAgainstLoops:
         for ext in self.extensions(rng):
             k, m, N = ext.k, ext.base.n_arrows, ext.dimension
             f, fd = self.exact_pair(rng, ext)
-            # the products of mode deltas, q_(n m + a) being e(-tn/k) at (t, a)
+            # the mode deltas, q_(n m + a) being e(-tn/k) at (t, a), and the deltas
             q = [
                 {t * m + a: Cyclo.from_root(Fraction(-t * n % k, k)) for t in range(k)}
                 for n in range(k)
                 for a in range(m)
             ]
-            products = reference_oracle.scatter(ext, oracle.mode_product_terms(ext, range(N)))
+            ids, one = np.arange(N), Cyclo.from_root(Fraction(0))
+            products = reference_oracle.scatter(ext, oracle.mode_product_terms(ext, ids), (N, N))
             for left, right in rng.sample(list(itertools.product(range(N), repeat=2)), 8):
                 expected = self.loop_conv(ext, q[left], q[right], Fraction(1, k))
                 product = products[left, right]
                 assert all(self.as_cyclo(product, x) == expected.get(x, 0) for x in range(N))
-            star = reference_oracle.scatter_star(ext, f)
-            assert all(
-                self.as_cyclo(star, ext.groupoid.inv(x)) == fd.get(x, Cyclo()).conjugate()
-                for x in range(N)
-            )
-            for n in range(k):
-                p = reference_oracle.scatter_projection(ext, f, n)
-                for x in range(N):
-                    t, a = divmod(x, m)
-                    want = sum(
-                        (fd.get((t + j) % k * m + a, Cyclo()).rotated(Fraction(j * n, k))
-                         for j in range(k)),
-                        Cyclo(),
-                    ) * Fraction(1, k)
-                    assert self.as_cyclo(p, x) == want
+            # the stars and projections of both, from their unit entries
+            for entries, values in (
+                (oracle.mode_delta_entries(ext, ids), q),
+                ((ids, ids, 0 * ids), [{x: one} for x in range(N)]),
+            ):
+                star = reference_oracle.scatter_star(ext, entries, N)
+                p = [reference_oracle.scatter_projection(ext, entries, N, n) for n in range(k)]
+                for i, gd in enumerate(values):
+                    assert all(
+                        self.as_cyclo(star[i], ext.groupoid.inv(x)) == gd.get(x, Cyclo()).conjugate()
+                        for x in range(N)
+                    )
+                    for n, x in itertools.product(range(k), range(N)):
+                        t, a = divmod(x, m)
+                        want = sum(
+                            (gd.get((t + j) % k * m + a, Cyclo()).rotated(Fraction(j * n, k))
+                             for j in range(k)),
+                            Cyclo(),
+                        ) * Fraction(1, k)
+                        assert self.as_cyclo(p[n][i], x) == want
             # the loop reference embeds base coefficients in mode n: (t, a) -> e(-tn/k) F(a)
-            base = oracle.Exact(f.num[: ext.base.n_arrows])
+            base = reference_oracle.Dense(f.num[: ext.base.n_arrows])
             for n in range(k):
                 embedded = reference_oracle.embed_mode(ext, n, base)
                 for x in range(N):
@@ -636,12 +659,12 @@ class TestOracleArraysAgainstLoops:
 
     def test_sums_leave_int64_when_they_could_overflow(self):
         # the loop reference adds exact stacks dense
-        added = reference_oracle.combined
-        big = oracle.Exact(np.array([[2**62, 0]]))
+        added, Dense = reference_oracle.combined, reference_oracle.Dense
+        big = Dense(np.array([[2**62, 0]]))
         assert added(big, big).num.tolist() == [[2**63, 0]]
-        assert added(oracle.Exact(-big.num), big, -1).num.tolist() == [[-(2**63), 0]]
+        assert added(Dense(-big.num), big, -1).num.tolist() == [[-(2**63), 0]]
         # over a larger denominator the numerators scale by k first
-        assert added(big, oracle.Exact(np.array([[1, 0]]), 1), -1).num.tolist() == [[2**63 - 1, 0]]
+        assert added(big, Dense(np.array([[1, 0]]), 1), -1).num.tolist() == [[2**63 - 1, 0]]
 
     def test_zero_test_leaves_int64_when_it_could_overflow(self, klein, pauli):
         ext = cyclic_extension(klein, pauli, 2)  # zeta_2 = -1
@@ -650,9 +673,10 @@ class TestOracleArraysAgainstLoops:
             np.array([[big, big], [big, big + 1], [0, 0]], dtype=object),
             np.array([[3, 3], [3, 2], [0, 0]]),
         ):
-            # row i of D as the terms D[i, j] zeta^j, keyed i
-            key, j = np.nonzero(np.ones(D.shape, dtype=bool))
-            got = oracle.nonzero_sums(ext, len(D), (key, j, D[key, j]))
+            # row i of D as terms keyed i, one int per group: rows 0 and 1
+            # hold c (1 + zeta) with c = D[0, 0], and row 1 D[1, 1] - c more at zeta
+            key, j, c = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), D[0, 0]
+            got = oracle.nonzero_sums(ext, len(D), (key, j, c), (key[3:], j[3:], D[1, 1] - c))
             assert got.tolist() == [False, True, False]
             assert reference_oracle.nonzero_rows(ext, D).tolist() == [False, True, False]
 

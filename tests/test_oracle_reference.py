@@ -27,10 +27,13 @@ distance of a value from its root; a value that lies more than
 `ORACLE_TOL` from it fails as its product within the mode.  The library
 takes its roots from the values and k alone, never from the oracle's own
 twist.  The exact projections and stars are decided from the terms of
-`projection_terms` and `star_terms`, so the projection mutants add a term
+`projection_terms` and `star_terms` on the unit entries of mode deltas
+(`mode_delta_entries`) and of deltas, so the projection mutants add a term
 there, and the loop's projections, one gather per (mode, mode) block in
 `reference_oracle.gather_projection`, are spoiled alike; the gathers of
-projections and stars match the scatters of their terms for k = 1 to 6.  A
+projections and stars on the dense stacks of the mode deltas at every id
+and of every delta match the scatters of their terms, on every instance,
+also on k = 1 and on the empty groupoid.  A
 changed graded involution leaves the library, which reads its stars off the
 table of w^n, passing, and fails the loop, which reads them from
 `involute`, so the two no longer match.  The exact products are decided
@@ -123,45 +126,14 @@ EDGES = [
 EDGE_IDS = [x[0] for x in EDGES]
 
 
-def _random_num(rng, shape, k, density):
-    num = np.array([rng.choice((1, -2, 3, 5)) if rng.random() < density else 0
-                    for _ in range(int(np.prod(shape)) * k)], dtype=np.int64)
-    return num.reshape(shape + (k,))
-
-
 def _random_complex(rng, shape, density):
     values = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) if rng.random() < density else 0j
               for _ in range(int(np.prod(shape)))]
     return np.array(values, dtype=complex).reshape(shape)
 
 
-def _operand_pairs(rng, ext):
-    """Exact (f, g) pairs: dense, sparse, broadcast stacks, dense against
-    deltas in both orders, deltas against unit deltas, mode deltas against
-    each other."""
-    N, k = ext.dimension, ext.k
-    G = ext.groupoid
-
-    def element(shape, density, e=0):
-        return oracle.Exact(_random_num(rng, shape + (N,), k, density), e)
-
-    fiber = list(G.source_fiber(rng.randrange(G.n_units))) if G.n_units else []
-    deltas = oracle.deltas(ext, fiber)
-    units = [G.unit_arrow(G.s(x)) for x in G.arrows()]
-    modes = oracle.deltas(ext, rng.sample(range(N), min(N, 5)))
-    yield element((), 0.9), element((), 0.9, 1)
-    yield element((), 0.2, 2), element((), 0.6)
-    yield element((3, 1), 0.3), element((1, 4), 0.5)
-    yield element((2, 3), 0.1), element((3,), 0.7)
-    yield element((), 1.0), deltas
-    yield deltas, element((), 1.0)
-    yield oracle.deltas(ext, G.arrows()), oracle.deltas(ext, units)
-    yield modes[:, None], modes[None, :]
-    yield element((2,), 0.0), element((2,), 0.5)
-
-
 def assert_same_product(got, want):
-    if isinstance(want, oracle.Exact):
+    if isinstance(want, reference_oracle.Dense):
         assert got.e == want.e
         got, want = got.num, want.num
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -176,11 +148,12 @@ def test_mode_product_terms_match_the_scan(name, g, w, k):
     # scattered per (left, right) row, the terms are the scan's products of
     # every mode delta with every other, whole and one left row at a time
     ext = oracle.CyclicExtension(g, w, k)
-    q, rows = mode_deltas(ext), np.arange(ext.dimension)
+    N = ext.dimension
+    q, rows = mode_deltas(ext), np.arange(N)
     want = scan_conv(ext, q[:, None], q[None, :])
-    assert_same_product(scatter(ext, oracle.mode_product_terms(ext, rows)), want)
+    assert_same_product(scatter(ext, oracle.mode_product_terms(ext, rows), (N, N)), want)
     for lo in rows:
-        got = scatter(ext, oracle.mode_product_terms(ext, rows[lo : lo + 1]))
+        got = scatter(ext, oracle.mode_product_terms(ext, rows[lo : lo + 1]), (1, N))
         assert_same_product(got, want[lo : lo + 1])
 
 
@@ -462,19 +435,26 @@ def _added(terms, rows, arrow: int = 0):
         row=np.concatenate([terms.row, rows]),
         arrow=np.concatenate([terms.arrow, np.full_like(rows, arrow)]),
         exponent=np.concatenate([terms.exponent, np.zeros_like(rows)]),
-        coefficient=np.concatenate([terms.coefficient, np.ones_like(rows)]),
     )
 
 
+def _dense(e, entries):
+    """The dense stack of the exact elements of the unit entries (row,
+    arrow, exponent), one per row up to the last."""
+    rows = int(entries[0].max(initial=-1)) + 1
+    return scatter(e, oracle.Terms(*entries, 0), (rows,))
+
+
 def _spoil_projections(monkeypatch, spoiled, arrow: int = 0):
-    """Spoil p_n(f) in the batch rows of f that spoiled(e, f, n) flags, flat,
-    by 1 more at ``arrow`` in exponent 0: in the library as one more term
-    from ``projection_terms``, in the loop reference on its gather."""
+    """Spoil p_n(f) in the batch rows of the dense stack f that
+    spoiled(e, f, n) flags, flat, by 1 more at ``arrow`` in exponent 0: in
+    the library as one more term from ``projection_terms``, on the stack of
+    its entries, in the loop reference on its gather."""
     projection_terms = oracle.projection_terms
     gather_projection = reference_oracle.gather_projection
 
-    def terms(e, f, modes):
-        out = projection_terms(e, f, modes)
+    def terms(e, entries, modes):
+        out, f = projection_terms(e, entries, modes), _dense(e, entries)
         hit = np.stack([spoiled(e, f, int(n)).ravel() for n in modes], axis=-1)
         return _added(out, np.flatnonzero(hit), arrow)
 
@@ -482,7 +462,7 @@ def _spoil_projections(monkeypatch, spoiled, arrow: int = 0):
         out = gather_projection(e, f, n)
         num = out.num.reshape(-1, e.dimension, e.k).copy()
         num[spoiled(e, f, n).ravel(), arrow, 0] += 1
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
+        return reference_oracle.Dense(num.reshape(out.num.shape), out.e)
 
     monkeypatch.setattr(oracle, "projection_terms", terms)
     monkeypatch.setattr(reference_oracle, "gather_projection", gathered)
@@ -533,25 +513,22 @@ def test_projections_fail_first_in_search_order_within_a_chunk(monkeypatch, entr
     assert_same_decomposition(got, loop_decompose(ext, skip_centers=True))
 
 
-@pytest.mark.parametrize("k", range(1, 7))
-def test_projection_scatter_matches_the_gather(k):
-    # the scatters of the projection and star terms match the gathers on
-    # the operands of the conv, all-zero rows included, on the empty
-    # groupoid too, and again scaled beyond int64
-    rng = random.Random(k)
-    g, _ = _FAMILIES[3][1](k)
-    empty = empty_groupoid()
-    for ext in (
-        oracle.CyclicExtension(g, random_mu_k_coboundary(rng, g, k), k),
-        oracle.CyclicExtension(empty, TwoCocycle.trivial(empty), k),
+@pytest.mark.parametrize("name,g,w,k", INSTANCES + EDGES, ids=IDS + EDGE_IDS)
+def test_projection_scatter_matches_the_gather(name, g, w, k):
+    # the unit entries of the mode deltas at every id and of every delta
+    # scatter to the dense stacks, and the scatters of their projection and
+    # star terms match the gathers on those stacks
+    ext = oracle.CyclicExtension(g, w, k)
+    N, ids = ext.dimension, np.arange(ext.dimension)
+    for entries, dense in (
+        (oracle.mode_delta_entries(ext, ids), mode_deltas(ext)),
+        ((ids, ids, 0 * ids), reference_oracle.deltas(ext)),
     ):
-        for pair in _operand_pairs(rng, ext):
-            for f in pair:
-                for scaled in (f, oracle.Exact(f.num * 2**61, f.e)):
-                    for n in range(k):
-                        got = scatter_projection(ext, scaled, n)
-                        assert_same_product(got, gather_projection(ext, scaled, n))
-                    assert_same_product(scatter_star(ext, scaled), gather_star(ext, scaled))
+        assert_same_product(scatter(ext, oracle.Terms(*entries, 0), (N,)), dense)
+        for n in range(k):
+            got = scatter_projection(ext, entries, N, n)
+            assert_same_product(got, gather_projection(ext, dense, n))
+        assert_same_product(scatter_star(ext, entries, N), gather_star(ext, dense))
 
 
 def _source_arrows(e, num: np.ndarray) -> np.ndarray:
@@ -594,7 +571,7 @@ def _spoil_products(monkeypatch, spoiled):
         out = scan(e, f, h)
         num = out.num.reshape(-1, e.dimension, e.k).copy()
         num[[i for i, factors in enumerate(_factors(e, f, h)) if spoiled(*factors)], 0, 0] += 1
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
+        return reference_oracle.Dense(num.reshape(out.num.shape), out.e)
 
     monkeypatch.setattr(oracle, "mode_product_terms", spoiling)
     monkeypatch.setattr(reference_oracle, "scan_conv", scanned)
@@ -667,7 +644,6 @@ def test_a_dropped_meeting_names_its_product(monkeypatch, entries, name, g, w, k
             row=terms.row[keep],
             arrow=terms.arrow[keep],
             exponent=terms.exponent[keep],
-            coefficient=terms.coefficient[keep],
         )
 
     def scanned(e, f, h):
@@ -675,7 +651,7 @@ def test_a_dropped_meeting_names_its_product(monkeypatch, entries, name, g, w, k
         num = out.num.reshape(-1, e.dimension, e.k).copy()
         hit = [i for i, factors in enumerate(_factors(e, f, h)) if factors == target]
         num[hit, e.compose[a, b], 0] -= 1  # y z of y = (0, a), z = (0, b)
-        return oracle.Exact(num.reshape(out.num.shape), out.e)
+        return reference_oracle.Dense(num.reshape(out.num.shape), out.e)
 
     monkeypatch.setattr(oracle, "mode_product_terms", dropping)
     monkeypatch.setattr(reference_oracle, "scan_conv", scanned)
