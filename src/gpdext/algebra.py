@@ -37,7 +37,10 @@ own array multiply may fuse multiply-adds, which would make the reported
 residuals depend on the CPU.  The complex table of w^n is the cocycle's
 (``TwoCocycle.twists``): e(x / N) as ``CircleScalar.to_complex`` gives it
 for each exact angle x, and the powers z ** n of a numeric cocycle's values
-as numpy takes them.
+as numpy takes them.  It is held on the composable pairs in ``pair_table``
+order, so a product takes it as it is; the involution and the regular
+representations read it at the positions ``FiniteGroupoid.pair_position``
+gives their pairs.
 """
 
 from __future__ import annotations
@@ -76,13 +79,15 @@ class TwistedAlgebra:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """w^n as the cocycle's ``power_table``: int angles, or complex values."""
+        """w^n as the cocycle's ``power_table``, read for the int angles of an
+        exact cocycle."""
         return self.cocycle.power_table(self.power)
 
     @cached_property
     def twist(self) -> np.ndarray:
-        """w^n as complex values, the cocycle's table of this one mode: a
-        gather from its roots by the int angles, or the numeric powers."""
+        """w^n as complex values on the composable pairs, in ``pair_table``
+        order, the cocycle's table of this one mode: a gather from its roots
+        by the int angles, or the numeric powers."""
         return self.cocycle.twists([self.power])[0]
 
     @property
@@ -173,7 +178,8 @@ class TwistedAlgebra:
         unit shows: lambda_u(f) sends the unit arrow at u to the sum over
         s(a) = u of f(a) w^n(a, u) delta_a, and w^n(a, u) = 1 since the
         cocycle is normalized.  So the unit columns read off f, and the rank
-        counts the arrows a with a . 1_{s(a)} = a, in O(arrows).  A faithful
+        counts the arrows a with a . 1_{s(a)} = a, in O(arrows); the first
+        arrow without it, if any, is the certificate's witness.  A faithful
         *-representation of a finite-dimensional *-algebra carries its unique
         C*-norm, so the regular ones attain the full norm (J. Renault, *A
         Groupoid Approach to C*-Algebras*, LNM 793, 1980).
@@ -183,12 +189,14 @@ class TwistedAlgebra:
     @cached_property
     def _faithfulness(self) -> "FullNormCertificate":
         G, arrows = self.groupoid, np.arange(self.groupoid.n_arrows)
-        rank = int((G.compose_array[arrows, G.unit_to_arrow[G.source_map]] == arrows).sum())
+        moved = np.flatnonzero(G.compose_array[arrows, G.unit_to_arrow[G.source_map]] != arrows)
+        rank = G.n_arrows - len(moved)
         note = (
             "finite-dimensional *-algebra with a faithful *-representation "
             "has a unique C*-norm; hence full norm = reduced norm"
         )
-        return FullNormCertificate(rank == G.n_arrows, rank, G.n_arrows, note)
+        first = int(moved[0]) if len(moved) else None
+        return FullNormCertificate(rank == G.n_arrows, rank, G.n_arrows, note, first)
 
     def center_dimension(self) -> int:
         """Dimension of the center, in closed form.
@@ -201,19 +209,22 @@ class TwistedAlgebra:
         sigma(h, g) for every h in H commuting with g (G. Karpilovsky,
         *Projective Representations of Finite Groups*, 1985).  Two values of
         sigma agree when their angles are equal, on an exact cocycle, or when
-        their complex values are within ``CLOSE_TOL``, on a numeric one.
+        their complex values (``twist``) are within ``CLOSE_TOL``, on a
+        numeric one; both are read on the composable pairs of H.
         H is in ascending order, so the least arrow of each class represents it.
         """
         return self._center_dimension
 
     @cached_property
     def _center_dimension(self) -> int:
-        G = self.groupoid
-        exact, table = self.cocycle.is_exact, self.powers
+        G, exact = self.groupoid, self.cocycle.is_exact
+        A, B, _ = G.pair_table
+        table = self.powers[A, B] if exact else self.twist  # w^n on the pairs
         total = 0
         for u in orbit_units(G):
             h = np.array(G.isotropy(u), dtype=np.intp)
-            x, y = table[h[:, None], h], table[h, h[:, None]]  # sigma(g, h), sigma(h, g)
+            at = G.pair_position[h[:, None], h]
+            x, y = table[at], table[at.T]  # sigma(g, h), sigma(h, g)
             agree = x == y if exact else np.hypot((x - y).real, (x - y).imag) <= CLOSE_TOL
             gh = G.compose_array[h[:, None], h]
             regular = (agree | (gh != gh.T)).all(axis=1)  # over the h commuting with g
@@ -347,10 +358,11 @@ def fibers(G: FiniteGroupoid, units) -> list[tuple[np.ndarray, np.ndarray]]:
 def regular_reps(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, fiber: np.ndarray):
     """lambda_u(x) at the unit of each row of ``fiber`` (units, d), gathered:
     M[..., u, i, j] = x[a] w^n(a, b_j), a = b_i b_j^-1, over u's fiber b.
-    ``twist`` is one table of w^n, or a stack broadcast against x (...,
-    arrows), as in ``products``; the matrices are (..., units, d, d)."""
+    ``twist`` is one table of w^n on the pairs, or a stack broadcast against
+    x (..., arrows), as in ``products``, read at the positions of (a, b_j);
+    the matrices are (..., units, d, d)."""
     a = G.compose_array[fiber[:, :, None], G.inverse_map[fiber[:, None]]]
-    return cmul(x[..., a], twist[..., a, fiber[:, None]])
+    return cmul(x[..., a], twist[..., G.pair_position[a, fiber[:, None]]])
 
 
 def fiber_products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, fiber: np.ndarray):
@@ -364,7 +376,7 @@ def fiber_products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, fiber: n
     key[fiber.ravel()] = np.arange(units * d)  # the unit's row times d, plus pos
     p = np.flatnonzero(key[B] >= 0)
     one = np.ones(len(p), dtype=complex)  # each delta's coefficient, as 1 + 0j
-    terms = cmul(twist[..., A[p], B[p]], cmul(x[..., A[p]], one))
+    terms = cmul(twist[..., p], cmul(x[..., A[p]], one))
     out = summed(terms, key[C[p]] * d + key[B[p]] % d, units * d * d)
     return out.reshape(terms.shape[:-1] + (units, d, d))
 
@@ -374,7 +386,7 @@ def unit_norms(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, units) -> np
     one ``regular_reps`` gather and one SVD call per fiber size."""
     groups = fibers(G, units)
     norms = spectral_norms([regular_reps(G, twist, x, fiber) for _, fiber in groups])
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], twist.shape[:-2]) + (len(units),))
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], twist.shape[:-1]) + (len(units),))
     for (at, _), norm in zip(groups, norms):
         out[..., at] = norm
     return out
@@ -382,18 +394,21 @@ def unit_norms(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, units) -> np
 
 def products(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The twisted products of the coefficient arrays x and y (..., arrows):
-    the terms twist[a, b] (x[a] y[b]) of every composable pair, each rounded
+    the terms w^n(a, b) (x[a] y[b]) of every composable pair, each rounded
     as Python's complex product, summed onto a.b in ``pair_table`` order.
-    ``twist`` is one table of w^n, or a stack broadcast against x and y."""
+    ``twist`` is one table of w^n on the pairs (..., pairs), in that order,
+    or a stack broadcast against x and y."""
     A, B, C = G.pair_table
-    return summed(cmul(twist[..., A, B], cmul(x[..., A], y[..., B])), C, G.n_arrows)
+    return summed(cmul(twist, cmul(x[..., A], y[..., B])), C, G.n_arrows)
 
 
 def stars(G: FiniteGroupoid, twist: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The involutions of the coefficient arrays x (..., arrows), gathered:
-    conj(w^n(c, c^-1)) conj(x[c^-1]) at each arrow c."""
+    conj(w^n(c, c^-1)) conj(x[c^-1]) at each arrow c, w^n read at the
+    positions of the pairs (c, c^-1)."""
     inv = G.inverse_map
-    return cmul(twist[..., np.arange(G.n_arrows), inv].conj(), x[..., inv].conj())
+    at = G.pair_position[np.arange(G.n_arrows), inv]
+    return cmul(twist[..., at].conj(), x[..., inv].conj())
 
 
 @dataclass
@@ -419,3 +434,4 @@ class FullNormCertificate:
     rank: int
     dimension: int
     note: str
+    witness: int | None = None  # the first arrow a with a . 1_{s(a)} != a

@@ -55,6 +55,7 @@ from .extension import (
 )
 from .groupoid import (
     PROPER_NOTE,
+    ValidationReport,
     is_principal,
     is_proper,
     is_transitive,
@@ -190,10 +191,11 @@ class Session:
         the normalization."""
         rep, w = self.validation, self.cocycle
         if not rep.ok:
-            details = dict(violations=len(rep.violations), first=rep.violations[0].message)
+            details = dict(violations=len(rep.violations), **_first(rep))
             return [CheckResult("groupoid-axioms", False, details)]
-        details = dict(violations=len(self.identity.violations), exact=self.given.is_exact)
-        checks = [CheckResult("cocycle-identity", self.identity.ok, details)]
+        idrep = self.identity
+        details = dict(violations=len(idrep.violations), exact=self.given.is_exact, **_first(idrep))
+        checks = [CheckResult("cocycle-identity", idrep.ok, details)]
         if w is not None:
             details = dict(auto_normalized=w is not self.given)
             checks.append(CheckResult("cocycle-normalized", w.normalized, details))
@@ -223,6 +225,12 @@ class Session:
         if k < 1:
             raise oracle.OracleError(f"{name} must be at least 1, got {k}")
         return k
+
+
+def _first(rep: ValidationReport) -> dict:
+    """The details that name a failing report's first violation; none on a
+    passing one, so that passing reports keep their bytes."""
+    return {} if rep.ok else {"first": rep.violations[0].message}
 
 
 def _window(spec: SpecDocument, modes_flag) -> tuple[int, int]:
@@ -265,6 +273,7 @@ def cmd_validate(session: Session, seed: int, samples: int) -> Report:
                 idrep.ok,
                 violations=len(idrep.violations),
                 exact=w.is_exact,
+                **_first(idrep),
             )
             report.add("cocycle-normalized", True, normalized=w.normalized)
     return report
@@ -276,7 +285,7 @@ def cmd_normalize(session: Session, seed: int, samples: int) -> Report:
         report.checks += session.checks  # the failing base
         return report
     rep = session.identity
-    report.add("cocycle-identity", rep.ok, violations=len(rep.violations))
+    report.add("cocycle-identity", rep.ok, violations=len(rep.violations), **_first(rep))
     if not rep.ok:
         return report
     # which raises unless w2 passes the identity and is normalized
@@ -314,7 +323,8 @@ def cmd_algebra(
     g, alg = session.groupoid, session.algebra.twisted(power)
     cert = alg.full_norm_certificate()
     report.add(
-        "faithful-regular-representation", cert.faithful, rank=cert.rank, dimension=cert.dimension
+        "faithful-regular-representation", cert.faithful, rank=cert.rank, dimension=cert.dimension,
+        **({} if cert.faithful else {"witness": {"arrow": g.arrow_labels[cert.witness]}}),
     )
     if g.n_arrows:
         e_norm = alg.reduced_norm(alg.identity()).reduced_norm
@@ -455,7 +465,11 @@ def cmd_cyclic_oracle(session: Session, seed: int, samples: int, k: int | None =
         }
     report.add("mode-decomposition", cd.ok, **details)
     rank, dim = oracle.faithfulness_rank(ext)
-    report.add("oracle-faithfulness", rank == dim, rank=rank, dimension=dim)
+    # a failing check names the first extension arrow x with x 1_{s(x)} != x
+    moved = {} if rank == dim else {"witness": {
+        "arrow": ext.groupoid.arrow_labels[oracle.moved_arrows(ext)[0]]
+    }}
+    report.add("oracle-faithfulness", rank == dim, rank=rank, dimension=dim, **moved)
 
     draws = random_laurents(random.Random(seed), session.algebra, (0, kk - 1), (samples,))
     worst = float(np.max(oracle_norm_deviation(draws, ext), initial=0.0))
@@ -485,7 +499,11 @@ def cmd_morita(session: Session, seed: int, samples: int) -> Report:
         orbit_count=cert.orbit_count,
     )
     rng = random.Random(seed)
-    report.add("positivity", positivity_check(g, random_values(rng, (samples, g.n_units))))
+    bad = positivity_check(g, random_values(rng, (samples, g.n_units)))
+    witness = bad and {"witness": dict(
+        sample=bad.sample, unit=g.unit_labels[bad.unit], eigenvalue=fmt_float(bad.eigenvalue),
+    )}
+    report.add("positivity", bad is None, **(witness or {}))
     kk = session.order(None)
     if kk is not None:
         pairs = random_values(rng, (samples, 2, g.n_units))
@@ -520,7 +538,8 @@ def cmd_verify_all(
     session = Session(spec, source)
     g, rep = spec.groupoid, session.validation
     report.add(
-        "groupoid-axioms", rep.ok, units=g.n_units, arrows=g.n_arrows, violations=len(rep.violations)
+        "groupoid-axioms", rep.ok, units=g.n_units, arrows=g.n_arrows,
+        violations=len(rep.violations), **_first(rep),
     )
     if not rep.ok:
         return report

@@ -15,9 +15,12 @@ construction.  Every operation reads the table, which is read-only, so
 ``normalized`` is decided once per cocycle.  ``values``, the sparse
 ``CircleScalar`` view of the entries other than 1, is what documents parse
 and serialize; for a table an operation wrote, it is built on first read,
-in pair order.  An exact cocycle also holds its N roots e(j / N), so the
-complex tables of w^n for a list of modes n are one gather: each mode's
-roots e(nj / N), read at the angles j = W.
+in pair order.  The complex tables of w^n (``twists``) are held on the
+composable pairs alone, in ``pair_table`` order, since a product reads w^n
+only there; ``FiniteGroupoid.pair_position`` finds the entry of (a, b).  An
+exact cocycle also holds its N roots e(j / N), so those tables for a list of
+modes n are one gather: each mode's roots e(nj / N), read at the pairs'
+angles j = W[A, B].
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ class OneCochain:
 class TwoCocycle:
     """A circle-valued function on composable pairs of a finite groupoid,
     compiled into one table (see the module docstring); every complex table
-    of its powers w^n comes from ``twists``, through ``roots`` when exact."""
+    of its powers w^n comes from ``twists``, on the composable pairs, through
+    ``roots`` when exact."""
 
     def __init__(self, base: FiniteGroupoid, values=None, identity_checked: bool = False):
         self.base = base
@@ -205,7 +209,7 @@ class TwoCocycle:
         x = self.table[A, B]
         if n is not None:
             return (x.astype(object) if n >= _INT64_CONDUCTOR else x) * (n // self.conductor)
-        return self.twists([1])[0, A, B] if self.is_exact else x
+        return self.twists([1])[0] if self.is_exact else x
 
     @cached_property
     def normalized(self) -> bool:
@@ -268,16 +272,18 @@ class TwoCocycle:
         return circle_values(range(n), n)
 
     def twists(self, modes) -> np.ndarray:
-        """The complex tables of w^n over the listed modes n, stacked: e(x / N)
-        at the angles x = n W mod N of ``power_table(n)``, gathered from the
-        roots e(nj / N) of each mode at j = W (one value per distinct angle
-        without ``roots``), or the numeric powers."""
-        n = self.conductor
+        """The complex tables of w^n over the listed modes n, stacked as
+        (modes, pairs) in ``pair_table`` order: e(x / N) at the angles x = n W
+        mod N of ``power_table(n)`` on the composable pairs, gathered from the
+        roots e(nj / N) of each mode at the pairs' angles j (one value per
+        distinct pair angle without ``roots``), or the numeric powers."""
+        A, B, _ = self.base.pair_table
+        n, x = self.conductor, self.table[A, B]
         if self.roots is not None:
             modes = np.array([p % n for p in modes], dtype=np.int64)
-            return self.roots[modes[:, None] * np.arange(n) % n][:, self.table]
-        tables = np.array([self.power_table(p) for p in modes], dtype=self.table.dtype)
-        tables = tables.reshape(len(tables), *self.table.shape)
+            return self.roots[modes[:, None] * np.arange(n) % n][:, x]
+        tables = [p % n * x % n if self.is_exact else x**p for p in modes]
+        tables = np.array(tables, dtype=x.dtype).reshape(len(tables), len(x))
         if not self.is_exact:
             return tables
         keys, inverse = np.unique(tables, return_inverse=True)

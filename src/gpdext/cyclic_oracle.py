@@ -36,8 +36,9 @@ row, all with coefficient 1.  ``mode_product_terms`` reads its terms
 straight off the rows of the extension's own composition table at the
 arrows of the left mode deltas' entries: each composable pair gives one
 term per right mode, and no meeting of entries is dropped.
-``faithfulness_rank`` reads the product of every delta with its source unit
-off that table at once.
+``moved_arrows`` reads the product of every delta with its source unit off
+that table at once and lists the deltas it moves; ``faithfulness_rank``
+counts the others.
 
 A numeric element is a complex array of shape (..., k*|A|), taken by
 ``delta_products``, ``mode_projection``, ``embed_mode``, ``reduced_norm``
@@ -61,10 +62,14 @@ terms, not with its arrows.  That map and the roots e(j/k) depend on k
 alone, so ``circle_constants`` builds them once per k for every extension.
 
 Certificates cut their term steps into row chunks of about
-``STACK_ENTRIES`` entries, so that their memory stays bounded for any k.
-A product, a star or a projection decided from its terms counts four
-entries per term (row, arrow, exponent and the key it is summed under),
-since its terms, not its dense values, are what a chunk holds.
+``STACK_ENTRIES`` entries, so that their memory grows with a chunk, not
+with the whole step.  A chunk holds at least one row, though, and one left
+row of the products makes k**3 terms per base pair of its arrow, so the
+memory of a certificate has that floor, which grows as k**3: a chunk is
+bounded by ``STACK_ENTRIES`` only while one row fits in it.  A product, a
+star or a projection decided from its terms counts four entries per term
+(row, arrow, exponent and the key it is summed under), since its terms,
+not its dense values, are what a chunk holds.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ from .groupoid import (
 
 # Integer results at or above this bound are computed on Python ints.
 _INT64_LIMIT = 2**63
-# Term steps that would hold more entries than this run in row chunks, so
-# the memory of a certificate stays bounded for any k.
+# Term steps that would hold more entries than this run in row chunks of at
+# least one row each, so the memory of a certificate grows with one row's
+# terms (k**3 per base pair of a product row's arrow), not with the step.
 STACK_ENTRIES = 2**14
 # Singular values at or below this fraction of the largest (or of 1) count
 # as zero in an ideal's rank: the spanning products have entries of size
@@ -328,9 +334,14 @@ def faithfulness_rank(ext: CyclicExtension) -> tuple[int, int]:
     extension's own composition table.  Faithfulness is what makes the full
     and reduced norms agree (J. Renault, *A Groupoid Approach to
     C*-Algebras*, LNM 793, 1980)."""
+    return ext.dimension - len(moved_arrows(ext)), ext.dimension
+
+
+def moved_arrows(ext: CyclicExtension) -> np.ndarray:
+    """The extension arrows x with x u != x, u the unit at s(x), ascending:
+    the deltas ``faithfulness_rank`` does not count."""
     G, x = ext.groupoid, np.arange(ext.dimension)
-    rank = int((ext.compose[x, G.unit_to_arrow[G.source_map]] == x).sum())
-    return rank, ext.dimension
+    return np.flatnonzero(ext.compose[x, G.unit_to_arrow[G.source_map]] != x)
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:

@@ -405,9 +405,11 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
     difference.
 
     The expected values are the cocycle's tables of w^n (``power_table``)
-    as exponents of zeta_k, read in array expressions: w^n(a, b) at
-    (a, b, ab), conj w^n(a^-1, a) at (a, a^-1).  An exact angle over the
-    conductor (which divides k: every value is a k-th root) is scaled to k.
+    on the composable pairs, in ``pair_table`` order, as exponents of
+    zeta_k, read in array expressions: w^n(a, b) at (a, b, ab), conj
+    w^n(a^-1, a) at (a, a^-1), the latter at its ``pair_position``.  An
+    exact angle over the conductor (which divides k: every value is a k-th
+    root) is scaled to k.
     A numeric value (``twists``) is snapped to its nearest k-th root, and a
     pair whose value of w^n lies more than ``ORACLE_TOL`` from it fails as
     the product (n, n, a, b), its residual that distance; ``max_residual``
@@ -424,15 +426,16 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         step = max(1, oracle.STACK_ENTRIES // max(1, per_row))
         return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
-    # P[n, a, b]: w^n(a, b) = zeta_k^P, and each pair's distance from it
+    # P[n, i]: w^n(a, b) = zeta_k^P at the i-th pair (a, b) of pair_table,
+    # and each pair's distance from it
     if w.is_exact:
-        P = np.array([w.power_table(n) for n in range(k)], dtype=np.int64).reshape(k, m, m)
-        P *= k // w.conductor
+        P = np.array([w.power_table(n)[A, B] for n in range(k)], dtype=np.int64)
+        P = P.reshape(k, len(A)) * (k // w.conductor)
         distance = np.zeros((k, len(A)))
     else:  # the nearest k-th root, from the value and k alone
         z = w.twists(range(k))
         P = np.rint(k * np.angle(z) / (2 * np.pi)).astype(np.intp) % k
-        distance = oracle.magnitude(z - circle_values(range(k), k)[P])[:, A, B]
+        distance = oracle.magnitude(z - circle_values(range(k), k)[P])
     max_residual = float(distance.max(initial=0.0))
     first = None  # (rank, position, residual) of the first failing comparison
     far = np.argwhere(distance > ORACLE_TOL)  # ascending in (n, a, b)
@@ -473,7 +476,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
         a, b = A[pair], B[pair]
         left, right = n * m + a, n * m + b
         arrow = t * m + C[pair, None]
-        expected = (P[n, a, b, None] - t * n[:, None]) % k
+        expected = (P[n, pair, None] - t * n[:, None]) % k
         by_right = rows // m * k * m * m + rows % m
         # left row p * m + a makes k**3 terms per base pair (a, b), k circle
         # exponents on each side and k right modes, and a term holds four
@@ -491,7 +494,7 @@ def cyclic_decompose(ext: CyclicExtension, skip_centers: bool = False) -> Cyclic
             n, a = divmod(rows[lo:hi, None], m)
             terms = oracle.star_terms(ext, oracle.mode_delta_entries(ext, rows[lo:hi]))
             flat = (rows[lo:hi, None] - lo) * N + t * m + inv[a]
-            exponent = (-P[n, inv[a], a] - t * n) % k
+            exponent = (-P[n, base.pair_position[inv[a], a]] - t * n) % k
             yield 1, rows[lo:hi], *summed(hi - lo, terms.row, terms, flat, exponent)
         # projecting onto mode mm keeps the deltas of mode mm and kills the
         # rest: batch row (r, mm) of a chunk, for all k target modes mm at

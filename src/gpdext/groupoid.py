@@ -3,12 +3,13 @@
 Units and arrows are dense integer indices, and the range, source, inverse
 and unit maps read-only ``intp`` arrays.  Composition is a partial map held
 as index arrays: the composable pairs (A, B, C = A∘B) in ascending (A, B)
-order, and a dense compose array holding -1 off the table.  These arrays
-are its one stored form: pair arrays given to the constructor are checked,
-and a dict keyed by composable pairs is sorted into them, so nothing
-depends on the order a dict was written in.  ``compose_table`` is a dict
-view built from the arrays, in pair order.  The composable triples are
-generated from these in row blocks of bounded size.
+order, a dense compose array holding -1 off the table, and a dense
+``pair_position`` array holding each pair's place in those arrays (-1 off
+the table).  These arrays are its one stored form: pair arrays given to
+the constructor are checked, and a dict keyed by composable pairs is
+sorted into them, so nothing depends on the order a dict was written in.
+``compose_table`` is a dict view built from the arrays, in pair order.  The
+composable triples are generated from these in row blocks of bounded size.
 ``validate``, the triple enumeration, the cocycle identity check, the
 orbits, principality and the isotropy quotient read these tables.  The
 orbits have one rule: each unit's orbit is named by its least unit
@@ -140,6 +141,7 @@ class FiniteGroupoid:
         self.arrow_labels = tuple(str(x) for x in arrow_labels)
         self._source_fibers = None
         self._compose_array = None
+        self._pair_position = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -190,6 +192,17 @@ class FiniteGroupoid:
             self._compose_array = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.intp)
             self._compose_array[A, B] = C
         return self._compose_array
+
+    @property
+    def pair_position(self) -> np.ndarray:
+        """The position of each composable pair (a, b) in ``pair_table`` as an
+        n_arrows x n_arrows array, -1 off the table: where a table held in
+        pair order, such as ``TwoCocycle.twists``, keeps its value at (a, b)."""
+        if self._pair_position is None:
+            A, B, _ = self.pair_table
+            self._pair_position = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.intp)
+            self._pair_position[A, B] = np.arange(len(A))
+        return self._pair_position
 
     def triple_blocks(self):
         """The composable triples in row blocks: per block, pairs (a, b, ab)

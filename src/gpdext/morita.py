@@ -62,22 +62,35 @@ def inner_products(g: FiniteGroupoid, f, h) -> np.ndarray:
 POSITIVITY_TOL = 1e-12
 
 
-def positivity_check(g: FiniteGroupoid, elements) -> bool:
-    """Every regular-representation matrix of <f, f>, for every row f of the
-    stack (samples, units) on g, is positive semidefinite (it is a rank-one
-    Gram matrix).  The untwisted algebra's table of w^0 is all ones; the
-    matrices of every row at every unit come from one ``regular_reps``
+@dataclass
+class PositivityWitness:
+    """A failing positivity check: the sample, the unit whose regular matrix
+    of <f, f> has an eigenvalue below ``-POSITIVITY_TOL``, and that matrix's
+    least eigenvalue."""
+
+    sample: int
+    unit: int
+    eigenvalue: float
+
+
+def positivity_check(g: FiniteGroupoid, elements) -> PositivityWitness | None:
+    """None when every regular-representation matrix of <f, f>, for every
+    row f of the stack (samples, units) on g, is positive semidefinite (it
+    is a rank-one Gram matrix); else the first failing (sample, unit).  The
+    untwisted algebra's table of w^0 is all ones on the composable pairs;
+    the matrices of every row at every unit come from one ``regular_reps``
     gather per fiber size, their eigenvalues from one ``eigvalsh`` call per
     fiber shape."""
     _require_principal(g, "positivity_check")
     x = inner_products(g, elements, elements)
-    ones = np.broadcast_to(np.complex128(1), (g.n_arrows, g.n_arrows))
-    for _, fiber in fibers(g, g.units()):
+    ones = np.broadcast_to(np.complex128(1), len(g.pair_table[0]))
+    least = np.zeros((len(x), g.n_units))  # by (sample, unit)
+    for at, fiber in fibers(g, g.units()):
         m = regular_reps(g, ones, x, fiber)
-        m = (m + m.conj().swapaxes(-1, -2)) / 2
-        if np.linalg.eigvalsh(m).min(initial=0.0) < -POSITIVITY_TOL:
-            return False
-    return True
+        least[:, at] = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
+    for i, u in np.argwhere(least < -POSITIVITY_TOL)[:1].tolist():
+        return PositivityWitness(i, u, float(least[i, u]))
+    return None
 
 
 @dataclass

@@ -192,11 +192,11 @@ TWIST_PATHS = list(_twist_paths())
 
 @pytest.mark.parametrize("name,w", TWIST_PATHS, ids=[name for name, _ in TWIST_PATHS])
 def test_no_modes_twist_to_an_empty_stack(name, w):
-    m = w.base.n_arrows
+    pairs = len(w.base.pair_table[0])
     assert (w.roots is not None) == (name == "pauli")
     empty = w.twists([])
-    assert empty.shape == (0, m, m) and empty.dtype == complex
-    assert w.twists(range(0)).shape == (0, m, m)
+    assert empty.shape == (0, pairs) and empty.dtype == complex
+    assert w.twists(range(0)).shape == (0, pairs)
     # the zero element has no modes, and decomposes to no norms
     report = decompose(ExtensionAlgebra(w.base, w).element({}))
     assert report.mode_norms == {} and report.extension_norm == 0.0

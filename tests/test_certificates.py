@@ -353,13 +353,13 @@ def test_twist_flipped_in_the_product_scatter_only_is_caught_by_the_residual(
     monkeypatch, klein, pauli
 ):
     # R_u's blocks (fiber_products, a scatter of products) read w(a, b) with
-    # the value at ((0,1), (1,0)) negated in every mode; the regular_reps
-    # gather of the mode blocks reads the true table
+    # the value at the pair ((0,1), (1,0)) negated in every mode; the
+    # regular_reps gather of the mode blocks reads the true table
     fiber_products = extension.fiber_products
 
     def flipped(G, twist, x, fiber):
         twist = twist.copy()
-        twist[..., 1, 2] *= -1
+        twist[..., G.pair_position[1, 2]] *= -1
         return fiber_products(G, twist, x, fiber)
 
     ea = ExtensionAlgebra(klein, pauli)

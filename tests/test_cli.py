@@ -212,8 +212,9 @@ class TestExitCodes:
         assert main([command, str(doc), "--samples", "2", "--format", "machine"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        failed = [c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]]
-        assert failed == ["groupoid-axioms"]
+        failed = [c for c in json.loads(captured.out)["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["groupoid-axioms"]
+        assert failed[0]["details"]["first"].startswith("(")  # a failing associativity triple
 
 
 class TestCommands:
@@ -637,3 +638,84 @@ def test_verify_all_builds_apart_at_other_orders(monkeypatch, capsys):
     builds.clear()
     rc, _ = run(capsys, "verify-all", "--fixture", "pair2_trivial", "--samples", "2", "--k", "2")
     assert rc == 0 and builds == [2, 1]
+
+
+def test_a_failing_positivity_names_its_sample_unit_and_eigenvalue(monkeypatch, capsys):
+    # with every inner product negated, each regular matrix of <f, f> is
+    # -v v*, whose least eigenvalue is minus the squared norm of sample 0
+    rc, out = run(capsys, "morita", "--fixture", "pair2_trivial", "--samples", "3",
+                  "--format", "machine")
+    assert rc == 0
+    assert {c["name"]: c for c in json.loads(out)["checks"]}["positivity"]["details"] == {}
+    inner = morita.inner_products
+    monkeypatch.setattr(morita, "inner_products", lambda g, f, h: -inner(g, f, h))
+    rc, out = run(capsys, "morita", "--fixture", "pair2_trivial", "--samples", "3",
+                  "--format", "machine")
+    assert rc == 1
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["positivity"]
+    witness = check["details"]["witness"]
+    assert not check["passed"] and (witness["sample"], witness["unit"]) == (0, "0")
+    assert float(witness["eigenvalue"]) < -1e-12
+
+
+def test_a_failing_cocycle_identity_names_its_first_triple(tmp_path, capsys):
+    # e(1/4) at (1, 1) alone on Z3 is no cocycle: on (1, 1, 2) the left side
+    # w(1,1) w(2,2) is e(1/4) and the right side w(1,2) w(1,0) is 1
+    from fractions import Fraction
+
+    from gpdext.cocycle import TwoCocycle
+    from gpdext.documents import SpecDocument, canonical_json
+    from gpdext.groupoid import cyclic_group_groupoid
+
+    z3 = cyclic_group_groupoid(3)
+    doc = tmp_path / "z3_broken.json"
+    w = TwoCocycle(z3, {(1, 1): Fraction(1, 4)})
+    doc.write_text(canonical_json(spec_to_doc(SpecDocument(groupoid=z3, cocycle=w))))
+    for command in ("validate", "normalize", "algebra", "verify-all"):
+        rc, out = run(capsys, command, str(doc), "--samples", "2", "--format", "machine")
+        checks = [c for c in json.loads(out)["checks"] if c["name"].endswith("cocycle-identity")]
+        assert rc == 1 and checks, command
+        for check in checks:
+            assert not check["passed"]
+            assert check["details"]["first"].startswith("identity fails on (1,1,2): "), command
+
+
+def test_an_unfaithful_regular_representation_names_its_arrow():
+    # compose((0,1), (1,1)) and compose((1,0), (0,0)) rewritten after
+    # validation: the arrows (0,1) and (1,0) are no longer fixed by the unit
+    # at their source, and the first is named
+    import gpdext.cli as cli
+
+    spec, source = load_spec(None, "pair2_trivial")
+    session = cli.Session(spec, source)
+    passing = {c.name: c for c in cli.cmd_algebra(session, 0, 2).checks}
+    assert "witness" not in passing["faithful-regular-representation"].details
+    session = cli.Session(*load_spec(None, "pair2_trivial"))
+    assert all(c.passed for c in session.checks)
+    g = session.groupoid
+    g.compose_array[g.arrow_labels.index("(0,1)"), g.unit_arrow(1)] = g.unit_arrow(0)
+    g.compose_array[g.arrow_labels.index("(1,0)"), g.unit_arrow(0)] = g.unit_arrow(1)
+    check = {c.name: c for c in cli.cmd_algebra(session, 0, 2).checks}[
+        "faithful-regular-representation"
+    ]
+    assert not check.passed and (check.details["rank"], check.details["dimension"]) == (2, 4)
+    assert check.details["witness"] == {"arrow": "(0,1)"}
+
+
+def test_an_unfaithful_oracle_names_its_arrow():
+    # in mu_2 x pauli, the products of the extension arrows (e(0/2)|(0,1))
+    # and (e(1/2)|(1,1)) with their source unit rewritten to the unit arrow,
+    # and the first is named
+    import gpdext.cli as cli
+
+    spec, source = load_spec(None, "pauli")
+    session = cli.Session(spec, source)
+    passing = {c.name: c for c in cli.cmd_cyclic_oracle(session, 0, 2).checks}
+    assert "witness" not in passing["oracle-faithfulness"].details
+    ext = session.extension(2)
+    ext.compose = ext.compose.copy()
+    for label in ("(e(0/2)|(0,1))", "(e(1/2)|(1,1))"):
+        ext.compose[ext.groupoid.arrow_labels.index(label), ext.groupoid.unit_arrow(0)] = 0
+    check = {c.name: c for c in cli.cmd_cyclic_oracle(session, 0, 2).checks}["oracle-faithfulness"]
+    assert not check.passed and (check.details["rank"], check.details["dimension"]) == (6, 8)
+    assert check.details["witness"] == {"arrow": "(e(0/2)|(0,1))"}

@@ -316,6 +316,24 @@ class TestReducedDecomposition:
         cert = check_reduced_decomposition(elements)
         assert cert.ok, cert
 
+    def test_memory_stays_bounded_on_pair11(self):
+        # the tracemalloc peak of one certificate of a 2-mode sample on
+        # pair(11) under a mu_4 coboundary, once a first call has built the
+        # groupoid's compiled tables: about 0.30 MB with the tables of w^n on
+        # the 1 331 composable pairs, 0.73 MB on the 14 641 arrows x arrows
+        g = pair_groupoid(11)
+        rng = random.Random(11)
+        F = random_laurent(rng, ExtensionAlgebra(g, random_mu_k_coboundary(rng, g, 4)), (0, 1))
+        assert F.support == [0, 1] and check_reduced_decomposition([F]).ok
+        tracemalloc.start()
+        try:
+            cert = check_reduced_decomposition([F])
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert cert.ok
+        assert peak <= 450_000
+
 
 class TestCyclicExtension:
     def test_trivial_cocycle_on_z2_splits(self):
@@ -490,6 +508,22 @@ class TestCyclicDecompose:
             tracemalloc.stop()
         assert cd.ok and cd.exact
         assert peak <= 1_500_000
+
+    def test_memory_at_k24_is_the_one_row_floor(self):
+        # a chunk holds at least one left row, whose product terms grow as
+        # k**3 times the base pairs of its arrow, so the peak is not bounded
+        # for any k: on pair3_cobound it is about 6.0 MB at k = 24 (0.86 MB
+        # at k = 12, 46.4 MB at k = 48)
+        spec, _ = load_spec(None, "pair3_cobound")
+        ext = cyclic_extension(spec.groupoid, spec.cocycle_or_trivial(), 24)
+        tracemalloc.start()
+        try:
+            cd = cyclic_decompose(ext, skip_centers=True)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert cd.ok and cd.exact
+        assert peak <= 7_500_000
 
 
 class TestOracleNormAgreement:

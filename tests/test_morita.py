@@ -98,13 +98,13 @@ def negated_at(row, monkeypatch):
 
 class TestPositivity:
     def test_delta(self, pair2):
-        assert positivity_check(pair2, delta(pair2, 0)[None])
+        assert positivity_check(pair2, delta(pair2, 0)[None]) is None
 
     def test_random(self, pair2, rng):
-        assert positivity_check(pair2, random_values(rng, (30, pair2.n_units)))
+        assert positivity_check(pair2, random_values(rng, (30, pair2.n_units))) is None
 
     def test_zero(self, pair2):
-        assert positivity_check(pair2, np.zeros((1, pair2.n_units)))
+        assert positivity_check(pair2, np.zeros((1, pair2.n_units))) is None
 
     def test_builds_no_algebra_and_no_cocycle(self, pair2, rng, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -112,13 +112,17 @@ class TestPositivity:
 
         monkeypatch.setattr(TwistedAlgebra, "__init__", refuse)
         monkeypatch.setattr(TwoCocycle, "__init__", refuse)
-        assert positivity_check(pair2, random_values(rng, (10, pair2.n_units)))
+        assert positivity_check(pair2, random_values(rng, (10, pair2.n_units))) is None
 
     def test_one_negative_sample_fails_the_batch(self, pair2, rng, monkeypatch):
         samples = random_values(rng, (5, pair2.n_units))
         negated_at(samples[3], monkeypatch)
-        assert not positivity_check(pair2, samples)
-        assert positivity_check(pair2, samples[:3])
+        # named at the first unit, with the least eigenvalue of -<f, f>
+        # there, minus the squared norm of the sample
+        witness = positivity_check(pair2, samples)
+        assert (witness.sample, witness.unit) == (3, 0)
+        assert witness.eigenvalue == pytest.approx(-(np.abs(samples[3]) ** 2).sum())
+        assert positivity_check(pair2, samples[:3]) is None
 
     def test_a_negative_sample_at_the_unit_of_the_smaller_fibre_fails(self, rng, monkeypatch):
         # pair(2)+pair(1) has fibres of sizes 2 and 1, so the matrices come
@@ -128,9 +132,15 @@ class TestPositivity:
         samples = random_values(rng, (4, g.n_units))
         lone = delta(g, 2, 1.5)
         negated_at(lone, monkeypatch)
-        assert positivity_check(g, samples) and positivity_check(g, samples[:0])
-        assert not positivity_check(g, np.vstack([samples, lone]))
-        assert not positivity_check(g, lone[None])
+        assert positivity_check(g, samples) is None and positivity_check(g, samples[:0]) is None
+        witness = positivity_check(g, np.vstack([samples, lone]))
+        assert (witness.sample, witness.unit, witness.eigenvalue) == (4, 2, pytest.approx(-2.25))
+        assert positivity_check(g, lone[None]).sample == 0
+        # named in (sample, unit) order: sample 1 fails at units 0 and 1 too
+        other = delta(g, 0, 2.0)
+        negated_at(other, monkeypatch)
+        witness = positivity_check(g, np.vstack([lone, other]))
+        assert (witness.sample, witness.unit, witness.eigenvalue) == (0, 2, pytest.approx(-2.25))
 
     def test_gram_matrix_is_rank_one(self, pair2, rng):
         # the regular matrices of <f,f> are v v*, hence PSD of rank <= 1
